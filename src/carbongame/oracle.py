@@ -12,6 +12,13 @@ Discretization notes: transitions use an explicit Euler step of the drift,
 and the per-step reward is rate * (1 - gamma) / rho with gamma = exp(-rho*dt),
 which is exact for constant rates (a plain rate*dt reward carries an O(dt)
 bias of about rho*dt/2 that would not fit inside the value tolerance).
+The continuation value at an off-grid next state is the linear interpolation
+between its two neighbouring grid states, clamped to the end values outside
+[0, H_max]. The joint greedy step computes it with ``np.interp``, the same
+clamped interpolation that ``_positions`` sets up for policy evaluation, and
+tabulates the per-role rewards and the effort part of the drift once per
+solve, since neither depends on the value. Every (a_f, a_r) pair is still
+scored at every state on every sweep.
 """
 
 from __future__ import annotations
@@ -241,8 +248,6 @@ def _joint_response(params: ModelParams, grid: GridSpec,
     ar = grid.actions("retailer")
     gamma = float(np.exp(-params.rho * grid.dt))
     step = (1.0 - gamma) / params.rho
-    Hc = H[:, None]
-    ar_row = ar[None, :]
     rows = np.arange(n)
     if seeds is None:
         pol_f = np.zeros(n, dtype=np.int64)
@@ -257,6 +262,17 @@ def _joint_response(params: ModelParams, grid: GridSpec,
                                     None, params).total
         return rate * step, H + grid.dt * reduction_drift(H, e_f, e_r, params)
 
+    # The greedy step's rewards and transitions do not depend on the value,
+    # so they are tabulated once per solve. Each role's net rate depends on
+    # its own effort only, and the drift is affine in the efforts, so the
+    # next state is a per-state base plus a per-action-pair shift.
+    rates = profits.payoff_rates(GameMode.CENTRALIZED, H[:, None], af[None, :],
+                                 ar[None, :], None, params)
+    reward_f = rates.net_f * step  # (state, a_f)
+    reward_r = rates.net_r * step  # (state, a_r)
+    base = (H + grid.dt * reduction_drift(H, 0.0, 0.0, params))[:, None]
+    shift = grid.dt * reduction_drift(0.0, af[:, None], ar[None, :], params)
+
     value = np.zeros(n)
     change = np.inf
     for sweep in range(1, grid.max_sweeps + 1):
@@ -265,16 +281,14 @@ def _joint_response(params: ModelParams, grid: GridSpec,
         new_value = _evaluate_policy(n, j, w, reward_pol, gamma)
         change = float(np.max(np.abs(new_value - value)))
         value = new_value
+        continuation = gamma * value
         best_q = np.full(n, -np.inf)
         best_f = np.zeros(n, dtype=np.int64)
         best_r = np.zeros(n, dtype=np.int64)
-        for kf, a_f in enumerate(af):
-            rate = profits.payoff_rates(GameMode.CENTRALIZED, Hc, a_f, ar_row,
-                                        None, params).total
-            nxt = Hc + grid.dt * reduction_drift(Hc, a_f, ar_row, params)
-            jj, ww = _positions(H, nxt)
-            q = rate * step + gamma * (value[jj] * (1.0 - ww)
-                                       + value[np.minimum(jj + 1, n - 1)] * ww)
+        for kf in range(af.size):
+            q = np.interp(base + shift[kf], H, continuation)
+            q += reward_f[:, kf, None]
+            q += reward_r
             kr = np.argmax(q, axis=1)
             qk = q[rows, kr]
             upgrade = qk > best_q
@@ -282,7 +296,6 @@ def _joint_response(params: ModelParams, grid: GridSpec,
             best_f[upgrade] = kf
             best_r[upgrade] = kr[upgrade]
         if np.array_equal(best_f, pol_f) and np.array_equal(best_r, pol_r):
-            _, next_pol = policy_step(pol_f, pol_r)
             _check_interior(H, next_pol)
             return BestResponse(mode=GameMode.CENTRALIZED, role="joint",
                                 grid=grid, H=H, value=value,
@@ -364,42 +377,48 @@ def leader_improvement_sample(solution: GameSolution,
     factors = 1.0 + spread * rng.uniform(-1.0, 1.0, size=(samples, 6))
     coefs = np.vstack([base, base * factors])  # row 0 is the baseline
     c = derive_constants(params)
+    g1, g0, n1, n0, d1, d0 = coefs.T
     value_f = solution.values["farmer"]
+    # follower numerator eta*H + mu_f*V_f'(H), as one affine map of H
+    f1 = c.eta + params.mu_f * 2.0 * value_f.A
+    f0 = params.mu_f * value_f.B
 
     def stage(Hv):
-        num = coefs[:, 2] * Hv + coefs[:, 3]
-        den = coefs[:, 4] * Hv + coefs[:, 5]
+        num = n1 * Hv + n0
+        den = d1 * Hv + d0
         with np.errstate(divide="ignore", invalid="ignore"):
             x = num / den
         x = np.where((num == 0.0) & (den == 0.0), 0.0, x)
         share = np.maximum(1.0 - x, 1e-6)
-        E_f = (c.eta * Hv + params.mu_f * value_f.marginal(Hv)) \
-            / (share * params.lambda_f)
-        E_r = coefs[:, 0] * Hv + coefs[:, 1]
+        E_f = (f1 * Hv + f0) / (share * params.lambda_f)
+        E_r = g1 * Hv + g0
         return E_f, E_r, x
 
     def drift(Hv):
         E_f, E_r, _ = stage(Hv)
         return reduction_drift(Hv, E_f, E_r, params)
 
-    def leader_rate(Hv):
-        E_f, E_r, x = stage(Hv)
+    def leader_rate(Hv, E_f, E_r, x):
         return (params.p_r * c.k2 * Hv - 0.5 * params.lambda_r * E_r ** 2
                 - x * 0.5 * params.lambda_f * E_f ** 2)
 
     steps = int(round(T / h))
+    weights = np.exp(-params.rho * np.arange(1, steps + 1) * h)
     H = np.full(coefs.shape[0], float(params.H0))
     payoff = np.zeros(coefs.shape[0])
-    rate_prev = leader_rate(H)
+    # the stage at the end of one step is the first RK4 stage of the next
+    E_f, E_r, x = stage(H)
+    rate_prev = leader_rate(H, E_f, E_r, x)
     weight_prev = 1.0
     for i in range(steps):
-        k1 = drift(H)
+        k1 = reduction_drift(H, E_f, E_r, params)
         k2 = drift(H + 0.5 * h * k1)
         k3 = drift(H + 0.5 * h * k2)
         k4 = drift(H + h * k3)
         H = H + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        weight = float(np.exp(-params.rho * (i + 1) * h))
-        rate = leader_rate(H)
+        E_f, E_r, x = stage(H)
+        weight = weights[i]
+        rate = leader_rate(H, E_f, E_r, x)
         payoff += 0.5 * h * (weight_prev * rate_prev + weight * rate)
         rate_prev, weight_prev = rate, weight
     payoff += weight_prev * rate_prev / params.rho  # frozen-state tail

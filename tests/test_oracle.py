@@ -12,6 +12,7 @@ import pytest
 
 from carbongame import (
     FeedbackPolicy,
+    GameMode,
     GridSpec,
     ModelParams,
     OracleError,
@@ -23,6 +24,9 @@ from carbongame import (
     solve_decentralized,
     solve_stackelberg,
 )
+from carbongame.model import reduction_drift
+from carbongame.oracle import _evaluate_policy, _positions, _seed_indices
+from carbongame.profits import payoff_rates
 
 from reference_values import CASES
 
@@ -93,6 +97,12 @@ def test_stackelberg_certification_passes(baseline_gs):
     assert sample["max_improvement"] < 0.0
     assert sample["baseline_payoff"] == pytest.approx(
         CASES["baseline"]["gs"]["V_r_H0"], rel=1e-3)
+    # pinned from the sampler's stepped RK4 (seed 20260814, 200 samples);
+    # a faster sampler must reproduce them, not just pass the tolerance
+    assert sample["baseline_payoff"] == pytest.approx(9042.009609917543,
+                                                      rel=0, abs=1e-9)
+    assert sample["max_improvement"] == pytest.approx(-5.4187415854658903e-05,
+                                                      rel=0, abs=1e-9)
 
 
 def test_centralized_certification_passes():
@@ -101,6 +111,73 @@ def test_centralized_certification_passes():
     assert report.passed
     assert set(report.policy_gaps) == {"farmer", "retailer"}
     assert set(report.value_gaps) == {"joint"}
+
+
+def _reference_joint_response(params, grid, seeds):
+    """Joint Howard iteration whose greedy step rebuilds the reward, the
+    drift and the interpolation weights for every (a_f, a_r) pair. Pairs are
+    scanned farmer-major with a strict improvement test, so ties go to the
+    first farmer index, then the first retailer index."""
+    H = grid.states()
+    n = H.size
+    af, ar = grid.actions("farmer"), grid.actions("retailer")
+    gamma = float(np.exp(-params.rho * grid.dt))
+    step = (1.0 - gamma) / params.rho
+    gc = GameMode.CENTRALIZED
+
+    def reward_and_next(e_f, e_r):
+        rate = payoff_rates(gc, H, e_f, e_r, None, params).total
+        return rate * step, H + grid.dt * reduction_drift(H, e_f, e_r, params)
+
+    def continuation(value, nxt):
+        j, w = _positions(H, nxt)
+        return gamma * (value[j] * (1.0 - w)
+                        + value[np.minimum(j + 1, n - 1)] * w)
+
+    if seeds is None:
+        pol_f = np.zeros(n, dtype=np.int64)
+        pol_r = np.zeros(n, dtype=np.int64)
+    else:
+        pol_f = _seed_indices(af, seeds["farmer"].effort(H))
+        pol_r = _seed_indices(ar, seeds["retailer"].effort(H))
+    value = np.zeros(n)
+    for sweep in range(1, grid.max_sweeps + 1):
+        reward, nxt = reward_and_next(af[pol_f], ar[pol_r])
+        j, w = _positions(H, nxt)
+        value = _evaluate_policy(n, j, w, reward, gamma)
+        best_q = np.full(n, -np.inf)
+        best_f = np.zeros(n, dtype=np.int64)
+        best_r = np.zeros(n, dtype=np.int64)
+        for kf in range(af.size):
+            for kr in range(ar.size):
+                reward, nxt = reward_and_next(af[kf], ar[kr])
+                q = reward + continuation(value, nxt)
+                upgrade = q > best_q
+                best_q[upgrade] = q[upgrade]
+                best_f[upgrade] = kf
+                best_r[upgrade] = kr
+        if np.array_equal(best_f, pol_f) and np.array_equal(best_r, pol_r):
+            return af[pol_f], ar[pol_r], value, sweep
+        pol_f, pol_r = best_f, best_r
+    raise AssertionError("reference policy iteration did not converge")
+
+
+@pytest.mark.parametrize("params, warm", [
+    (ModelParams(), True),
+    (ModelParams(lambda_f=540.0, mu_r=0.465, rho=0.735), False),
+], ids=["baseline-warm", "perturbed-cold"])
+def test_joint_greedy_step_matches_the_pairwise_reference(params, warm):
+    sol = solve_centralized(params)
+    grid = default_grid(sol, n_states=64, n_actions=33)
+    seeds = sol.policies if warm else None
+    br = grid_best_response(params, "gc", "joint", None, grid,
+                            seed_policy=seeds)
+    ref_f, ref_r, ref_value, ref_sweeps = _reference_joint_response(
+        params, grid, seeds)
+    assert np.array_equal(br.actions["farmer"], ref_f)
+    assert np.array_equal(br.actions["retailer"], ref_r)
+    assert br.sweeps == ref_sweeps
+    assert br.value == pytest.approx(ref_value, rel=1e-12)
 
 
 def test_stressed_stackelberg_certifies_despite_negative_share():
