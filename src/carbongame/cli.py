@@ -50,8 +50,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="simulation horizon")
     parser.add_argument("--step", type=float, metavar="H",
                         help="simulation step size")
-    parser.add_argument("--workers", type=int, metavar="N",
-                        help="parallel cell evaluations")
 
 
 def _build_config(args) -> ScenarioConfig:
@@ -64,8 +62,6 @@ def _build_config(args) -> ScenarioConfig:
         updates["sink_trading"] = False
     if args.out:
         updates["out"] = args.out
-    if args.workers is not None:
-        updates["workers"] = args.workers
     if args.backend:
         updates["solver"] = dataclasses.replace(config.solver,
                                                 backend=args.backend)

@@ -14,7 +14,6 @@ import dataclasses
 import io
 import json
 import platform
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -147,12 +146,9 @@ class ScenarioConfig:
     solver: SolverConfig = SolverConfig()
     sweep: Optional[SweepSpec] = None
     out: Optional[str] = None
-    workers: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "modes", _parse_modes(self.modes, "modes"))
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
     @property
     def effective_params(self) -> ModelParams:
@@ -238,7 +234,7 @@ def load_config(path) -> ScenarioConfig:
     """Parse a JSON scenario document; absent fields take baseline defaults.
 
     The document is flat model-parameter keys plus optional "modes",
-    "sink_trading", "out", "workers" entries and "sim"/"solver"/"sweep"
+    "sink_trading", "out" entries and "sim"/"solver"/"sweep"
     sections. Unknown or ill-typed fields raise ConfigError naming the field.
     """
     text = Path(path).read_text()
@@ -250,8 +246,8 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError(f"config {path} must be a JSON object, got "
                           f"{type(doc).__name__}")
     param_names = set(ModelParams.field_names())
-    known_top = param_names | {"modes", "sink_trading", "out", "workers",
-                               "sim", "solver", "sweep"}
+    known_top = param_names | {"modes", "sink_trading", "out", "sim",
+                               "solver", "sweep"}
     for key in doc:
         if key not in known_top:
             raise ConfigError(f"unknown config key {key!r}")
@@ -274,11 +270,6 @@ def load_config(path) -> ScenarioConfig:
             raise ConfigError(f"config field out must be a string, "
                               f"got {doc['out']!r}")
         kwargs["out"] = doc["out"]
-    if "workers" in doc:
-        if isinstance(doc["workers"], bool) or not isinstance(doc["workers"], int):
-            raise ConfigError(f"config field workers must be an integer, "
-                              f"got {doc['workers']!r}")
-        kwargs["workers"] = doc["workers"]
     kwargs["sim"] = _parse_section(
         doc, "sim", SimConfig,
         {"T": float, "h": float, "integrator": str, "H0": float})
@@ -335,7 +326,6 @@ def _config_echo(config: ScenarioConfig) -> dict:
         "solver": dataclasses.asdict(config.solver),
         "sweep": None,
         "out": config.out,
-        "workers": config.workers,
     }
     if config.sweep is not None:
         echo["sweep"] = {
@@ -382,14 +372,6 @@ def _coefficients(solution: GameSolution) -> dict:
     else:
         out.update(M=retailer.A, N=retailer.B, F=retailer.C)
     return out
-
-
-def _run_cells(tasks, worker, workers: int):
-    """Evaluate tasks preserving order regardless of scheduling."""
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, tasks))
-    return [worker(task) for task in tasks]
 
 
 def _summary_row(mode: GameMode, sink: str, params: ModelParams,
@@ -455,7 +437,7 @@ def run_compare(config: ScenarioConfig) -> dict:
         except (SolverError, ParameterError, ValueError) as exc:
             return {"solution": None, "trajectory": None, "error": str(exc)}
 
-    outcomes = _run_cells(tasks, worker, config.workers)
+    outcomes = [worker(task) for task in tasks]
     artifacts = {}
     rows = []
     report_cells = []
@@ -538,7 +520,7 @@ def run_sweep(spec: Optional[SweepSpec], config: ScenarioConfig) -> dict:
         except (SolverError, ParameterError, ValueError) as exc:
             return {"metrics": {}, "error": str(exc)}
 
-    outcomes = _run_cells(tasks, worker, config.workers)
+    outcomes = [worker(task) for task in tasks]
     header = ["mode", "parameter", "value", *spec.responses, "status"]
     rows = []
     rows_meta = []

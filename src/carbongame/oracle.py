@@ -19,11 +19,24 @@ clamped interpolation that ``_positions`` sets up for policy evaluation, and
 tabulates the per-role rewards and the effort part of the drift once per
 solve, since neither depends on the value. Every (a_f, a_r) pair is still
 scored at every state on every sweep.
+
+The joint greedy step splits the farmer actions into contiguous ascending
+blocks, one per thread, because ``np.interp`` and the array arithmetic on
+each block run with the interpreter lock released. Each block keeps its own
+best pair per state under a strict improvement test; the blocks are then
+merged in ascending order with the same strict test, which reproduces a
+single farmer-major scan exactly: a tie goes to the first farmer index, then
+the first retailer index. The thread count is the number of CPUs the process
+may use, capped by MAX_GREEDY_THREADS; with one CPU the single block runs
+without a pool.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,6 +66,9 @@ __all__ = [
 ]
 
 INTERIOR_MARGIN = 0.05
+# The joint greedy step runs on at most this many threads; each holds two
+# (state, a_r) temporaries, about 2 MB on the default grid.
+MAX_GREEDY_THREADS = 4
 
 
 class OracleError(RuntimeError):
@@ -240,6 +256,63 @@ def _single_role_response(params: ModelParams, mode: GameMode, role: str,
                         value_change=change)
 
 
+def _greedy_threads() -> int:
+    """Threads for the joint greedy step: the CPUs this process may use,
+    capped by MAX_GREEDY_THREADS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_GREEDY_THREADS)
+
+
+def _greedy_block(farmer_actions, base, shift, H, continuation, reward_f,
+                  reward_r):
+    """Best (a_f, a_r) pair per state over the given farmer action indices.
+
+    q = continuation interpolated at base + shift[kf], plus reward_f[:, kf]
+    and reward_r. Pairs are scanned farmer-major with a strict improvement
+    test, so a tie in q goes to the first farmer index, then the first
+    retailer index. Returns the best q and its farmer and retailer indices.
+    """
+    n = H.size
+    rows = np.arange(n)
+    best_q = np.full(n, -np.inf)
+    best_f = np.zeros(n, dtype=np.int64)
+    best_r = np.zeros(n, dtype=np.int64)
+    for kf in farmer_actions:
+        q = np.interp(base + shift[kf], H, continuation)
+        q += reward_f[:, kf, None]
+        q += reward_r
+        kr = np.argmax(q, axis=1)
+        qk = q[rows, kr]
+        upgrade = qk > best_q
+        best_q[upgrade] = qk[upgrade]
+        best_f[upgrade] = kf
+        best_r[upgrade] = kr[upgrade]
+    return best_q, best_f, best_r
+
+
+def _greedy_step(blocks, tables, pool) -> tuple:
+    """Greedy (farmer, retailer) indices over ascending farmer-action blocks.
+
+    Each block is scanned by ``_greedy_block`` (on ``pool`` when given) and
+    the results are merged in block order with the same strict test, which
+    reproduces one farmer-major scan over all blocks, ties included.
+    """
+    if pool is None:
+        parts = [_greedy_block(kfs, *tables) for kfs in blocks]
+    else:
+        parts = list(pool.map(lambda kfs: _greedy_block(kfs, *tables), blocks))
+    best_q, best_f, best_r = parts[0]
+    for q, kf, kr in parts[1:]:
+        upgrade = q > best_q
+        best_q[upgrade] = q[upgrade]
+        best_f[upgrade] = kf[upgrade]
+        best_r[upgrade] = kr[upgrade]
+    return best_f, best_r
+
+
 def _joint_response(params: ModelParams, grid: GridSpec,
                     seeds: Optional[dict]) -> BestResponse:
     H = grid.states()
@@ -248,7 +321,6 @@ def _joint_response(params: ModelParams, grid: GridSpec,
     ar = grid.actions("retailer")
     gamma = float(np.exp(-params.rho * grid.dt))
     step = (1.0 - gamma) / params.rho
-    rows = np.arange(n)
     if seeds is None:
         pol_f = np.zeros(n, dtype=np.int64)
         pol_r = np.zeros(n, dtype=np.int64)
@@ -273,36 +345,29 @@ def _joint_response(params: ModelParams, grid: GridSpec,
     base = (H + grid.dt * reduction_drift(H, 0.0, 0.0, params))[:, None]
     shift = grid.dt * reduction_drift(0.0, af[:, None], ar[None, :], params)
 
+    threads = min(_greedy_threads(), af.size)
+    bounds = [k * af.size // threads for k in range(threads + 1)]
+    blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     value = np.zeros(n)
     change = np.inf
-    for sweep in range(1, grid.max_sweeps + 1):
-        reward_pol, next_pol = policy_step(pol_f, pol_r)
-        j, w = _positions(H, next_pol)
-        new_value = _evaluate_policy(n, j, w, reward_pol, gamma)
-        change = float(np.max(np.abs(new_value - value)))
-        value = new_value
-        continuation = gamma * value
-        best_q = np.full(n, -np.inf)
-        best_f = np.zeros(n, dtype=np.int64)
-        best_r = np.zeros(n, dtype=np.int64)
-        for kf in range(af.size):
-            q = np.interp(base + shift[kf], H, continuation)
-            q += reward_f[:, kf, None]
-            q += reward_r
-            kr = np.argmax(q, axis=1)
-            qk = q[rows, kr]
-            upgrade = qk > best_q
-            best_q[upgrade] = qk[upgrade]
-            best_f[upgrade] = kf
-            best_r[upgrade] = kr[upgrade]
-        if np.array_equal(best_f, pol_f) and np.array_equal(best_r, pol_r):
-            _check_interior(H, next_pol)
-            return BestResponse(mode=GameMode.CENTRALIZED, role="joint",
-                                grid=grid, H=H, value=value,
-                                actions={"farmer": af[pol_f],
-                                         "retailer": ar[pol_r]},
-                                sweeps=sweep, value_change=change)
-        pol_f, pol_r = best_f, best_r
+    with (ThreadPoolExecutor(threads) if threads > 1 else nullcontext()) as pool:
+        for sweep in range(1, grid.max_sweeps + 1):
+            reward_pol, next_pol = policy_step(pol_f, pol_r)
+            j, w = _positions(H, next_pol)
+            new_value = _evaluate_policy(n, j, w, reward_pol, gamma)
+            change = float(np.max(np.abs(new_value - value)))
+            value = new_value
+            best_f, best_r = _greedy_step(
+                blocks, (base, shift, H, gamma * value, reward_f, reward_r),
+                pool)
+            if np.array_equal(best_f, pol_f) and np.array_equal(best_r, pol_r):
+                _check_interior(H, next_pol)
+                return BestResponse(mode=GameMode.CENTRALIZED, role="joint",
+                                    grid=grid, H=H, value=value,
+                                    actions={"farmer": af[pol_f],
+                                             "retailer": ar[pol_r]},
+                                    sweeps=sweep, value_change=change)
+            pol_f, pol_r = best_f, best_r
     raise OracleError(
         f"policy iteration did not converge within {grid.max_sweeps} sweeps; "
         f"last value change {change:.3e}")
@@ -383,45 +448,83 @@ def leader_improvement_sample(solution: GameSolution,
     f1 = c.eta + params.mu_f * 2.0 * value_f.A
     f0 = params.mu_f * value_f.B
 
+    mu_f, mu_r, delta = params.mu_f, params.mu_r, params.delta
+    lambda_f = params.lambda_f
+    # Scalar products of the leader rate p_r*k2*H - 0.5*lambda_r*E_r**2
+    # - x*0.5*lambda_f*E_f**2, taken once. The in-place arithmetic below keeps
+    # each expression's operation order (halving is exact, so x*half_lf
+    # rounds as (x*0.5)*lambda_f), so the samples are bit-identical to it.
+    pk2 = params.p_r * c.k2
+    half_lr = 0.5 * params.lambda_r
+    half_lf = 0.5 * lambda_f
+    half_h = 0.5 * h
+
     def stage(Hv):
-        num = n1 * Hv + n0
-        den = d1 * Hv + d0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = num / den
-        x = np.where((num == 0.0) & (den == 0.0), 0.0, x)
-        share = np.maximum(1.0 - x, 1e-6)
-        E_f = (f1 * Hv + f0) / (share * params.lambda_f)
-        E_r = g1 * Hv + g0
+        num = n1 * Hv
+        num += n0
+        den = d1 * Hv
+        den += d0
+        x = num / den
+        if not den.all():  # 0/0 needs a zero denominator
+            x[(num == 0.0) & (den == 0.0)] = 0.0
+        share = 1.0 - x
+        np.maximum(share, 1e-6, out=share)
+        share *= lambda_f
+        E_f = f1 * Hv
+        E_f += f0
+        E_f /= share
+        E_r = g1 * Hv
+        E_r += g0
         return E_f, E_r, x
+
+    def velocity(Hv, E_f, E_r):
+        # mu_f*E_f + mu_r*E_r - delta*H, overwriting E_f and E_r
+        E_f *= mu_f
+        E_r *= mu_r
+        E_f += E_r
+        E_f -= delta * Hv
+        return E_f
 
     def drift(Hv):
         E_f, E_r, _ = stage(Hv)
-        return reduction_drift(Hv, E_f, E_r, params)
+        return velocity(Hv, E_f, E_r)
 
     def leader_rate(Hv, E_f, E_r, x):
-        return (params.p_r * c.k2 * Hv - 0.5 * params.lambda_r * E_r ** 2
-                - x * 0.5 * params.lambda_f * E_f ** 2)
+        rate = pk2 * Hv
+        rate -= half_lr * E_r ** 2
+        rate -= x * half_lf * E_f ** 2
+        return rate
 
     steps = int(round(T / h))
     weights = np.exp(-params.rho * np.arange(1, steps + 1) * h)
     H = np.full(coefs.shape[0], float(params.H0))
     payoff = np.zeros(coefs.shape[0])
-    # the stage at the end of one step is the first RK4 stage of the next
-    E_f, E_r, x = stage(H)
-    rate_prev = leader_rate(H, E_f, E_r, x)
-    weight_prev = 1.0
-    for i in range(steps):
-        k1 = reduction_drift(H, E_f, E_r, params)
-        k2 = drift(H + 0.5 * h * k1)
-        k3 = drift(H + 0.5 * h * k2)
-        k4 = drift(H + h * k3)
-        H = H + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the stage at the end of one step is the first RK4 stage of the
+        # next; weighted_prev is weight_prev * rate_prev, weight_prev = 1
         E_f, E_r, x = stage(H)
-        weight = weights[i]
-        rate = leader_rate(H, E_f, E_r, x)
-        payoff += 0.5 * h * (weight_prev * rate_prev + weight * rate)
-        rate_prev, weight_prev = rate, weight
-    payoff += weight_prev * rate_prev / params.rho  # frozen-state tail
+        weighted_prev = leader_rate(H, E_f, E_r, x)
+        for i in range(steps):
+            k1 = velocity(H, E_f, E_r)
+            k2 = drift(H + half_h * k1)
+            k3 = drift(H + half_h * k2)
+            k4 = drift(H + h * k3)
+            k2 *= 2.0
+            k3 *= 2.0
+            k1 += k2
+            k1 += k3
+            k1 += k4
+            k1 *= h
+            k1 /= 6.0
+            H = H + k1
+            E_f, E_r, x = stage(H)
+            weighted = leader_rate(H, E_f, E_r, x)
+            weighted *= weights[i]
+            weighted_prev += weighted
+            weighted_prev *= half_h
+            payoff += weighted_prev
+            weighted_prev = weighted
+    payoff += weighted_prev / params.rho  # frozen-state tail
     baseline = payoff[0]
     gains = (payoff[1:] - baseline) / max(abs(baseline), 1e-12)
     return {

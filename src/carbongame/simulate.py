@@ -196,19 +196,13 @@ def trajectory_table(trajectory: Trajectory) -> str:
     Floats use shortest round-trip formatting; x_f cells are empty outside
     the Stackelberg mode; flag is 0/1.
     """
-    is_gs = trajectory.mode is GameMode.STACKELBERG
-    lines = [",".join(TRAJECTORY_COLUMNS)]
-    cols = (trajectory.t, trajectory.H, trajectory.E_f, trajectory.E_r,
-            trajectory.x_f, trajectory.Q, trajectory.D, trajectory.F,
-            trajectory.payoff_f, trajectory.payoff_r,
-            trajectory.disc_cum_f, trajectory.disc_cum_r)
-    for i in range(len(trajectory)):
-        cells = []
-        for j, col in enumerate(cols):
-            if j == 4 and not is_gs:
-                cells.append("")
-                continue
-            cells.append(repr(float(col[i])))
-        cells.append(str(int(trajectory.flag[i])))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    x_f = trajectory.x_f if trajectory.mode is GameMode.STACKELBERG else None
+    cols = [[""] * len(trajectory) if col is None
+            else list(map(repr, np.asarray(col, dtype=float).tolist()))
+            for col in (trajectory.t, trajectory.H, trajectory.E_f,
+                        trajectory.E_r, x_f, trajectory.Q, trajectory.D,
+                        trajectory.F, trajectory.payoff_f, trajectory.payoff_r,
+                        trajectory.disc_cum_f, trajectory.disc_cum_r)]
+    flags = [str(int(f)) for f in trajectory.flag.tolist()]
+    rows = map(",".join, zip(*cols, flags))
+    return "\n".join([",".join(TRAJECTORY_COLUMNS), *rows]) + "\n"

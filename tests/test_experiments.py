@@ -60,13 +60,12 @@ def test_empty_config_is_the_baseline_scenario(tmp_path):
     assert config.solver == SolverConfig()
     assert config.sweep is None
     assert config.out is None
-    assert config.workers == 1
 
 
 def test_full_config_round_trip(tmp_path):
     doc = {
         "lambda_f": 450, "p_c": 0.8, "modes": ["gd", "gs"],
-        "sink_trading": False, "out": "results", "workers": 3,
+        "sink_trading": False, "out": "results",
         "sim": {"T": 20.0, "h": 0.02, "integrator": "fourth-order-fixed-step"},
         "solver": {"backend": "paper", "max_iter": 50},
         "sweep": {"parameter": "mu_f", "min": 1.0, "max": 2.0, "count": 5,
@@ -85,7 +84,6 @@ def test_full_config_round_trip(tmp_path):
     assert config.sweep.responses == ("H_d",)
     assert [m.value for m in config.sweep.modes] == ["gd", "gs", "gc"]
     assert config.out == "results"
-    assert config.workers == 3
 
 
 def test_config_errors_name_the_field(tmp_path):
@@ -105,8 +103,8 @@ def test_config_errors_name_the_field(tmp_path):
         load_config(_write(tmp_path, {"solver": {"max_iter": 2.5}}))
     with pytest.raises(ConfigError, match="sink_trading must be a boolean"):
         load_config(_write(tmp_path, {"sink_trading": "yes"}))
-    with pytest.raises(ConfigError, match="workers must be an integer, got True"):
-        load_config(_write(tmp_path, {"workers": True}))
+    with pytest.raises(ConfigError, match="unknown config key 'workers'"):
+        load_config(_write(tmp_path, {"workers": 2}))
     with pytest.raises(ConfigError, match="unknown game mode 'nash'"):
         load_config(_write(tmp_path, {"modes": ["nash"]}))
     with pytest.raises(ConfigError, match="not valid JSON"):
@@ -141,8 +139,6 @@ def test_sweep_section_validation(tmp_path):
 
 
 def test_scenario_config_validation():
-    with pytest.raises(ConfigError, match="workers must be >= 1"):
-        ScenarioConfig(workers=0)
     with pytest.raises(ConfigError, match="must be 'all', a mode name"):
         ScenarioConfig(modes=[])
     single = ScenarioConfig(modes="gs")
@@ -228,15 +224,6 @@ def test_compare_is_deterministic(baseline_compare):
             assert again[name] == content
 
 
-def test_workers_do_not_change_the_artifacts(baseline_compare):
-    threaded = run_compare(ScenarioConfig(sim=QUICK_SIM, workers=4))
-    assert threaded["summary.csv"] == baseline_compare["summary.csv"]
-    serial_cells = baseline_compare["run_report.json"]["cells"]
-    assert json.dumps(threaded["run_report.json"]["cells"], sort_keys=True,
-                      default=_json_default) == \
-        json.dumps(serial_cells, sort_keys=True, default=_json_default)
-
-
 def test_compare_records_failures_as_rows():
     config = ScenarioConfig(params=ModelParams(lambda_f=350.0, p_c=1.2),
                             sim=QUICK_SIM)
@@ -304,13 +291,6 @@ def test_sweep_keeps_failed_points_as_rows():
 def test_sweep_without_a_spec_is_an_error():
     with pytest.raises(ConfigError, match="no sweep specified"):
         run_sweep(None, ScenarioConfig(sim=QUICK_SIM))
-
-
-def test_sweep_workers_parity():
-    spec = SweepSpec(parameter="lambda_f", values=(400.0, 500.0, 600.0))
-    serial = run_sweep(spec, ScenarioConfig(sim=QUICK_SIM))
-    threaded = run_sweep(spec, ScenarioConfig(sim=QUICK_SIM, workers=3))
-    assert serial["sweep.csv"] == threaded["sweep.csv"]
 
 
 # ---------------------------------------------------------------------------

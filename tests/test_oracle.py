@@ -6,6 +6,8 @@ handling that keeps that route honest.
 """
 
 import dataclasses
+import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,8 +26,14 @@ from carbongame import (
     solve_decentralized,
     solve_stackelberg,
 )
+from carbongame import oracle
 from carbongame.model import reduction_drift
-from carbongame.oracle import _evaluate_policy, _positions, _seed_indices
+from carbongame.oracle import (
+    _evaluate_policy,
+    _greedy_step,
+    _positions,
+    _seed_indices,
+)
 from carbongame.profits import payoff_rates
 
 from reference_values import CASES
@@ -180,6 +188,57 @@ def test_joint_greedy_step_matches_the_pairwise_reference(params, warm):
     assert br.value == pytest.approx(ref_value, rel=1e-12)
 
 
+@pytest.mark.parametrize("threads", [1, 3, 4])
+def test_block_count_does_not_change_the_joint_reply(monkeypatch, threads):
+    # 3 blocks split the 33 farmer actions evenly, 4 unevenly (8, 8, 8, 9)
+    monkeypatch.setattr(oracle, "_greedy_threads", lambda: threads)
+    params = ModelParams(lambda_f=540.0, mu_r=0.465, rho=0.735)
+    sol = solve_centralized(params)
+    grid = default_grid(sol, n_states=64, n_actions=33)
+    br = grid_best_response(params, "gc", "joint", None, grid)
+    ref_f, ref_r, ref_value, ref_sweeps = _reference_joint_response(
+        params, grid, None)
+    assert np.array_equal(br.actions["farmer"], ref_f)
+    assert np.array_equal(br.actions["retailer"], ref_r)
+    assert br.sweeps == ref_sweeps
+    assert br.value == pytest.approx(ref_value, rel=1e-12)
+
+
+def _tied_tables():
+    """Greedy-step tables over 3 states, 4 farmer and 4 retailer actions,
+    with a constant continuation so that q = 0.5 + reward_f + reward_r.
+
+    State 0 ties at farmer 1, 2 and 3 (retailer 2 and 3); state 1 ties at
+    farmer 0 and 1 (retailer 1 and 2); state 2 has one best pair, (3, 0).
+    """
+    H = np.array([0.0, 1.0, 2.0])
+    reward_f = np.array([[0.0, 1.0, 1.0, 1.0],
+                         [1.0, 1.0, 0.0, 0.0],
+                         [0.0, 0.0, 0.0, 1.0]])
+    reward_r = np.array([[0.0, 0.0, 1.0, 1.0],
+                         [0.0, 1.0, 1.0, 0.0],
+                         [0.0, 0.0, 0.0, 0.0]])
+    return (np.zeros((3, 1)), np.zeros((4, 4)), H, np.full(3, 0.5),
+            reward_f, reward_r)
+
+
+@pytest.mark.parametrize("blocks, threads", [
+    ([range(0, 4)], 0),
+    ([range(0, 2), range(2, 4)], 0),
+    ([range(0, 2), range(2, 4)], 2),
+    ([range(0, 1), range(1, 3), range(3, 4)], 3),
+], ids=["one-block", "two-blocks", "two-threads", "three-threads"])
+def test_greedy_ties_go_to_the_first_farmer_then_retailer(blocks, threads):
+    tables = _tied_tables()
+    if threads:
+        with ThreadPoolExecutor(threads) as pool:
+            best_f, best_r = _greedy_step(blocks, tables, pool)
+    else:
+        best_f, best_r = _greedy_step(blocks, tables, None)
+    assert best_f.tolist() == [1, 0, 3]
+    assert best_r.tolist() == [2, 1, 0]
+
+
 def test_stressed_stackelberg_certifies_despite_negative_share():
     params = ModelParams(lambda_f=350.0, p_c=1.2)
     sol = solve_stackelberg(params)
@@ -309,6 +368,36 @@ def test_leader_sampler_is_deterministic_and_mode_checked(baseline_gd,
     assert different["max_improvement"] != a["max_improvement"]
     with pytest.raises(ValueError, match="applies to the Stackelberg mode"):
         leader_improvement_sample(baseline_gd)
+
+
+def test_perturbed_leader_sample_is_pinned():
+    # recorded from the stepped RK4 sampler before its loop was reworked;
+    # the rework keeps every float operation, so the match is exact
+    base = ModelParams()
+    params = base.replace(lambda_f=base.lambda_f * math.exp(0.08),
+                          mu_r=base.mu_r * math.exp(-0.06),
+                          delta=base.delta * math.exp(0.05),
+                          rho=base.rho * math.exp(-0.09),
+                          p_c=base.p_c * math.exp(0.1))
+    sample = leader_improvement_sample(solve_stackelberg(params))
+    assert sample["baseline_payoff"] == 9294.606215761069
+    assert sample["max_improvement"] == -5.218845249608916e-05
+    assert sample["improving_samples"] == 0
+
+
+def test_leader_sample_with_a_zero_subsidy_denominator():
+    # x_f = (0.5*H - 0.25)/(2*H - 1) is 0/0 at the initial state H0 = 0.5,
+    # where the sampler shares nothing; the perturbed rules move the pole
+    sol = solve_stackelberg(ModelParams(H0=0.5))
+    rule = dataclasses.replace(sol.policies["retailer"], n1=0.5, n0=-0.25,
+                               d1=2.0, d0=-1.0)
+    assert rule.d1 * 0.5 + rule.d0 == 0.0
+    posed = dataclasses.replace(sol, policies={**sol.policies,
+                                               "retailer": rule})
+    sample = leader_improvement_sample(posed)
+    assert sample["baseline_payoff"] == 9412.603722818292
+    assert sample["max_improvement"] == 0.06874130817062128
+    assert sample["improving_samples"] == 36
 
 
 def test_zero_payoff_scenario_passes_trivially():

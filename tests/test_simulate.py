@@ -174,3 +174,35 @@ def test_negative_effort_sets_the_flag_column():
     assert traj.flag.all()
     for line in trajectory_table(traj).splitlines()[1:]:
         assert line.split(",")[12] == "1"
+
+
+def _per_cell_table(trajectory):
+    """The table written cell by cell with repr(float(...))."""
+    is_gs = trajectory.mode is GameMode.STACKELBERG
+    lines = [",".join(TRAJECTORY_COLUMNS)]
+    cols = (trajectory.t, trajectory.H, trajectory.E_f, trajectory.E_r,
+            trajectory.x_f, trajectory.Q, trajectory.D, trajectory.F,
+            trajectory.payoff_f, trajectory.payoff_r,
+            trajectory.disc_cum_f, trajectory.disc_cum_r)
+    for i in range(len(trajectory)):
+        cells = ["" if j == 4 and not is_gs else repr(float(col[i]))
+                 for j, col in enumerate(cols)]
+        cells.append(str(int(trajectory.flag[i])))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("solver", [solve_decentralized, solve_stackelberg],
+                         ids=["gd", "gs"])
+def test_trajectory_table_matches_the_per_cell_formatter(solver):
+    traj = exact_trajectory(solver(ModelParams()), SimConfig(T=1.0, h=0.1))
+    traj.H[1] = np.nan
+    traj.E_f[2] = np.inf
+    traj.E_r[3] = -np.inf
+    traj.x_f[4] = -0.0
+    traj.payoff_r[5] = -0.0
+    traj.flag[6] = True
+    text = trajectory_table(traj)
+    assert text == _per_cell_table(traj)
+    assert {"nan", "inf", "-inf", "-0.0"} <= set(text.replace("\n", ",").split(","))
+    assert text.splitlines()[7].endswith(",1")
