@@ -28,18 +28,17 @@ measurable instead of silently patched. Numerically that means:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
+from . import solver
 from .model import (
-    FeedbackPolicy,
     GameMode,
     GameSolution,
     ModelParams,
-    QuadraticValue,
     SolutionDiagnostics,
-    derive_constants,
     validate_params,
 )
 
@@ -63,12 +62,7 @@ def printed_decentralized(params: ModelParams) -> dict:
     (the main-text one, which is consistent with the printed A, and the
     appendix one, which drops a factor of 2 on the rho term).
     """
-    c = derive_constants(params)
-    lf, lr = params.lambda_f, params.lambda_r
-    mf, mr = params.mu_f, params.mu_r
-    d, r, eta = params.delta, params.rho, c.eta
-    k1, k2 = c.k1, c.k2
-    pf, pr, pc = params.p_f, params.p_r, params.p_c
+    lf, lr, mf, mr, d, r, eta, k1, k2, pf, pr, pc = solver._symbols(params)
 
     delta_main = (4 * mf * eta - 4 * lf * d - 2 * r * lf) ** 2 - (4 * mf * eta) ** 2
     delta_appendix = (4 * mf * eta - 4 * lf * d - r * lf) ** 2 - (4 * mf * eta) ** 2
@@ -97,12 +91,7 @@ def printed_stackelberg(params: ModelParams, anchor: dict) -> dict:
     read as the anchor's A. Square roots of negative printed discriminants
     yield NaN rather than an error so the report stays total.
     """
-    c = derive_constants(params)
-    lf, lr = params.lambda_f, params.lambda_r
-    mf, mr = params.mu_f, params.mu_r
-    d, r, eta = params.delta, params.rho, c.eta
-    k1, k2 = c.k1, c.k2
-    pf, pr, pc = params.p_f, params.p_r, params.p_c
+    lf, lr, mf, mr, d, r, eta, k1, k2, pf, pr, pc = solver._symbols(params)
     om = params.omega
     Aa, Ba = anchor["A"], anchor["B"]
     Ma, Na = anchor["M"], anchor["N"]
@@ -153,12 +142,7 @@ def printed_stackelberg(params: ModelParams, anchor: dict) -> dict:
 
 def printed_centralized(params: ModelParams) -> dict:
     """Verbatim evaluation of the published centralized forms."""
-    c = derive_constants(params)
-    lf, lr = params.lambda_f, params.lambda_r
-    mf, mr = params.mu_f, params.mu_r
-    d, r, eta = params.delta, params.rho, c.eta
-    k1, k2 = c.k1, c.k2
-    pf, pr, pc = params.p_f, params.p_r, params.p_c
+    lf, lr, mf, mr, d, r, eta, k1, k2, pf, pr, pc = solver._symbols(params)
 
     delta = 4 * lr * eta ** 2 * (2 * lr * mf ** 2 + lf * mr ** 2
                                  + lr ** 2 * lf * (r - 2 * d)
@@ -184,12 +168,7 @@ def corrected_centralized(params: ModelParams) -> dict:
     is the actual discriminant of that quadratic, and B's denominator uses
     rho + delta. The C expression is correct as printed and kept as is.
     """
-    c = derive_constants(params)
-    lf, lr = params.lambda_f, params.lambda_r
-    mf, mr = params.mu_f, params.mu_r
-    d, r, eta = params.delta, params.rho, c.eta
-    k1, k2 = c.k1, c.k2
-    pf, pr, pc = params.p_f, params.p_r, params.p_c
+    lf, lr, mf, mr, d, r, eta, k1, k2, pf, pr, pc = solver._symbols(params)
 
     delta = lr * (lr * ((2 * d + r) * lf - 2 * mf * eta) ** 2
                   - 4 * eta ** 2 * (lr * mf ** 2 + lf * mr ** 2))
@@ -218,23 +197,17 @@ def solve_printed(mode: GameMode, params: ModelParams, cfg) -> GameSolution:
     The returned solution is a measurement instrument, not an equilibrium
     claim: stationarity-equation residuals are recorded but not enforced,
     instability is flagged instead of raised, and the full printed-versus-
-    residual comparison lives in diagnostics.printed_comparison.
+    residual comparison lives in diagnostics.printed_comparison. Policies,
+    alpha, beta and H_d come from the solver's own assembly.
     """
-    from . import solver as _solver
-
     validate_params(params)
-    residual_cfg = _solver.SolverConfig(
-        backend=_solver.BACKEND_RESIDUAL, tolerance=cfg.tolerance,
-        hjb_tolerance=cfg.hjb_tolerance,
-        follower_convention=cfg.follower_convention, max_iter=cfg.max_iter)
-    if mode is GameMode.DECENTRALIZED:
-        sol = _printed_gd_solution(params, residual_cfg, _solver)
-    elif mode is GameMode.STACKELBERG:
-        sol = _printed_gs_solution(params, residual_cfg, _solver)
-    else:
-        sol = _printed_gc_solution(params, residual_cfg, _solver)
-    diag = sol.diagnostics
-    diag.max_hjb_residual = _solver.residual_scan(sol, params)
+    residual_cfg = dataclasses.replace(cfg, backend=solver.BACKEND_RESIDUAL)
+    printed = {GameMode.DECENTRALIZED: _printed_gd,
+               GameMode.STACKELBERG: _printed_gs,
+               GameMode.CENTRALIZED: _printed_gc}[mode]
+    coeffs, convention, diag = printed(params, residual_cfg)
+    sol = solver._assemble(params, mode, convention, coeffs, diag)
+    diag.max_hjb_residual = solver.residual_scan(sol, params)
     if not sol.alpha < 0.0:
         diag.flags.append(f"alpha = {sol.alpha:.6g} >= 0 (no attracting steady state)")
     if sol.H_d < 0.0:
@@ -245,65 +218,36 @@ def solve_printed(mode: GameMode, params: ModelParams, cfg) -> GameSolution:
 def _base_diag(convention, comparison: dict, root_branch: str) -> SolutionDiagnostics:
     discs = {k: float(v) for k, v in comparison.items()
              if isinstance(v, float) and k.startswith("Delta")}
-    diag = SolutionDiagnostics(
+    return SolutionDiagnostics(
         backend="paper-closed-form", convention=convention,
         root_branch=root_branch, discriminants=discs,
         printed_comparison=comparison)
-    return diag
 
 
-def _printed_gd_solution(params, residual_cfg, _solver) -> GameSolution:
+def _printed_gd(params, residual_cfg):
     printed = printed_decentralized(params)
     if printed["Delta^GD"] < 0.0:
-        raise _solver.ComplexRootError("Delta^GD", printed["Delta^GD"])
-    c = derive_constants(params)
-    A, B, C = printed["A"], printed["B"], printed["C"]
-    M, N = printed["M"], printed["N"]
-    reference = _solver.solve_decentralized(params, residual_cfg)
+        raise solver.ComplexRootError("Delta^GD", printed["Delta^GD"])
+    reference = solver.solve_decentralized(params, residual_cfg)
     comparison = dict(printed)
-    comparison["residual backend"] = {
-        "A": reference.values["farmer"].A, "B": reference.values["farmer"].B,
-        "C": reference.values["farmer"].C, "M": reference.values["retailer"].B,
-        "N": reference.values["retailer"].C}
+    comparison["residual backend"] = dict(zip("ABCMN", solver._coefficients(reference)))
     comparison["relative gaps"] = {
         k: _relative_gap(printed[k], comparison["residual backend"][k])
-        for k in ("A", "B", "C", "M", "N")}
-    diag = _base_diag(None, comparison,
-                      "printed negative square-root branch")
-    lf, lr, mf, mr = params.lambda_f, params.lambda_r, params.mu_f, params.mu_r
-    pol_f = FeedbackPolicy(g1=(c.eta + 2.0 * A * mf) / lf, g0=mf * B / lf)
-    pol_r = FeedbackPolicy(g1=0.0, g0=mr * M / lr)
-    alpha = mf * pol_f.g1 - params.delta
-    beta = mf * pol_f.g0 + mr * pol_r.g0
-    return GameSolution(
-        mode=GameMode.DECENTRALIZED, params=params,
-        values={"farmer": QuadraticValue(A, B, C, role="farmer"),
-                "retailer": QuadraticValue(0.0, M, N, role="retailer")},
-        policies={"farmer": pol_f, "retailer": pol_r},
-        alpha=alpha, beta=beta, H_d=-beta / alpha, diagnostics=diag)
+        for k in "ABCMN"}
+    diag = _base_diag(None, comparison, "printed negative square-root branch")
+    return tuple(printed[k] for k in "ABCMN"), None, diag
 
 
-def _printed_gs_solution(params, residual_cfg, _solver) -> GameSolution:
-    anchor_sol = _solver.solve_stackelberg(params, residual_cfg)
-    anchor = {"A": anchor_sol.values["farmer"].A,
-              "B": anchor_sol.values["farmer"].B,
-              "C": anchor_sol.values["farmer"].C,
-              "M": anchor_sol.values["retailer"].A,
-              "N": anchor_sol.values["retailer"].B,
-              "F": anchor_sol.values["retailer"].C}
+def _printed_gs(params, residual_cfg):
+    anchor = dict(zip("ABCMNF", solver._coefficients(
+        solver.solve_stackelberg(params, residual_cfg))))
     printed = printed_stackelberg(params, anchor)
     comparison = dict(printed)
     comparison["relative gaps"] = {
         k: _relative_gap(printed[k], anchor[k]) for k in anchor}
     # keep the assembled solution finite: printed values where real, anchor
     # values where the printed discriminants went negative
-    used, fallbacks = {}, []
-    for k in anchor:
-        if np.isfinite(printed[k]):
-            used[k] = float(printed[k])
-        else:
-            used[k] = anchor[k]
-            fallbacks.append(k)
+    fallbacks = [k for k in anchor if not np.isfinite(printed[k])]
     comparison["assembled from"] = {
         k: ("printed" if k not in fallbacks else "anchor (printed not real)")
         for k in anchor}
@@ -313,27 +257,16 @@ def _printed_gs_solution(params, residual_cfg, _solver) -> GameSolution:
         diag.flags.append(
             "printed discriminant negative; anchor values retained for "
             + ", ".join(fallbacks))
-    c = derive_constants(params)
-    lf, lr, mf, mr = params.lambda_f, params.lambda_r, params.mu_f, params.mu_r
-    A, B, M, N = used["A"], used["B"], used["M"], used["N"]
-    pol_f = FeedbackPolicy(g1=(c.eta + 2.0 * mf * A) / lf, g0=mf * B / lf)
-    pol_r = FeedbackPolicy(g1=2.0 * mr * M / lr, g0=mr * N / lr,
-                           n1=4.0 * M - 2.0 * A - c.eta / mf, n0=2.0 * N - B,
-                           d1=4.0 * M + 2.0 * A + c.eta / mf, d0=2.0 * N + B)
-    alpha = mf * pol_f.g1 + mr * pol_r.g1 - params.delta
-    beta = mf * pol_f.g0 + mr * pol_r.g0
-    return GameSolution(
-        mode=GameMode.STACKELBERG, params=params,
-        values={"farmer": QuadraticValue(A, B, used["C"], role="farmer"),
-                "retailer": QuadraticValue(M, N, used["F"], role="retailer")},
-        policies={"farmer": pol_f, "retailer": pol_r},
-        alpha=alpha, beta=beta, H_d=-beta / alpha, diagnostics=diag)
+    coeffs = tuple(anchor[k] if k in fallbacks else float(printed[k])
+                   for k in anchor)
+    # the printed follower rule, whatever convention the anchor was solved in
+    return coeffs, solver.CONVENTION_PRINTED, diag
 
 
-def _printed_gc_solution(params, residual_cfg, _solver) -> GameSolution:
+def _printed_gc(params, residual_cfg):
     corrected = corrected_centralized(params)
     if corrected["Delta^GC"] < 0.0:
-        raise _solver.ComplexRootError("Delta^GC", corrected["Delta^GC"])
+        raise solver.ComplexRootError("Delta^GC", corrected["Delta^GC"])
     printed = printed_centralized(params)
     comparison = {"corrected": corrected, "verbatim": printed,
                   "Delta^GC": corrected["Delta^GC"],
@@ -348,15 +281,4 @@ def _printed_gc_solution(params, residual_cfg, _solver) -> GameSolution:
     diag = _base_diag(None, comparison,
                       "corrected negative square-root branch (verbatim "
                       "discriminant reported alongside)")
-    c = derive_constants(params)
-    lf, lr, mf, mr = params.lambda_f, params.lambda_r, params.mu_f, params.mu_r
-    A, B, C = corrected["A"], corrected["B"], corrected["C"]
-    pol_f = FeedbackPolicy(g1=(c.eta + 2.0 * A * mf) / lf, g0=mf * B / lf)
-    pol_r = FeedbackPolicy(g1=2.0 * mr * A / lr, g0=mr * B / lr)
-    alpha = mf * pol_f.g1 + mr * pol_r.g1 - params.delta
-    beta = mf * pol_f.g0 + mr * pol_r.g0
-    return GameSolution(
-        mode=GameMode.CENTRALIZED, params=params,
-        values={"joint": QuadraticValue(A, B, C, role="joint")},
-        policies={"farmer": pol_f, "retailer": pol_r},
-        alpha=alpha, beta=beta, H_d=-beta / alpha, diagnostics=diag)
+    return tuple(corrected[k] for k in "ABC"), None, diag

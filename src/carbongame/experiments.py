@@ -214,11 +214,6 @@ def _parse_section(doc: dict, name: str, cls, field_kinds: dict):
         kind = field_kinds[key]
         if kind is float:
             kwargs[key] = _require_number(f"{name}.{key}", value)
-        elif kind is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(
-                    f"config field {name}.{key} must be an integer, got {value!r}")
-            kwargs[key] = value
         else:
             if not isinstance(value, str):
                 raise ConfigError(
@@ -276,7 +271,7 @@ def load_config(path) -> ScenarioConfig:
     kwargs["solver"] = _parse_section(
         doc, "solver", SolverConfig,
         {"backend": str, "tolerance": float, "hjb_tolerance": float,
-         "follower_convention": str, "max_iter": int})
+         "follower_convention": str})
     if "sweep" in doc:
         kwargs["sweep"] = _parse_sweep_section(doc["sweep"])
     return ScenarioConfig(**kwargs)

@@ -1,37 +1,45 @@
 """Equilibrium coefficient solver for the three cooperation modes.
 
-Two backends are available. "residual" collects the power-of-H balances of
-each mode's substituted stationarity equations from first principles and
-solves them numerically with stable-root selection; it is the authoritative
-path. "paper-closed-form" evaluates the published closed-form coefficient
-expressions verbatim for discrepancy reporting (see closed_form.py); several
-of those printed expressions are internally inconsistent, which is exactly
-what that backend is for measuring.
+Each mode is written down once, as a policy map from value-function
+coefficients to affine efforts E = g1*H + g0 (plus, in the leader-follower
+mode, the leader's subsidy rule x_f = (n1*H + n0)/(d1*H + d0)). The balances
+are derived from it, not collected by hand: the H^2, H^1 and H^0
+coefficients of rho*V - rate - V'*drift per role, by polynomial arithmetic
+on the efforts and the role payoffs (the undetermined-coefficients form of
+Dockner, Jorgensen, Long & Sorger, *Differential Games in Economics and
+Management Science*, 2000). So are the drift slope that selects the stable
+root and the assembled solution, which the closed-form backend shares.
+
+Two backends are available. "residual" solves the derived balances
+numerically with stable-root selection; it is the authoritative path.
+"paper-closed-form" evaluates the published closed-form coefficient
+expressions verbatim for discrepancy reporting (see closed_form.py).
 
 Conventions for the Stackelberg follower:
 
 * "standard-cost-share" (default): the follower's first-order condition keeps
   the (1 - x_f) cost-share factor, E_f = (eta*H + mu_f*V_f')/((1 - x_f)*
-  lambda_f). This is the convention consistent with the subsidy-ratio formula
+  lambda_f), consistent with the subsidy-ratio formula
   x_f = (2*V_r' - V_f' - eta*H/mu_f)/(2*V_r' + V_f' + eta*H/mu_f).
-* "paper-printed": solves the published substituted equations exactly as
-  printed (they carry an extra mu_f factor on the quadratic revenue terms)
-  and uses the published follower rule without the cost-share factor,
-  selectable for comparison via residuals.
+* "paper-printed": the published follower rule without the cost-share
+  factor, and the published substituted equations, which are the standard
+  balances plus (1 - mu_f)*eta^2/(4*lambda_f) on the farmer H^2 row and
+  (1 - mu_f)*eta^2/(8*lambda_f) on the leader H^2 row (an extra mu_f on the
+  quadratic revenue terms); selectable for comparison via residuals.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy import optimize
 
+from . import profits
 from .model import (
-    DerivedConstants,
     FeedbackPolicy,
     GameMode,
     GameSolution,
@@ -39,25 +47,15 @@ from .model import (
     QuadraticValue,
     SolutionDiagnostics,
     derive_constants,
+    reduction_drift,
     validate_params,
 )
 
 __all__ = [
-    "SolverConfig",
-    "CoefficientSystem",
-    "SolverError",
-    "ComplexRootError",
-    "UnstableModelError",
-    "solve",
-    "solve_decentralized",
-    "solve_stackelberg",
-    "solve_centralized",
-    "select_stable_root",
-    "hjb_residual",
-    "residual_scan",
-    "decentralized_system",
-    "stackelberg_system",
-    "centralized_system",
+    "SolverConfig", "CoefficientSystem", "SolverError", "ComplexRootError",
+    "UnstableModelError", "solve", "solve_decentralized", "solve_stackelberg",
+    "solve_centralized", "select_stable_root", "hjb_residual", "residual_scan",
+    "decentralized_system", "stackelberg_system", "centralized_system",
 ]
 
 BACKEND_RESIDUAL = "residual"
@@ -108,7 +106,6 @@ class SolverConfig:
     tolerance: float = 1e-12
     hjb_tolerance: float = 1e-8
     follower_convention: str = CONVENTION_STANDARD
-    max_iter: int = 100
 
     def __post_init__(self):
         if self.backend not in _BACKEND_ALIASES:
@@ -123,166 +120,216 @@ class SolverConfig:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
         if not self.hjb_tolerance > 0:
             raise ValueError(f"hjb_tolerance must be > 0, got {self.hjb_tolerance}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+
+
+# ---------------------------------------------------------------------------
+# the game: one policy map, and the balances derived from it
+# ---------------------------------------------------------------------------
+
+# Unknowns of each mode, and the roles whose values V = A*H^2 + B*H + C they
+# hold in that order; the decentralized retailer's value is linear, M*H + N.
+_UNKNOWNS = {GameMode.DECENTRALIZED: (tuple("ABCMN"), ("farmer", "retailer")),
+             GameMode.STACKELBERG: (tuple("ABCMNF"), ("farmer", "retailer")),
+             GameMode.CENTRALIZED: (tuple("ABC"), ("joint",))}
+# One balance per power of H and role, but none for H^2 of a linear value.
+_LABELS = {mode: tuple(f"{role} H^{k}" for role in roles for k in (2, 1, 0)
+                       if (mode, role, k) != (GameMode.DECENTRALIZED, "retailer", 2))
+           for mode, (_, roles) in _UNKNOWNS.items()}
+
+
+def _symbols(params: ModelParams) -> tuple:
+    """(lambda_f, lambda_r, mu_f, mu_r, delta, rho, eta, k1, k2, p_f, p_r, p_c),
+    the short names the coefficient formulas are written in."""
+    c = derive_constants(params)
+    return (params.lambda_f, params.lambda_r, params.mu_f, params.mu_r,
+            params.delta, params.rho, c.eta, c.k1, c.k2,
+            params.p_f, params.p_r, params.p_c)
+
+
+# Each role's value coefficients (A, B, C) in a mode's coefficient vector.
+_VALUES = {GameMode.DECENTRALIZED: lambda v: ((v[0], v[1], v[2]), (0.0, v[3], v[4])),
+           GameMode.STACKELBERG: lambda v: ((v[0], v[1], v[2]), (v[3], v[4], v[5])),
+           GameMode.CENTRALIZED: lambda v: ((v[0], v[1], v[2]),)}
+
+
+def _coefficients(solution: GameSolution) -> tuple:
+    """A solution's coefficient vector, the inverse of _VALUES."""
+    values = solution.values.values()
+    if solution.mode is GameMode.DECENTRALIZED:
+        f, r = values
+        return f.A, f.B, f.C, r.B, r.C
+    return tuple(x for V in values for x in (V.A, V.B, V.C))
+
+
+def _policy_map(params: ModelParams, mode: GameMode, convention: Optional[str]):
+    """The first-order rules of a mode: one map from value coefficients to
+    policies.
+
+    Returns rule(V_f, V_r), where V_f and V_r are the (A, B, C) of the values
+    the farmer and the retailer act on (the joint value for both in gc), so
+    V'(H) = 2*A*H + B. rule returns (E_f, E_r, subsidy): each effort as
+    (g1, g0), and the subsidy rule x_f = n/d as ((n1, n0), (d1, d0)) in gs,
+    None elsewhere. Every effort maximizes its payoff rate plus V'*drift; the
+    standard follower keeps the (1 - x_f) cost-share factor, which at the
+    leader's share gives E_f = mu_f*d(H)/(2*lambda_f), and the paper-printed
+    follower drops it.
+    """
+    lf, lr, mf, mr, _, _, eta, *_ = _symbols(params)
+    leader = mode is GameMode.STACKELBERG
+    shared = leader and convention != CONVENTION_PRINTED
+
+    def rule(V_f, V_r):
+        (af, bf, _), (ar, br, _) = V_f, V_r
+        if shared:
+            e_f = ((eta + 2.0 * mf * (af + 2.0 * ar)) / (2.0 * lf),
+                   mf * (bf + 2.0 * br) / (2.0 * lf))
+        else:
+            e_f = ((eta + 2.0 * af * mf) / lf, mf * bf / lf)
+        e_r = (2.0 * mr * ar / lr, mr * br / lr)
+        if not leader:
+            return e_f, e_r, None
+        return e_f, e_r, ((4.0 * ar - 2.0 * af - eta / mf, 2.0 * br - bf),
+                          (4.0 * ar + 2.0 * af + eta / mf, 2.0 * br + bf))
+    return rule
+
+
+def _drift_slope(params: ModelParams, mode: GameMode, convention: str):
+    """Closed-loop drift slope alpha of a coefficient vector."""
+    rule, split = _policy_map(params, mode, convention), _VALUES[mode]
+
+    def slope(v):
+        values = split(v)
+        (g1_f, _), (g1_r, _), _ = rule(values[0], values[-1])
+        return params.mu_f * g1_f + params.mu_r * g1_r - params.delta
+    return slope
+
+
+def _payoff_polynomials(params: ModelParams, mode: GameMode):
+    """Closed-loop drift and role payoffs along the standard policy map.
+
+    Returns terms(v) -> (drift, values, rates): drift as (alpha, beta), and
+    per role its value and its payoff rate, both as (H^2, H^1, H^0)
+    coefficients. The rates are those of profits.payoff_rates: farmer margin
+    + sink - cost + transfer, retailer margin - cost - transfer, joint their
+    sum. The farmer's cost net of the transfer, (1 - x_f)*cost_f, is
+    E_f*(eta*H + mu_f*V_f')/2 by its first-order condition (x_f = 0 outside
+    gs), and since E_f = mu_f*d(H)/(2*lambda_f), the gs transfer x_f*cost_f
+    is the polynomial mu_f^2*n(H)*d(H)/(8*lambda_f).
+    """
+    lf, lr, mf, mr, delta, _, eta, k1, k2, pf, pr, pc = _symbols(params)
+    unit_f, unit_r = (pf + pc) * k1, pr * k2
+    share = mf * mf / (8.0 * lf)
+    rule, split = _policy_map(params, mode, CONVENTION_STANDARD), _VALUES[mode]
+    joint = mode is GameMode.CENTRALIZED
+
+    def terms(v):
+        values = split(v)
+        (f1, f0), (r1, r0), subsidy = rule(values[0], values[-1])
+        # eta*H + mu_f*V_f', the farmer's marginal gain from effort
+        m1, m0 = eta + 2.0 * mf * values[0][0], mf * values[0][1]
+        t2 = t1 = t0 = 0.0
+        if subsidy is not None:
+            (n1, n0), (d1, d0) = subsidy
+            t2, t1, t0 = share * n1 * d1, share * (n1 * d0 + n0 * d1), share * n0 * d0
+        rate_f = (eta * f1 - 0.5 * f1 * m1,
+                  unit_f + eta * f0 - 0.5 * (f1 * m0 + f0 * m1),
+                  -0.5 * f0 * m0)
+        rate_r = (-0.5 * lr * r1 * r1 - t2,
+                  unit_r - lr * r1 * r0 - t1,
+                  -0.5 * lr * r0 * r0 - t0)
+        rates = ((rate_f[0] + rate_r[0], rate_f[1] + rate_r[1],
+                  rate_f[2] + rate_r[2]),) if joint else (rate_f, rate_r)
+        return (mf * f1 + mr * r1 - delta, mf * f0 + mr * r0), values, rates
+    return terms
 
 
 @dataclass(frozen=True)
 class CoefficientSystem:
-    """Collected power-of-H balances of one mode's substituted equations.
+    """Power-of-H balances of one mode's stationarity equations.
 
-    One residual per (role, power) pair, each mapping the full coefficient
-    vector to (left side - right side) of that balance.
+    balances maps the coefficient vector (ordered as names) to the H^2, H^1
+    and H^0 coefficients of rho*V - rate - V'*drift, role by role, without
+    the identically zero H^2 row of a linear value; balance i carries
+    rho*v[i].
     """
 
     mode: GameMode
+    convention: str
     names: tuple
     labels: tuple
-    equations: tuple
+    rho: float
+    balances: Callable
 
     def residuals(self, coeffs) -> np.ndarray:
-        v = np.asarray(coeffs, dtype=float)
-        return np.array([eq(v) for eq in self.equations], dtype=float)
+        return np.array(self.balances(np.asarray(coeffs, dtype=float).tolist()))
 
     def scales(self, coeffs) -> np.ndarray:
         """Per-equation normalization 1 + |rho*V coefficient|."""
-        v = np.asarray(coeffs, dtype=float)
-        return np.array([1.0 + abs(s(v)) for s in self._lhs], dtype=float)
+        return 1.0 + np.abs(self.rho * np.asarray(coeffs, dtype=float))
 
 
-def _system(mode, names, labels, equations, lhs):
-    sys = CoefficientSystem(mode=mode, names=tuple(names), labels=tuple(labels),
-                            equations=tuple(equations))
-    object.__setattr__(sys, "_lhs", tuple(lhs))
-    return sys
+def _system(params: ModelParams, mode: GameMode,
+            convention: str = CONVENTION_STANDARD) -> CoefficientSystem:
+    terms = _payoff_polynomials(params, mode)
+    rho = params.rho
+    linear = mode is GameMode.DECENTRALIZED
+    offsets = None
+    if mode is GameMode.STACKELBERG and convention == CONVENTION_PRINTED:
+        lf, _, mf, _, _, _, eta, *_ = _symbols(params)
+        base = (1.0 - mf) * eta ** 2 / lf
+        offsets = (base / 4.0, base / 8.0)
 
+    def balances(v):
+        (alpha, beta), values, rates = terms(v)
+        out = []
+        for (A, B, C), (r2, r1, r0) in zip(values, rates):
+            out += (rho * A - r2 - 2.0 * A * alpha,
+                    rho * B - r1 - (2.0 * A * beta + B * alpha),
+                    rho * C - r0 - B * beta)
+        if offsets is not None:
+            out[0] += offsets[0]
+            out[3] += offsets[1]
+        if linear:
+            del out[3]
+        return out
 
-# ---------------------------------------------------------------------------
-# collected balance systems
-# ---------------------------------------------------------------------------
+    return CoefficientSystem(mode=mode, convention=convention,
+                             names=_UNKNOWNS[mode][0], labels=_LABELS[mode],
+                             rho=rho, balances=balances)
+
 
 def decentralized_system(params: ModelParams) -> CoefficientSystem:
     """Balances for farmer (A, B, C quadratic) and retailer (M, N linear)."""
-    c = derive_constants(params)
-    lf, lr = params.lambda_f, params.lambda_r
-    mf, mr = params.mu_f, params.mu_r
-    d, r = params.delta, params.rho
-    eta, k1, k2 = c.eta, c.k1, c.k2
-    pf, pr, pc = params.p_f, params.p_r, params.p_c
-
-    def f2(v):
-        A = v[0]
-        return r * A - (eta ** 2 / (2 * lf) + 2 * A * (mf * eta / lf - d)
-                        + 2 * A ** 2 * mf ** 2 / lf)
-
-    def f1(v):
-        A, B, M = v[0], v[1], v[3]
-        return r * B - ((pf + pc) * k1
-                        + B * (mf * eta / lf + 2 * A * mf ** 2 / lf - d)
-                        + 2 * A * M * mr ** 2 / lr)
-
-    def f0(v):
-        B, C, M = v[1], v[2], v[3]
-        return r * C - (mf ** 2 * B ** 2 / (2 * lf) + B * M * mr ** 2 / lr)
-
-    def r1(v):
-        A, M = v[0], v[3]
-        return r * M - (pr * k2 + M * (mf * eta / lf + 2 * A * mf ** 2 / lf - d))
-
-    def r0(v):
-        A, B, M, N = v[0], v[1], v[3], v[4]
-        return r * N - (M * mf ** 2 * B / lf + mr ** 2 * M ** 2 / (2 * lr))
-
-    lhs = [lambda v: params.rho * v[0], lambda v: params.rho * v[1],
-           lambda v: params.rho * v[2], lambda v: params.rho * v[3],
-           lambda v: params.rho * v[4]]
-    return _system(GameMode.DECENTRALIZED, ("A", "B", "C", "M", "N"),
-                   ("farmer H^2", "farmer H^1", "farmer H^0",
-                    "retailer H^1", "retailer H^0"),
-                   (f2, f1, f0, r1, r0), lhs)
+    return _system(params, GameMode.DECENTRALIZED)
 
 
 def stackelberg_system(params: ModelParams,
                        convention: str = CONVENTION_STANDARD) -> CoefficientSystem:
-    """Balances for farmer (A, B, C) and leader (M, N, F), both quadratic.
-
-    Under "paper-printed" the quadratic revenue constants eta^2/(4 lambda_f)
-    and eta^2/(8 lambda_f) carry the published extra mu_f factor.
-    """
-    c = derive_constants(params)
-    lf, lr = params.lambda_f, params.lambda_r
-    mf, mr = params.mu_f, params.mu_r
-    d, r = params.delta, params.rho
-    eta, k1, k2 = c.eta, c.k1, c.k2
-    pf, pr, pc = params.p_f, params.p_r, params.p_c
-    s = mf if convention == CONVENTION_PRINTED else 1.0
-
-    def f2(v):
-        A, M = v[0], v[3]
-        return r * A - (s * eta ** 2 / (4 * lf) + mf * eta * (A + M) / lf
-                        + mf ** 2 * (A ** 2 + 2 * A * M) / lf
-                        + 4 * A * M * mr ** 2 / lr - 2 * d * A)
-
-    def f1(v):
-        A, B, M, N = v[0], v[1], v[3], v[4]
-        return r * B - ((pf + pc) * k1
-                        + mf * ((eta + 2 * mf * A) * (B + N) + 2 * mf * M * B) / (2 * lf)
-                        + 2 * mr ** 2 * (A * N + M * B) / lr - d * B)
-
-    def f0(v):
-        B, C, N = v[1], v[2], v[4]
-        return r * C - (mf ** 2 * B * (B + 2 * N) / (4 * lf) + mr ** 2 * B * N / lr)
-
-    def l2(v):
-        A, M = v[0], v[3]
-        return r * M - (s * eta ** 2 / (8 * lf) + mf * eta * (A + 2 * M) / (2 * lf)
-                        + mf ** 2 * (A + 2 * M) ** 2 / (2 * lf)
-                        + 2 * mr ** 2 * M ** 2 / lr - 2 * d * M)
-
-    def l1(v):
-        A, B, M, N = v[0], v[1], v[3], v[4]
-        phi1 = eta + 2 * mf * (A + 2 * M)
-        return r * N - (pr * k2 + mf * phi1 * (B + 2 * N) / (4 * lf)
-                        + 2 * mr ** 2 * M * N / lr - d * N)
-
-    def l0(v):
-        B, N, F = v[1], v[4], v[5]
-        return r * F - (mf ** 2 * (B + 2 * N) ** 2 / (8 * lf)
-                        + mr ** 2 * N ** 2 / (2 * lr))
-
-    lhs = [lambda v, i=i: params.rho * v[i] for i in (0, 1, 2, 3, 4, 5)]
-    return _system(GameMode.STACKELBERG, ("A", "B", "C", "M", "N", "F"),
-                   ("farmer H^2", "farmer H^1", "farmer H^0",
-                    "retailer H^2", "retailer H^1", "retailer H^0"),
-                   (f2, f1, f0, l2, l1, l0), lhs)
+    """Balances for farmer (A, B, C) and leader (M, N, F), both quadratic."""
+    return _system(params, GameMode.STACKELBERG, convention)
 
 
 def centralized_system(params: ModelParams) -> CoefficientSystem:
     """Balances for the joint quadratic value (A, B, C)."""
-    c = derive_constants(params)
-    lf, lr = params.lambda_f, params.lambda_r
-    mf, mr = params.mu_f, params.mu_r
-    d, r = params.delta, params.rho
-    eta, k1, k2 = c.eta, c.k1, c.k2
-    pf, pr, pc = params.p_f, params.p_r, params.p_c
+    return _system(params, GameMode.CENTRALIZED)
 
-    def j2(v):
-        A = v[0]
-        return r * A - ((eta + 2 * mf * A) ** 2 / (2 * lf)
-                        + 2 * A ** 2 * mr ** 2 / lr - 2 * d * A)
 
-    def j1(v):
-        A, B = v[0], v[1]
-        return r * B - ((pf + pc) * k1 + pr * k2
-                        + B * ((eta + 2 * mf * A) * mf / lf + 2 * A * mr ** 2 / lr - d))
-
-    def j0(v):
-        B, C = v[1], v[2]
-        return r * C - B ** 2 * (mf ** 2 / (2 * lf) + mr ** 2 / (2 * lr))
-
-    lhs = [lambda v, i=i: params.rho * v[i] for i in (0, 1, 2)]
-    return _system(GameMode.CENTRALIZED, ("A", "B", "C"),
-                   ("joint H^2", "joint H^1", "joint H^0"), (j2, j1, j0), lhs)
+def _assemble(params: ModelParams, mode: GameMode, convention: Optional[str],
+              coeffs, diag: SolutionDiagnostics) -> GameSolution:
+    """The solution at a coefficient vector: values by role, policies from
+    the policy map, and the closed-loop drift alpha*H + beta."""
+    values = _VALUES[mode](coeffs)
+    e_f, e_r, subsidy = _policy_map(params, mode, convention)(values[0], values[-1])
+    pol_f = FeedbackPolicy(*e_f)
+    pol_r = FeedbackPolicy(*e_r, *(subsidy[0] + subsidy[1] if subsidy else ()))
+    alpha = params.mu_f * pol_f.g1 + params.mu_r * pol_r.g1 - params.delta
+    beta = params.mu_f * pol_f.g0 + params.mu_r * pol_r.g0
+    return GameSolution(
+        mode=mode, params=params,
+        values={role: QuadraticValue(*V, role=role)
+                for role, V in zip(_UNKNOWNS[mode][1], values)},
+        policies={"farmer": pol_f, "retailer": pol_r},
+        alpha=alpha, beta=beta, H_d=-beta / alpha, diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +398,11 @@ def _polish(system: CoefficientSystem, guess, tolerance: float):
 
 
 # ---------------------------------------------------------------------------
-# mode solvers (residual backend)
+# candidate branches per mode
 # ---------------------------------------------------------------------------
 
-def _gd_candidates(params: ModelParams):
-    c = derive_constants(params)
-    lf, lr = params.lambda_f, params.lambda_r
-    mf, mr = params.mu_f, params.mu_r
-    d, r, eta = params.delta, params.rho, c.eta
+def _gd_candidates(params: ModelParams, system: CoefficientSystem):
+    lf, lr, mf, mr, d, r, eta, k1, k2, pf, pr, pc = _symbols(params)
     qa = 2.0 * mf ** 2 / lf
     qb = 2.0 * mf * eta / lf - 2.0 * d - r
     qc = eta ** 2 / (2.0 * lf)
@@ -372,8 +416,8 @@ def _gd_candidates(params: ModelParams):
         den = r - slope
         if abs(den) < 1e-14 * (1.0 + abs(r)):
             continue
-        M = params.p_r * c.k2 / den
-        B = ((params.p_f + params.p_c) * c.k1 + 2.0 * A * M * mr ** 2 / lr) / den
+        M = pr * k2 / den
+        B = ((pf + pc) * k1 + 2.0 * A * M * mr ** 2 / lr) / den
         C = (mf ** 2 * B ** 2 / (2.0 * lf) + B * M * mr ** 2 / lr) / r
         N = (M * mf ** 2 * B / lf + mr ** 2 * M ** 2 / (2.0 * lr)) / r
         candidates.append((A, B, C, M, N))
@@ -381,62 +425,16 @@ def _gd_candidates(params: ModelParams):
     return candidates, {"Delta^GD": disc * scale}
 
 
-def _gd_alpha(params: ModelParams):
-    c = derive_constants(params)
-
-    def slope(cand):
-        A = cand[0]
-        return params.mu_f * (c.eta + 2.0 * params.mu_f * A) / params.lambda_f \
-            - params.delta
-    return slope
-
-
-def _gd_assemble(params: ModelParams, coeffs, diag: SolutionDiagnostics):
-    c = derive_constants(params)
-    A, B, C, M, N = coeffs
-    lf, lr = params.lambda_f, params.lambda_r
-    mf, mr = params.mu_f, params.mu_r
-    pol_f = FeedbackPolicy(g1=(c.eta + 2.0 * A * mf) / lf, g0=mf * B / lf)
-    pol_r = FeedbackPolicy(g1=0.0, g0=mr * M / lr)
-    alpha = mf * pol_f.g1 + mr * pol_r.g1 - params.delta
-    beta = mf * pol_f.g0 + mr * pol_r.g0
-    values = {"farmer": QuadraticValue(A, B, C, role="farmer"),
-              "retailer": QuadraticValue(0.0, M, N, role="retailer")}
-    return GameSolution(mode=GameMode.DECENTRALIZED, params=params,
-                        values=values, policies={"farmer": pol_f, "retailer": pol_r},
-                        alpha=alpha, beta=beta, H_d=-beta / alpha,
-                        diagnostics=diag)
-
-
-def solve_decentralized(params: ModelParams,
-                        cfg: SolverConfig = SolverConfig()) -> GameSolution:
-    """Feedback equilibrium with simultaneous play and no cost sharing."""
-    validate_params(params)
-    if cfg.backend == BACKEND_CLOSED_FORM:
-        from . import closed_form
-        return closed_form.solve_printed(GameMode.DECENTRALIZED, params, cfg)
-    system = decentralized_system(params)
-    candidates, discs = _gd_candidates(params)
-    alpha_of = _gd_alpha(params)
-    chosen = select_stable_root(candidates, alpha_of)
-    coeffs, worst = _polish(system, chosen, cfg.tolerance)
-    diag = _diagnostics(cfg, candidates, alpha_of, chosen, discs, worst)
-    sol = _gd_assemble(params, coeffs, diag)
-    return _finish(sol, params, cfg)
-
-
-def _gs_quartic_candidates(params: ModelParams, convention: str):
+def _gs_quartic_candidates(params: ModelParams, system: CoefficientSystem):
     """All real (A, M) branches of the coupled quadratic balances.
 
     The farmer H^2 balance is linear in M, so M = num(A)/den(A); substituting
     into the leader H^2 balance and clearing den(A)^2 leaves a quartic in A,
-    enumerated through the companion matrix.
+    enumerated through the companion matrix. Each root is polished on the
+    two H^2 balances of the system.
     """
-    c = derive_constants(params)
-    lf, lr = params.lambda_f, params.lambda_r
-    mf, mr = params.mu_f, params.mu_r
-    d, r, eta = params.delta, params.rho, c.eta
-    s = mf if convention == CONVENTION_PRINTED else 1.0
+    lf, lr, mf, mr, d, r, eta, k1, k2, pf, pr, pc = _symbols(params)
+    s = mf if system.convention == CONVENTION_PRINTED else 1.0
 
     # num, den as coefficient arrays (low order first)
     num = np.array([-s * eta ** 2 / (4 * lf),
@@ -462,14 +460,10 @@ def _gs_quartic_candidates(params: ModelParams, convention: str):
     scale = 1.0 + np.abs(roots)
     real = np.unique(np.real(roots[np.abs(np.imag(roots)) <= 1e-9 * scale]))
 
-    def f2_res(A, M):
-        return (r + 2 * d) * A - s * eta ** 2 / (4 * lf) - mf * eta * (A + M) / lf \
-            - mf ** 2 * (A ** 2 + 2 * A * M) / lf - 4 * A * M * mr ** 2 / lr
-
-    def l2_res(A, M):
-        return (r + 2 * d) * M - s * eta ** 2 / (8 * lf) \
-            - mf * eta * (A + 2 * M) / (2 * lf) \
-            - mf ** 2 * (A + 2 * M) ** 2 / (2 * lf) - 2 * mr ** 2 * M ** 2 / lr
+    def quadratic_rows(x):
+        # the H^2 balances involve only A and M
+        rows = system.balances([float(x[0]), 0.0, 0.0, float(x[1]), 0.0, 0.0])
+        return rows[0], rows[3]
 
     pairs = []
     for A in real:
@@ -487,13 +481,12 @@ def _gs_quartic_candidates(params: ModelParams, convention: str):
             except ComplexRootError:
                 continue
         for M0 in seeds:
-            sol = optimize.root(lambda v: [f2_res(v[0], v[1]), l2_res(v[0], v[1])],
-                                [A, M0], method="hybr", tol=1e-14)
+            sol = optimize.root(quadratic_rows, [A, M0], method="hybr", tol=1e-14)
             # hybr reports failure when the seed is already at the root; the
             # residual gate below is the actual acceptance test
             A1, M1 = sol.x if sol.success else (A, M0)
-            if abs(f2_res(A1, M1)) > 1e-8 * (1 + abs(A1)) or \
-               abs(l2_res(A1, M1)) > 1e-8 * (1 + abs(M1)):
+            f2, l2 = quadratic_rows((A1, M1))
+            if abs(f2) > 1e-8 * (1 + abs(A1)) or abs(l2) > 1e-8 * (1 + abs(M1)):
                 continue
             if any(np.allclose((A1, M1), p, rtol=1e-8, atol=1e-10) for p in pairs):
                 continue
@@ -503,17 +496,14 @@ def _gs_quartic_candidates(params: ModelParams, convention: str):
 
 def _gs_full_candidate(params: ModelParams, A: float, M: float):
     """Chain (B, N) from the linear balances, then (C, F)."""
-    c = derive_constants(params)
-    lf, lr = params.lambda_f, params.lambda_r
-    mf, mr = params.mu_f, params.mu_r
-    d, r, eta = params.delta, params.rho, c.eta
+    lf, lr, mf, mr, d, r, eta, k1, k2, pf, pr, pc = _symbols(params)
     phi1 = eta + 2.0 * mf * (A + 2.0 * M)
     a11 = (r + d) - mf * (eta + 2.0 * mf * A) / (2.0 * lf) \
         - mf ** 2 * M / lf - 2.0 * mr ** 2 * M / lr
     a12 = -mf * (eta + 2.0 * mf * A) / (2.0 * lf) - 2.0 * mr ** 2 * A / lr
     a21 = -mf * phi1 / (4.0 * lf)
     a22 = (r + d) - mf * phi1 / (2.0 * lf) - 2.0 * mr ** 2 * M / lr
-    rhs = np.array([(params.p_f + params.p_c) * c.k1, params.p_r * c.k2])
+    rhs = np.array([(pf + pc) * k1, pr * k2])
     mat = np.array([[a11, a12], [a21, a22]])
     if abs(np.linalg.det(mat)) < 1e-12 * (1.0 + np.abs(mat).max() ** 2):
         return None
@@ -523,86 +513,91 @@ def _gs_full_candidate(params: ModelParams, A: float, M: float):
     return (A, B, C, M, N, F)
 
 
-def _gs_alpha(params: ModelParams, convention: str):
-    c = derive_constants(params)
-    lf, lr = params.lambda_f, params.lambda_r
-    mf, mr = params.mu_f, params.mu_r
-
-    def slope(cand):
-        A, M = cand[0], cand[3]
-        if convention == CONVENTION_PRINTED:
-            g1f = (c.eta + 2.0 * mf * A) / lf
-        else:
-            g1f = (c.eta + 2.0 * mf * (A + 2.0 * M)) / (2.0 * lf)
-        return mf * g1f + mr * (2.0 * mr * M / lr) - params.delta
-    return slope
+def _gs_candidates(params: ModelParams, system: CoefficientSystem):
+    pairs = _gs_quartic_candidates(params, system)
+    if not pairs:
+        raise SolverError("no real (A, M) branch of the coupled quadratic balances")
+    candidates = [full for full in (_gs_full_candidate(params, A, M) for A, M in pairs)
+                  if full is not None]
+    if not candidates:
+        raise SolverError("all (A, M) branches lead to singular linear balances")
+    return candidates, {}
 
 
-def _gs_assemble(params: ModelParams, convention: str, coeffs,
-                 diag: SolutionDiagnostics):
-    c = derive_constants(params)
-    A, B, C, M, N, F = coeffs
-    lf, lr = params.lambda_f, params.lambda_r
-    mf, mr = params.mu_f, params.mu_r
-    if convention == CONVENTION_PRINTED:
-        pol_f = FeedbackPolicy(g1=(c.eta + 2.0 * mf * A) / lf, g0=mf * B / lf)
-    else:
-        pol_f = FeedbackPolicy(g1=(c.eta + 2.0 * mf * (A + 2.0 * M)) / (2.0 * lf),
-                               g0=mf * (B + 2.0 * N) / (2.0 * lf))
-    pol_r = FeedbackPolicy(g1=2.0 * mr * M / lr, g0=mr * N / lr,
-                           n1=4.0 * M - 2.0 * A - c.eta / mf, n0=2.0 * N - B,
-                           d1=4.0 * M + 2.0 * A + c.eta / mf, d0=2.0 * N + B)
-    alpha = mf * pol_f.g1 + mr * pol_r.g1 - params.delta
-    beta = mf * pol_f.g0 + mr * pol_r.g0
-    values = {"farmer": QuadraticValue(A, B, C, role="farmer"),
-              "retailer": QuadraticValue(M, N, F, role="retailer")}
-    return GameSolution(mode=GameMode.STACKELBERG, params=params,
-                        values=values, policies={"farmer": pol_f, "retailer": pol_r},
-                        alpha=alpha, beta=beta, H_d=-beta / alpha,
-                        diagnostics=diag)
+def _gc_candidates(params: ModelParams, system: CoefficientSystem):
+    lf, lr, mf, mr, d, r, eta, k1, k2, pf, pr, pc = _symbols(params)
+    qa = 2.0 * (mf ** 2 / lf + mr ** 2 / lr)
+    qb = 2.0 * mf * eta / lf - 2.0 * d - r
+    qc = eta ** 2 / (2.0 * lf)
+    scale = (lf * lr) ** 2
+    roots, disc = _stable_quadratic_roots(qa, qb, qc, "Delta^GC", scale)
+    candidates = []
+    for A in roots:
+        slope = mf * eta / lf + A * qa - d
+        den = r - slope
+        if abs(den) < 1e-14 * (1.0 + abs(r)):
+            continue
+        B = ((pf + pc) * k1 + pr * k2) / den
+        C = B ** 2 * (mf ** 2 / (2.0 * lf) + mr ** 2 / (2.0 * lr)) / r
+        candidates.append((A, B, C))
+    if not candidates:
+        raise SolverError("degenerate quadratic balance for A")
+    # scaled to the published-branch normalization (lambda_f^2 lambda_r^2 factor)
+    return candidates, {"Delta^GC": disc * scale}
+
+
+_CANDIDATES = {GameMode.DECENTRALIZED: _gd_candidates,
+               GameMode.STACKELBERG: _gs_candidates,
+               GameMode.CENTRALIZED: _gc_candidates}
+
+
+# ---------------------------------------------------------------------------
+# mode solvers
+# ---------------------------------------------------------------------------
+
+def solve(mode, params: ModelParams, cfg: SolverConfig = SolverConfig()) -> GameSolution:
+    """Solve one mode; ``mode`` may be a GameMode or its short string."""
+    if not isinstance(mode, GameMode):
+        mode = GameMode.from_string(str(mode))
+    validate_params(params)
+    if cfg.backend == BACKEND_CLOSED_FORM:
+        from . import closed_form
+        return closed_form.solve_printed(mode, params, cfg)
+    convention = cfg.follower_convention
+    system = _system(params, mode, convention)
+    candidates, discs = _CANDIDATES[mode](params, system)
+    alpha_of = _drift_slope(params, mode, convention)
+    chosen = select_stable_root(candidates, alpha_of)
+    coeffs, worst = _polish(system, chosen, cfg.tolerance)
+    diag = _diagnostics(cfg, candidates, alpha_of, chosen, discs, worst)
+    sol = _assemble(params, mode, convention, coeffs, diag)
+    if mode is GameMode.STACKELBERG:
+        # the published discriminants at this solution, informational only:
+        # the branches are resolved by root enumeration, not by them
+        from . import closed_form
+        printed = closed_form.printed_stackelberg(params, dict(zip("ABCMNF", coeffs)))
+        for key in ("Delta^GS1", "Delta^GS2"):
+            diag.discriminants[key] = float(printed[key])
+        _flag_subsidy_range(sol, diag)
+    return _finish(sol, params, cfg)
+
+
+def solve_decentralized(params: ModelParams,
+                        cfg: SolverConfig = SolverConfig()) -> GameSolution:
+    """Feedback equilibrium with simultaneous play and no cost sharing."""
+    return solve(GameMode.DECENTRALIZED, params, cfg)
 
 
 def solve_stackelberg(params: ModelParams,
                       cfg: SolverConfig = SolverConfig()) -> GameSolution:
     """Leader-follower equilibrium with the retailer's cost-share subsidy."""
-    validate_params(params)
-    if cfg.backend == BACKEND_CLOSED_FORM:
-        from . import closed_form
-        return closed_form.solve_printed(GameMode.STACKELBERG, params, cfg)
-    convention = cfg.follower_convention
-    system = stackelberg_system(params, convention)
-    pairs = _gs_quartic_candidates(params, convention)
-    if not pairs:
-        raise SolverError("no real (A, M) branch of the coupled quadratic balances")
-    candidates = []
-    for A, M in pairs:
-        full = _gs_full_candidate(params, A, M)
-        if full is not None:
-            candidates.append(full)
-    if not candidates:
-        raise SolverError("all (A, M) branches lead to singular linear balances")
-    alpha_of = _gs_alpha(params, convention)
-    chosen = select_stable_root(candidates, alpha_of)
-    coeffs, worst = _polish(system, chosen, cfg.tolerance)
-    diag = _diagnostics(cfg, candidates, alpha_of, chosen, {}, worst)
-    sol = _gs_assemble(params, convention, coeffs, diag)
-    _attach_printed_gs_discriminants(sol, params, coeffs)
-    _flag_subsidy_range(sol, diag)
-    return _finish(sol, params, cfg)
+    return solve(GameMode.STACKELBERG, params, cfg)
 
 
-def _attach_printed_gs_discriminants(sol: GameSolution, params: ModelParams,
-                                     coeffs):
-    """House the published discriminant expressions, evaluated at this
-    solution's coefficients, in the diagnostics (informational only: the
-    leader-follower branch structure is resolved by root enumeration, not by
-    those expressions)."""
-    from . import closed_form
-    A, B, C, M, N, F = coeffs
-    printed = closed_form.printed_stackelberg(
-        params, {"A": A, "B": B, "C": C, "M": M, "N": N, "F": F})
-    sol.diagnostics.discriminants["Delta^GS1"] = float(printed["Delta^GS1"])
-    sol.diagnostics.discriminants["Delta^GS2"] = float(printed["Delta^GS2"])
+def solve_centralized(params: ModelParams,
+                      cfg: SolverConfig = SolverConfig()) -> GameSolution:
+    """Joint profit maximization of the whole chain."""
+    return solve(GameMode.CENTRALIZED, params, cfg)
 
 
 def _flag_subsidy_range(sol: GameSolution, diag: SolutionDiagnostics,
@@ -625,86 +620,6 @@ def _flag_subsidy_range(sol: GameSolution, diag: SolutionDiagnostics,
             f"(first at H = {lo_bad:.4g}, last at H = {hi_bad:.4g})")
 
 
-def _gc_candidates(params: ModelParams):
-    c = derive_constants(params)
-    lf, lr = params.lambda_f, params.lambda_r
-    mf, mr = params.mu_f, params.mu_r
-    d, r, eta = params.delta, params.rho, c.eta
-    qa = 2.0 * (mf ** 2 / lf + mr ** 2 / lr)
-    qb = 2.0 * mf * eta / lf - 2.0 * d - r
-    qc = eta ** 2 / (2.0 * lf)
-    scale = (lf * lr) ** 2
-    roots, disc = _stable_quadratic_roots(qa, qb, qc, "Delta^GC", scale)
-    candidates = []
-    for A in roots:
-        slope = mf * eta / lf + A * qa - d
-        den = r - slope
-        if abs(den) < 1e-14 * (1.0 + abs(r)):
-            continue
-        B = ((params.p_f + params.p_c) * c.k1 + params.p_r * c.k2) / den
-        C = B ** 2 * (mf ** 2 / (2.0 * lf) + mr ** 2 / (2.0 * lr)) / r
-        candidates.append((A, B, C))
-    # scaled to the published-branch normalization (lambda_f^2 lambda_r^2 factor)
-    return candidates, {"Delta^GC": disc * scale}
-
-
-def _gc_alpha(params: ModelParams):
-    c = derive_constants(params)
-    qa = 2.0 * (params.mu_f ** 2 / params.lambda_f
-                + params.mu_r ** 2 / params.lambda_r)
-
-    def slope(cand):
-        return params.mu_f * c.eta / params.lambda_f + cand[0] * qa - params.delta
-    return slope
-
-
-def _gc_assemble(params: ModelParams, coeffs, diag: SolutionDiagnostics):
-    c = derive_constants(params)
-    A, B, C = coeffs
-    lf, lr = params.lambda_f, params.lambda_r
-    mf, mr = params.mu_f, params.mu_r
-    pol_f = FeedbackPolicy(g1=(c.eta + 2.0 * A * mf) / lf, g0=mf * B / lf)
-    pol_r = FeedbackPolicy(g1=2.0 * mr * A / lr, g0=mr * B / lr)
-    alpha = mf * pol_f.g1 + mr * pol_r.g1 - params.delta
-    beta = mf * pol_f.g0 + mr * pol_r.g0
-    values = {"joint": QuadraticValue(A, B, C, role="joint")}
-    return GameSolution(mode=GameMode.CENTRALIZED, params=params,
-                        values=values, policies={"farmer": pol_f, "retailer": pol_r},
-                        alpha=alpha, beta=beta, H_d=-beta / alpha,
-                        diagnostics=diag)
-
-
-def solve_centralized(params: ModelParams,
-                      cfg: SolverConfig = SolverConfig()) -> GameSolution:
-    """Joint profit maximization of the whole chain."""
-    validate_params(params)
-    if cfg.backend == BACKEND_CLOSED_FORM:
-        from . import closed_form
-        return closed_form.solve_printed(GameMode.CENTRALIZED, params, cfg)
-    system = centralized_system(params)
-    candidates, discs = _gc_candidates(params)
-    if not candidates:
-        raise SolverError("degenerate quadratic balance for A")
-    alpha_of = _gc_alpha(params)
-    chosen = select_stable_root(candidates, alpha_of)
-    coeffs, worst = _polish(system, chosen, cfg.tolerance)
-    diag = _diagnostics(cfg, candidates, alpha_of, chosen, discs, worst)
-    sol = _gc_assemble(params, coeffs, diag)
-    return _finish(sol, params, cfg)
-
-
-_SOLVERS = {GameMode.DECENTRALIZED: solve_decentralized,
-            GameMode.STACKELBERG: solve_stackelberg,
-            GameMode.CENTRALIZED: solve_centralized}
-
-
-def solve(mode, params: ModelParams, cfg: SolverConfig = SolverConfig()) -> GameSolution:
-    """Solve one mode; ``mode`` may be a GameMode or its short string."""
-    if not isinstance(mode, GameMode):
-        mode = GameMode.from_string(str(mode))
-    return _SOLVERS[mode](params, cfg)
-
-
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
@@ -712,84 +627,47 @@ def solve(mode, params: ModelParams, cfg: SolverConfig = SolverConfig()) -> Game
 def hjb_residual(solution: GameSolution, params: ModelParams, H):
     """Per-role signed residuals rho*V(H) - RHS(H) of the stationarity equations.
 
-    The right-hand side is rebuilt from the instantaneous payoffs and the
-    solution's own policies (the maximized form), so residual-backend
-    solutions are near zero by construction while corrupted or printed-form
-    coefficients show up immediately. Solutions solved under the
-    "paper-printed" convention are measured against the printed substituted
-    equations, which is the system they solve. Accepts scalar or array H.
+    The right-hand side is rebuilt from the instantaneous payoffs
+    (profits.payoff_rates) and the solution's own policies (the maximized
+    form), so residual-backend solutions are near zero by construction while
+    corrupted or printed-form coefficients show up immediately. Solutions
+    solved under the "paper-printed" convention are measured against the
+    printed balances evaluated at H, which is the system they solve. Accepts
+    scalar or array H.
     """
-    H = np.asarray(H, dtype=float)
-    c = derive_constants(params)
+    terms = _stationarity(solution, params, np.asarray(H, dtype=float))
+    return {role: res for role, (_, res) in terms.items()}
+
+
+def _stationarity(solution: GameSolution, params: ModelParams, H) -> dict:
+    """Per role, (rho*V(H), rho*V(H) - RHS(H))."""
     mode = solution.mode
-    convention = solution.diagnostics.convention
+    rho_v = {role: params.rho * V.value(H) for role, V in solution.values.items()}
+    if mode is GameMode.STACKELBERG and \
+            solution.diagnostics.convention == CONVENTION_PRINTED:
+        rows = _system(params, mode, CONVENTION_PRINTED).balances(
+            [float(x) for x in _coefficients(solution)])
+        return {role: (rho_v[role], (rows[k] * H + rows[k + 1]) * H + rows[k + 2])
+                for k, role in ((0, "farmer"), (3, "retailer"))}
+    pol_r = solution.policies["retailer"]
     e_f = solution.policies["farmer"].effort(H)
-    e_r = solution.policies["retailer"].effort(H)
-    drift = params.mu_f * e_f + params.mu_r * e_r - params.delta * H
-    out = {}
-    if mode is GameMode.CENTRALIZED:
-        V = solution.values["joint"]
-        rate = ((params.p_f + params.p_c) * c.k1 * H + params.p_r * c.k2 * H
-                + c.eta * H * e_f
-                - 0.5 * params.lambda_f * e_f ** 2 - 0.5 * params.lambda_r * e_r ** 2)
-        out["joint"] = params.rho * V.value(H) - rate - V.marginal(H) * drift
-        return out
-    Vf, Vr = solution.values["farmer"], solution.values["retailer"]
-    if mode is GameMode.DECENTRALIZED:
-        rate_f = ((params.p_f + params.p_c) * c.k1 * H + c.eta * H * e_f
-                  - 0.5 * params.lambda_f * e_f ** 2)
-        rate_r = params.p_r * c.k2 * H - 0.5 * params.lambda_r * e_r ** 2
-        out["farmer"] = params.rho * Vf.value(H) - rate_f - Vf.marginal(H) * drift
-        out["retailer"] = params.rho * Vr.value(H) - rate_r - Vr.marginal(H) * drift
-        return out
-    if convention == CONVENTION_PRINTED:
-        return _printed_substituted_residual(solution, params, H)
-    x = solution.policies["retailer"].subsidy(H)
-    cost_f = 0.5 * params.lambda_f * e_f ** 2
-    # an undefined share of a zero cost transfers zero
-    shared = np.where(cost_f == 0.0, 0.0, x * cost_f)
-    rate_f = ((params.p_f + params.p_c) * c.k1 * H + c.eta * H * e_f
-              - (cost_f - shared))
-    rate_r = (params.p_r * c.k2 * H - 0.5 * params.lambda_r * e_r ** 2
-              - shared)
-    out["farmer"] = params.rho * Vf.value(H) - rate_f - Vf.marginal(H) * drift
-    out["retailer"] = params.rho * Vr.value(H) - rate_r - Vr.marginal(H) * drift
-    return out
-
-
-def _printed_substituted_residual(solution: GameSolution, params: ModelParams, H):
-    c = derive_constants(params)
-    lf, lr = params.lambda_f, params.lambda_r
-    mf, mr = params.mu_f, params.mu_r
-    eta = c.eta
-    Vf, Vr = solution.values["farmer"], solution.values["retailer"]
-    vfp, vrp = Vf.marginal(H), Vr.marginal(H)
-    rhs_f = (mf * eta ** 2 / (4 * lf) * H ** 2
-             + ((params.p_f + params.p_c) * c.k1 - params.delta * vfp
-                + mf * eta * (vfp + vrp) / (2 * lf)) * H
-             + mr ** 2 * vfp * vrp / lr
-             + mf ** 2 * (2 * vrp * vfp + vfp ** 2) / (4 * lf))
-    rhs_r = (mf * eta ** 2 / (8 * lf) * H ** 2
-             + (params.p_r * c.k2 + mf * eta * (vfp + 2 * vrp) / (4 * lf)
-                - params.delta * vrp) * H
-             + mr ** 2 * vrp ** 2 / (2 * lr)
-             + mf ** 2 * (vfp + 2 * vrp) ** 2 / (8 * lf))
-    return {"farmer": params.rho * Vf.value(H) - rhs_f,
-            "retailer": params.rho * Vr.value(H) - rhs_r}
+    e_r = pol_r.effort(H)
+    x = pol_r.subsidy(H) if mode is GameMode.STACKELBERG else None
+    rates = profits.payoff_rates(mode, H, e_f, e_r, x, params)
+    rate = ({"joint": rates.total} if mode is GameMode.CENTRALIZED
+            else {"farmer": rates.net_f, "retailer": rates.net_r})
+    drift = reduction_drift(H, e_f, e_r, params)
+    return {role: (rho_v[role], rho_v[role] - rate[role] - V.marginal(H) * drift)
+            for role, V in solution.values.items()}
 
 
 def residual_scan(solution: GameSolution, params: ModelParams,
                   n: int = 100) -> float:
     """Max normalized |residual| over n states in [0, 2*H_d]."""
     hi = 2.0 * solution.H_d if solution.H_d > 0 else 1.0
-    H = np.linspace(0.0, hi, n)
-    worst = 0.0
-    res = hjb_residual(solution, params, H)
-    for role, r in res.items():
-        V = solution.values[role]
-        norm = np.abs(r) / (1.0 + np.abs(params.rho * V.value(H)))
-        worst = max(worst, float(np.max(norm)))
-    return worst
+    terms = _stationarity(solution, params, np.linspace(0.0, hi, n))
+    return max(float((np.abs(res) / (1.0 + np.abs(rho_v))).max())
+               for rho_v, res in terms.values())
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +678,7 @@ def _diagnostics(cfg: SolverConfig, candidates, alpha_of, chosen, discs,
                  worst_balance: float) -> SolutionDiagnostics:
     cand_info = [{"coefficients": [float(x) for x in c],
                   "alpha": float(alpha_of(c))} for c in candidates]
-    stable = [c for c in candidates if alpha_of(c) < 0.0]
+    stable = [c for c in cand_info if c["alpha"] < 0.0]
     diag = SolutionDiagnostics(
         backend=BACKEND_RESIDUAL,
         convention=cfg.follower_convention,
@@ -828,13 +706,10 @@ def _finish(sol: GameSolution, params: ModelParams, cfg: SolverConfig) -> GameSo
     if sol.beta < 0.0:
         sol.diagnostics.flags.append(
             f"beta = {sol.beta:.6g} < 0 despite nonnegative payoff prices"
-            if _prices_nonnegative(params) else f"beta = {sol.beta:.6g} < 0")
+            if min(params.p_f, params.p_r, params.p_c, params.p) >= 0.0
+            else f"beta = {sol.beta:.6g} < 0")
     _flag_negative_efforts(sol)
     return sol
-
-
-def _prices_nonnegative(params: ModelParams) -> bool:
-    return min(params.p_f, params.p_r, params.p_c, params.p) >= 0.0
 
 
 def _flag_negative_efforts(sol: GameSolution, n: int = 81):

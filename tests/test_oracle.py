@@ -26,8 +26,8 @@ from carbongame import (
     solve_decentralized,
     solve_stackelberg,
 )
-from carbongame import oracle
-from carbongame.model import reduction_drift
+from carbongame import oracle, solver
+from carbongame.model import SolutionDiagnostics, reduction_drift
 from carbongame.oracle import (
     _evaluate_policy,
     _greedy_step,
@@ -370,6 +370,16 @@ def test_leader_sampler_is_deterministic_and_mode_checked(baseline_gd,
         leader_improvement_sample(baseline_gd)
 
 
+def _stackelberg_at(params, coeffs):
+    """The standard-convention gs solution at fixed (A, B, C, M, N, F), so a
+    pinned sample depends on the sampler and the policy map, not on the last
+    bit the root finder lands on."""
+    diag = SolutionDiagnostics(backend=solver.BACKEND_RESIDUAL,
+                               convention=solver.CONVENTION_STANDARD)
+    return solver._assemble(params, GameMode.STACKELBERG,
+                            solver.CONVENTION_STANDARD, coeffs, diag)
+
+
 def test_perturbed_leader_sample_is_pinned():
     # recorded from the stepped RK4 sampler before its loop was reworked;
     # the rework keeps every float operation, so the match is exact
@@ -379,7 +389,10 @@ def test_perturbed_leader_sample_is_pinned():
                           delta=base.delta * math.exp(0.05),
                           rho=base.rho * math.exp(-0.09),
                           p_c=base.p_c * math.exp(0.1))
-    sample = leader_improvement_sample(solve_stackelberg(params))
+    # solve_stackelberg(params) coefficients when the samples were recorded
+    coeffs = (0.8268323735369904, 1109.03674318964, 7739.577413638972,
+              0.4287267448925029, 1039.9287522397312, 9190.725450015574)
+    sample = leader_improvement_sample(_stackelberg_at(params, coeffs))
     assert sample["baseline_payoff"] == 9294.606215761069
     assert sample["max_improvement"] == -5.218845249608916e-05
     assert sample["improving_samples"] == 0
@@ -388,7 +401,11 @@ def test_perturbed_leader_sample_is_pinned():
 def test_leader_sample_with_a_zero_subsidy_denominator():
     # x_f = (0.5*H - 0.25)/(2*H - 1) is 0/0 at the initial state H0 = 0.5,
     # where the sampler shares nothing; the perturbed rules move the pole
-    sol = solve_stackelberg(ModelParams(H0=0.5))
+    # solve_stackelberg(ModelParams()) coefficients when the samples were
+    # recorded
+    coeffs = (0.7444379187163269, 1089.944733842334, 7530.93034376331,
+              0.3859305095776347, 1031.552768624556, 8938.97725471772)
+    sol = _stackelberg_at(ModelParams(H0=0.5), coeffs)
     rule = dataclasses.replace(sol.policies["retailer"], n1=0.5, n0=-0.25,
                                d1=2.0, d0=-1.0)
     assert rule.d1 * 0.5 + rule.d0 == 0.0

@@ -25,7 +25,8 @@ from carbongame import (
     solve_decentralized,
     solve_stackelberg,
 )
-from carbongame import closed_form
+from carbongame import closed_form, solver
+from carbongame.profits import payoff_rates
 from carbongame.solver import (
     BACKEND_CLOSED_FORM,
     CONVENTION_PRINTED,
@@ -196,8 +197,6 @@ def test_solver_config_validation():
         SolverConfig(tolerance=0.0)
     with pytest.raises(ValueError, match="hjb_tolerance must be > 0"):
         SolverConfig(hjb_tolerance=-1e-9)
-    with pytest.raises(ValueError, match="max_iter must be >= 1"):
-        SolverConfig(max_iter=0)
 
 
 def test_solve_dispatch_accepts_mode_or_string():
@@ -239,6 +238,68 @@ def test_collected_balances_vanish_at_the_solution():
         vec = [coeffs[n] for n in names]
         normalized = np.abs(system.residuals(vec)) / system.scales(vec)
         assert np.max(normalized) <= 1e-12
+
+
+# a perturbed parameter set with short decimals, exact as sympy rationals
+_PERTURBED = {"lambda_f": 430.5, "lambda_r": 260.0, "mu_f": 1.3, "mu_r": 0.65,
+              "omega": 0.35, "p_c": 0.6, "delta": 1.2, "rho": 0.55,
+              "theta": 0.7}
+
+
+@pytest.mark.parametrize("overrides", [{}, _PERTURBED],
+                         ids=["baseline", "perturbed"])
+def test_derived_balances_match_the_sympy_derivation(overrides):
+    # tests/oracle_ref.py derives each mode's balances symbolically from the
+    # Hamiltonians; the solver derives them from its policy map
+    sp = pytest.importorskip("sympy")
+    oracle_ref = pytest.importorskip("oracle_ref")
+    par = {**oracle_ref.BASELINE, **overrides}
+    params = ModelParams().replace(**{k: float(v) for k, v in par.items()})
+    rng = np.random.default_rng(20241018)
+    for name, system in (
+            ("gd", decentralized_system(params)),
+            ("gs", stackelberg_system(params)),
+            ("gs-printed", stackelberg_system(params, CONVENTION_PRINTED)),
+            ("gc", centralized_system(params))):
+        unknowns, eqs, _, _ = oracle_ref._BUILDERS[name](par)
+        assert tuple(str(u) for u in unknowns) == system.names
+        reference = sp.lambdify(unknowns, eqs, "numpy")
+        # each balance's sum of |monomial|, the size of what it cancels
+        magnitude = sp.lambdify(unknowns, [
+            sum(abs(c) * sp.Mul(*(u ** k for u, k in zip(unknowns, powers)))
+                for powers, c in sp.Poly(eq, *unknowns).terms())
+            for eq in eqs], "numpy")
+        for _ in range(20):
+            # coefficients over eight orders of magnitude around typical sizes
+            v = [oracle_ref._SCALES[n] * rng.uniform(-1.0, 1.0)
+                 * np.exp(rng.uniform(-9.0, 9.0)) for n in system.names]
+            expected = np.asarray(reference(*v), dtype=float)
+            scale = np.asarray(magnitude(*np.abs(v)), dtype=float)
+            assert np.all(np.abs(system.residuals(v) - expected)
+                          <= 1e-12 * scale), name
+
+
+@pytest.mark.parametrize("overrides", [{}, _PERTURBED],
+                         ids=["baseline", "perturbed"])
+@pytest.mark.parametrize("mode", ["gd", "gs", "gc"])
+def test_rate_polynomials_match_payoff_rates(mode, overrides):
+    # the balances' payoff polynomials and profits.payoff_rates are two
+    # statements of the same payoffs
+    params = ModelParams().replace(**overrides)
+    sol = _SOLVE[mode](params)
+    terms = solver._payoff_polynomials(params, sol.mode)
+    drift, _, rates = terms(solver._coefficients(sol))
+    H = np.linspace(0.0, 2.0 * sol.H_d, 9)
+    pol_f, pol_r = sol.policies["farmer"], sol.policies["retailer"]
+    x = pol_r.subsidy(H) if mode == "gs" else None
+    actual = payoff_rates(sol.mode, H, pol_f.effort(H), pol_r.effort(H), x,
+                          params)
+    expected = [actual.total] if mode == "gc" else [actual.net_f, actual.net_r]
+    assert len(rates) == len(expected)
+    for rate, exp in zip(rates, expected):
+        assert np.polyval(rate, H) == pytest.approx(exp, rel=1e-12, abs=0.0)
+    assert np.polyval(drift, H) == pytest.approx(sol.closed_loop_drift(H),
+                                                 rel=1e-12, abs=1e-12)
 
 
 def test_random_parameter_sets_solve_cleanly():
