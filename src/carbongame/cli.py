@@ -30,6 +30,7 @@ from .experiments import (
 from .model import GameMode, ParameterError
 from .oracle import OracleError
 from .simulate import simulate, trajectory_table
+from . import solver
 from .solver import SolverError, solve
 
 __all__ = ["main"]
@@ -78,19 +79,8 @@ def _build_config(args) -> ScenarioConfig:
 def _solution_lines(solution) -> list:
     lines = [f"[{solution.mode.value}]",
              f"backend = {solution.diagnostics.backend}"]
-    roles = solution.roles
-    if "joint" in roles:
-        joint = solution.values["joint"]
-        coef = [("A", joint.A), ("B", joint.B), ("C", joint.C)]
-    else:
-        farmer = solution.values["farmer"]
-        retailer = solution.values["retailer"]
-        coef = [("A", farmer.A), ("B", farmer.B), ("C", farmer.C)]
-        if solution.mode is GameMode.DECENTRALIZED:
-            coef += [("M", retailer.B), ("N", retailer.C)]
-        else:
-            coef += [("M", retailer.A), ("N", retailer.B), ("F", retailer.C)]
-    lines += [f"{name} = {float(value)!r}" for name, value in coef]
+    lines += [f"{name} = {float(value)!r}" for name, value in
+              zip(solver._UNKNOWNS[solution.mode][0], solver._coefficients(solution))]
     lines.append(f"alpha = {float(solution.alpha)!r}")
     lines.append(f"H_d = {float(solution.H_d)!r}")
     for role in ("farmer", "retailer"):

@@ -229,18 +229,19 @@ def _printed_gd(params, residual_cfg):
     if printed["Delta^GD"] < 0.0:
         raise solver.ComplexRootError("Delta^GD", printed["Delta^GD"])
     reference = solver.solve_decentralized(params, residual_cfg)
+    names = solver._UNKNOWNS[GameMode.DECENTRALIZED][0]
     comparison = dict(printed)
-    comparison["residual backend"] = dict(zip("ABCMN", solver._coefficients(reference)))
+    comparison["residual backend"] = dict(zip(names, solver._coefficients(reference)))
     comparison["relative gaps"] = {
         k: _relative_gap(printed[k], comparison["residual backend"][k])
-        for k in "ABCMN"}
+        for k in names}
     diag = _base_diag(None, comparison, "printed negative square-root branch")
-    return tuple(printed[k] for k in "ABCMN"), None, diag
+    return tuple(printed[k] for k in names), None, diag
 
 
 def _printed_gs(params, residual_cfg):
-    anchor = dict(zip("ABCMNF", solver._coefficients(
-        solver.solve_stackelberg(params, residual_cfg))))
+    anchor = dict(zip(solver._UNKNOWNS[GameMode.STACKELBERG][0],
+                      solver._coefficients(solver.solve_stackelberg(params, residual_cfg))))
     printed = printed_stackelberg(params, anchor)
     comparison = dict(printed)
     comparison["relative gaps"] = {
@@ -281,4 +282,5 @@ def _printed_gc(params, residual_cfg):
     diag = _base_diag(None, comparison,
                       "corrected negative square-root branch (verbatim "
                       "discriminant reported alongside)")
-    return tuple(corrected[k] for k in "ABC"), None, diag
+    names = solver._UNKNOWNS[GameMode.CENTRALIZED][0]
+    return tuple(corrected[k] for k in names), None, diag

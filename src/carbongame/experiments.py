@@ -31,6 +31,7 @@ from .model import (
     validate_params,
 )
 from .simulate import SimConfig, simulate, trajectory_table
+from . import solver
 from .solver import SolverConfig, SolverError, residual_scan, solve
 
 __all__ = [
@@ -354,19 +355,10 @@ def _solution_metrics(solution: GameSolution) -> dict:
 
 
 def _coefficients(solution: GameSolution) -> dict:
-    out = {name: None for name in ("A", "B", "C", "M", "N", "F")}
-    if solution.mode is GameMode.CENTRALIZED:
-        joint = solution.values["joint"]
-        out.update(A=joint.A, B=joint.B, C=joint.C)
-        return out
-    farmer = solution.values["farmer"]
-    retailer = solution.values["retailer"]
-    out.update(A=farmer.A, B=farmer.B, C=farmer.C)
-    if solution.mode is GameMode.DECENTRALIZED:
-        out.update(M=retailer.B, N=retailer.C)
-    else:
-        out.update(M=retailer.A, N=retailer.B, F=retailer.C)
-    return out
+    """Every coefficient name, None where the solution's mode has none."""
+    return {**dict.fromkeys(solver._UNKNOWNS[GameMode.STACKELBERG][0]),
+            **dict(zip(solver._UNKNOWNS[solution.mode][0],
+                       solver._coefficients(solution)))}
 
 
 def _summary_row(mode: GameMode, sink: str, params: ModelParams,

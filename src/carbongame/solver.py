@@ -3,17 +3,20 @@
 Each mode is written down once, as a policy map from value-function
 coefficients to affine efforts E = g1*H + g0 (plus, in the leader-follower
 mode, the leader's subsidy rule x_f = (n1*H + n0)/(d1*H + d0)). The balances
-are derived from it, not collected by hand: the H^2, H^1 and H^0
-coefficients of rho*V - rate - V'*drift per role, by polynomial arithmetic
-on the efforts and the role payoffs (the undetermined-coefficients form of
-Dockner, Jorgensen, Long & Sorger, *Differential Games in Economics and
-Management Science*, 2000). So are the drift slope that selects the stable
-root and the assembled solution, which the closed-form backend shares.
+are derived from it: the H^2, H^1 and H^0 coefficients of
+rho*V - rate - V'*drift per role, by polynomial arithmetic on the efforts
+and the role payoffs (the undetermined-coefficients form of Dockner,
+Jorgensen, Long & Sorger, *Differential Games in Economics and Management
+Science*, 2000). Everything else is read off the balances: the H^2 rows
+give every branch of the leading coefficients (a quadratic in A, or in gs a
+quartic after eliminating M), the drift slope picks the stable one, the
+H^1 and H^0 rows complete it by linear solves, and a Newton polish on all
+balances takes it to the rounding floor before the residual gate.
 
-Two backends are available. "residual" solves the derived balances
-numerically with stable-root selection; it is the authoritative path.
-"paper-closed-form" evaluates the published closed-form coefficient
-expressions verbatim for discrepancy reporting (see closed_form.py).
+Two backends are available. "residual" solves the derived balances; it is
+the authoritative path. "paper-closed-form" evaluates the published
+closed-form coefficient expressions verbatim for discrepancy reporting (see
+closed_form.py).
 
 Conventions for the Stackelberg follower:
 
@@ -36,7 +39,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy import optimize
 
 from . import profits
 from .model import (
@@ -194,11 +196,12 @@ def _policy_map(params: ModelParams, mode: GameMode, convention: Optional[str]):
 
 
 def _drift_slope(params: ModelParams, mode: GameMode, convention: str):
-    """Closed-loop drift slope alpha of a coefficient vector."""
+    """Closed-loop drift slope alpha of a branch, from its leading
+    coefficients (A; A and M in gs), the only ones the effort slopes hold."""
     rule, split = _policy_map(params, mode, convention), _VALUES[mode]
 
-    def slope(v):
-        values = split(v)
+    def slope(leading):
+        values = split(_leading_vector(mode, leading))
         (g1_f, _), (g1_r, _), _ = rule(values[0], values[-1])
         return params.mu_f * g1_f + params.mu_r * g1_r - params.delta
     return slope
@@ -333,8 +336,27 @@ def _assemble(params: ModelParams, mode: GameMode, convention: Optional[str],
 
 
 # ---------------------------------------------------------------------------
-# root machinery
+# branches: leading roots, completion, polish
 # ---------------------------------------------------------------------------
+
+# Unknown i by the power of H of balance i, which carries rho*v[i]: the H^2
+# rows hold only the leading unknowns (A; A and M in gs), the H^1 rows are
+# affine in the H^1 unknowns, and H^0 unknown i enters row i only.
+_BY_POWER = {mode: {k: tuple(i for i, lb in enumerate(labels) if lb.endswith(f"^{k}"))
+                    for k in (2, 1, 0)} for mode, labels in _LABELS.items()}
+
+# the values of a quadratic at 0, 1 and -1 -> its coefficients (c0, c1, c2)
+_NODES = (0.0, 1.0, -1.0)
+_FIT = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, -0.5], [-1.0, 0.5, 0.5]])
+
+
+def _leading_vector(mode: GameMode, leading) -> list:
+    """The coefficient vector of a branch's leading coefficients, 0 elsewhere."""
+    v = [0.0] * len(_UNKNOWNS[mode][0])
+    for i, x in zip(_BY_POWER[mode][2], leading):
+        v[i] = float(x)
+    return v
+
 
 def select_stable_root(candidates: Sequence, drift_slope: Callable):
     """Pick the unique candidate whose closed-loop drift slope is negative.
@@ -368,187 +390,120 @@ def _stable_quadratic_roots(qa: float, qb: float, qc: float, label: str,
     if disc < 0.0:
         raise ComplexRootError(label, disc * scale)
     sq = math.sqrt(disc)
-    if qb >= 0.0:
-        q = -0.5 * (qb + sq)
-    else:
-        q = -0.5 * (qb - sq)
-    roots = {q / qa}
-    if q != 0.0:
-        roots.add(qc / q)
-    elif qc == 0.0:
-        roots.add(0.0)
-    return sorted(roots), disc
+    q = -0.5 * (qb + sq) if qb >= 0.0 else -0.5 * (qb - sq)
+    # q = 0 only when qb = qc = 0: the double root 0
+    return sorted({q / qa, qc / q} if q != 0.0 else {q / qa}), disc
 
 
-def _polish(system: CoefficientSystem, guess, tolerance: float):
-    sol = optimize.root(system.residuals, np.asarray(guess, dtype=float),
-                        method="hybr", tol=1e-14)
-    cand = sol.x if sol.success else np.asarray(guess, dtype=float)
-    res = system.residuals(cand)
-    raw = system.residuals(np.asarray(guess, dtype=float))
-    if np.max(np.abs(res)) > np.max(np.abs(raw)):
-        cand, res = np.asarray(guess, dtype=float), raw
-    bound = tolerance * system.scales(cand)
-    if np.any(np.abs(res) > bound):
-        worst = int(np.argmax(np.abs(res) / bound))
+def _leading_branches(params: ModelParams, system: CoefficientSystem):
+    """Every real root of the H^2 rows in the leading unknowns (as tuples),
+    and the discriminants.
+
+    The rows are sampled at 0 and +-1 of each leading unknown and fitted
+    exactly. In gd and gc the farmer or joint row is a quadratic in A, with
+    its discriminant on the published scale (Delta^GD, Delta^GC). In gs the
+    farmer row is a(A) + b(A)*M and the leader row g0(A) + g1(A)*M + g2*M^2;
+    M = -a/b leaves the quartic g0*b^2 - g1*a*b + g2*a^2 in A, and where
+    b(A) ~ 0, M comes from the leader row instead.
+    """
+    mode, lead = system.mode, _BY_POWER[system.mode][2]
+
+    def rows(*leading):
+        out = system.balances(_leading_vector(mode, leading))
+        return [out[i] for i in lead]
+
+    if len(lead) == 1:
+        lf, lr = params.lambda_f, params.lambda_r
+        label, scale = (("Delta^GD", 4.0 * lf ** 2) if mode is GameMode.DECENTRALIZED
+                        else ("Delta^GC", (lf * lr) ** 2))
+        c0, c1, c2 = (_FIT @ [rows(x)[0] for x in _NODES]).tolist()
+        roots, disc = _stable_quadratic_roots(c2, c1, c0, label, scale)
+        return [(A,) for A in roots], {label: disc * scale}
+
+    samples = np.array([[rows(A, M) for M in _NODES] for A in _NODES])
+    # [i, j]: the coefficient of A^i * M^j in the farmer and the leader row
+    farmer, leader = (_FIT @ samples[:, :, k] @ _FIT.T for k in (0, 1))
+    a, b = farmer[:, 0], farmer[:2, 1]
+    g0, g1, g2 = leader[:, 0], leader[:2, 1], float(leader[0, 2])
+    conv = np.convolve
+    quartic = np.trim_zeros(conv(g0, conv(b, b)) - conv(g1, conv(a, b))
+                            + g2 * conv(a, a), "b")
+    roots = npoly.polyroots(quartic) if quartic.size > 1 else np.zeros(1)
+    real = roots[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))].real
+    branches = []
+    for A in np.unique(real).tolist():
+        bA = float(npoly.polyval(A, b))
+        if abs(bA) > 1e-12 * (1.0 + abs(A)):
+            branches.append((A, -float(npoly.polyval(A, a)) / bA))
+            continue
+        try:
+            seeds, _ = _stable_quadratic_roots(g2, float(npoly.polyval(A, g1)),
+                                               float(npoly.polyval(A, g0)),
+                                               "Delta^GS(M|A)")
+        except ComplexRootError:
+            continue
+        branches += [(A, M) for M in seeds]
+    if not branches:
+        raise SolverError("no real (A, M) branch of the coupled quadratic balances")
+    return branches, {}
+
+
+def _complete(system: CoefficientSystem, leading) -> list:
+    """The full coefficient vector of a branch: the H^1 unknowns by one linear
+    solve of the H^1 rows, then each H^0 unknown from its own row."""
+    by_power = _BY_POWER[system.mode]
+    v, rows = _leading_vector(system.mode, leading), by_power[1]
+    base = system.balances(v)
+    columns = [[out[i] - base[i] for i in rows] for out in (
+        system.balances([float(i == j) if i in rows else x for i, x in enumerate(v)])
+        for j in rows)]
+    try:
+        solved = np.linalg.solve(np.array(columns).T, [-base[i] for i in rows])
+    except np.linalg.LinAlgError:
+        raise SolverError("singular H^1 balances on the stable branch") from None
+    for i, x in zip(rows, solved.tolist()):
+        v[i] = x
+    out = system.balances(v)
+    for i in by_power[0]:
+        v[i] -= out[i] / system.rho
+    return v
+
+
+def _newton(system: CoefficientSystem, guess, tolerance: float):
+    """Chord-Newton polish of the balances, gated on their residuals.
+
+    Every balance is quadratic in the unknowns, so central differences give
+    the Jacobian exactly up to rounding; it is taken once, at the guess. The
+    iterate with the smallest normalized residual is kept, and rejected with
+    the worst balance's label when any residual exceeds tolerance times its
+    scale.
+    """
+    v = np.asarray(guess, dtype=float)
+    res = system.residuals(v)
+    err = np.max(np.abs(res) / system.scales(v))
+    jac = np.empty((v.size, v.size))
+    for j, h in enumerate(1.0 + np.abs(v)):
+        shift = np.zeros(v.size)
+        shift[j] = h
+        up, down = system.residuals(v + shift), system.residuals(v - shift)
+        jac[:, j] = (up - down) / (2.0 * h)
+    try:
+        inverse = np.linalg.inv(jac)
+    except np.linalg.LinAlgError:
+        inverse = np.zeros_like(jac)   # no step: the guess is kept
+    for _ in range(8):   # one or two steps reach the rounding floor
+        trial = v - inverse @ res
+        trial_res = system.residuals(trial)
+        trial_err = np.max(np.abs(trial_res) / system.scales(trial))
+        if not trial_err < err:
+            break
+        v, res, err = trial, trial_res, trial_err
+    if not err <= tolerance:
+        worst = int(np.argmax(np.abs(res) / system.scales(v)))
         raise SolverError(
             f"collected balance {system.labels[worst]} residual {res[worst]:.3e} "
             f"exceeds tolerance {tolerance:.1e}")
-    return cand, float(np.max(np.abs(res) / system.scales(cand)))
-
-
-# ---------------------------------------------------------------------------
-# candidate branches per mode
-# ---------------------------------------------------------------------------
-
-def _gd_candidates(params: ModelParams, system: CoefficientSystem):
-    lf, lr, mf, mr, d, r, eta, k1, k2, pf, pr, pc = _symbols(params)
-    qa = 2.0 * mf ** 2 / lf
-    qb = 2.0 * mf * eta / lf - 2.0 * d - r
-    qc = eta ** 2 / (2.0 * lf)
-    scale = 4.0 * lf ** 2
-    roots, disc = _stable_quadratic_roots(qa, qb, qc, "Delta^GD", scale)
-    if not roots:
-        raise SolverError("degenerate quadratic balance for A")
-    candidates = []
-    for A in roots:
-        slope = mf * (eta + 2.0 * mf * A) / lf - d
-        den = r - slope
-        if abs(den) < 1e-14 * (1.0 + abs(r)):
-            continue
-        M = pr * k2 / den
-        B = ((pf + pc) * k1 + 2.0 * A * M * mr ** 2 / lr) / den
-        C = (mf ** 2 * B ** 2 / (2.0 * lf) + B * M * mr ** 2 / lr) / r
-        N = (M * mf ** 2 * B / lf + mr ** 2 * M ** 2 / (2.0 * lr)) / r
-        candidates.append((A, B, C, M, N))
-    # scaled to match the published branch expression (4 lambda_f^2 factor)
-    return candidates, {"Delta^GD": disc * scale}
-
-
-def _gs_quartic_candidates(params: ModelParams, system: CoefficientSystem):
-    """All real (A, M) branches of the coupled quadratic balances.
-
-    The farmer H^2 balance is linear in M, so M = num(A)/den(A); substituting
-    into the leader H^2 balance and clearing den(A)^2 leaves a quartic in A,
-    enumerated through the companion matrix. Each root is polished on the
-    two H^2 balances of the system.
-    """
-    lf, lr, mf, mr, d, r, eta, k1, k2, pf, pr, pc = _symbols(params)
-    s = mf if system.convention == CONVENTION_PRINTED else 1.0
-
-    # num, den as coefficient arrays (low order first)
-    num = np.array([-s * eta ** 2 / (4 * lf),
-                    (r + 2 * d) - mf * eta / lf,
-                    -mf ** 2 / lf])
-    den = np.array([mf * eta / lf, 2 * mf ** 2 / lf + 4 * mr ** 2 / lr])
-
-    pmul, padd = npoly.polymul, npoly.polyadd
-    A_poly = np.array([0.0, 1.0])
-    aden_plus_2num = padd(pmul(A_poly, den), 2.0 * num)
-    quartic = padd(
-        padd((r + 2 * d) * pmul(num, den),
-             -s * eta ** 2 / (8 * lf) * pmul(den, den)),
-        padd(-mf * eta / (2 * lf) * pmul(aden_plus_2num, den),
-             padd(-mf ** 2 / (2 * lf) * pmul(aden_plus_2num, aden_plus_2num),
-                  -2 * mr ** 2 / lr * pmul(num, num))))
-
-    coeffs = np.trim_zeros(quartic, "b")
-    if coeffs.size <= 1:
-        roots = np.array([0.0])
-    else:
-        roots = npoly.polyroots(coeffs)
-    scale = 1.0 + np.abs(roots)
-    real = np.unique(np.real(roots[np.abs(np.imag(roots)) <= 1e-9 * scale]))
-
-    def quadratic_rows(x):
-        # the H^2 balances involve only A and M
-        rows = system.balances([float(x[0]), 0.0, 0.0, float(x[1]), 0.0, 0.0])
-        return rows[0], rows[3]
-
-    pairs = []
-    for A in real:
-        dval = npoly.polyval(A, den)
-        if abs(dval) > 1e-12 * (1.0 + abs(A)):
-            seeds = [npoly.polyval(A, num) / dval]
-        else:
-            # den(A) ~ 0: recover M from the leader balance, quadratic in M
-            qa = -mf ** 2 * 2.0 / lf - 2.0 * mr ** 2 / lr
-            qb = (r + 2 * d) - mf * eta / lf - mf ** 2 * 2.0 * A / lf
-            qc = -s * eta ** 2 / (8 * lf) - mf * eta * A / (2 * lf) \
-                - mf ** 2 * A ** 2 / (2 * lf)
-            try:
-                seeds, _ = _stable_quadratic_roots(qa, qb, qc, "Delta^GS(M|A)")
-            except ComplexRootError:
-                continue
-        for M0 in seeds:
-            sol = optimize.root(quadratic_rows, [A, M0], method="hybr", tol=1e-14)
-            # hybr reports failure when the seed is already at the root; the
-            # residual gate below is the actual acceptance test
-            A1, M1 = sol.x if sol.success else (A, M0)
-            f2, l2 = quadratic_rows((A1, M1))
-            if abs(f2) > 1e-8 * (1 + abs(A1)) or abs(l2) > 1e-8 * (1 + abs(M1)):
-                continue
-            if any(np.allclose((A1, M1), p, rtol=1e-8, atol=1e-10) for p in pairs):
-                continue
-            pairs.append((A1, M1))
-    return pairs
-
-
-def _gs_full_candidate(params: ModelParams, A: float, M: float):
-    """Chain (B, N) from the linear balances, then (C, F)."""
-    lf, lr, mf, mr, d, r, eta, k1, k2, pf, pr, pc = _symbols(params)
-    phi1 = eta + 2.0 * mf * (A + 2.0 * M)
-    a11 = (r + d) - mf * (eta + 2.0 * mf * A) / (2.0 * lf) \
-        - mf ** 2 * M / lf - 2.0 * mr ** 2 * M / lr
-    a12 = -mf * (eta + 2.0 * mf * A) / (2.0 * lf) - 2.0 * mr ** 2 * A / lr
-    a21 = -mf * phi1 / (4.0 * lf)
-    a22 = (r + d) - mf * phi1 / (2.0 * lf) - 2.0 * mr ** 2 * M / lr
-    rhs = np.array([(pf + pc) * k1, pr * k2])
-    mat = np.array([[a11, a12], [a21, a22]])
-    if abs(np.linalg.det(mat)) < 1e-12 * (1.0 + np.abs(mat).max() ** 2):
-        return None
-    B, N = np.linalg.solve(mat, rhs)
-    C = (mf ** 2 * B * (B + 2.0 * N) / (4.0 * lf) + mr ** 2 * B * N / lr) / r
-    F = (mf ** 2 * (B + 2.0 * N) ** 2 / (8.0 * lf) + mr ** 2 * N ** 2 / (2.0 * lr)) / r
-    return (A, B, C, M, N, F)
-
-
-def _gs_candidates(params: ModelParams, system: CoefficientSystem):
-    pairs = _gs_quartic_candidates(params, system)
-    if not pairs:
-        raise SolverError("no real (A, M) branch of the coupled quadratic balances")
-    candidates = [full for full in (_gs_full_candidate(params, A, M) for A, M in pairs)
-                  if full is not None]
-    if not candidates:
-        raise SolverError("all (A, M) branches lead to singular linear balances")
-    return candidates, {}
-
-
-def _gc_candidates(params: ModelParams, system: CoefficientSystem):
-    lf, lr, mf, mr, d, r, eta, k1, k2, pf, pr, pc = _symbols(params)
-    qa = 2.0 * (mf ** 2 / lf + mr ** 2 / lr)
-    qb = 2.0 * mf * eta / lf - 2.0 * d - r
-    qc = eta ** 2 / (2.0 * lf)
-    scale = (lf * lr) ** 2
-    roots, disc = _stable_quadratic_roots(qa, qb, qc, "Delta^GC", scale)
-    candidates = []
-    for A in roots:
-        slope = mf * eta / lf + A * qa - d
-        den = r - slope
-        if abs(den) < 1e-14 * (1.0 + abs(r)):
-            continue
-        B = ((pf + pc) * k1 + pr * k2) / den
-        C = B ** 2 * (mf ** 2 / (2.0 * lf) + mr ** 2 / (2.0 * lr)) / r
-        candidates.append((A, B, C))
-    if not candidates:
-        raise SolverError("degenerate quadratic balance for A")
-    # scaled to the published-branch normalization (lambda_f^2 lambda_r^2 factor)
-    return candidates, {"Delta^GC": disc * scale}
-
-
-_CANDIDATES = {GameMode.DECENTRALIZED: _gd_candidates,
-               GameMode.STACKELBERG: _gs_candidates,
-               GameMode.CENTRALIZED: _gc_candidates}
+    return v.tolist(), float(err)
 
 
 # ---------------------------------------------------------------------------
@@ -565,17 +520,17 @@ def solve(mode, params: ModelParams, cfg: SolverConfig = SolverConfig()) -> Game
         return closed_form.solve_printed(mode, params, cfg)
     convention = cfg.follower_convention
     system = _system(params, mode, convention)
-    candidates, discs = _CANDIDATES[mode](params, system)
+    branches, discs = _leading_branches(params, system)
     alpha_of = _drift_slope(params, mode, convention)
-    chosen = select_stable_root(candidates, alpha_of)
-    coeffs, worst = _polish(system, chosen, cfg.tolerance)
-    diag = _diagnostics(cfg, candidates, alpha_of, chosen, discs, worst)
+    chosen = select_stable_root(branches, alpha_of)
+    coeffs, worst = _newton(system, _complete(system, chosen), cfg.tolerance)
+    diag = _diagnostics(cfg, branches, alpha_of, discs, worst)
     sol = _assemble(params, mode, convention, coeffs, diag)
     if mode is GameMode.STACKELBERG:
-        # the published discriminants at this solution, informational only:
-        # the branches are resolved by root enumeration, not by them
+        # the published discriminants at this solution, informational only
         from . import closed_form
-        printed = closed_form.printed_stackelberg(params, dict(zip("ABCMNF", coeffs)))
+        printed = closed_form.printed_stackelberg(
+            params, dict(zip(system.names, coeffs)))
         for key in ("Delta^GS1", "Delta^GS2"):
             diag.discriminants[key] = float(printed[key])
         _flag_subsidy_range(sol, diag)
@@ -674,7 +629,7 @@ def residual_scan(solution: GameSolution, params: ModelParams,
 # shared assembly helpers
 # ---------------------------------------------------------------------------
 
-def _diagnostics(cfg: SolverConfig, candidates, alpha_of, chosen, discs,
+def _diagnostics(cfg: SolverConfig, candidates, alpha_of, discs,
                  worst_balance: float) -> SolutionDiagnostics:
     cand_info = [{"coefficients": [float(x) for x in c],
                   "alpha": float(alpha_of(c))} for c in candidates]

@@ -8,11 +8,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carbongame import (
     ComplexRootError,
     GameMode,
     ModelParams,
+    ParameterError,
     QuadraticValue,
     SolverConfig,
     SolverError,
@@ -302,20 +304,120 @@ def test_rate_polynomials_match_payoff_rates(mode, overrides):
                                                  rel=1e-12, abs=1e-12)
 
 
-def test_random_parameter_sets_solve_cleanly():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        params = ModelParams(
-            lambda_f=rng.uniform(350.0, 700.0),
-            lambda_r=rng.uniform(150.0, 400.0),
-            mu_f=rng.uniform(1.0, 2.0),
-            mu_r=rng.uniform(0.3, 0.8),
-            p_c=rng.uniform(0.0, 0.9))
-        for mode in ("gd", "gc"):
-            sol = _SOLVE[mode](params)
-            assert sol.alpha < 0.0
-            assert residual_scan(sol, params) <= 1e-8
-            assert sol.H_d == pytest.approx(-sol.beta / sol.alpha)
+# the parameters the robustness draws scale, each by a factor in [e^-1, e]
+_DRAWN = ("lambda_f", "lambda_r", "mu_f", "mu_r", "omega", "p_c", "delta",
+          "rho", "theta")
+_CONFIGS = {"gd": SolverConfig(), "gs": SolverConfig(),
+            "gs-printed": SolverConfig(follower_convention=CONVENTION_PRINTED),
+            "gc": SolverConfig()}
+
+
+def _drawn_params(logs) -> ModelParams:
+    base = ModelParams()
+    return base.replace(**{name: getattr(base, name) * float(np.exp(x))
+                           for name, x in zip(_DRAWN, logs)})
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=len(_DRAWN), max_size=len(_DRAWN)))
+def test_random_parameter_sets_solve_cleanly(logs):
+    # every input ends in a gated solution or a typed error, in every mode
+    params = _drawn_params(logs)
+    for name, cfg in _CONFIGS.items():
+        try:
+            sol = solve(name[:2], params, cfg)
+        except (ParameterError, ComplexRootError, UnstableModelError, SolverError):
+            continue
+        coeffs = np.array(solver._coefficients(sol))
+        assert sol.alpha < 0.0, name
+        assert np.all(np.isfinite(coeffs)), name
+        system = solver._system(params, sol.mode, cfg.follower_convention)
+        assert np.max(np.abs(system.residuals(coeffs)) / system.scales(coeffs)) \
+            <= cfg.tolerance, name
+        assert residual_scan(sol, params) <= cfg.hjb_tolerance, name
+
+
+@pytest.mark.parametrize("draw", [17, 22, 153, 200])
+def test_polish_reaches_the_root_of_ill_conditioned_gs_draws(draw):
+    # e^+-1 draws whose leader H^2 balance cancels to its rounding floor; a
+    # polish that stops short of the root fails the 1e-12 balance gate there
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(12345)
+    logs = [rng.uniform(-1.0, 1.0, len(_DRAWN)) for _ in range(draw + 1)][draw]
+    params = _drawn_params(logs)
+    sol = solve_stackelberg(params)
+    A, M = sol.values["farmer"].A, sol.values["retailer"].A
+    system = stackelberg_system(params)
+
+    def leading_rows(a, m):
+        rows = system.balances([a, 0.0, 0.0, m, 0.0, 0.0])
+        return [rows[0], rows[3]]
+
+    with mpmath.workdps(30):
+        root = mpmath.findroot(leading_rows, (mpmath.mpf(A), mpmath.mpf(M)))
+        for value, exact in zip((A, M), root):
+            assert abs(value - exact) <= 1e-13 * abs(exact)
+
+
+@pytest.mark.parametrize("overrides", [{}, _PERTURBED],
+                         ids=["baseline", "perturbed"])
+@pytest.mark.parametrize("name", sorted(_CONFIGS))
+def test_balance_structure_the_branch_solver_relies_on(name, overrides):
+    # the solver finds the leading roots from the H^2 rows alone, completes
+    # the H^1 unknowns by one linear solve and the H^0 unknowns from rho*v
+    params = ModelParams().replace(**overrides)
+    cfg = _CONFIGS[name]
+    sol = solve(name[:2], params, cfg)
+    system = solver._system(params, sol.mode, cfg.follower_convention)
+    by_power = solver._BY_POWER[sol.mode]
+    f = system.residuals
+    coeffs = np.array(solver._coefficients(sol))
+    rng = np.random.default_rng(20241018)
+    for _ in range(10):
+        # points and directions on the scale of the solution
+        v = coeffs * rng.uniform(-2.0, 2.0, coeffs.size)
+        d = rng.normal(size=v.size) * (1.0 + np.abs(v))
+        # quadratic: third central differences vanish to rounding
+        samples = [f(v + t * d) for t in (1.5, 0.5, -0.5, -1.5)]
+        third = samples[0] - 3.0 * samples[1] + 3.0 * samples[2] - samples[3]
+        assert np.all(np.abs(third) <= 1e-12 * np.max(np.abs(samples), axis=0))
+        for power in (1, 0):
+            # changing the unknowns of one power leaves the rows of higher
+            # powers alone
+            step = np.zeros(v.size)
+            step[list(by_power[power])] = d[list(by_power[power])]
+            moved = f(v + step) - f(v)
+            higher = [i for k in range(power + 1, 3) for i in by_power[k]]
+            assert np.all(np.abs(moved[higher]) <= 1e-12 * np.abs(f(v)[higher]))
+            if power == 1:
+                # the H^1 rows are affine in the H^1 unknowns
+                rows = list(by_power[1])
+                curve = f(v + step) - 2.0 * f(v) + f(v - step)
+                assert np.all(np.abs(curve[rows]) <= 1e-12 * (
+                    np.abs(f(v + step)) + np.abs(f(v - step)))[rows])
+            else:
+                # each H^0 row minus rho*v[i] is free of the H^0 unknowns
+                assert moved == pytest.approx(params.rho * step, rel=1e-12,
+                                              abs=1e-12 * np.max(np.abs(f(v))))
+        if sol.mode is GameMode.STACKELBERG:
+            # the farmer H^2 row is affine in M, so M = -a(A)/b(A) solves it
+            step = np.zeros(v.size)
+            step[system.names.index("M")] = d[system.names.index("M")]
+            curve = f(v + step) - 2.0 * f(v) + f(v - step)
+            assert abs(curve[0]) <= 1e-12 * (abs(f(v + step)[0]) + abs(f(v - step)[0]))
+
+
+@pytest.mark.parametrize("p_c", [np.nextafter(1.875, 0.0), 1.875,
+                                 np.nextafter(1.875, 3.0)])
+def test_vanishing_gd_discriminant_gives_a_typed_outcome(p_c):
+    # Delta^GD = (720*p_c - 2700)^2 - (720*p_c)^2 is zero at p_c = 1.875:
+    # a double root, then none; RuntimeWarnings fail the suite
+    try:
+        sol = solve_decentralized(ModelParams(p_c=float(p_c)))
+    except (ComplexRootError, UnstableModelError, SolverError):
+        return
+    assert sol.alpha < 0.0
+    assert residual_scan(sol, sol.params) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
