@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import platform
@@ -20,7 +21,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from . import __version__, oracle, profits
 from .model import (
@@ -294,11 +294,22 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+@functools.cache
+def _scipy_version() -> Optional[str]:
+    """The installed scipy's version, read without importing scipy; None
+    when it is not installed. Cached: each metadata lookup takes ~3 ms."""
+    from importlib import metadata   # ~20 ms to import; only reports need it
+    try:
+        return metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        return None
+
+
 def _versions() -> dict:
     return {
         "carbongame": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": _scipy_version(),
         "python": platform.python_version(),
     }
 

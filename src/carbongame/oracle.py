@@ -29,6 +29,10 @@ single farmer-major scan exactly: a tie goes to the first farmer index, then
 the first retailer index. The thread count is the number of CPUs the process
 may use, capped by MAX_GREEDY_THREADS; with one CPU the single block runs
 without a pool.
+
+Policy evaluation is the only code in the package that uses scipy (its
+sparse direct solver); it imports scipy.sparse on first use, so importing
+carbongame, solving and simulating never load scipy.
 """
 
 from __future__ import annotations
@@ -41,8 +45,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
 from . import profits
 from .model import (
@@ -168,6 +170,10 @@ def _check_interior(H: np.ndarray, next_raw: np.ndarray) -> None:
 
 def _evaluate_policy(n: int, j: np.ndarray, w: np.ndarray, reward: np.ndarray,
                      gamma: float) -> np.ndarray:
+    # scipy loads here, not at import: only the certifier pays its import
+    # time (a dense np.linalg.solve of this banded system is ~20x slower)
+    from scipy import sparse
+    from scipy.sparse.linalg import spsolve
     rows = np.arange(n)
     data = np.concatenate([np.ones(n), -gamma * (1.0 - w), -gamma * w])
     rc = (np.concatenate([rows, rows, rows]),

@@ -5,6 +5,10 @@ closed-form solution of the linear closed-loop dynamics, and
 "fourth-order-fixed-step" integrates the drift numerically through the model
 primitives and policy evaluations (deliberately not through the precomputed
 (alpha, beta) pair, so the two routes stay independent cross-checks).
+
+The module needs numpy only: the bisection steady state and the discounted
+running payoffs reproduce scipy's bisect and cumulative_trapezoid operation
+for operation, so the results are the same floats without importing scipy.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
-from scipy.integrate import cumulative_trapezoid
 
 from . import profits
 from .model import (
@@ -86,6 +88,9 @@ class SimConfig:
         return np.arange(self.steps + 1) * self.h
 
 
+_BISECT_MAXITER = 100
+
+
 def steady_state(solution: GameSolution) -> float:
     """Fixed point -beta/alpha of the closed-loop drift."""
     if not solution.alpha < 0:
@@ -95,16 +100,40 @@ def steady_state(solution: GameSolution) -> float:
 
 
 def steady_state_bisect(solution: GameSolution, xtol: float = 1e-12) -> float:
-    """Steady state recomputed as a bisection root of the drift itself."""
+    """Steady state recomputed as a bisection root of the drift itself.
+
+    The loop is scipy.optimize.bisect's algorithm step for step (halve the
+    bracket from its left end, stop once the half-width is below
+    xtol + 4*eps*|midpoint|), so it returns the same float.
+    """
     if not solution.alpha < 0:
         raise SimulationError(
             f"no attracting steady state: alpha = {solution.alpha:.6g} >= 0")
+    drift = solution.closed_loop_drift
     center = -solution.beta / solution.alpha
     half = 1.0 + abs(center)
-    lo, hi = center - half, center + half
-    # alpha < 0 makes drift strictly decreasing: drift(lo) > 0 > drift(hi)
-    return float(optimize.bisect(solution.closed_loop_drift, lo, hi,
-                                 xtol=xtol))
+    xa, xb = float(center - half), float(center + half)
+    # alpha < 0 makes drift strictly decreasing: drift(xa) > 0 > drift(xb)
+    fa, fb = float(drift(xa)), float(drift(xb))
+    if fa * fb > 0.0:
+        raise SimulationError("the drift does not change sign on "
+                              f"[{xa:.6g}, {xb:.6g}]")
+    if fa == 0.0:
+        return xa
+    if fb == 0.0:
+        return xb
+    rtol = 4.0 * np.finfo(float).eps
+    dm = xb - xa
+    for _ in range(_BISECT_MAXITER):
+        dm *= 0.5
+        xm = xa + dm
+        fm = float(drift(xm))
+        if fm * fa >= 0.0:
+            xa = xm
+        if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
+            return xm
+    raise SimulationError(
+        f"bisection did not converge in {_BISECT_MAXITER} steps")
 
 
 def _initial_level(solution: GameSolution, cfg: SimConfig,
@@ -178,8 +207,8 @@ def _fill_series(solution: GameSolution, params: ModelParams, t: np.ndarray,
         x_f = np.full_like(H, np.nan)
         breakdown = profits.payoff_rates(mode, H, E_f, E_r, None, params)
     weight = np.exp(-params.rho * t)
-    disc_f = cumulative_trapezoid(weight * breakdown.net_f, t, initial=0.0)
-    disc_r = cumulative_trapezoid(weight * breakdown.net_r, t, initial=0.0)
+    disc_f = _cumulative_trapezoid(weight * breakdown.net_f, t)
+    disc_r = _cumulative_trapezoid(weight * breakdown.net_r, t)
     flag = (H < 0.0) | (E_f < 0.0) | (E_r < 0.0)
     return Trajectory(mode=mode, integrator=integrator, t=t, H=H,
                       E_f=E_f, E_r=E_r, x_f=x_f,
@@ -188,6 +217,13 @@ def _fill_series(solution: GameSolution, params: ModelParams, t: np.ndarray,
                       payoff_f=np.asarray(breakdown.net_f, dtype=float),
                       payoff_r=np.asarray(breakdown.net_r, dtype=float),
                       disc_cum_f=disc_f, disc_cum_r=disc_r, flag=flag)
+
+
+def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over t, starting at 0; the same
+    operations, in the same order, as scipy's cumulative_trapezoid."""
+    dt = np.diff(t)
+    return np.concatenate(([0.0], np.cumsum(dt * (y[1:] + y[:-1]) / 2.0)))
 
 
 def trajectory_table(trajectory: Trajectory) -> str:

@@ -1,9 +1,14 @@
 """Command-line behavior: argument plumbing, output layout, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import carbongame
 from carbongame import TRAJECTORY_COLUMNS
 from carbongame.cli import main
 
@@ -219,3 +224,47 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+# --- scipy stays off the runtime paths -------------------------------------
+
+_SRC = str(Path(carbongame.__file__).resolve().parents[1])
+
+_PROGRAM = """
+import sys
+if {block}:
+    sys.modules["scipy"] = None   # every scipy import now raises ImportError
+import carbongame
+from carbongame.cli import main
+code = main({argv!r}) if {argv!r} else 0
+loaded = sorted(name for name, module in sys.modules.items()
+                if name.split(".")[0] == "scipy" and module is not None)
+print("LOADED:" + ",".join(loaded))
+sys.exit(code)
+"""
+
+
+def _fresh_process(argv, block):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROGRAM.format(block=block, argv=argv)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    marker, _, loaded = proc.stdout.splitlines()[-1].partition(":")
+    assert marker == "LOADED"
+    return [name for name in loaded.split(",") if name]
+
+
+@pytest.mark.parametrize("argv", [[], ["solve", "--mode", "all"], ["compare"]],
+                         ids=["import", "solve", "compare"])
+def test_runtime_paths_run_with_scipy_blocked(argv, tmp_path):
+    if argv == ["compare"]:
+        argv = ["compare", "--out", str(tmp_path / "cmp")]
+    assert _fresh_process(argv, block=True) == []
+
+
+def test_verify_loads_scipy_only_when_it_certifies():
+    loaded = _fresh_process(["verify", "--mode", "gd"], block=False)
+    assert "scipy.sparse" in loaded

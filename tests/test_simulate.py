@@ -1,5 +1,7 @@
 """Closed-loop trajectories: exact route, numeric route, and serialization."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,11 @@ from carbongame import (
     QuadraticValue,
     SimConfig,
     SimulationError,
+    SolverConfig,
     TRAJECTORY_COLUMNS,
     exact_trajectory,
     integrate_trajectory,
+    solve,
     solve_decentralized,
     solve_stackelberg,
     steady_state,
@@ -22,6 +26,7 @@ from carbongame import (
 )
 from carbongame.model import SolutionDiagnostics
 from carbongame.simulate import INTEGRATOR_EXACT, INTEGRATOR_RK4, simulate
+from carbongame.solver import CONVENTION_PRINTED
 
 from reference_values import CASES
 
@@ -206,3 +211,55 @@ def test_trajectory_table_matches_the_per_cell_formatter(solver):
     assert text == _per_cell_table(traj)
     assert {"nan", "inf", "-inf", "-0.0"} <= set(text.replace("\n", ",").split(","))
     assert text.splitlines()[7].endswith(",1")
+
+
+# --- the numpy replacements equal scipy's routines ---------------------------
+
+def _reference_solutions():
+    printed = SolverConfig(follower_convention=CONVENTION_PRINTED)
+    for case, ref in CASES.items():
+        params = ModelParams().replace(**ref["overrides"])
+        for key, mode, cfg in (("gd", GameMode.DECENTRALIZED, SolverConfig()),
+                               ("gs", GameMode.STACKELBERG, SolverConfig()),
+                               ("gs_printed", GameMode.STACKELBERG, printed),
+                               ("gc", GameMode.CENTRALIZED, SolverConfig())):
+            if key in ref and "error" not in ref[key]:
+                yield f"{case}-{key}", solve(mode, params, cfg)
+
+
+def test_bisection_equals_scipy_bisect_bit_for_bit():
+    optimize = pytest.importorskip("scipy.optimize")
+    seen = 0
+    for name, sol in _reference_solutions():
+        center = -sol.beta / sol.alpha
+        half = 1.0 + abs(center)
+        # the solved drift usually vanishes exactly at the first midpoint;
+        # stand-ins with the root moved off it run the whole loop
+        for shift in (0.0, 0.1, -0.37, 0.93):
+            drift = (sol.closed_loop_drift if shift == 0.0 else
+                     lambda H, d=shift * half: sol.closed_loop_drift(H - d))
+            stand_in = SimpleNamespace(alpha=sol.alpha, beta=sol.beta,
+                                       closed_loop_drift=drift)
+            expected = optimize.bisect(drift, center - half, center + half,
+                                       xtol=1e-12)
+            got = steady_state_bisect(stand_in)
+            assert float.hex(got) == float.hex(expected), (name, shift)
+        seen += 1
+    assert seen == 14
+
+
+@pytest.mark.parametrize("sink", [True, False], ids=["sink", "no-sink"])
+@pytest.mark.parametrize("integrator", [INTEGRATOR_EXACT, INTEGRATOR_RK4])
+def test_discounted_payoffs_equal_scipy_cumulative_trapezoid(integrator, sink):
+    integrate = pytest.importorskip("scipy.integrate")
+    params = ModelParams() if sink else ModelParams().without_sink_trading()
+    cfg = SimConfig(integrator=integrator)
+    for mode in GameMode:
+        traj = simulate(solve(mode, params), cfg, params)
+        assert traj.t.size == 4001
+        weight = np.exp(-params.rho * traj.t)
+        for cum, rate in ((traj.disc_cum_f, traj.payoff_f),
+                          (traj.disc_cum_r, traj.payoff_r)):
+            expected = integrate.cumulative_trapezoid(weight * rate, traj.t,
+                                                      initial=0.0)
+            assert np.array_equal(cum, expected), mode
