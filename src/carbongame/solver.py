@@ -395,13 +395,30 @@ def _stable_quadratic_roots(qa: float, qb: float, qc: float, label: str,
     return sorted({q / qa, qc / q} if q != 0.0 else {q / qa}), disc
 
 
+def _fit_quadratic(f: Callable, f0: float, s: float) -> tuple:
+    """(c0, c1, c2) of a quadratic f from f0 = f(0) and its values at +-s."""
+    c0, c1s, c2ss = (_FIT @ [f0, f(s), f(-s)]).tolist()
+    return c0, c1s / s, c2ss / (s * s)
+
+
+def _power_of_two_scale(c0: float, c2: float) -> float:
+    """The power of two nearest sqrt|c0/c2|, the geometric mean of the roots'
+    magnitudes of c2*x^2 + c1*x + c0; 1 when that is not finite and positive."""
+    ratio = abs(c0 / c2) if c2 != 0.0 else 0.0
+    if not 0.0 < ratio < math.inf:
+        return 1.0
+    return math.ldexp(1.0, round(0.5 * math.log2(ratio)))
+
+
 def _leading_branches(params: ModelParams, system: CoefficientSystem):
     """Every real root of the H^2 rows in the leading unknowns (as tuples),
     and the discriminants.
 
     The rows are sampled at 0 and +-1 of each leading unknown and fitted
-    exactly. In gd and gc the farmer or joint row is a quadratic in A, with
-    its discriminant on the published scale (Delta^GD, Delta^GC). In gs the
+    exactly. In gd and gc the farmer or joint row is a quadratic in A; it is
+    refitted at +-s, s the power of two nearest its roots' scale, so the
+    discriminant on the published scale (Delta^GD, Delta^GC) is good to a
+    few ulps of its terms and its sign picks the error class. In gs the
     farmer row is a(A) + b(A)*M and the leader row g0(A) + g1(A)*M + g2*M^2;
     M = -a/b leaves the quartic g0*b^2 - g1*a*b + g2*a^2 in A, and where
     b(A) ~ 0, M comes from the leader row instead.
@@ -416,7 +433,14 @@ def _leading_branches(params: ModelParams, system: CoefficientSystem):
         lf, lr = params.lambda_f, params.lambda_r
         label, scale = (("Delta^GD", 4.0 * lf ** 2) if mode is GameMode.DECENTRALIZED
                         else ("Delta^GC", (lf * lr) ** 2))
-        c0, c1, c2 = (_FIT @ [rows(x)[0] for x in _NODES]).tolist()
+        row = lambda x: rows(x)[0]
+        f0 = row(0.0)
+        c0, c1, c2 = _fit_quadratic(row, f0, 1.0)
+        # refit at +-s on the roots' scale, where c0 no longer dwarfs the
+        # c1 and c2 terms and so leaves its rounding out of them
+        s = _power_of_two_scale(c0, c2)
+        if s != 1.0:
+            c0, c1, c2 = _fit_quadratic(row, f0, s)
         roots, disc = _stable_quadratic_roots(c2, c1, c0, label, scale)
         return [(A,) for A in roots], {label: disc * scale}
 

@@ -420,6 +420,24 @@ def test_vanishing_gd_discriminant_gives_a_typed_outcome(p_c):
     assert residual_scan(sol, sol.params) <= 1e-8
 
 
+@pytest.mark.parametrize("offset", [-1e-11, -1e-12, -1e-13, 1e-13, 1e-12, 1e-11])
+def test_gd_discriminant_near_zero_is_accurate_and_sets_the_error_class(offset):
+    # at the baseline Delta^GD = 2700*(2700 - 1440*p_c); its terms are ~7e6,
+    # so 1e-8 is a few ulps, and the near-double root A ~ 75 is unstable
+    params = ModelParams(p_c=1.875 + offset)
+    expected = 2700.0 * (2700.0 - 1440.0 * params.p_c)
+    if expected < 0.0:
+        with pytest.raises(ComplexRootError) as err:
+            solve_decentralized(params)
+        reported = err.value.discriminant
+    else:
+        with pytest.raises(UnstableModelError):
+            solve_decentralized(params)
+        _, discs = solver._leading_branches(params, decentralized_system(params))
+        reported = discs["Delta^GD"]
+    assert abs(reported - expected) <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # published closed forms and the comparison backend
 # ---------------------------------------------------------------------------
