@@ -171,7 +171,7 @@ def _check_interior(H: np.ndarray, next_raw: np.ndarray) -> None:
 def _evaluate_policy(n: int, j: np.ndarray, w: np.ndarray, reward: np.ndarray,
                      gamma: float) -> np.ndarray:
     # scipy loads here, not at import: only the certifier pays its import
-    # time (a dense np.linalg.solve of this banded system is ~20x slower)
+    # time (a dense np.linalg.solve of this banded system is 10-20x slower)
     from scipy import sparse
     from scipy.sparse.linalg import spsolve
     rows = np.arange(n)
