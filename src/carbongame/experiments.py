@@ -425,34 +425,26 @@ def run_compare(config: ScenarioConfig) -> dict:
         else:
             tasks.append((mode, "off", base))
 
-    def worker(task):
-        mode, sink, params = task
-        try:
-            solution = solve(mode, params, config.solver)
-            trajectory = simulate(solution, config.sim, params)
-            return {"solution": solution, "trajectory": trajectory,
-                    "error": None}
-        except (SolverError, ParameterError, ValueError) as exc:
-            return {"solution": None, "trajectory": None, "error": str(exc)}
-
-    outcomes = [worker(task) for task in tasks]
     artifacts = {}
     rows = []
     report_cells = []
-    for (mode, sink, params), outcome in zip(tasks, outcomes):
-        solution = outcome["solution"]
-        rows.append(_summary_row(mode, sink, params, solution,
-                                 outcome["error"]))
+    for mode, sink, params in tasks:
+        try:
+            solution = solve(mode, params, config.solver)
+            trajectory = simulate(solution, config.sim, params)
+            error = None
+        except (SolverError, ParameterError, ValueError) as exc:
+            solution, error = None, str(exc)
+        rows.append(_summary_row(mode, sink, params, solution, error))
         cell_report = {
             "mode": mode.value,
             "sink_trading": sink,
             "p_c": params.p_c,
-            "status": "ok" if solution is not None
-            else f"error: {outcome['error']}",
+            "status": "ok" if solution is not None else f"error: {error}",
         }
         if solution is not None:
             name = f"trajectory_{mode.value}_sink_{sink}.csv"
-            artifacts[name] = trajectory_table(outcome["trajectory"])
+            artifacts[name] = trajectory_table(trajectory)
             cell_report["trajectory_file"] = name
             cell_report["diagnostics"] = solution.diagnostics.to_dict()
             cell_report["coefficients"] = _coefficients(solution)
@@ -483,12 +475,15 @@ def _sweep_argmax(rows_meta) -> list:
             if not points:
                 continue
             idx = int(np.argmax([q for _, q in points]))
+            # interior in parameter value: sweep values need not be sorted
+            values = [v for v, _ in points]
             found.append({
                 "mode": mode,
                 "response": response,
                 "argmax_parameter_value": points[idx][0],
                 "max_response_value": points[idx][1],
-                "interior_peak": bool(0 < idx < len(points) - 1),
+                "interior_peak": bool(min(values) < points[idx][0]
+                                      < max(values)),
                 "points": len(points),
             })
     return found
@@ -507,33 +502,25 @@ def run_sweep(spec: Optional[SweepSpec], config: ScenarioConfig) -> dict:
                           "'sweep' section to the config")
     modes = config.modes if spec.modes is None else spec.modes
     base = config.effective_params
-    tasks = [(mode, value) for mode in modes for value in spec.values]
-
-    def worker(task):
-        mode, value = task
-        try:
-            params = base.replace(**{spec.parameter: value})
-            solution = solve(mode, params, config.solver)
-            return {"metrics": _solution_metrics(solution), "error": None}
-        except (SolverError, ParameterError, ValueError) as exc:
-            return {"metrics": {}, "error": str(exc)}
-
-    outcomes = [worker(task) for task in tasks]
     header = ["mode", "parameter", "value", *spec.responses, "status"]
     rows = []
     rows_meta = []
-    for (mode, value), outcome in zip(tasks, outcomes):
-        metrics = outcome["metrics"]
-        row = [mode.value, spec.parameter, repr(float(value))]
-        row += [_fmt(metrics.get(name)) for name in spec.responses]
-        status = "ok" if outcome["error"] is None \
-            else f"error: {outcome['error']}"
-        row.append(status)
-        rows.append(row)
-        if outcome["error"] is None:
-            rows_meta.append({"mode": mode.value, "value": value,
-                              "metrics": {name: metrics.get(name)
-                                          for name in spec.responses}})
+    for mode in modes:
+        for value in spec.values:
+            try:
+                params = base.replace(**{spec.parameter: value})
+                metrics = _solution_metrics(solve(mode, params, config.solver))
+                status = "ok"
+            except (SolverError, ParameterError, ValueError) as exc:
+                metrics, status = {}, f"error: {exc}"
+            row = [mode.value, spec.parameter, repr(float(value))]
+            row += [_fmt(metrics.get(name)) for name in spec.responses]
+            row.append(status)
+            rows.append(row)
+            if status == "ok":
+                rows_meta.append({"mode": mode.value, "value": value,
+                                  "metrics": {name: metrics.get(name)
+                                              for name in spec.responses}})
     report = {
         "command": "sweep",
         "timestamp": _timestamp(),

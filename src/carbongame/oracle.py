@@ -14,21 +14,27 @@ which is exact for constant rates (a plain rate*dt reward carries an O(dt)
 bias of about rho*dt/2 that would not fit inside the value tolerance).
 The continuation value at an off-grid next state is the linear interpolation
 between its two neighbouring grid states, clamped to the end values outside
-[0, H_max]. The joint greedy step computes it with ``np.interp``, the same
-clamped interpolation that ``_positions`` sets up for policy evaluation, and
-tabulates the per-role rewards and the effort part of the drift once per
-solve, since neither depends on the value. Every (a_f, a_r) pair is still
-scored at every state on every sweep.
+[0, H_max]. The greedy step computes it with ``np.interp``, the same clamped
+interpolation that ``_positions`` sets up for policy evaluation.
 
-The joint greedy step splits the farmer actions into contiguous ascending
-blocks, one per thread, because ``np.interp`` and the array arithmetic on
-each block run with the interpreter lock released. Each block keeps its own
-best pair per state under a strict improvement test; the blocks are then
-merged in ascending order with the same strict test, which reproduces a
-single farmer-major scan exactly: a tie goes to the first farmer index, then
-the first retailer index. The thread count is the number of CPUs the process
-may use, capped by MAX_GREEDY_THREADS; with one CPU the single block runs
-without a pool.
+One policy-iteration loop, ``_howard``, serves every reply. Each state picks
+an (outer, inner) action pair that earns an outer plus an inner reward and
+moves to a per-state base plus a per-pair shift: each role's net rate depends
+on its own effort only, and the drift is affine in the efforts. These tables
+do not depend on the value, so each reply builds them once. The joint reply
+pairs the farmer's (outer) and retailer's (inner) efforts; a single-role
+reply is the one-block case, with one zero-reward outer action and the
+opponent's frozen effort in the base.
+
+The greedy step splits the outer actions into contiguous ascending blocks,
+one per thread, because ``np.interp`` and the array arithmetic on each block
+run with the interpreter lock released. Each block keeps its own best pair
+per state under a strict improvement test; the blocks are then merged in
+ascending order with the same strict test, which reproduces a single
+outer-major scan exactly: a tie goes to the first outer index, then the
+first inner index. The thread count is the number of CPUs the process may
+use, capped by MAX_GREEDY_THREADS and by the outer action count, so a
+single-role reply, or any reply on one CPU, runs without a pool.
 
 Policy evaluation is the only code in the package that uses scipy (its
 sparse direct solver); it imports scipy.sparse on first use, so importing
@@ -68,8 +74,8 @@ __all__ = [
 ]
 
 INTERIOR_MARGIN = 0.05
-# The joint greedy step runs on at most this many threads; each holds two
-# (state, a_r) temporaries, about 2 MB on the default grid.
+# The greedy step runs on at most this many threads; each holds two
+# (state, inner action) temporaries, about 2 MB on the default grid.
 MAX_GREEDY_THREADS = 4
 
 
@@ -127,6 +133,9 @@ def default_grid(solution: GameSolution, span: float = 2.5,
     if not solution.alpha < 0:
         raise OracleError(
             f"grid sizing needs an attracting steady state; alpha = {solution.alpha:.6g}")
+    if not solution.H_d > 0:
+        raise OracleError(
+            f"grid sizing needs a positive steady state; H_d = {solution.H_d:.6g}")
     H_max = float(span * solution.H_d)
     probe = np.linspace(0.0, H_max, 64)
     a_f = float(np.max(np.abs(solution.policies["farmer"].effort(probe))))
@@ -189,48 +198,123 @@ def _positions(H: np.ndarray, Hnext: np.ndarray):
     return j, pos - j
 
 
-def _howard_single(H: np.ndarray, reward: np.ndarray, Hnext: np.ndarray,
-                   gamma: float, max_sweeps: int, seed_policy: np.ndarray):
-    n = H.size
-    j, w = _positions(H, Hnext)
-    rows = np.arange(n)
-    policy = seed_policy
-    value = np.zeros(n)
-    change = np.inf
-    for sweep in range(1, max_sweeps + 1):
-        new_value = _evaluate_policy(n, j[rows, policy], w[rows, policy],
-                                     reward[rows, policy], gamma)
-        change = float(np.max(np.abs(new_value - value)))
-        value = new_value
-        q = reward + gamma * (value[j] * (1.0 - w) + value[np.minimum(j + 1, n - 1)] * w)
-        improved = np.argmax(q, axis=1)
-        if np.array_equal(improved, policy):
-            _check_interior(H, Hnext[rows, policy])
-            return value, policy, sweep, change
-        policy = improved
-    raise OracleError(
-        f"policy iteration did not converge within {max_sweeps} sweeps; "
-        f"last value change {change:.3e}")
-
-
 def _seed_indices(actions: np.ndarray, targets: np.ndarray) -> np.ndarray:
     da = actions[1] - actions[0]
     idx = np.rint(targets / da).astype(np.int64)
     return np.clip(idx, 0, actions.size - 1)
 
 
+def _greedy_threads() -> int:
+    """Threads for the greedy step: the CPUs this process may use, capped
+    by MAX_GREEDY_THREADS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_GREEDY_THREADS)
+
+
+def _greedy_block(outer_actions, base, shift, H, continuation, reward_outer,
+                  reward_inner):
+    """Best (outer, inner) pair per state over the given outer action indices.
+
+    q = continuation interpolated at base + shift[ko], plus
+    reward_outer[:, ko] and reward_inner. Pairs are scanned outer-major with
+    a strict improvement test, so a tie in q goes to the first outer index,
+    then the first inner index. Returns the best q and its outer and inner
+    indices.
+    """
+    n = H.size
+    rows = np.arange(n)
+    best_q = np.full(n, -np.inf)
+    best_o = np.zeros(n, dtype=np.int64)
+    best_i = np.zeros(n, dtype=np.int64)
+    for ko in outer_actions:
+        q = np.interp(base + shift[ko], H, continuation)
+        q += reward_outer[:, ko, None]
+        q += reward_inner
+        ki = np.argmax(q, axis=1)
+        qk = q[rows, ki]
+        upgrade = qk > best_q
+        best_q[upgrade] = qk[upgrade]
+        best_o[upgrade] = ko
+        best_i[upgrade] = ki[upgrade]
+    return best_q, best_o, best_i
+
+
+def _greedy_step(blocks, tables, pool) -> tuple:
+    """Greedy (outer, inner) indices over ascending outer-action blocks.
+
+    Each block is scanned by ``_greedy_block`` (on ``pool`` when given) and
+    the results are merged in block order with the same strict test, which
+    reproduces one outer-major scan over all blocks, ties included.
+    """
+    if pool is None:
+        parts = [_greedy_block(kos, *tables) for kos in blocks]
+    else:
+        parts = list(pool.map(lambda kos: _greedy_block(kos, *tables), blocks))
+    best_q, best_o, best_i = parts[0]
+    for q, ko, ki in parts[1:]:
+        upgrade = q > best_q
+        best_q[upgrade] = q[upgrade]
+        best_o[upgrade] = ko[upgrade]
+        best_i[upgrade] = ki[upgrade]
+    return best_o, best_i
+
+
+def _howard(H: np.ndarray, gamma: float, max_sweeps: int, base: np.ndarray,
+            shift: np.ndarray, reward_outer: np.ndarray,
+            reward_inner: np.ndarray, pol_outer: np.ndarray,
+            pol_inner: np.ndarray):
+    """Howard policy iteration over (outer, inner) action pairs: pair
+    (ko, ki) at state i earns reward_outer[i, ko] + reward_inner[i, ki] and
+    moves to base[i, 0] + shift[ko, ki]. Stops when the greedy policy
+    repeats; returns the value, both policies, the sweeps and the last
+    value change."""
+    n = H.size
+    rows = np.arange(n)
+    n_outer = reward_outer.shape[1]
+    threads = min(_greedy_threads(), n_outer)
+    bounds = [k * n_outer // threads for k in range(threads + 1)]
+    blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    value = np.zeros(n)
+    change = np.inf
+    with (ThreadPoolExecutor(threads) if threads > 1 else nullcontext()) as pool:
+        for sweep in range(1, max_sweeps + 1):
+            reward_pol = (reward_outer[rows, pol_outer]
+                          + reward_inner[rows, pol_inner])
+            next_pol = base[:, 0] + shift[pol_outer, pol_inner]
+            j, w = _positions(H, next_pol)
+            new_value = _evaluate_policy(n, j, w, reward_pol, gamma)
+            change = float(np.max(np.abs(new_value - value)))
+            value = new_value
+            best_outer, best_inner = _greedy_step(
+                blocks, (base, shift, H, gamma * value, reward_outer,
+                         reward_inner), pool)
+            if (np.array_equal(best_outer, pol_outer)
+                    and np.array_equal(best_inner, pol_inner)):
+                _check_interior(H, next_pol)
+                return value, pol_outer, pol_inner, sweep, change
+            pol_outer, pol_inner = best_outer, best_inner
+    raise OracleError(
+        f"policy iteration did not converge within {max_sweeps} sweeps; "
+        f"last value change {change:.3e}")
+
+
 def _single_role_response(params: ModelParams, mode: GameMode, role: str,
                           opponent: FeedbackPolicy, grid: GridSpec,
                           seed_policy: Optional[FeedbackPolicy]) -> BestResponse:
     H = grid.states()
+    n = H.size
     actions = grid.actions(role)
     Hc = H[:, None]
-    a_row = actions[None, :]
+    own = actions[None, :]
     opp = opponent.effort(H)[:, None]
-    if role == "farmer":
-        E_f, E_r = a_row, opp
-    else:
-        E_f, E_r = opp, a_row
+
+    def efforts(mine, theirs):
+        return (mine, theirs) if role == "farmer" else (theirs, mine)
+
+    x = None
     if mode is GameMode.STACKELBERG:
         x = np.asarray(opponent.subsidy(H), dtype=float)
         if (opponent.n1, opponent.n0, opponent.d1, opponent.d0) == (0.0,) * 4:
@@ -242,81 +326,23 @@ def _single_role_response(params: ModelParams, mode: GameMode, role: str,
             raise OracleError(
                 f"subsidy rule leaves a non-positive effective cost share at "
                 f"H = {bad:.6g}; the follower problem is unbounded there")
-        breakdown = profits.payoff_rates(mode, Hc, E_f, E_r, x[:, None], params)
-    else:
-        breakdown = profits.payoff_rates(mode, Hc, E_f, E_r, None, params)
-    rate = breakdown.net_f if role == "farmer" else breakdown.net_r
+        x = x[:, None]
+    rates = profits.payoff_rates(mode, Hc, *efforts(own, opp), x, params)
+    rate = rates.net_f if role == "farmer" else rates.net_r
     gamma = float(np.exp(-params.rho * grid.dt))
-    reward = rate * ((1.0 - gamma) / params.rho)
-    Hnext = Hc + grid.dt * reduction_drift(Hc, E_f, E_r, params)
+    # one outer action: the opponent's frozen effort goes into the base
+    base = Hc + grid.dt * reduction_drift(Hc, *efforts(0.0, opp), params)
+    shift = grid.dt * reduction_drift(0.0, *efforts(own, 0.0), params)
     if seed_policy is None:
-        seed = np.zeros(H.size, dtype=np.int64)
+        seed = np.zeros(n, dtype=np.int64)
     else:
         seed = _seed_indices(actions, seed_policy.effort(H))
-    value, policy, sweeps, change = _howard_single(
-        H, np.broadcast_to(reward, (H.size, actions.size)),
-        np.broadcast_to(Hnext, (H.size, actions.size)),
-        gamma, grid.max_sweeps, seed)
+    value, _, policy, sweeps, change = _howard(
+        H, gamma, grid.max_sweeps, base, shift, np.zeros((n, 1)),
+        rate * ((1.0 - gamma) / params.rho), np.zeros(n, dtype=np.int64), seed)
     return BestResponse(mode=mode, role=role, grid=grid, H=H, value=value,
                         actions={role: actions[policy]}, sweeps=sweeps,
                         value_change=change)
-
-
-def _greedy_threads() -> int:
-    """Threads for the joint greedy step: the CPUs this process may use,
-    capped by MAX_GREEDY_THREADS."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return min(cpus, MAX_GREEDY_THREADS)
-
-
-def _greedy_block(farmer_actions, base, shift, H, continuation, reward_f,
-                  reward_r):
-    """Best (a_f, a_r) pair per state over the given farmer action indices.
-
-    q = continuation interpolated at base + shift[kf], plus reward_f[:, kf]
-    and reward_r. Pairs are scanned farmer-major with a strict improvement
-    test, so a tie in q goes to the first farmer index, then the first
-    retailer index. Returns the best q and its farmer and retailer indices.
-    """
-    n = H.size
-    rows = np.arange(n)
-    best_q = np.full(n, -np.inf)
-    best_f = np.zeros(n, dtype=np.int64)
-    best_r = np.zeros(n, dtype=np.int64)
-    for kf in farmer_actions:
-        q = np.interp(base + shift[kf], H, continuation)
-        q += reward_f[:, kf, None]
-        q += reward_r
-        kr = np.argmax(q, axis=1)
-        qk = q[rows, kr]
-        upgrade = qk > best_q
-        best_q[upgrade] = qk[upgrade]
-        best_f[upgrade] = kf
-        best_r[upgrade] = kr[upgrade]
-    return best_q, best_f, best_r
-
-
-def _greedy_step(blocks, tables, pool) -> tuple:
-    """Greedy (farmer, retailer) indices over ascending farmer-action blocks.
-
-    Each block is scanned by ``_greedy_block`` (on ``pool`` when given) and
-    the results are merged in block order with the same strict test, which
-    reproduces one farmer-major scan over all blocks, ties included.
-    """
-    if pool is None:
-        parts = [_greedy_block(kfs, *tables) for kfs in blocks]
-    else:
-        parts = list(pool.map(lambda kfs: _greedy_block(kfs, *tables), blocks))
-    best_q, best_f, best_r = parts[0]
-    for q, kf, kr in parts[1:]:
-        upgrade = q > best_q
-        best_q[upgrade] = q[upgrade]
-        best_f[upgrade] = kf[upgrade]
-        best_r[upgrade] = kr[upgrade]
-    return best_f, best_r
 
 
 def _joint_response(params: ModelParams, grid: GridSpec,
@@ -333,50 +359,17 @@ def _joint_response(params: ModelParams, grid: GridSpec,
     else:
         pol_f = _seed_indices(af, seeds["farmer"].effort(H))
         pol_r = _seed_indices(ar, seeds["retailer"].effort(H))
-
-    def policy_step(pf, pr):
-        e_f, e_r = af[pf], ar[pr]
-        rate = profits.payoff_rates(GameMode.CENTRALIZED, H, e_f, e_r,
-                                    None, params).total
-        return rate * step, H + grid.dt * reduction_drift(H, e_f, e_r, params)
-
-    # The greedy step's rewards and transitions do not depend on the value,
-    # so they are tabulated once per solve. Each role's net rate depends on
-    # its own effort only, and the drift is affine in the efforts, so the
-    # next state is a per-state base plus a per-action-pair shift.
     rates = profits.payoff_rates(GameMode.CENTRALIZED, H[:, None], af[None, :],
                                  ar[None, :], None, params)
-    reward_f = rates.net_f * step  # (state, a_f)
-    reward_r = rates.net_r * step  # (state, a_r)
     base = (H + grid.dt * reduction_drift(H, 0.0, 0.0, params))[:, None]
     shift = grid.dt * reduction_drift(0.0, af[:, None], ar[None, :], params)
-
-    threads = min(_greedy_threads(), af.size)
-    bounds = [k * af.size // threads for k in range(threads + 1)]
-    blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    value = np.zeros(n)
-    change = np.inf
-    with (ThreadPoolExecutor(threads) if threads > 1 else nullcontext()) as pool:
-        for sweep in range(1, grid.max_sweeps + 1):
-            reward_pol, next_pol = policy_step(pol_f, pol_r)
-            j, w = _positions(H, next_pol)
-            new_value = _evaluate_policy(n, j, w, reward_pol, gamma)
-            change = float(np.max(np.abs(new_value - value)))
-            value = new_value
-            best_f, best_r = _greedy_step(
-                blocks, (base, shift, H, gamma * value, reward_f, reward_r),
-                pool)
-            if np.array_equal(best_f, pol_f) and np.array_equal(best_r, pol_r):
-                _check_interior(H, next_pol)
-                return BestResponse(mode=GameMode.CENTRALIZED, role="joint",
-                                    grid=grid, H=H, value=value,
-                                    actions={"farmer": af[pol_f],
-                                             "retailer": ar[pol_r]},
-                                    sweeps=sweep, value_change=change)
-            pol_f, pol_r = best_f, best_r
-    raise OracleError(
-        f"policy iteration did not converge within {grid.max_sweeps} sweeps; "
-        f"last value change {change:.3e}")
+    value, pol_f, pol_r, sweeps, change = _howard(
+        H, gamma, grid.max_sweeps, base, shift, rates.net_f * step,
+        rates.net_r * step, pol_f, pol_r)
+    return BestResponse(mode=GameMode.CENTRALIZED, role="joint", grid=grid,
+                        H=H, value=value,
+                        actions={"farmer": af[pol_f], "retailer": ar[pol_r]},
+                        sweeps=sweeps, value_change=change)
 
 
 def grid_best_response(params: ModelParams, mode, role: str,

@@ -24,6 +24,7 @@ from carbongame.experiments import (
     SUMMARY_COLUMNS,
     _json_default,
     _scipy_version,
+    _sweep_argmax,
 )
 
 from reference_values import CASES
@@ -300,6 +301,24 @@ def test_sweep_keeps_failed_points_as_rows():
     assert report["failed_rows"] == 1
     peak = [p for p in report["argmax"] if p["response"] == "H_d"][0]
     assert peak["points"] == 1
+
+
+def test_sweep_peak_is_interior_by_parameter_value_not_row_order():
+    # H_d rises with p_c, so the peak is at the largest value, listed second
+    spec = SweepSpec(parameter="p_c", values=(0.0, 1.0, 0.5),
+                     responses=("H_d",))
+    artifacts = run_sweep(spec, ScenarioConfig(modes=("gc",), sim=QUICK_SIM))
+    assert [row[2] for row in _rows(artifacts["sweep.csv"])[1:]] == [
+        "0.0", "1.0", "0.5"]
+    [peak] = artifacts["run_report.json"]["argmax"]
+    assert peak["argmax_parameter_value"] == 1.0
+    assert peak["interior_peak"] is False
+    # a peak at the middle value is interior even when listed last
+    rows_meta = [{"mode": "gd", "value": v, "metrics": {"H_d": q}}
+                 for v, q in ((0.0, 1.0), (1.0, 2.0), (0.5, 3.0))]
+    [peak] = _sweep_argmax(rows_meta)
+    assert peak["argmax_parameter_value"] == 0.5
+    assert peak["interior_peak"] is True
 
 
 def test_sweep_without_a_spec_is_an_error():

@@ -204,6 +204,66 @@ def test_block_count_does_not_change_the_joint_reply(monkeypatch, threads):
     assert br.value == pytest.approx(ref_value, rel=1e-12)
 
 
+def _reference_single_response(params, mode, role, opponent, grid, seed):
+    """Single-role Howard iteration on the full (state, action) q table: the
+    reward and the next state of every action at every state, and the
+    continuation blended from the two neighbouring grid values. Ties go to
+    the first action index."""
+    H = grid.states()
+    n = H.size
+    actions = grid.actions(role)
+    Hc = H[:, None]
+    opp = opponent.effort(H)[:, None]
+    E_f, E_r = ((actions[None, :], opp) if role == "farmer"
+                else (opp, actions[None, :]))
+    x = (opponent.subsidy(H)[:, None] if mode is GameMode.STACKELBERG
+         else None)
+    rates = payoff_rates(mode, Hc, E_f, E_r, x, params)
+    rate = rates.net_f if role == "farmer" else rates.net_r
+    gamma = float(np.exp(-params.rho * grid.dt))
+    reward = rate * ((1.0 - gamma) / params.rho)
+    j, w = _positions(H, Hc + grid.dt * reduction_drift(Hc, E_f, E_r, params))
+    rows = np.arange(n)
+    if seed is None:
+        policy = np.zeros(n, dtype=np.int64)
+    else:
+        policy = _seed_indices(actions, seed.effort(H))
+    for sweep in range(1, grid.max_sweeps + 1):
+        value = _evaluate_policy(n, j[rows, policy], w[rows, policy],
+                                 reward[rows, policy], gamma)
+        q = reward + gamma * (value[j] * (1.0 - w)
+                              + value[np.minimum(j + 1, n - 1)] * w)
+        improved = np.argmax(q, axis=1)
+        if np.array_equal(improved, policy):
+            return actions[policy], value, sweep
+        policy = improved
+    raise AssertionError("reference policy iteration did not converge")
+
+
+@pytest.mark.parametrize("mode, role, other", [
+    (GameMode.DECENTRALIZED, "farmer", "retailer"),
+    (GameMode.DECENTRALIZED, "retailer", "farmer"),
+    (GameMode.STACKELBERG, "farmer", "retailer"),
+], ids=["gd-farmer", "gd-retailer", "gs-follower"])
+@pytest.mark.parametrize("params, warm", [
+    (ModelParams(), True),
+    (ModelParams(lambda_f=540.0, mu_r=0.465, rho=0.735), False),
+], ids=["baseline-warm", "perturbed-cold"])
+def test_single_role_reply_matches_the_q_table_reference(mode, role, other,
+                                                         params, warm):
+    sol = solver.solve(mode, params)
+    grid = default_grid(sol, n_states=64, n_actions=33)
+    seed = sol.policies[role] if warm else None
+    br = grid_best_response(params, mode, role, sol.policies[other], grid,
+                            seed_policy=seed)
+    ref_actions, ref_value, ref_sweeps = _reference_single_response(
+        params, mode, role, sol.policies[other], grid, seed)
+    assert list(br.actions) == [role]
+    assert np.array_equal(br.actions[role], ref_actions)
+    assert br.sweeps == ref_sweeps
+    assert br.value == pytest.approx(ref_value, rel=1e-12)
+
+
 def _tied_tables():
     """Greedy-step tables over 3 states, 4 farmer and 4 retailer actions,
     with a constant continuation so that q = 0.5 + reward_f + reward_r.
@@ -415,6 +475,17 @@ def test_leader_sample_with_a_zero_subsidy_denominator():
     assert sample["baseline_payoff"] == 9412.603722818292
     assert sample["max_improvement"] == 0.06874130817062128
     assert sample["improving_samples"] == 36
+
+
+@pytest.mark.parametrize("mode", ["gd", "gs", "gc"])
+def test_default_grid_needs_a_positive_steady_state(mode):
+    sol = solver.solve(mode, ModelParams(p_f=0.0, p_r=0.0, p_c=0.0))
+    assert sol.H_d == 0.0 and sol.alpha < 0
+    message = "positive steady state; H_d = -?0$"  # gc's H_d is -0.0
+    with pytest.raises(OracleError, match=message):
+        default_grid(sol)
+    with pytest.raises(OracleError, match=message):
+        equilibrium_check(sol)
 
 
 def test_zero_payoff_scenario_passes_trivially():

@@ -227,6 +227,15 @@ def test_zero_payoff_parameters_give_the_zero_solution():
     assert residual_scan(sol, params) == 0.0
 
 
+@pytest.mark.parametrize("mode", ["gd", "gs", "gc"])
+def test_coefficients_are_continuous_as_the_sink_price_vanishes(mode):
+    # relative to the largest coefficient: A is a rounding-level zero at
+    # p_c = 0; the measured gap is 5e-10 to 6e-10
+    at_zero = np.array(solver._coefficients(solve(mode, ModelParams(p_c=0.0))))
+    near = np.array(solver._coefficients(solve(mode, ModelParams(p_c=1e-9))))
+    assert np.max(np.abs(near - at_zero)) <= 1e-8 * np.max(np.abs(at_zero))
+
+
 def test_collected_balances_vanish_at_the_solution():
     params = ModelParams()
     for system, sol, names in (
