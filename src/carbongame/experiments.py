@@ -32,7 +32,7 @@ from .model import (
 )
 from .simulate import SimConfig, simulate, trajectory_table
 from . import solver
-from .solver import SolverConfig, SolverError, residual_scan, solve
+from .solver import SolverConfig, SolverError, residual_scan, solve, solve_many
 
 __all__ = [
     "ConfigError",
@@ -492,8 +492,9 @@ def _sweep_argmax(rows_meta) -> list:
 def run_sweep(spec: Optional[SweepSpec], config: ScenarioConfig) -> dict:
     """Tabulate steady-state responses along a one-parameter grid.
 
-    Invalid or unsolvable points become rows with an error status rather
-    than disappearing. The run report carries argmax detection per mode and
+    Each mode's points are solved in one solve_many batch. Invalid or
+    unsolvable points become rows with an error status rather than
+    disappearing. The run report carries argmax detection per mode and
     response, flagging whether the peak is interior to the swept range.
     """
     spec = config.sweep if spec is None else spec
@@ -506,13 +507,13 @@ def run_sweep(spec: Optional[SweepSpec], config: ScenarioConfig) -> dict:
     rows = []
     rows_meta = []
     for mode in modes:
-        for value in spec.values:
-            try:
-                params = base.replace(**{spec.parameter: value})
-                metrics = _solution_metrics(solve(mode, params, config.solver))
-                status = "ok"
-            except (SolverError, ParameterError, ValueError) as exc:
-                metrics, status = {}, f"error: {exc}"
+        cells = [base.replace(**{spec.parameter: value}) for value in spec.values]
+        for value, outcome in zip(spec.values,
+                                  solve_many(mode, cells, config.solver)):
+            if isinstance(outcome, Exception):   # a typed solver error
+                metrics, status = {}, f"error: {outcome}"
+            else:
+                metrics, status = _solution_metrics(outcome), "ok"
             row = [mode.value, spec.parameter, repr(float(value))]
             row += [_fmt(metrics.get(name)) for name in spec.responses]
             row.append(status)

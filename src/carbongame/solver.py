@@ -13,10 +13,18 @@ quartic after eliminating M), the drift slope picks the stable one, the
 H^1 and H^0 rows complete it by linear solves, and a Newton polish on all
 balances takes it to the rounding floor before the residual gate.
 
+The balances are plain arithmetic, so they evaluate unchanged on parameter
+fields stacked as arrays. ``solve_many`` solves a batch of cells of one mode
+in one pass: the parameters are stacked along the last axis, the fits,
+roots, linear solves and Newton steps act on all cells at once, and a cell
+that fails leaves the batch with its typed error while the others go on.
+``solve`` is its batch of one, so a cell's result does not depend on the
+batch it was solved in.
+
 Two backends are available. "residual" solves the derived balances; it is
 the authoritative path. "paper-closed-form" evaluates the published
 closed-form coefficient expressions verbatim for discrepancy reporting (see
-closed_form.py).
+closed_form.py), one cell at a time.
 
 Conventions for the Stackelberg follower:
 
@@ -46,6 +54,7 @@ from .model import (
     GameMode,
     GameSolution,
     ModelParams,
+    ParameterError,
     QuadraticValue,
     SolutionDiagnostics,
     derive_constants,
@@ -55,9 +64,10 @@ from .model import (
 
 __all__ = [
     "SolverConfig", "CoefficientSystem", "SolverError", "ComplexRootError",
-    "UnstableModelError", "solve", "solve_decentralized", "solve_stackelberg",
-    "solve_centralized", "select_stable_root", "hjb_residual", "residual_scan",
-    "decentralized_system", "stackelberg_system", "centralized_system",
+    "UnstableModelError", "solve", "solve_many", "solve_decentralized",
+    "solve_stackelberg", "solve_centralized", "select_stable_root",
+    "hjb_residual", "residual_scan", "decentralized_system",
+    "stackelberg_system", "centralized_system",
 ]
 
 BACKEND_RESIDUAL = "residual"
@@ -195,18 +205,6 @@ def _policy_map(params: ModelParams, mode: GameMode, convention: Optional[str]):
     return rule
 
 
-def _drift_slope(params: ModelParams, mode: GameMode, convention: str):
-    """Closed-loop drift slope alpha of a branch, from its leading
-    coefficients (A; A and M in gs), the only ones the effort slopes hold."""
-    rule, split = _policy_map(params, mode, convention), _VALUES[mode]
-
-    def slope(leading):
-        values = split(_leading_vector(mode, leading))
-        (g1_f, _), (g1_r, _), _ = rule(values[0], values[-1])
-        return params.mu_f * g1_f + params.mu_r * g1_r - params.delta
-    return slope
-
-
 def _payoff_polynomials(params: ModelParams, mode: GameMode):
     """Closed-loop drift and role payoffs along the standard policy map.
 
@@ -253,7 +251,8 @@ class CoefficientSystem:
     balances maps the coefficient vector (ordered as names) to the H^2, H^1
     and H^0 coefficients of rho*V - rate - V'*drift, role by role, without
     the identically zero H^2 row of a linear value; balance i carries
-    rho*v[i].
+    rho*v[i]. The entries of the vector may be arrays, which broadcast
+    against the parameters.
     """
 
     mode: GameMode
@@ -271,6 +270,15 @@ class CoefficientSystem:
         return 1.0 + np.abs(self.rho * np.asarray(coeffs, dtype=float))
 
 
+def _pow2(x):
+    """x ** 2 as Python computes it for a float (the C library's pow), cell
+    by cell for an array. numpy squares an array as x*x, which differs from
+    pow in the last bit for about one value in a thousand; this way a cell's
+    printed balances and published-scale discriminants are the same whether
+    its parameters are floats or one entry of a stacked array."""
+    return np.array([e ** 2 for e in x.tolist()]) if isinstance(x, np.ndarray) else x ** 2
+
+
 def _system(params: ModelParams, mode: GameMode,
             convention: str = CONVENTION_STANDARD) -> CoefficientSystem:
     terms = _payoff_polynomials(params, mode)
@@ -279,7 +287,7 @@ def _system(params: ModelParams, mode: GameMode,
     offsets = None
     if mode is GameMode.STACKELBERG and convention == CONVENTION_PRINTED:
         lf, _, mf, _, _, _, eta, *_ = _symbols(params)
-        base = (1.0 - mf) * eta ** 2 / lf
+        base = (1.0 - mf) * _pow2(eta) / lf
         offsets = (base / 4.0, base / 8.0)
 
     def balances(v):
@@ -290,8 +298,8 @@ def _system(params: ModelParams, mode: GameMode,
                     rho * B - r1 - (2.0 * A * beta + B * alpha),
                     rho * C - r0 - B * beta)
         if offsets is not None:
-            out[0] += offsets[0]
-            out[3] += offsets[1]
+            out[0] = out[0] + offsets[0]
+            out[3] = out[3] + offsets[1]
         if linear:
             del out[3]
         return out
@@ -317,22 +325,18 @@ def centralized_system(params: ModelParams) -> CoefficientSystem:
     return _system(params, GameMode.CENTRALIZED)
 
 
-def _assemble(params: ModelParams, mode: GameMode, convention: Optional[str],
-              coeffs, diag: SolutionDiagnostics) -> GameSolution:
-    """The solution at a coefficient vector: values by role, policies from
-    the policy map, and the closed-loop drift alpha*H + beta."""
-    values = _VALUES[mode](coeffs)
-    e_f, e_r, subsidy = _policy_map(params, mode, convention)(values[0], values[-1])
-    pol_f = FeedbackPolicy(*e_f)
-    pol_r = FeedbackPolicy(*e_r, *(subsidy[0] + subsidy[1] if subsidy else ()))
-    alpha = params.mu_f * pol_f.g1 + params.mu_r * pol_r.g1 - params.delta
-    beta = params.mu_f * pol_f.g0 + params.mu_r * pol_r.g0
-    return GameSolution(
-        mode=mode, params=params,
-        values={role: QuadraticValue(*V, role=role)
-                for role, V in zip(_UNKNOWNS[mode][1], values)},
-        policies={"farmer": pol_f, "retailer": pol_r},
-        alpha=alpha, beta=beta, H_d=-beta / alpha, diagnostics=diag)
+_FIELDS = ModelParams.field_names()
+
+
+def _stack(cells: Sequence[ModelParams]) -> ModelParams:
+    """The cells' parameters as one ModelParams of (n,) arrays."""
+    return ModelParams(**{name: np.array([getattr(p, name) for p in cells], dtype=float)
+                          for name in _FIELDS})
+
+
+def _take(params: ModelParams, keep) -> ModelParams:
+    """The cells of stacked parameters that keep selects."""
+    return ModelParams(**{name: getattr(params, name)[keep] for name in _FIELDS})
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +350,7 @@ _BY_POWER = {mode: {k: tuple(i for i, lb in enumerate(labels) if lb.endswith(f"^
                     for k in (2, 1, 0)} for mode, labels in _LABELS.items()}
 
 # the values of a quadratic at 0, 1 and -1 -> its coefficients (c0, c1, c2)
-_NODES = (0.0, 1.0, -1.0)
+_NODES = np.array([0.0, 1.0, -1.0])
 _FIT = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, -0.5], [-1.0, 0.5, 0.5]])
 
 
@@ -354,8 +358,36 @@ def _leading_vector(mode: GameMode, leading) -> list:
     """The coefficient vector of a branch's leading coefficients, 0 elsewhere."""
     v = [0.0] * len(_UNKNOWNS[mode][0])
     for i, x in zip(_BY_POWER[mode][2], leading):
-        v[i] = float(x)
+        v[i] = x
     return v
+
+
+def _drift_slopes(params: ModelParams, mode: GameMode, convention: str, leading):
+    """Closed-loop drift slope alpha of branches, from their leading
+    coefficients (A; A and M in gs), the only ones the effort slopes hold."""
+    values = _VALUES[mode](_leading_vector(mode, leading))
+    (g1_f, _), (g1_r, _), _ = _policy_map(params, mode, convention)(values[0], values[-1])
+    return params.mu_f * g1_f + params.mu_r * g1_r - params.delta
+
+
+def _pick(leading, alphas, mask):
+    """The stable branch of every cell: among the branches with a negative
+    drift slope, the one with the smallest |leading coefficient|, the first
+    on ties.
+
+    leading, alphas and mask are (K, n): branch k of cell i at [k, i] where
+    mask[k, i]. Returns the picked branch index per cell, and per cell None
+    or an UnstableModelError listing every slope (a SolverError when the
+    cell has no branch).
+    """
+    stable = mask & (alphas < 0.0)
+    pick = np.argmin(np.where(stable, np.abs(leading), np.inf), axis=0)
+    errors = [None] * pick.size
+    for i in np.flatnonzero(~stable.any(axis=0)).tolist():
+        slopes = alphas[mask[:, i], i].tolist()
+        errors[i] = (UnstableModelError(slopes) if slopes
+                     else SolverError("select_stable_root: no candidates"))
+    return pick, errors
 
 
 def select_stable_root(candidates: Sequence, drift_slope: Callable):
@@ -364,41 +396,49 @@ def select_stable_root(candidates: Sequence, drift_slope: Callable):
     If several candidates are stable the one with the smallest |leading
     coefficient| is returned (callers record the ambiguity). Raises
     UnstableModelError listing every candidate slope when none is stable.
+    The batch of one of the rule solve_many applies to every cell.
     """
     if not candidates:
         raise SolverError("select_stable_root: no candidates")
-    slopes = [float(drift_slope(c)) for c in candidates]
-    stable = [(c, a) for c, a in zip(candidates, slopes) if a < 0.0]
-    if not stable:
-        raise UnstableModelError(slopes)
-    chosen, _ = min(stable, key=lambda pair: abs(pair[0][0]))
-    return chosen
+    column = lambda x: np.array(x, dtype=float)[:, None]
+    pick, (error,) = _pick(column([c[0] for c in candidates]),
+                           column([drift_slope(c) for c in candidates]),
+                           np.ones((len(candidates), 1), dtype=bool))
+    if error is not None:
+        raise error
+    return candidates[int(pick[0])]
 
 
-def _stable_quadratic_roots(qa: float, qb: float, qc: float, label: str,
-                            scale: float = 1.0):
-    """Real roots of qa*x^2 + qb*x + qc = 0 via the cancellation-safe form.
+def _quadratic_roots(qa, qb, qc):
+    """Real roots of qa*x^2 + qb*x + qc = 0 per cell, by the
+    cancellation-safe form.
 
-    scale converts the raw discriminant to the published normalization for
-    error reporting and diagnostics.
+    Returns (roots, mask, disc): roots (2, n), ascending, where mask; and
+    the discriminant qb^2 - 4*qa*qc, 0 where qa = 0. A cell with disc < 0
+    has no root; a double root, or qa = 0, gives at most one.
     """
-    if qa == 0.0:
-        if qb == 0.0:
-            return ([0.0], 0.0) if qc == 0.0 else ([], 0.0)
-        return [-qc / qb], 0.0
-    disc = qb * qb - 4.0 * qa * qc
-    if disc < 0.0:
-        raise ComplexRootError(label, disc * scale)
-    sq = math.sqrt(disc)
-    q = -0.5 * (qb + sq) if qb >= 0.0 else -0.5 * (qb - sq)
+    flat = qa == 0.0
+    disc = np.where(flat, 0.0, qb * qb - 4.0 * qa * qc)
+    ok = ~flat & ~(disc < 0.0)
+    sq = np.sqrt(np.where(ok, disc, 0.0))
+    q = np.where(qb >= 0.0, -0.5 * (qb + sq), -0.5 * (qb - sq))
     # q = 0 only when qb = qc = 0: the double root 0
-    return sorted({q / qa, qc / q} if q != 0.0 else {q / qa}), disc
+    first = q / np.where(ok, qa, 1.0)
+    second = qc / np.where(ok & (q != 0.0), q, 1.0)
+    two = ok & (q != 0.0) & (first != second)
+    # qa = 0: the root of qb*x + qc, or 0 when all three vanish
+    linear = flat & (qb != 0.0)
+    first = np.where(flat, np.where(linear, -qc / np.where(linear, qb, 1.0), 0.0), first)
+    roots = np.stack([np.where(two, np.minimum(first, second), first),
+                      np.where(two, np.maximum(first, second), 0.0)])
+    return roots, np.stack([ok | linear | (flat & (qc == 0.0)), two]), disc
 
 
-def _fit_quadratic(f: Callable, f0: float, s: float) -> tuple:
-    """(c0, c1, c2) of a quadratic f from f0 = f(0) and its values at +-s."""
-    c0, c1s, c2ss = (_FIT @ [f0, f(s), f(-s)]).tolist()
-    return c0, c1s / s, c2ss / (s * s)
+def _fit(f0, f_plus, f_minus, s) -> tuple:
+    """(c0, c1, c2) per cell of quadratics from their values at 0 and +-s;
+    the fit is one small matrix-vector product per cell."""
+    c = (_FIT @ np.stack([f0, f_plus, f_minus], axis=-1)[..., None])[..., 0]
+    return c[:, 0], c[:, 1] / s, c[:, 2] / (s * s)
 
 
 def _power_of_two_scale(c0: float, c2: float) -> float:
@@ -410,18 +450,130 @@ def _power_of_two_scale(c0: float, c2: float) -> float:
     return math.ldexp(1.0, round(0.5 * math.log2(ratio)))
 
 
-def _leading_branches(params: ModelParams, system: CoefficientSystem):
-    """Every real root of the H^2 rows in the leading unknowns (as tuples),
-    and the discriminants.
+def _horner(coefficients, x):
+    """sum_k c[k]*x^k in npoly.polyval's order of operations."""
+    y = coefficients[-1] + x * 0
+    for c in coefficients[-2::-1]:
+        y = c + y * x
+    return y
 
-    The rows are sampled at 0 and +-1 of each leading unknown and fitted
-    exactly. In gd and gc the farmer or joint row is a quadratic in A; it is
-    refitted at +-s, s the power of two nearest its roots' scale, so the
-    discriminant on the published scale (Delta^GD, Delta^GC) is good to a
-    few ulps of its terms and its sign picks the error class. In gs the
-    farmer row is a(A) + b(A)*M and the leader row g0(A) + g1(A)*M + g2*M^2;
-    M = -a/b leaves the quartic g0*b^2 - g1*a*b + g2*a^2 in A, and where
-    b(A) ~ 0, M comes from the leader row instead.
+
+def _quadratic_branches(params: ModelParams, mode: GameMode, row: Callable):
+    """The real roots in A of the gd farmer or gc joint H^2 row, per cell.
+
+    The row is sampled at 0 and +-1 and fitted exactly, then refitted at
+    +-s, s the power of two nearest its roots' scale, so the discriminant on
+    the published scale (Delta^GD, Delta^GC) is good to a few ulps of its
+    terms and its sign picks the error class. Returns (A, mask, discs,
+    errors) as _leading_branches does.
+    """
+    lf, lr = params.lambda_f, params.lambda_r
+    label, scale = (("Delta^GD", 4.0 * _pow2(lf)) if mode is GameMode.DECENTRALIZED
+                    else ("Delta^GC", _pow2(lf * lr)))
+    f0, f1, f_1 = row(_NODES[:, None])
+    c0, c1, c2 = _fit(f0, f1, f_1, 1.0)
+    # refit on the roots' scale, where c0 no longer dwarfs the c1 and c2
+    # terms and so leaves its rounding out of them
+    s = np.array([_power_of_two_scale(a, b) for a, b in zip(c0.tolist(), c2.tolist())])
+    c0, c1, c2 = _fit(f0, *row(np.stack([s, -s])), s)
+    A, mask, disc = _quadratic_roots(c2, c1, c0)
+    discs = [{label: d} for d in (disc * scale).tolist()]
+    errors = [ComplexRootError(label, d[label]) if raw < 0.0 else None
+              for d, raw in zip(discs, disc.tolist())]
+    return (A,), mask, discs, errors
+
+
+def _eliminate(a, b, g0, g1, g2):
+    """Every real root (A, M) of the gs H^2 rows, per cell, from their
+    polynomial coefficients.
+
+    The farmer row is a(A) + b(A)*M and the leader row g0(A) + g1(A)*M +
+    g2*M^2, with a, g0 of shape (n, 3), b, g1 of shape (n, 2) and g2 of
+    shape (n,) holding ascending powers of A. M = -a/b leaves the quartic
+    g0*b^2 - g1*a*b + g2*a^2 in A; its roots are the eigenvalues of the
+    companion matrices npoly.polyroots builds, found for all full-degree
+    cells in one call. Where b(A) ~ 0, M comes from the leader row instead.
+    Returns (A, M, mask), each (K, n): branch k of cell i at [k, i] when
+    mask[k, i], in ascending A.
+    """
+    n = len(g2)
+    conv = np.convolve
+    quartics = []
+    for i in range(n):
+        quartic = (conv(g0[i], conv(b[i], b[i])) - conv(g1[i], conv(a[i], b[i]))
+                   + g2[i] * conv(a[i], a[i]))
+        size = len(quartic)
+        while size and quartic[size - 1] == 0.0:
+            size -= 1
+        quartics.append(quartic[:size])
+    roots = np.zeros((n, 4), dtype=complex)
+    found = np.zeros((n, 4), dtype=bool)
+    full = [i for i, c in enumerate(quartics) if c.size == 5 and np.isfinite(c).all()]
+    if full:
+        c = np.array([quartics[i] for i in full])
+        companion = np.zeros((len(full), 4, 4))
+        companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+        companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
+        roots[full] = np.linalg.eigvals(companion)
+        found[full] = True
+    for i, c in enumerate(quartics):
+        if c.size <= 1:
+            r = np.zeros(1)   # a constant quartic: the branch A = 0
+        elif c.size < 5 and np.isfinite(c).all():
+            r = npoly.polyroots(c)   # a quartic that lost degree, alone
+        else:
+            continue   # solved above, or non-finite with no real branch
+        roots[i, :r.size] = r
+        found[i, :r.size] = True
+    real = found & (np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots)))
+    # the distinct real roots of each cell, ascending, at the front of its row
+    A = np.sort(np.where(real, roots.real, np.inf), axis=1)
+    distinct = np.isfinite(A)
+    distinct[:, 1:] &= A[:, 1:] != A[:, :-1]
+    order = np.argsort(~distinct, axis=1, kind="stable")
+    A = np.take_along_axis(A, order, axis=1)
+    mask = np.take_along_axis(distinct, order, axis=1)
+    A = np.where(mask, A, 0.0)
+    columns = lambda c: [x[:, None] for x in c.T]
+    bA = _horner(columns(b), A)
+    ordinary = np.abs(bA) > 1e-12 * (1.0 + np.abs(A))
+    M = -_horner(columns(a), A) / np.where(ordinary, bA, 1.0)
+    fallback = {}
+    for i in np.flatnonzero((mask & ~ordinary).any(axis=1)).tolist():
+        cell = []
+        for x, m, plain in zip(A[i, mask[i]].tolist(), M[i, mask[i]].tolist(),
+                               ordinary[i, mask[i]].tolist()):
+            if plain:
+                cell.append((x, m))
+                continue
+            seeds, real, _ = _quadratic_roots(
+                *(np.array([y]) for y in (g2[i], _horner(g1[i], x), _horner(g0[i], x))))
+            cell += [(x, seed) for seed in seeds[real[:, 0], 0].tolist()]
+        fallback[i] = cell
+    width = max([int(mask.sum(axis=1).max(initial=0))]
+                + [len(cell) for cell in fallback.values()])
+    out = np.zeros((width, n)), np.zeros((width, n)), np.zeros((width, n), dtype=bool)
+    rows = min(width, 4)
+    for o, x in zip(out, (A, M, mask)):
+        o[:rows] = x.T[:rows]
+    for i, cell in fallback.items():
+        for o in out:
+            o[:, i] = 0
+        for k, (x, m) in enumerate(cell):
+            out[0][k, i], out[1][k, i], out[2][k, i] = x, m, True
+    return out
+
+
+def _leading_branches(params: ModelParams, system: CoefficientSystem):
+    """Every real root of the H^2 rows in the leading unknowns, per cell.
+
+    Returns (leading, mask, discs, errors): leading is a tuple of one (K, n)
+    array per leading unknown (A; A and M in gs) with branch k of cell i at [k, i]
+    where mask[k, i]; discs holds per cell its discriminants by label, and
+    errors None or its typed error. The rows are sampled at 0 and
+    +-1 of each leading unknown and fitted exactly: in gd and gc the farmer
+    or joint row is a quadratic in A (_quadratic_branches); in gs the two
+    rows leave a quartic in A (_eliminate).
     """
     mode, lead = system.mode, _BY_POWER[system.mode][2]
 
@@ -430,135 +582,265 @@ def _leading_branches(params: ModelParams, system: CoefficientSystem):
         return [out[i] for i in lead]
 
     if len(lead) == 1:
-        lf, lr = params.lambda_f, params.lambda_r
-        label, scale = (("Delta^GD", 4.0 * lf ** 2) if mode is GameMode.DECENTRALIZED
-                        else ("Delta^GC", (lf * lr) ** 2))
-        row = lambda x: rows(x)[0]
-        f0 = row(0.0)
-        c0, c1, c2 = _fit_quadratic(row, f0, 1.0)
-        # refit at +-s on the roots' scale, where c0 no longer dwarfs the
-        # c1 and c2 terms and so leaves its rounding out of them
-        s = _power_of_two_scale(c0, c2)
-        if s != 1.0:
-            c0, c1, c2 = _fit_quadratic(row, f0, s)
-        roots, disc = _stable_quadratic_roots(c2, c1, c0, label, scale)
-        return [(A,) for A in roots], {label: disc * scale}
-
-    samples = np.array([[rows(A, M) for M in _NODES] for A in _NODES])
-    # [i, j]: the coefficient of A^i * M^j in the farmer and the leader row
-    farmer, leader = (_FIT @ samples[:, :, k] @ _FIT.T for k in (0, 1))
-    a, b = farmer[:, 0], farmer[:2, 1]
-    g0, g1, g2 = leader[:, 0], leader[:2, 1], float(leader[0, 2])
-    conv = np.convolve
-    quartic = np.trim_zeros(conv(g0, conv(b, b)) - conv(g1, conv(a, b))
-                            + g2 * conv(a, a), "b")
-    roots = npoly.polyroots(quartic) if quartic.size > 1 else np.zeros(1)
-    real = roots[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))].real
-    branches = []
-    for A in np.unique(real).tolist():
-        bA = float(npoly.polyval(A, b))
-        if abs(bA) > 1e-12 * (1.0 + abs(A)):
-            branches.append((A, -float(npoly.polyval(A, a)) / bA))
-            continue
-        try:
-            seeds, _ = _stable_quadratic_roots(g2, float(npoly.polyval(A, g1)),
-                                               float(npoly.polyval(A, g0)),
-                                               "Delta^GS(M|A)")
-        except ComplexRootError:
-            continue
-        branches += [(A, M) for M in seeds]
-    if not branches:
-        raise SolverError("no real (A, M) branch of the coupled quadratic balances")
-    return branches, {}
+        return _quadratic_branches(params, mode, lambda x: rows(x)[0])
+    n = params.rho.size
+    # [cell, i, j, row]: the farmer and the leader row at A = _NODES[i],
+    # M = _NODES[j]
+    samples = np.stack([np.broadcast_to(r, (3, 3, n))
+                        for r in rows(_NODES[:, None, None], _NODES[None, :, None])],
+                       axis=-1)
+    samples = np.ascontiguousarray(np.moveaxis(samples, 2, 0))
+    # [cell, i, j]: the coefficient of A^i * M^j in the farmer and the leader row
+    farmer, leader = (_FIT @ samples[..., k] @ _FIT.T for k in (0, 1))
+    A, M, mask = _eliminate(farmer[:, :, 0], farmer[:, :2, 1], leader[:, :, 0],
+                            leader[:, :2, 1], leader[:, 0, 2])
+    errors = [None if any_branch else SolverError(
+        "no real (A, M) branch of the coupled quadratic balances")
+        for any_branch in mask.any(axis=0).tolist()]
+    return (A, M), mask, [{} for _ in errors], errors
 
 
-def _complete(system: CoefficientSystem, leading) -> list:
-    """The full coefficient vector of a branch: the H^1 unknowns by one linear
-    solve of the H^1 rows, then each H^0 unknown from its own row."""
+def _complete(system: CoefficientSystem, leading):
+    """The full coefficient vectors (k, n) of branches: the H^1 unknowns by
+    one linear solve of the H^1 rows per cell, then each H^0 unknown from
+    its own row. Returns them with per-cell errors."""
     by_power = _BY_POWER[system.mode]
-    v, rows = _leading_vector(system.mode, leading), by_power[1]
-    base = system.balances(v)
-    columns = [[out[i] - base[i] for i in rows] for out in (
-        system.balances([float(i == j) if i in rows else x for i, x in enumerate(v)])
-        for j in rows)]
+    v, h1 = _leading_vector(system.mode, leading), by_power[1]
+    n = system.rho.size
+    # the H^1 rows at H^1 unknowns 0 (the base), then at each unit vector
+    probe = list(v)
+    for i in h1:
+        probe[i] = np.array([0.0] + [float(i == j) for j in h1])[:, None]
+    out = system.balances(probe)
+    rows = np.stack([np.broadcast_to(out[i], (len(h1) + 1, n)) for i in h1])
+    matrix = np.ascontiguousarray(np.moveaxis(rows[:, 1:] - rows[:, :1], -1, 0))
+    rhs = np.ascontiguousarray(-rows[:, 0].T)[..., None]
+    errors = [None] * n
     try:
-        solved = np.linalg.solve(np.array(columns).T, [-base[i] for i in rows])
+        solved = np.linalg.solve(matrix, rhs)[..., 0]
     except np.linalg.LinAlgError:
-        raise SolverError("singular H^1 balances on the stable branch") from None
-    for i, x in zip(rows, solved.tolist()):
+        solved = np.zeros((n, len(h1)))
+        for i in range(n):
+            try:
+                solved[i] = np.linalg.solve(matrix[i], rhs[i])[:, 0]
+            except np.linalg.LinAlgError:
+                errors[i] = SolverError("singular H^1 balances on the stable branch")
+    for i, x in zip(h1, solved.T):
         v[i] = x
     out = system.balances(v)
     for i in by_power[0]:
-        v[i] -= out[i] / system.rho
-    return v
+        v[i] = v[i] - out[i] / system.rho
+    return np.array(v), errors
 
 
 def _newton(system: CoefficientSystem, guess, tolerance: float):
-    """Chord-Newton polish of the balances, gated on their residuals.
+    """Chord-Newton polish of the balances of every cell, gated on their
+    residuals.
 
     Every balance is quadratic in the unknowns, so central differences give
-    the Jacobian exactly up to rounding; it is taken once, at the guess. The
-    iterate with the smallest normalized residual is kept, and rejected with
-    the worst balance's label when any residual exceeds tolerance times its
-    scale.
+    the Jacobian exactly up to rounding; it is taken once, at the guess. Per
+    cell, the iterate with the smallest normalized residual is kept, and
+    rejected with the worst balance's label when any residual exceeds
+    tolerance times its scale. guess is (k, n); returns the coefficients
+    (k, n), the normalized residuals (n,) and per-cell errors.
     """
-    v = np.asarray(guess, dtype=float)
-    res = system.residuals(v)
-    err = np.max(np.abs(res) / system.scales(v))
-    jac = np.empty((v.size, v.size))
-    for j, h in enumerate(1.0 + np.abs(v)):
-        shift = np.zeros(v.size)
-        shift[j] = h
-        up, down = system.residuals(v + shift), system.residuals(v - shift)
-        jac[:, j] = (up - down) / (2.0 * h)
+    rho = system.rho
+
+    def balances(v):
+        # balance i carries rho*v[i], so every row has the shape of v[i]
+        return np.array(system.balances(list(v)))
+
+    def norm(v, res):
+        return np.max(np.abs(res) / (1.0 + np.abs(rho * v)), axis=0)
+
+    v = guess
+    k, n = v.shape
+    h = 1.0 + np.abs(v)
+    shift = np.zeros((k, k, n))
+    shift[np.arange(k), np.arange(k)] = h
+    # [row, point, cell]: the balances at v, at v + h_j*e_j, then at v - h_j*e_j
+    out = balances(np.concatenate([v[:, None], v[:, None] + shift,
+                                   v[:, None] - shift], axis=1))
+    res, up, down = out[:, 0], out[:, 1:k + 1], out[:, k + 1:]
+    err = norm(v, res)
+    jac = np.ascontiguousarray(np.moveaxis((up - down) / (2.0 * h), -1, 0))
     try:
         inverse = np.linalg.inv(jac)
     except np.linalg.LinAlgError:
-        inverse = np.zeros_like(jac)   # no step: the guess is kept
+        inverse = np.zeros_like(jac)   # no step where singular: the guess is kept
+        for i in range(n):
+            try:
+                inverse[i] = np.linalg.inv(jac[i])
+            except np.linalg.LinAlgError:
+                pass
+    active = np.ones(n, dtype=bool)
     for _ in range(8):   # one or two steps reach the rounding floor
-        trial = v - inverse @ res
-        trial_res = system.residuals(trial)
-        trial_err = np.max(np.abs(trial_res) / system.scales(trial))
-        if not trial_err < err:
+        step = (inverse @ np.ascontiguousarray(res.T)[..., None])[..., 0].T
+        trial = np.where(active, v - step, v)
+        trial_res = balances(trial)
+        trial_err = norm(trial, trial_res)
+        active &= trial_err < err
+        if not active.any():
             break
-        v, res, err = trial, trial_res, trial_err
-    if not err <= tolerance:
-        worst = int(np.argmax(np.abs(res) / system.scales(v)))
-        raise SolverError(
-            f"collected balance {system.labels[worst]} residual {res[worst]:.3e} "
+        v = np.where(active, trial, v)
+        res = np.where(active, trial_res, res)
+        err = np.where(active, trial_err, err)
+    errors = [None] * n
+    for i in np.flatnonzero(~(err <= tolerance)).tolist():
+        worst = int(np.argmax(np.abs(res[:, i]) / (1.0 + np.abs(rho[i] * v[:, i]))))
+        errors[i] = SolverError(
+            f"collected balance {system.labels[worst]} residual {res[worst, i]:.3e} "
             f"exceeds tolerance {tolerance:.1e}")
-    return v.tolist(), float(err)
+    return v, err, errors
 
 
 # ---------------------------------------------------------------------------
 # mode solvers
 # ---------------------------------------------------------------------------
 
+def _as_mode(mode) -> GameMode:
+    return mode if isinstance(mode, GameMode) else GameMode.from_string(str(mode))
+
+
 def solve(mode, params: ModelParams, cfg: SolverConfig = SolverConfig()) -> GameSolution:
-    """Solve one mode; ``mode`` may be a GameMode or its short string."""
-    if not isinstance(mode, GameMode):
-        mode = GameMode.from_string(str(mode))
-    validate_params(params)
+    """Solve one mode; ``mode`` may be a GameMode or its short string.
+
+    The batch of one of solve_many: raises the cell's typed error.
+    """
+    out = solve_many(mode, [params], cfg)[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def solve_many(mode, params_seq: Sequence[ModelParams],
+               cfg: SolverConfig = SolverConfig()) -> list:
+    """Solve one mode for every parameter set of params_seq.
+
+    Returns one entry per cell, in input order: the GameSolution that solve
+    returns for it, or the exception it raises (ParameterError,
+    ComplexRootError, UnstableModelError or SolverError). A cell's entry does
+    not depend on the other cells of the batch. The paper-closed-form
+    backend solves the cells one at a time.
+    """
+    mode = _as_mode(mode)
+    cells = list(params_seq)
+    out = [None] * len(cells)
+    live = []
+    for i, params in enumerate(cells):
+        try:
+            validate_params(params)
+            live.append(i)
+        except ParameterError as exc:
+            out[i] = exc
     if cfg.backend == BACKEND_CLOSED_FORM:
         from . import closed_form
-        return closed_form.solve_printed(mode, params, cfg)
-    convention = cfg.follower_convention
-    system = _system(params, mode, convention)
-    branches, discs = _leading_branches(params, system)
-    alpha_of = _drift_slope(params, mode, convention)
-    chosen = select_stable_root(branches, alpha_of)
-    coeffs, worst = _newton(system, _complete(system, chosen), cfg.tolerance)
-    diag = _diagnostics(cfg, branches, alpha_of, discs, worst)
-    sol = _assemble(params, mode, convention, coeffs, diag)
-    if mode is GameMode.STACKELBERG:
-        # the published discriminants at this solution, informational only
-        from . import closed_form
-        printed = closed_form.printed_stackelberg(
-            params, dict(zip(system.names, coeffs)))
-        for key in ("Delta^GS1", "Delta^GS2"):
-            diag.discriminants[key] = float(printed[key])
-        _flag_subsidy_range(sol, diag)
-    return _finish(sol, params, cfg)
+        for i in live:
+            try:
+                out[i] = closed_form.solve_printed(mode, cells[i], cfg)
+            except SolverError as exc:
+                out[i] = exc
+    elif live:
+        _Batch(mode, cfg, cells, live, out).solve()
+    return out
+
+
+class _Batch:
+    """The cells of one solve_many call still being solved.
+
+    pos holds their positions in the output list and params their
+    parameters stacked along the last axis. drop records a stage's typed
+    errors in the output and keeps the other cells, so no later stage
+    computes on a failed cell.
+    """
+
+    def __init__(self, mode, cfg, cells, live, out):
+        self.mode, self.cfg, self.out = mode, cfg, out
+        self.convention = cfg.follower_convention
+        self.cells = [cells[i] for i in live]
+        self.pos = live
+        self.params = _stack(self.cells)
+        self.system = _system(self.params, mode, self.convention)
+
+    def drop(self, errors, *carried) -> tuple:
+        """Record errors (None where a cell goes on) and return carried
+        restricted to the other cells."""
+        keep = [e is None for e in errors]
+        if all(keep):
+            return carried
+        for p, e in zip(self.pos, errors):
+            if e is not None:
+                self.out[p] = e
+        self.pos, self.cells = _restrict((self.pos, self.cells), keep)
+        keep = np.array(keep)
+        self.params = _take(self.params, keep)
+        self.system = _system(self.params, self.mode, self.convention)
+        return _restrict(carried, keep)
+
+    def solve(self):
+        mode, cfg = self.mode, self.cfg
+        leading, mask, discs, errors = _leading_branches(self.params, self.system)
+        leading, mask, discs = self.drop(errors, leading, mask, discs)
+        if not self.pos:
+            return
+        alphas = _drift_slopes(self.params, mode, self.convention, leading)
+        pick, errors = _pick(leading[0], alphas, mask)
+        chosen = tuple(x[pick, np.arange(pick.size)] for x in leading)
+        candidates = _candidates(leading, alphas, mask)
+        chosen, candidates, discs = self.drop(errors, chosen, candidates, discs)
+        if not self.pos:
+            return
+        guess, errors = _complete(self.system, chosen)
+        guess, candidates, discs = self.drop(errors, guess, candidates, discs)
+        if not self.pos:
+            return
+        coeffs, worst, errors = _newton(self.system, guess, cfg.tolerance)
+        coeffs, worst, candidates, discs = self.drop(errors, coeffs, worst,
+                                                     candidates, discs)
+        if not self.pos:
+            return
+        if mode is GameMode.STACKELBERG:
+            # the published discriminants at each solution, informational only
+            from . import closed_form
+            for params, v, d in zip(self.cells, coeffs.T.tolist(), discs):
+                printed = closed_form.printed_stackelberg(
+                    params, dict(zip(self.system.names, v)))
+                for key in ("Delta^GS1", "Delta^GS2"):
+                    d[key] = float(printed[key])
+        loop = _closed_loop(self.params, mode, self.convention, coeffs)
+        errors = [None if a < 0.0 else UnstableModelError([a]) for a in loop[2].tolist()]
+        loop, worst, candidates, discs = self.drop(errors, loop, worst, candidates, discs)
+        if not self.pos:
+            return
+        values, policies, alpha, beta = loop
+        H_d = -beta / alpha
+        scan = _scan(mode, self.convention, self.params, values, policies, H_d)
+        errors = [None if not s > cfg.hjb_tolerance else SolverError(
+            f"stationarity-equation residual scan {s:.3e} exceeds "
+            f"configured bound {cfg.hjb_tolerance:.1e}") for s in scan.tolist()]
+        loop, H_d, scan, worst, candidates, discs = self.drop(
+            errors, loop, H_d, scan, worst, candidates, discs)
+        if not self.pos:
+            return
+        values, policies, alpha, beta = loop
+        flags = _flags(policies, beta, H_d)
+        diags = [_diagnostics(cfg, *cell) for cell in
+                 zip(candidates, discs, worst.tolist(), scan.tolist(), flags)]
+        for p, sol in zip(self.pos, _solutions(self.cells, mode, values, policies,
+                                               alpha, beta, H_d, diags)):
+            self.out[p] = sol
+
+
+def _restrict(carried, keep):
+    """carried (arrays along their last axis, lists, and tuples of them)
+    at the cells keep selects; scalars and None are shared by all cells."""
+    if isinstance(carried, tuple):
+        return tuple(_restrict(x, keep) for x in carried)
+    if isinstance(carried, list):
+        return [x for x, k in zip(carried, keep) if k]
+    if isinstance(carried, np.ndarray):
+        return carried[..., keep]
+    return carried
 
 
 def solve_decentralized(params: ModelParams,
@@ -579,26 +861,6 @@ def solve_centralized(params: ModelParams,
     return solve(GameMode.CENTRALIZED, params, cfg)
 
 
-def _flag_subsidy_range(sol: GameSolution, diag: SolutionDiagnostics,
-                        n: int = 81):
-    """Flag, without failing, states where x_f leaves [0, 1)."""
-    pol = sol.policies["retailer"]
-    hi = 2.0 * sol.H_d if sol.H_d > 0 else 1.0
-    grid = np.linspace(0.0, hi, n)
-    den = pol.d1 * grid + pol.d0
-    if np.all(np.abs(den) < 1e-12):
-        diag.flags.append("subsidy rule is 0/0 at every state (undefined subsidy)")
-        return
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = (pol.n1 * grid + pol.n0) / den
-    bad = ~((x >= 0.0) & (x < 1.0))
-    if np.any(bad):
-        lo_bad, hi_bad = grid[bad][0], grid[bad][-1]
-        diag.flags.append(
-            f"x_f outside [0, 1) on part of [0, {hi:.4g}] "
-            f"(first at H = {lo_bad:.4g}, last at H = {hi_bad:.4g})")
-
-
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
@@ -614,88 +876,173 @@ def hjb_residual(solution: GameSolution, params: ModelParams, H):
     printed balances evaluated at H, which is the system they solve. Accepts
     scalar or array H.
     """
-    terms = _stationarity(solution, params, np.asarray(H, dtype=float))
-    return {role: res for role, (_, res) in terms.items()}
+    terms = _stationarity(solution.mode, solution.diagnostics.convention, params,
+                          *_values_and_policies(solution), np.asarray(H, dtype=float))
+    return {role: res for role, (_, res) in zip(solution.values, terms)}
 
 
-def _stationarity(solution: GameSolution, params: ModelParams, H) -> dict:
-    """Per role, (rho*V(H), rho*V(H) - RHS(H))."""
-    mode = solution.mode
-    rho_v = {role: params.rho * V.value(H) for role, V in solution.values.items()}
-    if mode is GameMode.STACKELBERG and \
-            solution.diagnostics.convention == CONVENTION_PRINTED:
+def _values_and_policies(solution: GameSolution) -> tuple:
+    """A solution's (A, B, C) per role, and its policies as _policy_map's
+    rule returns them."""
+    pol_f, pol_r = solution.policies["farmer"], solution.policies["retailer"]
+    subsidy = (((pol_r.n1, pol_r.n0), (pol_r.d1, pol_r.d0))
+               if solution.mode is GameMode.STACKELBERG else None)
+    return (tuple((V.A, V.B, V.C) for V in solution.values.values()),
+            ((pol_f.g1, pol_f.g0), (pol_r.g1, pol_r.g0), subsidy))
+
+
+def _stationarity(mode: GameMode, convention: str, params: ModelParams,
+                  values, policies, H) -> list:
+    """Per role, (rho*V(H), rho*V(H) - RHS(H)); every argument may hold
+    arrays, which broadcast against H."""
+    rho_v = [params.rho * ((A * H + B) * H + C) for A, B, C in values]
+    if mode is GameMode.STACKELBERG and convention == CONVENTION_PRINTED:
         rows = _system(params, mode, CONVENTION_PRINTED).balances(
-            [float(x) for x in _coefficients(solution)])
-        return {role: (rho_v[role], (rows[k] * H + rows[k + 1]) * H + rows[k + 2])
-                for k, role in ((0, "farmer"), (3, "retailer"))}
-    pol_r = solution.policies["retailer"]
-    e_f = solution.policies["farmer"].effort(H)
-    e_r = pol_r.effort(H)
-    x = pol_r.subsidy(H) if mode is GameMode.STACKELBERG else None
+            [x for V in values for x in V])
+        return [(rv, (rows[k] * H + rows[k + 1]) * H + rows[k + 2])
+                for rv, k in zip(rho_v, (0, 3))]
+    (f1, f0), (r1, r0), subsidy = policies
+    e_f, e_r = f1 * H + f0, r1 * H + r0
+    x = None
+    if subsidy is not None:
+        (n1, n0), (d1, d0) = subsidy
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = (n1 * H + n0) / (d1 * H + d0)
     rates = profits.payoff_rates(mode, H, e_f, e_r, x, params)
-    rate = ({"joint": rates.total} if mode is GameMode.CENTRALIZED
-            else {"farmer": rates.net_f, "retailer": rates.net_r})
+    rate = ((rates.total,) if mode is GameMode.CENTRALIZED
+            else (rates.net_f, rates.net_r))
     drift = reduction_drift(H, e_f, e_r, params)
-    return {role: (rho_v[role], rho_v[role] - rate[role] - V.marginal(H) * drift)
-            for role, V in solution.values.items()}
+    return [(rv, rv - r - (2.0 * A * H + B) * drift)
+            for rv, r, (A, B, _) in zip(rho_v, rate, values)]
+
+
+def _scan(mode: GameMode, convention: str, params: ModelParams, values,
+          policies, H_d, n: int = 100) -> np.ndarray:
+    """Max normalized |residual| per cell over n states in [0, 2*H_d]: one
+    payoff_rates call on (state, cell) arrays."""
+    hi = np.where(H_d > 0, 2.0 * H_d, 1.0)
+    worst = None
+    for rho_v, res in _stationarity(mode, convention, params, values, policies,
+                                    np.linspace(0.0, hi, n)):
+        role = np.max(np.abs(res) / (1.0 + np.abs(rho_v)), axis=0)
+        # a later role replaces the first only where it is larger, as max()
+        worst = role if worst is None else np.where(role > worst, role, worst)
+    return worst
 
 
 def residual_scan(solution: GameSolution, params: ModelParams,
                   n: int = 100) -> float:
-    """Max normalized |residual| over n states in [0, 2*H_d]."""
-    hi = 2.0 * solution.H_d if solution.H_d > 0 else 1.0
-    terms = _stationarity(solution, params, np.linspace(0.0, hi, n))
-    return max(float((np.abs(res) / (1.0 + np.abs(rho_v))).max())
-               for rho_v, res in terms.values())
+    """Max normalized |residual| over n states in [0, 2*H_d]: the scan that
+    gates every solve_many cell, for one solution."""
+    return float(_scan(solution.mode, solution.diagnostics.convention,
+                       _stack([params]), *_values_and_policies(solution),
+                       np.array([solution.H_d], dtype=float), n)[0])
 
 
 # ---------------------------------------------------------------------------
-# shared assembly helpers
+# assembly
 # ---------------------------------------------------------------------------
 
-def _diagnostics(cfg: SolverConfig, candidates, alpha_of, discs,
-                 worst_balance: float) -> SolutionDiagnostics:
-    cand_info = [{"coefficients": [float(x) for x in c],
-                  "alpha": float(alpha_of(c))} for c in candidates]
-    stable = [c for c in cand_info if c["alpha"] < 0.0]
+def _closed_loop(params: ModelParams, mode: GameMode, convention: str, coeffs):
+    """Values by role, policies from the policy map, and the drift slope and
+    intercept of coefficient vectors (k, n)."""
+    values = _VALUES[mode](list(coeffs))
+    e_f, e_r, subsidy = _policy_map(params, mode, convention)(values[0], values[-1])
+    alpha = params.mu_f * e_f[0] + params.mu_r * e_r[0] - params.delta
+    beta = params.mu_f * e_f[1] + params.mu_r * e_r[1]
+    return values, (e_f, e_r, subsidy), alpha, beta
+
+
+def _solutions(cells, mode: GameMode, values, policies, alpha, beta, H_d,
+               diags) -> list:
+    """One GameSolution per cell, in Python floats."""
+    def per_cell(x):   # an (n,) array, or a constant such as gd's retailer A
+        return x.tolist() if isinstance(x, np.ndarray) else [x] * len(cells)
+
+    e_f, e_r, subsidy = policies
+    V = [[per_cell(x) for x in role] for role in values]
+    pol_f = [per_cell(x) for x in e_f]
+    pol_r = [per_cell(x) for x in e_r + (subsidy[0] + subsidy[1] if subsidy else ())]
+    roles = _UNKNOWNS[mode][1]
+    return [GameSolution(
+        mode=mode, params=params,
+        values={role: QuadraticValue(*(x[i] for x in V[r]), role=role)
+                for r, role in enumerate(roles)},
+        policies={"farmer": FeedbackPolicy(*(x[i] for x in pol_f)),
+                  "retailer": FeedbackPolicy(*(x[i] for x in pol_r))},
+        alpha=a, beta=b, H_d=h, diagnostics=diag)
+        for i, (params, a, b, h, diag) in enumerate(zip(
+            cells, per_cell(alpha), per_cell(beta), per_cell(H_d), diags))]
+
+
+def _assemble(params: ModelParams, mode: GameMode, convention: Optional[str],
+              coeffs, diag: SolutionDiagnostics) -> GameSolution:
+    """The solution at a coefficient vector: values by role, policies from
+    the policy map, and the closed-loop drift alpha*H + beta."""
+    values, policies, alpha, beta = _closed_loop(
+        _stack([params]), mode, convention, np.array(coeffs, dtype=float)[:, None])
+    return _solutions([params], mode, values, policies, alpha, beta,
+                      -beta / alpha, [diag])[0]
+
+
+def _candidates(leading, alphas, mask) -> list:
+    """Per cell, every branch's leading coefficients and drift slope."""
+    # [cell][branch] lists, one per leading unknown, then the slopes and mask
+    coords = [x.T.tolist() for x in leading]
+    alphas, mask = alphas.T.tolist(), mask.T.tolist()
+    return [[{"coefficients": [c[i][k] for c in coords], "alpha": alphas[i][k]}
+             for k in range(len(mask[i])) if mask[i][k]]
+            for i in range(len(mask))]
+
+
+def _diagnostics(cfg: SolverConfig, candidates, discs, worst_balance: float,
+                 scan: float, flags) -> SolutionDiagnostics:
+    stable = sum(c["alpha"] < 0.0 for c in candidates)
     diag = SolutionDiagnostics(
         backend=BACKEND_RESIDUAL,
         convention=cfg.follower_convention,
         root_branch="negative square-root branch (stable, alpha < 0)",
-        discriminants={k: float(v) for k, v in discs.items()},
-        candidates=cand_info,
-        ambiguous_stable_roots=len(stable) > 1,
+        discriminants=discs,
+        max_hjb_residual=scan,
+        candidates=candidates,
+        ambiguous_stable_roots=stable > 1,
+        flags=flags,
     )
-    if len(stable) > 1:
+    if stable > 1:
         diag.notes.append(
-            f"{len(stable)} stable branches; picked smallest |leading coefficient|")
+            f"{stable} stable branches; picked smallest |leading coefficient|")
     diag.notes.append(f"max collected-balance residual (normalized) {worst_balance:.3e}")
     return diag
 
 
-def _finish(sol: GameSolution, params: ModelParams, cfg: SolverConfig) -> GameSolution:
-    if not sol.alpha < 0.0:
-        raise UnstableModelError([sol.alpha])
-    scan = residual_scan(sol, params)
-    sol.diagnostics.max_hjb_residual = scan
-    if scan > cfg.hjb_tolerance:
-        raise SolverError(
-            f"stationarity-equation residual scan {scan:.3e} exceeds "
-            f"configured bound {cfg.hjb_tolerance:.1e}")
-    if sol.beta < 0.0:
-        sol.diagnostics.flags.append(
-            f"beta = {sol.beta:.6g} < 0 despite nonnegative payoff prices"
-            if min(params.p_f, params.p_r, params.p_c, params.p) >= 0.0
-            else f"beta = {sol.beta:.6g} < 0")
-    _flag_negative_efforts(sol)
-    return sol
-
-
-def _flag_negative_efforts(sol: GameSolution, n: int = 81):
-    hi = 2.0 * sol.H_d if sol.H_d > 0 else 1.0
+def _flags(policies, beta, H_d, n: int = 81) -> list:
+    """Per cell, the warnings a solution carries without failing: x_f
+    leaving [0, 1) (gs), beta < 0, and negative efforts, on n states in
+    [0, 2*H_d]."""
+    hi = np.where(H_d > 0, 2.0 * H_d, 1.0)
     grid = np.linspace(0.0, hi, n)
-    for role, pol in sol.policies.items():
-        e = pol.effort(grid)
-        if np.any(e < 0.0):
-            sol.diagnostics.flags.append(
-                f"{role} effort negative on part of [0, {hi:.4g}] (unclamped)")
+    his = hi.tolist()
+    flags = [[] for _ in his]
+    (f1, f0), (r1, r0), subsidy = policies
+    if subsidy is not None:
+        (n1, n0), (d1, d0) = subsidy
+        den = d1 * grid + d0
+        undefined = np.all(np.abs(den) < 1e-12, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = (n1 * grid + n0) / den
+        bad = ~((x >= 0.0) & (x < 1.0))
+        first = grid[np.argmax(bad, axis=0), np.arange(len(his))].tolist()
+        last = grid[n - 1 - np.argmax(bad[::-1], axis=0), np.arange(len(his))].tolist()
+        for i in np.flatnonzero(undefined | bad.any(axis=0)).tolist():
+            flags[i].append(
+                "subsidy rule is 0/0 at every state (undefined subsidy)" if undefined[i]
+                else f"x_f outside [0, 1) on part of [0, {his[i]:.4g}] "
+                     f"(first at H = {first[i]:.4g}, last at H = {last[i]:.4g})")
+    for i, b in enumerate(beta.tolist()):
+        if b < 0.0:   # validated prices are nonnegative
+            flags[i].append(f"beta = {b:.6g} < 0 despite nonnegative payoff prices")
+    for role, (g1, g0) in (("farmer", (f1, f0)), ("retailer", (r1, r0))):
+        for i in np.flatnonzero(np.any(g1 * grid + g0 < 0.0, axis=0)).tolist():
+            flags[i].append(
+                f"{role} effort negative on part of [0, {his[i]:.4g}] (unclamped)")
+    return flags

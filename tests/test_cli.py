@@ -257,11 +257,19 @@ def _fresh_process(argv, block):
     return [name for name in loaded.split(",") if name]
 
 
-@pytest.mark.parametrize("argv", [[], ["solve", "--mode", "all"], ["compare"]],
-                         ids=["import", "solve", "compare"])
+@pytest.mark.parametrize("argv", [[], ["solve", "--mode", "all"], ["compare"],
+                                  ["sweep"]],
+                         ids=["import", "solve", "compare", "sweep"])
 def test_runtime_paths_run_with_scipy_blocked(argv, tmp_path):
     if argv == ["compare"]:
         argv = ["compare", "--out", str(tmp_path / "cmp")]
+    if argv == ["sweep"]:
+        # 40 points per mode through the batched solver, some past the
+        # gd and gc complex-root thresholds
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"sweep": {"parameter": "p_c", "min": 0.0,
+                                                "max": 2.5, "count": 40}}))
+        argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "sw")]
     assert _fresh_process(argv, block=True) == []
 
 

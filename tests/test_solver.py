@@ -5,6 +5,8 @@ sympy re-derivation with a multistart root finder (tests/oracle_ref.py).
 """
 
 import dataclasses
+import json
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from carbongame import (
     ComplexRootError,
     GameMode,
+    GameSolution,
     ModelParams,
     ParameterError,
     QuadraticValue,
@@ -25,10 +28,11 @@ from carbongame import (
     solve,
     solve_centralized,
     solve_decentralized,
+    solve_many,
     solve_stackelberg,
 )
 from carbongame import closed_form, solver
-from carbongame.profits import payoff_rates
+from carbongame.profits import payoff_rates, value_at
 from carbongame.solver import (
     BACKEND_CLOSED_FORM,
     CONVENTION_PRINTED,
@@ -346,6 +350,113 @@ def test_random_parameter_sets_solve_cleanly(logs):
         assert residual_scan(sol, params) <= cfg.hjb_tolerance, name
 
 
+def _outcome(mode, params, cfg):
+    try:
+        return solve(mode, params, cfg)
+    except (ParameterError, SolverError) as exc:
+        return exc
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(_CONFIGS)))
+def test_solve_many_is_solve_cell_by_cell(seed, name):
+    # e^+-3 draws reach every outcome class: solutions, complex roots,
+    # unstable branches, no real gs branch and the balance gate; one cell
+    # per batch fails validation
+    rng = np.random.default_rng(seed)
+    cells = [_drawn_params(rng.uniform(-3.0, 3.0, len(_DRAWN))) for _ in range(10)]
+    cells[int(rng.integers(len(cells)))] = cells[0].replace(lambda_f=-1.0)
+    cfg = _CONFIGS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        batch = solve_many(name[:2], cells, cfg)
+    assert len(batch) == len(cells)
+    for params, got in zip(cells, batch):
+        expected = _outcome(name[:2], params, cfg)
+        assert type(got) is type(expected)
+        if isinstance(expected, Exception):
+            assert str(got) == str(expected)
+            continue
+        assert solver._coefficients(got) == solver._coefficients(expected)
+        assert (got.alpha, got.beta, got.H_d) == (expected.alpha, expected.beta,
+                                                  expected.H_d)
+        assert json.dumps(got.diagnostics.to_dict(), sort_keys=True) == \
+            json.dumps(expected.diagnostics.to_dict(), sort_keys=True)
+
+
+def test_solve_many_keeps_input_order_and_validates_each_cell():
+    cells = [ModelParams(), ModelParams(lambda_f=-1.0), ModelParams(p_c=2.5),
+             ModelParams(p=200.0), ModelParams(p_c=0.0)]
+    out = solve_many("gd", cells)
+    assert [type(x) for x in out] == [GameSolution, ParameterError,
+                                      ComplexRootError, ParameterError,
+                                      GameSolution]
+    assert "lambda_f > 0 violated" in str(out[1])
+    assert out[4].params.p_c == 0.0
+    assert solve_many("gc", []) == []
+
+
+@pytest.mark.parametrize("cfg, gate", [
+    (SolverConfig(tolerance=1e-300), "collected balance"),
+    (SolverConfig(hjb_tolerance=1e-300), "stationarity-equation residual scan")],
+    ids=["balance-gate", "scan-gate"])
+@pytest.mark.parametrize("mode", ["gd", "gs", "gc"])
+def test_solve_many_gates_each_cell_as_solve_does(mode, cfg, gate):
+    # bounds no solution meets: every cell that reaches a gate leaves the
+    # batch there, beside cells that fail earlier (validation, and complex
+    # roots in gd and gc)
+    cells = [ModelParams(), ModelParams(lambda_f=-1.0), ModelParams(p_c=2.5),
+             ModelParams(mu_f=1.3)]
+    batch = solve_many(mode, cells, cfg)
+    for params, got in zip(cells, batch):
+        expected = _outcome(mode, params, cfg)
+        assert type(got) is type(expected) and str(got) == str(expected)
+    assert str(batch[0]).startswith(gate) and str(batch[3]).startswith(gate)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=len(_DRAWN), max_size=len(_DRAWN)))
+def test_sink_trading_never_lowers_the_farmer_or_joint_value(logs):
+    # at H0 over e^+-1 draws in gd (farmer) and gc (joint); in gs only over
+    # e^+-0.2: wider draws break it for the farmer where x_f(H_d) < 0
+    wide, narrow = _drawn_params(logs), _drawn_params([0.2 * x for x in logs])
+    for mode, role, params in (("gd", "farmer", wide), ("gc", "joint", wide),
+                               ("gs", "farmer", narrow)):
+        on, off = solve_many(mode, [params, params.without_sink_trading()])
+        if isinstance(on, Exception) or isinstance(off, Exception):
+            continue
+        assert value_at(on, role, params.H0) >= value_at(off, role, params.H0), mode
+
+
+def _branches(cells) -> list:
+    """Per cell, the (A, M) branches _eliminate finds for coefficient rows
+    (a, b, g0, g1, g2)."""
+    a, b, g0, g1, g2 = (np.array(x, dtype=float) for x in zip(*cells))
+    A, M, mask = solver._eliminate(a, b, g0, g1, g2)
+    return [list(zip(A[mask[:, i], i].tolist(), M[mask[:, i], i].tolist()))
+            for i in range(len(cells))]
+
+
+def test_gs_elimination_takes_m_from_the_leader_row_where_b_vanishes():
+    # the farmer row a(A) + b(A)*M with a(0) = b(0) = 0 makes A = 0 a root of
+    # the quartic at which M = -a/b is 0/0; the leader row, here
+    # g0(0) + g1(0)*M + g2*M^2 = (M - 1)*(M - 2), must give M instead
+    a, b, g0, g1, g2 = special = ([0.0, 1.5, -0.5], [0.0, 2.0],
+                                  [2.0, 0.3, 0.7], [-3.0, 0.4], 1.0)
+    alone = _branches([special])[0]
+    assert alone == [(0.0, 1.0), (0.0, 2.0)]
+    for A, M in alone:
+        assert np.polyval(b[::-1], A) == 0.0
+        assert np.polyval(g0[::-1], A) + np.polyval(g1[::-1], A) * M + g2 * M * M == 0.0
+    # in a batch with ordinary cells every cell gets what it gets alone
+    rng = np.random.default_rng(7)
+    cells = [(rng.normal(size=3), rng.normal(size=2), rng.normal(size=3),
+              rng.normal(size=2), rng.normal()) for _ in range(3)]
+    cells.insert(1, special)
+    assert _branches(cells) == [_branches([cell])[0] for cell in cells]
+    assert all(_branches([cell])[0] for cell in cells)
+
+
 @pytest.mark.parametrize("draw", [17, 22, 153, 200])
 def test_polish_reaches_the_root_of_ill_conditioned_gs_draws(draw):
     # e^+-1 draws whose leader H^2 balance cancels to its rounding floor; a
@@ -442,8 +553,9 @@ def test_gd_discriminant_near_zero_is_accurate_and_sets_the_error_class(offset):
     else:
         with pytest.raises(UnstableModelError):
             solve_decentralized(params)
-        _, discs = solver._leading_branches(params, decentralized_system(params))
-        reported = discs["Delta^GD"]
+        stacked = solver._stack([params])
+        _, _, discs, _ = solver._leading_branches(stacked, decentralized_system(stacked))
+        reported = discs[0]["Delta^GD"]
     assert abs(reported - expected) <= 1e-8
 
 
