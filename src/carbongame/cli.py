@@ -29,7 +29,7 @@ from .experiments import (
 )
 from .model import GameMode, ParameterError
 from .oracle import OracleError
-from .simulate import simulate, trajectory_table
+from .simulate import SimulationError, simulate, trajectory_table
 from . import solver
 from .solver import SolverError, solve
 
@@ -204,8 +204,8 @@ def main(argv: Optional[list] = None) -> int:
     try:
         config = _build_config(args)
         return args.handler(config)
-    except (ConfigError, ParameterError, SolverError, OracleError,
-            OSError, ValueError) as exc:
+    except (ConfigError, ParameterError, SolverError, SimulationError,
+            OracleError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,7 +30,7 @@ from .model import (
     ParameterError,
     validate_params,
 )
-from .simulate import SimConfig, simulate, trajectory_table
+from .simulate import SimConfig, SimulationError, simulate, trajectory_table
 from . import solver
 from .solver import SolverConfig, SolverError, residual_scan, solve, solve_many
 
@@ -433,7 +433,8 @@ def run_compare(config: ScenarioConfig) -> dict:
             solution = solve(mode, params, config.solver)
             trajectory = simulate(solution, config.sim, params)
             error = None
-        except (SolverError, ParameterError, ValueError) as exc:
+        except (SolverError, SimulationError, ParameterError,
+                ValueError) as exc:
             solution, error = None, str(exc)
         rows.append(_summary_row(mode, sink, params, solution, error))
         cell_report = {
@@ -577,7 +578,7 @@ def run_verify(config: ScenarioConfig) -> dict:
                     "metric": float(delta),
                     "tolerance": VERIFY_VALUE_TOL,
                 })
-        except (profits.HorizonError, ValueError) as exc:
+        except (profits.HorizonError, SimulationError, ValueError) as exc:
             checks.append({"name": f"value-consistency-{mode.value}",
                            "passed": False, "note": str(exc)})
         try:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -79,6 +80,9 @@ class SimConfig:
             raise ValueError(
                 f"integrator must be {INTEGRATOR_EXACT!r} or {INTEGRATOR_RK4!r}, "
                 f"got {self.integrator!r}")
+        if self.H0 is not None and not (math.isfinite(self.H0) and self.H0 >= 0):
+            raise ValueError(f"H0 must be None or a finite number >= 0, "
+                             f"got {self.H0}")
 
     @property
     def steps(self) -> int:
@@ -163,26 +167,39 @@ def integrate_trajectory(solution: GameSolution,
 
     The drift is evaluated through the policy rules and the model drift
     primitive at every stage, keeping this route independent of the solved
-    (alpha, beta) aggregation.
+    (alpha, beta) aggregation. The steps run on Python floats and the path
+    becomes an array once at the end: float64 arithmetic rounds the same on
+    Python floats as on numpy scalars, so the samples are the same, without
+    numpy's per-scalar overhead.
+
+    Raises SimulationError when a sample is not finite (a step outside the
+    integrator's stability region), naming h and the first such time.
     """
     params = solution.params if params is None else params
-    pol_f = solution.policies["farmer"]
-    pol_r = solution.policies["retailer"]
+    effort_f = solution.policies["farmer"].effort
+    effort_r = solution.policies["retailer"].effort
 
     def drift(H):
-        return reduction_drift(H, pol_f.effort(H), pol_r.effort(H), params)
+        return reduction_drift(H, effort_f(H), effort_r(H), params)
 
-    t = simcfg.times()
-    H = np.empty_like(t)
-    H[0] = _initial_level(solution, simcfg, params)
     h = simcfg.h
-    for i in range(simcfg.steps):
-        y = H[i]
+    y = _initial_level(solution, simcfg, params)
+    path = [y]
+    for _ in range(simcfg.steps):
         k1 = drift(y)
         k2 = drift(y + 0.5 * h * k1)
         k3 = drift(y + 0.5 * h * k2)
         k4 = drift(y + h * k3)
-        H[i + 1] = y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        y = y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        path.append(y)
+    t = simcfg.times()
+    H = np.array(path, dtype=float)
+    finite = np.isfinite(H)
+    if not finite.all():
+        raise SimulationError(
+            f"{INTEGRATOR_RK4} path is not finite from t = "
+            f"{float(t[finite.argmin()])!r} on: step h = {h!r} is outside the "
+            "integrator's stability region")
     return _fill_series(solution, params, t, H, INTEGRATOR_RK4)
 
 
@@ -226,19 +243,28 @@ def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(dt * (y[1:] + y[:-1]) / 2.0)))
 
 
+@lru_cache(maxsize=4)
+def _formatted_column(raw: bytes) -> tuple:
+    """repr of each float64 in raw; keyed on the bytes themselves, so a
+    column changed in place is formatted afresh."""
+    return tuple(map(repr, np.frombuffer(raw).tolist()))
+
+
 def trajectory_table(trajectory: Trajectory) -> str:
     """Serialize to a comma-delimited table with the fixed column order.
 
     Floats use shortest round-trip formatting; x_f cells are empty outside
-    the Stackelberg mode; flag is 0/1.
+    the Stackelberg mode; flag is 0/1. The time column, the same in every
+    table of a run, is formatted once and reused while its bytes match.
     """
     x_f = trajectory.x_f if trajectory.mode is GameMode.STACKELBERG else None
+    t = _formatted_column(np.asarray(trajectory.t, dtype=float).tobytes())
     cols = [[""] * len(trajectory) if col is None
             else list(map(repr, np.asarray(col, dtype=float).tolist()))
-            for col in (trajectory.t, trajectory.H, trajectory.E_f,
+            for col in (trajectory.H, trajectory.E_f,
                         trajectory.E_r, x_f, trajectory.Q, trajectory.D,
                         trajectory.F, trajectory.payoff_f, trajectory.payoff_r,
                         trajectory.disc_cum_f, trajectory.disc_cum_r)]
-    flags = [str(int(f)) for f in trajectory.flag.tolist()]
-    rows = map(",".join, zip(*cols, flags))
+    flags = np.where(trajectory.flag, "1", "0").tolist()
+    rows = map(",".join, zip(t, *cols, flags))
     return "\n".join([",".join(TRAJECTORY_COLUMNS), *rows]) + "\n"

@@ -217,6 +217,30 @@ def test_errors_reach_stderr_with_exit_one(capsys, tmp_path):
     assert "lambda_f > 0 violated" in err
 
 
+@pytest.mark.parametrize("command", ["compare", "simulate", "verify"])
+def test_negative_initial_level_is_a_config_error(capsys, tmp_path, command):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"sim": {"H0": -1.0}}))
+    code, out, err = _run(capsys, [command, "--config", str(path),
+                                   "--mode", "gd"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "H0 must be None or a finite number >= 0, got -1.0" in err
+
+
+def test_diverging_rk4_step_exits_one(capsys, tmp_path):
+    path = tmp_path / "rk4.json"
+    path.write_text(json.dumps({"sim": {"integrator": "fourth-order-fixed-step"}}))
+    code, out, err = _run(capsys, ["simulate", "--config", str(path),
+                                   "--mode", "gd", "--horizon", "4000",
+                                   "--step", "10"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: fourth-order-fixed-step path is not finite")
+    assert "step h = 10.0" in err
+
+
 def test_unknown_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])

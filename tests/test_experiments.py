@@ -255,6 +255,20 @@ def test_compare_records_failures_as_rows():
     assert report_bad[0]["status"].startswith("error: unstable model")
 
 
+DIVERGING_RK4 = SimConfig(T=4000.0, h=10.0, integrator="fourth-order-fixed-step")
+
+
+def test_compare_records_a_diverging_rk4_step_as_the_cell_error():
+    artifacts = run_compare(ScenarioConfig(modes="gd", sim=DIVERGING_RK4))
+    cells = _summary_by_cell(artifacts)
+    assert set(cells) == {("gd", "on"), ("gd", "off")}
+    for cell in cells.values():
+        assert cell["status"].startswith("error: fourth-order-fixed-step path "
+                                         "is not finite from t = ")
+        assert "step h = 10.0" in cell["status"]
+    assert not any(name.startswith("trajectory_") for name in artifacts)
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -354,6 +368,17 @@ def test_verify_reports_failures_without_raising():
     solve_check = [c for c in report["checks"] if c["name"] == "solve-gc"][0]
     assert solve_check["passed"] is False
     assert "unstable model" in solve_check["note"]
+
+
+def test_verify_fails_value_consistency_on_a_diverging_rk4_step():
+    report = run_verify(ScenarioConfig(modes="gd", sim=DIVERGING_RK4))
+    report = report["run_report.json"]
+    assert report["passed"] is False
+    check = [c for c in report["checks"]
+             if c["name"] == "value-consistency-gd"][0]
+    assert check["passed"] is False
+    assert "is not finite from t = " in check["note"]
+    assert "step h = 10.0" in check["note"]
 
 
 def test_emit_results_writes_and_reports_paths(tmp_path):

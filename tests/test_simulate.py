@@ -14,6 +14,7 @@ from carbongame import (
     SimConfig,
     SimulationError,
     SolverConfig,
+    SolverError,
     TRAJECTORY_COLUMNS,
     exact_trajectory,
     integrate_trajectory,
@@ -24,7 +25,7 @@ from carbongame import (
     steady_state_bisect,
     trajectory_table,
 )
-from carbongame.model import SolutionDiagnostics
+from carbongame.model import SolutionDiagnostics, reduction_drift
 from carbongame.simulate import INTEGRATOR_EXACT, INTEGRATOR_RK4, simulate
 from carbongame.solver import CONVENTION_PRINTED
 
@@ -53,8 +54,10 @@ def test_initial_level_is_exact():
     assert exact_trajectory(sol).H[0] == 0.1
     custom = exact_trajectory(sol, SimConfig(H0=2.0))
     assert custom.H[0] == 2.0
+    # SimConfig refuses a negative H0 itself; unvalidated params still reach
+    # the simulator's own check
     with pytest.raises(SimulationError, match="H0 must be >= 0"):
-        exact_trajectory(sol, SimConfig(H0=-0.5))
+        exact_trajectory(sol, params=ModelParams(H0=-0.5))
 
 
 def test_path_approaches_the_steady_state_monotonically():
@@ -109,6 +112,11 @@ def test_sim_config_validation_messages():
         SimConfig(T=1.0, h=0.3)
     with pytest.raises(ValueError, match="integrator must be"):
         SimConfig(integrator="euler")
+    for bad in (-0.5, -1e-300, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="H0 must be None or a finite "
+                                             "number >= 0"):
+            SimConfig(H0=bad)
+    assert SimConfig(H0=0.0).H0 == 0.0
     cfg = SimConfig(T=2.0, h=0.5)
     assert cfg.steps == 4
     assert cfg.times() == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0])
@@ -211,6 +219,115 @@ def test_trajectory_table_matches_the_per_cell_formatter(solver):
     assert text == _per_cell_table(traj)
     assert {"nan", "inf", "-inf", "-0.0"} <= set(text.replace("\n", ",").split(","))
     assert text.splitlines()[7].endswith(",1")
+
+
+def test_time_column_cache_follows_the_column_bytes():
+    sol = solve_stackelberg(ModelParams())
+    # back to back with different steps, then each again
+    coarse = exact_trajectory(sol, SimConfig(T=1.0, h=0.25))
+    fine = exact_trajectory(sol, SimConfig(T=1.0, h=0.1))
+    for traj in (coarse, fine, coarse, fine):
+        assert trajectory_table(traj) == _per_cell_table(traj)
+    # a time column changed in place after a first call
+    trajectory_table(fine)
+    fine.t[3] = 0.3125
+    fine.t[-1] = -0.0
+    assert trajectory_table(fine) == _per_cell_table(fine)
+    assert trajectory_table(fine).splitlines()[4].startswith("0.3125,")
+    assert trajectory_table(fine).splitlines()[-1].startswith("-0.0,")
+
+
+@pytest.mark.parametrize("flag", [False, True], ids=["all-0", "all-1"])
+def test_uniform_flag_columns_match_the_per_cell_formatter(flag):
+    traj = exact_trajectory(solve_decentralized(ModelParams()),
+                            SimConfig(T=1.0, h=0.1))
+    traj.flag[:] = flag
+    text = trajectory_table(traj)
+    assert text == _per_cell_table(traj)
+    assert {line[-1] for line in text.splitlines()[1:]} == {str(int(flag))}
+
+
+# --- the Python-float RK4 loop reproduces the numpy-scalar one ---------------
+
+def _numpy_scalar_rk4(solution, simcfg, params):
+    """The RK4 path stepped on numpy float64 scalars, H[i] to H[i + 1]."""
+    pol_f = solution.policies["farmer"]
+    pol_r = solution.policies["retailer"]
+
+    def drift(H):
+        return reduction_drift(H, pol_f.effort(H), pol_r.effort(H), params)
+
+    t = simcfg.times()
+    H = np.empty_like(t)
+    H[0] = params.H0 if simcfg.H0 is None else simcfg.H0
+    h = simcfg.h
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(simcfg.steps):
+            y = H[i]
+            k1 = drift(y)
+            k2 = drift(y + 0.5 * h * k1)
+            k3 = drift(y + 0.5 * h * k2)
+            k4 = drift(y + h * k3)
+            H[i + 1] = y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    return H
+
+
+def _rk4_solutions():
+    yield from _reference_solutions()
+    for mode in GameMode:
+        params = ModelParams().without_sink_trading()
+        yield f"baseline-no-sink-{mode.value}", solve(mode, params)
+    rng = np.random.default_rng(2024)
+    names = ("lambda_f", "lambda_r", "mu_f", "mu_r", "omega", "p_c",
+             "delta", "rho", "theta")
+    drawn = 0
+    while drawn < 4:
+        factors = np.exp(rng.uniform(-1.0, 1.0, len(names)))
+        base = ModelParams()
+        params = base.replace(**{name: getattr(base, name) * float(f)
+                                 for name, f in zip(names, factors)})
+        mode = list(GameMode)[drawn % 3]
+        try:
+            solution = solve(mode, params)
+        except SolverError:    # no stable real root at this draw
+            continue
+        drawn += 1
+        yield f"draw-{drawn}-{mode.value}", solution
+
+
+def test_rk4_path_is_bit_identical_to_the_numpy_scalar_loop():
+    seen = 0
+    for name, sol in _rk4_solutions():
+        # the h = 0.005 path stops at T = 10 to keep the reference loop short
+        for h, T in ((0.01, 40.0), (0.005, 10.0), (0.25, 40.0)):
+            cfg = SimConfig(T=T, h=h, integrator=INTEGRATOR_RK4)
+            got = integrate_trajectory(sol, cfg).H
+            expected = _numpy_scalar_rk4(sol, cfg, sol.params)
+            assert np.array_equal(got, expected), (name, h)
+        seen += 1
+    assert seen == 14 + 3 + 4
+
+
+def test_diverging_rk4_step_is_an_error_naming_h_and_the_first_time():
+    sol = _solved("baseline")
+    cfg = SimConfig(T=4000.0, h=10.0, integrator=INTEGRATOR_RK4)
+    reference = _numpy_scalar_rk4(sol, cfg, sol.params)
+    first = float(cfg.times()[~np.isfinite(reference)][0])
+    with pytest.raises(SimulationError) as excinfo:
+        integrate_trajectory(sol, cfg)
+    message = str(excinfo.value)
+    assert f"t = {first!r} on" in message
+    assert "step h = 10.0" in message
+
+
+def test_finite_unstable_rk4_path_is_flagged_not_an_error():
+    sol = _solved("baseline")
+    cfg = SimConfig(T=40.0, h=5.0, integrator=INTEGRATOR_RK4)
+    traj = integrate_trajectory(sol, cfg)
+    assert np.isfinite(traj.H).all()
+    assert np.array_equal(traj.H, _numpy_scalar_rk4(sol, cfg, sol.params))
+    assert traj.flag.any() and (traj.H < 0.0).any()
+    assert trajectory_table(traj) == _per_cell_table(traj)
 
 
 # --- the numpy replacements equal scipy's routines ---------------------------
