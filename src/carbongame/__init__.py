@@ -40,9 +40,6 @@ from .solver import (
     select_stable_root,
     solve,
     solve_many,
-    solve_centralized,
-    solve_decentralized,
-    solve_stackelberg,
 )
 from .profits import (
     HorizonError,
@@ -134,9 +131,6 @@ __all__ = [
     "select_stable_root",
     "solve",
     "solve_many",
-    "solve_centralized",
-    "solve_decentralized",
-    "solve_stackelberg",
     "steady_state",
     "steady_state_bisect",
     "supply",

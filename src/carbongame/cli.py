@@ -18,9 +18,7 @@ from .experiments import (
     ALL_MODES,
     ConfigError,
     ScenarioConfig,
-    _config_echo,
-    _timestamp,
-    _versions,
+    _report,
     emit_results,
     load_config,
     run_compare,
@@ -109,9 +107,7 @@ def _cmd_solve(config: ScenarioConfig) -> int:
                              "diagnostics": solution.diagnostics.to_dict()})
     print("\n\n".join(blocks))
     if config.out:
-        report = {"command": "solve", "timestamp": _timestamp(),
-                  "versions": _versions(), "config": _config_echo(config),
-                  "cells": report_cells}
+        report = _report("solve", config, cells=report_cells)
         for path in emit_results({"run_report.json": report}, config.out):
             print(f"wrote {path}", file=sys.stderr)
     return 0
@@ -129,9 +125,7 @@ def _cmd_simulate(config: ScenarioConfig) -> int:
     if config.out is None:
         print(next(iter(artifacts.values())), end="")
         return 0
-    report = {"command": "simulate", "timestamp": _timestamp(),
-              "versions": _versions(), "config": _config_echo(config)}
-    artifacts["run_report.json"] = report
+    artifacts["run_report.json"] = _report("simulate", config)
     for path in emit_results(artifacts, config.out):
         print(f"wrote {path}", file=sys.stderr)
     return 0

@@ -228,7 +228,7 @@ def _printed_gd(params, residual_cfg):
     printed = printed_decentralized(params)
     if printed["Delta^GD"] < 0.0:
         raise solver.ComplexRootError("Delta^GD", printed["Delta^GD"])
-    reference = solver.solve_decentralized(params, residual_cfg)
+    reference = solver.solve(GameMode.DECENTRALIZED, params, residual_cfg)
     names = solver._UNKNOWNS[GameMode.DECENTRALIZED][0]
     comparison = dict(printed)
     comparison["residual backend"] = dict(zip(names, solver._coefficients(reference)))
@@ -240,8 +240,8 @@ def _printed_gd(params, residual_cfg):
 
 
 def _printed_gs(params, residual_cfg):
-    anchor = dict(zip(solver._UNKNOWNS[GameMode.STACKELBERG][0],
-                      solver._coefficients(solver.solve_stackelberg(params, residual_cfg))))
+    anchor = dict(zip(solver._UNKNOWNS[GameMode.STACKELBERG][0], solver._coefficients(
+        solver.solve(GameMode.STACKELBERG, params, residual_cfg))))
     printed = printed_stackelberg(params, anchor)
     comparison = dict(printed)
     comparison["relative gaps"] = {

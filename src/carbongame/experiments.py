@@ -268,7 +268,7 @@ def load_config(path) -> ScenarioConfig:
         kwargs["out"] = doc["out"]
     kwargs["sim"] = _parse_section(
         doc, "sim", SimConfig,
-        {"T": float, "h": float, "integrator": str, "H0": float})
+        {"T": float, "h": float, "integrator": str})
     kwargs["solver"] = _parse_section(
         doc, "solver", SolverConfig,
         {"backend": str, "tolerance": float, "hjb_tolerance": float,
@@ -322,6 +322,13 @@ def _json_default(obj):
     if isinstance(obj, GameMode):
         return obj.value
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _report(command: str, config: ScenarioConfig, **body) -> dict:
+    """A run report: the command, the run's one timestamp, the library
+    versions and the config echo, then the command's own entries."""
+    return {"command": command, "timestamp": _timestamp(),
+            "versions": _versions(), "config": _config_echo(config), **body}
 
 
 def _config_echo(config: ScenarioConfig) -> dict:
@@ -452,14 +459,8 @@ def run_compare(config: ScenarioConfig) -> dict:
             cell_report["metrics"] = _solution_metrics(solution)
         report_cells.append(cell_report)
     summary = _csv_table(SUMMARY_COLUMNS, rows)
-    report = {
-        "command": "compare",
-        "timestamp": _timestamp(),
-        "versions": _versions(),
-        "config": _config_echo(config),
-        "cells": report_cells,
-    }
-    return {"summary.csv": summary, **artifacts, "run_report.json": report}
+    return {"summary.csv": summary, **artifacts,
+            "run_report.json": _report("compare", config, cells=report_cells)}
 
 
 def _sweep_argmax(rows_meta) -> list:
@@ -523,20 +524,16 @@ def run_sweep(spec: Optional[SweepSpec], config: ScenarioConfig) -> dict:
                 rows_meta.append({"mode": mode.value, "value": value,
                                   "metrics": {name: metrics.get(name)
                                               for name in spec.responses}})
-    report = {
-        "command": "sweep",
-        "timestamp": _timestamp(),
-        "versions": _versions(),
-        "config": _config_echo(config),
-        "sweep": {
+    report = _report(
+        "sweep", config,
+        sweep={
             "parameter": spec.parameter,
             "values": list(spec.values),
             "responses": list(spec.responses),
             "modes": [m.value for m in modes],
         },
-        "argmax": _sweep_argmax(rows_meta),
-        "failed_rows": sum(1 for row in rows if row[-1] != "ok"),
-    }
+        argmax=_sweep_argmax(rows_meta),
+        failed_rows=sum(1 for row in rows if row[-1] != "ok"))
     return {"sweep.csv": _csv_table(header, rows), "run_report.json": report}
 
 
@@ -624,15 +621,8 @@ def run_verify(config: ScenarioConfig) -> dict:
             "note": "total steady-state value must rank gc > gs > gd",
         })
     passed = all(check["passed"] for check in checks)
-    report = {
-        "command": "verify",
-        "timestamp": _timestamp(),
-        "versions": _versions(),
-        "config": _config_echo(config),
-        "passed": passed,
-        "checks": checks,
-    }
-    return {"run_report.json": report}
+    return {"run_report.json": _report("verify", config, passed=passed,
+                                       checks=checks)}
 
 
 def emit_results(artifacts: dict, directory) -> list:

@@ -303,9 +303,6 @@ class GameSolution:
     def roles(self) -> tuple:
         return tuple(self.values.keys())
 
-    def policy(self, role: str) -> FeedbackPolicy:
-        return self.policies[role]
-
     def subsidy(self, H):
         """x_f(H) in the Stackelberg mode, 0 elsewhere."""
         if self.mode is GameMode.STACKELBERG:

@@ -36,6 +36,10 @@ first inner index. The thread count is the number of CPUs the process may
 use, capped by MAX_GREEDY_THREADS and by the outer action count, so a
 single-role reply, or any reply on one CPU, runs without a pool.
 
+The certifier's pass tolerances, the default grid's spans, the refinement
+factor and the leader sampler's spread and simulation grid are module
+constants, not arguments; only the sample count and the seed are.
+
 Policy evaluation is the only code in the package that uses scipy (its
 sparse direct solver); it imports scipy.sparse on first use, so importing
 carbongame, solving and simulating never load scipy.
@@ -74,6 +78,23 @@ __all__ = [
 ]
 
 INTERIOR_MARGIN = 0.05
+# equilibrium_check's bounds on the relative policy and value gaps and on
+# the best sampled leader gain
+POLICY_TOLERANCE = 0.02
+VALUE_TOLERANCE = 0.005
+LEADER_TOLERANCE = 0.005
+# default_grid: states up to STATE_SPAN*H_d, actions up to ACTION_SPAN times
+# the largest analytic effort there; GridSpec.refined multiplies the
+# resolution by REFINE_FACTOR.
+STATE_SPAN = 2.5
+ACTION_SPAN = 3.0
+REFINE_FACTOR = 2
+# leader_improvement_sample: coefficients perturbed by up to LEADER_SPREAD
+# (relative), each rule simulated by RK4 on [0, LEADER_HORIZON] in steps of
+# LEADER_STEP.
+LEADER_SPREAD = 0.1
+LEADER_HORIZON = 40.0
+LEADER_STEP = 0.01
 # The greedy step runs on at most this many threads; each holds two
 # (state, inner action) temporaries, about 2 MB on the default grid.
 MAX_GREEDY_THREADS = 4
@@ -119,29 +140,29 @@ class GridSpec:
             return np.linspace(0.0, self.a_max_r, self.n_actions)
         raise ValueError(f"unknown action role {role!r}")
 
-    def refined(self, factor: int = 2) -> "GridSpec":
-        """A grid with factor-times the resolution in states, actions and time."""
+    def refined(self) -> "GridSpec":
+        """A grid with REFINE_FACTOR times the resolution in states, actions
+        and time."""
         return dataclasses.replace(
-            self, n_states=factor * self.n_states,
-            n_actions=factor * self.n_actions, dt=self.dt / factor)
+            self, n_states=REFINE_FACTOR * self.n_states,
+            n_actions=REFINE_FACTOR * self.n_actions, dt=self.dt / REFINE_FACTOR)
 
 
-def default_grid(solution: GameSolution, span: float = 2.5,
-                 action_span: float = 3.0, **overrides) -> GridSpec:
-    """Grid sized from a solution: states to span*H_d, actions to
-    action_span times the largest analytic effort over that range."""
+def default_grid(solution: GameSolution, **overrides) -> GridSpec:
+    """Grid sized from a solution: states to STATE_SPAN*H_d, actions to
+    ACTION_SPAN times the largest analytic effort over that range."""
     if not solution.alpha < 0:
         raise OracleError(
             f"grid sizing needs an attracting steady state; alpha = {solution.alpha:.6g}")
     if not solution.H_d > 0:
         raise OracleError(
             f"grid sizing needs a positive steady state; H_d = {solution.H_d:.6g}")
-    H_max = float(span * solution.H_d)
+    H_max = float(STATE_SPAN * solution.H_d)
     probe = np.linspace(0.0, H_max, 64)
     a_f = float(np.max(np.abs(solution.policies["farmer"].effort(probe))))
     a_r = float(np.max(np.abs(solution.policies["retailer"].effort(probe))))
-    return GridSpec(H_max=H_max, a_max_f=action_span * max(a_f, 1.0),
-                    a_max_r=action_span * max(a_r, 1.0), **overrides)
+    return GridSpec(H_max=H_max, a_max_f=ACTION_SPAN * max(a_f, 1.0),
+                    a_max_r=ACTION_SPAN * max(a_r, 1.0), **overrides)
 
 
 @dataclass(frozen=True)
@@ -417,18 +438,17 @@ def grid_best_response(params: ModelParams, mode, role: str,
 
 def leader_improvement_sample(solution: GameSolution,
                               params: Optional[ModelParams] = None,
-                              samples: int = 200, spread: float = 0.1,
-                              seed: int = 20260814, T: float = 40.0,
-                              h: float = 0.01) -> dict:
+                              samples: int = 200,
+                              seed: int = 20260814) -> dict:
     """Sampled stationarity check of the Stackelberg announcement.
 
     Perturbs the leader's six rule coefficients (effort slope/intercept and
-    the four subsidy-rule coefficients) multiplicatively by up to ``spread``,
-    lets the follower react through its first-order rule with the follower
-    value slope frozen at the solved equilibrium, re-simulates the closed
-    loop, and reports the largest relative gain over the unperturbed rule.
-    This samples a neighborhood; it is evidence of stationarity, not a proof
-    of global optimality.
+    the four subsidy-rule coefficients) multiplicatively by up to
+    LEADER_SPREAD, lets the follower react through its first-order rule with
+    the follower value slope frozen at the solved equilibrium, re-simulates
+    the closed loop, and reports the largest relative gain over the
+    unperturbed rule. This samples a neighborhood; it is evidence of
+    stationarity, not a proof of global optimality.
     """
     if solution.mode is not GameMode.STACKELBERG:
         raise ValueError(f"leader sampling applies to the Stackelberg mode, "
@@ -438,7 +458,7 @@ def leader_improvement_sample(solution: GameSolution,
     base = np.array([lead.g1, lead.g0, lead.n1, lead.n0, lead.d1, lead.d0],
                     dtype=float)
     rng = np.random.default_rng(seed)
-    factors = 1.0 + spread * rng.uniform(-1.0, 1.0, size=(samples, 6))
+    factors = 1.0 + LEADER_SPREAD * rng.uniform(-1.0, 1.0, size=(samples, 6))
     coefs = np.vstack([base, base * factors])  # row 0 is the baseline
     c = derive_constants(params)
     g1, g0, n1, n0, d1, d0 = coefs.T
@@ -456,6 +476,7 @@ def leader_improvement_sample(solution: GameSolution,
     pk2 = params.p_r * c.k2
     half_lr = 0.5 * params.lambda_r
     half_lf = 0.5 * lambda_f
+    h = LEADER_STEP
     half_h = 0.5 * h
 
     def stage(Hv):
@@ -494,7 +515,7 @@ def leader_improvement_sample(solution: GameSolution,
         rate -= x * half_lf * E_f ** 2
         return rate
 
-    steps = int(round(T / h))
+    steps = int(round(LEADER_HORIZON / h))
     weights = np.exp(-params.rho * np.arange(1, steps + 1) * h)
     H = np.full(coefs.shape[0], float(params.H0))
     payoff = np.zeros(coefs.shape[0])
@@ -528,7 +549,7 @@ def leader_improvement_sample(solution: GameSolution,
     gains = (payoff[1:] - baseline) / max(abs(baseline), 1e-12)
     return {
         "samples": samples,
-        "spread": spread,
+        "spread": LEADER_SPREAD,
         "seed": seed,
         "baseline_payoff": float(baseline),
         "max_improvement": float(np.max(gains)),
@@ -584,17 +605,17 @@ def _window_gaps(br: BestResponse, solution: GameSolution, window_mask,
 
 def equilibrium_check(solution: GameSolution,
                       params: Optional[ModelParams] = None,
-                      grid: Optional[GridSpec] = None,
-                      policy_tol: float = 0.02, value_tol: float = 0.005,
-                      leader_tol: float = 0.005, samples: int = 200,
+                      grid: Optional[GridSpec] = None, samples: int = 200,
                       seed: int = 20260814) -> CertificationReport:
     """Certify a solution against grid best responses.
 
     Policy and value gaps are relative sup norms over the window
-    [0.5*H_d, 1.5*H_d]. Decentralized solutions are checked role by role
-    against the other side's frozen rule; Stackelberg solutions check the
-    follower's reply to the announced rule plus a sampled leader
-    perturbation; centralized solutions check the joint controller.
+    [0.5*H_d, 1.5*H_d], held to POLICY_TOLERANCE and VALUE_TOLERANCE.
+    Decentralized solutions are checked role by role against the other
+    side's frozen rule; Stackelberg solutions check the follower's reply to
+    the announced rule plus a sampled leader perturbation, whose best gain
+    is held to LEADER_TOLERANCE; centralized solutions check the joint
+    controller.
     """
     params = solution.params if params is None else params
     if not solution.alpha < 0:
@@ -641,14 +662,14 @@ def equilibrium_check(solution: GameSolution,
         policy_gaps.update(pg)
         value_gaps.update(vg)
         notes.append(f"joint control converged in {br.sweeps} sweeps")
-    passed = (all(g <= policy_tol for g in policy_gaps.values())
-              and all(g <= value_tol for g in value_gaps.values()))
+    passed = (all(g <= POLICY_TOLERANCE for g in policy_gaps.values())
+              and all(g <= VALUE_TOLERANCE for g in value_gaps.values()))
     if leader_sample is not None:
-        passed = passed and leader_sample["max_improvement"] <= leader_tol
+        passed = passed and leader_sample["max_improvement"] <= LEADER_TOLERANCE
     return CertificationReport(mode=mode, window=window,
                                policy_gaps=policy_gaps, value_gaps=value_gaps,
-                               policy_tolerance=policy_tol,
-                               value_tolerance=value_tol,
+                               policy_tolerance=POLICY_TOLERANCE,
+                               value_tolerance=VALUE_TOLERANCE,
                                leader_sample=leader_sample,
-                               leader_tolerance=leader_tol,
+                               leader_tolerance=LEADER_TOLERANCE,
                                passed=passed, notes=notes)

@@ -6,6 +6,11 @@ closed-form solution of the linear closed-loop dynamics, and
 primitives and policy evaluations (deliberately not through the precomputed
 (alpha, beta) pair, so the two routes stay independent cross-checks).
 
+Every path starts at the scenario's initial level, the model parameter H0,
+so a trajectory and the analytic values at H0 always describe one start.
+SimConfig holds only the sampling grid and the integrator; the bound on the
+sample count, MAX_SAMPLE_COUNT, is a module constant.
+
 The module needs numpy only: the bisection steady state and the discounted
 running payoffs reproduce scipy's bisect and cumulative_trapezoid operation
 for operation, so the results are the same floats without importing scipy.
@@ -48,6 +53,10 @@ __all__ = [
 INTEGRATOR_EXACT = "exact"
 INTEGRATOR_RK4 = "fourth-order-fixed-step"
 
+# T/h may not exceed this: a trajectory holds 13 float series of T/h + 1
+# samples (about 100 MB at the bound, against 4,001 samples by default).
+MAX_SAMPLE_COUNT = 1_000_000
+
 TRAJECTORY_COLUMNS = ("t", "H", "E_f", "E_r", "x_f", "Q", "D", "F",
                       "payoff_f", "payoff_r", "disc_cum_f", "disc_cum_r",
                       "flag")
@@ -59,20 +68,25 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Sampling grid and integrator choice. H0 of None means the solved
-    scenario's initial level (the params field H0)."""
+    """Sampling grid and integrator choice; paths start at the params field
+    H0. T must be finite and T/h an integer of at most MAX_SAMPLE_COUNT."""
 
     T: float = 40.0
     h: float = 0.01
     integrator: str = INTEGRATOR_EXACT
-    H0: Optional[float] = None
 
     def __post_init__(self):
         if not self.T > 0:
             raise ValueError(f"T must be > 0, got {self.T}")
+        if not math.isfinite(self.T):
+            raise ValueError(f"T must be finite, got {self.T}")
         if not 0 < self.h <= self.T:
             raise ValueError(f"h must be in (0, T], got h={self.h} T={self.T}")
         n = self.T / self.h
+        if not n <= MAX_SAMPLE_COUNT:
+            raise ValueError(
+                f"T/h = {n:.6g} exceeds the sample-count bound {MAX_SAMPLE_COUNT}, "
+                f"got T={self.T} h={self.h}")
         if abs(n - round(n)) > 1e-9 * max(1.0, n):
             raise ValueError(
                 f"T/h must be an integer sample count, got T={self.T} h={self.h}")
@@ -80,9 +94,6 @@ class SimConfig:
             raise ValueError(
                 f"integrator must be {INTEGRATOR_EXACT!r} or {INTEGRATOR_RK4!r}, "
                 f"got {self.integrator!r}")
-        if self.H0 is not None and not (math.isfinite(self.H0) and self.H0 >= 0):
-            raise ValueError(f"H0 must be None or a finite number >= 0, "
-                             f"got {self.H0}")
 
     @property
     def steps(self) -> int:
@@ -140,12 +151,11 @@ def steady_state_bisect(solution: GameSolution, xtol: float = 1e-12) -> float:
         f"bisection did not converge in {_BISECT_MAXITER} steps")
 
 
-def _initial_level(solution: GameSolution, cfg: SimConfig,
-                   params: ModelParams) -> float:
-    H0 = params.H0 if cfg.H0 is None else cfg.H0
-    if H0 < 0:
-        raise SimulationError(f"H0 must be >= 0, got {H0}")
-    return float(H0)
+def _initial_level(params: ModelParams) -> float:
+    """params.H0, which unvalidated params may hold negative."""
+    if params.H0 < 0:
+        raise SimulationError(f"H0 must be >= 0, got {params.H0}")
+    return float(params.H0)
 
 
 def exact_trajectory(solution: GameSolution, simcfg: SimConfig = SimConfig(),
@@ -153,7 +163,7 @@ def exact_trajectory(solution: GameSolution, simcfg: SimConfig = SimConfig(),
     """Sampled closed-form path H(t) = H_d + (H0 - H_d) * exp(alpha * t)."""
     params = solution.params if params is None else params
     H_d = steady_state(solution)
-    H0 = _initial_level(solution, simcfg, params)
+    H0 = _initial_level(params)
     t = simcfg.times()
     # expm1 form of H_d + (H0 - H_d)*exp(alpha*t); exact at t = 0
     H = H0 - (H_d - H0) * np.expm1(solution.alpha * t)
@@ -183,7 +193,7 @@ def integrate_trajectory(solution: GameSolution,
         return reduction_drift(H, effort_f(H), effort_r(H), params)
 
     h = simcfg.h
-    y = _initial_level(solution, simcfg, params)
+    y = _initial_level(params)
     path = [y]
     for _ in range(simcfg.steps):
         k1 = drift(y)

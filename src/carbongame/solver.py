@@ -64,16 +64,17 @@ from .model import (
 
 __all__ = [
     "SolverConfig", "CoefficientSystem", "SolverError", "ComplexRootError",
-    "UnstableModelError", "solve", "solve_many", "solve_decentralized",
-    "solve_stackelberg", "solve_centralized", "select_stable_root",
-    "hjb_residual", "residual_scan", "decentralized_system",
-    "stackelberg_system", "centralized_system",
+    "UnstableModelError", "solve", "solve_many", "select_stable_root",
+    "hjb_residual", "residual_scan",
 ]
 
 BACKEND_RESIDUAL = "residual"
 BACKEND_CLOSED_FORM = "paper-closed-form"
 CONVENTION_STANDARD = "standard-cost-share"
 CONVENTION_PRINTED = "paper-printed"
+
+# states of the stationarity-equation residual scan, evenly over [0, 2*H_d]
+SCAN_STATES = 100
 
 _BACKEND_ALIASES = {"residual": BACKEND_RESIDUAL,
                     "paper": BACKEND_CLOSED_FORM,
@@ -309,22 +310,6 @@ def _system(params: ModelParams, mode: GameMode,
                              rho=rho, balances=balances)
 
 
-def decentralized_system(params: ModelParams) -> CoefficientSystem:
-    """Balances for farmer (A, B, C quadratic) and retailer (M, N linear)."""
-    return _system(params, GameMode.DECENTRALIZED)
-
-
-def stackelberg_system(params: ModelParams,
-                       convention: str = CONVENTION_STANDARD) -> CoefficientSystem:
-    """Balances for farmer (A, B, C) and leader (M, N, F), both quadratic."""
-    return _system(params, GameMode.STACKELBERG, convention)
-
-
-def centralized_system(params: ModelParams) -> CoefficientSystem:
-    """Balances for the joint quadratic value (A, B, C)."""
-    return _system(params, GameMode.CENTRALIZED)
-
-
 _FIELDS = ModelParams.field_names()
 
 
@@ -360,14 +345,6 @@ def _leading_vector(mode: GameMode, leading) -> list:
     for i, x in zip(_BY_POWER[mode][2], leading):
         v[i] = x
     return v
-
-
-def _drift_slopes(params: ModelParams, mode: GameMode, convention: str, leading):
-    """Closed-loop drift slope alpha of branches, from their leading
-    coefficients (A; A and M in gs), the only ones the effort slopes hold."""
-    values = _VALUES[mode](_leading_vector(mode, leading))
-    (g1_f, _), (g1_r, _), _ = _policy_map(params, mode, convention)(values[0], values[-1])
-    return params.mu_f * g1_f + params.mu_r * g1_r - params.delta
 
 
 def _pick(leading, alphas, mask):
@@ -644,14 +621,12 @@ def _newton(system: CoefficientSystem, guess, tolerance: float):
     tolerance times its scale. guess is (k, n); returns the coefficients
     (k, n), the normalized residuals (n,) and per-cell errors.
     """
-    rho = system.rho
-
     def balances(v):
         # balance i carries rho*v[i], so every row has the shape of v[i]
         return np.array(system.balances(list(v)))
 
     def norm(v, res):
-        return np.max(np.abs(res) / (1.0 + np.abs(rho * v)), axis=0)
+        return np.max(np.abs(res) / system.scales(v), axis=0)
 
     v = guess
     k, n = v.shape
@@ -686,8 +661,9 @@ def _newton(system: CoefficientSystem, guess, tolerance: float):
         res = np.where(active, trial_res, res)
         err = np.where(active, trial_err, err)
     errors = [None] * n
+    scales = system.scales(v)
     for i in np.flatnonzero(~(err <= tolerance)).tolist():
-        worst = int(np.argmax(np.abs(res[:, i]) / (1.0 + np.abs(rho[i] * v[:, i]))))
+        worst = int(np.argmax(np.abs(res[:, i]) / scales[:, i]))
         errors[i] = SolverError(
             f"collected balance {system.labels[worst]} residual {res[worst, i]:.3e} "
             f"exceeds tolerance {tolerance:.1e}")
@@ -783,7 +759,10 @@ class _Batch:
         leading, mask, discs = self.drop(errors, leading, mask, discs)
         if not self.pos:
             return
-        alphas = _drift_slopes(self.params, mode, self.convention, leading)
+        # the drift slope of each branch: the effort slopes hold only the
+        # leading coefficients (A; A and M in gs)
+        alphas = _closed_loop(self.params, mode, self.convention,
+                              _leading_vector(mode, leading))[2]
         pick, errors = _pick(leading[0], alphas, mask)
         chosen = tuple(x[pick, np.arange(pick.size)] for x in leading)
         candidates = _candidates(leading, alphas, mask)
@@ -843,24 +822,6 @@ def _restrict(carried, keep):
     return carried
 
 
-def solve_decentralized(params: ModelParams,
-                        cfg: SolverConfig = SolverConfig()) -> GameSolution:
-    """Feedback equilibrium with simultaneous play and no cost sharing."""
-    return solve(GameMode.DECENTRALIZED, params, cfg)
-
-
-def solve_stackelberg(params: ModelParams,
-                      cfg: SolverConfig = SolverConfig()) -> GameSolution:
-    """Leader-follower equilibrium with the retailer's cost-share subsidy."""
-    return solve(GameMode.STACKELBERG, params, cfg)
-
-
-def solve_centralized(params: ModelParams,
-                      cfg: SolverConfig = SolverConfig()) -> GameSolution:
-    """Joint profit maximization of the whole chain."""
-    return solve(GameMode.CENTRALIZED, params, cfg)
-
-
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
@@ -917,26 +878,25 @@ def _stationarity(mode: GameMode, convention: str, params: ModelParams,
 
 
 def _scan(mode: GameMode, convention: str, params: ModelParams, values,
-          policies, H_d, n: int = 100) -> np.ndarray:
-    """Max normalized |residual| per cell over n states in [0, 2*H_d]: one
-    payoff_rates call on (state, cell) arrays."""
+          policies, H_d) -> np.ndarray:
+    """Max normalized |residual| per cell over SCAN_STATES states in
+    [0, 2*H_d]: one payoff_rates call on (state, cell) arrays."""
     hi = np.where(H_d > 0, 2.0 * H_d, 1.0)
     worst = None
     for rho_v, res in _stationarity(mode, convention, params, values, policies,
-                                    np.linspace(0.0, hi, n)):
+                                    np.linspace(0.0, hi, SCAN_STATES)):
         role = np.max(np.abs(res) / (1.0 + np.abs(rho_v)), axis=0)
         # a later role replaces the first only where it is larger, as max()
         worst = role if worst is None else np.where(role > worst, role, worst)
     return worst
 
 
-def residual_scan(solution: GameSolution, params: ModelParams,
-                  n: int = 100) -> float:
-    """Max normalized |residual| over n states in [0, 2*H_d]: the scan that
-    gates every solve_many cell, for one solution."""
+def residual_scan(solution: GameSolution, params: ModelParams) -> float:
+    """Max normalized |residual| over SCAN_STATES states in [0, 2*H_d]: the
+    scan that gates every solve_many cell, for one solution."""
     return float(_scan(solution.mode, solution.diagnostics.convention,
                        _stack([params]), *_values_and_policies(solution),
-                       np.array([solution.H_d], dtype=float), n)[0])
+                       np.array([solution.H_d], dtype=float))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,28 @@ def test_simulate_writes_one_file_per_mode(capsys, tmp_path):
     assert table.splitlines()[0] == ",".join(TRAJECTORY_COLUMNS)
 
 
+@pytest.mark.parametrize("command", ["solve", "simulate", "compare", "sweep",
+                                     "verify"])
+def test_every_report_opens_with_one_envelope(capsys, tmp_path, command):
+    # verify keeps the default grid, whose horizon its value checks need
+    grid = [] if command == "verify" else FAST
+    argv = [command, "--mode", "gd", *grid, "--out", str(tmp_path)]
+    if command == "sweep":
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"sweep": {"parameter": "p_c",
+                                              "values": [0.5]}}))
+        argv += ["--config", str(path)]
+    code, _, _ = _run(capsys, argv)
+    assert code == 0
+    report = json.loads((tmp_path / "run_report.json").read_text())
+    assert report["command"] == command
+    assert report["timestamp"].endswith("+00:00")
+    assert set(report["versions"]) == {"carbongame", "numpy", "scipy", "python"}
+    assert report["config"]["modes"] == ["gd"]
+    T, h = (40.0, 0.01) if command == "verify" else (2.0, 0.1)
+    assert report["config"]["sim"] == {"T": T, "h": h, "integrator": "exact"}
+
+
 def test_compare_prints_the_summary_table(capsys):
     code, out, _ = _run(capsys, ["compare", "--mode", "gd", *FAST])
     assert code == 0
@@ -220,13 +242,51 @@ def test_errors_reach_stderr_with_exit_one(capsys, tmp_path):
 @pytest.mark.parametrize("command", ["compare", "simulate", "verify"])
 def test_negative_initial_level_is_a_config_error(capsys, tmp_path, command):
     path = tmp_path / "negative.json"
-    path.write_text(json.dumps({"sim": {"H0": -1.0}}))
+    path.write_text(json.dumps({"H0": -1.0}))
     code, out, err = _run(capsys, [command, "--config", str(path),
                                    "--mode", "gd"])
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
-    assert "H0 must be None or a finite number >= 0, got -1.0" in err
+    assert "H0 >= 0 violated (got -1.0)" in err
+
+
+@pytest.mark.parametrize("command", ["compare", "simulate", "verify"])
+def test_initial_level_is_not_a_sim_key(capsys, tmp_path, command):
+    # the initial level is the model parameter H0 alone
+    path = tmp_path / "sim_h0.json"
+    path.write_text(json.dumps({"sim": {"H0": 3.0}}))
+    code, out, err = _run(capsys, [command, "--config", str(path),
+                                   "--mode", "gd"])
+    assert code == 1
+    assert out == ""
+    assert err == ("error: unknown sim key 'H0'; expected a subset of "
+                   "T, h, integrator\n")
+
+
+def test_verify_simulates_from_the_model_initial_level(capsys, tmp_path):
+    # the trajectory and the analytic value at H0 start from one level
+    path = tmp_path / "h0.json"
+    path.write_text(json.dumps({"H0": 3.0}))
+    code, out, _ = _run(capsys, ["verify", "--config", str(path),
+                                 "--mode", "gd"])
+    assert code == 0
+    lines = out.splitlines()
+    for role in ("farmer", "retailer"):
+        assert any(line.startswith(f"PASS value-consistency-gd-{role} ")
+                   for line in lines), out
+    assert lines[-1] == "overall: PASS (4 checks)"
+
+
+@pytest.mark.parametrize("grid", [["--horizon", "inf"],
+                                  ["--horizon", "1e300", "--step", "1e-300"]],
+                         ids=["infinite-horizon", "overflowing-sample-count"])
+def test_unbounded_sampling_grid_exits_one(capsys, grid):
+    code, out, err = _run(capsys, ["simulate", "--mode", "gd", *grid])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_diverging_rk4_step_exits_one(capsys, tmp_path):

@@ -22,9 +22,7 @@ from carbongame import (
     equilibrium_check,
     grid_best_response,
     leader_improvement_sample,
-    solve_centralized,
-    solve_decentralized,
-    solve_stackelberg,
+    solve,
 )
 from carbongame import oracle, solver
 from carbongame.model import SolutionDiagnostics, reduction_drift
@@ -41,12 +39,12 @@ from reference_values import CASES
 
 @pytest.fixture(scope="module")
 def baseline_gd():
-    return solve_decentralized(ModelParams())
+    return solve("gd", ModelParams())
 
 
 @pytest.fixture(scope="module")
 def baseline_gs():
-    return solve_stackelberg(ModelParams())
+    return solve("gs", ModelParams())
 
 
 def test_grid_spec_validation():
@@ -114,7 +112,7 @@ def test_stackelberg_certification_passes(baseline_gs):
 
 
 def test_centralized_certification_passes():
-    sol = solve_centralized(ModelParams())
+    sol = solve("gc", ModelParams())
     report = equilibrium_check(sol)
     assert report.passed
     assert set(report.policy_gaps) == {"farmer", "retailer"}
@@ -175,7 +173,7 @@ def _reference_joint_response(params, grid, seeds):
     (ModelParams(lambda_f=540.0, mu_r=0.465, rho=0.735), False),
 ], ids=["baseline-warm", "perturbed-cold"])
 def test_joint_greedy_step_matches_the_pairwise_reference(params, warm):
-    sol = solve_centralized(params)
+    sol = solve("gc", params)
     grid = default_grid(sol, n_states=64, n_actions=33)
     seeds = sol.policies if warm else None
     br = grid_best_response(params, "gc", "joint", None, grid,
@@ -193,7 +191,7 @@ def test_block_count_does_not_change_the_joint_reply(monkeypatch, threads):
     # 3 blocks split the 33 farmer actions evenly, 4 unevenly (8, 8, 8, 9)
     monkeypatch.setattr(oracle, "_greedy_threads", lambda: threads)
     params = ModelParams(lambda_f=540.0, mu_r=0.465, rho=0.735)
-    sol = solve_centralized(params)
+    sol = solve("gc", params)
     grid = default_grid(sol, n_states=64, n_actions=33)
     br = grid_best_response(params, "gc", "joint", None, grid)
     ref_f, ref_r, ref_value, ref_sweeps = _reference_joint_response(
@@ -301,7 +299,7 @@ def test_greedy_ties_go_to_the_first_farmer_then_retailer(blocks, threads):
 
 def test_stressed_stackelberg_certifies_despite_negative_share():
     params = ModelParams(lambda_f=350.0, p_c=1.2)
-    sol = solve_stackelberg(params)
+    sol = solve("gs", params)
     assert sol.subsidy(sol.H_d) < 0.0
     report = equilibrium_check(sol)
     assert report.passed
@@ -449,7 +447,7 @@ def test_perturbed_leader_sample_is_pinned():
                           delta=base.delta * math.exp(0.05),
                           rho=base.rho * math.exp(-0.09),
                           p_c=base.p_c * math.exp(0.1))
-    # solve_stackelberg(params) coefficients when the samples were recorded
+    # solve("gs", params) coefficients when the samples were recorded
     coeffs = (0.8268323735369904, 1109.03674318964, 7739.577413638972,
               0.4287267448925029, 1039.9287522397312, 9190.725450015574)
     sample = leader_improvement_sample(_stackelberg_at(params, coeffs))
@@ -461,7 +459,7 @@ def test_perturbed_leader_sample_is_pinned():
 def test_leader_sample_with_a_zero_subsidy_denominator():
     # x_f = (0.5*H - 0.25)/(2*H - 1) is 0/0 at the initial state H0 = 0.5,
     # where the sampler shares nothing; the perturbed rules move the pole
-    # solve_stackelberg(ModelParams()) coefficients when the samples were
+    # solve("gs", ModelParams()) coefficients when the samples were
     # recorded
     coeffs = (0.7444379187163269, 1089.944733842334, 7530.93034376331,
               0.3859305095776347, 1031.552768624556, 8938.97725471772)
@@ -490,7 +488,7 @@ def test_default_grid_needs_a_positive_steady_state(mode):
 
 def test_zero_payoff_scenario_passes_trivially():
     params = ModelParams(p_f=0.0, p_r=0.0, p_c=0.0)
-    sol = solve_stackelberg(params)
+    sol = solve("gs", params)
     assert sol.H_d == 0.0
     assert any("subsidy" in f for f in sol.diagnostics.flags)
     grid = GridSpec(H_max=1.0, a_max_f=1.0, a_max_r=1.0, n_states=64,

@@ -11,16 +11,10 @@ from carbongame import (
     discounted_profit,
     exact_trajectory,
     payoff_rates,
-    solve_centralized,
-    solve_decentralized,
-    solve_stackelberg,
+    solve,
     total_value_at,
     value_at,
 )
-
-_SOLVE = {"gd": solve_decentralized, "gs": solve_stackelberg,
-          "gc": solve_centralized}
-
 
 def test_component_worked_example():
     b = payoff_rates("gd", 1.0, 1.0, 1.0, None, ModelParams())
@@ -70,7 +64,7 @@ def test_undefined_share_of_zero_cost_transfers_zero():
 @pytest.mark.parametrize("mode", ["gd", "gs", "gc"])
 def test_discounted_quadrature_matches_the_analytic_values(mode):
     params = ModelParams()
-    sol = _SOLVE[mode](params)
+    sol = solve(mode, params)
     traj = exact_trajectory(sol, SimConfig(T=40.0, h=0.01))
     if mode == "gc":
         pairs = [("joint", value_at(sol, "joint", params.H0))]
@@ -84,7 +78,7 @@ def test_discounted_quadrature_matches_the_analytic_values(mode):
 
 def test_joint_quadrature_is_the_sum_of_the_roles():
     params = ModelParams()
-    traj = exact_trajectory(solve_decentralized(params))
+    traj = exact_trajectory(solve("gd", params))
     joint = discounted_profit(traj, "joint", params)
     split = (discounted_profit(traj, "farmer", params)
              + discounted_profit(traj, "retailer", params))
@@ -93,7 +87,7 @@ def test_joint_quadrature_is_the_sum_of_the_roles():
 
 def test_short_horizon_is_rejected():
     params = ModelParams()
-    traj = exact_trajectory(solve_decentralized(params), SimConfig(T=10.0, h=0.01))
+    traj = exact_trajectory(solve("gd", params), SimConfig(T=10.0, h=0.01))
     with pytest.raises(HorizonError,
                        match=r"horizon too short: rho\*T = 7 < 20"):
         discounted_profit(traj, "farmer", params)
@@ -101,15 +95,15 @@ def test_short_horizon_is_rejected():
 
 def test_unknown_role_is_rejected():
     params = ModelParams()
-    traj = exact_trajectory(solve_decentralized(params), SimConfig(T=40.0, h=0.1))
+    traj = exact_trajectory(solve("gd", params), SimConfig(T=40.0, h=0.1))
     with pytest.raises(ValueError, match="unknown role 'owner'"):
         discounted_profit(traj, "owner", params)
 
 
 def test_value_at_only_serves_stored_roles():
     params = ModelParams()
-    gd = solve_decentralized(params)
-    gc = solve_centralized(params)
+    gd = solve("gd", params)
+    gc = solve("gc", params)
     assert value_at(gd, "farmer", 0.1) == pytest.approx(
         gd.values["farmer"].value(0.1))
     with pytest.raises(ValueError, match="role 'joint' has no value function"):
@@ -121,8 +115,8 @@ def test_value_at_only_serves_stored_roles():
 
 def test_total_value_at_matches_the_mode_structure():
     params = ModelParams()
-    gd = solve_decentralized(params)
-    gc = solve_centralized(params)
+    gd = solve("gd", params)
+    gc = solve("gc", params)
     H = np.array([0.1, 2.0, 7.0])
     assert total_value_at(gd, H) == pytest.approx(
         gd.values["farmer"].value(H) + gd.values["retailer"].value(H))

@@ -19,14 +19,17 @@ from carbongame import (
     exact_trajectory,
     integrate_trajectory,
     solve,
-    solve_decentralized,
-    solve_stackelberg,
     steady_state,
     steady_state_bisect,
     trajectory_table,
 )
 from carbongame.model import SolutionDiagnostics, reduction_drift
-from carbongame.simulate import INTEGRATOR_EXACT, INTEGRATOR_RK4, simulate
+from carbongame.simulate import (
+    INTEGRATOR_EXACT,
+    INTEGRATOR_RK4,
+    MAX_SAMPLE_COUNT,
+    simulate,
+)
 from carbongame.solver import CONVENTION_PRINTED
 
 from reference_values import CASES
@@ -34,7 +37,7 @@ from reference_values import CASES
 
 def _solved(case: str):
     params = ModelParams().replace(**CASES[case]["overrides"])
-    return solve_decentralized(params)
+    return solve("gd", params)
 
 
 @pytest.mark.parametrize("case", ["baseline", "no_sink", "strong_farmer_impact"])
@@ -52,9 +55,9 @@ def test_exact_path_matches_reference(case):
 def test_initial_level_is_exact():
     sol = _solved("baseline")
     assert exact_trajectory(sol).H[0] == 0.1
-    custom = exact_trajectory(sol, SimConfig(H0=2.0))
+    custom = exact_trajectory(sol, params=sol.params.replace(H0=2.0))
     assert custom.H[0] == 2.0
-    # SimConfig refuses a negative H0 itself; unvalidated params still reach
+    # the initial level is the params field alone; unvalidated params reach
     # the simulator's own check
     with pytest.raises(SimulationError, match="H0 must be >= 0"):
         exact_trajectory(sol, params=ModelParams(H0=-0.5))
@@ -112,11 +115,18 @@ def test_sim_config_validation_messages():
         SimConfig(T=1.0, h=0.3)
     with pytest.raises(ValueError, match="integrator must be"):
         SimConfig(integrator="euler")
-    for bad in (-0.5, -1e-300, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="H0 must be None or a finite "
-                                             "number >= 0"):
-            SimConfig(H0=bad)
-    assert SimConfig(H0=0.0).H0 == 0.0
+    with pytest.raises(ValueError, match="T must be finite, got inf"):
+        SimConfig(T=float("inf"))
+    # T/h overflows to inf, which the sample-count bound refuses
+    with pytest.raises(ValueError, match=r"T/h = inf exceeds the sample-count "
+                                         r"bound 1000000, got T=1e\+300 h=1e-300"):
+        SimConfig(T=1e300, h=1e-300)
+    with pytest.raises(ValueError, match="exceeds the sample-count bound"):
+        SimConfig(T=MAX_SAMPLE_COUNT + 1.0, h=1.0)
+    assert SimConfig(T=float(MAX_SAMPLE_COUNT), h=1.0).steps == MAX_SAMPLE_COUNT
+    # the initial level is ModelParams.H0, not a sampling setting
+    with pytest.raises(TypeError):
+        SimConfig(H0=2.0)
     cfg = SimConfig(T=2.0, h=0.5)
     assert cfg.steps == 4
     assert cfg.times() == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0])
@@ -133,7 +143,7 @@ def test_simulate_dispatches_on_integrator():
 
 def test_series_are_consistent_with_the_policies():
     params = ModelParams()
-    sol = solve_stackelberg(params)
+    sol = solve("gs", params)
     traj = exact_trajectory(sol, SimConfig(T=2.0, h=0.1))
     assert traj.E_f == pytest.approx(sol.policies["farmer"].effort(traj.H))
     assert traj.x_f == pytest.approx(sol.subsidy(traj.H))
@@ -153,7 +163,7 @@ def test_subsidy_series_is_nan_outside_stackelberg():
 
 
 def test_trajectory_table_layout():
-    sol = solve_stackelberg(ModelParams())
+    sol = solve("gs", ModelParams())
     traj = exact_trajectory(sol, SimConfig(T=1.0, h=0.25))
     text = trajectory_table(traj)
     lines = text.splitlines()
@@ -205,10 +215,9 @@ def _per_cell_table(trajectory):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("solver", [solve_decentralized, solve_stackelberg],
-                         ids=["gd", "gs"])
-def test_trajectory_table_matches_the_per_cell_formatter(solver):
-    traj = exact_trajectory(solver(ModelParams()), SimConfig(T=1.0, h=0.1))
+@pytest.mark.parametrize("mode", ["gd", "gs"])
+def test_trajectory_table_matches_the_per_cell_formatter(mode):
+    traj = exact_trajectory(solve(mode, ModelParams()), SimConfig(T=1.0, h=0.1))
     traj.H[1] = np.nan
     traj.E_f[2] = np.inf
     traj.E_r[3] = -np.inf
@@ -222,7 +231,7 @@ def test_trajectory_table_matches_the_per_cell_formatter(solver):
 
 
 def test_time_column_cache_follows_the_column_bytes():
-    sol = solve_stackelberg(ModelParams())
+    sol = solve("gs", ModelParams())
     # back to back with different steps, then each again
     coarse = exact_trajectory(sol, SimConfig(T=1.0, h=0.25))
     fine = exact_trajectory(sol, SimConfig(T=1.0, h=0.1))
@@ -239,7 +248,7 @@ def test_time_column_cache_follows_the_column_bytes():
 
 @pytest.mark.parametrize("flag", [False, True], ids=["all-0", "all-1"])
 def test_uniform_flag_columns_match_the_per_cell_formatter(flag):
-    traj = exact_trajectory(solve_decentralized(ModelParams()),
+    traj = exact_trajectory(solve("gd", ModelParams()),
                             SimConfig(T=1.0, h=0.1))
     traj.flag[:] = flag
     text = trajectory_table(traj)
@@ -259,7 +268,7 @@ def _numpy_scalar_rk4(solution, simcfg, params):
 
     t = simcfg.times()
     H = np.empty_like(t)
-    H[0] = params.H0 if simcfg.H0 is None else simcfg.H0
+    H[0] = params.H0
     h = simcfg.h
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(simcfg.steps):

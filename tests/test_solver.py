@@ -26,29 +26,19 @@ from carbongame import (
     residual_scan,
     select_stable_root,
     solve,
-    solve_centralized,
-    solve_decentralized,
     solve_many,
-    solve_stackelberg,
 )
 from carbongame import closed_form, solver
 from carbongame.profits import payoff_rates, value_at
 from carbongame.solver import (
     BACKEND_CLOSED_FORM,
     CONVENTION_PRINTED,
-    centralized_system,
-    decentralized_system,
-    stackelberg_system,
 )
 
 from reference_values import CASES, PRINTED
 
 REL = 1e-9
 ABS = 1e-9
-
-_SOLVE = {"gd": solve_decentralized, "gs": solve_stackelberg,
-          "gc": solve_centralized}
-
 
 def _params(case: str) -> ModelParams:
     return ModelParams().replace(**CASES[case]["overrides"])
@@ -104,9 +94,9 @@ def test_solution_matches_reference(case, mode):
     params = _params(case)
     if ref.get("error") == "unstable":
         with pytest.raises(UnstableModelError):
-            _SOLVE[mode](params)
+            solve(mode, params)
         return
-    sol = _SOLVE[mode](params)
+    sol = solve(mode, params)
     assert sol.mode is GameMode.from_string(mode)
     assert sol.alpha < 0.0
     _assert_matches(sol, ref)
@@ -114,7 +104,7 @@ def test_solution_matches_reference(case, mode):
 
 def test_unstable_centralized_reports_candidate_slopes():
     with pytest.raises(UnstableModelError) as err:
-        solve_centralized(_params("cheap_abatement_pricey_sink"))
+        solve("gc", _params("cheap_abatement_pricey_sink"))
     assert "unstable model: no branch with alpha < 0" in str(err.value)
     assert len(err.value.alphas) == 2
     assert all(a >= 0.0 for a in err.value.alphas)
@@ -125,7 +115,7 @@ def test_unstable_centralized_reports_candidate_slopes():
 def test_printed_follower_convention(case):
     ref = CASES[case]["gs_printed"]
     cfg = SolverConfig(follower_convention=CONVENTION_PRINTED)
-    sol = solve_stackelberg(_params(case), cfg)
+    sol = solve("gs", _params(case), cfg)
     assert sol.diagnostics.convention == CONVENTION_PRINTED
     _assert_matches(sol, {k: v for k, v in ref.items() if k != "ambiguous"})
     assert sol.diagnostics.ambiguous_stable_roots is ref.get("ambiguous", False)
@@ -139,14 +129,14 @@ def test_residual_scan_is_tiny_at_solutions(case, mode):
     params = _params(case)
     if CASES[case].get(mode, {}).get("error"):
         pytest.skip("no stable solution")
-    sol = _SOLVE[mode](params)
+    sol = solve(mode, params)
     assert residual_scan(sol, params) <= 1e-10
     assert sol.diagnostics.max_hjb_residual <= 1e-10
 
 
 def test_hjb_residual_accepts_scalars_and_arrays():
     params = ModelParams()
-    sol = solve_decentralized(params)
+    sol = solve("gd", params)
     res = hjb_residual(sol, params, 1.0)
     assert set(res) == {"farmer", "retailer"}
     assert abs(res["farmer"]) < 1e-8
@@ -155,13 +145,13 @@ def test_hjb_residual_accepts_scalars_and_arrays():
 
 
 def test_published_scale_discriminants_recorded():
-    gd = solve_decentralized(ModelParams())
+    gd = solve("gd", ModelParams())
     assert gd.diagnostics.discriminants["Delta^GD"] == pytest.approx(
         PRINTED["gd"]["Delta^GD"], rel=1e-12)
-    gc = solve_centralized(ModelParams())
+    gc = solve("gc", ModelParams())
     assert gc.diagnostics.discriminants["Delta^GC"] == pytest.approx(
         PRINTED["gc_corrected"]["Delta^GC"], rel=1e-12)
-    gs = solve_stackelberg(ModelParams())
+    gs = solve("gs", ModelParams())
     assert gs.diagnostics.discriminants["Delta^GS1"] == pytest.approx(
         PRINTED["gs_standard_anchor"]["Delta^GS1"], rel=1e-9)
     assert gs.diagnostics.discriminants["Delta^GS2"] == pytest.approx(
@@ -173,7 +163,7 @@ def test_published_scale_discriminants_recorded():
 @pytest.mark.parametrize("mode", ["gd", "gs", "gc"])
 def test_corrupting_a_coefficient_breaks_the_residual(mode):
     params = ModelParams()
-    sol = _SOLVE[mode](params)
+    sol = solve(mode, params)
     role = "joint" if mode == "gc" else "farmer"
     broken = dict(sol.values)
     broken[role] = dataclasses.replace(sol.values[role],
@@ -217,7 +207,7 @@ def test_solve_dispatch_accepts_mode_or_string():
 def test_complex_root_for_high_sink_price():
     # Delta^GD = (720*p_c - 2700)^2 - (720*p_c)^2 turns negative past 1.875
     with pytest.raises(ComplexRootError) as err:
-        solve_decentralized(ModelParams(p_c=2.5))
+        solve("gd", ModelParams(p_c=2.5))
     assert err.value.label == "Delta^GD"
     assert err.value.discriminant == pytest.approx(-2430000.0, rel=1e-9)
     assert "complex root: discriminant Delta^GD" in str(err.value)
@@ -225,7 +215,7 @@ def test_complex_root_for_high_sink_price():
 
 def test_zero_payoff_parameters_give_the_zero_solution():
     params = ModelParams(p_f=0.0, p_r=0.0, p_c=0.0)
-    sol = solve_decentralized(params)
+    sol = solve("gd", params)
     assert _coeffs(sol) == pytest.approx({"A": 0.0, "B": 0.0, "C": 0.0,
                                           "M": 0.0, "N": 0.0}, abs=1e-12)
     assert residual_scan(sol, params) == 0.0
@@ -243,11 +233,11 @@ def test_coefficients_are_continuous_as_the_sink_price_vanishes(mode):
 def test_collected_balances_vanish_at_the_solution():
     params = ModelParams()
     for system, sol, names in (
-            (decentralized_system(params), solve_decentralized(params),
+            (solver._system(params, GameMode.DECENTRALIZED), solve("gd", params),
              ("A", "B", "C", "M", "N")),
-            (stackelberg_system(params), solve_stackelberg(params),
+            (solver._system(params, GameMode.STACKELBERG), solve("gs", params),
              ("A", "B", "C", "M", "N", "F")),
-            (centralized_system(params), solve_centralized(params),
+            (solver._system(params, GameMode.CENTRALIZED), solve("gc", params),
              ("A", "B", "C"))):
         coeffs = _coeffs(sol)
         vec = [coeffs[n] for n in names]
@@ -272,10 +262,11 @@ def test_derived_balances_match_the_sympy_derivation(overrides):
     params = ModelParams().replace(**{k: float(v) for k, v in par.items()})
     rng = np.random.default_rng(20241018)
     for name, system in (
-            ("gd", decentralized_system(params)),
-            ("gs", stackelberg_system(params)),
-            ("gs-printed", stackelberg_system(params, CONVENTION_PRINTED)),
-            ("gc", centralized_system(params))):
+            ("gd", solver._system(params, GameMode.DECENTRALIZED)),
+            ("gs", solver._system(params, GameMode.STACKELBERG)),
+            ("gs-printed",
+             solver._system(params, GameMode.STACKELBERG, CONVENTION_PRINTED)),
+            ("gc", solver._system(params, GameMode.CENTRALIZED))):
         unknowns, eqs, _, _ = oracle_ref._BUILDERS[name](par)
         assert tuple(str(u) for u in unknowns) == system.names
         reference = sp.lambdify(unknowns, eqs, "numpy")
@@ -301,7 +292,7 @@ def test_rate_polynomials_match_payoff_rates(mode, overrides):
     # the balances' payoff polynomials and profits.payoff_rates are two
     # statements of the same payoffs
     params = ModelParams().replace(**overrides)
-    sol = _SOLVE[mode](params)
+    sol = solve(mode, params)
     terms = solver._payoff_polynomials(params, sol.mode)
     drift, _, rates = terms(solver._coefficients(sol))
     H = np.linspace(0.0, 2.0 * sol.H_d, 9)
@@ -465,9 +456,9 @@ def test_polish_reaches_the_root_of_ill_conditioned_gs_draws(draw):
     rng = np.random.default_rng(12345)
     logs = [rng.uniform(-1.0, 1.0, len(_DRAWN)) for _ in range(draw + 1)][draw]
     params = _drawn_params(logs)
-    sol = solve_stackelberg(params)
+    sol = solve("gs", params)
     A, M = sol.values["farmer"].A, sol.values["retailer"].A
-    system = stackelberg_system(params)
+    system = solver._system(params, GameMode.STACKELBERG)
 
     def leading_rows(a, m):
         rows = system.balances([a, 0.0, 0.0, m, 0.0, 0.0])
@@ -533,7 +524,7 @@ def test_vanishing_gd_discriminant_gives_a_typed_outcome(p_c):
     # Delta^GD = (720*p_c - 2700)^2 - (720*p_c)^2 is zero at p_c = 1.875:
     # a double root, then none; RuntimeWarnings fail the suite
     try:
-        sol = solve_decentralized(ModelParams(p_c=float(p_c)))
+        sol = solve("gd", ModelParams(p_c=float(p_c)))
     except (ComplexRootError, UnstableModelError, SolverError):
         return
     assert sol.alpha < 0.0
@@ -548,13 +539,14 @@ def test_gd_discriminant_near_zero_is_accurate_and_sets_the_error_class(offset):
     expected = 2700.0 * (2700.0 - 1440.0 * params.p_c)
     if expected < 0.0:
         with pytest.raises(ComplexRootError) as err:
-            solve_decentralized(params)
+            solve("gd", params)
         reported = err.value.discriminant
     else:
         with pytest.raises(UnstableModelError):
-            solve_decentralized(params)
+            solve("gd", params)
         stacked = solver._stack([params])
-        _, _, discs, _ = solver._leading_branches(stacked, decentralized_system(stacked))
+        _, _, discs, _ = solver._leading_branches(
+            stacked, solver._system(stacked, GameMode.DECENTRALIZED))
         reported = discs[0]["Delta^GD"]
     assert abs(reported - expected) <= 1e-8
 
@@ -595,9 +587,9 @@ def test_printed_centralized_garbled_but_correctable():
 
 def test_paper_backend_centralized_matches_residual():
     cfg = SolverConfig(backend="paper")
-    sol = solve_centralized(ModelParams(), cfg)
+    sol = solve("gc", ModelParams(), cfg)
     assert sol.diagnostics.backend == BACKEND_CLOSED_FORM
-    reference = solve_centralized(ModelParams())
+    reference = solve("gc", ModelParams())
     assert sol.values["joint"].A == pytest.approx(reference.values["joint"].A,
                                                   rel=1e-6)
     assert sol.values["joint"].C == pytest.approx(reference.values["joint"].C,
@@ -608,7 +600,7 @@ def test_paper_backend_centralized_matches_residual():
 
 
 def test_paper_backend_decentralized_measures_the_damage():
-    sol = solve_decentralized(ModelParams(), SolverConfig(backend="paper"))
+    sol = solve("gd", ModelParams(), SolverConfig(backend="paper"))
     assert sol.values["retailer"].B == pytest.approx(PRINTED["gd"]["M"], rel=1e-12)
     assert sol.H_d == pytest.approx(PRINTED["paper_backend"]["gd_H_d"], rel=1e-9)
     assert sol.diagnostics.max_hjb_residual == pytest.approx(
@@ -621,7 +613,7 @@ def test_paper_backend_decentralized_measures_the_damage():
 
 
 def test_paper_backend_stackelberg_falls_back_to_anchor():
-    sol = solve_stackelberg(ModelParams(), SolverConfig(backend="paper"))
+    sol = solve("gs", ModelParams(), SolverConfig(backend="paper"))
     ref = CASES["baseline"]["gs"]
     assert sol.values["farmer"].A == pytest.approx(ref["A"], rel=1e-9)
     assert sol.values["retailer"].A == pytest.approx(ref["M"], rel=1e-9)
@@ -638,13 +630,13 @@ def test_paper_backend_stackelberg_falls_back_to_anchor():
 
 def test_subsidy_out_of_range_is_flagged_not_fatal():
     ref = CASES["cheap_abatement_pricey_sink"]
-    sol = solve_stackelberg(_params("cheap_abatement_pricey_sink"))
+    sol = solve("gs", _params("cheap_abatement_pricey_sink"))
     assert sol.subsidy(sol.H_d) == pytest.approx(ref["gs"]["x_ss"], rel=1e-8)
     assert any(f.startswith("x_f outside [0, 1)") for f in sol.diagnostics.flags)
 
 
 def test_diagnostics_to_dict_round_trip():
-    sol = solve_stackelberg(ModelParams())
+    sol = solve("gs", ModelParams())
     d = sol.diagnostics.to_dict()
     assert d["backend"] == "residual"
     assert d["convention"] == "standard-cost-share"
