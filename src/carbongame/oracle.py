@@ -7,6 +7,9 @@ the induced sparse chain). The resulting best responses and values are then
 compared against the analytic feedback rules. The Stackelberg leader, whose
 problem is not a plain control problem, is instead stress-tested by sampling
 perturbed announcement rules and re-simulating the follower's reaction.
+The sampler prices each simulated path with ``profits.payoff_rates`` and
+discounts it with ``profits.discount_weights``, the quadrature that
+``profits.discounted_profit`` uses, so it holds no payoff formula of its own.
 
 Discretization notes: transitions use an explicit Euler step of the drift,
 and the per-step reward is rate * (1 - gamma) / rho with gamma = exp(-rho*dt),
@@ -91,10 +94,12 @@ ACTION_SPAN = 3.0
 REFINE_FACTOR = 2
 # leader_improvement_sample: coefficients perturbed by up to LEADER_SPREAD
 # (relative), each rule simulated by RK4 on [0, LEADER_HORIZON] in steps of
-# LEADER_STEP.
+# LEADER_STEP; the paths are priced LEADER_BLOCK_ROWS time samples at a
+# time, which bounds the pricing temporaries to a few hundred kB.
 LEADER_SPREAD = 0.1
 LEADER_HORIZON = 40.0
 LEADER_STEP = 0.01
+LEADER_BLOCK_ROWS = 128
 # The greedy step runs on at most this many threads; each holds two
 # (state, inner action) temporaries, about 2 MB on the default grid.
 MAX_GREEDY_THREADS = 4
@@ -447,12 +452,16 @@ def leader_improvement_sample(solution: GameSolution,
     LEADER_SPREAD, lets the follower react through its first-order rule with
     the follower value slope frozen at the solved equilibrium, re-simulates
     the closed loop, and reports the largest relative gain over the
-    unperturbed rule. This samples a neighborhood; it is evidence of
-    stationarity, not a proof of global optimality.
+    unperturbed rule. Each path is priced by ``profits.payoff_rates`` and
+    discounted by ``profits.discount_weights``, the rule
+    ``profits.discounted_profit`` uses. This samples a neighborhood; it is
+    evidence of stationarity, not a proof of global optimality.
     """
     if solution.mode is not GameMode.STACKELBERG:
         raise ValueError(f"leader sampling applies to the Stackelberg mode, "
                          f"not {solution.mode.value}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     params = solution.params if params is None else params
     lead = solution.policies["retailer"]
     base = np.array([lead.g1, lead.g0, lead.n1, lead.n0, lead.d1, lead.d0],
@@ -467,19 +476,9 @@ def leader_improvement_sample(solution: GameSolution,
     f1 = c.eta + params.mu_f * 2.0 * value_f.A
     f0 = params.mu_f * value_f.B
 
-    mu_f, mu_r, delta = params.mu_f, params.mu_r, params.delta
-    lambda_f = params.lambda_f
-    # Scalar products of the leader rate p_r*k2*H - 0.5*lambda_r*E_r**2
-    # - x*0.5*lambda_f*E_f**2, taken once. The in-place arithmetic below keeps
-    # each expression's operation order (halving is exact, so x*half_lf
-    # rounds as (x*0.5)*lambda_f), so the samples are bit-identical to it.
-    pk2 = params.p_r * c.k2
-    half_lr = 0.5 * params.lambda_r
-    half_lf = 0.5 * lambda_f
-    h = LEADER_STEP
-    half_h = 0.5 * h
-
     def stage(Hv):
+        # (E_f, E_r, x) under every rule, by the sampler's own follower
+        # reaction: the oracle does not use the solver's policy map
         num = n1 * Hv
         num += n0
         den = d1 * Hv
@@ -489,7 +488,7 @@ def leader_improvement_sample(solution: GameSolution,
             x[(num == 0.0) & (den == 0.0)] = 0.0
         share = 1.0 - x
         np.maximum(share, 1e-6, out=share)
-        share *= lambda_f
+        share *= params.lambda_f
         E_f = f1 * Hv
         E_f += f0
         E_f /= share
@@ -497,35 +496,20 @@ def leader_improvement_sample(solution: GameSolution,
         E_r += g0
         return E_f, E_r, x
 
-    def velocity(Hv, E_f, E_r):
-        # mu_f*E_f + mu_r*E_r - delta*H, overwriting E_f and E_r
-        E_f *= mu_f
-        E_r *= mu_r
-        E_f += E_r
-        E_f -= delta * Hv
-        return E_f
-
     def drift(Hv):
         E_f, E_r, _ = stage(Hv)
-        return velocity(Hv, E_f, E_r)
+        return reduction_drift(Hv, E_f, E_r, params)
 
-    def leader_rate(Hv, E_f, E_r, x):
-        rate = pk2 * Hv
-        rate -= half_lr * E_r ** 2
-        rate -= x * half_lf * E_f ** 2
-        return rate
-
+    h = LEADER_STEP
+    half_h = 0.5 * h
     steps = int(round(LEADER_HORIZON / h))
-    weights = np.exp(-params.rho * np.arange(1, steps + 1) * h)
-    H = np.full(coefs.shape[0], float(params.H0))
-    payoff = np.zeros(coefs.shape[0])
+    # a row per time sample, a column per rule: the state, then its rate
+    path = np.empty((steps + 1, coefs.shape[0]))
+    path[0] = params.H0
     with np.errstate(divide="ignore", invalid="ignore"):
-        # the stage at the end of one step is the first RK4 stage of the
-        # next; weighted_prev is weight_prev * rate_prev, weight_prev = 1
-        E_f, E_r, x = stage(H)
-        weighted_prev = leader_rate(H, E_f, E_r, x)
         for i in range(steps):
-            k1 = velocity(H, E_f, E_r)
+            H = path[i]
+            k1 = drift(H)
             k2 = drift(H + half_h * k1)
             k3 = drift(H + half_h * k2)
             k4 = drift(H + h * k3)
@@ -536,15 +520,14 @@ def leader_improvement_sample(solution: GameSolution,
             k1 += k4
             k1 *= h
             k1 /= 6.0
-            H = H + k1
-            E_f, E_r, x = stage(H)
-            weighted = leader_rate(H, E_f, E_r, x)
-            weighted *= weights[i]
-            weighted_prev += weighted
-            weighted_prev *= half_h
-            payoff += weighted_prev
-            weighted_prev = weighted
-    payoff += weighted_prev / params.rho  # frozen-state tail
+            np.add(H, k1, out=path[i + 1])
+        for lo in range(0, steps + 1, LEADER_BLOCK_ROWS):
+            block = path[lo:lo + LEADER_BLOCK_ROWS]
+            block[...] = profits.payoff_rates(
+                GameMode.STACKELBERG, block, *stage(block), params).net_r
+    path *= profits.discount_weights(np.arange(steps + 1) * h,
+                                     params.rho)[:, None]
+    payoff = path.sum(axis=0)
     baseline = payoff[0]
     gains = (payoff[1:] - baseline) / max(abs(baseline), 1e-12)
     return {

@@ -22,6 +22,7 @@ from .model import (
 __all__ = [
     "PayoffBreakdown",
     "payoff_rates",
+    "discount_weights",
     "discounted_profit",
     "value_at",
     "total_value_at",
@@ -115,14 +116,27 @@ def _role_series(trajectory: Trajectory, role: str) -> np.ndarray:
     raise ValueError(f"unknown role {role!r}; expected one of {ROLES}")
 
 
+def discount_weights(t: np.ndarray, rho: float) -> np.ndarray:
+    """Weights w such that sum(w * rate) discounts a rate sampled on t over
+    [t[0], inf): trapezoid weights times exp(-rho*t), plus exp(-rho*T)/rho on
+    the last sample, T = t[-1]. That tail assumes a frozen state: the rate
+    stays at its value at T afterwards."""
+    discount = np.exp(-rho * t)
+    half_dt = 0.5 * np.diff(t)
+    weights = np.append(half_dt, 0.0)
+    weights[1:] += half_dt
+    weights *= discount
+    weights[-1] += discount[-1] / rho
+    return weights
+
+
 def discounted_profit(trajectory: Trajectory, role: str,
                       params: ModelParams) -> float:
-    """Discounted total profit of a role along the trajectory.
+    """Discounted total profit of a role along the trajectory, with the
+    quadrature and frozen-state tail of ``discount_weights``.
 
-    Composite trapezoid of exp(-rho*t) * rate on the stored grid, plus the
-    analytic tail exp(-rho*T) * rate(T) / rho that assumes the state stays at
-    H(T) afterwards. The horizon must satisfy rho*T >= 20 so the frozen-state
-    tail is negligible at the checked tolerances.
+    The horizon must satisfy rho*T >= 20 so the frozen-state tail is
+    negligible at the checked tolerances.
     """
     T = float(trajectory.t[-1])
     if params.rho * T < 20.0:
@@ -130,10 +144,7 @@ def discounted_profit(trajectory: Trajectory, role: str,
             f"horizon too short: rho*T = {params.rho * T:.3g} < 20; "
             "extend the horizon so the discount tail is negligible")
     rate = _role_series(trajectory, role)
-    weight = np.exp(-params.rho * trajectory.t)
-    body = float(np.trapezoid(weight * rate, trajectory.t))
-    tail = float(weight[-1] * rate[-1] / params.rho)
-    return body + tail
+    return float(np.sum(discount_weights(trajectory.t, params.rho) * rate))
 
 
 def value_at(solution: GameSolution, role: str, H) -> float:

@@ -5,9 +5,12 @@ route (policy iteration on a state/action grid) and pin down the error
 handling that keeps that route honest.
 """
 
+import ast
 import dataclasses
+import importlib.util
 import math
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +35,8 @@ from carbongame.oracle import (
     _positions,
     _seed_indices,
 )
-from carbongame.profits import payoff_rates
+from carbongame.profits import discounted_profit, payoff_rates
+from carbongame.simulate import SimConfig, integrate_trajectory
 
 from reference_values import CASES
 
@@ -439,8 +443,9 @@ def _stackelberg_at(params, coeffs):
 
 
 def test_perturbed_leader_sample_is_pinned():
-    # recorded from the stepped RK4 sampler before its loop was reworked;
-    # the rework keeps every float operation, so the match is exact
+    # recorded from the sampler that prices its paths with payoff_rates and
+    # discount_weights; the quadrature is elementwise products and sums (no
+    # BLAS), so the match is exact
     base = ModelParams()
     params = base.replace(lambda_f=base.lambda_f * math.exp(0.08),
                           mu_r=base.mu_r * math.exp(-0.06),
@@ -451,8 +456,8 @@ def test_perturbed_leader_sample_is_pinned():
     coeffs = (0.8268323735369904, 1109.03674318964, 7739.577413638972,
               0.4287267448925029, 1039.9287522397312, 9190.725450015574)
     sample = leader_improvement_sample(_stackelberg_at(params, coeffs))
-    assert sample["baseline_payoff"] == 9294.606215761069
-    assert sample["max_improvement"] == -5.218845249608916e-05
+    assert sample["baseline_payoff"] == 9294.606215761041
+    assert sample["max_improvement"] == -5.2188452486304125e-05
     assert sample["improving_samples"] == 0
 
 
@@ -470,9 +475,46 @@ def test_leader_sample_with_a_zero_subsidy_denominator():
     posed = dataclasses.replace(sol, policies={**sol.policies,
                                                "retailer": rule})
     sample = leader_improvement_sample(posed)
-    assert sample["baseline_payoff"] == 9412.603722818292
-    assert sample["max_improvement"] == 0.06874130817062128
+    assert sample["baseline_payoff"] == 9412.603722818289
+    assert sample["max_improvement"] == 0.06874130817062055
     assert sample["improving_samples"] == 36
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_leader_sample_count_must_be_positive(baseline_gs, samples):
+    message = f"samples must be >= 1, got {samples}"
+    with pytest.raises(ValueError, match=message):
+        leader_improvement_sample(baseline_gs, samples=samples)
+    with pytest.raises(ValueError, match=message):
+        equilibrium_check(baseline_gs, samples=samples)
+
+
+@pytest.mark.parametrize("changes", [{}, {"p_c": 0.8, "rho": 0.9},
+                                     {"H0": 3.0}],
+                         ids=["baseline", "p_c-rho", "H0"])
+def test_unperturbed_leader_row_is_the_discounted_profit(changes):
+    params = ModelParams().replace(**changes)
+    sol = solve("gs", params)
+    sample = leader_improvement_sample(sol, samples=1)
+    traj = integrate_trajectory(sol, SimConfig(T=oracle.LEADER_HORIZON,
+                                               h=oracle.LEADER_STEP))
+    expected = discounted_profit(traj, "retailer", params)
+    assert sample["baseline_payoff"] == pytest.approx(expected, rel=1e-12)
+
+
+def test_oracle_imports_neither_the_solver_nor_the_closed_forms():
+    # read from source, so an import inside a function counts as well
+    path = importlib.util.find_spec("carbongame.oracle").origin
+    tree = ast.parse(Path(path).read_text())
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                named.update(alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            named.update((node.module or "").split("."))
+            named.update(alias.name for alias in node.names)
+    assert not named & {"solver", "closed_form"}
 
 
 @pytest.mark.parametrize("mode", ["gd", "gs", "gc"])

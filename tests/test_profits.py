@@ -15,6 +15,7 @@ from carbongame import (
     total_value_at,
     value_at,
 )
+from carbongame.profits import discount_weights
 
 def test_component_worked_example():
     b = payoff_rates("gd", 1.0, 1.0, 1.0, None, ModelParams())
@@ -74,6 +75,29 @@ def test_discounted_quadrature_matches_the_analytic_values(mode):
     for role, analytic in pairs:
         numeric = discounted_profit(traj, role, params)
         assert numeric == pytest.approx(analytic, rel=1e-3), (mode, role)
+
+
+def _trapezoid_with_tail(t, rate, rho):
+    """Reference quadrature: numpy's trapezoid of the discounted rate plus
+    the frozen-state tail exp(-rho*T) * rate(T) / rho."""
+    weight = np.exp(-rho * t)
+    return float(np.trapezoid(weight * rate, t)) + weight[-1] * rate[-1] / rho
+
+
+def test_discount_weights_are_the_trapezoid_plus_the_frozen_tail():
+    rng = np.random.default_rng(3)
+    t = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 0.2, 300))))
+    rate = rng.uniform(0.5, 2.0, t.size)
+    weights = discount_weights(t, 0.7)
+    assert float(np.sum(weights * rate)) == pytest.approx(
+        _trapezoid_with_tail(t, rate, 0.7), rel=1e-13)
+    params = ModelParams()
+    for mode in GameMode:
+        traj = exact_trajectory(solve(mode, params))
+        for role, rate in (("farmer", traj.payoff_f),
+                           ("retailer", traj.payoff_r)):
+            assert discounted_profit(traj, role, params) == pytest.approx(
+                _trapezoid_with_tail(traj.t, rate, params.rho), rel=1e-13)
 
 
 def test_joint_quadrature_is_the_sum_of_the_roles():
