@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import io
 import json
 import platform
@@ -294,22 +293,10 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-@functools.cache
-def _scipy_version() -> Optional[str]:
-    """The installed scipy's version, read without importing scipy; None
-    when it is not installed. Cached: each metadata lookup takes ~3 ms."""
-    from importlib import metadata   # ~20 ms to import; only reports need it
-    try:
-        return metadata.version("scipy")
-    except metadata.PackageNotFoundError:
-        return None
-
-
 def _versions() -> dict:
     return {
         "carbongame": __version__,
         "numpy": np.__version__,
-        "scipy": _scipy_version(),
         "python": platform.python_version(),
     }
 
@@ -537,24 +524,17 @@ def run_sweep(spec: Optional[SweepSpec], config: ScenarioConfig) -> dict:
     return {"sweep.csv": _csv_table(header, rows), "run_report.json": report}
 
 
-def _verify_solutions(config: ScenarioConfig):
-    solutions = {}
-    checks = []
+def run_verify(config: ScenarioConfig) -> dict:
+    """Aggregate residual scans, value-consistency deltas, certification
+    reports, and steady-state orderings into one pass/fail report."""
     params = config.effective_params
+    solutions, checks = {}, []
     for mode in config.modes:
         try:
             solutions[mode] = solve(mode, params, config.solver)
         except (SolverError, ParameterError, ValueError) as exc:
             checks.append({"name": f"solve-{mode.value}", "passed": False,
                            "note": str(exc)})
-    return solutions, checks
-
-
-def run_verify(config: ScenarioConfig) -> dict:
-    """Aggregate residual scans, value-consistency deltas, certification
-    reports, and steady-state orderings into one pass/fail report."""
-    params = config.effective_params
-    solutions, checks = _verify_solutions(config)
     for mode, solution in solutions.items():
         scan = residual_scan(solution, params)
         checks.append({

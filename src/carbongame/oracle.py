@@ -3,7 +3,7 @@
 This module re-derives strategies without the coefficient solver: each role's
 control problem is discretized on a finite state/action grid and solved by
 Howard policy iteration (greedy improvement plus exact policy evaluation on
-the induced sparse chain). The resulting best responses and values are then
+the induced banded chain). The resulting best responses and values are then
 compared against the analytic feedback rules. The Stackelberg leader, whose
 problem is not a plain control problem, is instead stress-tested by sampling
 perturbed announcement rules and re-simulating the follower's reaction.
@@ -43,9 +43,11 @@ The certifier's pass tolerances, the default grid's spans, the refinement
 factor and the leader sampler's spread and simulation grid are module
 constants, not arguments; only the sample count and the seed are.
 
-Policy evaluation is the only code in the package that uses scipy (its
-sparse direct solver); it imports scipy.sparse on first use, so importing
-carbongame, solving and simulating never load scipy.
+Policy evaluation solves the banded system (I - gamma*P) v = r by Gaussian
+elimination without pivoting. Each row's diagonal exceeds the sum of its
+off-diagonal magnitudes by 1 - gamma, and on such strictly diagonally
+dominant systems elimination without pivoting is stable (Golub & Van Loan,
+Matrix Computations, section 4.3).
 """
 
 from __future__ import annotations
@@ -129,11 +131,14 @@ class GridSpec:
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
-        for name in ("n_states", "n_actions"):
-            if getattr(self, name) < 3:
-                raise ValueError(f"{name} must be >= 3, got {getattr(self, name)}")
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
+            if value == np.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
+        for name, least in (("n_states", 3), ("n_actions", 3), ("max_sweeps", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
     def states(self) -> np.ndarray:
         return np.linspace(0.0, self.H_max, self.n_states)
@@ -205,16 +210,42 @@ def _check_interior(H: np.ndarray, next_raw: np.ndarray) -> None:
 
 def _evaluate_policy(n: int, j: np.ndarray, w: np.ndarray, reward: np.ndarray,
                      gamma: float) -> np.ndarray:
-    # scipy loads here, not at import: only the certifier pays its import
-    # time (a dense np.linalg.solve of this banded system is 10-20x slower)
-    from scipy import sparse
-    from scipy.sparse.linalg import spsolve
-    rows = np.arange(n)
-    data = np.concatenate([np.ones(n), -gamma * (1.0 - w), -gamma * w])
-    rc = (np.concatenate([rows, rows, rows]),
-          np.concatenate([rows, j, np.minimum(j + 1, n - 1)]))
-    system = sparse.csr_matrix((data, rc), shape=(n, n))
-    return spsolve(system, reward)
+    """Solve (I - gamma*P) v = reward, where row i of P puts 1 - w[i] on
+    state j[i] and w[i] on j[i] + 1 (``_positions`` keeps j <= n - 2).
+
+    Banded Gaussian elimination in Python floats, skipping zero multipliers;
+    the band's reach is read off j - i and j + 1 - i, so a coarse time step
+    widens it. No pivoting: each row's diagonal exceeds the sum of its
+    off-diagonal magnitudes by 1 - gamma > 0 (Golub & Van Loan, section 4.3).
+    """
+    states = np.arange(n)
+    reach = j - states
+    lo = max(0, -int(reach.min()))
+    hi = max(0, int(reach.max()) + 1)
+    band = np.zeros((n, lo + 1 + hi))   # band[i, c - i + lo] holds column c
+    band[:, lo] = 1.0
+    band[states, reach + lo] -= gamma * (1.0 - w)
+    band[states, reach + lo + 1] -= gamma * w
+    rows = band.tolist()
+    b = reward.tolist()
+    for i, row in enumerate(rows):
+        for k in range(max(0, i - lo), i):
+            m = row[k - i + lo]
+            if m:
+                pivot = rows[k]
+                m /= pivot[lo]
+                for c in range(1, hi + 1):
+                    row[k - i + lo + c] -= m * pivot[lo + c]
+                b[i] -= m * b[k]
+    # columns past n - 1 stay zero, so back substitution reads v padded
+    v = [0.0] * (n + hi)
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        s = b[i]
+        for c in range(1, hi + 1):
+            s -= row[lo + c] * v[i + c]
+        v[i] = s / row[lo]
+    return np.array(v[:n])
 
 
 def _positions(H: np.ndarray, Hnext: np.ndarray):
@@ -557,19 +588,8 @@ class CertificationReport:
     notes: list
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode.value,
-            "window": list(self.window),
-            "policy_gaps": dict(self.policy_gaps),
-            "value_gaps": dict(self.value_gaps),
-            "policy_tolerance": self.policy_tolerance,
-            "value_tolerance": self.value_tolerance,
-            "leader_sample": None if self.leader_sample is None
-            else dict(self.leader_sample),
-            "leader_tolerance": self.leader_tolerance,
-            "passed": self.passed,
-            "notes": list(self.notes),
-        }
+        return {**dataclasses.asdict(self), "mode": self.mode.value,
+                "window": list(self.window)}
 
 
 def _window_gaps(br: BestResponse, solution: GameSolution, window_mask,
@@ -600,6 +620,10 @@ def equilibrium_check(solution: GameSolution,
     is held to LEADER_TOLERANCE; centralized solutions check the joint
     controller.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     params = solution.params if params is None else params
     if not solution.alpha < 0:
         raise OracleError(
@@ -614,37 +638,33 @@ def equilibrium_check(solution: GameSolution,
             f"grid H_max = {grid.H_max:.6g} does not cover the comparison "
             f"window up to {window[1]:.6g}")
     mask = (H >= window[0]) & (H <= window[1])
-    notes = []
-    policy_gaps = {}
-    value_gaps = {}
     leader_sample = None
     mode = solution.mode
+    # (grid reply, the role whose value it is compared with, its note label)
     if mode is GameMode.DECENTRALIZED:
-        for role, other in (("farmer", "retailer"), ("retailer", "farmer")):
-            br = grid_best_response(params, mode, role,
-                                    solution.policies[other], grid,
-                                    seed_policy=solution.policies[role])
-            pg, vg = _window_gaps(br, solution, mask, role)
-            policy_gaps.update(pg)
-            value_gaps.update(vg)
-            notes.append(f"{role} reply converged in {br.sweeps} sweeps")
+        replies = [(grid_best_response(params, mode, role,
+                                       solution.policies[other], grid,
+                                       seed_policy=solution.policies[role]),
+                    role, f"{role} reply")
+                   for role, other in (("farmer", "retailer"),
+                                       ("retailer", "farmer"))]
     elif mode is GameMode.STACKELBERG:
-        br = grid_best_response(params, mode, "farmer",
-                                solution.policies["retailer"], grid,
-                                seed_policy=solution.policies["farmer"])
-        pg, vg = _window_gaps(br, solution, mask, "farmer")
-        policy_gaps.update(pg)
-        value_gaps.update(vg)
-        notes.append(f"follower reply converged in {br.sweeps} sweeps")
+        replies = [(grid_best_response(params, mode, "farmer",
+                                       solution.policies["retailer"], grid,
+                                       seed_policy=solution.policies["farmer"]),
+                    "farmer", "follower reply")]
         leader_sample = leader_improvement_sample(solution, params,
                                                   samples=samples, seed=seed)
     else:
-        br = grid_best_response(params, mode, "joint", None, grid,
-                                seed_policy=solution.policies)
-        pg, vg = _window_gaps(br, solution, mask, "joint")
+        replies = [(grid_best_response(params, mode, "joint", None, grid,
+                                       seed_policy=solution.policies),
+                    "joint", "joint control")]
+    notes, policy_gaps, value_gaps = [], {}, {}
+    for br, value_role, label in replies:
+        pg, vg = _window_gaps(br, solution, mask, value_role)
         policy_gaps.update(pg)
         value_gaps.update(vg)
-        notes.append(f"joint control converged in {br.sweeps} sweeps")
+        notes.append(f"{label} converged in {br.sweeps} sweeps")
     passed = (all(g <= POLICY_TOLERANCE for g in policy_gaps.values())
               and all(g <= VALUE_TOLERANCE for g in value_gaps.values()))
     if leader_sample is not None:

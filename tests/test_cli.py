@@ -135,7 +135,7 @@ def test_every_report_opens_with_one_envelope(capsys, tmp_path, command):
     report = json.loads((tmp_path / "run_report.json").read_text())
     assert report["command"] == command
     assert report["timestamp"].endswith("+00:00")
-    assert set(report["versions"]) == {"carbongame", "numpy", "scipy", "python"}
+    assert set(report["versions"]) == {"carbongame", "numpy", "python"}
     assert report["config"]["modes"] == ["gd"]
     T, h = (40.0, 0.01) if command == "verify" else (2.0, 0.1)
     assert report["config"]["sim"] == {"T": T, "h": h, "integrator": "exact"}
@@ -310,14 +310,13 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     assert excinfo.value.code == 2
 
 
-# --- scipy stays off the runtime paths -------------------------------------
+# --- every runtime path runs without scipy ---------------------------------
 
 _SRC = str(Path(carbongame.__file__).resolve().parents[1])
 
 _PROGRAM = """
 import sys
-if {block}:
-    sys.modules["scipy"] = None   # every scipy import now raises ImportError
+sys.modules["scipy"] = None   # every scipy import now raises ImportError
 import carbongame
 from carbongame.cli import main
 code = main({argv!r}) if {argv!r} else 0
@@ -328,12 +327,12 @@ sys.exit(code)
 """
 
 
-def _fresh_process(argv, block):
+def _fresh_process(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", _PROGRAM.format(block=block, argv=argv)],
+        [sys.executable, "-c", _PROGRAM.format(argv=argv)],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     marker, _, loaded = proc.stdout.splitlines()[-1].partition(":")
@@ -342,8 +341,8 @@ def _fresh_process(argv, block):
 
 
 @pytest.mark.parametrize("argv", [[], ["solve", "--mode", "all"], ["compare"],
-                                  ["sweep"]],
-                         ids=["import", "solve", "compare", "sweep"])
+                                  ["sweep"], ["verify", "--mode", "all"]],
+                         ids=["import", "solve", "compare", "sweep", "verify"])
 def test_runtime_paths_run_with_scipy_blocked(argv, tmp_path):
     if argv == ["compare"]:
         argv = ["compare", "--out", str(tmp_path / "cmp")]
@@ -354,9 +353,4 @@ def test_runtime_paths_run_with_scipy_blocked(argv, tmp_path):
         config.write_text(json.dumps({"sweep": {"parameter": "p_c", "min": 0.0,
                                                 "max": 2.5, "count": 40}}))
         argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "sw")]
-    assert _fresh_process(argv, block=True) == []
-
-
-def test_verify_loads_scipy_only_when_it_certifies():
-    loaded = _fresh_process(["verify", "--mode", "gd"], block=False)
-    assert "scipy.sparse" in loaded
+    assert _fresh_process(argv) == []

@@ -23,7 +23,6 @@ from carbongame.experiments import (
     RESPONSES,
     SUMMARY_COLUMNS,
     _json_default,
-    _scipy_version,
     _sweep_argmax,
 )
 
@@ -197,18 +196,7 @@ def test_compare_report_structure(baseline_compare):
         assert cell["status"] == "ok"
         assert cell["trajectory_file"] in baseline_compare
         assert cell["diagnostics"]["backend"] == "residual"
-    assert set(report["versions"]) == {"carbongame", "numpy", "scipy", "python"}
-
-
-def test_versions_read_scipy_from_metadata_and_allow_it_missing(monkeypatch):
-    from importlib import metadata
-
-    def not_installed(name):
-        raise metadata.PackageNotFoundError(name)
-
-    assert _scipy_version() == metadata.version("scipy")
-    monkeypatch.setattr(metadata, "version", not_installed)
-    assert _scipy_version.__wrapped__() is None
+    assert set(report["versions"]) == {"carbongame", "numpy", "python"}
 
 
 def test_compare_runs_a_single_cell_without_sink_price():

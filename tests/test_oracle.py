@@ -60,6 +60,19 @@ def test_grid_spec_validation():
         GridSpec(H_max=1.0, a_max_f=1.0, a_max_r=1.0, n_states=2)
     with pytest.raises(ValueError, match="max_sweeps must be >= 1"):
         GridSpec(H_max=1.0, a_max_f=1.0, a_max_r=1.0, max_sweeps=0)
+    for name in ("H_max", "a_max_f", "a_max_r", "dt"):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got inf"):
+            GridSpec(**{"H_max": 1.0, "a_max_f": 1.0, "a_max_r": 1.0,
+                        name: math.inf})
+        with pytest.raises(ValueError, match=f"{name} must be > 0, got nan"):
+            GridSpec(**{"H_max": 1.0, "a_max_f": 1.0, "a_max_r": 1.0,
+                        name: math.nan})
+    for name in ("n_states", "n_actions", "max_sweeps"):
+        with pytest.raises(ValueError,
+                           match=f"{name} must be an integer, got 100.0"):
+            GridSpec(H_max=1.0, a_max_f=1.0, a_max_r=1.0, **{name: 100.0})
+    assert GridSpec(H_max=1.0, a_max_f=1.0, a_max_r=1.0,
+                    n_states=np.int64(64)).states().size == 64
     grid = GridSpec(H_max=2.0, a_max_f=4.0, a_max_r=2.0, n_states=5,
                     n_actions=3)
     assert grid.states() == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0])
@@ -487,6 +500,65 @@ def test_leader_sample_count_must_be_positive(baseline_gs, samples):
         leader_improvement_sample(baseline_gs, samples=samples)
     with pytest.raises(ValueError, match=message):
         equilibrium_check(baseline_gs, samples=samples)
+
+
+@pytest.mark.parametrize("samples, seed, message", [
+    (-5, -1, "samples must be >= 1, got -5"),
+    (0, 7, "samples must be >= 1, got 0"),
+    (200, -1, "seed must be >= 0, got -1"),
+], ids=["both-negative", "no-samples", "negative-seed"])
+@pytest.mark.parametrize("mode", ["gd", "gs", "gc"])
+def test_certification_arguments_are_checked_before_any_grid_reply(
+        monkeypatch, mode, samples, seed, message):
+    sol = solve(mode, ModelParams())
+
+    def no_reply(*args, **kwargs):
+        raise AssertionError("a grid reply ran before the arguments were checked")
+
+    monkeypatch.setattr(oracle, "grid_best_response", no_reply)
+    with pytest.raises(ValueError, match=message):
+        equilibrium_check(sol, samples=samples, seed=seed)
+
+
+def _certification_systems(monkeypatch, sol, grid):
+    """The (n, j, w, reward, gamma) policy-evaluation systems that
+    certifying sol on grid solves; the leader sampler solves none."""
+    systems = []
+
+    def record(*system):
+        systems.append(system)
+        return _evaluate_policy(*system)
+
+    monkeypatch.setattr(oracle, "_evaluate_policy", record)
+    monkeypatch.setattr(oracle, "leader_improvement_sample",
+                        lambda *args, **kwargs: {"max_improvement": 0.0})
+    equilibrium_check(sol, grid=grid)
+    return systems
+
+
+@pytest.mark.parametrize("mode, dt, reach", [
+    ("gd", None, 2), ("gs", None, 2), ("gc", None, 2),
+    ("gd", 0.05, 13), ("gd", 0.5, 120),
+], ids=["gd", "gs", "gc", "gd-dt0.05", "gd-dt0.5"])
+def test_band_solve_matches_a_dense_solve(monkeypatch, mode, dt, reach):
+    # the default grid's systems, then coarser steps whose next states lie
+    # many grid states away, which widens the band
+    sol = solve(mode, ModelParams())
+    grid = default_grid(sol)
+    if dt is not None:
+        grid = dataclasses.replace(grid, dt=dt)
+    systems = _certification_systems(monkeypatch, sol, grid)
+    assert systems
+    for n, j, w, reward, gamma in systems:
+        rows = np.arange(n)
+        assert np.max(rows - j) >= reach
+        dense = np.eye(n)
+        dense[rows, j] -= gamma * (1.0 - w)
+        dense[rows, j + 1] -= gamma * w
+        expected = np.linalg.solve(dense, reward)
+        value = _evaluate_policy(n, j, w, reward, gamma)
+        assert (np.max(np.abs(value - expected))
+                <= 1e-12 * np.max(np.abs(expected)))
 
 
 @pytest.mark.parametrize("changes", [{}, {"p_c": 0.8, "rho": 0.9},
