@@ -37,7 +37,6 @@ from .solver import (
     UnstableModelError,
     hjb_residual,
     residual_scan,
-    select_stable_root,
     solve,
     solve_many,
 )
@@ -128,7 +127,6 @@ __all__ = [
     "run_compare",
     "run_sweep",
     "run_verify",
-    "select_stable_root",
     "solve",
     "solve_many",
     "steady_state",

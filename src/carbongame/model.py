@@ -103,6 +103,14 @@ class ModelParams:
     D0: float = 250.0
     H0: float = 0.1
 
+    def __post_init__(self):
+        # a numpy scalar is read as the Python number it holds, so parameter
+        # arithmetic never wraps at a fixed integer width
+        for name, value in vars(self).items():
+            if type(value) is not float and isinstance(value, (np.integer, np.floating)):
+                object.__setattr__(self, name, float(value) if isinstance(
+                    value, np.floating) else int(value))
+
     def replace(self, **overrides) -> "ModelParams":
         return dataclasses.replace(self, **overrides)
 
@@ -115,8 +123,16 @@ class ModelParams:
         return tuple(f.name for f in dataclasses.fields(cls))
 
 
+_POSITIVE = ("lambda_f", "lambda_r", "mu_f", "mu_r", "omega", "delta", "rho",
+             "theta", "a", "b")
+_NONNEGATIVE = ("p_f", "p_r", "p", "p_c", "Q0", "D0", "H0")
+
+
 def validate_params(raw: ModelParams) -> ModelParams:
     """Return ``raw`` unchanged iff every parameter constraint holds.
+
+    A parameter is a finite Python int or float, which is how ModelParams
+    stores numpy integer and floating scalars; a bool is not a number here.
 
     Raises
     ------
@@ -125,19 +141,13 @@ def validate_params(raw: ModelParams) -> ModelParams:
         multiplier (D0 - b*p < 0) is reported as its own violation.
     """
     problems = []
-    for name in ("lambda_f", "lambda_r", "mu_f", "mu_r", "omega", "delta",
-                 "rho", "theta", "a", "b"):
-        value = getattr(raw, name)
-        if not (isinstance(value, (int, float)) and math.isfinite(value)):
-            problems.append(f"{name} must be a finite number, got {value!r}")
-        elif value <= 0:
-            problems.append(f"{name} > 0 violated (got {value})")
-    for name in ("p_f", "p_r", "p", "p_c", "Q0", "D0", "H0"):
-        value = getattr(raw, name)
-        if not (isinstance(value, (int, float)) and math.isfinite(value)):
-            problems.append(f"{name} must be a finite number, got {value!r}")
-        elif value < 0:
-            problems.append(f"{name} >= 0 violated (got {value})")
+    for names, strict in ((_POSITIVE, True), (_NONNEGATIVE, False)):
+        for name in names:
+            value = getattr(raw, name)
+            if type(value) not in (int, float) or not math.isfinite(value):
+                problems.append(f"{name} must be a finite number, got {value!r}")
+            elif value <= 0 if strict else value < 0:
+                problems.append(f"{name} {'>' if strict else '>='} 0 violated (got {value})")
     if not problems:
         if raw.Q0 + raw.a * raw.p < 0:
             problems.append(
@@ -266,18 +276,7 @@ class SolutionDiagnostics:
     printed_comparison: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "backend": self.backend,
-            "convention": self.convention,
-            "root_branch": self.root_branch,
-            "discriminants": dict(self.discriminants),
-            "max_hjb_residual": self.max_hjb_residual,
-            "candidates": list(self.candidates),
-            "ambiguous_stable_roots": self.ambiguous_stable_roots,
-            "flags": list(self.flags),
-            "notes": list(self.notes),
-            "printed_comparison": dict(self.printed_comparison),
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)

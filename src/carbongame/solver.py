@@ -41,7 +41,6 @@ Conventions for the Stackelberg follower:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -64,8 +63,7 @@ from .model import (
 
 __all__ = [
     "SolverConfig", "CoefficientSystem", "SolverError", "ComplexRootError",
-    "UnstableModelError", "solve", "solve_many", "select_stable_root",
-    "hjb_residual", "residual_scan",
+    "UnstableModelError", "solve", "solve_many", "hjb_residual", "residual_scan",
 ]
 
 BACKEND_RESIDUAL = "residual"
@@ -271,15 +269,6 @@ class CoefficientSystem:
         return 1.0 + np.abs(self.rho * np.asarray(coeffs, dtype=float))
 
 
-def _pow2(x):
-    """x ** 2 as Python computes it for a float (the C library's pow), cell
-    by cell for an array. numpy squares an array as x*x, which differs from
-    pow in the last bit for about one value in a thousand; this way a cell's
-    printed balances and published-scale discriminants are the same whether
-    its parameters are floats or one entry of a stacked array."""
-    return np.array([e ** 2 for e in x.tolist()]) if isinstance(x, np.ndarray) else x ** 2
-
-
 def _system(params: ModelParams, mode: GameMode,
             convention: str = CONVENTION_STANDARD) -> CoefficientSystem:
     terms = _payoff_polynomials(params, mode)
@@ -288,7 +277,7 @@ def _system(params: ModelParams, mode: GameMode,
     offsets = None
     if mode is GameMode.STACKELBERG and convention == CONVENTION_PRINTED:
         lf, _, mf, _, _, _, eta, *_ = _symbols(params)
-        base = (1.0 - mf) * _pow2(eta) / lf
+        base = (1.0 - mf) * (eta * eta) / lf
         offsets = (base / 4.0, base / 8.0)
 
     def balances(v):
@@ -363,27 +352,8 @@ def _pick(leading, alphas, mask):
     for i in np.flatnonzero(~stable.any(axis=0)).tolist():
         slopes = alphas[mask[:, i], i].tolist()
         errors[i] = (UnstableModelError(slopes) if slopes
-                     else SolverError("select_stable_root: no candidates"))
+                     else SolverError("no candidates for the stable branch"))
     return pick, errors
-
-
-def select_stable_root(candidates: Sequence, drift_slope: Callable):
-    """Pick the unique candidate whose closed-loop drift slope is negative.
-
-    If several candidates are stable the one with the smallest |leading
-    coefficient| is returned (callers record the ambiguity). Raises
-    UnstableModelError listing every candidate slope when none is stable.
-    The batch of one of the rule solve_many applies to every cell.
-    """
-    if not candidates:
-        raise SolverError("select_stable_root: no candidates")
-    column = lambda x: np.array(x, dtype=float)[:, None]
-    pick, (error,) = _pick(column([c[0] for c in candidates]),
-                           column([drift_slope(c) for c in candidates]),
-                           np.ones((len(candidates), 1), dtype=bool))
-    if error is not None:
-        raise error
-    return candidates[int(pick[0])]
 
 
 def _quadratic_roots(qa, qb, qc):
@@ -418,23 +388,6 @@ def _fit(f0, f_plus, f_minus, s) -> tuple:
     return c[:, 0], c[:, 1] / s, c[:, 2] / (s * s)
 
 
-def _power_of_two_scale(c0: float, c2: float) -> float:
-    """The power of two nearest sqrt|c0/c2|, the geometric mean of the roots'
-    magnitudes of c2*x^2 + c1*x + c0; 1 when that is not finite and positive."""
-    ratio = abs(c0 / c2) if c2 != 0.0 else 0.0
-    if not 0.0 < ratio < math.inf:
-        return 1.0
-    return math.ldexp(1.0, round(0.5 * math.log2(ratio)))
-
-
-def _horner(coefficients, x):
-    """sum_k c[k]*x^k in npoly.polyval's order of operations."""
-    y = coefficients[-1] + x * 0
-    for c in coefficients[-2::-1]:
-        y = c + y * x
-    return y
-
-
 def _quadratic_branches(params: ModelParams, mode: GameMode, row: Callable):
     """The real roots in A of the gd farmer or gc joint H^2 row, per cell.
 
@@ -445,19 +398,33 @@ def _quadratic_branches(params: ModelParams, mode: GameMode, row: Callable):
     errors) as _leading_branches does.
     """
     lf, lr = params.lambda_f, params.lambda_r
-    label, scale = (("Delta^GD", 4.0 * _pow2(lf)) if mode is GameMode.DECENTRALIZED
-                    else ("Delta^GC", _pow2(lf * lr)))
+    label, scale = (("Delta^GD", 4.0 * (lf * lf)) if mode is GameMode.DECENTRALIZED
+                    else ("Delta^GC", (lf * lr) * (lf * lr)))
     f0, f1, f_1 = row(_NODES[:, None])
     c0, c1, c2 = _fit(f0, f1, f_1, 1.0)
     # refit on the roots' scale, where c0 no longer dwarfs the c1 and c2
-    # terms and so leaves its rounding out of them
-    s = np.array([_power_of_two_scale(a, b) for a, b in zip(c0.tolist(), c2.tolist())])
+    # terms and so leaves its rounding out of them: s is the power of two
+    # nearest sqrt|c0/c2|, the geometric mean of the roots' magnitudes, and 1
+    # where that is not finite and positive
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.abs(c0 / c2)
+    ok = (ratio > 0.0) & (ratio < np.inf)
+    s = np.ldexp(1.0, np.rint(0.5 * np.log2(np.where(ok, ratio, 1.0))).astype(int))
     c0, c1, c2 = _fit(f0, *row(np.stack([s, -s])), s)
     A, mask, disc = _quadratic_roots(c2, c1, c0)
     discs = [{label: d} for d in (disc * scale).tolist()]
     errors = [ComplexRootError(label, d[label]) if raw < 0.0 else None
               for d, raw in zip(discs, disc.tolist())]
     return (A,), mask, discs, errors
+
+
+def _polymul(p, q):
+    """Products of polynomials held as ascending coefficients on the last
+    axis, for every cell at once."""
+    out = np.zeros(p.shape[:-1] + (p.shape[-1] + q.shape[-1] - 1,))
+    for i in range(p.shape[-1]):
+        out[..., i:i + q.shape[-1]] += p[..., i:i + 1] * q
+    return out
 
 
 def _eliminate(a, b, g0, g1, g2):
@@ -467,78 +434,46 @@ def _eliminate(a, b, g0, g1, g2):
     The farmer row is a(A) + b(A)*M and the leader row g0(A) + g1(A)*M +
     g2*M^2, with a, g0 of shape (n, 3), b, g1 of shape (n, 2) and g2 of
     shape (n,) holding ascending powers of A. M = -a/b leaves the quartic
-    g0*b^2 - g1*a*b + g2*a^2 in A; its roots are the eigenvalues of the
-    companion matrices npoly.polyroots builds, found for all full-degree
-    cells in one call. Where b(A) ~ 0, M comes from the leader row instead.
+    g0*b^2 - g1*a*b + g2*a^2 in A; its roots are the eigenvalues of its
+    companion matrix, found in one call for all finite cells of each degree
+    (a cell whose quartic is constant has none). Where b(A) ~ 0, M comes
+    from the leader row instead, which gives up to two branches at that A.
     Returns (A, M, mask), each (K, n): branch k of cell i at [k, i] when
     mask[k, i], in ascending A.
     """
-    n = len(g2)
-    conv = np.convolve
-    quartics = []
-    for i in range(n):
-        quartic = (conv(g0[i], conv(b[i], b[i])) - conv(g1[i], conv(a[i], b[i]))
-                   + g2[i] * conv(a[i], a[i]))
-        size = len(quartic)
-        while size and quartic[size - 1] == 0.0:
-            size -= 1
-        quartics.append(quartic[:size])
-    roots = np.zeros((n, 4), dtype=complex)
-    found = np.zeros((n, 4), dtype=bool)
-    full = [i for i, c in enumerate(quartics) if c.size == 5 and np.isfinite(c).all()]
-    if full:
-        c = np.array([quartics[i] for i in full])
-        companion = np.zeros((len(full), 4, 4))
-        companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
-        companion[:, :, -1] -= c[:, :-1] / c[:, -1:]
-        roots[full] = np.linalg.eigvals(companion)
-        found[full] = True
-    for i, c in enumerate(quartics):
-        if c.size <= 1:
-            r = np.zeros(1)   # a constant quartic: the branch A = 0
-        elif c.size < 5 and np.isfinite(c).all():
-            r = npoly.polyroots(c)   # a quartic that lost degree, alone
-        else:
-            continue   # solved above, or non-finite with no real branch
-        roots[i, :r.size] = r
-        found[i, :r.size] = True
-    real = found & (np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots)))
-    # the distinct real roots of each cell, ascending, at the front of its row
-    A = np.sort(np.where(real, roots.real, np.inf), axis=1)
-    distinct = np.isfinite(A)
-    distinct[:, 1:] &= A[:, 1:] != A[:, :-1]
-    order = np.argsort(~distinct, axis=1, kind="stable")
-    A = np.take_along_axis(A, order, axis=1)
-    mask = np.take_along_axis(distinct, order, axis=1)
+    quartic = (_polymul(g0, _polymul(b, b)) - _polymul(g1, _polymul(a, b))
+               + g2[:, None] * _polymul(a, a))
+    # each cell's degree once zero leading terms are cut; 0 where the quartic
+    # is constant or not finite
+    degree = np.where(np.isfinite(quartic).all(axis=1),
+                      np.max(np.where(quartic != 0.0, np.arange(5), 0), axis=1), 0)
+    roots = np.full((4, len(g2)), np.nan, dtype=complex)
+    for d in range(1, 5):
+        cells = np.flatnonzero(degree == d)
+        if cells.size:
+            companion = np.zeros((cells.size, d, d))
+            companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+            companion[:, :, -1] -= quartic[cells, :d] / quartic[cells, d:d + 1]
+            roots[:d, cells] = np.linalg.eigvals(companion).T
+    real = np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))
+    # the distinct real roots of each cell, ascending
+    A = np.sort(np.where(real, roots.real, np.inf), axis=0)
+    mask = np.isfinite(A)
+    mask[1:] &= A[1:] != A[:-1]
     A = np.where(mask, A, 0.0)
-    columns = lambda c: [x[:, None] for x in c.T]
-    bA = _horner(columns(b), A)
-    ordinary = np.abs(bA) > 1e-12 * (1.0 + np.abs(A))
-    M = -_horner(columns(a), A) / np.where(ordinary, bA, 1.0)
-    fallback = {}
-    for i in np.flatnonzero((mask & ~ordinary).any(axis=1)).tolist():
-        cell = []
-        for x, m, plain in zip(A[i, mask[i]].tolist(), M[i, mask[i]].tolist(),
-                               ordinary[i, mask[i]].tolist()):
-            if plain:
-                cell.append((x, m))
-                continue
-            seeds, real, _ = _quadratic_roots(
-                *(np.array([y]) for y in (g2[i], _horner(g1[i], x), _horner(g0[i], x))))
-            cell += [(x, seed) for seed in seeds[real[:, 0], 0].tolist()]
-        fallback[i] = cell
-    width = max([int(mask.sum(axis=1).max(initial=0))]
-                + [len(cell) for cell in fallback.values()])
-    out = np.zeros((width, n)), np.zeros((width, n)), np.zeros((width, n), dtype=bool)
-    rows = min(width, 4)
-    for o, x in zip(out, (A, M, mask)):
-        o[:rows] = x.T[:rows]
-    for i, cell in fallback.items():
-        for o in out:
-            o[:, i] = 0
-        for k, (x, m) in enumerate(cell):
-            out[0][k, i], out[1][k, i], out[2][k, i] = x, m, True
-    return out
+    bA = npoly.polyval(A, b.T, tensor=False)
+    ordinary = mask & (np.abs(bA) > 1e-12 * (1.0 + np.abs(A)))
+    M = -npoly.polyval(A, a.T, tensor=False) / np.where(ordinary, bA, 1.0)
+    seeds, found, _ = _quadratic_roots(g2, npoly.polyval(A, g1.T, tensor=False),
+                                       npoly.polyval(A, g0.T, tensor=False))
+    fallback = mask & ~ordinary
+    # the ordinary branches and the leader-row seeds of each fallback A,
+    # sorted by A; the stable sort keeps one A's two seeds in ascending order
+    A, M = np.concatenate([A, A, A]), np.concatenate([M, seeds[0], seeds[1]])
+    mask = np.concatenate([ordinary, fallback & found[0], fallback & found[1]])
+    order = np.argsort(np.where(mask, A, np.inf), axis=0, kind="stable")
+    width = int(mask.sum(axis=0).max(initial=0))
+    return tuple(np.take_along_axis(x, order, axis=0)[:width] for x in (A, M, mask))
 
 
 def _leading_branches(params: ModelParams, system: CoefficientSystem):
@@ -577,6 +512,20 @@ def _leading_branches(params: ModelParams, system: CoefficientSystem):
     return (A, M), mask, [{} for _ in errors], errors
 
 
+def _solve_regular(matrix, rhs):
+    """np.linalg.solve of every cell whose matrix is regular, 0 elsewhere.
+
+    matrix is (n, k, k) and rhs (n, k, m). A cell is singular where the LU
+    factorization meets an exactly zero pivot, which np.linalg.slogdet
+    reports as sign 0 and np.linalg.solve as LinAlgError. Returns the
+    solutions (n, k, m) and the singular cells (n,).
+    """
+    singular = np.linalg.slogdet(matrix)[0] == 0.0
+    out = np.zeros(rhs.shape)
+    out[~singular] = np.linalg.solve(matrix[~singular], rhs[~singular])
+    return out, singular
+
+
 def _complete(system: CoefficientSystem, leading):
     """The full coefficient vectors (k, n) of branches: the H^1 unknowns by
     one linear solve of the H^1 rows per cell, then each H^0 unknown from
@@ -592,22 +541,14 @@ def _complete(system: CoefficientSystem, leading):
     rows = np.stack([np.broadcast_to(out[i], (len(h1) + 1, n)) for i in h1])
     matrix = np.ascontiguousarray(np.moveaxis(rows[:, 1:] - rows[:, :1], -1, 0))
     rhs = np.ascontiguousarray(-rows[:, 0].T)[..., None]
-    errors = [None] * n
-    try:
-        solved = np.linalg.solve(matrix, rhs)[..., 0]
-    except np.linalg.LinAlgError:
-        solved = np.zeros((n, len(h1)))
-        for i in range(n):
-            try:
-                solved[i] = np.linalg.solve(matrix[i], rhs[i])[:, 0]
-            except np.linalg.LinAlgError:
-                errors[i] = SolverError("singular H^1 balances on the stable branch")
-    for i, x in zip(h1, solved.T):
+    solved, singular = _solve_regular(matrix, rhs)
+    for i, x in zip(h1, solved[..., 0].T):
         v[i] = x
     out = system.balances(v)
     for i in by_power[0]:
         v[i] = v[i] - out[i] / system.rho
-    return np.array(v), errors
+    return np.array(v), [SolverError("singular H^1 balances on the stable branch")
+                         if s else None for s in singular.tolist()]
 
 
 def _newton(system: CoefficientSystem, guess, tolerance: float):
@@ -639,15 +580,9 @@ def _newton(system: CoefficientSystem, guess, tolerance: float):
     res, up, down = out[:, 0], out[:, 1:k + 1], out[:, k + 1:]
     err = norm(v, res)
     jac = np.ascontiguousarray(np.moveaxis((up - down) / (2.0 * h), -1, 0))
-    try:
-        inverse = np.linalg.inv(jac)
-    except np.linalg.LinAlgError:
-        inverse = np.zeros_like(jac)   # no step where singular: the guess is kept
-        for i in range(n):
-            try:
-                inverse[i] = np.linalg.inv(jac[i])
-            except np.linalg.LinAlgError:
-                pass
+    # the inverse, as a solve against the identity; 0 (no step, the guess is
+    # kept) where singular
+    inverse = _solve_regular(jac, np.broadcast_to(np.eye(k), jac.shape))[0]
     active = np.ones(n, dtype=bool)
     for _ in range(8):   # one or two steps reach the rounding floor
         step = (inverse @ np.ascontiguousarray(res.T)[..., None])[..., 0].T

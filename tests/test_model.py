@@ -17,6 +17,7 @@ from carbongame import (
     derive_constants,
     effort_costs,
     reduction_drift,
+    solve,
     supply,
     validate_params,
 )
@@ -45,6 +46,30 @@ def test_multiple_violations_are_all_listed():
 def test_nonfinite_parameter_is_rejected():
     with pytest.raises(ParameterError, match="mu_f must be a finite number"):
         validate_params(ModelParams(mu_f=float("nan")))
+
+
+@pytest.mark.parametrize("name, value, accepted", [
+    ("lambda_f", True, False), ("p_c", False, False), ("H0", np.bool_(True), False),
+    ("Q0", np.int64(300), True), ("lambda_f", np.float32(500.0), True),
+    ("D0", np.uint8(250), True), ("mu_f", np.float64(1.5), True), ("p", 25, True),
+    ("rho", np.float32("inf"), False)])
+def test_numbers_are_ints_floats_and_numpy_scalars_but_not_bools(name, value, accepted):
+    params = ModelParams().replace(**{name: value})
+    if not accepted:
+        with pytest.raises(ParameterError, match=f"{name} must be a finite number"):
+            validate_params(params)
+        return
+    assert validate_params(params) is params
+    # read as the Python number it holds: every accepted value here equals
+    # its baseline, and so solves the same
+    assert type(getattr(params, name)) in (int, float)
+    assert solve("gs", params).values == solve("gs", ModelParams()).values
+
+
+def test_numpy_integer_parameters_do_not_wrap():
+    # 3*100 overflows uint8; read as Python ints, the supply multiplier is 600
+    params = ModelParams(a=np.uint8(3), p=np.uint8(100), D0=np.uint8(250), b=np.uint8(1))
+    assert derive_constants(params).k1 == (300.0 + 3.0 * 100.0) * 0.8
 
 
 def test_negative_demand_multiplier_is_rejected():

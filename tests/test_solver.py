@@ -24,7 +24,6 @@ from carbongame import (
     UnstableModelError,
     hjb_residual,
     residual_scan,
-    select_stable_root,
     solve,
     solve_many,
 )
@@ -173,14 +172,24 @@ def test_corrupting_a_coefficient_breaks_the_residual(mode):
 
 
 def test_select_stable_root_behaviour():
-    slope = lambda c: c[0]
-    assert select_stable_root([(1.0,), (-2.0,)], slope) == (-2.0,)
+    # the stable-branch rule _pick applies to every cell, on one cell: its
+    # branches' leading coefficients, drift slopes and mask
+    def pick(leading, alphas, mask=None):
+        column = lambda x: np.array(x, dtype=float)[:, None]
+        mask = column([True] * len(leading) if mask is None else mask) > 0.0
+        index, (error,) = solver._pick(column(leading), column(alphas), mask)
+        if error is not None:
+            raise error
+        return int(index[0])
+
+    assert pick([1.0, -2.0], [1.0, -2.0]) == 1
     with pytest.raises(UnstableModelError):
-        select_stable_root([(0.5,), (2.0,)], slope)
-    with pytest.raises(SolverError, match="no candidates"):
-        select_stable_root([], slope)
+        pick([0.5, 2.0], [0.5, 2.0])
+    with pytest.raises(SolverError, match="no candidates") as err:
+        pick([-1.0], [-1.0], mask=[False])
+    assert type(err.value) is SolverError
     # two stable branches: smallest |leading coefficient| wins
-    assert select_stable_root([(-0.5,), (0.2,)], lambda c: -1.0) == (0.2,)
+    assert pick([-0.5, 0.2], [-1.0, -1.0]) == 1
 
 
 def test_solver_config_validation():
@@ -446,6 +455,65 @@ def test_gs_elimination_takes_m_from_the_leader_row_where_b_vanishes():
     cells.insert(1, special)
     assert _branches(cells) == [_branches([cell])[0] for cell in cells]
     assert all(_branches([cell])[0] for cell in cells)
+
+
+def test_gs_elimination_finds_the_roots_of_a_quartic_that_lost_degree():
+    # a2 = b1 = g2 = 1, g1_1 = 3 and g0_2 = 2 cancel the A^4 term exactly;
+    # the second cell keeps only A^1 and A^0 (a and b constant in A); each
+    # cell's A are the real roots numpy's polyroots finds for its quartic,
+    # in a batch with a full-degree cell
+    cubic = ([-1.0, 0.5, 1.0], [0.2, 1.0], [0.3, -2.0, 2.0], [1.5, 3.0], 1.0)
+    linear = ([-2.0, 0.0, 0.0], [0.5, 0.0], [1.0, 4.0, 0.0], [1.0, 0.0], 1.0)
+    full = ([1.0, -2.0, 0.5], [1.0, 1.0], [-1.0, 0.5, 1.0], [0.5, -1.0], 2.0)
+    cells = [cubic, linear, full]
+    for (a, b, g0, g1, g2), branches, degree in zip(cells, _branches(cells), (3, 1, 4)):
+        P = np.polynomial.Polynomial
+        quartic = (P(g0) * P(b) ** 2 - P(g1) * P(a) * P(b) + g2 * P(a) ** 2).coef
+        quartic = np.trim_zeros(quartic, "b")
+        roots = np.polynomial.polynomial.polyroots(quartic)
+        expected = np.sort(roots.real[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))])
+        assert len(quartic) - 1 == degree
+        assert [A for A, _ in branches] == pytest.approx(expected, rel=1e-12, abs=1e-14)
+        for A, M in branches:
+            # M = -a(A)/b(A) solves the farmer row
+            assert np.polyval(a[::-1], A) + np.polyval(b[::-1], A) * M == \
+                pytest.approx(0.0, abs=1e-12 * (1.0 + abs(M)))
+
+
+@pytest.mark.parametrize("convention", [solver.CONVENTION_STANDARD, CONVENTION_PRINTED])
+def test_gs_batch_with_and_without_sink_trading_is_solve_cell_by_cell(convention):
+    # without sink trading a(0) = b(0) = 0 in every gs cell, so A = 0 takes
+    # its M from the leader row; mixed with cells that trade, every entry is
+    # the cell's own solve, diagnostics included, branch order and all
+    rng = np.random.default_rng(3)
+    trading = [_drawn_params(rng.uniform(-1.0, 1.0, len(_DRAWN))) for _ in range(6)]
+    cells = [p for params in trading for p in (params, params.without_sink_trading())]
+    cfg = SolverConfig(follower_convention=convention)
+    batch = solve_many("gs", cells, cfg)
+    for params, got in zip(cells, batch):
+        expected = _outcome("gs", params, cfg)
+        assert type(got) is type(expected)
+        if isinstance(expected, Exception):
+            assert str(got) == str(expected)
+            continue
+        assert solver._coefficients(got) == solver._coefficients(expected)
+        assert json.dumps(got.diagnostics.to_dict()) == \
+            json.dumps(expected.diagnostics.to_dict())
+        if params.p_c == 0.0:
+            assert any(c["coefficients"][0] == 0.0 for c in got.diagnostics.candidates)
+
+
+def test_regular_solves_flag_singular_cells_and_match_numpy_elsewhere():
+    rng = np.random.default_rng(11)
+    matrix, rhs = rng.normal(size=(5, 4, 4)), rng.normal(size=(5, 4, 2))
+    matrix[2, :, 0] = 0.0   # a zero column: exactly singular
+    out, singular = solver._solve_regular(matrix, rhs)
+    assert singular.tolist() == [False, False, True, False, False]
+    assert np.all(out[2] == 0.0)
+    for i in (0, 1, 3, 4):
+        assert np.array_equal(out[i], np.linalg.solve(matrix[i], rhs[i]))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(matrix[2], rhs[2])
 
 
 @pytest.mark.parametrize("draw", [17, 22, 153, 200])
