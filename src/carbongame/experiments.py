@@ -5,6 +5,16 @@ All tables are plain delimited text built from shortest round-trip float
 formatting, so identical configurations produce byte-identical tables. The
 run report is a JSON document carrying solver diagnostics, library versions,
 a config echo, and the only timestamp in any artifact.
+
+run_compare solves every cell in the calling process, then simulates and
+tabulates the solved cells, which is most of its time, one cell per task in
+a pool of forked worker processes: as many as the CPUs this process may use,
+at most one per cell. A fork inherits the imported modules and the formatted
+time column; a spawned worker would import numpy and the package again,
+which costs more than it saves. There is no setting for the pool. On one
+CPU, on a platform without fork, or while other threads run, the same
+per-cell function runs in the calling process. Either way the tables, the
+summary and the report are the same.
 """
 
 from __future__ import annotations
@@ -14,8 +24,11 @@ import dataclasses
 import io
 import json
 import platform
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -29,7 +42,13 @@ from .model import (
     ParameterError,
     validate_params,
 )
-from .simulate import SimConfig, SimulationError, simulate, trajectory_table
+from .simulate import (
+    SimConfig,
+    SimulationError,
+    _formatted_column,
+    simulate,
+    trajectory_table,
+)
 from . import solver
 from .solver import SolverConfig, SolverError, residual_scan, solve, solve_many
 
@@ -402,13 +421,41 @@ def _summary_row(mode: GameMode, sink: str, params: ModelParams,
     return row
 
 
+def _cell_table(solution: GameSolution, sim: SimConfig, params: ModelParams):
+    """One compare cell's trajectory table, or the SimulationError or
+    ValueError that stopped it, returned as solve_many returns a cell's
+    error. Runs in a worker process when run_compare has a pool."""
+    try:
+        return trajectory_table(simulate(solution, sim, params))
+    except (SimulationError, ValueError) as exc:
+        return exc
+
+
+def _table_pool(jobs: int):
+    """A pool of min(usable CPUs, jobs) forked worker processes, or
+    nullcontext() where that is one process, where the platform cannot fork,
+    or where other threads run, which a forked child would not have."""
+    workers = min(oracle._usable_cpus(), jobs)
+    if workers < 2 or threading.active_count() > 1:
+        return nullcontext()
+    # imported here: together about 17 ms that no other command needs
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return nullcontext()
+    from concurrent.futures.process import ProcessPoolExecutor
+    return ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context("fork"))
+
+
 def run_compare(config: ScenarioConfig) -> dict:
     """Solve, simulate, and tabulate each selected mode with and without
     sink trading.
 
     Returns an artifact mapping: one summary table, one trajectory table per
-    successful cell, and the run report. Solver failures are recorded in the
-    cell's status and the run continues.
+    successful cell, and the run report. Solver and simulation failures are
+    recorded in the cell's status and the run continues. Every cell is solved
+    here; the solved cells' simulations and tables, most of the run's time,
+    are spread over forked worker processes (see _table_pool).
     """
     base = config.effective_params
     tasks = []
@@ -419,17 +466,30 @@ def run_compare(config: ScenarioConfig) -> dict:
         else:
             tasks.append((mode, "off", base))
 
+    solved = []
+    for mode, _, params in tasks:
+        try:
+            solved.append((solve(mode, params, config.solver), None))
+        except (SolverError, ParameterError, ValueError) as exc:
+            solved.append((None, str(exc)))
+    jobs = [(solution, params) for (solution, _), (_, _, params)
+            in zip(solved, tasks) if solution is not None]
+    # every table has the same time column: format it before any fork, so
+    # each worker finds it in the cache
+    _formatted_column(config.sim.times().tobytes())
+    with _table_pool(len(jobs)) as pool:
+        tables = iter(list((map if pool is None else pool.map)(
+            _cell_table, [s for s, _ in jobs], repeat(config.sim),
+            [p for _, p in jobs])))
+
     artifacts = {}
     rows = []
     report_cells = []
-    for mode, sink, params in tasks:
-        try:
-            solution = solve(mode, params, config.solver)
-            trajectory = simulate(solution, config.sim, params)
-            error = None
-        except (SolverError, SimulationError, ParameterError,
-                ValueError) as exc:
-            solution, error = None, str(exc)
+    for (mode, sink, params), (solution, error) in zip(tasks, solved):
+        if solution is not None:
+            table = next(tables)
+            if isinstance(table, Exception):
+                solution, error = None, str(table)
         rows.append(_summary_row(mode, sink, params, solution, error))
         cell_report = {
             "mode": mode.value,
@@ -439,7 +499,7 @@ def run_compare(config: ScenarioConfig) -> dict:
         }
         if solution is not None:
             name = f"trajectory_{mode.value}_sink_{sink}.csv"
-            artifacts[name] = trajectory_table(trajectory)
+            artifacts[name] = table
             cell_report["trajectory_file"] = name
             cell_report["diagnostics"] = solution.diagnostics.to_dict()
             cell_report["coefficients"] = _coefficients(solution)

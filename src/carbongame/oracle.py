@@ -261,14 +261,18 @@ def _seed_indices(actions: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, actions.size - 1)
 
 
-def _greedy_threads() -> int:
-    """Threads for the greedy step: the CPUs this process may use, capped
-    by MAX_GREEDY_THREADS."""
+def _usable_cpus() -> int:
+    """The CPUs this process may use."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return min(cpus, MAX_GREEDY_THREADS)
+        return os.cpu_count() or 1
+
+
+def _greedy_threads() -> int:
+    """Threads for the greedy step: the usable CPUs, capped by
+    MAX_GREEDY_THREADS."""
+    return min(_usable_cpus(), MAX_GREEDY_THREADS)
 
 
 def _greedy_block(outer_actions, base, shift, H, continuation, reward_outer,

@@ -92,6 +92,9 @@ class ComplexRootError(SolverError):
         super().__init__(
             f"complex root: discriminant {label} = {discriminant:.6g} < 0")
 
+    def __reduce__(self):
+        return type(self), (self.label, self.discriminant)
+
 
 class UnstableModelError(SolverError):
     """No candidate branch yields a stable closed loop (alpha < 0)."""
@@ -101,6 +104,9 @@ class UnstableModelError(SolverError):
         super().__init__(
             "unstable model: no branch with alpha < 0, candidate drift slopes "
             + ", ".join(f"{a:.6g}" for a in self.alphas))
+
+    def __reduce__(self):
+        return type(self), (self.alphas,)
 
 
 @dataclass(frozen=True)
@@ -412,9 +418,14 @@ def _quadratic_branches(params: ModelParams, mode: GameMode, row: Callable):
     s = np.ldexp(1.0, np.rint(0.5 * np.log2(np.where(ok, ratio, 1.0))).astype(int))
     c0, c1, c2 = _fit(f0, *row(np.stack([s, -s])), s)
     A, mask, disc = _quadratic_roots(c2, c1, c0)
-    discs = [{label: d} for d in (disc * scale).tolist()]
-    errors = [ComplexRootError(label, d[label]) if raw < 0.0 else None
-              for d, raw in zip(discs, disc.tolist())]
+    published = disc * scale
+    # the discriminant as formed before _quadratic_roots takes 0 where c2 = 0:
+    # finite only where c0, c1, c2 and their products are
+    finite = np.isfinite(c1 * c1 - 4.0 * c2 * c0) & np.isfinite(published)
+    discs = [{label: d} for d in published.tolist()]
+    errors = [_overflow(f"the H^2 balances or their {label}") if not ok else
+              ComplexRootError(label, d[label]) if raw < 0.0 else None
+              for d, raw, ok in zip(discs, disc.tolist(), finite.tolist())]
     return (A,), mask, discs, errors
 
 
@@ -438,15 +449,17 @@ def _eliminate(a, b, g0, g1, g2):
     companion matrix, found in one call for all finite cells of each degree
     (a cell whose quartic is constant has none). Where b(A) ~ 0, M comes
     from the leader row instead, which gives up to two branches at that A.
-    Returns (A, M, mask), each (K, n): branch k of cell i at [k, i] when
-    mask[k, i], in ascending A.
+    Returns (A, M, mask, finite): A, M and mask (K, n), branch k of cell i
+    at [k, i] when mask[k, i], in ascending A; and per cell whether its
+    quartic is finite.
     """
     quartic = (_polymul(g0, _polymul(b, b)) - _polymul(g1, _polymul(a, b))
                + g2[:, None] * _polymul(a, a))
+    finite = np.isfinite(quartic).all(axis=1)
     # each cell's degree once zero leading terms are cut; 0 where the quartic
     # is constant or not finite
-    degree = np.where(np.isfinite(quartic).all(axis=1),
-                      np.max(np.where(quartic != 0.0, np.arange(5), 0), axis=1), 0)
+    degree = np.where(finite, np.max(np.where(quartic != 0.0, np.arange(5), 0),
+                                      axis=1), 0)
     roots = np.full((4, len(g2)), np.nan, dtype=complex)
     for d in range(1, 5):
         cells = np.flatnonzero(degree == d)
@@ -473,7 +486,8 @@ def _eliminate(a, b, g0, g1, g2):
     mask = np.concatenate([ordinary, fallback & found[0], fallback & found[1]])
     order = np.argsort(np.where(mask, A, np.inf), axis=0, kind="stable")
     width = int(mask.sum(axis=0).max(initial=0))
-    return tuple(np.take_along_axis(x, order, axis=0)[:width] for x in (A, M, mask))
+    return (*(np.take_along_axis(x, order, axis=0)[:width] for x in (A, M, mask)),
+            finite)
 
 
 def _leading_branches(params: ModelParams, system: CoefficientSystem):
@@ -485,7 +499,10 @@ def _leading_branches(params: ModelParams, system: CoefficientSystem):
     errors None or its typed error. The rows are sampled at 0 and
     +-1 of each leading unknown and fitted exactly: in gd and gc the farmer
     or joint row is a quadratic in A (_quadratic_branches); in gs the two
-    rows leave a quartic in A (_eliminate).
+    rows leave a quartic in A (_eliminate). A cell whose fitted rows, or the
+    discriminant or quartic formed from them, overflow float64 fails with a
+    ParameterError: its parameters are finite but too large or too small for
+    the balances.
     """
     mode, lead = system.mode, _BY_POWER[system.mode][2]
 
@@ -493,23 +510,33 @@ def _leading_branches(params: ModelParams, system: CoefficientSystem):
         out = system.balances(_leading_vector(mode, leading))
         return [out[i] for i in lead]
 
-    if len(lead) == 1:
-        return _quadratic_branches(params, mode, lambda x: rows(x)[0])
-    n = params.rho.size
-    # [cell, i, j, row]: the farmer and the leader row at A = _NODES[i],
-    # M = _NODES[j]
-    samples = np.stack([np.broadcast_to(r, (3, 3, n))
-                        for r in rows(_NODES[:, None, None], _NODES[None, :, None])],
-                       axis=-1)
-    samples = np.ascontiguousarray(np.moveaxis(samples, 2, 0))
-    # [cell, i, j]: the coefficient of A^i * M^j in the farmer and the leader row
-    farmer, leader = (_FIT @ samples[..., k] @ _FIT.T for k in (0, 1))
-    A, M, mask = _eliminate(farmer[:, :, 0], farmer[:, :2, 1], leader[:, :, 0],
-                            leader[:, :2, 1], leader[:, 0, 2])
-    errors = [None if any_branch else SolverError(
-        "no real (A, M) branch of the coupled quadratic balances")
-        for any_branch in mask.any(axis=0).tolist()]
+    # overflow leaves inf or nan, which the finiteness tests below catch
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(lead) == 1:
+            return _quadratic_branches(params, mode, lambda x: rows(x)[0])
+        n = params.rho.size
+        # [cell, i, j, row]: the farmer and the leader row at A = _NODES[i],
+        # M = _NODES[j]
+        samples = np.stack([np.broadcast_to(r, (3, 3, n))
+                            for r in rows(_NODES[:, None, None],
+                                          _NODES[None, :, None])], axis=-1)
+        samples = np.ascontiguousarray(np.moveaxis(samples, 2, 0))
+        # [cell, i, j]: the coefficient of A^i * M^j in the farmer and the
+        # leader row
+        farmer, leader = (_FIT @ samples[..., k] @ _FIT.T for k in (0, 1))
+        A, M, mask, finite = _eliminate(farmer[:, :, 0], farmer[:, :2, 1],
+                                        leader[:, :, 0], leader[:, :2, 1],
+                                        leader[:, 0, 2])
+    finite &= np.isfinite(samples).all(axis=(1, 2, 3))
+    errors = [_overflow("the H^2 balances or their (A, M) quartic") if not ok
+              else None if any_branch
+              else SolverError("no real (A, M) branch of the coupled quadratic balances")
+              for ok, any_branch in zip(finite.tolist(), mask.any(axis=0).tolist())]
     return (A, M), mask, [{} for _ in errors], errors
+
+
+def _overflow(where: str) -> ParameterError:
+    return ParameterError(f"parameters overflow float64 in {where}")
 
 
 def _solve_regular(matrix, rhs):
@@ -537,18 +564,22 @@ def _complete(system: CoefficientSystem, leading):
     probe = list(v)
     for i in h1:
         probe[i] = np.array([0.0] + [float(i == j) for j in h1])[:, None]
-    out = system.balances(probe)
-    rows = np.stack([np.broadcast_to(out[i], (len(h1) + 1, n)) for i in h1])
-    matrix = np.ascontiguousarray(np.moveaxis(rows[:, 1:] - rows[:, :1], -1, 0))
-    rhs = np.ascontiguousarray(-rows[:, 0].T)[..., None]
-    solved, singular = _solve_regular(matrix, rhs)
-    for i, x in zip(h1, solved[..., 0].T):
-        v[i] = x
-    out = system.balances(v)
-    for i in by_power[0]:
-        v[i] = v[i] - out[i] / system.rho
-    return np.array(v), [SolverError("singular H^1 balances on the stable branch")
-                         if s else None for s in singular.tolist()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = system.balances(probe)
+        rows = np.stack([np.broadcast_to(out[i], (len(h1) + 1, n)) for i in h1])
+        matrix = np.ascontiguousarray(np.moveaxis(rows[:, 1:] - rows[:, :1], -1, 0))
+        rhs = np.ascontiguousarray(-rows[:, 0].T)[..., None]
+        solved, singular = _solve_regular(matrix, rhs)
+        for i, x in zip(h1, solved[..., 0].T):
+            v[i] = x
+        out = system.balances(v)
+        for i in by_power[0]:
+            v[i] = v[i] - out[i] / system.rho
+        v = np.array(v)
+    finite = np.isfinite(rows).all(axis=(0, 1)) & np.isfinite(v).all(axis=0)
+    return v, [_overflow("the H^1 and H^0 balances") if not ok else
+               SolverError("singular H^1 balances on the stable branch") if s else None
+               for ok, s in zip(finite.tolist(), singular.tolist())]
 
 
 def _newton(system: CoefficientSystem, guess, tolerance: float):
@@ -671,7 +702,13 @@ class _Batch:
         self.cells = [cells[i] for i in live]
         self.pos = live
         self.params = _stack(self.cells)
-        self.system = _system(self.params, mode, self.convention)
+        self._build_system()
+
+    def _build_system(self):
+        # a constant that overflows leaves inf or nan in the balances, where
+        # _leading_branches and _complete find it
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.system = _system(self.params, self.mode, self.convention)
 
     def drop(self, errors, *carried) -> tuple:
         """Record errors (None where a cell goes on) and return carried
@@ -685,7 +722,7 @@ class _Batch:
         self.pos, self.cells = _restrict((self.pos, self.cells), keep)
         keep = np.array(keep)
         self.params = _take(self.params, keep)
-        self.system = _system(self.params, self.mode, self.convention)
+        self._build_system()
         return _restrict(carried, keep)
 
     def solve(self):
@@ -728,8 +765,11 @@ class _Batch:
             return
         values, policies, alpha, beta = loop
         H_d = -beta / alpha
-        scan = _scan(mode, self.convention, self.params, values, policies, H_d)
-        errors = [None if not s > cfg.hjb_tolerance else SolverError(
+        # values that overflow at the scanned states leave a nan or inf
+        # scan, which fails the gate
+        with np.errstate(over="ignore", invalid="ignore"):
+            scan = _scan(mode, self.convention, self.params, values, policies, H_d)
+        errors = [None if s <= cfg.hjb_tolerance else SolverError(
             f"stationarity-equation residual scan {s:.3e} exceeds "
             f"configured bound {cfg.hjb_tolerance:.1e}") for s in scan.tolist()]
         loop, H_d, scan, worst, candidates, discs = self.drop(

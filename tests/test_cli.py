@@ -321,13 +321,15 @@ import carbongame
 from carbongame.cli import main
 code = main({argv!r}) if {argv!r} else 0
 loaded = sorted(name for name, module in sys.modules.items()
-                if name.split(".")[0] == "scipy" and module is not None)
+                if module is not None)
 print("LOADED:" + ",".join(loaded))
 sys.exit(code)
 """
 
 
 def _fresh_process(argv):
+    """The modules loaded after running argv in a new interpreter, with
+    every scipy import blocked."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_SRC, env.get("PYTHONPATH")) if p)
@@ -353,4 +355,14 @@ def test_runtime_paths_run_with_scipy_blocked(argv, tmp_path):
         config.write_text(json.dumps({"sweep": {"parameter": "p_c", "min": 0.0,
                                                 "max": 2.5, "count": 40}}))
         argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "sw")]
-    assert _fresh_process(argv) == []
+    assert [m for m in _fresh_process(argv) if m.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("argv", [[], ["solve", "--mode", "all"]],
+                         ids=["import", "solve"])
+def test_process_pool_modules_load_only_for_compare(argv):
+    # compare imports them when it forks its workers; about 17 ms that
+    # would otherwise land on every cold start
+    loaded = _fresh_process(argv)
+    assert "multiprocessing" not in loaded
+    assert "concurrent.futures.process" not in loaded

@@ -3,22 +3,33 @@
 import csv
 import io
 import json
+import os
+import pickle
 
 import pytest
 
+import carbongame
 from carbongame import (
+    ComplexRootError,
     ConfigError,
+    HorizonError,
     ModelParams,
+    OracleError,
+    ParameterError,
     ScenarioConfig,
     SimConfig,
+    SimulationError,
     SolverConfig,
+    SolverError,
     SweepSpec,
+    UnstableModelError,
     emit_results,
     load_config,
     run_compare,
     run_sweep,
     run_verify,
 )
+from carbongame import experiments, oracle
 from carbongame.experiments import (
     RESPONSES,
     SUMMARY_COLUMNS,
@@ -255,6 +266,70 @@ def test_compare_records_a_diverging_rk4_step_as_the_cell_error():
                                          "is not finite from t = ")
         assert "step h = 10.0" in cell["status"]
     assert not any(name.startswith("trajectory_") for name in artifacts)
+
+
+RK4 = SimConfig(integrator="fourth-order-fixed-step")
+
+
+@pytest.mark.parametrize("config", [
+    ScenarioConfig(),
+    ScenarioConfig(sim=RK4),
+    ScenarioConfig(params=ModelParams(p_c=0.0), sim=QUICK_SIM),
+    ScenarioConfig(modes="gd", sim=DIVERGING_RK4),
+], ids=["exact", "rk4", "one-cell-per-mode", "diverging-rk4"])
+def test_pooled_and_serial_compare_agree(monkeypatch, tmp_path, config):
+    # each simulation appends the id of the process it ran in; the forked
+    # workers inherit the patched module attribute
+    pids = tmp_path / "pids"
+    real = experiments.simulate
+
+    def spy(*args):
+        with open(pids, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "simulate", spy)
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+        runs[cpus] = run_compare(config)
+        ran_in, parent = set(pids.read_text().split()), str(os.getpid())
+        pids.unlink()
+        assert (ran_in == {parent}) if cpus == 1 else (parent not in ran_in)
+    serial, pooled = runs[1], runs[2]
+    assert serial.keys() == pooled.keys()
+    for name, content in serial.items():
+        if name == "run_report.json":
+            assert _report_text(pooled[name]) == _report_text(content)
+        else:
+            assert pooled[name] == content
+    if config.sim is DIVERGING_RK4:
+        statuses = [c["status"] for c in pooled["run_report.json"]["cells"]]
+        assert len(statuses) == 2
+        assert all(s.startswith("error: fourth-order-fixed-step path is not "
+                                "finite from t = ") for s in statuses)
+
+
+ERRORS = [SolverError("no candidates for the stable branch"),
+          ComplexRootError("Delta^GD", -2.5e-3),
+          UnstableModelError([0.25, 1.5]),
+          ParameterError("rho > 0 violated (got -1.0)"),
+          SimulationError("no attracting steady state: alpha = 0.1 >= 0"),
+          HorizonError("horizon too short"),
+          OracleError("policy iteration did not converge"),
+          ConfigError("unknown config key 'x'")]
+
+
+def test_every_public_error_survives_a_pickle_round_trip():
+    # a worker process returns a cell's error to the parent through pickle
+    public = {obj for obj in map(carbongame.__dict__.get, carbongame.__all__)
+              if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert {type(e) for e in ERRORS} == public
+    for error in ERRORS:
+        again = pickle.loads(pickle.dumps(error))
+        assert type(again) is type(error)
+        assert str(again) == str(error)
+        assert vars(again) == vars(error)
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,32 @@ def test_solve_many_keeps_input_order_and_validates_each_cell():
     assert solve_many("gc", []) == []
 
 
+OVERFLOWING = [ModelParams(Q0=1e300), ModelParams(lambda_f=1e-300),
+               ModelParams(mu_f=1e200), ModelParams(p=1e200, D0=1e203),
+               ModelParams(rho=1e300), ModelParams(p_f=1e306)]
+
+
+@pytest.mark.parametrize("mode", ["gd", "gs", "gc"])
+def test_parameters_whose_balances_overflow_are_a_parameter_error(mode):
+    # finite and valid, but the H^2 balances or their discriminant (gd, gc)
+    # or quartic (gs) overflow float64, or (p_f) only the H^1 balances do;
+    # an overflow warning fails the suite
+    batch = solve_many(mode, [ModelParams(), *OVERFLOWING])
+    for params, got in zip(OVERFLOWING, batch[1:]):
+        assert isinstance(got, ParameterError), (params, got)
+        assert "parameters overflow float64" in str(got)
+    assert (solver._coefficients(batch[0])
+            == solver._coefficients(solve(mode, ModelParams())))
+
+
+@pytest.mark.parametrize("mode", ["gd", "gc"])
+def test_values_that_overflow_in_the_scan_fail_the_scan_gate(mode):
+    # H_d = 2e297: the coefficients are finite, the values on [0, 2*H_d]
+    # are not, and a nan scan no longer passes the gate
+    with pytest.raises(SolverError, match="residual scan nan exceeds"):
+        solve(mode, ModelParams(mu_f=1e150))
+
+
 @pytest.mark.parametrize("cfg, gate", [
     (SolverConfig(tolerance=1e-300), "collected balance"),
     (SolverConfig(hjb_tolerance=1e-300), "stationarity-equation residual scan")],
@@ -432,7 +458,7 @@ def _branches(cells) -> list:
     """Per cell, the (A, M) branches _eliminate finds for coefficient rows
     (a, b, g0, g1, g2)."""
     a, b, g0, g1, g2 = (np.array(x, dtype=float) for x in zip(*cells))
-    A, M, mask = solver._eliminate(a, b, g0, g1, g2)
+    A, M, mask, _ = solver._eliminate(a, b, g0, g1, g2)
     return [list(zip(A[mask[:, i], i].tolist(), M[mask[:, i], i].tolist()))
             for i in range(len(cells))]
 
