@@ -3,7 +3,11 @@
 This module powers the "paper-closed-form" backend. The published coefficient
 expressions are transcribed as printed, including their internal
 inconsistencies, so that the gap between them and the residual backend is
-measurable instead of silently patched. Numerically that means:
+measurable instead of silently patched. They are evaluated in IEEE float64
+arithmetic (an overflow, 0/0 or the square root of a negative printed
+discriminant gives inf or nan), and a printed value that is not finite falls
+back to the anchor, the residual backend's solution, and is flagged; every
+printed value is preserved in the diagnostics. Numerically that means:
 
 * Simultaneous-play mode: the printed chain A -> M -> B -> C -> N is complete
   and evaluates to finite values, but the printed M denominator carries sign
@@ -13,11 +17,9 @@ measurable instead of silently patched. Numerically that means:
   parameters they visually shadow; that mapping is recorded in the output.
 * Leader-follower mode: the printed expressions are self-referential (A needs
   M, M needs A, B references a coefficient from the centralized mode), so
-  they are evaluated one-shot at an anchor solution produced by the residual
-  backend. Both printed discriminants are negative at the reference
-  parameters, so the printed A and M are not real there; non-finite printed
-  values fall back to the anchor so the assembled comparison solution stays
-  evaluable, and every printed value is preserved in the diagnostics.
+  they are evaluated one-shot at the anchor. Both printed discriminants
+  (Delta^GS1 and Delta^GS2, which only this backend reports) are negative at
+  the reference parameters, so the printed A and M are not real there.
 * Centralized mode: the printed A numerator and discriminant are garbled
   (the discriminant is negative at the reference parameters) and the printed
   B denominator flips a sign, but the derivation they summarize is internally
@@ -29,7 +31,7 @@ measurable instead of silently patched. Numerically that means:
 from __future__ import annotations
 
 import dataclasses
-import math
+import functools
 
 import numpy as np
 
@@ -51,10 +53,23 @@ __all__ = [
 ]
 
 
-def _sqrt_or_nan(x: float) -> float:
-    return math.sqrt(x) if x >= 0.0 else float("nan")
+def _symbols(params: ModelParams) -> tuple:
+    """solver._symbols, then omega, as numpy float64 scalars."""
+    return tuple(map(np.float64, solver._symbols(params) + (params.omega,)))
 
 
+def _ieee(printed):
+    """Printed formulas on _symbols, in IEEE float64 arithmetic without
+    warnings; their numbers come back as Python floats."""
+    @functools.wraps(printed)
+    @np.errstate(all="ignore")
+    def evaluate(*args):
+        return {k: float(v) if isinstance(v, np.floating) else v
+                for k, v in printed(*args).items()}
+    return evaluate
+
+
+@_ieee
 def printed_decentralized(params: ModelParams) -> dict:
     """Chained verbatim evaluation of the published simultaneous-play forms.
 
@@ -62,11 +77,11 @@ def printed_decentralized(params: ModelParams) -> dict:
     (the main-text one, which is consistent with the printed A, and the
     appendix one, which drops a factor of 2 on the rho term).
     """
-    lf, lr, mf, mr, d, r, eta, k1, k2, pf, pr, pc = solver._symbols(params)
+    lf, lr, mf, mr, d, r, eta, k1, k2, pf, pr, pc, _ = _symbols(params)
 
     delta_main = (4 * mf * eta - 4 * lf * d - 2 * r * lf) ** 2 - (4 * mf * eta) ** 2
     delta_appendix = (4 * mf * eta - 4 * lf * d - r * lf) ** 2 - (4 * mf * eta) ** 2
-    A = (2 * r * lf + 4 * lf * d - 4 * mf * eta - _sqrt_or_nan(delta_main)) / (8 * mf ** 2)
+    A = (2 * r * lf + 4 * lf * d - 4 * mf * eta - np.sqrt(delta_main)) / (8 * mf ** 2)
     # undefined symbols read as: p_m -> p_r, lambda_s -> lambda_f, mu_s/us -> mu_f,
     # lambda_m -> lambda_r, mu_m -> mu_r
     M = pr * k2 * lf / (eta * mf + 2 * A * mf ** 2 + lf * r - d * lf)
@@ -82,6 +97,7 @@ def printed_decentralized(params: ModelParams) -> dict:
                               "lambda_m->lambda_r, mu_m->mu_r"}
 
 
+@_ieee
 def printed_stackelberg(params: ModelParams, anchor: dict) -> dict:
     """One-shot verbatim evaluation of the published leader-follower forms.
 
@@ -91,8 +107,7 @@ def printed_stackelberg(params: ModelParams, anchor: dict) -> dict:
     read as the anchor's A. Square roots of negative printed discriminants
     yield NaN rather than an error so the report stays total.
     """
-    lf, lr, mf, mr, d, r, eta, k1, k2, pf, pr, pc = solver._symbols(params)
-    om = params.omega
+    lf, lr, mf, mr, d, r, eta, k1, k2, pf, pr, pc, om = _symbols(params)
     Aa, Ba = anchor["A"], anchor["B"]
     Ma, Na = anchor["M"], anchor["N"]
 
@@ -114,9 +129,9 @@ def printed_stackelberg(params: ModelParams, anchor: dict) -> dict:
                                                  - 2 * lr * r * d))
     A = (2 * lr * lf * r * d - eta * lr * r * mf - lr * lf * r ** 3
          - 2 * mf ** 2 * lr * Ma - 4 * mr ** 2 * lf * Ma
-         - _sqrt_or_nan(delta_gs1)) / (2 * mf ** 2 * lr)
+         - np.sqrt(delta_gs1)) / (2 * mf ** 2 * lr)
     M = (2 * lf * lr * r * d - eta * r * lr * mf - lf * lr * r ** 3
-         - 2 * Aa * lr * mf ** 2 - _sqrt_or_nan(delta_gs2)) \
+         - 2 * Aa * lr * mf ** 2 - np.sqrt(delta_gs2)) \
         / (4 * (lr * mf ** 2 + lf * mr ** 2))
     B = lf * lr * ((pc + pf) * k1 + pr * k2) \
         / (lf * lr * (r - d) - eta * lr * mf - 2 * Aa * (lr * mf ** 2 + lf * mr ** 2))
@@ -140,14 +155,15 @@ def printed_stackelberg(params: ModelParams, anchor: dict) -> dict:
                     "the B denominator read as the anchor A"}
 
 
+@_ieee
 def printed_centralized(params: ModelParams) -> dict:
     """Verbatim evaluation of the published centralized forms."""
-    lf, lr, mf, mr, d, r, eta, k1, k2, pf, pr, pc = solver._symbols(params)
+    lf, lr, mf, mr, d, r, eta, k1, k2, pf, pr, pc, _ = _symbols(params)
 
     delta = 4 * lr * eta ** 2 * (2 * lr * mf ** 2 + lf * mr ** 2
                                  + lr ** 2 * lf * (r - 2 * d)
                                  * (4 * eta * mf + r - 2 * d))
-    A = (2 * d * lf - r * lf - 2 * lr * mf * eta - _sqrt_or_nan(delta)) \
+    A = (2 * d * lf - r * lf - 2 * lr * mf * eta - np.sqrt(delta)) \
         / (4 * lr * mf ** 2 + 4 * lf * mr ** 2)
     B = lf * lr * ((pc + pf) * k1 + pr * k2) \
         / (lf * lr * (r - d) - eta * lr * mf
@@ -159,6 +175,7 @@ def printed_centralized(params: ModelParams) -> dict:
             "H_d printed formula": H_d}
 
 
+@_ieee
 def corrected_centralized(params: ModelParams) -> dict:
     """The centralized closed forms with the three transcription slips undone.
 
@@ -168,11 +185,11 @@ def corrected_centralized(params: ModelParams) -> dict:
     is the actual discriminant of that quadratic, and B's denominator uses
     rho + delta. The C expression is correct as printed and kept as is.
     """
-    lf, lr, mf, mr, d, r, eta, k1, k2, pf, pr, pc = solver._symbols(params)
+    lf, lr, mf, mr, d, r, eta, k1, k2, pf, pr, pc, _ = _symbols(params)
 
     delta = lr * (lr * ((2 * d + r) * lf - 2 * mf * eta) ** 2
                   - 4 * eta ** 2 * (lr * mf ** 2 + lf * mr ** 2))
-    A = ((2 * d + r) * lf * lr - 2 * lr * mf * eta - _sqrt_or_nan(delta)) \
+    A = ((2 * d + r) * lf * lr - 2 * lr * mf * eta - np.sqrt(delta)) \
         / (4 * (lr * mf ** 2 + lf * mr ** 2))
     B = lf * lr * ((pc + pf) * k1 + pr * k2) \
         / (lf * lr * (r + d) - eta * lr * mf
@@ -205,7 +222,17 @@ def solve_printed(mode: GameMode, params: ModelParams, cfg) -> GameSolution:
     printed = {GameMode.DECENTRALIZED: _printed_gd,
                GameMode.STACKELBERG: _printed_gs,
                GameMode.CENTRALIZED: _printed_gc}[mode]
-    coeffs, convention, diag = printed(params, residual_cfg)
+    values, anchor, convention, diag = printed(params, residual_cfg)
+    # a printed value that is not finite falls back to the anchor's (gc
+    # solves for its anchor only then)
+    names = solver._UNKNOWNS[mode][0]
+    fallbacks = [k for k in names if not np.isfinite(values[k])]
+    if fallbacks:
+        anchor = anchor or dict(zip(names, solver._coefficients(
+            solver.solve(mode, params, residual_cfg))))
+        diag.flags.append("printed value not finite; anchor values retained for "
+                          + ", ".join(fallbacks))
+    coeffs = [anchor[k] if k in fallbacks else values[k] for k in names]
     sol = solver._assemble(params, mode, convention, coeffs, diag)
     diag.max_hjb_residual = solver.residual_scan(sol, params)
     if not sol.alpha < 0.0:
@@ -236,7 +263,7 @@ def _printed_gd(params, residual_cfg):
         k: _relative_gap(printed[k], comparison["residual backend"][k])
         for k in names}
     diag = _base_diag(None, comparison, "printed negative square-root branch")
-    return tuple(printed[k] for k in names), None, diag
+    return printed, comparison["residual backend"], None, diag
 
 
 def _printed_gs(params, residual_cfg):
@@ -246,22 +273,13 @@ def _printed_gs(params, residual_cfg):
     comparison = dict(printed)
     comparison["relative gaps"] = {
         k: _relative_gap(printed[k], anchor[k]) for k in anchor}
-    # keep the assembled solution finite: printed values where real, anchor
-    # values where the printed discriminants went negative
-    fallbacks = [k for k in anchor if not np.isfinite(printed[k])]
     comparison["assembled from"] = {
-        k: ("printed" if k not in fallbacks else "anchor (printed not real)")
+        k: "printed" if np.isfinite(printed[k]) else "anchor (printed not real)"
         for k in anchor}
     diag = _base_diag(residual_cfg.follower_convention, comparison,
                       "printed negative square-root branch")
-    if fallbacks:
-        diag.flags.append(
-            "printed discriminant negative; anchor values retained for "
-            + ", ".join(fallbacks))
-    coeffs = tuple(anchor[k] if k in fallbacks else float(printed[k])
-                   for k in anchor)
     # the printed follower rule, whatever convention the anchor was solved in
-    return coeffs, solver.CONVENTION_PRINTED, diag
+    return printed, anchor, solver.CONVENTION_PRINTED, diag
 
 
 def _printed_gc(params, residual_cfg):
@@ -282,5 +300,4 @@ def _printed_gc(params, residual_cfg):
     diag = _base_diag(None, comparison,
                       "corrected negative square-root branch (verbatim "
                       "discriminant reported alongside)")
-    names = solver._UNKNOWNS[GameMode.CENTRALIZED][0]
-    return tuple(corrected[k] for k in names), None, diag
+    return corrected, None, None, diag

@@ -9,22 +9,23 @@ and the role payoffs (the undetermined-coefficients form of Dockner,
 Jorgensen, Long & Sorger, *Differential Games in Economics and Management
 Science*, 2000). Everything else is read off the balances: the H^2 rows
 give every branch of the leading coefficients (a quadratic in A, or in gs a
-quartic after eliminating M), the drift slope picks the stable one, the
-H^1 and H^0 rows complete it by linear solves, and a Newton polish on all
-balances takes it to the rounding floor before the residual gate.
+quartic after eliminating M), and the drift slope picks the stable one. One
+chord-Newton on all balances from that leading root completes the branch
+and polishes it to the rounding floor before the residual gate.
 
 The balances are plain arithmetic, so they evaluate unchanged on parameter
 fields stacked as arrays. ``solve_many`` solves a batch of cells of one mode
 in one pass: the parameters are stacked along the last axis, the fits,
-roots, linear solves and Newton steps act on all cells at once, and a cell
-that fails leaves the batch with its typed error while the others go on.
+roots and Newton steps act on all cells at once, and a cell that fails
+leaves the batch with its typed error while the others go on.
 ``solve`` is its batch of one, so a cell's result does not depend on the
 batch it was solved in.
 
 Two backends are available. "residual" solves the derived balances; it is
 the authoritative path. "paper-closed-form" evaluates the published
 closed-form coefficient expressions verbatim for discrepancy reporting (see
-closed_form.py), one cell at a time.
+closed_form.py), one cell at a time; only it reports the printed gs
+discriminants Delta^GS1 and Delta^GS2.
 
 Conventions for the Stackelberg follower:
 
@@ -268,7 +269,8 @@ class CoefficientSystem:
     balances: Callable
 
     def residuals(self, coeffs) -> np.ndarray:
-        return np.array(self.balances(np.asarray(coeffs, dtype=float).tolist()))
+        """The balances at coefficient vectors (k, ...), rows first."""
+        return np.array(self.balances(list(np.asarray(coeffs, dtype=float))))
 
     def scales(self, coeffs) -> np.ndarray:
         """Per-equation normalization 1 + |rho*V coefficient|."""
@@ -320,7 +322,7 @@ def _take(params: ModelParams, keep) -> ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# branches: leading roots, completion, polish
+# branches: leading roots, then one chord-Newton
 # ---------------------------------------------------------------------------
 
 # Unknown i by the power of H of balance i, which carries rho*v[i]: the H^2
@@ -553,82 +555,61 @@ def _solve_regular(matrix, rhs):
     return out, singular
 
 
-def _complete(system: CoefficientSystem, leading):
-    """The full coefficient vectors (k, n) of branches: the H^1 unknowns by
-    one linear solve of the H^1 rows per cell, then each H^0 unknown from
-    its own row. Returns them with per-cell errors."""
-    by_power = _BY_POWER[system.mode]
-    v, h1 = _leading_vector(system.mode, leading), by_power[1]
-    n = system.rho.size
-    # the H^1 rows at H^1 unknowns 0 (the base), then at each unit vector
-    probe = list(v)
-    for i in h1:
-        probe[i] = np.array([0.0] + [float(i == j) for j in h1])[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = system.balances(probe)
-        rows = np.stack([np.broadcast_to(out[i], (len(h1) + 1, n)) for i in h1])
-        matrix = np.ascontiguousarray(np.moveaxis(rows[:, 1:] - rows[:, :1], -1, 0))
-        rhs = np.ascontiguousarray(-rows[:, 0].T)[..., None]
-        solved, singular = _solve_regular(matrix, rhs)
-        for i, x in zip(h1, solved[..., 0].T):
-            v[i] = x
-        out = system.balances(v)
-        for i in by_power[0]:
-            v[i] = v[i] - out[i] / system.rho
-        v = np.array(v)
-    finite = np.isfinite(rows).all(axis=(0, 1)) & np.isfinite(v).all(axis=0)
-    return v, [_overflow("the H^1 and H^0 balances") if not ok else
-               SolverError("singular H^1 balances on the stable branch") if s else None
-               for ok, s in zip(finite.tolist(), singular.tolist())]
+# Chord steps taken whatever the residual does: the balances are
+# block-triangular by power of H (see _BY_POWER), so from the leading root
+# step 1 lands the H^1 unknowns and step 2 the H^0 unknowns.
+_COMPLETION_STEPS = 2
 
 
-def _newton(system: CoefficientSystem, guess, tolerance: float):
-    """Chord-Newton polish of the balances of every cell, gated on their
+def _newton(system: CoefficientSystem, leading, tolerance: float):
+    """Chord-Newton on every cell's balances from its leading root (leading:
+    one (n,) array per leading unknown, the other unknowns 0), gated on the
     residuals.
 
-    Every balance is quadratic in the unknowns, so central differences give
-    the Jacobian exactly up to rounding; it is taken once, at the guess. Per
-    cell, the iterate with the smallest normalized residual is kept, and
-    rejected with the worst balance's label when any residual exceeds
-    tolerance times its scale. guess is (k, n); returns the coefficients
-    (k, n), the normalized residuals (n,) and per-cell errors.
+    The balances are quadratic, so central differences at the start give
+    their Jacobian exactly up to rounding; it is taken once. After the
+    _COMPLETION_STEPS steps a cell stops once its normalized residual stops
+    falling, and keeps its best iterate. Returns the coefficients (k, n),
+    the normalized residuals (n,) and per-cell errors: a ParameterError for
+    a non-finite iterate or residual, and the worst balance's label for a
+    residual above tolerance times its scale.
     """
-    def balances(v):
-        # balance i carries rho*v[i], so every row has the shape of v[i]
-        return np.array(system.balances(list(v)))
-
     def norm(v, res):
         return np.max(np.abs(res) / system.scales(v), axis=0)
 
-    v = guess
+    v = np.array(np.broadcast_arrays(*_leading_vector(system.mode, leading)))
     k, n = v.shape
     h = 1.0 + np.abs(v)
     shift = np.zeros((k, k, n))
     shift[np.arange(k), np.arange(k)] = h
-    # [row, point, cell]: the balances at v, at v + h_j*e_j, then at v - h_j*e_j
-    out = balances(np.concatenate([v[:, None], v[:, None] + shift,
-                                   v[:, None] - shift], axis=1))
-    res, up, down = out[:, 0], out[:, 1:k + 1], out[:, k + 1:]
-    err = norm(v, res)
-    jac = np.ascontiguousarray(np.moveaxis((up - down) / (2.0 * h), -1, 0))
-    # the inverse, as a solve against the identity; 0 (no step, the guess is
-    # kept) where singular
-    inverse = _solve_regular(jac, np.broadcast_to(np.eye(k), jac.shape))[0]
-    active = np.ones(n, dtype=bool)
-    for _ in range(8):   # one or two steps reach the rounding floor
-        step = (inverse @ np.ascontiguousarray(res.T)[..., None])[..., 0].T
-        trial = np.where(active, v - step, v)
-        trial_res = balances(trial)
-        trial_err = norm(trial, trial_res)
-        active &= trial_err < err
-        if not active.any():
-            break
-        v = np.where(active, trial, v)
-        res = np.where(active, trial_res, res)
-        err = np.where(active, trial_err, err)
-    errors = [None] * n
-    scales = system.scales(v)
-    for i in np.flatnonzero(~(err <= tolerance)).tolist():
+    # overflow leaves inf or nan, which the finiteness test below catches
+    with np.errstate(over="ignore", invalid="ignore"):
+        # [row, point, cell]: the balances at v, v + h_j*e_j, then v - h_j*e_j
+        out = system.residuals(np.concatenate([v[:, None], v[:, None] + shift,
+                                               v[:, None] - shift], axis=1))
+        res, up, down = out[:, 0], out[:, 1:k + 1], out[:, k + 1:]
+        err = norm(v, res)
+        jac = np.ascontiguousarray(np.moveaxis((up - down) / (2.0 * h), -1, 0))
+        # the inverse, as a solve against the identity; 0 (no step) where
+        # singular, which leaves the H^1 and H^0 rows to the gate
+        inverse = _solve_regular(jac, np.broadcast_to(np.eye(k), jac.shape))[0]
+        active = np.ones(n, dtype=bool)
+        for step in range(_COMPLETION_STEPS + 8):   # one or two more polish
+            move = (inverse @ np.ascontiguousarray(res.T)[..., None])[..., 0].T
+            trial = np.where(active, v - move, v)
+            trial_res = system.residuals(trial)
+            trial_err = norm(trial, trial_res)
+            active &= (step < _COMPLETION_STEPS) | (trial_err < err)
+            if not active.any():
+                break
+            v = np.where(active, trial, v)
+            res = np.where(active, trial_res, res)
+            err = np.where(active, trial_err, err)
+        scales = system.scales(v)
+    finite = (np.isfinite(v) & np.isfinite(res)).all(axis=0)
+    errors = [None if ok else _overflow("the H^1 and H^0 balances")
+              for ok in finite.tolist()]
+    for i in np.flatnonzero(finite & ~(err <= tolerance)).tolist():
         worst = int(np.argmax(np.abs(res[:, i]) / scales[:, i]))
         errors[i] = SolverError(
             f"collected balance {system.labels[worst]} residual {res[worst, i]:.3e} "
@@ -680,7 +661,7 @@ def solve_many(mode, params_seq: Sequence[ModelParams],
         for i in live:
             try:
                 out[i] = closed_form.solve_printed(mode, cells[i], cfg)
-            except SolverError as exc:
+            except (ParameterError, SolverError) as exc:
                 out[i] = exc
     elif live:
         _Batch(mode, cfg, cells, live, out).solve()
@@ -706,7 +687,7 @@ class _Batch:
 
     def _build_system(self):
         # a constant that overflows leaves inf or nan in the balances, where
-        # _leading_branches and _complete find it
+        # _leading_branches and _newton find it
         with np.errstate(over="ignore", invalid="ignore"):
             self.system = _system(self.params, self.mode, self.convention)
 
@@ -741,37 +722,23 @@ class _Batch:
         chosen, candidates, discs = self.drop(errors, chosen, candidates, discs)
         if not self.pos:
             return
-        guess, errors = _complete(self.system, chosen)
-        guess, candidates, discs = self.drop(errors, guess, candidates, discs)
-        if not self.pos:
-            return
-        coeffs, worst, errors = _newton(self.system, guess, cfg.tolerance)
+        coeffs, worst, errors = _newton(self.system, chosen, cfg.tolerance)
         coeffs, worst, candidates, discs = self.drop(errors, coeffs, worst,
                                                      candidates, discs)
         if not self.pos:
             return
-        if mode is GameMode.STACKELBERG:
-            # the published discriminants at each solution, informational only
-            from . import closed_form
-            for params, v, d in zip(self.cells, coeffs.T.tolist(), discs):
-                printed = closed_form.printed_stackelberg(
-                    params, dict(zip(self.system.names, v)))
-                for key in ("Delta^GS1", "Delta^GS2"):
-                    d[key] = float(printed[key])
-        loop = _closed_loop(self.params, mode, self.convention, coeffs)
-        errors = [None if a < 0.0 else UnstableModelError([a]) for a in loop[2].tolist()]
-        loop, worst, candidates, discs = self.drop(errors, loop, worst, candidates, discs)
-        if not self.pos:
-            return
-        values, policies, alpha, beta = loop
-        H_d = -beta / alpha
-        # values that overflow at the scanned states leave a nan or inf
-        # scan, which fails the gate
-        with np.errstate(over="ignore", invalid="ignore"):
+        values, policies, alpha, beta = loop = _closed_loop(
+            self.params, mode, self.convention, coeffs)
+        # an unstable cell's H_d and scan go unread; values that overflow at
+        # the scanned states leave a nan or inf scan, which fails the gate
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            H_d = -beta / alpha
             scan = _scan(mode, self.convention, self.params, values, policies, H_d)
-        errors = [None if s <= cfg.hjb_tolerance else SolverError(
-            f"stationarity-equation residual scan {s:.3e} exceeds "
-            f"configured bound {cfg.hjb_tolerance:.1e}") for s in scan.tolist()]
+        errors = [UnstableModelError([a]) if not a < 0.0 else
+                  None if s <= cfg.hjb_tolerance else SolverError(
+                      f"stationarity-equation residual scan {s:.3e} exceeds "
+                      f"configured bound {cfg.hjb_tolerance:.1e}")
+                  for a, s in zip(alpha.tolist(), scan.tolist())]
         loop, H_d, scan, worst, candidates, discs = self.drop(
             errors, loop, H_d, scan, worst, candidates, discs)
         if not self.pos:

@@ -150,7 +150,13 @@ def test_published_scale_discriminants_recorded():
     gc = solve("gc", ModelParams())
     assert gc.diagnostics.discriminants["Delta^GC"] == pytest.approx(
         PRINTED["gc_corrected"]["Delta^GC"], rel=1e-12)
-    gs = solve("gs", ModelParams())
+
+
+def test_printed_gs_discriminants_are_reported_by_the_paper_backend():
+    # the residual gs branches come from a quartic, not from the printed
+    # discriminants, which the paper backend evaluates at its anchor
+    assert solve("gs", ModelParams()).diagnostics.discriminants == {}
+    gs = solve("gs", ModelParams(), SolverConfig(backend="paper"))
     assert gs.diagnostics.discriminants["Delta^GS1"] == pytest.approx(
         PRINTED["gs_standard_anchor"]["Delta^GS1"], rel=1e-9)
     assert gs.diagnostics.discriminants["Delta^GS2"] == pytest.approx(
@@ -414,12 +420,59 @@ def test_parameters_whose_balances_overflow_are_a_parameter_error(mode):
             == solver._coefficients(solve(mode, ModelParams())))
 
 
-@pytest.mark.parametrize("mode", ["gd", "gc"])
+# finite and valid, but the published formulas overflow or divide by zero
+# in Python floats
+EXTREME = [ModelParams(rho=1e150), ModelParams(lambda_f=1e200),
+           ModelParams(mu_f=1e-200), ModelParams(rho=1e-200)]
+
+
+def test_a_gs_batch_is_not_aborted_by_extreme_cells():
+    batch = solve_many("gs", [ModelParams(), *EXTREME])
+    for params, got in zip(EXTREME, batch[1:]):
+        assert isinstance(got, (GameSolution, ParameterError, SolverError)), (params, got)
+    expected = solve("gs", ModelParams())
+    assert solver._coefficients(batch[0]) == solver._coefficients(expected)
+    assert json.dumps(batch[0].diagnostics.to_dict()) == \
+        json.dumps(expected.diagnostics.to_dict())
+
+
+@pytest.mark.parametrize("params", EXTREME, ids=["rho-1e150", "lambda_f-1e200",
+                                                 "mu_f-1e-200", "rho-1e-200"])
+@pytest.mark.parametrize("mode", ["gd", "gs", "gc"])
+def test_paper_backend_ends_in_a_solution_or_a_typed_error(mode, params):
+    # the printed formulas give inf or nan there, which fall back to the
+    # residual solution; a RuntimeWarning fails the suite
+    sol = solve_many(mode, [params], SolverConfig(backend="paper"))[0]
+    if isinstance(sol, (ParameterError, SolverError)):
+        return
+    assert isinstance(sol, GameSolution)
+    assert all(np.isfinite(solver._coefficients(sol)))
+    if any(not np.isfinite(v) for v in sol.diagnostics.printed_comparison.values()
+           if isinstance(v, float)):
+        assert sol.diagnostics.flags
+
+
+@pytest.mark.parametrize("mode", ["gd", "gs", "gc"])
+def test_newton_completes_a_branch_whose_drift_slope_is_tiny(mode):
+    # without sink trading the efforts are flat, so alpha = -delta and
+    # H_d = beta/delta; a chord Jacobian refreshed at the completed branch,
+    # not kept from the leading root, moves A off 0 by more than delta here
+    delta = 1e-300
+    sol = solve(mode, ModelParams(delta=delta, p_c=0.0))
+    assert sol.alpha == pytest.approx(-delta, rel=1e-15)
+    assert sol.H_d == pytest.approx(sol.beta / delta, rel=1e-15)
+
+
+@pytest.mark.parametrize("mode", ["gd", "gs", "gc"])
 def test_values_that_overflow_in_the_scan_fail_the_scan_gate(mode):
-    # H_d = 2e297: the coefficients are finite, the values on [0, 2*H_d]
-    # are not, and a nan scan no longer passes the gate
+    # H_d ~ 1e306: the coefficients are finite, the values on [0, 2*H_d]
+    # are not, and a nan scan does not pass the gate
     with pytest.raises(SolverError, match="residual scan nan exceeds"):
-        solve(mode, ModelParams(mu_f=1e150))
+        solve(mode, ModelParams(delta=1e-305, p_c=0.0))
+    if mode != "gs":
+        # finite coefficients whose balances round far above the gate
+        with pytest.raises(SolverError, match="collected balance"):
+            solve(mode, ModelParams(mu_f=1e150))
 
 
 @pytest.mark.parametrize("cfg, gate", [
