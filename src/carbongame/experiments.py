@@ -23,6 +23,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import platform
 import threading
 from contextlib import nullcontext
@@ -431,11 +432,19 @@ def _cell_table(solution: GameSolution, sim: SimConfig, params: ModelParams):
         return exc
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _table_pool(jobs: int):
     """A pool of min(usable CPUs, jobs) forked worker processes, or
     nullcontext() where that is one process, where the platform cannot fork,
     or where other threads run, which a forked child would not have."""
-    workers = min(oracle._usable_cpus(), jobs)
+    workers = min(_usable_cpus(), jobs)
     if workers < 2 or threading.active_count() > 1:
         return nullcontext()
     # imported here: together about 17 ms that no other command needs

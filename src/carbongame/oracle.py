@@ -29,15 +29,68 @@ pairs the farmer's (outer) and retailer's (inner) efforts; a single-role
 reply is the one-block case, with one zero-reward outer action and the
 opponent's frozen effort in the base.
 
-The greedy step splits the outer actions into contiguous ascending blocks,
-one per thread, because ``np.interp`` and the array arithmetic on each block
-run with the interpreter lock released. Each block keeps its own best pair
-per state under a strict improvement test; the blocks are then merged in
-ascending order with the same strict test, which reproduces a single
-outer-major scan exactly: a tie goes to the first outer index, then the
-first inner index. The thread count is the number of CPUs the process may
-use, capped by MAX_GREEDY_THREADS and by the outer action count, so a
-single-role reply, or any reply on one CPU, runs without a pool.
+The greedy step scores only the (state, outer) pairs that can win, a form
+of action elimination (MacQueen, J. Math. Anal. Appl., 1967; Puterman,
+Markov Decision Processes, 1994, section 6.7). With c = gamma*value, state
+i's current pair has q = floor[i], formed by the greedy step's own
+operations, so it is that pair's computed q exactly. Outer action ko keeps
+its pair unless U[i, ko] < floor[i], where U is at least the computed q of
+every inner action (``_pair_bound``). Per state, with b = base[i, 0]:
+
+- Every computed next state fl(b + s) lies in the window
+  [fl(b + min shift), fl(b + max shift)], since rounding is monotone.
+- alpha + beta*y is the continuation's segment holding the current next
+  state (beta its slope as np.interp forms it). Let P be the clamped
+  piecewise-linear continuation. P - (alpha + beta*y) is linear between
+  knots, so over the window it is at most e, its largest value at the
+  knots that enclose the window; a clamped end counts as a knot, placed at
+  the farthest window end beyond it.
+- shift[ko, ki] = sf[ko] + sr[ki] + r, with sf = shift[:, 0],
+  sr = shift[0] - shift[0, 0] and r a residual, |r| <= R.
+- U[i, ko] = alpha + e + beta*(b + sf[ko]) + reward_outer[i, ko]
+  + max over ki of (beta*sr[ki] + reward_inner[i, ki]) + |beta|*R + margin.
+
+The margin covers the rounding of both q and U. Take the standard model,
+fl(a op b) = (a op b)(1 + d) with |d| <= u = 2^-53, and g_k = k*u/(1 - k*u).
+Let C = max|c|, D the largest |slope| of a segment, Y the window ends' largest
+magnitude plus max|b| plus 4 max|shift| (at least every |y|, knot, |b + sf|,
+|sr| and |r|), and M = C + |alpha| + D*Y + max|reward_outer[i]|
++ max|reward_inner[i]|. Operation by operation, in units of u*M to first
+order:
+
+1. q = fl(fl(I + reward_outer) + reward_inner): two sums, 2.
+2. np.interp returns I = fl(fl(slope*fl(y - H[k])) + c[k]), slope =
+   fl(fl(c[k+1] - c[k]) / fl(H[k+1] - H[k])), on the segment
+   H[k] <= y < H[k+1]; at a knot or past an end it returns a value of c
+   exactly. With |c[k+1] - c[k]| <= 2C and y - H[k] <= H[k+1] - H[k],
+   |I - P(y)| <= 2C*g_5*(1 + u) + u*C: 11. A fused multiply-add only drops
+   a rounding.
+3. P(y) <= alpha + beta*y + e, exactly.
+4. y = fl(b + s): beta*y <= beta*(b + s) + u*|beta|*Y: 1.
+5. e from its computed value: three operations per knot, 3.
+6. R from its computed value: two subtractions, times |beta|: 2.
+7. max(beta*sr + reward_inner) from its computed value: 2.
+8. The products beta*fl(b + sf) and |beta|*R: 3.
+9. U sums seven terms whose magnitudes add up to at most 4M + margin; any
+   order errs by at most g_6 times that: 24.
+
+That is 48*u*M plus O(u^2*M), and the margin is 64*u*M, formed as
+(8M)*2^-50 so that a state whose 8M overflows gets an infinite margin.
+Below that no intermediate of q or U overflows. A product or quotient that
+underflows errs by up to 2^-1075 more. Six can: the slope and
+slope*fl(y - H[k]), and beta times a knot, sr, fl(b + sf) and R. The
+slope's error is scaled by y - H[k] <= h, the widest segment, so the
+margin adds 2^-1022*(1 + h), which also covers the margin's own products.
+A non-finite
+continuation or reward makes U inf or nan, and U < floor is then false:
+every such state keeps all its pairs.
+
+Ties: a pruned pair's best q is below floor[i], which is at most the
+state's best q, so it neither wins nor ties. The live pairs are scored in
+(state, outer) order, and each state takes the first pair that reaches its
+best q: a tie goes to the first outer index, then the first inner index,
+as in a full outer-major scan. A single-role reply has one outer action
+and prunes nothing.
 
 The certifier's pass tolerances, the default grid's spans, the refinement
 factor and the leader sampler's spread and simulation grid are module
@@ -53,9 +106,6 @@ Matrix Computations, section 4.3).
 from __future__ import annotations
 
 import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -102,9 +152,9 @@ LEADER_SPREAD = 0.1
 LEADER_HORIZON = 40.0
 LEADER_STEP = 0.01
 LEADER_BLOCK_ROWS = 128
-# The greedy step runs on at most this many threads; each holds two
-# (state, inner action) temporaries, about 2 MB on the default grid.
-MAX_GREEDY_THREADS = 4
+# The greedy step scores this many (state, outer action) pairs at a time;
+# its two (pair, inner action) temporaries take about 2 MB on the default grid.
+GREEDY_CHUNK_PAIRS = 512
 
 
 class OracleError(RuntimeError):
@@ -261,66 +311,97 @@ def _seed_indices(actions: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, actions.size - 1)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may use."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
+def _pair_bound(H: np.ndarray, base: np.ndarray, shift: np.ndarray,
+                reward_outer: np.ndarray, reward_inner: np.ndarray):
+    """The bound U of the module docstring, as upper(continuation, j): an
+    (n, n_outer) array that is at least the greedy step's computed q of every
+    inner action of each (state, outer) pair, for the continuation values
+    on H and j[i] the segment holding state i's current next state.
 
-
-def _greedy_threads() -> int:
-    """Threads for the greedy step: the usable CPUs, capped by
-    MAX_GREEDY_THREADS."""
-    return min(_usable_cpus(), MAX_GREEDY_THREADS)
-
-
-def _greedy_block(outer_actions, base, shift, H, continuation, reward_outer,
-                  reward_inner):
-    """Best (outer, inner) pair per state over the given outer action indices.
-
-    q = continuation interpolated at base + shift[ko], plus
-    reward_outer[:, ko] and reward_inner. Pairs are scanned outer-major with
-    a strict improvement test, so a tie in q goes to the first outer index,
-    then the first inner index. Returns the best q and its outer and inner
-    indices.
+    Returns None where nothing is pruned: a single outer action, or
+    transitions so large that 8 times their reach overflows.
     """
-    n = H.size
-    rows = np.arange(n)
-    best_q = np.full(n, -np.inf)
-    best_o = np.zeros(n, dtype=np.int64)
-    best_i = np.zeros(n, dtype=np.int64)
-    for ko in outer_actions:
-        q = np.interp(base + shift[ko], H, continuation)
-        q += reward_outer[:, ko, None]
-        q += reward_inner
+    if reward_outer.shape[1] == 1:
+        return None
+    b = base[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = b + shift.min()
+        hi = b + shift.max()
+        # the knots: H, widened by a clamped knot at each end that a window
+        # reaches
+        X = np.concatenate(([min(lo.min(), H[0])], H, [max(hi.max(), H[-1])]))
+        reach = (max(abs(X[0]), abs(X[-1])) + np.max(np.abs(b))
+                 + 4.0 * np.max(np.abs(shift)))
+        if not np.isfinite(8.0 * reach):
+            return None
+    sf = shift[:, 0]
+    sr = shift[0] - shift[0, 0]
+    residual = np.max(np.abs(shift - sf[:, None] - sr))
+    b_sf = b[:, None] + sf
+    # state i's candidate knots run from the last one at or below its
+    # window's low end to the first one at or above its high end
+    first = np.searchsorted(X, lo, side="right") - 1
+    last = np.searchsorted(X, hi, side="left")
+    knots = np.minimum(first[:, None] + np.arange(np.max(last - first) + 1),
+                       last[:, None])
+    knot_x = X[knots]
+    knot_value = np.clip(knots - 1, 0, H.size - 1)   # index into continuation
+    rewards = (np.max(np.abs(reward_outer), axis=1)
+               + np.max(np.abs(reward_inner), axis=1))
+    tiny = np.finfo(float).tiny * (1.0 + np.max(np.diff(H)))
+
+    def upper(continuation: np.ndarray, j: np.ndarray) -> np.ndarray:
+        # a non-finite continuation or reward leaves U inf or nan, which
+        # keeps every pair of the state
+        with np.errstate(over="ignore", invalid="ignore"):
+            slopes = np.diff(continuation) / np.diff(H)
+            beta = slopes[j]
+            alpha = continuation[j] - beta * H[j]
+            excess = np.max(continuation[knot_value]
+                            - (alpha[:, None] + beta[:, None] * knot_x), axis=1)
+            inner = np.max(beta[:, None] * sr + reward_inner, axis=1)
+            scale = (np.max(np.abs(continuation)) + np.abs(alpha)
+                     + np.max(np.abs(slopes)) * reach + rewards)
+            margin = (8.0 * scale) * 2.0 ** -50 + tiny
+            terms = alpha + excess + np.abs(beta) * residual + inner + margin
+            return terms[:, None] + beta[:, None] * b_sf + reward_outer
+
+    return upper
+
+
+def _greedy_step(live, base, shift, H, continuation, reward_outer,
+                 reward_inner) -> tuple:
+    """Greedy (outer, inner) indices per state over the pairs live marks.
+
+    live is an (n, n_outer) mask with at least one pair per state. Its
+    (state, outer) pairs are scored in that order, GREEDY_CHUNK_PAIRS at a
+    time: q = continuation interpolated at base + shift[ko], plus
+    reward_outer[i, ko] and reward_inner[i]. Each state takes the first
+    pair that reaches its largest q, so a tie goes to the first outer index,
+    then the first inner index, as in an outer-major scan with a strict
+    improvement test. As in that scan, a pair whose best inner q is nan
+    never wins, and a state whose pairs are all nan or -inf keeps (0, 0).
+    """
+    state, outer = np.nonzero(live)
+    best_q = np.empty(state.size)
+    best_i = np.empty(state.size, dtype=np.int64)
+    for lo in range(0, state.size, GREEDY_CHUNK_PAIRS):
+        s = state[lo:lo + GREEDY_CHUNK_PAIRS]
+        o = outer[lo:lo + GREEDY_CHUNK_PAIRS]
+        q = shift[o]
+        q += base[s]
+        q = np.interp(q, H, continuation)
+        q += reward_outer[s, o, None]
+        q += reward_inner[s]
         ki = np.argmax(q, axis=1)
-        qk = q[rows, ki]
-        upgrade = qk > best_q
-        best_q[upgrade] = qk[upgrade]
-        best_o[upgrade] = ko
-        best_i[upgrade] = ki[upgrade]
-    return best_q, best_o, best_i
-
-
-def _greedy_step(blocks, tables, pool) -> tuple:
-    """Greedy (outer, inner) indices over ascending outer-action blocks.
-
-    Each block is scanned by ``_greedy_block`` (on ``pool`` when given) and
-    the results are merged in block order with the same strict test, which
-    reproduces one outer-major scan over all blocks, ties included.
-    """
-    if pool is None:
-        parts = [_greedy_block(kos, *tables) for kos in blocks]
-    else:
-        parts = list(pool.map(lambda kos: _greedy_block(kos, *tables), blocks))
-    best_q, best_o, best_i = parts[0]
-    for q, ko, ki in parts[1:]:
-        upgrade = q > best_q
-        best_q[upgrade] = q[upgrade]
-        best_o[upgrade] = ko[upgrade]
-        best_i[upgrade] = ki[upgrade]
-    return best_o, best_i
+        best_i[lo:lo + ki.size] = ki
+        best_q[lo:lo + ki.size] = q[np.arange(ki.size), ki]
+    best_q[np.isnan(best_q)] = -np.inf
+    top = np.maximum.reduceat(best_q, np.searchsorted(state, np.arange(H.size)))
+    hits = np.flatnonzero(best_q == top[state])
+    first = hits[np.r_[True, state[hits[1:]] != state[hits[:-1]]]]
+    won = best_q[first] > -np.inf
+    return np.where(won, outer[first], 0), np.where(won, best_i[first], 0)
 
 
 def _howard(H: np.ndarray, gamma: float, max_sweeps: int, base: np.ndarray,
@@ -329,34 +410,40 @@ def _howard(H: np.ndarray, gamma: float, max_sweeps: int, base: np.ndarray,
             pol_inner: np.ndarray):
     """Howard policy iteration over (outer, inner) action pairs: pair
     (ko, ki) at state i earns reward_outer[i, ko] + reward_inner[i, ki] and
-    moves to base[i, 0] + shift[ko, ki]. Stops when the greedy policy
-    repeats; returns the value, both policies, the sweeps and the last
-    value change."""
+    moves to base[i, 0] + shift[ko, ki]. Each greedy step scores only the
+    (state, outer) pairs whose bound reaches the q of the state's current
+    pair (see the module docstring). Stops when the greedy policy repeats;
+    returns the value, both policies, the sweeps and the last value
+    change."""
     n = H.size
     rows = np.arange(n)
-    n_outer = reward_outer.shape[1]
-    threads = min(_greedy_threads(), n_outer)
-    bounds = [k * n_outer // threads for k in range(threads + 1)]
-    blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    upper = _pair_bound(H, base, shift, reward_outer, reward_inner)
+    live = np.ones((n, reward_outer.shape[1]), dtype=bool)
     value = np.zeros(n)
     change = np.inf
-    with (ThreadPoolExecutor(threads) if threads > 1 else nullcontext()) as pool:
-        for sweep in range(1, max_sweeps + 1):
-            reward_pol = (reward_outer[rows, pol_outer]
-                          + reward_inner[rows, pol_inner])
-            next_pol = base[:, 0] + shift[pol_outer, pol_inner]
-            j, w = _positions(H, next_pol)
-            new_value = _evaluate_policy(n, j, w, reward_pol, gamma)
-            change = float(np.max(np.abs(new_value - value)))
-            value = new_value
-            best_outer, best_inner = _greedy_step(
-                blocks, (base, shift, H, gamma * value, reward_outer,
-                         reward_inner), pool)
-            if (np.array_equal(best_outer, pol_outer)
-                    and np.array_equal(best_inner, pol_inner)):
-                _check_interior(H, next_pol)
-                return value, pol_outer, pol_inner, sweep, change
-            pol_outer, pol_inner = best_outer, best_inner
+    for sweep in range(1, max_sweeps + 1):
+        reward_pol = (reward_outer[rows, pol_outer]
+                      + reward_inner[rows, pol_inner])
+        next_pol = base[:, 0] + shift[pol_outer, pol_inner]
+        j, w = _positions(H, next_pol)
+        new_value = _evaluate_policy(n, j, w, reward_pol, gamma)
+        change = float(np.max(np.abs(new_value - value)))
+        value = new_value
+        continuation = gamma * value
+        if upper is not None:
+            # the current pair's q, by the greedy step's own operations
+            floor = (np.interp(next_pol, H, continuation)
+                     + reward_outer[rows, pol_outer]
+                     + reward_inner[rows, pol_inner])
+            live = ~(upper(continuation, j) < floor[:, None])
+            live[rows, pol_outer] = True
+        best_outer, best_inner = _greedy_step(
+            live, base, shift, H, continuation, reward_outer, reward_inner)
+        if (np.array_equal(best_outer, pol_outer)
+                and np.array_equal(best_inner, pol_inner)):
+            _check_interior(H, next_pol)
+            return value, pol_outer, pol_inner, sweep, change
+        pol_outer, pol_inner = best_outer, best_inner
     raise OracleError(
         f"policy iteration did not converge within {max_sweeps} sweeps; "
         f"last value change {change:.3e}")

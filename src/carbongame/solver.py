@@ -453,7 +453,7 @@ def _eliminate(a, b, g0, g1, g2):
     from the leader row instead, which gives up to two branches at that A.
     Returns (A, M, mask, finite): A, M and mask (K, n), branch k of cell i
     at [k, i] when mask[k, i], in ascending A; and per cell whether its
-    quartic is finite.
+    quartic and its companion matrix are finite.
     """
     quartic = (_polymul(g0, _polymul(b, b)) - _polymul(g1, _polymul(a, b))
                + g2[:, None] * _polymul(a, a))
@@ -466,9 +466,14 @@ def _eliminate(a, b, g0, g1, g2):
     for d in range(1, 5):
         cells = np.flatnonzero(degree == d)
         if cells.size:
+            ratios = quartic[cells, :d] / quartic[cells, d:d + 1]
+            # a finite quartic can still overflow its companion matrix
+            ok = np.isfinite(ratios).all(axis=1)
+            finite[cells[~ok]] = False
+            cells, ratios = cells[ok], ratios[ok]
             companion = np.zeros((cells.size, d, d))
             companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-            companion[:, :, -1] -= quartic[cells, :d] / quartic[cells, d:d + 1]
+            companion[:, :, -1] -= ratios
             roots[:d, cells] = np.linalg.eigvals(companion).T
     real = np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))
     # the distinct real roots of each cell, ascending
@@ -502,9 +507,9 @@ def _leading_branches(params: ModelParams, system: CoefficientSystem):
     +-1 of each leading unknown and fitted exactly: in gd and gc the farmer
     or joint row is a quadratic in A (_quadratic_branches); in gs the two
     rows leave a quartic in A (_eliminate). A cell whose fitted rows, or the
-    discriminant or quartic formed from them, overflow float64 fails with a
-    ParameterError: its parameters are finite but too large or too small for
-    the balances.
+    discriminant, quartic or companion matrix formed from them, overflow
+    float64 fails with a ParameterError: its parameters are finite but too
+    large or too small for the balances.
     """
     mode, lead = system.mode, _BY_POWER[system.mode][2]
 
@@ -512,25 +517,26 @@ def _leading_branches(params: ModelParams, system: CoefficientSystem):
         out = system.balances(_leading_vector(mode, leading))
         return [out[i] for i in lead]
 
-    # overflow leaves inf or nan, which the finiteness tests below catch
-    with np.errstate(over="ignore", invalid="ignore"):
-        if len(lead) == 1:
-            return _quadratic_branches(params, mode, lambda x: rows(x)[0])
-        n = params.rho.size
-        # [cell, i, j, row]: the farmer and the leader row at A = _NODES[i],
-        # M = _NODES[j]
-        samples = np.stack([np.broadcast_to(r, (3, 3, n))
-                            for r in rows(_NODES[:, None, None],
-                                          _NODES[None, :, None])], axis=-1)
-        samples = np.ascontiguousarray(np.moveaxis(samples, 2, 0))
-        # [cell, i, j]: the coefficient of A^i * M^j in the farmer and the
-        # leader row
-        farmer, leader = (_FIT @ samples[..., k] @ _FIT.T for k in (0, 1))
-        A, M, mask, finite = _eliminate(farmer[:, :, 0], farmer[:, :2, 1],
-                                        leader[:, :, 0], leader[:, :2, 1],
-                                        leader[:, 0, 2])
+    # under _Batch.solve's errstate, overflow leaves inf or nan, which the
+    # finiteness tests below catch
+    if len(lead) == 1:
+        return _quadratic_branches(params, mode, lambda x: rows(x)[0])
+    n = params.rho.size
+    # [cell, i, j, row]: the farmer and the leader row at A = _NODES[i],
+    # M = _NODES[j]
+    samples = np.stack([np.broadcast_to(r, (3, 3, n))
+                        for r in rows(_NODES[:, None, None],
+                                      _NODES[None, :, None])], axis=-1)
+    samples = np.ascontiguousarray(np.moveaxis(samples, 2, 0))
+    # [cell, i, j]: the coefficient of A^i * M^j in the farmer and the
+    # leader row
+    farmer, leader = (_FIT @ samples[..., k] @ _FIT.T for k in (0, 1))
+    A, M, mask, finite = _eliminate(farmer[:, :, 0], farmer[:, :2, 1],
+                                    leader[:, :, 0], leader[:, :2, 1],
+                                    leader[:, 0, 2])
     finite &= np.isfinite(samples).all(axis=(1, 2, 3))
-    errors = [_overflow("the H^2 balances or their (A, M) quartic") if not ok
+    errors = [_overflow("the H^2 balances, their (A, M) quartic or its "
+                        "companion matrix") if not ok
               else None if any_branch
               else SolverError("no real (A, M) branch of the coupled quadratic balances")
               for ok, any_branch in zip(finite.tolist(), mask.any(axis=0).tolist())]
@@ -582,30 +588,30 @@ def _newton(system: CoefficientSystem, leading, tolerance: float):
     h = 1.0 + np.abs(v)
     shift = np.zeros((k, k, n))
     shift[np.arange(k), np.arange(k)] = h
-    # overflow leaves inf or nan, which the finiteness test below catches
-    with np.errstate(over="ignore", invalid="ignore"):
-        # [row, point, cell]: the balances at v, v + h_j*e_j, then v - h_j*e_j
-        out = system.residuals(np.concatenate([v[:, None], v[:, None] + shift,
-                                               v[:, None] - shift], axis=1))
-        res, up, down = out[:, 0], out[:, 1:k + 1], out[:, k + 1:]
-        err = norm(v, res)
-        jac = np.ascontiguousarray(np.moveaxis((up - down) / (2.0 * h), -1, 0))
-        # the inverse, as a solve against the identity; 0 (no step) where
-        # singular, which leaves the H^1 and H^0 rows to the gate
-        inverse = _solve_regular(jac, np.broadcast_to(np.eye(k), jac.shape))[0]
-        active = np.ones(n, dtype=bool)
-        for step in range(_COMPLETION_STEPS + 8):   # one or two more polish
-            move = (inverse @ np.ascontiguousarray(res.T)[..., None])[..., 0].T
-            trial = np.where(active, v - move, v)
-            trial_res = system.residuals(trial)
-            trial_err = norm(trial, trial_res)
-            active &= (step < _COMPLETION_STEPS) | (trial_err < err)
-            if not active.any():
-                break
-            v = np.where(active, trial, v)
-            res = np.where(active, trial_res, res)
-            err = np.where(active, trial_err, err)
-        scales = system.scales(v)
+    # under _Batch.solve's errstate, overflow leaves inf or nan, which the
+    # finiteness test below catches
+    # [row, point, cell]: the balances at v, v + h_j*e_j, then v - h_j*e_j
+    out = system.residuals(np.concatenate([v[:, None], v[:, None] + shift,
+                                           v[:, None] - shift], axis=1))
+    res, up, down = out[:, 0], out[:, 1:k + 1], out[:, k + 1:]
+    err = norm(v, res)
+    jac = np.ascontiguousarray(np.moveaxis((up - down) / (2.0 * h), -1, 0))
+    # the inverse, as a solve against the identity; 0 (no step) where
+    # singular, which leaves the H^1 and H^0 rows to the gate
+    inverse = _solve_regular(jac, np.broadcast_to(np.eye(k), jac.shape))[0]
+    active = np.ones(n, dtype=bool)
+    for step in range(_COMPLETION_STEPS + 8):   # one or two more polish
+        move = (inverse @ np.ascontiguousarray(res.T)[..., None])[..., 0].T
+        trial = np.where(active, v - move, v)
+        trial_res = system.residuals(trial)
+        trial_err = norm(trial, trial_res)
+        active &= (step < _COMPLETION_STEPS) | (trial_err < err)
+        if not active.any():
+            break
+        v = np.where(active, trial, v)
+        res = np.where(active, trial_res, res)
+        err = np.where(active, trial_err, err)
+    scales = system.scales(v)
     finite = (np.isfinite(v) & np.isfinite(res)).all(axis=0)
     errors = [None if ok else _overflow("the H^1 and H^0 balances")
               for ok in finite.tolist()]
@@ -706,6 +712,9 @@ class _Batch:
         self._build_system()
         return _restrict(carried, keep)
 
+    # every stage runs under one errstate: overflow leaves inf or nan, which
+    # a stage's finiteness test or gate turns into the cell's typed error
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def solve(self):
         mode, cfg = self.mode, self.cfg
         leading, mask, discs, errors = _leading_branches(self.params, self.system)
@@ -731,9 +740,8 @@ class _Batch:
             self.params, mode, self.convention, coeffs)
         # an unstable cell's H_d and scan go unread; values that overflow at
         # the scanned states leave a nan or inf scan, which fails the gate
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            H_d = -beta / alpha
-            scan = _scan(mode, self.convention, self.params, values, policies, H_d)
+        H_d = -beta / alpha
+        scan = _scan(mode, self.convention, self.params, values, policies, H_d)
         errors = [UnstableModelError([a]) if not a < 0.0 else
                   None if s <= cfg.hjb_tolerance else SolverError(
                       f"stationarity-equation residual scan {s:.3e} exceeds "

@@ -29,7 +29,7 @@ from carbongame import (
     run_sweep,
     run_verify,
 )
-from carbongame import experiments, oracle
+from carbongame import experiments
 from carbongame.experiments import (
     RESPONSES,
     SUMMARY_COLUMNS,
@@ -291,7 +291,7 @@ def test_pooled_and_serial_compare_agree(monkeypatch, tmp_path, config):
     monkeypatch.setattr(experiments, "simulate", spy)
     runs = {}
     for cpus in (1, 2):
-        monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
         runs[cpus] = run_compare(config)
         ran_in, parent = set(pids.read_text().split()), str(os.getpid())
         pids.unlink()

@@ -9,7 +9,6 @@ import ast
 import dataclasses
 import importlib.util
 import math
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +20,7 @@ from carbongame import (
     GridSpec,
     ModelParams,
     OracleError,
+    ParameterError,
     default_grid,
     equilibrium_check,
     grid_best_response,
@@ -203,20 +203,77 @@ def test_joint_greedy_step_matches_the_pairwise_reference(params, warm):
     assert br.value == pytest.approx(ref_value, rel=1e-12)
 
 
-@pytest.mark.parametrize("threads", [1, 3, 4])
-def test_block_count_does_not_change_the_joint_reply(monkeypatch, threads):
-    # 3 blocks split the 33 farmer actions evenly, 4 unevenly (8, 8, 8, 9)
-    monkeypatch.setattr(oracle, "_greedy_threads", lambda: threads)
-    params = ModelParams(lambda_f=540.0, mu_r=0.465, rho=0.735)
-    sol = solve("gc", params)
-    grid = default_grid(sol, n_states=64, n_actions=33)
-    br = grid_best_response(params, "gc", "joint", None, grid)
-    ref_f, ref_r, ref_value, ref_sweeps = _reference_joint_response(
-        params, grid, None)
-    assert np.array_equal(br.actions["farmer"], ref_f)
-    assert np.array_equal(br.actions["retailer"], ref_r)
-    assert br.sweeps == ref_sweeps
-    assert br.value == pytest.approx(ref_value, rel=1e-12)
+# the nine parameters the e^+-1 draws scale
+DRAWN = ("lambda_f", "lambda_r", "mu_f", "mu_r", "omega", "p_c", "delta",
+         "rho", "theta")
+
+
+def _solvable_gc_draw(seed):
+    """A gc solution at ModelParams scaled by e^U(-1, 1) in each DRAWN
+    field, redrawn until the solver and default_grid accept it."""
+    rng = np.random.default_rng(seed)
+    base = ModelParams()
+    for _ in range(100):
+        factors = np.exp(rng.uniform(-1.0, 1.0, len(DRAWN)))
+        params = dataclasses.replace(base, **{
+            name: getattr(base, name) * float(f) for name, f in zip(DRAWN, factors)})
+        try:
+            sol = solve("gc", params)
+            return params, sol, default_grid(sol, n_states=64, n_actions=33)
+        except (solver.SolverError, ParameterError, OracleError):
+            continue
+    raise AssertionError("no solvable gc draw")
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+def test_pair_bound_is_at_least_every_inner_maximum(seed, warm):
+    # the joint reply's tables, as _joint_response builds them; each sweep
+    # checks U against the brute-force best inner q of every (state, farmer)
+    # pair, then moves to the brute-force greedy policy
+    params, sol, grid = _solvable_gc_draw(seed)
+    H = grid.states()
+    n = H.size
+    rows = np.arange(n)
+    af, ar = grid.actions("farmer"), grid.actions("retailer")
+    gamma = float(np.exp(-params.rho * grid.dt))
+    rates = payoff_rates(GameMode.CENTRALIZED, H[:, None], af[None, :],
+                         ar[None, :], None, params)
+    reward_f = rates.net_f * ((1.0 - gamma) / params.rho)
+    reward_r = rates.net_r * ((1.0 - gamma) / params.rho)
+    base = (H + grid.dt * reduction_drift(H, 0.0, 0.0, params))[:, None]
+    shift = grid.dt * reduction_drift(0.0, af[:, None], ar[None, :], params)
+    upper = oracle._pair_bound(H, base, shift, reward_f, reward_r)
+    if warm:
+        pol_f = _seed_indices(af, sol.policies["farmer"].effort(H))
+        pol_r = _seed_indices(ar, sol.policies["retailer"].effort(H))
+    else:
+        pol_f = np.zeros(n, dtype=np.int64)
+        pol_r = np.zeros(n, dtype=np.int64)
+    for sweep in range(grid.max_sweeps):
+        next_pol = base[:, 0] + shift[pol_f, pol_r]
+        j, w = _positions(H, next_pol)
+        value = _evaluate_policy(n, j, w, reward_f[rows, pol_f]
+                                 + reward_r[rows, pol_r], gamma)
+        continuation = gamma * value
+        q = np.stack([np.interp(base + shift[kf], H, continuation)
+                      + reward_f[:, kf, None] + reward_r
+                      for kf in range(af.size)], axis=1)
+        bound = upper(continuation, j)
+        assert np.all(bound >= q.max(axis=2))
+        # the current pair's q, as _howard forms it, is the greedy step's
+        floor = (np.interp(next_pol, H, continuation) + reward_f[rows, pol_f]
+                 + reward_r[rows, pol_r])
+        assert np.array_equal(floor, q[rows, pol_f, pol_r])
+        flat = q.reshape(n, -1).argmax(axis=1)
+        best_f, best_r = np.divmod(flat, ar.size)
+        if np.array_equal(best_f, pol_f) and np.array_equal(best_r, pol_r):
+            break
+        pol_f, pol_r = best_f, best_r
+    else:
+        raise AssertionError("policy iteration did not converge")
+    # at the fixed point the bound rules out most (state, farmer) pairs
+    assert np.mean(bound < floor[:, None]) > 0.5
 
 
 def _reference_single_response(params, mode, role, opponent, grid, seed):
@@ -297,19 +354,16 @@ def _tied_tables():
             reward_f, reward_r)
 
 
-@pytest.mark.parametrize("blocks, threads", [
-    ([range(0, 4)], 0),
-    ([range(0, 2), range(2, 4)], 0),
-    ([range(0, 2), range(2, 4)], 2),
-    ([range(0, 1), range(1, 3), range(3, 4)], 3),
-], ids=["one-block", "two-blocks", "two-threads", "three-threads"])
-def test_greedy_ties_go_to_the_first_farmer_then_retailer(blocks, threads):
-    tables = _tied_tables()
-    if threads:
-        with ThreadPoolExecutor(threads) as pool:
-            best_f, best_r = _greedy_step(blocks, tables, pool)
-    else:
-        best_f, best_r = _greedy_step(blocks, tables, None)
+# all pairs; then only the pairs that reach their state's best q
+TIED_MASKS = [np.ones((3, 4), dtype=bool),
+              np.array([[False, True, True, True],
+                        [True, True, False, False],
+                        [False, False, False, True]])]
+
+
+@pytest.mark.parametrize("live", TIED_MASKS, ids=["all-live", "pruned"])
+def test_greedy_ties_go_to_the_first_farmer_then_retailer(live):
+    best_f, best_r = _greedy_step(live, *_tied_tables())
     assert best_f.tolist() == [1, 0, 3]
     assert best_r.tolist() == [2, 1, 0]
 

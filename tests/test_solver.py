@@ -436,6 +436,38 @@ def test_a_gs_batch_is_not_aborted_by_extreme_cells():
         json.dumps(expected.diagnostics.to_dict())
 
 
+# gs cells whose (A, M) quartic is finite but overflows its companion
+# matrix; and one whose drift slope overflows in the policy rule
+COMPANION_OVERFLOW = [ModelParams(delta=1e153), ModelParams(rho=1e153),
+                      ModelParams(rho=1e154),
+                      ModelParams(delta=1e152, lambda_f=1e38)]
+SLOPE_OVERFLOW = ModelParams(delta=1e152)
+
+
+def test_a_companion_matrix_that_overflows_is_a_parameter_error():
+    batch = solve_many("gs", [*COMPANION_OVERFLOW, ModelParams()])
+    for params, got in zip(COMPANION_OVERFLOW, batch):
+        assert isinstance(got, ParameterError), (params, got)
+        assert "companion matrix" in str(got)
+    expected = solve("gs", ModelParams())
+    assert solver._coefficients(batch[-1]) == solver._coefficients(expected)
+
+
+def test_a_drift_slope_that_overflows_ends_without_a_warning():
+    # a RuntimeWarning fails the suite; the batch mixes both reproducers
+    # with the baseline
+    batch = solve_many("gs", [ModelParams(), SLOPE_OVERFLOW, *COMPANION_OVERFLOW])
+    got = batch[1]
+    if isinstance(got, GameSolution):
+        assert got.alpha < 0.0 and np.all(np.isfinite(solver._coefficients(got)))
+    else:
+        assert isinstance(got, (ParameterError, ComplexRootError,
+                                UnstableModelError, SolverError)), got
+    assert all(isinstance(e, ParameterError) for e in batch[2:])
+    expected = solve("gs", ModelParams())
+    assert solver._coefficients(batch[0]) == solver._coefficients(expected)
+
+
 @pytest.mark.parametrize("params", EXTREME, ids=["rho-1e150", "lambda_f-1e200",
                                                  "mu_f-1e-200", "rho-1e-200"])
 @pytest.mark.parametrize("mode", ["gd", "gs", "gc"])
