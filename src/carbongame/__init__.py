@@ -30,7 +30,6 @@ from .model import (
     validate_params,
 )
 from .solver import (
-    CoefficientSystem,
     ComplexRootError,
     SolverConfig,
     SolverError,
@@ -82,7 +81,6 @@ from .experiments import (
 __all__ = [
     "BestResponse",
     "CertificationReport",
-    "CoefficientSystem",
     "ComplexRootError",
     "ConfigError",
     "DerivedConstants",

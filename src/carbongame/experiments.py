@@ -564,8 +564,8 @@ def run_sweep(spec: Optional[SweepSpec], config: ScenarioConfig) -> dict:
     header = ["mode", "parameter", "value", *spec.responses, "status"]
     rows = []
     rows_meta = []
+    cells = [base.replace(**{spec.parameter: value}) for value in spec.values]
     for mode in modes:
-        cells = [base.replace(**{spec.parameter: value}) for value in spec.values]
         for value, outcome in zip(spec.values,
                                   solve_many(mode, cells, config.solver)):
             if isinstance(outcome, Exception):   # a typed solver error
@@ -628,7 +628,7 @@ def run_verify(config: ScenarioConfig) -> dict:
             checks.append({"name": f"value-consistency-{mode.value}",
                            "passed": False, "note": str(exc)})
         try:
-            certification = oracle.equilibrium_check(solution, params)
+            certification = oracle.equilibrium_check(solution)
             checks.append({
                 "name": f"equilibrium-certification-{mode.value}",
                 "passed": bool(certification.passed),

@@ -58,10 +58,6 @@ class GameMode(enum.Enum):
         raise ValueError(f"unknown game mode {text!r}; expected one of "
                          f"{[m.value for m in cls]}")
 
-    @property
-    def label(self) -> str:
-        return self.name.lower()
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -222,9 +218,6 @@ class QuadraticValue:
 
     def value(self, H):
         return (self.A * H + self.B) * H + self.C
-
-    def marginal(self, H):
-        return 2.0 * self.A * H + self.B
 
 
 @dataclass(frozen=True)

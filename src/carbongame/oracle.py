@@ -92,9 +92,10 @@ best q: a tie goes to the first outer index, then the first inner index,
 as in a full outer-major scan. A single-role reply has one outer action
 and prunes nothing.
 
-The certifier's pass tolerances, the default grid's spans, the refinement
-factor and the leader sampler's spread and simulation grid are module
-constants, not arguments; only the sample count and the seed are.
+The certifier reads the model parameters from the solution it checks. Its
+pass tolerances, the default grid's spans and the leader sampler's sample
+count, seed, spread and simulation grid are module constants, not
+arguments; only the grid can be passed in.
 
 Policy evaluation solves the banded system (I - gamma*P) v = r by Gaussian
 elimination without pivoting. Each row's diagonal exceeds the sum of its
@@ -139,15 +140,16 @@ POLICY_TOLERANCE = 0.02
 VALUE_TOLERANCE = 0.005
 LEADER_TOLERANCE = 0.005
 # default_grid: states up to STATE_SPAN*H_d, actions up to ACTION_SPAN times
-# the largest analytic effort there; GridSpec.refined multiplies the
-# resolution by REFINE_FACTOR.
+# the largest analytic effort there.
 STATE_SPAN = 2.5
 ACTION_SPAN = 3.0
-REFINE_FACTOR = 2
-# leader_improvement_sample: coefficients perturbed by up to LEADER_SPREAD
-# (relative), each rule simulated by RK4 on [0, LEADER_HORIZON] in steps of
-# LEADER_STEP; the paths are priced LEADER_BLOCK_ROWS time samples at a
-# time, which bounds the pricing temporaries to a few hundred kB.
+# leader_improvement_sample: LEADER_SAMPLES rules drawn from a generator
+# seeded with LEADER_SEED, their coefficients perturbed by up to
+# LEADER_SPREAD (relative), each simulated by RK4 on [0, LEADER_HORIZON] in
+# steps of LEADER_STEP; the paths are priced LEADER_BLOCK_ROWS time samples
+# at a time, which bounds the pricing temporaries to a few hundred kB.
+LEADER_SAMPLES = 200
+LEADER_SEED = 20260814
 LEADER_SPREAD = 0.1
 LEADER_HORIZON = 40.0
 LEADER_STEP = 0.01
@@ -200,13 +202,6 @@ class GridSpec:
             return np.linspace(0.0, self.a_max_r, self.n_actions)
         raise ValueError(f"unknown action role {role!r}")
 
-    def refined(self) -> "GridSpec":
-        """A grid with REFINE_FACTOR times the resolution in states, actions
-        and time."""
-        return dataclasses.replace(
-            self, n_states=REFINE_FACTOR * self.n_states,
-            n_actions=REFINE_FACTOR * self.n_actions, dt=self.dt / REFINE_FACTOR)
-
 
 def default_grid(solution: GameSolution, **overrides) -> GridSpec:
     """Grid sized from a solution: states to STATE_SPAN*H_d, actions to
@@ -240,7 +235,6 @@ class BestResponse:
     value: np.ndarray
     actions: dict
     sweeps: int
-    value_change: float
 
 
 def _check_interior(H: np.ndarray, next_raw: np.ndarray) -> None:
@@ -413,8 +407,7 @@ def _howard(H: np.ndarray, gamma: float, max_sweeps: int, base: np.ndarray,
     moves to base[i, 0] + shift[ko, ki]. Each greedy step scores only the
     (state, outer) pairs whose bound reaches the q of the state's current
     pair (see the module docstring). Stops when the greedy policy repeats;
-    returns the value, both policies, the sweeps and the last value
-    change."""
+    returns the value, both policies and the sweeps."""
     n = H.size
     rows = np.arange(n)
     upper = _pair_bound(H, base, shift, reward_outer, reward_inner)
@@ -442,7 +435,7 @@ def _howard(H: np.ndarray, gamma: float, max_sweeps: int, base: np.ndarray,
         if (np.array_equal(best_outer, pol_outer)
                 and np.array_equal(best_inner, pol_inner)):
             _check_interior(H, next_pol)
-            return value, pol_outer, pol_inner, sweep, change
+            return value, pol_outer, pol_inner, sweep
         pol_outer, pol_inner = best_outer, best_inner
     raise OracleError(
         f"policy iteration did not converge within {max_sweeps} sweeps; "
@@ -485,12 +478,11 @@ def _single_role_response(params: ModelParams, mode: GameMode, role: str,
         seed = np.zeros(n, dtype=np.int64)
     else:
         seed = _seed_indices(actions, seed_policy.effort(H))
-    value, _, policy, sweeps, change = _howard(
+    value, _, policy, sweeps = _howard(
         H, gamma, grid.max_sweeps, base, shift, np.zeros((n, 1)),
         rate * ((1.0 - gamma) / params.rho), np.zeros(n, dtype=np.int64), seed)
     return BestResponse(mode=mode, role=role, grid=grid, H=H, value=value,
-                        actions={role: actions[policy]}, sweeps=sweeps,
-                        value_change=change)
+                        actions={role: actions[policy]}, sweeps=sweeps)
 
 
 def _joint_response(params: ModelParams, grid: GridSpec,
@@ -511,13 +503,13 @@ def _joint_response(params: ModelParams, grid: GridSpec,
                                  ar[None, :], None, params)
     base = (H + grid.dt * reduction_drift(H, 0.0, 0.0, params))[:, None]
     shift = grid.dt * reduction_drift(0.0, af[:, None], ar[None, :], params)
-    value, pol_f, pol_r, sweeps, change = _howard(
+    value, pol_f, pol_r, sweeps = _howard(
         H, gamma, grid.max_sweeps, base, shift, rates.net_f * step,
         rates.net_r * step, pol_f, pol_r)
     return BestResponse(mode=GameMode.CENTRALIZED, role="joint", grid=grid,
                         H=H, value=value,
                         actions={"farmer": af[pol_f], "retailer": ar[pol_r]},
-                        sweeps=sweeps, value_change=change)
+                        sweeps=sweeps)
 
 
 def grid_best_response(params: ModelParams, mode, role: str,
@@ -563,15 +555,12 @@ def grid_best_response(params: ModelParams, mode, role: str,
                                  seed_policy)
 
 
-def leader_improvement_sample(solution: GameSolution,
-                              params: Optional[ModelParams] = None,
-                              samples: int = 200,
-                              seed: int = 20260814) -> dict:
+def leader_improvement_sample(solution: GameSolution) -> dict:
     """Sampled stationarity check of the Stackelberg announcement.
 
     Perturbs the leader's six rule coefficients (effort slope/intercept and
     the four subsidy-rule coefficients) multiplicatively by up to
-    LEADER_SPREAD, lets the follower react through its first-order rule with
+    LEADER_SPREAD in LEADER_SAMPLES seeded draws, lets the follower react through its first-order rule with
     the follower value slope frozen at the solved equilibrium, re-simulates
     the closed loop, and reports the largest relative gain over the
     unperturbed rule. Each path is priced by ``profits.payoff_rates`` and
@@ -582,14 +571,13 @@ def leader_improvement_sample(solution: GameSolution,
     if solution.mode is not GameMode.STACKELBERG:
         raise ValueError(f"leader sampling applies to the Stackelberg mode, "
                          f"not {solution.mode.value}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    params = solution.params if params is None else params
+    params = solution.params
     lead = solution.policies["retailer"]
     base = np.array([lead.g1, lead.g0, lead.n1, lead.n0, lead.d1, lead.d0],
                     dtype=float)
-    rng = np.random.default_rng(seed)
-    factors = 1.0 + LEADER_SPREAD * rng.uniform(-1.0, 1.0, size=(samples, 6))
+    rng = np.random.default_rng(LEADER_SEED)
+    factors = 1.0 + LEADER_SPREAD * rng.uniform(-1.0, 1.0,
+                                                size=(LEADER_SAMPLES, 6))
     coefs = np.vstack([base, base * factors])  # row 0 is the baseline
     c = derive_constants(params)
     g1, g0, n1, n0, d1, d0 = coefs.T
@@ -653,9 +641,9 @@ def leader_improvement_sample(solution: GameSolution,
     baseline = payoff[0]
     gains = (payoff[1:] - baseline) / max(abs(baseline), 1e-12)
     return {
-        "samples": samples,
+        "samples": LEADER_SAMPLES,
         "spread": LEADER_SPREAD,
-        "seed": seed,
+        "seed": LEADER_SEED,
         "baseline_payoff": float(baseline),
         "max_improvement": float(np.max(gains)),
         "improving_samples": int(np.sum(gains > 0.0)),
@@ -698,10 +686,9 @@ def _window_gaps(br: BestResponse, solution: GameSolution, window_mask,
 
 
 def equilibrium_check(solution: GameSolution,
-                      params: Optional[ModelParams] = None,
-                      grid: Optional[GridSpec] = None, samples: int = 200,
-                      seed: int = 20260814) -> CertificationReport:
-    """Certify a solution against grid best responses.
+                      grid: Optional[GridSpec] = None) -> CertificationReport:
+    """Certify a solution against grid best responses, at the solution's
+    own parameters, on grid (default_grid(solution) if None).
 
     Policy and value gaps are relative sup norms over the window
     [0.5*H_d, 1.5*H_d], held to POLICY_TOLERANCE and VALUE_TOLERANCE.
@@ -711,11 +698,7 @@ def equilibrium_check(solution: GameSolution,
     is held to LEADER_TOLERANCE; centralized solutions check the joint
     controller.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    params = solution.params if params is None else params
+    params = solution.params
     if not solution.alpha < 0:
         raise OracleError(
             f"certification needs an attracting steady state; "
@@ -744,8 +727,7 @@ def equilibrium_check(solution: GameSolution,
                                        solution.policies["retailer"], grid,
                                        seed_policy=solution.policies["farmer"]),
                     "farmer", "follower reply")]
-        leader_sample = leader_improvement_sample(solution, params,
-                                                  samples=samples, seed=seed)
+        leader_sample = leader_improvement_sample(solution)
     else:
         replies = [(grid_best_response(params, mode, "joint", None, grid,
                                        seed_policy=solution.policies),

@@ -47,8 +47,8 @@ class PayoffBreakdown:
         net_f = margin_f + sink_f - cost_f + subsidy
         net_r = margin_r - cost_r - subsidy
 
-    x_f_in_range is False where the supplied share leaves [0, 1]; the
-    transfer accounting still balances there and computation proceeds.
+    A supplied share outside [0, 1] is not rejected; the transfer accounting
+    still balances there.
     """
 
     mode: GameMode
@@ -60,7 +60,6 @@ class PayoffBreakdown:
     subsidy: np.ndarray
     net_f: np.ndarray
     net_r: np.ndarray
-    x_f_in_range: np.ndarray
 
     @property
     def total(self):
@@ -94,16 +93,13 @@ def payoff_rates(mode, H, E_f, E_r, x_f, params: ModelParams) -> PayoffBreakdown
     if mode is GameMode.STACKELBERG:
         x = np.asarray(x_f, dtype=float)
         subsidy = np.where(cost_f == 0.0, 0.0, x * cost_f)
-        in_range = (x >= 0.0) & (x <= 1.0) | (cost_f == 0.0)
     else:
         subsidy = np.zeros_like(cost_f)
-        in_range = np.ones_like(cost_f, dtype=bool)
     net_f = margin_f + sink_f - cost_f + subsidy
     net_r = margin_r - cost_r - subsidy
     return PayoffBreakdown(mode=mode, margin_f=margin_f, sink_f=sink_f,
                            cost_f=cost_f, margin_r=margin_r, cost_r=cost_r,
-                           subsidy=subsidy, net_f=net_f, net_r=net_r,
-                           x_f_in_range=in_range)
+                           subsidy=subsidy, net_f=net_f, net_r=net_r)
 
 
 def _role_series(trajectory: Trajectory, role: str) -> np.ndarray:

@@ -103,6 +103,9 @@ class SimConfig:
         return np.arange(self.steps + 1) * self.h
 
 
+# steady_state_bisect stops once the half-width is below
+# _BISECT_XTOL + 4*eps*|midpoint|, or after _BISECT_MAXITER halvings
+_BISECT_XTOL = 1e-12
 _BISECT_MAXITER = 100
 
 
@@ -114,12 +117,13 @@ def steady_state(solution: GameSolution) -> float:
     return -solution.beta / solution.alpha
 
 
-def steady_state_bisect(solution: GameSolution, xtol: float = 1e-12) -> float:
+def steady_state_bisect(solution: GameSolution) -> float:
     """Steady state recomputed as a bisection root of the drift itself.
 
     The loop is scipy.optimize.bisect's algorithm step for step (halve the
     bracket from its left end, stop once the half-width is below
-    xtol + 4*eps*|midpoint|), so it returns the same float.
+    _BISECT_XTOL + 4*eps*|midpoint|), so it returns the float bisect
+    returns with xtol=_BISECT_XTOL.
     """
     if not solution.alpha < 0:
         raise SimulationError(
@@ -145,7 +149,7 @@ def steady_state_bisect(solution: GameSolution, xtol: float = 1e-12) -> float:
         fm = float(drift(xm))
         if fm * fa >= 0.0:
             xa = xm
-        if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
+        if fm == 0.0 or abs(dm) < _BISECT_XTOL + rtol * abs(xm):
             return xm
     raise SimulationError(
         f"bisection did not converge in {_BISECT_MAXITER} steps")

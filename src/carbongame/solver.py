@@ -63,7 +63,7 @@ from .model import (
 )
 
 __all__ = [
-    "SolverConfig", "CoefficientSystem", "SolverError", "ComplexRootError",
+    "SolverConfig", "SolverError", "ComplexRootError",
     "UnstableModelError", "solve", "solve_many", "hjb_residual", "residual_scan",
 ]
 

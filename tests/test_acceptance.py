@@ -180,9 +180,8 @@ def test_criterion_08_integrator_agreement(capsys, solutions, params):
             f"(tol 1e-6); halving the step cuts it {ratio:.1f}x (>= 8x)")
 
 
-def test_criterion_09_grid_certification(capsys, solutions, params):
-    reports = {m: equilibrium_check(sol, params)
-               for m, sol in solutions.items()}
+def test_criterion_09_grid_certification(capsys, solutions):
+    reports = {m: equilibrium_check(sol) for m, sol in solutions.items()}
     passed = all(r.passed for r in reports.values())
     gaps = {m: max(r.policy_gaps.values() or [0.0])
             for m, r in reports.items()}

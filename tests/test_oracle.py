@@ -80,8 +80,6 @@ def test_grid_spec_validation():
     assert grid.actions("retailer") == pytest.approx([0.0, 1.0, 2.0])
     with pytest.raises(ValueError, match="unknown action role"):
         grid.actions("joint")
-    fine = grid.refined()
-    assert (fine.n_states, fine.n_actions, fine.dt) == (10, 6, grid.dt / 2)
 
 
 def test_default_grid_sized_from_the_solution(baseline_gd):
@@ -420,7 +418,9 @@ def test_refinement_tightens_the_gaps(baseline_gd):
         return pe, pv
 
     pe0, pv0 = gaps(base)
-    pe1, pv1 = gaps(base.refined())
+    pe1, pv1 = gaps(dataclasses.replace(base, n_states=2 * base.n_states,
+                                        n_actions=2 * base.n_actions,
+                                        dt=base.dt / 2))
     assert pe1 <= pe0
     assert pv1 <= pv0
 
@@ -488,13 +488,11 @@ def test_window_coverage_is_checked(baseline_gd):
 
 def test_leader_sampler_is_deterministic_and_mode_checked(baseline_gd,
                                                           baseline_gs):
-    a = leader_improvement_sample(baseline_gs, samples=40)
-    b = leader_improvement_sample(baseline_gs, samples=40)
+    a = leader_improvement_sample(baseline_gs)
+    b = leader_improvement_sample(baseline_gs)
     assert a == b
-    assert a["samples"] == 40
+    assert (a["samples"], a["seed"]) == (200, 20260814)
     assert a["note"].startswith("sampled neighborhood stationarity")
-    different = leader_improvement_sample(baseline_gs, samples=40, seed=7)
-    assert different["max_improvement"] != a["max_improvement"]
     with pytest.raises(ValueError, match="applies to the Stackelberg mode"):
         leader_improvement_sample(baseline_gd)
 
@@ -547,31 +545,28 @@ def test_leader_sample_with_a_zero_subsidy_denominator():
     assert sample["improving_samples"] == 36
 
 
-@pytest.mark.parametrize("samples", [0, -1])
-def test_leader_sample_count_must_be_positive(baseline_gs, samples):
-    message = f"samples must be >= 1, got {samples}"
-    with pytest.raises(ValueError, match=message):
-        leader_improvement_sample(baseline_gs, samples=samples)
-    with pytest.raises(ValueError, match=message):
-        equilibrium_check(baseline_gs, samples=samples)
-
-
-@pytest.mark.parametrize("samples, seed, message", [
-    (-5, -1, "samples must be >= 1, got -5"),
-    (0, 7, "samples must be >= 1, got 0"),
-    (200, -1, "seed must be >= 0, got -1"),
+@pytest.mark.parametrize("retired", [
+    {"samples": -5, "seed": -1}, {"samples": 0}, {"seed": -1},
 ], ids=["both-negative", "no-samples", "negative-seed"])
 @pytest.mark.parametrize("mode", ["gd", "gs", "gc"])
 def test_certification_arguments_are_checked_before_any_grid_reply(
-        monkeypatch, mode, samples, seed, message):
+        monkeypatch, mode, retired):
+    # the sample count and the seed are module constants and the parameters
+    # come from the solution, so neither certifier entry point takes them
     sol = solve(mode, ModelParams())
 
     def no_reply(*args, **kwargs):
         raise AssertionError("a grid reply ran before the arguments were checked")
 
     monkeypatch.setattr(oracle, "grid_best_response", no_reply)
-    with pytest.raises(ValueError, match=message):
-        equilibrium_check(sol, samples=samples, seed=seed)
+    for name, value in retired.items():
+        message = f"unexpected keyword argument '{name}'"
+        with pytest.raises(TypeError, match=message):
+            equilibrium_check(sol, **{name: value})
+        with pytest.raises(TypeError, match=message):
+            leader_improvement_sample(sol, **{name: value})
+    with pytest.raises(TypeError, match="positional argument"):
+        equilibrium_check(sol, ModelParams(), None)
 
 
 def _certification_systems(monkeypatch, sol, grid):
@@ -621,7 +616,7 @@ def test_band_solve_matches_a_dense_solve(monkeypatch, mode, dt, reach):
 def test_unperturbed_leader_row_is_the_discounted_profit(changes):
     params = ModelParams().replace(**changes)
     sol = solve("gs", params)
-    sample = leader_improvement_sample(sol, samples=1)
+    sample = leader_improvement_sample(sol)
     traj = integrate_trajectory(sol, SimConfig(T=oracle.LEADER_HORIZON,
                                                h=oracle.LEADER_STEP))
     expected = discounted_profit(traj, "retailer", params)
