@@ -221,11 +221,13 @@ def _payoff_polynomials(params: ModelParams, mode: GameMode):
     sum. The farmer's cost net of the transfer, (1 - x_f)*cost_f, is
     E_f*(eta*H + mu_f*V_f')/2 by its first-order condition (x_f = 0 outside
     gs), and since E_f = mu_f*d(H)/(2*lambda_f), the gs transfer x_f*cost_f
-    is the polynomial mu_f^2*n(H)*d(H)/(8*lambda_f).
+    is the polynomial (mu_f*n(H))*(mu_f*d(H))/(8*lambda_f). Scaling each
+    factor by mu_f keeps the product from underflowing where mu_f^2 would:
+    n and d carry eta/mu_f.
     """
     lf, lr, mf, mr, delta, _, eta, k1, k2, pf, pr, pc = _symbols(params)
     unit_f, unit_r = (pf + pc) * k1, pr * k2
-    share = mf * mf / (8.0 * lf)
+    share = 8.0 * lf
     rule, split = _policy_map(params, mode, CONVENTION_STANDARD), _VALUES[mode]
     joint = mode is GameMode.CENTRALIZED
 
@@ -237,7 +239,8 @@ def _payoff_polynomials(params: ModelParams, mode: GameMode):
         t2 = t1 = t0 = 0.0
         if subsidy is not None:
             (n1, n0), (d1, d0) = subsidy
-            t2, t1, t0 = share * n1 * d1, share * (n1 * d0 + n0 * d1), share * n0 * d0
+            n1, n0, d1, d0 = mf * n1, mf * n0, mf * d1, mf * d0
+            t2, t1, t0 = n1 * d1 / share, (n1 * d0 + n0 * d1) / share, n0 * d0 / share
         rate_f = (eta * f1 - 0.5 * f1 * m1,
                   unit_f + eta * f0 - 0.5 * (f1 * m0 + f0 * m1),
                   -0.5 * f0 * m0)

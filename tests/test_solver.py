@@ -436,6 +436,21 @@ def test_a_gs_batch_is_not_aborted_by_extreme_cells():
         json.dumps(expected.diagnostics.to_dict())
 
 
+@pytest.mark.parametrize("convention", [solver.CONVENTION_STANDARD, CONVENTION_PRINTED])
+@pytest.mark.parametrize("mu_f", [1e-200, 1e-160])
+def test_gs_transfer_survives_a_tiny_farmer_response(mu_f, convention):
+    # the subsidy rule's n and d carry eta/mu_f, so the transfer
+    # mu_f^2*n*d/(8*lambda_f) is finite while mu_f^2 underflows to 0; once
+    # mu_f is negligible the solution no longer depends on it
+    cfg = SolverConfig(follower_convention=convention)
+    sol = solve("gs", ModelParams(mu_f=mu_f), cfg)
+    assert sol.alpha < 0
+    assert residual_scan(sol, sol.params) <= 1e-14
+    limit = np.array(solver._coefficients(solve("gs", ModelParams(mu_f=1e-30), cfg)))
+    gap = np.abs(np.array(solver._coefficients(sol)) - limit)
+    assert np.max(gap) <= 1e-12 * np.max(np.abs(limit))
+
+
 # gs cells whose (A, M) quartic is finite but overflows its companion
 # matrix; and one whose drift slope overflows in the policy rule
 COMPANION_OVERFLOW = [ModelParams(delta=1e153), ModelParams(rho=1e153),
