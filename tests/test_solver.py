@@ -356,6 +356,35 @@ def test_random_parameter_sets_solve_cleanly(logs):
         assert residual_scan(sol, params) <= cfg.hjb_tolerance, name
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_cells_scaled_over_600_decades_solve_or_fail_typed(seed):
+    # a batch of 24 cells, each with every field scaled by 10^k, k drawn
+    # from [-300, 300], with probability 0.3: every entry is a stable finite
+    # solution or a typed error in every mode, with no warning and no batch
+    # aborted
+    rng = np.random.default_rng(seed)
+    base = ModelParams()
+    names = base.field_names()
+    batch = [base.replace(**{name: getattr(base, name) * 10.0 ** int(k)
+                             for name, pick, k in zip(names, rng.random(len(names)) < 0.3,
+                                                      rng.integers(-300, 301, len(names)))
+                             if pick})
+             for _ in range(24)]
+    for name, cfg in _CONFIGS.items():
+        out = solve_many(name[:2], batch, cfg)
+        assert len(out) == len(batch)
+        for params, entry in zip(batch, out):
+            if isinstance(entry, (ParameterError, ComplexRootError,
+                                  UnstableModelError, SolverError)):
+                continue
+            assert isinstance(entry, GameSolution), (name, params, entry)
+            numbers = [entry.alpha, entry.beta, entry.H_d,
+                       *solver._coefficients(entry)]
+            assert entry.alpha < 0, (name, params)
+            assert np.all(np.isfinite(numbers)), (name, params)
+
+
 def _outcome(mode, params, cfg):
     try:
         return solve(mode, params, cfg)
