@@ -560,8 +560,9 @@ def leader_improvement_sample(solution: GameSolution) -> dict:
 
     Perturbs the leader's six rule coefficients (effort slope/intercept and
     the four subsidy-rule coefficients) multiplicatively by up to
-    LEADER_SPREAD in LEADER_SAMPLES seeded draws, lets the follower react through its first-order rule with
-    the follower value slope frozen at the solved equilibrium, re-simulates
+    LEADER_SPREAD in LEADER_SAMPLES draws seeded with LEADER_SEED, lets the
+    follower react through its first-order rule with the follower value
+    slope frozen at the solved equilibrium, re-simulates
     the closed loop, and reports the largest relative gain over the
     unperturbed rule. Each path is priced by ``profits.payoff_rates`` and
     discounted by ``profits.discount_weights``, the rule
@@ -685,7 +686,7 @@ def _window_gaps(br: BestResponse, solution: GameSolution, window_mask,
     return policy_gaps, {value_role: value_gap}
 
 
-def equilibrium_check(solution: GameSolution,
+def equilibrium_check(solution: GameSolution, *,
                       grid: Optional[GridSpec] = None) -> CertificationReport:
     """Certify a solution against grid best responses, at the solution's
     own parameters, on grid (default_grid(solution) if None).

@@ -103,8 +103,6 @@ class SimConfig:
         return np.arange(self.steps + 1) * self.h
 
 
-# steady_state_bisect stops once the half-width is below
-# _BISECT_XTOL + 4*eps*|midpoint|, or after _BISECT_MAXITER halvings
 _BISECT_XTOL = 1e-12
 _BISECT_MAXITER = 100
 

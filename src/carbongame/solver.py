@@ -227,7 +227,7 @@ def _payoff_polynomials(params: ModelParams, mode: GameMode):
     """
     lf, lr, mf, mr, delta, _, eta, k1, k2, pf, pr, pc = _symbols(params)
     unit_f, unit_r = (pf + pc) * k1, pr * k2
-    share = 8.0 * lf
+    transfer_den = 8.0 * lf
     rule, split = _policy_map(params, mode, CONVENTION_STANDARD), _VALUES[mode]
     joint = mode is GameMode.CENTRALIZED
 
@@ -240,7 +240,9 @@ def _payoff_polynomials(params: ModelParams, mode: GameMode):
         if subsidy is not None:
             (n1, n0), (d1, d0) = subsidy
             n1, n0, d1, d0 = mf * n1, mf * n0, mf * d1, mf * d0
-            t2, t1, t0 = n1 * d1 / share, (n1 * d0 + n0 * d1) / share, n0 * d0 / share
+            t2 = n1 * d1 / transfer_den
+            t1 = (n1 * d0 + n0 * d1) / transfer_den
+            t0 = n0 * d0 / transfer_den
         rate_f = (eta * f1 - 0.5 * f1 * m1,
                   unit_f + eta * f0 - 0.5 * (f1 * m0 + f0 * m1),
                   -0.5 * f0 * m0)

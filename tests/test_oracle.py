@@ -552,7 +552,9 @@ def test_leader_sample_with_a_zero_subsidy_denominator():
 def test_certification_arguments_are_checked_before_any_grid_reply(
         monkeypatch, mode, retired):
     # the sample count and the seed are module constants and the parameters
-    # come from the solution, so neither certifier entry point takes them
+    # come from the solution, so neither certifier entry point takes them,
+    # and the old positional parameters are refused rather than read as a
+    # grid
     sol = solve(mode, ModelParams())
 
     def no_reply(*args, **kwargs):
@@ -566,7 +568,7 @@ def test_certification_arguments_are_checked_before_any_grid_reply(
         with pytest.raises(TypeError, match=message):
             leader_improvement_sample(sol, **{name: value})
     with pytest.raises(TypeError, match="positional argument"):
-        equilibrium_check(sol, ModelParams(), None)
+        equilibrium_check(sol, ModelParams())
 
 
 def _certification_systems(monkeypatch, sol, grid):
