@@ -7,9 +7,11 @@ the induced banded chain). The resulting best responses and values are then
 compared against the analytic feedback rules. The Stackelberg leader, whose
 problem is not a plain control problem, is instead stress-tested by sampling
 perturbed announcement rules and re-simulating the follower's reaction.
-The sampler prices each simulated path with ``profits.payoff_rates`` and
-discounts it with ``profits.discount_weights``, the quadrature that
-``profits.discounted_profit`` uses, so it holds no payoff formula of its own.
+The sampler steps every rule's path with ``simulate._rk4``, the stepper of
+``simulate.integrate_trajectory``, prices it with ``profits.payoff_rates``
+and discounts it with ``profits.discount_weights``, the quadrature that
+``profits.discounted_profit`` uses, so it holds no integrator or payoff
+formula of its own.
 
 Discretization notes: transitions use an explicit Euler step of the drift,
 and the per-step reward is rate * (1 - gamma) / rho with gamma = exp(-rho*dt),
@@ -112,7 +114,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import profits
+from . import profits, simulate
 from .model import (
     FeedbackPolicy,
     GameMode,
@@ -564,8 +566,9 @@ def leader_improvement_sample(solution: GameSolution) -> dict:
     follower react through its first-order rule with the follower value
     slope frozen at the solved equilibrium, re-simulates
     the closed loop, and reports the largest relative gain over the
-    unperturbed rule. Each path is priced by ``profits.payoff_rates`` and
-    discounted by ``profits.discount_weights``, the rule
+    unperturbed rule. All rules step together, one column each, with
+    simulate's RK4 stepper; each path is priced by ``profits.payoff_rates``
+    and discounted by ``profits.discount_weights``, the rule
     ``profits.discounted_profit`` uses. This samples a neighborhood; it is
     evidence of stationarity, not a proof of global optimality.
     """
@@ -612,26 +615,10 @@ def leader_improvement_sample(solution: GameSolution) -> dict:
         return reduction_drift(Hv, E_f, E_r, params)
 
     h = LEADER_STEP
-    half_h = 0.5 * h
     steps = int(round(LEADER_HORIZON / h))
-    # a row per time sample, a column per rule: the state, then its rate
-    path = np.empty((steps + 1, coefs.shape[0]))
-    path[0] = params.H0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(steps):
-            H = path[i]
-            k1 = drift(H)
-            k2 = drift(H + half_h * k1)
-            k3 = drift(H + half_h * k2)
-            k4 = drift(H + h * k3)
-            k2 *= 2.0
-            k3 *= 2.0
-            k1 += k2
-            k1 += k3
-            k1 += k4
-            k1 *= h
-            k1 /= 6.0
-            np.add(H, k1, out=path[i + 1])
+        # a row per time sample, a column per rule: the state, then its rate
+        path = simulate._rk4(drift, np.full(coefs.shape[0], params.H0), h, steps)
         for lo in range(0, steps + 1, LEADER_BLOCK_ROWS):
             block = path[lo:lo + LEADER_BLOCK_ROWS]
             block[...] = profits.payoff_rates(

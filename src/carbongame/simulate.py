@@ -123,11 +123,8 @@ def steady_state_bisect(solution: GameSolution) -> float:
     _BISECT_XTOL + 4*eps*|midpoint|), so it returns the float bisect
     returns with xtol=_BISECT_XTOL.
     """
-    if not solution.alpha < 0:
-        raise SimulationError(
-            f"no attracting steady state: alpha = {solution.alpha:.6g} >= 0")
+    center = steady_state(solution)
     drift = solution.closed_loop_drift
-    center = -solution.beta / solution.alpha
     half = 1.0 + abs(center)
     xa, xb = float(center - half), float(center + half)
     # alpha < 0 makes drift strictly decreasing: drift(xa) > 0 > drift(xb)
@@ -172,6 +169,24 @@ def exact_trajectory(solution: GameSolution, simcfg: SimConfig = SimConfig(),
     return _fill_series(solution, params, t, H, INTEGRATOR_EXACT)
 
 
+def _rk4(drift, y, h: float, steps: int) -> np.ndarray:
+    """Classical fourth-order fixed-step path (steps + 1, ...) of
+    dy/dt = drift(y) from y, a float or an array of independent states.
+    The stages are elementwise, so each column of an array path is its
+    state's float path bit for bit; a float steps on Python floats, which
+    round as float64 does, without numpy's per-scalar overhead."""
+    path = np.empty((steps + 1,) + np.shape(y))
+    path[0] = y
+    for i in range(1, steps + 1):
+        k1 = drift(y)
+        k2 = drift(y + 0.5 * h * k1)
+        k3 = drift(y + 0.5 * h * k2)
+        k4 = drift(y + h * k3)
+        y = y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        path[i] = y
+    return path
+
+
 def integrate_trajectory(solution: GameSolution,
                          simcfg: SimConfig = SimConfig(),
                          params: Optional[ModelParams] = None) -> Trajectory:
@@ -179,10 +194,7 @@ def integrate_trajectory(solution: GameSolution,
 
     The drift is evaluated through the policy rules and the model drift
     primitive at every stage, keeping this route independent of the solved
-    (alpha, beta) aggregation. The steps run on Python floats and the path
-    becomes an array once at the end: float64 arithmetic rounds the same on
-    Python floats as on numpy scalars, so the samples are the same, without
-    numpy's per-scalar overhead.
+    (alpha, beta) aggregation.
 
     Raises SimulationError when a sample is not finite (a step outside the
     integrator's stability region), naming h and the first such time.
@@ -194,23 +206,13 @@ def integrate_trajectory(solution: GameSolution,
     def drift(H):
         return reduction_drift(H, effort_f(H), effort_r(H), params)
 
-    h = simcfg.h
-    y = _initial_level(params)
-    path = [y]
-    for _ in range(simcfg.steps):
-        k1 = drift(y)
-        k2 = drift(y + 0.5 * h * k1)
-        k3 = drift(y + 0.5 * h * k2)
-        k4 = drift(y + h * k3)
-        y = y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        path.append(y)
+    H = _rk4(drift, _initial_level(params), simcfg.h, simcfg.steps)
     t = simcfg.times()
-    H = np.array(path, dtype=float)
     finite = np.isfinite(H)
     if not finite.all():
         raise SimulationError(
             f"{INTEGRATOR_RK4} path is not finite from t = "
-            f"{float(t[finite.argmin()])!r} on: step h = {h!r} is outside the "
+            f"{float(t[finite.argmin()])!r} on: step h = {simcfg.h!r} is outside the "
             "integrator's stability region")
     return _fill_series(solution, params, t, H, INTEGRATOR_RK4)
 

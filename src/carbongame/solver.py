@@ -35,9 +35,13 @@ Conventions for the Stackelberg follower:
   x_f = (2*V_r' - V_f' - eta*H/mu_f)/(2*V_r' + V_f' + eta*H/mu_f).
 * "paper-printed": the published follower rule without the cost-share
   factor, and the published substituted equations, which are the standard
-  balances plus (1 - mu_f)*eta^2/(4*lambda_f) on the farmer H^2 row and
-  (1 - mu_f)*eta^2/(8*lambda_f) on the leader H^2 row (an extra mu_f on the
-  quadratic revenue terms); selectable for comparison via residuals.
+  balances plus two H^2 offsets: (1 - mu_f)*eta^2/(4*lambda_f) on the farmer
+  row and (1 - mu_f)*eta^2/(8*lambda_f) on the leader row (an extra mu_f on
+  the quadratic revenue terms).
+
+The residual scan prices both conventions with profits.payoff_rates along
+the standard policies, adding offset*H^2 under "paper-printed", so it never
+re-evaluates the balances the solve used.
 """
 
 from __future__ import annotations
@@ -179,36 +183,48 @@ def _coefficients(solution: GameSolution) -> tuple:
     return tuple(x for V in values for x in (V.A, V.B, V.C))
 
 
-def _policy_map(params: ModelParams, mode: GameMode, convention: Optional[str]):
-    """The first-order rules of a mode: one map from value coefficients to
-    policies.
+def _closed_loop(params: ModelParams, mode: GameMode, convention: Optional[str]):
+    """A mode's first-order rules, closed: loop(coeffs) maps coefficient
+    vectors (k, ...) to (values, (E_f, E_r, subsidy), alpha, beta).
 
-    Returns rule(V_f, V_r), where V_f and V_r are the (A, B, C) of the values
-    the farmer and the retailer act on (the joint value for both in gc), so
-    V'(H) = 2*A*H + B. rule returns (E_f, E_r, subsidy): each effort as
-    (g1, g0), and the subsidy rule x_f = n/d as ((n1, n0), (d1, d0)) in gs,
+    values holds each role's (A, B, C), V'(H) = 2*A*H + B; the farmer and the
+    retailer act on their own (on the joint value in gc). Each effort is
+    (g1, g0), and the subsidy rule x_f = n/d is ((n1, n0), (d1, d0)) in gs,
     None elsewhere. Every effort maximizes its payoff rate plus V'*drift; the
     standard follower keeps the (1 - x_f) cost-share factor, which at the
     leader's share gives E_f = mu_f*d(H)/(2*lambda_f), and the paper-printed
-    follower drops it.
+    follower drops it. reduction_drift is linear in (H, E_f, E_r), so the
+    drift's slope alpha and intercept beta are its values at (1, g1_f, g1_r)
+    and (0, g0_f, g0_r).
     """
     lf, lr, mf, mr, _, _, eta, *_ = _symbols(params)
     leader = mode is GameMode.STACKELBERG
     shared = leader and convention != CONVENTION_PRINTED
+    split = _VALUES[mode]
 
-    def rule(V_f, V_r):
-        (af, bf, _), (ar, br, _) = V_f, V_r
+    def loop(coeffs):
+        values = split(list(coeffs))
+        (af, bf, _), (ar, br, _) = values[0], values[-1]
         if shared:
             e_f = ((eta + 2.0 * mf * (af + 2.0 * ar)) / (2.0 * lf),
                    mf * (bf + 2.0 * br) / (2.0 * lf))
         else:
             e_f = ((eta + 2.0 * af * mf) / lf, mf * bf / lf)
         e_r = (2.0 * mr * ar / lr, mr * br / lr)
-        if not leader:
-            return e_f, e_r, None
-        return e_f, e_r, ((4.0 * ar - 2.0 * af - eta / mf, 2.0 * br - bf),
-                          (4.0 * ar + 2.0 * af + eta / mf, 2.0 * br + bf))
-    return rule
+        subsidy = (((4.0 * ar - 2.0 * af - eta / mf, 2.0 * br - bf),
+                    (4.0 * ar + 2.0 * af + eta / mf, 2.0 * br + bf)) if leader else None)
+        return (values, (e_f, e_r, subsidy),
+                reduction_drift(1.0, e_f[0], e_r[0], params),
+                reduction_drift(0.0, e_f[1], e_r[1], params))
+    return loop
+
+
+def _printed_offsets(params: ModelParams) -> tuple:
+    """The paper-printed gs balances less the standard ones: the farmer's and
+    the leader's H^2 offset, as the module docstring gives them."""
+    lf, _, mf, _, _, _, eta, *_ = _symbols(params)
+    base = (1.0 - mf) * (eta * eta) / lf
+    return base / 4.0, base / 8.0
 
 
 def _payoff_polynomials(params: ModelParams, mode: GameMode):
@@ -225,15 +241,14 @@ def _payoff_polynomials(params: ModelParams, mode: GameMode):
     factor by mu_f keeps the product from underflowing where mu_f^2 would:
     n and d carry eta/mu_f.
     """
-    lf, lr, mf, mr, delta, _, eta, k1, k2, pf, pr, pc = _symbols(params)
+    lf, lr, mf, _, _, _, eta, k1, k2, pf, pr, pc = _symbols(params)
     unit_f, unit_r = (pf + pc) * k1, pr * k2
     transfer_den = 8.0 * lf
-    rule, split = _policy_map(params, mode, CONVENTION_STANDARD), _VALUES[mode]
+    loop = _closed_loop(params, mode, CONVENTION_STANDARD)
     joint = mode is GameMode.CENTRALIZED
 
     def terms(v):
-        values = split(v)
-        (f1, f0), (r1, r0), subsidy = rule(values[0], values[-1])
+        values, ((f1, f0), (r1, r0), subsidy), alpha, beta = loop(v)
         # eta*H + mu_f*V_f', the farmer's marginal gain from effort
         m1, m0 = eta + 2.0 * mf * values[0][0], mf * values[0][1]
         t2 = t1 = t0 = 0.0
@@ -251,7 +266,7 @@ def _payoff_polynomials(params: ModelParams, mode: GameMode):
                   -0.5 * lr * r0 * r0 - t0)
         rates = ((rate_f[0] + rate_r[0], rate_f[1] + rate_r[1],
                   rate_f[2] + rate_r[2]),) if joint else (rate_f, rate_r)
-        return (mf * f1 + mr * r1 - delta, mf * f0 + mr * r0), values, rates
+        return (alpha, beta), values, rates
     return terms
 
 
@@ -267,7 +282,6 @@ class CoefficientSystem:
     """
 
     mode: GameMode
-    convention: str
     names: tuple
     labels: tuple
     rho: float
@@ -287,11 +301,8 @@ def _system(params: ModelParams, mode: GameMode,
     terms = _payoff_polynomials(params, mode)
     rho = params.rho
     linear = mode is GameMode.DECENTRALIZED
-    offsets = None
-    if mode is GameMode.STACKELBERG and convention == CONVENTION_PRINTED:
-        lf, _, mf, _, _, _, eta, *_ = _symbols(params)
-        base = (1.0 - mf) * (eta * eta) / lf
-        offsets = (base / 4.0, base / 8.0)
+    offsets = (_printed_offsets(params) if mode is GameMode.STACKELBERG
+               and convention == CONVENTION_PRINTED else None)
 
     def balances(v):
         (alpha, beta), values, rates = terms(v)
@@ -307,9 +318,8 @@ def _system(params: ModelParams, mode: GameMode,
             del out[3]
         return out
 
-    return CoefficientSystem(mode=mode, convention=convention,
-                             names=_UNKNOWNS[mode][0], labels=_LABELS[mode],
-                             rho=rho, balances=balances)
+    return CoefficientSystem(mode=mode, names=_UNKNOWNS[mode][0],
+                             labels=_LABELS[mode], rho=rho, balances=balances)
 
 
 _FIELDS = ModelParams.field_names()
@@ -701,6 +711,7 @@ class _Batch:
         # _leading_branches and _newton find it
         with np.errstate(over="ignore", invalid="ignore"):
             self.system = _system(self.params, self.mode, self.convention)
+            self.loop = _closed_loop(self.params, self.mode, self.convention)
 
     def drop(self, errors, *carried) -> tuple:
         """Record errors (None where a cell goes on) and return carried
@@ -728,8 +739,7 @@ class _Batch:
             return
         # the drift slope of each branch: the effort slopes hold only the
         # leading coefficients (A; A and M in gs)
-        alphas = _closed_loop(self.params, mode, self.convention,
-                              _leading_vector(mode, leading))[2]
+        alphas = self.loop(_leading_vector(mode, leading))[2]
         pick, errors = _pick(leading[0], alphas, mask)
         chosen = tuple(x[pick, np.arange(pick.size)] for x in leading)
         candidates = _candidates(leading, alphas, mask)
@@ -741,8 +751,7 @@ class _Batch:
                                                      candidates, discs)
         if not self.pos:
             return
-        values, policies, alpha, beta = loop = _closed_loop(
-            self.params, mode, self.convention, coeffs)
+        values, policies, alpha, beta = loop = self.loop(coeffs)
         # an unstable cell's H_d and scan go unread; values that overflow at
         # the scanned states leave a nan or inf scan, which fails the gate
         H_d = -beta / alpha
@@ -787,10 +796,10 @@ def hjb_residual(solution: GameSolution, params: ModelParams, H):
     The right-hand side is rebuilt from the instantaneous payoffs
     (profits.payoff_rates) and the solution's own policies (the maximized
     form), so residual-backend solutions are near zero by construction while
-    corrupted or printed-form coefficients show up immediately. Solutions
-    solved under the "paper-printed" convention are measured against the
-    printed balances evaluated at H, which is the system they solve. Accepts
-    scalar or array H.
+    corrupted or printed-form coefficients show up immediately. The
+    "paper-printed" balances are the standard ones plus two H^2 offsets, so
+    that convention's residual is the standard one along the standard
+    policies, plus offset*H^2. Accepts scalar or array H.
     """
     terms = _stationarity(solution.mode, solution.diagnostics.convention, params,
                           *_values_and_policies(solution), np.asarray(H, dtype=float))
@@ -798,8 +807,8 @@ def hjb_residual(solution: GameSolution, params: ModelParams, H):
 
 
 def _values_and_policies(solution: GameSolution) -> tuple:
-    """A solution's (A, B, C) per role, and its policies as _policy_map's
-    rule returns them."""
+    """A solution's (A, B, C) per role, and its policies as _closed_loop's
+    map returns them."""
     pol_f, pol_r = solution.policies["farmer"], solution.policies["retailer"]
     subsidy = (((pol_r.n1, pol_r.n0), (pol_r.d1, pol_r.d0))
                if solution.mode is GameMode.STACKELBERG else None)
@@ -810,36 +819,49 @@ def _values_and_policies(solution: GameSolution) -> tuple:
 def _stationarity(mode: GameMode, convention: str, params: ModelParams,
                   values, policies, H) -> list:
     """Per role, (rho*V(H), rho*V(H) - RHS(H)); every argument may hold
-    arrays, which broadcast against H."""
-    rho_v = [params.rho * ((A * H + B) * H + C) for A, B, C in values]
-    if mode is GameMode.STACKELBERG and convention == CONVENTION_PRINTED:
-        rows = _system(params, mode, CONVENTION_PRINTED).balances(
-            [x for V in values for x in V])
-        return [(rv, (rows[k] * H + rows[k + 1]) * H + rows[k + 2])
-                for rv, k in zip(rho_v, (0, 3))]
+    arrays, which broadcast against H. Under the paper-printed convention,
+    the standard residual along the standard policies, plus offset*H^2."""
+    printed = mode is GameMode.STACKELBERG and convention == CONVENTION_PRINTED
+    if printed:
+        policies = _closed_loop(params, mode, CONVENTION_STANDARD)(
+            [x for V in values for x in V])[1]
     (f1, f0), (r1, r0), subsidy = policies
     e_f, e_r = f1 * H + f0, r1 * H + r0
-    x = None
-    if subsidy is not None:
-        (n1, n0), (d1, d0) = subsidy
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = (n1 * H + n0) / (d1 * H + d0)
+    x = None if subsidy is None else _subsidy_ratio(subsidy, H)
     rates = profits.payoff_rates(mode, H, e_f, e_r, x, params)
     rate = ((rates.total,) if mode is GameMode.CENTRALIZED
             else (rates.net_f, rates.net_r))
     drift = reduction_drift(H, e_f, e_r, params)
-    return [(rv, rv - r - (2.0 * A * H + B) * drift)
-            for rv, r, (A, B, _) in zip(rho_v, rate, values)]
+    rho_v = [params.rho * ((A * H + B) * H + C) for A, B, C in values]
+    res = [rv - r - (2.0 * A * H + B) * drift
+           for rv, r, (A, B, _) in zip(rho_v, rate, values)]
+    if printed:
+        res = [row + offset * H * H for row, offset in zip(res, _printed_offsets(params))]
+    return list(zip(rho_v, res))
+
+
+def _states(H_d, n: int) -> tuple:
+    """n states evenly over [0, 2*H_d] per cell, (n, cells), and their upper
+    ends; a cell without a positive H_d gets [0, 1]."""
+    hi = np.where(H_d > 0, 2.0 * H_d, 1.0)
+    return np.linspace(0.0, hi, n), hi
+
+
+def _subsidy_ratio(subsidy, H):
+    """x_f = (n1*H + n0)/(d1*H + d0) of a subsidy rule ((n1, n0), (d1, d0));
+    inf or nan where the denominator vanishes."""
+    (n1, n0), (d1, d0) = subsidy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (n1 * H + n0) / (d1 * H + d0)
 
 
 def _scan(mode: GameMode, convention: str, params: ModelParams, values,
           policies, H_d) -> np.ndarray:
     """Max normalized |residual| per cell over SCAN_STATES states in
     [0, 2*H_d]: one payoff_rates call on (state, cell) arrays."""
-    hi = np.where(H_d > 0, 2.0 * H_d, 1.0)
     worst = None
     for rho_v, res in _stationarity(mode, convention, params, values, policies,
-                                    np.linspace(0.0, hi, SCAN_STATES)):
+                                    _states(H_d, SCAN_STATES)[0]):
         role = np.max(np.abs(res) / (1.0 + np.abs(rho_v)), axis=0)
         # a later role replaces the first only where it is larger, as max()
         worst = role if worst is None else np.where(role > worst, role, worst)
@@ -857,16 +879,6 @@ def residual_scan(solution: GameSolution, params: ModelParams) -> float:
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
-
-def _closed_loop(params: ModelParams, mode: GameMode, convention: str, coeffs):
-    """Values by role, policies from the policy map, and the drift slope and
-    intercept of coefficient vectors (k, n)."""
-    values = _VALUES[mode](list(coeffs))
-    e_f, e_r, subsidy = _policy_map(params, mode, convention)(values[0], values[-1])
-    alpha = params.mu_f * e_f[0] + params.mu_r * e_r[0] - params.delta
-    beta = params.mu_f * e_f[1] + params.mu_r * e_r[1]
-    return values, (e_f, e_r, subsidy), alpha, beta
-
 
 def _solutions(cells, mode: GameMode, values, policies, alpha, beta, H_d,
                diags) -> list:
@@ -894,8 +906,8 @@ def _assemble(params: ModelParams, mode: GameMode, convention: Optional[str],
               coeffs, diag: SolutionDiagnostics) -> GameSolution:
     """The solution at a coefficient vector: values by role, policies from
     the policy map, and the closed-loop drift alpha*H + beta."""
-    values, policies, alpha, beta = _closed_loop(
-        _stack([params]), mode, convention, np.array(coeffs, dtype=float)[:, None])
+    values, policies, alpha, beta = _closed_loop(_stack([params]), mode, convention)(
+        np.array(coeffs, dtype=float)[:, None])
     return _solutions([params], mode, values, policies, alpha, beta,
                       -beta / alpha, [diag])[0]
 
@@ -934,17 +946,15 @@ def _flags(policies, beta, H_d, n: int = 81) -> list:
     """Per cell, the warnings a solution carries without failing: x_f
     leaving [0, 1) (gs), beta < 0, and negative efforts, on n states in
     [0, 2*H_d]."""
-    hi = np.where(H_d > 0, 2.0 * H_d, 1.0)
-    grid = np.linspace(0.0, hi, n)
+    grid, hi = _states(H_d, n)
     his = hi.tolist()
     flags = [[] for _ in his]
     (f1, f0), (r1, r0), subsidy = policies
     if subsidy is not None:
+        # only the all-zero rule is 0/0 at every state, whatever the scale
         (n1, n0), (d1, d0) = subsidy
-        den = d1 * grid + d0
-        undefined = np.all(np.abs(den) < 1e-12, axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = (n1 * grid + n0) / den
+        undefined = (n1 == 0.0) & (n0 == 0.0) & (d1 == 0.0) & (d0 == 0.0)
+        x = _subsidy_ratio(subsidy, grid)
         bad = ~((x >= 0.0) & (x < 1.0))
         first = grid[np.argmax(bad, axis=0), np.arange(len(his))].tolist()
         last = grid[n - 1 - np.argmax(bad[::-1], axis=0), np.arange(len(his))].tolist()

@@ -300,6 +300,26 @@ def test_derived_balances_match_the_sympy_derivation(overrides):
                           <= 1e-12 * scale), name
 
 
+@pytest.mark.parametrize("convention", ["standard-cost-share", CONVENTION_PRINTED])
+def test_scan_gate_catches_a_builder_defect(monkeypatch, convention):
+    # the scan prices both conventions with payoff_rates, not with the
+    # balances the solve used, so a wrong farmer H^2 rate in the builder
+    # fails the gate instead of passing it
+    original = solver._payoff_polynomials
+
+    def defective(params, mode):
+        terms = original(params, mode)
+
+        def wrong(v):
+            drift, values, ((r2, r1, r0), *rest) = terms(v)
+            return drift, values, ((r2 * (1.0 + 1e-4), r1, r0), *rest)
+        return wrong
+
+    monkeypatch.setattr(solver, "_payoff_polynomials", defective)
+    with pytest.raises(SolverError, match="stationarity-equation residual scan"):
+        solve("gs", ModelParams(), SolverConfig(follower_convention=convention))
+
+
 @pytest.mark.parametrize("overrides", [{}, _PERTURBED],
                          ids=["baseline", "perturbed"])
 @pytest.mark.parametrize("mode", ["gd", "gs", "gc"])
@@ -856,6 +876,20 @@ def test_subsidy_out_of_range_is_flagged_not_fatal():
     sol = solve("gs", _params("cheap_abatement_pricey_sink"))
     assert sol.subsidy(sol.H_d) == pytest.approx(ref["gs"]["x_ss"], rel=1e-8)
     assert any(f.startswith("x_f outside [0, 1)") for f in sol.diagnostics.flags)
+
+
+def test_only_the_all_zero_subsidy_rule_is_flagged_undefined():
+    # prices scaled by 1e-16 shrink n and d alike below 1e-12 at every
+    # state, but x_f = n/d stays a well-defined share
+    b = ModelParams()
+    sol = solve("gs", b.replace(p_f=b.p_f * 1e-16, p_r=b.p_r * 1e-16,
+                                p=b.p * 1e-16, p_c=b.p_c * 1e-16))
+    assert sol.subsidy(sol.H_d) == pytest.approx(0.5038, abs=1e-4)
+    assert not any("undefined subsidy" in f for f in sol.diagnostics.flags)
+    zero = np.zeros(1)
+    (flags,) = solver._flags(((zero, zero), (zero, zero), ((zero, zero), (zero, zero))),
+                             zero, np.ones(1))
+    assert flags == ["subsidy rule is 0/0 at every state (undefined subsidy)"]
 
 
 def test_diagnostics_to_dict_round_trip():
