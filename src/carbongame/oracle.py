@@ -11,7 +11,12 @@ The sampler steps every rule's path with ``simulate._rk4``, the stepper of
 ``simulate.integrate_trajectory``, prices it with ``profits.payoff_rates``
 and discounts it with ``profits.discount_weights``, the quadrature that
 ``profits.discounted_profit`` uses, so it holds no integrator or payoff
-formula of its own.
+formula of its own. Its drift is ``model.reduction_drift`` folded once per
+rule: that drift is linear in (H, E_f, E_r), so with the follower's effort
+E_f = (f1*H + f0)/(lambda_f*share) it is (e1*H + e0)/share + a1*H + a0, its
+coefficients formed by ``reduction_drift`` itself. One helper forms the
+follower's reaction (the subsidy ratio, its 0/0 rule and the floored
+share) for both the stepping and the pricing.
 
 Discretization notes: transitions use an explicit Euler step of the drift,
 and the per-step reward is rate * (1 - gamma) / rho with gamma = exp(-rho*dt),
@@ -567,10 +572,13 @@ def leader_improvement_sample(solution: GameSolution) -> dict:
     slope frozen at the solved equilibrium, re-simulates
     the closed loop, and reports the largest relative gain over the
     unperturbed rule. All rules step together, one column each, with
-    simulate's RK4 stepper; each path is priced by ``profits.payoff_rates``
-    and discounted by ``profits.discount_weights``, the rule
-    ``profits.discounted_profit`` uses. This samples a neighborhood; it is
-    evidence of stationarity, not a proof of global optimality.
+    simulate's RK4 stepper, on the drift (e1*H + e0)/share + a1*H + a0 whose
+    coefficients ``reduction_drift`` forms once per rule (share being the
+    follower's floored cost share 1 - x_f); each path is priced by
+    ``profits.payoff_rates`` and discounted by ``profits.discount_weights``,
+    the rule ``profits.discounted_profit`` uses. This samples a
+    neighborhood; it is evidence of stationarity, not a proof of global
+    optimality.
     """
     if solution.mode is not GameMode.STACKELBERG:
         raise ValueError(f"leader sampling applies to the Stackelberg mode, "
@@ -586,43 +594,60 @@ def leader_improvement_sample(solution: GameSolution) -> dict:
     c = derive_constants(params)
     g1, g0, n1, n0, d1, d0 = coefs.T
     value_f = solution.values["farmer"]
+    lf = params.lambda_f
     # follower numerator eta*H + mu_f*V_f'(H), as one affine map of H
     f1 = c.eta + params.mu_f * 2.0 * value_f.A
     f0 = params.mu_f * value_f.B
+    # drift = (e1*H + e0)/share + a1*H + a0 per rule: reduction_drift is
+    # linear in (H, E_f, E_r), E_f = (f1*H + f0)/(lambda_f*share) and
+    # E_r = g1*H + g0; every scalar is spread over the rules once, since a
+    # numpy call on two arrays costs less than one on an array and a float
+    rules = coefs.shape[0]
+    e1 = np.full(rules, reduction_drift(0.0, f1 / lf, 0.0, params))
+    e0 = np.full(rules, reduction_drift(0.0, f0 / lf, 0.0, params))
+    f1, f0, one, floor = (np.full(rules, v) for v in (f1, f0, 1.0, 1e-6))
+    a1 = reduction_drift(1.0, 0.0, g1, params)
+    a0 = reduction_drift(0.0, 0.0, g0, params)
 
-    def stage(Hv):
-        # (E_f, E_r, x) under every rule, by the sampler's own follower
-        # reaction: the oracle does not use the solver's policy map
+    def reaction(Hv):
+        # the follower's cost-sharing rate x and unscaled share
+        # max(1 - x, 1e-6) under every rule, by the sampler's own rule: the
+        # oracle does not use the solver's policy map
         num = n1 * Hv
         num += n0
         den = d1 * Hv
         den += d0
         x = num / den
-        if not den.all():  # 0/0 needs a zero denominator
+        if np.count_nonzero(den) < den.size:  # 0/0 needs a zero denominator
             x[(num == 0.0) & (den == 0.0)] = 0.0
-        share = 1.0 - x
-        np.maximum(share, 1e-6, out=share)
-        share *= params.lambda_f
-        E_f = f1 * Hv
-        E_f += f0
-        E_f /= share
-        E_r = g1 * Hv
-        E_r += g0
-        return E_f, E_r, x
+        share = one - x
+        np.maximum(share, floor, out=share)
+        return x, share
 
     def drift(Hv):
-        E_f, E_r, _ = stage(Hv)
-        return reduction_drift(Hv, E_f, E_r, params)
+        rate = e1 * Hv
+        rate += e0
+        rate /= reaction(Hv)[1]
+        rate += a1 * Hv
+        rate += a0
+        return rate
 
     h = LEADER_STEP
     steps = int(round(LEADER_HORIZON / h))
     with np.errstate(divide="ignore", invalid="ignore"):
         # a row per time sample, a column per rule: the state, then its rate
-        path = simulate._rk4(drift, np.full(coefs.shape[0], params.H0), h, steps)
+        path = simulate._rk4(drift, np.full(rules, params.H0), h, steps)
         for lo in range(0, steps + 1, LEADER_BLOCK_ROWS):
             block = path[lo:lo + LEADER_BLOCK_ROWS]
+            x, share = reaction(block)
+            share *= lf
+            E_f = f1 * block
+            E_f += f0
+            E_f /= share
+            E_r = g1 * block
+            E_r += g0
             block[...] = profits.payoff_rates(
-                GameMode.STACKELBERG, block, *stage(block), params).net_r
+                GameMode.STACKELBERG, block, E_f, E_r, x, params).net_r
     path *= profits.discount_weights(np.arange(steps + 1) * h,
                                      params.rho)[:, None]
     payoff = path.sum(axis=0)

@@ -201,18 +201,22 @@ def _closed_loop(params: ModelParams, mode: GameMode, convention: Optional[str])
     leader = mode is GameMode.STACKELBERG
     shared = leader and convention != CONVENTION_PRINTED
     split = _VALUES[mode]
+    # formed once per map, where the rules below use them
+    two_mr = 2.0 * mr
+    two_mf, two_lf = (2.0 * mf, 2.0 * lf) if shared else (None, None)
+    eta_mf = eta / mf if leader else None
 
     def loop(coeffs):
         values = split(list(coeffs))
         (af, bf, _), (ar, br, _) = values[0], values[-1]
         if shared:
-            e_f = ((eta + 2.0 * mf * (af + 2.0 * ar)) / (2.0 * lf),
-                   mf * (bf + 2.0 * br) / (2.0 * lf))
+            e_f = ((eta + two_mf * (af + 2.0 * ar)) / two_lf,
+                   mf * (bf + 2.0 * br) / two_lf)
         else:
             e_f = ((eta + 2.0 * af * mf) / lf, mf * bf / lf)
-        e_r = (2.0 * mr * ar / lr, mr * br / lr)
-        subsidy = (((4.0 * ar - 2.0 * af - eta / mf, 2.0 * br - bf),
-                    (4.0 * ar + 2.0 * af + eta / mf, 2.0 * br + bf)) if leader else None)
+        e_r = (two_mr * ar / lr, mr * br / lr)
+        subsidy = (((4.0 * ar - 2.0 * af - eta_mf, 2.0 * br - bf),
+                    (4.0 * ar + 2.0 * af + eta_mf, 2.0 * br + bf)) if leader else None)
         return (values, (e_f, e_r, subsidy),
                 reduction_drift(1.0, e_f[0], e_r[0], params),
                 reduction_drift(0.0, e_f[1], e_r[1], params))
@@ -227,8 +231,10 @@ def _printed_offsets(params: ModelParams) -> tuple:
     return base / 4.0, base / 8.0
 
 
-def _payoff_polynomials(params: ModelParams, mode: GameMode):
-    """Closed-loop drift and role payoffs along the standard policy map.
+def _payoff_polynomials(params: ModelParams, mode: GameMode, loop=None):
+    """Closed-loop drift and role payoffs along the standard policy map
+    loop, _closed_loop(params, mode, CONVENTION_STANDARD), built here when
+    the caller passes none.
 
     Returns terms(v) -> (drift, values, rates): drift as (alpha, beta), and
     per role its value and its payoff rate, both as (H^2, H^1, H^0)
@@ -244,7 +250,8 @@ def _payoff_polynomials(params: ModelParams, mode: GameMode):
     lf, lr, mf, _, _, _, eta, k1, k2, pf, pr, pc = _symbols(params)
     unit_f, unit_r = (pf + pc) * k1, pr * k2
     transfer_den = 8.0 * lf
-    loop = _closed_loop(params, mode, CONVENTION_STANDARD)
+    if loop is None:
+        loop = _closed_loop(params, mode, CONVENTION_STANDARD)
     joint = mode is GameMode.CENTRALIZED
 
     def terms(v):
@@ -297,8 +304,10 @@ class CoefficientSystem:
 
 
 def _system(params: ModelParams, mode: GameMode,
-            convention: str = CONVENTION_STANDARD) -> CoefficientSystem:
-    terms = _payoff_polynomials(params, mode)
+            convention: str = CONVENTION_STANDARD, loop=None) -> CoefficientSystem:
+    """The balances of a mode under convention; loop is the standard
+    closed-loop map of params when the caller has built it."""
+    terms = _payoff_polynomials(params, mode, loop)
     rho = params.rho
     linear = mode is GameMode.DECENTRALIZED
     offsets = (_printed_offsets(params) if mode is GameMode.STACKELBERG
@@ -710,8 +719,10 @@ class _Batch:
         # a constant that overflows leaves inf or nan in the balances, where
         # _leading_branches and _newton find it
         with np.errstate(over="ignore", invalid="ignore"):
-            self.system = _system(self.params, self.mode, self.convention)
             self.loop = _closed_loop(self.params, self.mode, self.convention)
+            standard = self.convention == CONVENTION_STANDARD
+            self.system = _system(self.params, self.mode, self.convention,
+                                  self.loop if standard else None)
 
     def drop(self, errors, *carried) -> tuple:
         """Record errors (None where a cell goes on) and return carried

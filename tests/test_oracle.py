@@ -27,15 +27,19 @@ from carbongame import (
     leader_improvement_sample,
     solve,
 )
-from carbongame import oracle, solver
-from carbongame.model import SolutionDiagnostics, reduction_drift
+from carbongame import oracle, simulate, solver
+from carbongame.model import (
+    SolutionDiagnostics,
+    derive_constants,
+    reduction_drift,
+)
 from carbongame.oracle import (
     _evaluate_policy,
     _greedy_step,
     _positions,
     _seed_indices,
 )
-from carbongame.profits import discounted_profit, payoff_rates
+from carbongame.profits import discount_weights, discounted_profit, payoff_rates
 from carbongame.simulate import SimConfig, integrate_trajectory
 
 from reference_values import CASES
@@ -507,10 +511,13 @@ def _stackelberg_at(params, coeffs):
                             solver.CONVENTION_STANDARD, coeffs, diag)
 
 
-def test_perturbed_leader_sample_is_pinned():
-    # recorded from the sampler that prices its paths with payoff_rates and
-    # discount_weights; the quadrature is elementwise products and sums (no
-    # BLAS), so the match is exact
+def _with_rule(sol, **rule):
+    """sol with the leader's subsidy-rule coefficients replaced."""
+    lead = dataclasses.replace(sol.policies["retailer"], **rule)
+    return dataclasses.replace(sol, policies={**sol.policies, "retailer": lead})
+
+
+def _perturbed_pin():
     base = ModelParams()
     params = base.replace(lambda_f=base.lambda_f * math.exp(0.08),
                           mu_r=base.mu_r * math.exp(-0.06),
@@ -520,29 +527,109 @@ def test_perturbed_leader_sample_is_pinned():
     # solve("gs", params) coefficients when the samples were recorded
     coeffs = (0.8268323735369904, 1109.03674318964, 7739.577413638972,
               0.4287267448925029, 1039.9287522397312, 9190.725450015574)
-    sample = leader_improvement_sample(_stackelberg_at(params, coeffs))
-    assert sample["baseline_payoff"] == 9294.606215761041
-    assert sample["max_improvement"] == -5.2188452486304125e-05
-    assert sample["improving_samples"] == 0
+    return _stackelberg_at(params, coeffs)
 
 
-def test_leader_sample_with_a_zero_subsidy_denominator():
+def _zero_denominator_pin():
     # x_f = (0.5*H - 0.25)/(2*H - 1) is 0/0 at the initial state H0 = 0.5,
     # where the sampler shares nothing; the perturbed rules move the pole
     # solve("gs", ModelParams()) coefficients when the samples were
     # recorded
     coeffs = (0.7444379187163269, 1089.944733842334, 7530.93034376331,
               0.3859305095776347, 1031.552768624556, 8938.97725471772)
-    sol = _stackelberg_at(ModelParams(H0=0.5), coeffs)
-    rule = dataclasses.replace(sol.policies["retailer"], n1=0.5, n0=-0.25,
-                               d1=2.0, d0=-1.0)
-    assert rule.d1 * 0.5 + rule.d0 == 0.0
-    posed = dataclasses.replace(sol, policies={**sol.policies,
-                                               "retailer": rule})
-    sample = leader_improvement_sample(posed)
+    sol = _with_rule(_stackelberg_at(ModelParams(H0=0.5), coeffs),
+                     n1=0.5, n0=-0.25, d1=2.0, d0=-1.0)
+    lead = sol.policies["retailer"]
+    assert lead.d1 * 0.5 + lead.d0 == 0.0
+    return sol
+
+
+def test_perturbed_leader_sample_is_pinned():
+    # recorded from the sampler that steps each rule's folded drift and
+    # prices its paths with payoff_rates and discount_weights; the
+    # quadrature is elementwise products and sums (no BLAS), so the match is
+    # exact
+    sample = leader_improvement_sample(_perturbed_pin())
+    assert sample["baseline_payoff"] == 9294.606215761041
+    assert sample["max_improvement"] == -5.218845248649983e-05
+    assert sample["improving_samples"] == 0
+
+
+def test_leader_sample_with_a_zero_subsidy_denominator():
+    sample = leader_improvement_sample(_zero_denominator_pin())
     assert sample["baseline_payoff"] == 9412.603722818289
     assert sample["max_improvement"] == 0.06874130817062055
     assert sample["improving_samples"] == 36
+
+
+def _stepped_leader_sample(solution) -> tuple:
+    """The leader sampler with the follower's efforts formed at every RK4
+    stage and passed to reduction_drift, the reference for its folded drift:
+    the same draws, 0/0 rule, share floor, grid, pricing and discounting.
+    Returns (baseline_payoff, max_improvement, improving_samples)."""
+    params = solution.params
+    lead = solution.policies["retailer"]
+    base = np.array([lead.g1, lead.g0, lead.n1, lead.n0, lead.d1, lead.d0])
+    rng = np.random.default_rng(oracle.LEADER_SEED)
+    factors = 1.0 + oracle.LEADER_SPREAD * rng.uniform(
+        -1.0, 1.0, size=(oracle.LEADER_SAMPLES, 6))
+    g1, g0, n1, n0, d1, d0 = np.vstack([base, base * factors]).T
+    value_f = solution.values["farmer"]
+    f1 = derive_constants(params).eta + params.mu_f * 2.0 * value_f.A
+    f0 = params.mu_f * value_f.B
+
+    def stage(H):
+        num = n1 * H + n0
+        den = d1 * H + d0
+        x = num / den
+        x[(num == 0.0) & (den == 0.0)] = 0.0
+        share = np.maximum(1.0 - x, 1e-6) * params.lambda_f
+        return (f1 * H + f0) / share, g1 * H + g0, x
+
+    def drift(H):
+        E_f, E_r, _ = stage(H)
+        return reduction_drift(H, E_f, E_r, params)
+
+    h = oracle.LEADER_STEP
+    steps = int(round(oracle.LEADER_HORIZON / h))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        path = simulate._rk4(drift, np.full(g1.size, params.H0), h, steps)
+        rates = payoff_rates(GameMode.STACKELBERG, path, *stage(path),
+                             params).net_r
+    weights = discount_weights(np.arange(steps + 1) * h, params.rho)
+    payoff = (rates * weights[:, None]).sum(axis=0)
+    gains = (payoff[1:] - payoff[0]) / max(abs(payoff[0]), 1e-12)
+    return payoff[0], np.max(gains), int(np.sum(gains > 0.0))
+
+
+def _floored_share():
+    # x_f = 1 at every state: the unperturbed rule's share 1 - x_f = 0 sits
+    # on the 1e-6 floor, and so do the perturbed rules whose n0 grew more
+    # than d0. At this lambda_f the floored effort, about
+    # (eta*H + mu_f*V_f')/(lambda_f*1e-6), keeps the paths bounded.
+    sol = solve("gs", ModelParams(lambda_f=5e8))
+    return _with_rule(sol, n1=0.0, n0=1.0, d1=0.0, d0=1.0)
+
+
+@pytest.mark.parametrize("case", [
+    lambda: solve("gs", ModelParams()),
+    _perturbed_pin,
+    _zero_denominator_pin,
+    lambda: solve("gs", ModelParams(H0=3.0)),
+    lambda: solve("gs", ModelParams(p_c=0.8, rho=0.9)),
+    _floored_share,
+], ids=["baseline", "perturbed-pin", "zero-denominator-pin", "H0",
+        "p_c-rho", "floored-share"])
+def test_folded_leader_drift_matches_the_stepped_reference(case):
+    # the folded drift (e1*H + e0)/share + a1*H + a0 rounds otherwise than
+    # reduction_drift of the stage efforts, so the payoffs agree to rounding
+    sol = case()
+    sample = leader_improvement_sample(sol)
+    baseline, best, improving = _stepped_leader_sample(sol)
+    assert sample["improving_samples"] == improving
+    assert abs(sample["max_improvement"] - best) <= 1e-13
+    assert (abs(sample["baseline_payoff"] - baseline)
+            <= 1e-14 * abs(baseline))
 
 
 @pytest.mark.parametrize("retired", [

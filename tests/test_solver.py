@@ -307,8 +307,8 @@ def test_scan_gate_catches_a_builder_defect(monkeypatch, convention):
     # fails the gate instead of passing it
     original = solver._payoff_polynomials
 
-    def defective(params, mode):
-        terms = original(params, mode)
+    def defective(params, mode, loop=None):
+        terms = original(params, mode, loop)
 
         def wrong(v):
             drift, values, ((r2, r1, r0), *rest) = terms(v)
