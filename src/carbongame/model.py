@@ -203,6 +203,15 @@ def effort_costs(E_f, E_r, params: ModelParams):
     return 0.5 * params.lambda_f * E_f ** 2, 0.5 * params.lambda_r * E_r ** 2
 
 
+def _subsidy_ratio(subsidy, H):
+    """x_f = (n1*H + n0)/(d1*H + d0) of a subsidy rule ((n1, n0), (d1, d0)),
+    the one formula of FeedbackPolicy.subsidy and the solver's scan and
+    flags; inf where the denominator vanishes, nan where the rule is 0/0."""
+    (n1, n0), (d1, d0) = subsidy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (n1 * H + n0) / (d1 * H + d0)
+
+
 @dataclass(frozen=True)
 class QuadraticValue:
     """Value function V(H) = A*H^2 + B*H + C for one role.
@@ -246,10 +255,8 @@ class FeedbackPolicy:
         """Evaluate x_f(H); nan where the rule is 0/0 undefined."""
         if not self.has_subsidy:
             raise ValueError("policy has no subsidy rule")
-        num = self.n1 * np.asarray(H, dtype=float) + self.n0
-        den = self.d1 * np.asarray(H, dtype=float) + self.d0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = num / den
+        out = _subsidy_ratio(((self.n1, self.n0), (self.d1, self.d0)),
+                             np.asarray(H, dtype=float))
         return out if out.ndim else float(out)
 
 

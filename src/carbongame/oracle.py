@@ -576,9 +576,13 @@ def leader_improvement_sample(solution: GameSolution) -> dict:
     coefficients ``reduction_drift`` forms once per rule (share being the
     follower's floored cost share 1 - x_f); each path is priced by
     ``profits.payoff_rates`` and discounted by ``profits.discount_weights``,
-    the rule ``profits.discounted_profit`` uses. This samples a
-    neighborhood; it is evidence of stationarity, not a proof of global
-    optimality.
+    the rule ``profits.discounted_profit`` uses. The reaction forms the
+    ratio x_f = n/d in place rather than through ``model._subsidy_ratio``,
+    and takes the 0/0 rule as x_f = 0 where that helper gives nan. A
+    sampled rule whose payoff is not finite (its path overflows float64)
+    raises OracleError, as the grid reply does for a non-positive cost
+    share. This samples a neighborhood; it is evidence of stationarity, not
+    a proof of global optimality.
     """
     if solution.mode is not GameMode.STACKELBERG:
         raise ValueError(f"leader sampling applies to the Stackelberg mode, "
@@ -634,7 +638,9 @@ def leader_improvement_sample(solution: GameSolution) -> dict:
 
     h = LEADER_STEP
     steps = int(round(LEADER_HORIZON / h))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a path that overflows leaves inf or nan, which the payoff test below
+    # turns into an OracleError
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # a row per time sample, a column per rule: the state, then its rate
         path = simulate._rk4(drift, np.full(rules, params.H0), h, steps)
         for lo in range(0, steps + 1, LEADER_BLOCK_ROWS):
@@ -648,9 +654,14 @@ def leader_improvement_sample(solution: GameSolution) -> dict:
             E_r += g0
             block[...] = profits.payoff_rates(
                 GameMode.STACKELBERG, block, E_f, E_r, x, params).net_r
-    path *= profits.discount_weights(np.arange(steps + 1) * h,
-                                     params.rho)[:, None]
-    payoff = path.sum(axis=0)
+        path *= profits.discount_weights(np.arange(steps + 1) * h,
+                                         params.rho)[:, None]
+        payoff = path.sum(axis=0)
+    if not np.isfinite(payoff).all():
+        raise OracleError(
+            f"{np.count_nonzero(~np.isfinite(payoff))} of {rules} sampled leader "
+            f"rules have a payoff that is not finite; their closed loop "
+            f"overflows float64")
     baseline = payoff[0]
     gains = (payoff[1:] - baseline) / max(abs(baseline), 1e-12)
     return {

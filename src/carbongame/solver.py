@@ -15,11 +15,12 @@ and polishes it to the rounding floor before the residual gate.
 
 The balances are plain arithmetic, so they evaluate unchanged on parameter
 fields stacked as arrays. ``solve_many`` solves a batch of cells of one mode
-in one pass: the parameters are stacked along the last axis, the fits,
-roots and Newton steps act on all cells at once, and a cell that fails
-leaves the batch with its typed error while the others go on.
-``solve`` is its batch of one, so a cell's result does not depend on the
-batch it was solved in.
+in one pass: the parameters are stacked once along the last axis, and the
+fits, roots, Newton steps and gates act on the whole stack. A cell that
+fails keeps its first typed error and rides along unread; only the cells
+that pass every gate are assembled into solutions. Each stage treats every
+cell on its own, the scan's state grid included, so a cell's result does
+not depend on the batch it was solved in, and ``solve`` is its batch of one.
 
 Two backends are available. "residual" solves the derived balances; it is
 the authoritative path. "paper-closed-form" evaluates the published
@@ -61,6 +62,7 @@ from .model import (
     ParameterError,
     QuadraticValue,
     SolutionDiagnostics,
+    _subsidy_ratio,
     derive_constants,
     reduction_drift,
     validate_params,
@@ -340,11 +342,6 @@ def _stack(cells: Sequence[ModelParams]) -> ModelParams:
                           for name in _FIELDS})
 
 
-def _take(params: ModelParams, keep) -> ModelParams:
-    """The cells of stacked parameters that keep selects."""
-    return ModelParams(**{name: getattr(params, name)[keep] for name in _FIELDS})
-
-
 # ---------------------------------------------------------------------------
 # branches: leading roots, then one chord-Newton
 # ---------------------------------------------------------------------------
@@ -368,24 +365,25 @@ def _leading_vector(mode: GameMode, leading) -> list:
     return v
 
 
-def _pick(leading, alphas, mask):
+def _pick(leading, alphas, mask, errors: list):
     """The stable branch of every cell: among the branches with a negative
     drift slope, the one with the smallest |leading coefficient|, the first
     on ties.
 
     leading, alphas and mask are (K, n): branch k of cell i at [k, i] where
-    mask[k, i]. Returns the picked branch index per cell, and per cell None
-    or an UnstableModelError listing every slope (a SolverError when the
-    cell has no branch).
+    mask[k, i]. errors holds per cell its error so far, None where it goes
+    on. Returns the picked branch index per cell, and records in each cell
+    of errors that has none but no stable branch an UnstableModelError
+    listing every slope (a SolverError when the cell has no branch).
     """
     stable = mask & (alphas < 0.0)
     pick = np.argmin(np.where(stable, np.abs(leading), np.inf), axis=0)
-    errors = [None] * pick.size
     for i in np.flatnonzero(~stable.any(axis=0)).tolist():
-        slopes = alphas[mask[:, i], i].tolist()
-        errors[i] = (UnstableModelError(slopes) if slopes
-                     else SolverError("no candidates for the stable branch"))
-    return pick, errors
+        if errors[i] is None:
+            slopes = alphas[mask[:, i], i].tolist()
+            errors[i] = (UnstableModelError(slopes) if slopes
+                         else SolverError("no candidates for the stable branch"))
+    return pick
 
 
 def _quadratic_roots(qa, qb, qc):
@@ -541,7 +539,7 @@ def _leading_branches(params: ModelParams, system: CoefficientSystem):
         out = system.balances(_leading_vector(mode, leading))
         return [out[i] for i in lead]
 
-    # under _Batch.solve's errstate, overflow leaves inf or nan, which the
+    # under _solve_batch's errstate, overflow leaves inf or nan, which the
     # finiteness tests below catch
     if len(lead) == 1:
         return _quadratic_branches(params, mode, lambda x: rows(x)[0])
@@ -591,7 +589,7 @@ def _solve_regular(matrix, rhs):
 _COMPLETION_STEPS = 2
 
 
-def _newton(system: CoefficientSystem, leading, tolerance: float):
+def _newton(system: CoefficientSystem, leading, tolerance: float, errors: list):
     """Chord-Newton on every cell's balances from its leading root (leading:
     one (n,) array per leading unknown, the other unknowns 0), gated on the
     residuals.
@@ -599,10 +597,11 @@ def _newton(system: CoefficientSystem, leading, tolerance: float):
     The balances are quadratic, so central differences at the start give
     their Jacobian exactly up to rounding; it is taken once. After the
     _COMPLETION_STEPS steps a cell stops once its normalized residual stops
-    falling, and keeps its best iterate. Returns the coefficients (k, n),
-    the normalized residuals (n,) and per-cell errors: a ParameterError for
-    a non-finite iterate or residual, and the worst balance's label for a
-    residual above tolerance times its scale.
+    falling, and keeps its best iterate; a cell that already has an error in
+    errors does not step. Returns the coefficients (k, n) and the normalized
+    residuals (n,), and records in each cell of errors that has none a
+    ParameterError for a non-finite iterate or residual, or the worst
+    balance's label for a residual above tolerance times its scale.
     """
     def norm(v, res):
         return np.max(np.abs(res) / system.scales(v), axis=0)
@@ -612,7 +611,7 @@ def _newton(system: CoefficientSystem, leading, tolerance: float):
     h = 1.0 + np.abs(v)
     shift = np.zeros((k, k, n))
     shift[np.arange(k), np.arange(k)] = h
-    # under _Batch.solve's errstate, overflow leaves inf or nan, which the
+    # under _solve_batch's errstate, overflow leaves inf or nan, which the
     # finiteness test below catches
     # [row, point, cell]: the balances at v, v + h_j*e_j, then v - h_j*e_j
     out = system.residuals(np.concatenate([v[:, None], v[:, None] + shift,
@@ -623,7 +622,7 @@ def _newton(system: CoefficientSystem, leading, tolerance: float):
     # the inverse, as a solve against the identity; 0 (no step) where
     # singular, which leaves the H^1 and H^0 rows to the gate
     inverse = _solve_regular(jac, np.broadcast_to(np.eye(k), jac.shape))[0]
-    active = np.ones(n, dtype=bool)
+    active = np.array([e is None for e in errors])
     for step in range(_COMPLETION_STEPS + 8):   # one or two more polish
         move = (inverse @ np.ascontiguousarray(res.T)[..., None])[..., 0].T
         trial = np.where(active, v - move, v)
@@ -637,14 +636,17 @@ def _newton(system: CoefficientSystem, leading, tolerance: float):
         err = np.where(active, trial_err, err)
     scales = system.scales(v)
     finite = (np.isfinite(v) & np.isfinite(res)).all(axis=0)
-    errors = [None if ok else _overflow("the H^1 and H^0 balances")
-              for ok in finite.tolist()]
-    for i in np.flatnonzero(finite & ~(err <= tolerance)).tolist():
+    for i in np.flatnonzero(~(finite & (err <= tolerance))).tolist():
+        if errors[i] is not None:
+            continue
+        if not finite[i]:
+            errors[i] = _overflow("the H^1 and H^0 balances")
+            continue
         worst = int(np.argmax(np.abs(res[:, i]) / scales[:, i]))
         errors[i] = SolverError(
             f"collected balance {system.labels[worst]} residual {res[worst, i]:.3e} "
             f"exceeds tolerance {tolerance:.1e}")
-    return v, err, errors
+    return v, err
 
 
 # ---------------------------------------------------------------------------
@@ -694,95 +696,58 @@ def solve_many(mode, params_seq: Sequence[ModelParams],
             except (ParameterError, SolverError) as exc:
                 out[i] = exc
     elif live:
-        _Batch(mode, cfg, cells, live, out).solve()
+        for i, entry in zip(live, _solve_batch(mode, cfg, [cells[i] for i in live])):
+            out[i] = entry
     return out
 
 
-class _Batch:
-    """The cells of one solve_many call still being solved.
+# every stage runs under one errstate: overflow leaves inf or nan, which a
+# stage's finiteness test or gate turns into the cell's typed error
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _solve_batch(mode: GameMode, cfg: SolverConfig, cells: list) -> list:
+    """The residual backend's entry for every valid cell, in one pass.
 
-    pos holds their positions in the output list and params their
-    parameters stacked along the last axis. drop records a stage's typed
-    errors in the output and keeps the other cells, so no later stage
-    computes on a failed cell.
+    The cells are stacked once, and the closed loop and the balances built
+    once. Leading branches, the stable pick, the chord-Newton and the
+    alpha/scan gate each act on the whole stack and record an error only in
+    a cell that has none, so every cell keeps its first typed error; a failed
+    cell rides along, and nothing reads its later values. Candidates, flags,
+    diagnostics and solutions are assembled for the surviving cells alone.
     """
-
-    def __init__(self, mode, cfg, cells, live, out):
-        self.mode, self.cfg, self.out = mode, cfg, out
-        self.convention = cfg.follower_convention
-        self.cells = [cells[i] for i in live]
-        self.pos = live
-        self.params = _stack(self.cells)
-        self._build_system()
-
-    def _build_system(self):
-        # a constant that overflows leaves inf or nan in the balances, where
-        # _leading_branches and _newton find it
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.loop = _closed_loop(self.params, self.mode, self.convention)
-            standard = self.convention == CONVENTION_STANDARD
-            self.system = _system(self.params, self.mode, self.convention,
-                                  self.loop if standard else None)
-
-    def drop(self, errors, *carried) -> tuple:
-        """Record errors (None where a cell goes on) and return carried
-        restricted to the other cells."""
-        keep = [e is None for e in errors]
-        if all(keep):
-            return carried
-        for p, e in zip(self.pos, errors):
-            if e is not None:
-                self.out[p] = e
-        self.pos, self.cells = _restrict((self.pos, self.cells), keep)
-        keep = np.array(keep)
-        self.params = _take(self.params, keep)
-        self._build_system()
-        return _restrict(carried, keep)
-
-    # every stage runs under one errstate: overflow leaves inf or nan, which
-    # a stage's finiteness test or gate turns into the cell's typed error
-    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    def solve(self):
-        mode, cfg = self.mode, self.cfg
-        leading, mask, discs, errors = _leading_branches(self.params, self.system)
-        leading, mask, discs = self.drop(errors, leading, mask, discs)
-        if not self.pos:
-            return
-        # the drift slope of each branch: the effort slopes hold only the
-        # leading coefficients (A; A and M in gs)
-        alphas = self.loop(_leading_vector(mode, leading))[2]
-        pick, errors = _pick(leading[0], alphas, mask)
-        chosen = tuple(x[pick, np.arange(pick.size)] for x in leading)
-        candidates = _candidates(leading, alphas, mask)
-        chosen, candidates, discs = self.drop(errors, chosen, candidates, discs)
-        if not self.pos:
-            return
-        coeffs, worst, errors = _newton(self.system, chosen, cfg.tolerance)
-        coeffs, worst, candidates, discs = self.drop(errors, coeffs, worst,
-                                                     candidates, discs)
-        if not self.pos:
-            return
-        values, policies, alpha, beta = loop = self.loop(coeffs)
-        # an unstable cell's H_d and scan go unread; values that overflow at
-        # the scanned states leave a nan or inf scan, which fails the gate
-        H_d = -beta / alpha
-        scan = _scan(mode, self.convention, self.params, values, policies, H_d)
-        errors = [UnstableModelError([a]) if not a < 0.0 else
-                  None if s <= cfg.hjb_tolerance else SolverError(
-                      f"stationarity-equation residual scan {s:.3e} exceeds "
-                      f"configured bound {cfg.hjb_tolerance:.1e}")
-                  for a, s in zip(alpha.tolist(), scan.tolist())]
-        loop, H_d, scan, worst, candidates, discs = self.drop(
-            errors, loop, H_d, scan, worst, candidates, discs)
-        if not self.pos:
-            return
-        values, policies, alpha, beta = loop
-        flags = _flags(policies, beta, H_d)
-        diags = [_diagnostics(cfg, *cell) for cell in
-                 zip(candidates, discs, worst.tolist(), scan.tolist(), flags)]
-        for p, sol in zip(self.pos, _solutions(self.cells, mode, values, policies,
-                                               alpha, beta, H_d, diags)):
-            self.out[p] = sol
+    convention = cfg.follower_convention
+    params = _stack(cells)
+    loop = _closed_loop(params, mode, convention)
+    system = _system(params, mode, convention,
+                     loop if convention == CONVENTION_STANDARD else None)
+    leading, mask, discs, errors = _leading_branches(params, system)
+    if not len(mask):   # no gs cell has a real (A, M) branch
+        return errors
+    # the drift slope of each branch: the effort slopes hold only the
+    # leading coefficients (A; A and M in gs)
+    alphas = loop(_leading_vector(mode, leading))[2]
+    pick = _pick(leading[0], alphas, mask, errors)
+    coeffs, worst = _newton(system, tuple(x[pick, np.arange(pick.size)] for x in leading),
+                            cfg.tolerance, errors)
+    values, policies, alpha, beta = loop(coeffs)
+    # values that overflow at the scanned states leave a nan or inf scan,
+    # which fails the gate
+    H_d = -beta / alpha
+    scan = _scan(mode, convention, params, values, policies, H_d)
+    for i in np.flatnonzero(~((alpha < 0.0) & (scan <= cfg.hjb_tolerance))).tolist():
+        if errors[i] is None:
+            errors[i] = (UnstableModelError([float(alpha[i])]) if not alpha[i] < 0.0
+                         else SolverError(f"stationarity-equation residual scan "
+                                          f"{scan[i]:.3e} exceeds configured bound "
+                                          f"{cfg.hjb_tolerance:.1e}"))
+    keep = np.array([e is None for e in errors])
+    leading, alphas, mask, values, policies, alpha, beta, H_d, scan, worst, discs, cells = \
+        _restrict((leading, alphas, mask, values, policies, alpha, beta, H_d, scan,
+                   worst, discs, cells), keep)
+    diags = [_diagnostics(cfg, *cell) for cell in
+             zip(_candidates(leading, alphas, mask), discs, worst.tolist(), scan.tolist(),
+                 _flags(policies, beta, H_d))]
+    solutions = iter(_solutions(cells, mode, values, policies, alpha, beta, H_d, diags))
+    return [next(solutions) if e is None else e for e in errors]
 
 
 def _restrict(carried, keep):
@@ -853,17 +818,14 @@ def _stationarity(mode: GameMode, convention: str, params: ModelParams,
 
 def _states(H_d, n: int) -> tuple:
     """n states evenly over [0, 2*H_d] per cell, (n, cells), and their upper
-    ends; a cell without a positive H_d gets [0, 1]."""
+    ends; a cell without a positive H_d gets [0, 1]. Each cell's states are
+    np.linspace's, k*(hi/(n - 1)) with hi last, formed per cell: linspace
+    itself rounds every column another way once one column's step
+    underflows to 0."""
     hi = np.where(H_d > 0, 2.0 * H_d, 1.0)
-    return np.linspace(0.0, hi, n), hi
-
-
-def _subsidy_ratio(subsidy, H):
-    """x_f = (n1*H + n0)/(d1*H + d0) of a subsidy rule ((n1, n0), (d1, d0));
-    inf or nan where the denominator vanishes."""
-    (n1, n0), (d1, d0) = subsidy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (n1 * H + n0) / (d1 * H + d0)
+    grid = np.arange(n)[:, None] * (hi / (n - 1))
+    grid[-1] = hi
+    return grid, hi
 
 
 def _scan(mode: GameMode, convention: str, params: ModelParams, values,
@@ -894,23 +856,21 @@ def residual_scan(solution: GameSolution, params: ModelParams) -> float:
 def _solutions(cells, mode: GameMode, values, policies, alpha, beta, H_d,
                diags) -> list:
     """One GameSolution per cell, in Python floats."""
-    def per_cell(x):   # an (n,) array, or a constant such as gd's retailer A
-        return x.tolist() if isinstance(x, np.ndarray) else [x] * len(cells)
+    def per_cell(*xs):   # (n,) arrays, or constants such as gd's retailer A
+        return zip(*(x.tolist() if isinstance(x, np.ndarray) else [x] * len(cells)
+                     for x in xs))
 
     e_f, e_r, subsidy = policies
-    V = [[per_cell(x) for x in role] for role in values]
-    pol_f = [per_cell(x) for x in e_f]
-    pol_r = [per_cell(x) for x in e_r + (subsidy[0] + subsidy[1] if subsidy else ())]
     roles = _UNKNOWNS[mode][1]
     return [GameSolution(
         mode=mode, params=params,
-        values={role: QuadraticValue(*(x[i] for x in V[r]), role=role)
-                for r, role in enumerate(roles)},
-        policies={"farmer": FeedbackPolicy(*(x[i] for x in pol_f)),
-                  "retailer": FeedbackPolicy(*(x[i] for x in pol_r))},
+        values={role: QuadraticValue(*v, role=role) for role, v in zip(roles, V)},
+        policies={"farmer": FeedbackPolicy(*f), "retailer": FeedbackPolicy(*r)},
         alpha=a, beta=b, H_d=h, diagnostics=diag)
-        for i, (params, a, b, h, diag) in enumerate(zip(
-            cells, per_cell(alpha), per_cell(beta), per_cell(H_d), diags))]
+        for params, V, f, r, (a, b, h), diag in zip(
+            cells, zip(*(per_cell(*role) for role in values)), per_cell(*e_f),
+            per_cell(*e_r, *(subsidy[0] + subsidy[1] if subsidy else ())),
+            per_cell(alpha, beta, H_d), diags)]
 
 
 def _assemble(params: ModelParams, mode: GameMode, convention: Optional[str],

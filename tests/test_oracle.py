@@ -9,6 +9,7 @@ import ast
 import dataclasses
 import importlib.util
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -560,6 +561,17 @@ def test_leader_sample_with_a_zero_subsidy_denominator():
     assert sample["baseline_payoff"] == 9412.603722818289
     assert sample["max_improvement"] == 0.06874130817062055
     assert sample["improving_samples"] == 36
+
+
+def test_leader_sample_whose_paths_overflow_is_an_oracle_error(baseline_gs):
+    # x_f = 3 - H floors the follower's cost share below H = 2, where the
+    # paths start (H0 = 0.1); the floored effort drives every path to
+    # overflow, which is a typed error and raises no warning
+    sol = _with_rule(baseline_gs, n1=-1.0, n0=3.0, d1=0.0, d0=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OracleError, match="not finite"):
+            leader_improvement_sample(sol)
 
 
 def _stepped_leader_sample(solution) -> tuple:

@@ -183,9 +183,10 @@ def test_select_stable_root_behaviour():
     def pick(leading, alphas, mask=None):
         column = lambda x: np.array(x, dtype=float)[:, None]
         mask = column([True] * len(leading) if mask is None else mask) > 0.0
-        index, (error,) = solver._pick(column(leading), column(alphas), mask)
-        if error is not None:
-            raise error
+        errors = [None]
+        index = solver._pick(column(leading), column(alphas), mask, errors)
+        if errors[0] is not None:
+            raise errors[0]
         return int(index[0])
 
     assert pick([1.0, -2.0], [1.0, -2.0]) == 1
@@ -417,10 +418,13 @@ def _outcome(mode, params, cfg):
 def test_solve_many_is_solve_cell_by_cell(seed, name):
     # e^+-3 draws reach every outcome class: solutions, complex roots,
     # unstable branches, no real gs branch and the balance gate; one cell
-    # per batch fails validation
+    # per batch fails validation, and one solves with H_d = 1e-323, whose
+    # scan grid step underflows to 0
     rng = np.random.default_rng(seed)
     cells = [_drawn_params(rng.uniform(-3.0, 3.0, len(_DRAWN))) for _ in range(10)]
     cells[int(rng.integers(len(cells)))] = cells[0].replace(lambda_f=-1.0)
+    cells.insert(int(rng.integers(len(cells) + 1)),
+                 ModelParams(p_f=5e-324, p_r=5e-324, p_c=0.0))
     cfg = _CONFIGS[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
