@@ -77,8 +77,8 @@ def _build_config(args) -> ScenarioConfig:
 def _solution_lines(solution) -> list:
     lines = [f"[{solution.mode.value}]",
              f"backend = {solution.diagnostics.backend}"]
-    lines += [f"{name} = {float(value)!r}" for name, value in
-              zip(solver._UNKNOWNS[solution.mode][0], solver._coefficients(solution))]
+    lines += [f"{name} = {float(value)!r}"
+              for name, value in solver._named_coefficients(solution).items()]
     lines.append(f"alpha = {float(solution.alpha)!r}")
     lines.append(f"H_d = {float(solution.H_d)!r}")
     for role in ("farmer", "retailer"):

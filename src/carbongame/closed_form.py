@@ -228,8 +228,8 @@ def solve_printed(mode: GameMode, params: ModelParams, cfg) -> GameSolution:
     names = solver._UNKNOWNS[mode][0]
     fallbacks = [k for k in names if not np.isfinite(values[k])]
     if fallbacks:
-        anchor = anchor or dict(zip(names, solver._coefficients(
-            solver.solve(mode, params, residual_cfg))))
+        anchor = anchor or solver._named_coefficients(
+            solver.solve(mode, params, residual_cfg))
         diag.flags.append("printed value not finite; anchor values retained for "
                           + ", ".join(fallbacks))
     coeffs = [anchor[k] if k in fallbacks else values[k] for k in names]
@@ -258,7 +258,7 @@ def _printed_gd(params, residual_cfg):
     reference = solver.solve(GameMode.DECENTRALIZED, params, residual_cfg)
     names = solver._UNKNOWNS[GameMode.DECENTRALIZED][0]
     comparison = dict(printed)
-    comparison["residual backend"] = dict(zip(names, solver._coefficients(reference)))
+    comparison["residual backend"] = solver._named_coefficients(reference)
     comparison["relative gaps"] = {
         k: _relative_gap(printed[k], comparison["residual backend"][k])
         for k in names}
@@ -267,8 +267,8 @@ def _printed_gd(params, residual_cfg):
 
 
 def _printed_gs(params, residual_cfg):
-    anchor = dict(zip(solver._UNKNOWNS[GameMode.STACKELBERG][0], solver._coefficients(
-        solver.solve(GameMode.STACKELBERG, params, residual_cfg))))
+    anchor = solver._named_coefficients(
+        solver.solve(GameMode.STACKELBERG, params, residual_cfg))
     printed = printed_stackelberg(params, anchor)
     comparison = dict(printed)
     comparison["relative gaps"] = {

@@ -106,11 +106,8 @@ def _parse_modes(raw, where: str) -> tuple:
                           f"list of mode names, got {raw!r}")
     modes = []
     for item in raw:
-        if isinstance(item, GameMode):
-            modes.append(item)
-            continue
         try:
-            modes.append(GameMode.from_string(str(item)))
+            modes.append(GameMode.from_string(item))
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     return tuple(modes)
@@ -382,8 +379,7 @@ def _solution_metrics(solution: GameSolution) -> dict:
 def _coefficients(solution: GameSolution) -> dict:
     """Every coefficient name, None where the solution's mode has none."""
     return {**dict.fromkeys(solver._UNKNOWNS[GameMode.STACKELBERG][0]),
-            **dict(zip(solver._UNKNOWNS[solution.mode][0],
-                       solver._coefficients(solution)))}
+            **solver._named_coefficients(solution)}
 
 
 def _summary_row(mode: GameMode, sink: str, params: ModelParams,

@@ -50,8 +50,12 @@ class GameMode(enum.Enum):
     CENTRALIZED = "gc"
 
     @classmethod
-    def from_string(cls, text: str) -> "GameMode":
-        text = text.strip().lower()
+    def from_string(cls, text) -> "GameMode":
+        """A GameMode unchanged; anything else read as str(text), a mode's
+        value or name in any case."""
+        if isinstance(text, cls):
+            return text
+        text = str(text).strip().lower()
         for mode in cls:
             if text in (mode.value, mode.name.lower()):
                 return mode

@@ -532,7 +532,7 @@ def grid_best_response(params: ModelParams, mode, role: str,
     seed_policy optionally warm-starts the iteration (a FeedbackPolicy, or a
     dict of two for the joint problem); the fixed point does not depend on it.
     """
-    mode = GameMode.from_string(mode) if isinstance(mode, str) else mode
+    mode = GameMode.from_string(mode)
     if mode is GameMode.CENTRALIZED:
         if role != "joint":
             raise ValueError(

@@ -73,8 +73,7 @@ def payoff_rates(mode, H, E_f, E_r, x_f, params: ModelParams) -> PayoffBreakdown
     makes the share irrelevant, so an undefined (nan) share of a zero cost
     transfers zero.
     """
-    if not isinstance(mode, GameMode):
-        mode = GameMode.from_string(str(mode))
+    mode = GameMode.from_string(mode)
     if mode is GameMode.STACKELBERG:
         if x_f is None:
             raise ValueError("x_f is required in the Stackelberg mode")

@@ -7,16 +7,18 @@ are derived from it: the H^2, H^1 and H^0 coefficients of
 rho*V - rate - V'*drift per role, by polynomial arithmetic on the efforts
 and the role payoffs (the undetermined-coefficients form of Dockner,
 Jorgensen, Long & Sorger, *Differential Games in Economics and Management
-Science*, 2000). Everything else is read off the balances: the H^2 rows
-give every branch of the leading coefficients (a quadratic in A, or in gs a
-quartic after eliminating M), and the drift slope picks the stable one. One
-chord-Newton on all balances from that leading root completes the branch
-and polishes it to the rounding floor before the residual gate.
+Science*, 2000). Everything else is read off the balances, evaluated in
+other arithmetics: on a jet in the leading coefficients the H^2 rows give
+their polynomial coefficients, hence every branch (a quadratic in A, or in
+gs a quartic after eliminating M), and the drift slope picks the stable
+one. One chord-Newton on all balances from that leading root, its Jacobian
+one complex step, completes the branch and polishes it to the rounding
+floor before the residual gate.
 
 The balances are plain arithmetic, so they evaluate unchanged on parameter
 fields stacked as arrays. ``solve_many`` solves a batch of cells of one mode
 in one pass: the parameters are stacked once along the last axis, and the
-fits, roots, Newton steps and gates act on the whole stack. A cell that
+jets, roots, Newton steps and gates act on the whole stack. A cell that
 fails keeps its first typed error and rides along unread; only the cells
 that pass every gate are assembled into solutions. Each stage treats every
 cell on its own, the scan's state grid included, so a cell's result does
@@ -185,6 +187,11 @@ def _coefficients(solution: GameSolution) -> tuple:
     return tuple(x for V in values for x in (V.A, V.B, V.C))
 
 
+def _named_coefficients(solution: GameSolution) -> dict:
+    """A solution's coefficients by name, in the mode's order."""
+    return dict(zip(_UNKNOWNS[solution.mode][0], _coefficients(solution)))
+
+
 def _closed_loop(params: ModelParams, mode: GameMode, convention: Optional[str]):
     """A mode's first-order rules, closed: loop(coeffs) maps coefficient
     vectors (k, ...) to (values, (E_f, E_r, subsidy), alpha, beta).
@@ -233,10 +240,9 @@ def _printed_offsets(params: ModelParams) -> tuple:
     return base / 4.0, base / 8.0
 
 
-def _payoff_polynomials(params: ModelParams, mode: GameMode, loop=None):
+def _payoff_polynomials(params: ModelParams, mode: GameMode):
     """Closed-loop drift and role payoffs along the standard policy map
-    loop, _closed_loop(params, mode, CONVENTION_STANDARD), built here when
-    the caller passes none.
+    _closed_loop(params, mode, CONVENTION_STANDARD).
 
     Returns terms(v) -> (drift, values, rates): drift as (alpha, beta), and
     per role its value and its payoff rate, both as (H^2, H^1, H^0)
@@ -252,8 +258,7 @@ def _payoff_polynomials(params: ModelParams, mode: GameMode, loop=None):
     lf, lr, mf, _, _, _, eta, k1, k2, pf, pr, pc = _symbols(params)
     unit_f, unit_r = (pf + pc) * k1, pr * k2
     transfer_den = 8.0 * lf
-    if loop is None:
-        loop = _closed_loop(params, mode, CONVENTION_STANDARD)
+    loop = _closed_loop(params, mode, CONVENTION_STANDARD)
     joint = mode is GameMode.CENTRALIZED
 
     def terms(v):
@@ -306,10 +311,9 @@ class CoefficientSystem:
 
 
 def _system(params: ModelParams, mode: GameMode,
-            convention: str = CONVENTION_STANDARD, loop=None) -> CoefficientSystem:
-    """The balances of a mode under convention; loop is the standard
-    closed-loop map of params when the caller has built it."""
-    terms = _payoff_polynomials(params, mode, loop)
+            convention: str = CONVENTION_STANDARD) -> CoefficientSystem:
+    """The balances of a mode under convention."""
+    terms = _payoff_polynomials(params, mode)
     rho = params.rho
     linear = mode is GameMode.DECENTRALIZED
     offsets = (_printed_offsets(params) if mode is GameMode.STACKELBERG
@@ -352,9 +356,42 @@ def _stack(cells: Sequence[ModelParams]) -> ModelParams:
 _BY_POWER = {mode: {k: tuple(i for i, lb in enumerate(labels) if lb.endswith(f"^{k}"))
                     for k in (2, 1, 0)} for mode, labels in _LABELS.items()}
 
-# the values of a quadratic at 0, 1 and -1 -> its coefficients (c0, c1, c2)
-_NODES = np.array([0.0, 1.0, -1.0])
-_FIT = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, -0.5], [-1.0, 0.5, 0.5]])
+
+class _Jet:
+    """A second-order Taylor jet in k unknowns per cell: value (n,), gradient
+    (k, n) and Hessian (k, k, n), carried exactly as formed by +, -, * and
+    division by a number (Griewank & Walther, *Evaluating Derivatives*, 2nd
+    ed., 2008, ch. 13). ndarray operands defer to the jet."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, value, grad, hess):
+        self.value, self.grad, self.hess = value, grad, hess
+
+    def __add__(self, other):
+        if isinstance(other, _Jet):
+            return _Jet(self.value + other.value, self.grad + other.grad,
+                        self.hess + other.hess)
+        return _Jet(self.value + other, self.grad, self.hess)
+
+    def __sub__(self, other):
+        return self + other * -1.0
+
+    def __rsub__(self, other):
+        return self * -1.0 + other
+
+    def __mul__(self, other):
+        if not isinstance(other, _Jet):
+            return _Jet(self.value * other, self.grad * other, self.hess * other)
+        g, h = self.grad, other.grad
+        return _Jet(self.value * other.value, self.value * h + other.value * g,
+                    self.value * other.hess + other.value * self.hess
+                    + g[:, None] * h[None] + h[:, None] * g[None])
+
+    def __truediv__(self, other):
+        return _Jet(self.value / other, self.grad / other, self.hess / other)
+
+    __radd__, __rmul__ = __add__, __mul__
 
 
 def _leading_vector(mode: GameMode, leading) -> list:
@@ -411,42 +448,20 @@ def _quadratic_roots(qa, qb, qc):
     return roots, np.stack([ok | linear | (flat & (qc == 0.0)), two]), disc
 
 
-def _fit(f0, f_plus, f_minus, s) -> tuple:
-    """(c0, c1, c2) per cell of quadratics from their values at 0 and +-s;
-    the fit is one small matrix-vector product per cell."""
-    c = (_FIT @ np.stack([f0, f_plus, f_minus], axis=-1)[..., None])[..., 0]
-    return c[:, 0], c[:, 1] / s, c[:, 2] / (s * s)
-
-
-def _quadratic_branches(params: ModelParams, mode: GameMode, row: Callable):
-    """The real roots in A of the gd farmer or gc joint H^2 row, per cell.
-
-    The row is sampled at 0 and +-1 and fitted exactly, then refitted at
-    +-s, s the power of two nearest its roots' scale, so the discriminant on
-    the published scale (Delta^GD, Delta^GC) is good to a few ulps of its
-    terms and its sign picks the error class. Returns (A, mask, discs,
-    errors) as _leading_branches does.
-    """
+def _quadratic_branches(params: ModelParams, mode: GameMode, row: _Jet):
+    """The real roots in A of the gd farmer or gc joint H^2 row, per cell,
+    from the row's jet at A = 0: c0 + c1*A + c2*A^2, each coefficient as
+    formed. The sign of c1^2 - 4*c2*c0 picks the error class; the published
+    Delta^GD or Delta^GC is only reported, and may be +-inf. Returns (A,
+    mask, discs, errors) as _leading_branches does."""
     lf, lr = params.lambda_f, params.lambda_r
     label, scale = (("Delta^GD", 4.0 * (lf * lf)) if mode is GameMode.DECENTRALIZED
                     else ("Delta^GC", (lf * lr) * (lf * lr)))
-    f0, f1, f_1 = row(_NODES[:, None])
-    c0, c1, c2 = _fit(f0, f1, f_1, 1.0)
-    # refit on the roots' scale, where c0 no longer dwarfs the c1 and c2
-    # terms and so leaves its rounding out of them: s is the power of two
-    # nearest sqrt|c0/c2|, the geometric mean of the roots' magnitudes, and 1
-    # where that is not finite and positive
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(c0 / c2)
-    ok = (ratio > 0.0) & (ratio < np.inf)
-    s = np.ldexp(1.0, np.rint(0.5 * np.log2(np.where(ok, ratio, 1.0))).astype(int))
-    c0, c1, c2 = _fit(f0, *row(np.stack([s, -s])), s)
+    c0, c1, c2 = row.value, row.grad[0], row.hess[0, 0] / 2.0
     A, mask, disc = _quadratic_roots(c2, c1, c0)
-    published = disc * scale
-    # the discriminant as formed before _quadratic_roots takes 0 where c2 = 0:
-    # finite only where c0, c1, c2 and their products are
-    finite = np.isfinite(c1 * c1 - 4.0 * c2 * c0) & np.isfinite(published)
-    discs = [{label: d} for d in published.tolist()]
+    # as formed, before _quadratic_roots takes 0 where c2 = 0
+    finite = np.isfinite(c1 * c1 - 4.0 * c2 * c0)
+    discs = [{label: d} for d in (disc * scale).tolist()]
     errors = [_overflow(f"the H^2 balances or their {label}") if not ok else
               ComplexRootError(label, d[label]) if raw < 0.0 else None
               for d, raw, ok in zip(discs, disc.tolist(), finite.tolist())]
@@ -525,38 +540,28 @@ def _leading_branches(params: ModelParams, system: CoefficientSystem):
     Returns (leading, mask, discs, errors): leading is a tuple of one (K, n)
     array per leading unknown (A; A and M in gs) with branch k of cell i at [k, i]
     where mask[k, i]; discs holds per cell its discriminants by label, and
-    errors None or its typed error. The rows are sampled at 0 and
-    +-1 of each leading unknown and fitted exactly: in gd and gc the farmer
-    or joint row is a quadratic in A (_quadratic_branches); in gs the two
-    rows leave a quartic in A (_eliminate). A cell whose fitted rows, or the
+    errors None or its typed error. The balances are evaluated once, on a
+    jet in the leading unknowns at 0: in gd and gc the farmer or joint H^2
+    row is a quadratic in A (_quadratic_branches); in gs the two rows leave
+    a quartic in A (_eliminate). A cell whose coefficients, or the
     discriminant, quartic or companion matrix formed from them, overflow
-    float64 fails with a ParameterError: its parameters are finite but too
-    large or too small for the balances.
+    float64 fails with a ParameterError.
     """
     mode, lead = system.mode, _BY_POWER[system.mode][2]
-
-    def rows(*leading):
-        out = system.balances(_leading_vector(mode, leading))
-        return [out[i] for i in lead]
-
     # under _solve_batch's errstate, overflow leaves inf or nan, which the
     # finiteness tests below catch
+    k, n = len(lead), params.rho.size
+    unknowns = [_Jet(np.zeros(n), unit, np.zeros((k, k, n)))
+                for unit in np.eye(k)[:, :, None] * np.ones(n)]
+    out = system.balances(_leading_vector(mode, unknowns))
     if len(lead) == 1:
-        return _quadratic_branches(params, mode, lambda x: rows(x)[0])
-    n = params.rho.size
-    # [cell, i, j, row]: the farmer and the leader row at A = _NODES[i],
-    # M = _NODES[j]
-    samples = np.stack([np.broadcast_to(r, (3, 3, n))
-                        for r in rows(_NODES[:, None, None],
-                                      _NODES[None, :, None])], axis=-1)
-    samples = np.ascontiguousarray(np.moveaxis(samples, 2, 0))
-    # [cell, i, j]: the coefficient of A^i * M^j in the farmer and the
-    # leader row
-    farmer, leader = (_FIT @ samples[..., k] @ _FIT.T for k in (0, 1))
-    A, M, mask, finite = _eliminate(farmer[:, :, 0], farmer[:, :2, 1],
-                                    leader[:, :, 0], leader[:, :2, 1],
-                                    leader[:, 0, 2])
-    finite &= np.isfinite(samples).all(axis=(1, 2, 3))
+        return _quadratic_branches(params, mode, out[lead[0]])
+    # per row, the coefficients of (1, A, A^2), of (M, A*M), and of M^2
+    (a, b, _), (g0, g1, g2) = ((np.stack([r.value, r.grad[0], r.hess[0, 0] / 2.0], axis=1),
+                                np.stack([r.grad[1], r.hess[0, 1]], axis=1),
+                                r.hess[1, 1] / 2.0) for r in (out[i] for i in lead))
+    A, M, mask, finite = _eliminate(a, b, g0, g1, g2)
+    finite &= np.isfinite(np.column_stack([a, b, g0, g1, g2])).all(axis=1)
     errors = [_overflow("the H^2 balances, their (A, M) quartic or its "
                         "companion matrix") if not ok
               else None if any_branch
@@ -594,8 +599,10 @@ def _newton(system: CoefficientSystem, leading, tolerance: float, errors: list):
     one (n,) array per leading unknown, the other unknowns 0), gated on the
     residuals.
 
-    The balances are quadratic, so central differences at the start give
-    their Jacobian exactly up to rounding; it is taken once. After the
+    The Jacobian is taken once, at the start, by one complex step per
+    unknown (Martins, Sturdza & Alonso, *ACM TOMS* 29(3), 2003): the
+    balances are quadratic, so the imaginary part of their value at v +
+    i*h_j*e_j is h_j times column j, exact as formed. After the
     _COMPLETION_STEPS steps a cell stops once its normalized residual stops
     falling, and keeps its best iterate; a cell that already has an error in
     errors does not step. Returns the coefficients (k, n) and the normalized
@@ -607,18 +614,15 @@ def _newton(system: CoefficientSystem, leading, tolerance: float, errors: list):
         return np.max(np.abs(res) / system.scales(v), axis=0)
 
     v = np.array(np.broadcast_arrays(*_leading_vector(system.mode, leading)))
-    k, n = v.shape
-    h = 1.0 + np.abs(v)
-    shift = np.zeros((k, k, n))
-    shift[np.arange(k), np.arange(k)] = h
-    # under _solve_batch's errstate, overflow leaves inf or nan, which the
+    k, h = len(v), 1.0 + np.abs(v)
+    # [row, point, cell]: the balances at v, then v + i*h_j*e_j; under
+    # _solve_batch's errstate, overflow leaves inf or nan, which the
     # finiteness test below catches
-    # [row, point, cell]: the balances at v, v + h_j*e_j, then v - h_j*e_j
-    out = system.residuals(np.concatenate([v[:, None], v[:, None] + shift,
-                                           v[:, None] - shift], axis=1))
-    res, up, down = out[:, 0], out[:, 1:k + 1], out[:, k + 1:]
+    out = np.array(system.balances(list(
+        v[:, None] + 1j * np.eye(k, k + 1, 1)[:, :, None] * h[:, None])))
+    res = out[:, 0].real
     err = norm(v, res)
-    jac = np.ascontiguousarray(np.moveaxis((up - down) / (2.0 * h), -1, 0))
+    jac = np.ascontiguousarray(np.moveaxis(out[:, 1:].imag / h, -1, 0))
     # the inverse, as a solve against the identity; 0 (no step) where
     # singular, which leaves the H^1 and H^0 rows to the gate
     inverse = _solve_regular(jac, np.broadcast_to(np.eye(k), jac.shape))[0]
@@ -653,10 +657,6 @@ def _newton(system: CoefficientSystem, leading, tolerance: float, errors: list):
 # mode solvers
 # ---------------------------------------------------------------------------
 
-def _as_mode(mode) -> GameMode:
-    return mode if isinstance(mode, GameMode) else GameMode.from_string(str(mode))
-
-
 def solve(mode, params: ModelParams, cfg: SolverConfig = SolverConfig()) -> GameSolution:
     """Solve one mode; ``mode`` may be a GameMode or its short string.
 
@@ -678,7 +678,7 @@ def solve_many(mode, params_seq: Sequence[ModelParams],
     not depend on the other cells of the batch. The paper-closed-form
     backend solves the cells one at a time.
     """
-    mode = _as_mode(mode)
+    mode = GameMode.from_string(mode)
     cells = list(params_seq)
     out = [None] * len(cells)
     live = []
@@ -717,8 +717,7 @@ def _solve_batch(mode: GameMode, cfg: SolverConfig, cells: list) -> list:
     convention = cfg.follower_convention
     params = _stack(cells)
     loop = _closed_loop(params, mode, convention)
-    system = _system(params, mode, convention,
-                     loop if convention == CONVENTION_STANDARD else None)
+    system = _system(params, mode, convention)
     leading, mask, discs, errors = _leading_branches(params, system)
     if not len(mask):   # no gs cell has a real (A, M) branch
         return errors

@@ -308,8 +308,8 @@ def test_scan_gate_catches_a_builder_defect(monkeypatch, convention):
     # fails the gate instead of passing it
     original = solver._payoff_polynomials
 
-    def defective(params, mode, loop=None):
-        terms = original(params, mode, loop)
+    def defective(params, mode):
+        terms = original(params, mode)
 
         def wrong(v):
             drift, values, ((r2, r1, r0), *rest) = terms(v)
@@ -796,6 +796,76 @@ def test_gd_discriminant_near_zero_is_accurate_and_sets_the_error_class(offset):
             stacked, solver._system(stacked, GameMode.DECENTRALIZED))
         reported = discs[0]["Delta^GD"]
     assert abs(reported - expected) <= 1e-8
+
+
+@pytest.mark.parametrize("Q0", [1e14, 1e18, 1e20])
+@pytest.mark.parametrize("mode", ["gd", "gc"])
+def test_large_base_supply_has_a_negative_discriminant(mode, Q0):
+    # a 600-digit evaluation of the balances gives Delta^GD = -5.18e17 and
+    # Delta^GC = -2.56e31 at Q0 = 1e14: no real leading root, so the class is
+    # ComplexRootError, not an unstable or missing branch
+    with pytest.raises(ComplexRootError) as err:
+        solve(mode, ModelParams(Q0=Q0))
+    assert err.value.discriminant < 0.0
+
+
+@pytest.mark.parametrize("overrides", [{"p_f": 5e20}, {"p_r": 1e21}, {"D0": 2.5e22}],
+                         ids=["p_f", "p_r", "D0"])
+@pytest.mark.parametrize("name", sorted(_CONFIGS))
+def test_money_scale_prices_solve(name, overrides):
+    # the balances are as large as the prices here, so a Jacobian formed by
+    # differencing two of them loses every digit of the H^1 rows
+    params = ModelParams(**overrides)
+    cfg = _CONFIGS[name]
+    sol = solve(name[:2], params, cfg)
+    assert sol.alpha < 0.0
+    assert residual_scan(sol, params) <= cfg.hjb_tolerance
+
+
+@pytest.mark.parametrize("overrides", [{}, _PERTURBED, {"Q0": 1e14}],
+                         ids=["baseline", "perturbed", "Q0=1e14"])
+@pytest.mark.parametrize("name", sorted(_CONFIGS))
+def test_jet_gives_the_leading_coefficients_of_the_h2_rows(name, overrides):
+    # the H^2 rows are quadratics in the leading unknowns, so their values
+    # at 0 and +-1, at 600 digits, give their coefficients exactly
+    mpmath = pytest.importorskip("mpmath")
+    convention = _CONFIGS[name].follower_convention
+    mode = GameMode.from_string(name[:2])
+    lead = solver._BY_POWER[mode][2]
+    k = len(lead)
+    params = ModelParams(**overrides)
+    unknowns = [solver._Jet(np.zeros(1), unit, np.zeros((k, k, 1)))
+                for unit in np.eye(k)[:, :, None] * np.ones(1)]
+    rows = solver._system(solver._stack([params]), mode, convention).balances(
+        solver._leading_vector(mode, unknowns))
+    with mpmath.workdps(600):
+        exact = solver._system(ModelParams(**{
+            field: mpmath.mpf(value) for field, value in vars(params).items()}), mode,
+            convention).balances
+
+        def fit(f):
+            # (c0, c1, c2) of a quadratic f from f(0), f(1) and f(-1)
+            f0, f1, fm = f(0), f(1), f(-1)
+            return f0, (f1 - fm) / 2, (f1 + fm) / 2 - f0
+
+        for i in lead:
+            jet = solver._Jet(*(np.asarray(x)[..., 0] for x in
+                                (rows[i].value, rows[i].grad, rows[i].hess)))
+            if k == 1:
+                got = [jet.value, jet.grad[0], jet.hess[0, 0] / 2.0]
+                want = fit(lambda a: exact(solver._leading_vector(mode, [a]))[i])
+            else:
+                # coefficients of 1, A, A^2, M, A*M and M^2
+                got = [jet.value, jet.grad[0], jet.hess[0, 0] / 2.0,
+                       jet.grad[1], jet.hess[0, 1], jet.hess[1, 1] / 2.0]
+                by_m = [fit(lambda a, m=m: exact(solver._leading_vector(mode, [a, m]))[i])
+                        for m in (0, 1, -1)]
+                # by_m[m][i] is the coefficient of A^i at M = (0, 1, -1)[m]
+                (c00, c01, c02), (c10, c11, _), (c20, _, _) = (
+                    fit(lambda m, i=i: by_m[(0, 1, -1).index(m)][i]) for i in range(3))
+                want = [c00, c10, c20, c01, c11, c02]
+            for value, reference in zip(got, want):
+                assert abs(value - reference) <= 1e-15 * abs(reference), (i, value, reference)
 
 
 # ---------------------------------------------------------------------------
