@@ -74,27 +74,54 @@ def test_discounted_quadrature_matches_the_analytic_values(mode):
         assert numeric == pytest.approx(analytic, rel=1e-3), (mode, role)
 
 
-def _trapezoid_with_tail(t, rate, rho):
-    """Reference quadrature: numpy's trapezoid of the discounted rate plus
-    the frozen-state tail exp(-rho*T) * rate(T) / rho."""
-    weight = np.exp(-rho * t)
-    return float(np.trapezoid(weight * rate, t)) + weight[-1] * rate[-1] / rho
+@pytest.mark.parametrize("intervals", [2, 3, 4, 5, 6, 7, 4000])
+def test_discount_weights_integrate_a_discounted_cubic_exactly(intervals):
+    # rate = cubic(t) * exp(rho*t) makes the discounted integrand the cubic,
+    # which Simpson's 1/3 and 3/8 rules integrate exactly; the frozen-state
+    # tail adds exp(-rho*T) * rate(T) / rho = cubic(T) / rho
+    rho, T = 0.7, 40.0
+    coeffs = np.array([3.1, -0.8, 0.27, -0.0043])  # c0 + c1*t + c2*t^2 + c3*t^3
+    t = np.arange(intervals + 1) * (T / intervals)
+    cubic = np.polynomial.polynomial.polyval(t, coeffs)
+    rate = cubic * np.exp(rho * t)
+    integral = sum(c * T ** (k + 1) / (k + 1) for k, c in enumerate(coeffs))
+    expected = integral + cubic[-1] / rho
+    assert float(np.sum(discount_weights(t, rho) * rate)) == pytest.approx(
+        expected, rel=1e-13)
 
 
-def test_discount_weights_are_the_trapezoid_plus_the_frozen_tail():
+def test_one_interval_takes_the_trapezoid():
+    t = np.array([1.0, 3.0])
+    rate = np.array([2.0, 5.0])
+    discount = np.exp(-0.7 * t)
+    step = t[1] - t[0]
+    expected = 0.5 * step * (discount[0] * rate[0] + discount[1] * rate[1]) + (
+        discount[1] * rate[1] / 0.7)
+    assert float(np.sum(discount_weights(t, 0.7) * rate)) == pytest.approx(
+        expected, rel=1e-15)
+
+
+def test_discount_weights_refuse_a_non_uniform_grid():
     rng = np.random.default_rng(3)
     t = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 0.2, 300))))
-    rate = rng.uniform(0.5, 2.0, t.size)
-    weights = discount_weights(t, 0.7)
-    assert float(np.sum(weights * rate)) == pytest.approx(
-        _trapezoid_with_tail(t, rate, 0.7), rel=1e-13)
+    with pytest.raises(ValueError, match="needs a uniform grid"):
+        discount_weights(t, 0.7)
+
+
+def test_discounted_profit_converges_at_fourth_order():
+    # halving h cuts the gap to the analytic value 16x under a fourth-order
+    # rule (4x under the trapezoid); the exact path leaves the quadrature as
+    # the only error, and at T = 40 the frozen-state tail is below 1e-12
     params = ModelParams()
     for mode in GameMode:
-        traj = exact_trajectory(solve(mode, params))
-        for role, rate in (("farmer", traj.payoff_f),
-                           ("retailer", traj.payoff_r)):
-            assert discounted_profit(traj, role, params) == pytest.approx(
-                _trapezoid_with_tail(traj.t, rate, params.rho), rel=1e-13)
+        sol = solve(mode, params)
+        for role in sol.roles:
+            analytic = value_at(sol, role, params.H0)
+            gaps = [abs(discounted_profit(
+                exact_trajectory(sol, SimConfig(T=40.0, h=h)), role, params)
+                - analytic) / abs(analytic) for h in (0.04, 0.02, 0.01)]
+            assert gaps[0] >= 12.0 * gaps[1], (mode, role, gaps)
+            assert gaps[1] >= 12.0 * gaps[2], (mode, role, gaps)
 
 
 def test_joint_quadrature_is_the_sum_of_the_roles():
