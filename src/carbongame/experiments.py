@@ -215,7 +215,7 @@ def _parse_sweep_section(section) -> SweepSpec:
             raise ConfigError(f"sweep responses must be a list, got {raw!r}")
         kwargs["responses"] = tuple(str(r) for r in raw)
     if "modes" in section:
-        kwargs["modes"] = _parse_modes(section["modes"], "sweep modes")
+        kwargs["modes"] = section["modes"]
     return SweepSpec(**kwargs)
 
 
@@ -271,16 +271,16 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError(str(exc)) from exc
     kwargs = {"params": params}
     if "modes" in doc:
-        kwargs["modes"] = _parse_modes(doc["modes"], "modes")
+        kwargs["modes"] = doc["modes"]
     if "sink_trading" in doc:
         if not isinstance(doc["sink_trading"], bool):
             raise ConfigError(f"config field sink_trading must be a boolean, "
                               f"got {doc['sink_trading']!r}")
         kwargs["sink_trading"] = doc["sink_trading"]
     if "out" in doc:
-        if not isinstance(doc["out"], str):
-            raise ConfigError(f"config field out must be a string, "
-                              f"got {doc['out']!r}")
+        if not isinstance(doc["out"], str) or not doc["out"]:
+            raise ConfigError(f"config field out must be a non-empty "
+                              f"string, got {doc['out']!r}")
         kwargs["out"] = doc["out"]
     kwargs["sim"] = _parse_section(
         doc, "sim", SimConfig,

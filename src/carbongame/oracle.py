@@ -9,9 +9,9 @@ problem is not a plain control problem, is instead stress-tested by sampling
 perturbed announcement rules and re-simulating the follower's reaction.
 The sampler steps every rule's path with ``simulate._rk4``, the stepper of
 ``simulate.integrate_trajectory``, prices it with ``profits.payoff_rates``
-and discounts it with ``profits.discount_weights``, the quadrature that
-``profits.discounted_profit`` uses, so it holds no integrator or payoff
-formula of its own; both are fourth order (RK4 and composite Simpson).
+and discounts it as ``profits.discounted_profit`` does, so it holds no
+integrator, payoff formula or quadrature of its own; both are fourth order
+(RK4 and composite Simpson).
 Its drift is ``model.reduction_drift`` folded once per rule: that drift is
 linear in (H, E_f, E_r), so with the follower's effort
 E_f = (f1*H + f0)/(lambda_f*share) it is (e1*H + e0)/share + a1*H + a0, its
@@ -154,11 +154,11 @@ ACTION_SPAN = 3.0
 # leader_improvement_sample: LEADER_SAMPLES rules drawn from a generator
 # seeded with LEADER_SEED, their coefficients perturbed by up to
 # LEADER_SPREAD (relative), each simulated by RK4 on [0, LEADER_HORIZON] in
-# steps of LEADER_STEP and discounted by composite Simpson weights, both
-# fourth order: at 0.05 a smooth rule's payoff is within 4e-7
-# (relative) of an h = 0.002 reference. The paths are priced
-# LEADER_BLOCK_ROWS time samples at a time, which bounds the pricing
-# temporaries to a few hundred kB.
+# steps of LEADER_STEP and discounted by profits.discounted_running, both
+# fourth order: at 0.05 a smooth rule's payoff is within 4e-7 (relative) of
+# an h = 0.002 reference. The payoff rates are formed LEADER_BLOCK_ROWS time
+# samples at a time (a few hundred kB of temporaries); the discounting takes
+# the whole path (2.6 MB of temporaries at 801 x 201).
 LEADER_SAMPLES = 200
 LEADER_SEED = 20260814
 LEADER_SPREAD = 0.1
@@ -579,8 +579,8 @@ def leader_improvement_sample(solution: GameSolution) -> dict:
     simulate's RK4 stepper, on the drift (e1*H + e0)/share + a1*H + a0 whose
     coefficients ``reduction_drift`` forms once per rule (share being the
     follower's floored cost share 1 - x_f); each path is priced by
-    ``profits.payoff_rates`` and discounted by ``profits.discount_weights``,
-    the rule ``profits.discounted_profit`` uses. The reaction forms the
+    ``profits.payoff_rates`` and discounted as ``profits.discounted_profit``
+    is (``profits.discounted_running`` plus the tail). The reaction forms the
     ratio x_f = n/d in place rather than through ``model._subsidy_ratio``,
     and takes the 0/0 rule as x_f = 0 where that helper gives nan. A
     sampled rule whose payoff is not finite (its path overflows float64)
@@ -658,9 +658,8 @@ def leader_improvement_sample(solution: GameSolution) -> dict:
             E_r += g0
             block[...] = profits.payoff_rates(
                 GameMode.STACKELBERG, block, E_f, E_r, x, params).net_r
-        path *= profits.discount_weights(np.arange(steps + 1) * h,
-                                         params.rho)[:, None]
-        payoff = path.sum(axis=0)
+        payoff = profits._discounted_total(path, np.arange(steps + 1) * h,
+                                           params.rho)
     if not np.isfinite(payoff).all():
         raise OracleError(
             f"{np.count_nonzero(~np.isfinite(payoff))} of {rules} sampled leader "

@@ -22,7 +22,7 @@ from .model import (
 __all__ = [
     "PayoffBreakdown",
     "payoff_rates",
-    "discount_weights",
+    "discounted_running",
     "discounted_profit",
     "value_at",
     "total_value_at",
@@ -30,8 +30,8 @@ __all__ = [
 ]
 
 ROLES = ("farmer", "retailer", "joint")
-# discount_weights refuses a grid whose steps spread by more than this times
-# the mean step; np.arange(n + 1) * h spreads by about n * 4e-16 of h, at
+# discounted_running refuses a grid whose steps spread by more than this
+# times the mean step; np.arange(n + 1) * h spreads by about n * 4e-16 of h, at
 # most 4e-10 at simulate's sample-count bound.
 UNIFORM_GRID_RTOL = 1e-8
 
@@ -115,52 +115,57 @@ def _role_series(trajectory: Trajectory, role: str) -> np.ndarray:
     raise ValueError(f"unknown role {role!r}; expected one of {ROLES}")
 
 
-def discount_weights(t: np.ndarray, rho: float) -> np.ndarray:
-    """Weights w such that sum(w * rate) discounts a rate sampled on t over
-    [t[0], inf): composite Simpson weights times exp(-rho*t), plus
-    exp(-rho*T)/rho on the last sample, T = t[-1]. That tail assumes a
-    frozen state: the rate stays at its value at T afterwards.
+def discounted_running(rate, t, rho: float) -> np.ndarray:
+    """Running integral of exp(-rho*t) * rate from t[0] to every sample of
+    t, along the first axis of rate: composite Simpson up to each even
+    sample, Simpson's 3/8 rule on the last three intervals of each odd one
+    from the third on, the trapezoid up to the first. Entries from the
+    second on are exact for cubics (Davis & Rabinowitz, Methods of Numerical
+    Integration, 2nd ed., 1984, 2.1) and fourth order on smooth rates.
 
     t must be uniform: the spread of np.diff(t) may not exceed
-    UNIFORM_GRID_RTOL times the mean step, else ValueError. An odd interval
-    count takes Simpson's 3/8 rule on its last three intervals, and a single
-    interval the trapezoid, so the rule is exact for cubics (Davis &
-    Rabinowitz, Methods of Numerical Integration, 2nd ed., 1984, 2.1) and
-    fourth order on smooth rates."""
+    UNIFORM_GRID_RTOL times the mean step, else ValueError."""
     t = np.asarray(t, dtype=float)
     n = t.size - 1
-    weights = np.zeros(t.size)
-    if n:
-        dt = np.diff(t)
-        step = (t[-1] - t[0]) / n
-        if np.ptp(dt) > UNIFORM_GRID_RTOL * abs(step):
-            raise ValueError(
-                f"discount_weights needs a uniform grid: its steps spread "
-                f"over [{dt.min():.6g}, {dt.max():.6g}]")
-        if n == 1:
-            weights[:] = 0.5
-        else:
-            simpson = n - 3 if n % 2 else n  # intervals under the 1/3 rule
-            if simpson:
-                weights[1:simpson:2] = 4.0 / 3.0
-                weights[2:simpson:2] = 2.0 / 3.0
-                weights[0] = weights[simpson] = 1.0 / 3.0
-            if n % 2:
-                weights[simpson:] += (3.0 / 8.0, 9.0 / 8.0, 9.0 / 8.0,
-                                      3.0 / 8.0)
-        weights *= step
-    discount = np.exp(-rho * t)
-    weights *= discount
-    weights[-1] += discount[-1] / rho
-    return weights
+    step = (t[-1] - t[0]) / n if n else 0.0
+    dt = np.diff(t)
+    if n and np.ptp(dt) > UNIFORM_GRID_RTOL * abs(step):
+        raise ValueError(
+            f"discounted_running needs a uniform grid: its steps spread "
+            f"over [{dt.min():.6g}, {dt.max():.6g}]")
+    # out holds the discounted rate until every panel sum has read it, then
+    # its running integral
+    out = rate * np.exp(-rho * t).reshape((-1,) + (1,) * (np.ndim(rate) - 1))
+    pairs = out[1:-1:2] * 4.0  # Simpson panels [k - 2, k], k even
+    pairs += out[:-2:2]
+    pairs += out[2::2]
+    ends = out[1:-2:2] + out[2:-1:2]  # 3/8 panels [k - 3, k], k odd
+    ends *= 3.0
+    ends += out[:-3:2]
+    ends += out[3::2]
+    out[1:2] = (out[0] + out[1:2]) * (step / 2.0)
+    out[0] = 0.0
+    np.multiply(np.cumsum(pairs, axis=0, out=pairs), step / 3.0,
+                out=out[2::2])
+    ends *= 3.0 * step / 8.0
+    np.add(ends, out[:-3:2], out=out[3::2])  # k = 3 reads entry 0, now 0
+    return out
+
+
+def _discounted_total(rate, t, rho: float):
+    """The discounted rate integrated over [t[0], inf): the last entry of
+    ``discounted_running`` plus the frozen-state tail exp(-rho*T)/rho *
+    rate(T), T = t[-1], which assumes the rate stays at its value at T."""
+    return (discounted_running(rate, t, rho)[-1]
+            + np.exp(-rho * t[-1]) / rho * rate[-1])
 
 
 def discounted_profit(trajectory: Trajectory, role: str,
                       params: ModelParams) -> float:
-    """Discounted total profit of a role along the trajectory, with the
-    composite Simpson quadrature and frozen-state tail of
-    ``discount_weights``; a trajectory's uniform time grid (``SimConfig``
-    samples one) is required, and a non-uniform one raises ValueError.
+    """Discounted total profit of a role along the trajectory: the
+    ``discounted_running`` quadrature plus the frozen-state tail. A
+    trajectory's uniform time grid (``SimConfig`` samples one) is required,
+    and a non-uniform one raises ValueError.
 
     The horizon must satisfy rho*T >= 20 so the frozen-state tail is
     negligible at the checked tolerances.
@@ -171,7 +176,7 @@ def discounted_profit(trajectory: Trajectory, role: str,
             f"horizon too short: rho*T = {params.rho * T:.3g} < 20; "
             "extend the horizon so the discount tail is negligible")
     rate = _role_series(trajectory, role)
-    return float(np.sum(discount_weights(trajectory.t, params.rho) * rate))
+    return float(_discounted_total(rate, trajectory.t, params.rho))
 
 
 def value_at(solution: GameSolution, role: str, H) -> float:

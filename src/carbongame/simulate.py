@@ -11,9 +11,9 @@ so a trajectory and the analytic values at H0 always describe one start.
 SimConfig holds only the sampling grid and the integrator; the bound on the
 sample count, MAX_SAMPLE_COUNT, is a module constant.
 
-The module needs numpy only: the bisection steady state and the discounted
-running payoffs reproduce scipy's bisect and cumulative_trapezoid operation
-for operation, so the results are the same floats without importing scipy.
+The module needs numpy only: the bisection steady state reproduces scipy's
+bisect operation for operation, so it is the same float without scipy. The
+disc_cum_* series come from profits.discounted_running.
 """
 
 from __future__ import annotations
@@ -237,9 +237,8 @@ def _fill_series(solution: GameSolution, params: ModelParams, t: np.ndarray,
     else:
         x_f = np.full_like(H, np.nan)
         breakdown = profits.payoff_rates(mode, H, E_f, E_r, None, params)
-    weight = np.exp(-params.rho * t)
-    disc_f = _cumulative_trapezoid(weight * breakdown.net_f, t)
-    disc_r = _cumulative_trapezoid(weight * breakdown.net_r, t)
+    disc_f = profits.discounted_running(breakdown.net_f, t, params.rho)
+    disc_r = profits.discounted_running(breakdown.net_r, t, params.rho)
     flag = (H < 0.0) | (E_f < 0.0) | (E_r < 0.0)
     return Trajectory(mode=mode, integrator=integrator, t=t, H=H,
                       E_f=E_f, E_r=E_r, x_f=x_f,
@@ -248,13 +247,6 @@ def _fill_series(solution: GameSolution, params: ModelParams, t: np.ndarray,
                       payoff_f=np.asarray(breakdown.net_f, dtype=float),
                       payoff_r=np.asarray(breakdown.net_r, dtype=float),
                       disc_cum_f=disc_f, disc_cum_r=disc_r, flag=flag)
-
-
-def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral of y over t, starting at 0; the same
-    operations, in the same order, as scipy's cumulative_trapezoid."""
-    dt = np.diff(t)
-    return np.concatenate(([0.0], np.cumsum(dt * (y[1:] + y[:-1]) / 2.0)))
 
 
 @lru_cache(maxsize=4)

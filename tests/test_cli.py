@@ -239,6 +239,23 @@ def test_errors_reach_stderr_with_exit_one(capsys, tmp_path):
     assert "lambda_f > 0 violated" in err
 
 
+@pytest.mark.parametrize("command", ["compare", "simulate", "sweep"])
+def test_empty_out_directory_is_a_config_error(capsys, tmp_path, monkeypatch,
+                                               command):
+    # an empty path would resolve to the working directory
+    path = tmp_path / "empty_out.json"
+    path.write_text(json.dumps({"out": "", "modes": "gd",
+                                "sweep": {"parameter": "p_c",
+                                          "values": [0.5]}}))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(capsys, [command, "--config", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == ("error: config field out must be a non-empty string, "
+                   "got ''\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["empty_out.json"]
+
+
 @pytest.mark.parametrize("command", ["compare", "simulate", "verify"])
 def test_negative_initial_level_is_a_config_error(capsys, tmp_path, command):
     path = tmp_path / "negative.json"

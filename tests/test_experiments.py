@@ -121,6 +121,10 @@ def test_config_errors_name_the_field(tmp_path):
         load_config(_write(tmp_path, {"workers": 2}))
     with pytest.raises(ConfigError, match="unknown game mode 'nash'"):
         load_config(_write(tmp_path, {"modes": ["nash"]}))
+    with pytest.raises(ConfigError,
+                       match="config field out must be a non-empty string, "
+                             "got ''"):
+        load_config(_write(tmp_path, {"out": ""}))
     with pytest.raises(ConfigError, match="not valid JSON"):
         path = tmp_path / "broken.json"
         path.write_text("{")
@@ -144,6 +148,11 @@ def test_sweep_section_validation(tmp_path):
                        match="sweep count must be a positive integer, got 0"):
         load_config(_write(tmp_path, {"sweep": {"parameter": "mu_f", "min": 1.0,
                                                 "max": 2.0, "count": 0}}))
+    with pytest.raises(ConfigError,
+                       match="sweep modes: unknown game mode 'nash'"):
+        load_config(_write(tmp_path, {"sweep": {"parameter": "mu_f",
+                                                "values": [1.0],
+                                                "modes": ["nash"]}}))
     with pytest.raises(ConfigError, match="is not a model parameter"):
         SweepSpec(parameter="size", values=(1.0,))
     with pytest.raises(ConfigError, match="unknown sweep response 'alpha'"):

@@ -40,7 +40,11 @@ from carbongame.oracle import (
     _positions,
     _seed_indices,
 )
-from carbongame.profits import discount_weights, discounted_profit, payoff_rates
+from carbongame.profits import (
+    _discounted_total,
+    discounted_profit,
+    payoff_rates,
+)
 from carbongame.simulate import SimConfig, integrate_trajectory
 
 from reference_values import CASES
@@ -548,12 +552,12 @@ def _zero_denominator_pin():
 
 def test_perturbed_leader_sample_is_pinned():
     # recorded from the sampler that steps each rule's folded drift and
-    # prices its paths with payoff_rates and discount_weights; the
-    # quadrature is elementwise products and sums (no BLAS), so the match is
-    # exact
+    # prices its paths with payoff_rates and discounted_running; the
+    # quadrature is elementwise products and running sums (no BLAS), so the
+    # match is exact
     sample = leader_improvement_sample(_perturbed_pin())
-    assert sample["baseline_payoff"] == 9294.720652394866
-    assert sample["max_improvement"] == -5.228132491107752e-05
+    assert sample["baseline_payoff"] == 9294.720652394844
+    assert sample["max_improvement"] == -5.228132490775072e-05
     assert sample["improving_samples"] == 0
 
 
@@ -562,8 +566,8 @@ def test_leader_sample_with_a_zero_subsidy_denominator():
     # these numbers pin the code, not the integral, and every step size
     # tried fails LEADER_TOLERANCE
     sample = leader_improvement_sample(_zero_denominator_pin())
-    assert sample["baseline_payoff"] == 9415.970148191613
-    assert sample["max_improvement"] == 0.4360919554610117
+    assert sample["baseline_payoff"] == 9415.970148191605
+    assert sample["max_improvement"] == 0.43609195546101454
     assert sample["improving_samples"] == 56
 
 
@@ -612,8 +616,7 @@ def _stepped_leader_sample(solution) -> tuple:
         path = simulate._rk4(drift, np.full(g1.size, params.H0), h, steps)
         rates = payoff_rates(GameMode.STACKELBERG, path, *stage(path),
                              params).net_r
-    weights = discount_weights(np.arange(steps + 1) * h, params.rho)
-    payoff = (rates * weights[:, None]).sum(axis=0)
+    payoff = _discounted_total(rates, np.arange(steps + 1) * h, params.rho)
     gains = (payoff[1:] - payoff[0]) / max(abs(payoff[0]), 1e-12)
     return payoff[0], np.max(gains), int(np.sum(gains > 0.0))
 

@@ -15,7 +15,7 @@ from carbongame import (
     total_value_at,
     value_at,
 )
-from carbongame.profits import discount_weights
+from carbongame.profits import _discounted_total, discounted_running
 
 def test_component_worked_example():
     b = payoff_rates("gd", 1.0, 1.0, 1.0, None, ModelParams())
@@ -77,17 +77,21 @@ def test_discounted_quadrature_matches_the_analytic_values(mode):
 @pytest.mark.parametrize("intervals", [2, 3, 4, 5, 6, 7, 4000])
 def test_discount_weights_integrate_a_discounted_cubic_exactly(intervals):
     # rate = cubic(t) * exp(rho*t) makes the discounted integrand the cubic,
-    # which Simpson's 1/3 and 3/8 rules integrate exactly; the frozen-state
-    # tail adds exp(-rho*T) * rate(T) / rho = cubic(T) / rho
+    # which Simpson's 1/3 and 3/8 rules integrate exactly at every prefix
+    # from the second interval on (the 3/8 panel of the third reads entry 0);
+    # the frozen-state tail adds exp(-rho*T) * rate(T) / rho = cubic(T) / rho
     rho, T = 0.7, 40.0
     coeffs = np.array([3.1, -0.8, 0.27, -0.0043])  # c0 + c1*t + c2*t^2 + c3*t^3
     t = np.arange(intervals + 1) * (T / intervals)
     cubic = np.polynomial.polynomial.polyval(t, coeffs)
     rate = cubic * np.exp(rho * t)
-    integral = sum(c * T ** (k + 1) / (k + 1) for k, c in enumerate(coeffs))
-    expected = integral + cubic[-1] / rho
-    assert float(np.sum(discount_weights(t, rho) * rate)) == pytest.approx(
-        expected, rel=1e-13)
+    integral = np.polynomial.polynomial.polyval(
+        t, np.polynomial.polynomial.polyint(coeffs))
+    running = discounted_running(rate, t, rho)
+    assert running[0] == 0.0
+    np.testing.assert_allclose(running[2:], integral[2:], rtol=1e-13, atol=0)
+    assert float(_discounted_total(rate, t, rho)) == pytest.approx(
+        integral[-1] + cubic[-1] / rho, rel=1e-13)
 
 
 def test_one_interval_takes_the_trapezoid():
@@ -95,17 +99,18 @@ def test_one_interval_takes_the_trapezoid():
     rate = np.array([2.0, 5.0])
     discount = np.exp(-0.7 * t)
     step = t[1] - t[0]
-    expected = 0.5 * step * (discount[0] * rate[0] + discount[1] * rate[1]) + (
-        discount[1] * rate[1] / 0.7)
-    assert float(np.sum(discount_weights(t, 0.7) * rate)) == pytest.approx(
-        expected, rel=1e-15)
+    trapezoid = 0.5 * step * (discount[0] * rate[0] + discount[1] * rate[1])
+    assert discounted_running(rate, t, 0.7)[1] == pytest.approx(
+        trapezoid, rel=1e-15)
+    assert float(_discounted_total(rate, t, 0.7)) == pytest.approx(
+        trapezoid + discount[1] * rate[1] / 0.7, rel=1e-15)
 
 
 def test_discount_weights_refuse_a_non_uniform_grid():
     rng = np.random.default_rng(3)
     t = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 0.2, 300))))
     with pytest.raises(ValueError, match="needs a uniform grid"):
-        discount_weights(t, 0.7)
+        discounted_running(np.ones_like(t), t, 0.7)
 
 
 def test_discounted_profit_converges_at_fourth_order():

@@ -16,6 +16,7 @@ from carbongame import (
     SolverConfig,
     SolverError,
     TRAJECTORY_COLUMNS,
+    discounted_profit,
     exact_trajectory,
     integrate_trajectory,
     solve,
@@ -152,9 +153,11 @@ def test_series_are_consistent_with_the_policies():
     assert traj.D == pytest.approx(160.0 * traj.H)
     assert traj.F == pytest.approx((1.0 + 0.4 * traj.E_f) * 300.0 * traj.H)
     assert traj.disc_cum_f[0] == 0.0
-    weight = np.exp(-params.rho * traj.t)
-    assert traj.disc_cum_f[-1] == pytest.approx(
-        np.trapezoid(weight * traj.payoff_f, traj.t))
+    # 20 intervals: composite Simpson, weights h/3 * (1, 4, 2, ..., 2, 4, 1)
+    simpson = np.ones(21)
+    simpson[1:-1:2], simpson[2:-1:2] = 4.0, 2.0
+    weight = 0.1 / 3.0 * simpson * np.exp(-params.rho * traj.t)
+    assert traj.disc_cum_f[-1] == pytest.approx(np.sum(weight * traj.payoff_f))
 
 
 def test_subsidy_series_is_nan_outside_stackelberg():
@@ -393,7 +396,10 @@ def test_bisection_equals_scipy_bisect_bit_for_bit():
 
 @pytest.mark.parametrize("sink", [True, False], ids=["sink", "no-sink"])
 @pytest.mark.parametrize("integrator", [INTEGRATOR_EXACT, INTEGRATOR_RK4])
-def test_discounted_payoffs_equal_scipy_cumulative_trapezoid(integrator, sink):
+def test_discounted_payoffs_match_scipy_simpson(integrator, sink):
+    # an even prefix of the running payoff is composite Simpson over it, to
+    # rounding on the scale of the integrated magnitude (the gs retailer's
+    # rate changes sign early, so its running payoff passes near 0)
     integrate = pytest.importorskip("scipy.integrate")
     params = ModelParams() if sink else ModelParams().without_sink_trading()
     cfg = SimConfig(integrator=integrator)
@@ -403,6 +409,24 @@ def test_discounted_payoffs_equal_scipy_cumulative_trapezoid(integrator, sink):
         weight = np.exp(-params.rho * traj.t)
         for cum, rate in ((traj.disc_cum_f, traj.payoff_f),
                           (traj.disc_cum_r, traj.payoff_r)):
-            expected = integrate.cumulative_trapezoid(weight * rate, traj.t,
-                                                      initial=0.0)
-            assert np.array_equal(cum, expected), mode
+            for k in (*range(2, 42, 2), *range(4000, 42, -100)):
+                f, x = weight[:k + 1] * rate[:k + 1], traj.t[:k + 1]
+                scale = integrate.simpson(np.abs(f), x=x)
+                assert (abs(cum[k] - integrate.simpson(f, x=x))
+                        <= 1e-14 * scale), (mode, k)
+
+
+@pytest.mark.parametrize("sink", [True, False], ids=["sink", "no-sink"])
+@pytest.mark.parametrize("integrator", [INTEGRATOR_EXACT, INTEGRATOR_RK4])
+def test_running_payoffs_end_at_the_discounted_profit(integrator, sink):
+    # a table's last running profit plus the frozen-state tail is the
+    # discounted profit, so the columns and the summary tell one story
+    params = ModelParams() if sink else ModelParams().without_sink_trading()
+    cfg = SimConfig(integrator=integrator)
+    for mode in GameMode:
+        traj = simulate(solve(mode, params), cfg, params)
+        tail = np.exp(-params.rho * traj.t[-1]) / params.rho
+        for role, cum, rate in (("farmer", traj.disc_cum_f, traj.payoff_f),
+                                ("retailer", traj.disc_cum_r, traj.payoff_r)):
+            assert cum[-1] + tail * rate[-1] == pytest.approx(
+                discounted_profit(traj, role, params), rel=1e-14), (mode, role)
