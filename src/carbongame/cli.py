@@ -19,6 +19,7 @@ from .experiments import (
     ConfigError,
     ScenarioConfig,
     _report,
+    _require_out,
     emit_results,
     load_config,
     run_compare,
@@ -59,8 +60,8 @@ def _build_config(args) -> ScenarioConfig:
                             else (GameMode.from_string(args.mode),))
     if args.no_sink_trading:
         updates["sink_trading"] = False
-    if args.out:
-        updates["out"] = args.out
+    if args.out is not None:
+        updates["out"] = _require_out(args.out)
     if args.backend:
         updates["solver"] = dataclasses.replace(config.solver,
                                                 backend=args.backend)

@@ -9,12 +9,22 @@ a config echo, and the only timestamp in any artifact.
 run_compare solves every cell in the calling process, then simulates and
 tabulates the solved cells, which is most of its time, one cell per task in
 a pool of forked worker processes: as many as the CPUs this process may use,
-at most one per cell. A fork inherits the imported modules and the formatted
+at most one per task. A fork inherits the imported modules and the formatted
 time column; a spawned worker would import numpy and the package again,
 which costs more than it saves. There is no setting for the pool. On one
 CPU, on a platform without fork, or while other threads run, the same
-per-cell function runs in the calling process. Either way the tables, the
+per-task function runs in the calling process. Either way the tables, the
 summary and the report are the same.
+
+run_verify uses the same pool for its grid certifications, nearly all of
+its time. It solves and plans every mode's check in the calling process,
+then runs each check's independent parts as one task each: the gd farmer
+and retailer replies, the gs follower reply and leader sample, the gc joint
+reply. They are submitted longest first (the leader sample, the joint reply,
+then the farmer, follower and retailer replies), so that the workers finish
+together, and each report is assembled in the calling process from its own
+parts in the order a serial check runs them. The pool opens and closes
+within the call.
 """
 
 from __future__ import annotations
@@ -96,6 +106,15 @@ def _require_number(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config field {name} must be a number, got {value!r}")
     return float(value)
+
+
+def _require_out(value) -> str:
+    """An output directory from a config or the --out flag; an empty path
+    would resolve to the working directory."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"config field out must be a non-empty string, "
+                          f"got {value!r}")
+    return value
 
 
 def _parse_modes(raw, where: str) -> tuple:
@@ -278,10 +297,7 @@ def load_config(path) -> ScenarioConfig:
                               f"got {doc['sink_trading']!r}")
         kwargs["sink_trading"] = doc["sink_trading"]
     if "out" in doc:
-        if not isinstance(doc["out"], str) or not doc["out"]:
-            raise ConfigError(f"config field out must be a non-empty "
-                              f"string, got {doc['out']!r}")
-        kwargs["out"] = doc["out"]
+        kwargs["out"] = _require_out(doc["out"])
     kwargs["sim"] = _parse_section(
         doc, "sim", SimConfig,
         {"T": float, "h": float, "integrator": str})
@@ -436,14 +452,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _table_pool(jobs: int):
+def _worker_pool(jobs: int):
     """A pool of min(usable CPUs, jobs) forked worker processes, or
     nullcontext() where that is one process, where the platform cannot fork,
     or where other threads run, which a forked child would not have."""
     workers = min(_usable_cpus(), jobs)
     if workers < 2 or threading.active_count() > 1:
         return nullcontext()
-    # imported here: together about 17 ms that no other command needs
+    # imported here: together about 17 ms that solve and sweep never need
     import multiprocessing
     if "fork" not in multiprocessing.get_all_start_methods():
         return nullcontext()
@@ -460,7 +476,7 @@ def run_compare(config: ScenarioConfig) -> dict:
     successful cell, and the run report. Solver and simulation failures are
     recorded in the cell's status and the run continues. Every cell is solved
     here; the solved cells' simulations and tables, most of the run's time,
-    are spread over forked worker processes (see _table_pool).
+    are spread over forked worker processes (see _worker_pool).
     """
     base = config.effective_params
     tasks = []
@@ -482,7 +498,7 @@ def run_compare(config: ScenarioConfig) -> dict:
     # every table has the same time column: format it before any fork, so
     # each worker finds it in the cache
     _formatted_column(config.sim.times().tobytes())
-    with _table_pool(len(jobs)) as pool:
+    with _worker_pool(len(jobs)) as pool:
         tables = iter(list((map if pool is None else pool.map)(
             _cell_table, [s for s, _ in jobs], repeat(config.sim),
             [p for _, p in jobs])))
@@ -589,6 +605,44 @@ def run_sweep(spec: Optional[SweepSpec], config: ScenarioConfig) -> dict:
     return {"sweep.csv": _csv_table(header, rows), "run_report.json": report}
 
 
+def _certify(solutions: dict) -> dict:
+    """Each solution's equilibrium_check report, or the OracleError or
+    ValueError that stopped it, keyed as solutions.
+
+    Every check is planned here, so a failed precondition costs no grid
+    reply. The planned parts of all checks then run as one task each, the
+    longest first (oracle._PART_ORDER), on a pool of forked worker
+    processes (see _worker_pool), and each report is assembled here from
+    its own parts' results in plan order.
+    """
+    outcomes, tasks = {}, []
+    for mode, solution in solutions.items():
+        try:
+            outcomes[mode] = oracle._certification_plan(solution)
+        except (oracle.OracleError, ValueError) as exc:
+            outcomes[mode] = exc
+            continue
+        tasks += [(mode, index, part)
+                  for index, part in enumerate(outcomes[mode][1])]
+    tasks.sort(key=lambda task: oracle._PART_ORDER.index(task[2][0]))
+    with _worker_pool(len(tasks)) as pool:
+        values = (map if pool is None else pool.map)(
+            oracle._run_part, [part for _, _, part in tasks])
+        done = {(mode, index): value
+                for (mode, index, _), value in zip(tasks, values)}
+    for mode, outcome in outcomes.items():
+        if isinstance(outcome, Exception):
+            continue
+        window, parts = outcome
+        try:
+            outcomes[mode] = oracle._certification_report(
+                solutions[mode], window, parts,
+                [done[mode, index] for index in range(len(parts))])
+        except (oracle.OracleError, ValueError) as exc:
+            outcomes[mode] = exc
+    return outcomes
+
+
 def run_verify(config: ScenarioConfig) -> dict:
     """Aggregate residual scans, value-consistency deltas, certification
     reports, and steady-state orderings into one pass/fail report."""
@@ -600,6 +654,7 @@ def run_verify(config: ScenarioConfig) -> dict:
         except (SolverError, ParameterError, ValueError) as exc:
             checks.append({"name": f"solve-{mode.value}", "passed": False,
                            "note": str(exc)})
+    certifications = _certify(solutions)
     for mode, solution in solutions.items():
         scan = residual_scan(solution, params)
         checks.append({
@@ -623,16 +678,16 @@ def run_verify(config: ScenarioConfig) -> dict:
         except (profits.HorizonError, SimulationError, ValueError) as exc:
             checks.append({"name": f"value-consistency-{mode.value}",
                            "passed": False, "note": str(exc)})
-        try:
-            certification = oracle.equilibrium_check(solution)
+        certification = certifications[mode]
+        if isinstance(certification, Exception):
+            checks.append({"name": f"equilibrium-certification-{mode.value}",
+                           "passed": False, "note": str(certification)})
+        else:
             checks.append({
                 "name": f"equilibrium-certification-{mode.value}",
                 "passed": bool(certification.passed),
                 "details": certification.to_dict(),
             })
-        except (oracle.OracleError, ValueError) as exc:
-            checks.append({"name": f"equilibrium-certification-{mode.value}",
-                           "passed": False, "note": str(exc)})
         if mode is GameMode.STACKELBERG:
             x_ss = float(solution.subsidy(solution.H_d))
             flags = [f for f in solution.diagnostics.flags

@@ -105,6 +105,16 @@ pass tolerances, the default grid's spans and the leader sampler's sample
 count, seed, spread and simulation grid are module constants, not
 arguments; only the grid can be passed in.
 
+A check is planned, run and assembled in three steps. The plan checks every
+precondition (an attracting steady state, the grid, the comparison window)
+and lists the check's independent parts: gd's farmer and retailer replies,
+gs's follower reply and leader sample, gc's joint reply. Each part runs on
+its own and returns its result or its error, and the report is assembled
+from the results in that order, so a failed check raises the error a serial
+run meets first. equilibrium_check runs the parts one after another;
+``experiments.run_verify`` runs every mode's parts on a pool of worker
+processes, longest first (``_PART_ORDER``).
+
 Policy evaluation solves the banded system (I - gamma*P) v = r by Gaussian
 elimination without pivoting. Each row's diagonal exceeds the sum of its
 off-diagonal magnitudes by 1 - gamma, and on such strictly diagonally
@@ -698,8 +708,9 @@ class CertificationReport:
                 "window": list(self.window)}
 
 
-def _window_gaps(br: BestResponse, solution: GameSolution, window_mask,
+def _window_gaps(br: BestResponse, solution: GameSolution, window: tuple,
                  value_role: str) -> tuple:
+    window_mask = (br.H >= window[0]) & (br.H <= window[1])
     policy_gaps = {}
     for role, chosen in br.actions.items():
         analytic = solution.policies[role].effort(br.H)
@@ -710,6 +721,99 @@ def _window_gaps(br: BestResponse, solution: GameSolution, window_mask,
     scale = max(float(np.max(np.abs(analytic_v[window_mask]))), 1e-12)
     value_gap = float(np.max(np.abs(br.value - analytic_v)[window_mask])) / scale
     return policy_gaps, {value_role: value_gap}
+
+
+# A certification's parts, longest first: their serial cost on the default
+# grid per verify scenario is about 40 ms for the leader sample, 20-27 ms for
+# the joint reply, 7-10 ms for a farmer or follower reply and 4 ms for the gd
+# retailer reply (2-vCPU VM, Python 3.11, numpy 2.4). Run on a pool in this
+# order, they balance the workers by Graham's longest-processing-time rule
+# (SIAM J. Appl. Math. 17(2), 1969).
+_PART_ORDER = ("leader sample", "joint control", "farmer reply",
+               "follower reply", "retailer reply")
+
+
+def _certification_plan(solution: GameSolution,
+                        grid: Optional[GridSpec] = None) -> tuple:
+    """equilibrium_check's preconditions, then its independent parts.
+
+    Returns (window, parts). Each part is a (label, args) pair for
+    _run_part, labelled as in _PART_ORDER, listed in the order a serial
+    check runs them: gd the farmer reply then the retailer reply, gs the
+    follower reply then the leader sample, gc the joint reply.
+    """
+    if not solution.alpha < 0:
+        raise OracleError(
+            f"certification needs an attracting steady state; "
+            f"alpha = {solution.alpha:.6g}")
+    if grid is None:
+        grid = default_grid(solution)
+    window = (0.5 * solution.H_d, 1.5 * solution.H_d)
+    if window[1] > grid.H_max:
+        raise OracleError(
+            f"grid H_max = {grid.H_max:.6g} does not cover the comparison "
+            f"window up to {window[1]:.6g}")
+    params, mode, policies = solution.params, solution.mode, solution.policies
+    if mode is GameMode.DECENTRALIZED:
+        parts = [(f"{role} reply", (params, mode, role, policies[other], grid,
+                                    policies[role]))
+                 for role, other in (("farmer", "retailer"),
+                                     ("retailer", "farmer"))]
+    elif mode is GameMode.STACKELBERG:
+        parts = [("follower reply", (params, mode, "farmer",
+                                     policies["retailer"], grid,
+                                     policies["farmer"])),
+                 ("leader sample", (solution,))]
+    else:
+        parts = [("joint control", (params, mode, "joint", None, grid,
+                                    policies))]
+    return window, parts
+
+
+def _run_part(part: tuple):
+    """One certification part's result: a BestResponse, or the leader
+    sample's mapping, or the OracleError or ValueError that stopped it,
+    returned as run_compare's cells return theirs. The functions are looked
+    up when the part runs, so a forked worker calls what its parent had
+    bound at the fork."""
+    label, args = part
+    try:
+        if label == "leader sample":
+            return leader_improvement_sample(*args)
+        return grid_best_response(*args)
+    except (OracleError, ValueError) as exc:
+        return exc
+
+
+def _certification_report(solution: GameSolution, window: tuple, parts,
+                          results) -> CertificationReport:
+    """The report from the plan's parts and their results, in plan order.
+    The first result that is an error is raised, so the error is the one a
+    serial check meets first; results may be a lazy iterator, which is then
+    not advanced past it."""
+    leader_sample = None
+    notes, policy_gaps, value_gaps = [], {}, {}
+    for (label, _), result in zip(parts, results):
+        if isinstance(result, Exception):
+            raise result
+        if label == "leader sample":
+            leader_sample = result
+            continue
+        pg, vg = _window_gaps(result, solution, window, result.role)
+        policy_gaps.update(pg)
+        value_gaps.update(vg)
+        notes.append(f"{label} converged in {result.sweeps} sweeps")
+    passed = (all(g <= POLICY_TOLERANCE for g in policy_gaps.values())
+              and all(g <= VALUE_TOLERANCE for g in value_gaps.values()))
+    if leader_sample is not None:
+        passed = passed and leader_sample["max_improvement"] <= LEADER_TOLERANCE
+    return CertificationReport(mode=solution.mode, window=window,
+                               policy_gaps=policy_gaps, value_gaps=value_gaps,
+                               policy_tolerance=POLICY_TOLERANCE,
+                               value_tolerance=VALUE_TOLERANCE,
+                               leader_sample=leader_sample,
+                               leader_tolerance=LEADER_TOLERANCE,
+                               passed=passed, notes=notes)
 
 
 def equilibrium_check(solution: GameSolution, *,
@@ -724,55 +828,12 @@ def equilibrium_check(solution: GameSolution, *,
     the announced rule plus a sampled leader perturbation, whose best gain
     is held to LEADER_TOLERANCE; centralized solutions check the joint
     controller.
+
+    The check is planned (every precondition, before any grid reply), its
+    independent parts run here one after another, and the report is
+    assembled from their results; experiments.run_verify runs the same
+    parts of every mode on a pool of worker processes instead.
     """
-    params = solution.params
-    if not solution.alpha < 0:
-        raise OracleError(
-            f"certification needs an attracting steady state; "
-            f"alpha = {solution.alpha:.6g}")
-    if grid is None:
-        grid = default_grid(solution)
-    H = grid.states()
-    window = (0.5 * solution.H_d, 1.5 * solution.H_d)
-    if window[1] > grid.H_max:
-        raise OracleError(
-            f"grid H_max = {grid.H_max:.6g} does not cover the comparison "
-            f"window up to {window[1]:.6g}")
-    mask = (H >= window[0]) & (H <= window[1])
-    leader_sample = None
-    mode = solution.mode
-    # (grid reply, the role whose value it is compared with, its note label)
-    if mode is GameMode.DECENTRALIZED:
-        replies = [(grid_best_response(params, mode, role,
-                                       solution.policies[other], grid,
-                                       seed_policy=solution.policies[role]),
-                    role, f"{role} reply")
-                   for role, other in (("farmer", "retailer"),
-                                       ("retailer", "farmer"))]
-    elif mode is GameMode.STACKELBERG:
-        replies = [(grid_best_response(params, mode, "farmer",
-                                       solution.policies["retailer"], grid,
-                                       seed_policy=solution.policies["farmer"]),
-                    "farmer", "follower reply")]
-        leader_sample = leader_improvement_sample(solution)
-    else:
-        replies = [(grid_best_response(params, mode, "joint", None, grid,
-                                       seed_policy=solution.policies),
-                    "joint", "joint control")]
-    notes, policy_gaps, value_gaps = [], {}, {}
-    for br, value_role, label in replies:
-        pg, vg = _window_gaps(br, solution, mask, value_role)
-        policy_gaps.update(pg)
-        value_gaps.update(vg)
-        notes.append(f"{label} converged in {br.sweeps} sweeps")
-    passed = (all(g <= POLICY_TOLERANCE for g in policy_gaps.values())
-              and all(g <= VALUE_TOLERANCE for g in value_gaps.values()))
-    if leader_sample is not None:
-        passed = passed and leader_sample["max_improvement"] <= LEADER_TOLERANCE
-    return CertificationReport(mode=mode, window=window,
-                               policy_gaps=policy_gaps, value_gaps=value_gaps,
-                               policy_tolerance=POLICY_TOLERANCE,
-                               value_tolerance=VALUE_TOLERANCE,
-                               leader_sample=leader_sample,
-                               leader_tolerance=LEADER_TOLERANCE,
-                               passed=passed, notes=notes)
+    window, parts = _certification_plan(solution, grid)
+    return _certification_report(solution, window, parts,
+                                 map(_run_part, parts))

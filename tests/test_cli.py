@@ -256,6 +256,26 @@ def test_empty_out_directory_is_a_config_error(capsys, tmp_path, monkeypatch,
     assert [p.name for p in tmp_path.iterdir()] == ["empty_out.json"]
 
 
+@pytest.mark.parametrize("config_out", [None, "from_config"])
+def test_empty_out_flag_is_a_config_error(capsys, tmp_path, monkeypatch,
+                                          config_out):
+    # an empty flag is refused, not read as no flag: it neither prints to
+    # standard output nor falls back to the config's directory
+    argv = ["compare", "--mode", "gd", *FAST, "--out", ""]
+    if config_out is not None:
+        path = tmp_path / "with_out.json"
+        path.write_text(json.dumps({"out": config_out}))
+        argv += ["--config", str(path)]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: config field out must be a non-empty string, "
+                   "got ''\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("command", ["compare", "simulate", "verify"])
 def test_negative_initial_level_is_a_config_error(capsys, tmp_path, command):
     path = tmp_path / "negative.json"

@@ -3,8 +3,10 @@
 import csv
 import io
 import json
+import multiprocessing
 import os
 import pickle
+import threading
 
 import pytest
 
@@ -29,7 +31,7 @@ from carbongame import (
     run_sweep,
     run_verify,
 )
-from carbongame import experiments
+from carbongame import experiments, oracle
 from carbongame.experiments import (
     RESPONSES,
     SUMMARY_COLUMNS,
@@ -317,6 +319,82 @@ def test_pooled_and_serial_compare_agree(monkeypatch, tmp_path, config):
         assert len(statuses) == 2
         assert all(s.startswith("error: fourth-order-fixed-step path is not "
                                 "finite from t = ") for s in statuses)
+
+
+def _verify_checks(monkeypatch, config, cpus) -> str:
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    checks = run_verify(config)["run_report.json"]["checks"]
+    return json.dumps(checks, sort_keys=True, default=_json_default)
+
+
+@pytest.mark.parametrize("config", [
+    ScenarioConfig(),
+    ScenarioConfig(sink_trading=False),
+    ScenarioConfig(modes="gs"),
+], ids=["all-modes", "no-sink", "gs-alone"])
+def test_pooled_and_serial_verify_agree(monkeypatch, tmp_path, config):
+    # the leader sample appends the id of the process it ran in; the forked
+    # workers inherit the patched module attribute
+    pids = tmp_path / "pids"
+    real = oracle.leader_improvement_sample
+
+    def spy(*args):
+        with open(pids, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "leader_improvement_sample", spy)
+    runs = {}
+    for cpus in (1, 2):
+        runs[cpus] = _verify_checks(monkeypatch, config, cpus)
+        ran_in, parent = pids.read_text().split(), str(os.getpid())
+        pids.unlink()
+        assert len(ran_in) == 1
+        assert (ran_in == [parent]) if cpus == 1 else (parent not in ran_in)
+        # the pool closes within the call: no worker or its manager is left
+        assert not multiprocessing.active_children()
+        assert threading.active_count() == 1
+    assert runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("failing, note", [
+    ({("gd", "retailer")}, "gd retailer"),
+    ({("gd", "farmer"), ("gd", "retailer")}, "gd farmer"),
+    ({("gs", "leader")}, "gs leader"),
+    ({("gs", "farmer"), ("gs", "leader")}, "gs farmer"),
+    ({("gc", "joint")}, "gc joint"),
+], ids=["gd-retailer", "gd-both", "gs-leader", "gs-both", "gc-joint"])
+def test_a_failing_part_gives_its_mode_the_serial_note(monkeypatch, failing,
+                                                       note):
+    # a mode's note is the error a serial check meets first, pooled or not,
+    # and the other modes still certify
+    real_reply = oracle.grid_best_response
+    real_sample = oracle.leader_improvement_sample
+
+    def reply(params, mode, role, *rest):
+        if (mode.value, role) in failing:
+            raise OracleError(f"{mode.value} {role}")
+        return real_reply(params, mode, role, *rest)
+
+    def sample(solution):
+        if ("gs", "leader") in failing:
+            raise OracleError("gs leader")
+        return real_sample(solution)
+
+    monkeypatch.setattr(oracle, "grid_best_response", reply)
+    monkeypatch.setattr(oracle, "leader_improvement_sample", sample)
+    runs = {cpus: _verify_checks(monkeypatch, ScenarioConfig(), cpus)
+            for cpus in (1, 2)}
+    assert runs[1] == runs[2]
+    certifications = {c["name"].rsplit("-", 1)[1]: c
+                      for c in json.loads(runs[2])
+                      if c["name"].startswith("equilibrium-certification-")}
+    mode = note.split()[0]
+    assert certifications.pop(mode) == {
+        "name": f"equilibrium-certification-{mode}", "passed": False,
+        "note": note}
+    assert len(certifications) == 2
+    assert all(c["passed"] for c in certifications.values())
 
 
 ERRORS = [SolverError("no candidates for the stable branch"),

@@ -677,6 +677,39 @@ def test_certification_arguments_are_checked_before_any_grid_reply(
         equilibrium_check(sol, ModelParams())
 
 
+@pytest.mark.parametrize("mode", ["gd", "gs", "gc"])
+def test_certification_preconditions_are_checked_before_any_part(
+        monkeypatch, mode):
+    # the plan checks alpha and the window before any grid reply or leader
+    # sample runs, wherever the parts would run
+    sol = solve(mode, ModelParams())
+
+    def no_part(*args, **kwargs):
+        raise AssertionError("a certification part ran before the checks")
+
+    monkeypatch.setattr(oracle, "grid_best_response", no_part)
+    monkeypatch.setattr(oracle, "leader_improvement_sample", no_part)
+    with pytest.raises(OracleError, match="attracting steady state"):
+        equilibrium_check(dataclasses.replace(sol, alpha=0.0))
+    small = GridSpec(H_max=sol.H_d, a_max_f=20.0, a_max_r=10.0)
+    with pytest.raises(OracleError, match="does not cover the comparison window"):
+        equilibrium_check(sol, grid=small)
+
+
+def test_a_failing_follower_reply_stops_the_check(monkeypatch, baseline_gs):
+    # in process the parts run in order, and the first error ends the check
+    def failing_reply(*args, **kwargs):
+        raise OracleError("follower reply failed")
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("the leader sample ran after a failed reply")
+
+    monkeypatch.setattr(oracle, "grid_best_response", failing_reply)
+    monkeypatch.setattr(oracle, "leader_improvement_sample", no_sample)
+    with pytest.raises(OracleError, match="follower reply failed"):
+        equilibrium_check(baseline_gs)
+
+
 def _certification_systems(monkeypatch, sol, grid):
     """The (n, j, w, reward, gamma) policy-evaluation systems that
     certifying sol on grid solves; the leader sampler solves none."""
