@@ -105,7 +105,11 @@ class ConfigError(ValueError):
 def _require_number(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config field {name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond float64's range
+        raise ConfigError(f"config field {name} must be a finite number, got "
+                          f"an integer of {len(str(abs(value)))} digits") from None
 
 
 def _require_out(value) -> str:
@@ -151,7 +155,10 @@ class SweepSpec:
             raise ConfigError(
                 f"sweep parameter {self.parameter!r} is not a model parameter; "
                 f"expected one of {', '.join(ModelParams.field_names())}")
-        values = tuple(float(v) for v in self.values)
+        try:
+            values = tuple(float(v) for v in self.values)
+        except OverflowError as exc:
+            raise ConfigError(f"sweep values must be finite numbers: {exc}") from None
         if not values:
             raise ConfigError("sweep values must be a non-empty list")
         for v in values:
@@ -238,17 +245,19 @@ def _parse_sweep_section(section) -> SweepSpec:
     return SweepSpec(**kwargs)
 
 
-def _parse_section(doc: dict, name: str, cls, field_kinds: dict):
+def _parse_section(doc: dict, name: str, cls):
+    """cls built from the doc's name section. Its keys are cls's fields, and
+    a field takes a number where its default is a float, else a string."""
     section = doc.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"{name} section must be an object, got {section!r}")
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in section.items():
-        if key not in field_kinds:
+        if key not in kinds:
             raise ConfigError(f"unknown {name} key {key!r}; expected a subset "
-                              f"of {', '.join(sorted(field_kinds))}")
-        kind = field_kinds[key]
-        if kind is float:
+                              f"of {', '.join(sorted(kinds))}")
+        if kinds[key] is float:
             kwargs[key] = _require_number(f"{name}.{key}", value)
         else:
             if not isinstance(value, str):
@@ -271,7 +280,7 @@ def load_config(path) -> ScenarioConfig:
     text = Path(path).read_text()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object, got "
@@ -298,13 +307,8 @@ def load_config(path) -> ScenarioConfig:
         kwargs["sink_trading"] = doc["sink_trading"]
     if "out" in doc:
         kwargs["out"] = _require_out(doc["out"])
-    kwargs["sim"] = _parse_section(
-        doc, "sim", SimConfig,
-        {"T": float, "h": float, "integrator": str})
-    kwargs["solver"] = _parse_section(
-        doc, "solver", SolverConfig,
-        {"backend": str, "tolerance": float, "hjb_tolerance": float,
-         "follower_convention": str})
+    kwargs["sim"] = _parse_section(doc, "sim", SimConfig)
+    kwargs["solver"] = _parse_section(doc, "solver", SolverConfig)
     if "sweep" in doc:
         kwargs["sweep"] = _parse_sweep_section(doc["sweep"])
     return ScenarioConfig(**kwargs)
@@ -352,24 +356,10 @@ def _report(command: str, config: ScenarioConfig, **body) -> dict:
 
 
 def _config_echo(config: ScenarioConfig) -> dict:
-    echo = {
-        "params": dataclasses.asdict(config.params),
-        "modes": [m.value for m in config.modes],
-        "sink_trading": config.sink_trading,
-        "sim": dataclasses.asdict(config.sim),
-        "solver": dataclasses.asdict(config.solver),
-        "sweep": None,
-        "out": config.out,
-    }
-    if config.sweep is not None:
-        echo["sweep"] = {
-            "parameter": config.sweep.parameter,
-            "values": list(config.sweep.values),
-            "responses": list(config.sweep.responses),
-            "modes": None if config.sweep.modes is None
-            else [m.value for m in config.sweep.modes],
-        }
-    return echo
+    """The scenario as plain JSON data, every field of ScenarioConfig and its
+    parts by name: tuples become lists and modes their values."""
+    return json.loads(json.dumps(dataclasses.asdict(config),
+                                 default=_json_default))
 
 
 def _solution_metrics(solution: GameSolution) -> dict:

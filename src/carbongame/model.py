@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -131,8 +131,9 @@ _NONNEGATIVE = ("p_f", "p_r", "p", "p_c", "Q0", "D0", "H0")
 def validate_params(raw: ModelParams) -> ModelParams:
     """Return ``raw`` unchanged iff every parameter constraint holds.
 
-    A parameter is a finite Python int or float, which is how ModelParams
-    stores numpy integer and floating scalars; a bool is not a number here.
+    A parameter is a Python int or float within float64's finite range,
+    which is how ModelParams stores numpy integer and floating scalars; a
+    bool is not a number here.
 
     Raises
     ------
@@ -144,17 +145,14 @@ def validate_params(raw: ModelParams) -> ModelParams:
     for names, strict in ((_POSITIVE, True), (_NONNEGATIVE, False)):
         for name in names:
             value = getattr(raw, name)
-            if type(value) not in (int, float) or not math.isfinite(value):
+            # compared, not math.isfinite: that overflows on a huge int
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
                 problems.append(f"{name} must be a finite number, got {value!r}")
             elif value <= 0 if strict else value < 0:
                 problems.append(f"{name} {'>' if strict else '>='} 0 violated (got {value})")
-    if not problems:
-        if raw.Q0 + raw.a * raw.p < 0:
-            problems.append(
-                f"Q0 + a*p = {raw.Q0 + raw.a * raw.p} < 0 (negative supply multiplier)")
-        if raw.D0 - raw.b * raw.p < 0:
-            problems.append(
-                f"D0 - b*p = {raw.D0 - raw.b * raw.p} < 0 (negative demand multiplier, k2 < 0)")
+    if not problems and raw.D0 - raw.b * raw.p < 0:
+        problems.append(
+            f"D0 - b*p = {raw.D0 - raw.b * raw.p} < 0 (negative demand multiplier, k2 < 0)")
     if problems:
         raise ParameterError("; ".join(problems))
     return raw
@@ -227,7 +225,6 @@ class QuadraticValue:
     A: float
     B: float
     C: float
-    role: str = "farmer"
 
     def value(self, H):
         return (self.A * H + self.B) * H + self.C

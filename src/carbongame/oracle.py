@@ -243,15 +243,14 @@ def default_grid(solution: GameSolution, **overrides) -> GridSpec:
 
 @dataclass(frozen=True)
 class BestResponse:
-    """Grid-optimal reply of one role (or the joint controller).
+    """Grid-optimal reply of one role, or "joint" for the joint controller.
 
-    actions maps role name to the chosen effort per grid state; single-role
-    problems carry one key, the joint problem carries both.
+    value is the reply's value at each grid state H; actions maps role name
+    to the chosen effort per state, one key for a single role and both for
+    the joint controller; sweeps counts the policy-iteration sweeps.
     """
 
-    mode: GameMode
     role: str
-    grid: GridSpec
     H: np.ndarray
     value: np.ndarray
     actions: dict
@@ -502,7 +501,7 @@ def _single_role_response(params: ModelParams, mode: GameMode, role: str,
     value, _, policy, sweeps = _howard(
         H, gamma, grid.max_sweeps, base, shift, np.zeros((n, 1)),
         rate * ((1.0 - gamma) / params.rho), np.zeros(n, dtype=np.int64), seed)
-    return BestResponse(mode=mode, role=role, grid=grid, H=H, value=value,
+    return BestResponse(role=role, H=H, value=value,
                         actions={role: actions[policy]}, sweeps=sweeps)
 
 
@@ -527,8 +526,7 @@ def _joint_response(params: ModelParams, grid: GridSpec,
     value, pol_f, pol_r, sweeps = _howard(
         H, gamma, grid.max_sweeps, base, shift, rates.net_f * step,
         rates.net_r * step, pol_f, pol_r)
-    return BestResponse(mode=GameMode.CENTRALIZED, role="joint", grid=grid,
-                        H=H, value=value,
+    return BestResponse(role="joint", H=H, value=value,
                         actions={"farmer": af[pol_f], "retailer": ar[pol_r]},
                         sweeps=sweeps)
 

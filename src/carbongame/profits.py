@@ -55,7 +55,6 @@ class PayoffBreakdown:
     still balances there.
     """
 
-    mode: GameMode
     margin_f: np.ndarray
     sink_f: np.ndarray
     cost_f: np.ndarray
@@ -100,7 +99,7 @@ def payoff_rates(mode, H, E_f, E_r, x_f, params: ModelParams) -> PayoffBreakdown
         subsidy = np.zeros_like(cost_f)
     net_f = margin_f + sink_f - cost_f + subsidy
     net_r = margin_r - cost_r - subsidy
-    return PayoffBreakdown(mode=mode, margin_f=margin_f, sink_f=sink_f,
+    return PayoffBreakdown(margin_f=margin_f, sink_f=sink_f,
                            cost_f=cost_f, margin_r=margin_r, cost_r=cost_r,
                            subsidy=subsidy, net_f=net_f, net_r=net_r)
 

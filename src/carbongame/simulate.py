@@ -263,14 +263,11 @@ def trajectory_table(trajectory: Trajectory) -> str:
     the Stackelberg mode; flag is 0/1. The time column, the same in every
     table of a run, is formatted once and reused while its bytes match.
     """
-    x_f = trajectory.x_f if trajectory.mode is GameMode.STACKELBERG else None
+    gs = trajectory.mode is GameMode.STACKELBERG
     t = _formatted_column(np.asarray(trajectory.t, dtype=float).tobytes())
-    cols = [[""] * len(trajectory) if col is None
-            else list(map(repr, np.asarray(col, dtype=float).tolist()))
-            for col in (trajectory.H, trajectory.E_f,
-                        trajectory.E_r, x_f, trajectory.Q, trajectory.D,
-                        trajectory.F, trajectory.payoff_f, trajectory.payoff_r,
-                        trajectory.disc_cum_f, trajectory.disc_cum_r)]
+    cols = [list(map(repr, np.asarray(getattr(trajectory, name), dtype=float).tolist()))
+            if gs or name != "x_f" else [""] * len(trajectory)
+            for name in TRAJECTORY_COLUMNS[1:-1]]
     flags = np.where(trajectory.flag, "1", "0").tolist()
     rows = map(",".join, zip(t, *cols, flags))
     return "\n".join([",".join(TRAJECTORY_COLUMNS), *rows]) + "\n"

@@ -82,6 +82,8 @@ CONVENTION_PRINTED = "paper-printed"
 
 # states of the stationarity-equation residual scan, evenly over [0, 2*H_d]
 SCAN_STATES = 100
+# states on which a solution's warning flags are checked, over [0, 2*H_d]
+FLAG_STATES = 81
 
 _BACKEND_ALIASES = {"residual": BACKEND_RESIDUAL,
                     "paper": BACKEND_CLOSED_FORM,
@@ -863,7 +865,7 @@ def _solutions(cells, mode: GameMode, values, policies, alpha, beta, H_d,
     roles = _UNKNOWNS[mode][1]
     return [GameSolution(
         mode=mode, params=params,
-        values={role: QuadraticValue(*v, role=role) for role, v in zip(roles, V)},
+        values={role: QuadraticValue(*v) for role, v in zip(roles, V)},
         policies={"farmer": FeedbackPolicy(*f), "retailer": FeedbackPolicy(*r)},
         alpha=a, beta=b, H_d=h, diagnostics=diag)
         for params, V, f, r, (a, b, h), diag in zip(
@@ -912,11 +914,11 @@ def _diagnostics(cfg: SolverConfig, candidates, discs, worst_balance: float,
     return diag
 
 
-def _flags(policies, beta, H_d, n: int = 81) -> list:
+def _flags(policies, beta, H_d) -> list:
     """Per cell, the warnings a solution carries without failing: x_f
-    leaving [0, 1) (gs), beta < 0, and negative efforts, on n states in
-    [0, 2*H_d]."""
-    grid, hi = _states(H_d, n)
+    leaving [0, 1) (gs), beta < 0, and negative efforts, on FLAG_STATES
+    states in [0, 2*H_d]."""
+    grid, hi = _states(H_d, FLAG_STATES)
     his = hi.tolist()
     flags = [[] for _ in his]
     (f1, f0), (r1, r0), subsidy = policies
@@ -927,7 +929,7 @@ def _flags(policies, beta, H_d, n: int = 81) -> list:
         x = _subsidy_ratio(subsidy, grid)
         bad = ~((x >= 0.0) & (x < 1.0))
         first = grid[np.argmax(bad, axis=0), np.arange(len(his))].tolist()
-        last = grid[n - 1 - np.argmax(bad[::-1], axis=0), np.arange(len(his))].tolist()
+        last = grid[-1 - np.argmax(bad[::-1], axis=0), np.arange(len(his))].tolist()
         for i in np.flatnonzero(undefined | bad.any(axis=0)).tolist():
             flags[i].append(
                 "subsidy rule is 0/0 at every state (undefined subsidy)" if undefined[i]

@@ -326,6 +326,27 @@ def test_unbounded_sampling_grid_exits_one(capsys, grid):
     assert "Traceback" not in err
 
 
+def test_an_integer_beyond_float_range_exits_one(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"Q0": 1' + "0" * 400 + "}")
+    code, out, err = _run(capsys, ["solve", "--config", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == ("error: config field Q0 must be a finite number, got an "
+                   "integer of 401 digits\n")
+
+
+def test_solve_prints_each_flag_on_its_own_line(capsys, tmp_path):
+    # at p_c = 1 the leader's subsidy share leaves [0, 1) below 2*H_d
+    path = tmp_path / "pricey_sink.json"
+    path.write_text(json.dumps({"p_c": 1.0}))
+    code, out, _ = _run(capsys, ["solve", "--mode", "gs", "--config", str(path)])
+    assert code == 0
+    flags = [line for line in out.splitlines() if line.startswith("flag: ")]
+    assert flags == ["flag: x_f outside [0, 1) on part of [0, 25.13] "
+                     "(first at H = 12.57, last at H = 25.13)"]
+
+
 def test_diverging_rk4_step_exits_one(capsys, tmp_path):
     path = tmp_path / "rk4.json"
     path.write_text(json.dumps({"sim": {"integrator": "fourth-order-fixed-step"}}))

@@ -1,6 +1,7 @@
 """Config parsing, comparison/sweep/verify runners, and artifact emission."""
 
 import csv
+import dataclasses
 import io
 import json
 import multiprocessing
@@ -42,6 +43,7 @@ from carbongame.experiments import (
 from reference_values import CASES
 
 QUICK_SIM = SimConfig(T=2.0, h=0.1)
+HUGE = 10 ** 400   # an integer beyond float64's range: float() overflows
 
 
 def _write(tmp_path, doc) -> str:
@@ -103,6 +105,29 @@ def test_full_config_round_trip(tmp_path):
     assert config.out == "results"
 
 
+def test_the_report_echoes_every_scenario_field_as_plain_json(tmp_path):
+    doc = {
+        "lambda_f": 450, "modes": ["gs", "gd"], "sink_trading": False,
+        "out": "results",
+        "sim": {"T": 20.0, "h": 0.02, "integrator": "fourth-order-fixed-step"},
+        "solver": {"backend": "paper", "tolerance": 1e-11, "hjb_tolerance": 1e-7,
+                   "follower_convention": "paper-printed"},
+        "sweep": {"parameter": "mu_f", "values": [1.0, 2], "responses": ["H_d"],
+                  "modes": "gc"},
+    }
+    echo = experiments._report("sweep", load_config(_write(tmp_path, doc)))["config"]
+    assert echo == {
+        "params": {**dataclasses.asdict(ModelParams()), "lambda_f": 450.0},
+        "modes": ["gs", "gd"], "sink_trading": False, "out": "results",
+        "sim": doc["sim"],
+        "solver": {**doc["solver"], "backend": "paper-closed-form"},
+        "sweep": {"parameter": "mu_f", "values": [1.0, 2.0],
+                  "responses": ["H_d"], "modes": ["gc"]},
+    }
+    assert json.loads(json.dumps(echo)) == echo
+    assert experiments._config_echo(ScenarioConfig())["sweep"] is None
+
+
 def test_config_errors_name_the_field(tmp_path):
     with pytest.raises(ConfigError, match="unknown config key 'lambda_x'"):
         load_config(_write(tmp_path, {"lambda_x": 1.0}))
@@ -161,6 +186,71 @@ def test_sweep_section_validation(tmp_path):
         SweepSpec(parameter="mu_f", values=(1.0,), responses=("alpha",))
     with pytest.raises(ConfigError, match="sweep values must be a non-empty list"):
         SweepSpec(parameter="mu_f", values=())
+    with pytest.raises(ConfigError, match="sweep values must be finite numbers"):
+        SweepSpec(parameter="mu_f", values=(1.0, HUGE))
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"sweep": {"parameter": "p_c", "values": [Infinity]}}',
+     "sweep value inf is not finite"),
+    ('{"sweep": {"parameter": "p_c", "values": [0.5], "responses": []}}',
+     "sweep responses must be non-empty"),
+    ('{"sweep": [0.5]}', "sweep section must be an object, got [0.5]"),
+    ('{"sweep": {"parameter": "p_c", "values": 0.5}}',
+     "sweep values must be a list, got 0.5"),
+    ('{"sweep": {"parameter": "p_c", "values": [0.5], "responses": "H_d"}}',
+     "sweep responses must be a list, got 'H_d'"),
+    ('{"sim": 2}', "sim section must be an object, got 2"),
+    ('{"solver": {"backend": 1}}',
+     "config field solver.backend must be a string, got 1"),
+    ('[]', "config {path} must be a JSON object, got list"),
+], ids=["infinite-sweep-value", "no-responses", "sweep-not-object",
+        "values-not-list", "responses-not-list", "sim-not-object",
+        "backend-not-string", "document-not-object"])
+def test_config_error_messages(tmp_path, text, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == message.format(path=path)
+
+
+def test_every_section_field_refuses_a_value_of_the_wrong_kind(tmp_path):
+    kinds = {"sim": {"T": "number", "h": "number", "integrator": "string"},
+             "solver": {"backend": "string", "tolerance": "number",
+                        "hjb_tolerance": "number",
+                        "follower_convention": "string"}}
+    for section, cls in (("sim", SimConfig), ("solver", SolverConfig)):
+        assert list(kinds[section]) == [f.name for f in dataclasses.fields(cls)]
+        for key, kind in kinds[section].items():
+            wrong = "0.5" if kind == "number" else 0.5
+            with pytest.raises(ConfigError) as err:
+                load_config(_write(tmp_path, {section: {key: wrong}}))
+            assert str(err.value) == (f"config field {section}.{key} must be "
+                                      f"a {kind}, got {wrong!r}")
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"Q0": HUGE}, "Q0"),
+    ({"sim": {"T": HUGE}}, "sim.T"),
+    ({"solver": {"tolerance": HUGE}}, "solver.tolerance"),
+    ({"sweep": {"parameter": "p_c", "values": [0.5, HUGE]}}, "sweep values"),
+    ({"sweep": {"parameter": "p_c", "min": 0.0, "max": HUGE, "count": 2}},
+     "sweep max"),
+], ids=["param", "sim", "solver", "sweep-values", "sweep-range"])
+def test_an_integer_beyond_float_range_is_a_config_error(tmp_path, doc, field):
+    with pytest.raises(ConfigError) as err:
+        load_config(_write(tmp_path, doc))
+    assert str(err.value) == (f"config field {field} must be a finite number, "
+                              f"got an integer of 401 digits")
+
+
+def test_an_integer_past_the_digit_limit_is_a_config_error(tmp_path):
+    # Python refuses to read an int of more than 4,300 digits from text
+    path = tmp_path / "scenario.json"
+    path.write_text('{"Q0": 1' + "0" * 5000 + "}")
+    with pytest.raises(ConfigError, match="config field Q0|is not valid JSON"):
+        load_config(path)
 
 
 def test_scenario_config_validation():
@@ -281,6 +371,18 @@ def test_compare_records_a_diverging_rk4_step_as_the_cell_error():
 
 RK4 = SimConfig(integrator="fourth-order-fixed-step")
 
+# (usable CPUs, whether the platform can fork): only two CPUs that can fork
+# give a pool; one CPU, or a platform without fork, runs in this process
+PROCESS_SETUPS = ((1, True), (2, True), (2, False))
+POOLED = (2, True)
+_START_METHODS = multiprocessing.get_all_start_methods
+
+
+def _set_processes(monkeypatch, cpus, forks):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        _START_METHODS if forks else lambda: ["spawn"])
+
 
 @pytest.mark.parametrize("config", [
     ScenarioConfig(),
@@ -301,19 +403,20 @@ def test_pooled_and_serial_compare_agree(monkeypatch, tmp_path, config):
 
     monkeypatch.setattr(experiments, "simulate", spy)
     runs = {}
-    for cpus in (1, 2):
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
-        runs[cpus] = run_compare(config)
+    for cpus, forks in PROCESS_SETUPS:
+        _set_processes(monkeypatch, cpus, forks)
+        runs[cpus, forks] = run_compare(config)
         ran_in, parent = set(pids.read_text().split()), str(os.getpid())
         pids.unlink()
-        assert (ran_in == {parent}) if cpus == 1 else (parent not in ran_in)
-    serial, pooled = runs[1], runs[2]
-    assert serial.keys() == pooled.keys()
-    for name, content in serial.items():
-        if name == "run_report.json":
-            assert _report_text(pooled[name]) == _report_text(content)
-        else:
-            assert pooled[name] == content
+        assert (parent not in ran_in) if (cpus, forks) == POOLED else (ran_in == {parent})
+    pooled = runs.pop(POOLED)
+    for serial in runs.values():
+        assert serial.keys() == pooled.keys()
+        for name, content in serial.items():
+            if name == "run_report.json":
+                assert _report_text(pooled[name]) == _report_text(content)
+            else:
+                assert pooled[name] == content
     if config.sim is DIVERGING_RK4:
         statuses = [c["status"] for c in pooled["run_report.json"]["cells"]]
         assert len(statuses) == 2
@@ -321,8 +424,8 @@ def test_pooled_and_serial_compare_agree(monkeypatch, tmp_path, config):
                                 "finite from t = ") for s in statuses)
 
 
-def _verify_checks(monkeypatch, config, cpus) -> str:
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+def _verify_checks(monkeypatch, config, cpus, forks=True) -> str:
+    _set_processes(monkeypatch, cpus, forks)
     checks = run_verify(config)["run_report.json"]["checks"]
     return json.dumps(checks, sort_keys=True, default=_json_default)
 
@@ -345,16 +448,16 @@ def test_pooled_and_serial_verify_agree(monkeypatch, tmp_path, config):
 
     monkeypatch.setattr(oracle, "leader_improvement_sample", spy)
     runs = {}
-    for cpus in (1, 2):
-        runs[cpus] = _verify_checks(monkeypatch, config, cpus)
+    for cpus, forks in PROCESS_SETUPS:
+        runs[cpus, forks] = _verify_checks(monkeypatch, config, cpus, forks)
         ran_in, parent = pids.read_text().split(), str(os.getpid())
         pids.unlink()
         assert len(ran_in) == 1
-        assert (ran_in == [parent]) if cpus == 1 else (parent not in ran_in)
+        assert (parent not in ran_in) if (cpus, forks) == POOLED else (ran_in == [parent])
         # the pool closes within the call: no worker or its manager is left
         assert not multiprocessing.active_children()
         assert threading.active_count() == 1
-    assert runs[1] == runs[2]
+    assert len(set(runs.values())) == 1
 
 
 @pytest.mark.parametrize("failing, note", [

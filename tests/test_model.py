@@ -48,6 +48,13 @@ def test_nonfinite_parameter_is_rejected():
         validate_params(ModelParams(mu_f=float("nan")))
 
 
+@pytest.mark.parametrize("mode", ["gd", "gs", "gc"])
+def test_an_integer_beyond_float_range_is_not_a_finite_number(mode):
+    # math.isfinite raises OverflowError on such an int
+    with pytest.raises(ParameterError, match="rho must be a finite number, got 1000"):
+        solve(mode, ModelParams(rho=10 ** 400))
+
+
 @pytest.mark.parametrize("name, value, accepted", [
     ("lambda_f", True, False), ("p_c", False, False), ("H0", np.bool_(True), False),
     ("Q0", np.int64(300), True), ("lambda_f", np.float32(500.0), True),

@@ -193,7 +193,7 @@ def test_negative_effort_sets_the_flag_column():
     fabricated = GameSolution(
         mode=GameMode.DECENTRALIZED, params=params,
         values={"farmer": QuadraticValue(0.0, 0.0, 0.0),
-                "retailer": QuadraticValue(0.0, 0.0, 0.0, role="retailer")},
+                "retailer": QuadraticValue(0.0, 0.0, 0.0)},
         policies={"farmer": FeedbackPolicy(g1=0.0, g0=-1.0),
                   "retailer": FeedbackPolicy(g1=0.0, g0=0.5)},
         alpha=-1.0, beta=-1.25, H_d=-1.25, diagnostics=diag)

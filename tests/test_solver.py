@@ -552,6 +552,35 @@ def test_paper_backend_ends_in_a_solution_or_a_typed_error(mode, params):
         assert sol.diagnostics.flags
 
 
+@pytest.mark.parametrize("mode, p_c, discriminant", [
+    ("gd", 1.9, "Delta^GD = -97200 < 0"),
+    ("gc", 1.8, "Delta^GC = -1.7496e+09 < 0")])
+def test_paper_backend_refuses_a_complex_printed_root_before_any_residual_solve(
+        monkeypatch, mode, p_c, discriminant):
+    def residual_solve(*args):
+        raise AssertionError("the residual backend ran")
+
+    monkeypatch.setattr(solver, "solve", residual_solve)
+    with pytest.raises(ComplexRootError) as err:
+        solve(mode, ModelParams(p_c=p_c), SolverConfig(backend="paper"))
+    assert str(err.value) == f"complex root: discriminant {discriminant}"
+
+
+def test_paper_backend_flags_a_printed_solution_without_a_steady_state():
+    sol = solve("gc", ModelParams(p_c=1.7), SolverConfig(backend="paper"))
+    assert sol.diagnostics.flags == [
+        "alpha = 0.0929786 >= 0 (no attracting steady state)", "H_d = -367.78 < 0"]
+
+
+def test_paper_backend_batch_keeps_each_cells_typed_error():
+    cells = [ModelParams(), ModelParams(p_c=1.9), ModelParams(p_c=-1.0)]
+    out = solve_many("gd", cells, SolverConfig(backend="paper"))
+    assert isinstance(out[0], GameSolution)
+    assert isinstance(out[1], ComplexRootError)
+    assert str(out[1]) == "complex root: discriminant Delta^GD = -97200 < 0"
+    assert isinstance(out[2], ParameterError)
+
+
 @pytest.mark.parametrize("mode", ["gd", "gs", "gc"])
 def test_newton_completes_a_branch_whose_drift_slope_is_tiny(mode):
     # without sink trading the efforts are flat, so alpha = -delta and
