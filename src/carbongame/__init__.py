@@ -54,7 +54,6 @@ from .simulate import (
     exact_trajectory,
     integrate_trajectory,
     steady_state,
-    steady_state_bisect,
     trajectory_table,
 )
 from .oracle import (
@@ -128,7 +127,6 @@ __all__ = [
     "solve",
     "solve_many",
     "steady_state",
-    "steady_state_bisect",
     "supply",
     "total_value_at",
     "trajectory_table",

@@ -109,8 +109,7 @@ def _cmd_solve(config: ScenarioConfig) -> int:
     print("\n\n".join(blocks))
     if config.out:
         report = _report("solve", config, cells=report_cells)
-        for path in emit_results({"run_report.json": report}, config.out):
-            print(f"wrote {path}", file=sys.stderr)
+        _emit({"run_report.json": report}, config.out)
     return 0
 
 
@@ -123,22 +122,24 @@ def _cmd_simulate(config: ScenarioConfig) -> int:
         solution = solve(mode, config.effective_params, config.solver)
         trajectory = simulate(solution, config.sim, config.effective_params)
         artifacts[f"trajectory_{mode.value}.csv"] = trajectory_table(trajectory)
-    if config.out is None:
-        print(next(iter(artifacts.values())), end="")
-        return 0
-    artifacts["run_report.json"] = _report("simulate", config)
-    for path in emit_results(artifacts, config.out):
-        print(f"wrote {path}", file=sys.stderr)
+    if config.out is not None:
+        artifacts["run_report.json"] = _report("simulate", config)
+    # without --out there is one mode, and its table prints
+    _emit_or_print(artifacts, config, next(iter(artifacts)))
     return 0
+
+
+def _emit(artifacts: dict, out: str) -> None:
+    for path in emit_results(artifacts, out):
+        print(f"wrote {path}", file=sys.stderr)
 
 
 def _emit_or_print(artifacts: dict, config: ScenarioConfig,
                    table_name: str) -> None:
     if config.out is None:
         print(artifacts[table_name], end="")
-        return
-    for path in emit_results(artifacts, config.out):
-        print(f"wrote {path}", file=sys.stderr)
+    else:
+        _emit(artifacts, config.out)
 
 
 def _cmd_compare(config: ScenarioConfig) -> int:
@@ -166,8 +167,7 @@ def _cmd_verify(config: ScenarioConfig) -> int:
     print(f"overall: {'PASS' if report['passed'] else 'FAIL'} "
           f"({len(report['checks'])} checks)")
     if config.out:
-        for path in emit_results(artifacts, config.out):
-            print(f"wrote {path}", file=sys.stderr)
+        _emit(artifacts, config.out)
     return 0 if report["passed"] else 1
 
 

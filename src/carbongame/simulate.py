@@ -11,9 +11,7 @@ so a trajectory and the analytic values at H0 always describe one start.
 SimConfig holds only the sampling grid and the integrator; the bound on the
 sample count, MAX_SAMPLE_COUNT, is a module constant.
 
-The module needs numpy only: the bisection steady state reproduces scipy's
-bisect operation for operation, so it is the same float without scipy. The
-disc_cum_* series come from profits.discounted_running.
+The disc_cum_* series come from profits.discounted_running.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ __all__ = [
     "SimConfig",
     "SimulationError",
     "steady_state",
-    "steady_state_bisect",
     "exact_trajectory",
     "integrate_trajectory",
     "simulate",
@@ -103,51 +100,12 @@ class SimConfig:
         return np.arange(self.steps + 1) * self.h
 
 
-_BISECT_XTOL = 1e-12
-_BISECT_MAXITER = 100
-
-
 def steady_state(solution: GameSolution) -> float:
     """Fixed point -beta/alpha of the closed-loop drift."""
     if not solution.alpha < 0:
         raise SimulationError(
             f"no attracting steady state: alpha = {solution.alpha:.6g} >= 0")
     return -solution.beta / solution.alpha
-
-
-def steady_state_bisect(solution: GameSolution) -> float:
-    """Steady state recomputed as a bisection root of the drift itself.
-
-    The loop is scipy.optimize.bisect's algorithm step for step (halve the
-    bracket from its left end, stop once the half-width is below
-    _BISECT_XTOL + 4*eps*|midpoint|), so it returns the float bisect
-    returns with xtol=_BISECT_XTOL.
-    """
-    center = steady_state(solution)
-    drift = solution.closed_loop_drift
-    half = 1.0 + abs(center)
-    xa, xb = float(center - half), float(center + half)
-    # alpha < 0 makes drift strictly decreasing: drift(xa) > 0 > drift(xb)
-    fa, fb = float(drift(xa)), float(drift(xb))
-    if fa * fb > 0.0:
-        raise SimulationError("the drift does not change sign on "
-                              f"[{xa:.6g}, {xb:.6g}]")
-    if fa == 0.0:
-        return xa
-    if fb == 0.0:
-        return xb
-    rtol = 4.0 * np.finfo(float).eps
-    dm = xb - xa
-    for _ in range(_BISECT_MAXITER):
-        dm *= 0.5
-        xm = xa + dm
-        fm = float(drift(xm))
-        if fm * fa >= 0.0:
-            xa = xm
-        if fm == 0.0 or abs(dm) < _BISECT_XTOL + rtol * abs(xm):
-            return xm
-    raise SimulationError(
-        f"bisection did not converge in {_BISECT_MAXITER} steps")
 
 
 def _initial_level(params: ModelParams) -> float:

@@ -25,7 +25,6 @@ from carbongame import (
     residual_scan,
     run_sweep,
     solve,
-    steady_state_bisect,
     total_value_at,
     value_at,
 )
@@ -96,10 +95,30 @@ def test_criterion_02_published_anchors(capsys, solutions, params):
             f"gap {closed_gap:.2e} (tol 1e-6)")
 
 
+def _bisect(f, lo, hi, xtol=1e-12):
+    """Root of f on [lo, hi], across which f changes sign, by plain
+    bisection until the bracket is narrower than xtol."""
+    f_lo = f(lo)
+    assert f_lo * f(hi) < 0, f"f does not change sign on [{lo}, {hi}]"
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def test_criterion_03_steady_states_attract(capsys, solutions):
     alphas = {m: sol.alpha for m, sol in solutions.items()}
-    gaps = {m: abs(sol.H_d - steady_state_bisect(sol))
-            for m, sol in solutions.items()}
+    gaps = {}
+    for m, sol in solutions.items():
+        half = 1.0 + abs(sol.H_d)
+        root = _bisect(sol.closed_loop_drift, sol.H_d - half, sol.H_d + half)
+        gaps[m] = abs(sol.H_d - root)
     passed = all(a < 0 for a in alphas.values()) and \
         all(g <= 1e-10 for g in gaps.values())
     rounded = {m: round(float(a), 4) for m, a in alphas.items()}

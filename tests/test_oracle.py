@@ -9,12 +9,14 @@ import ast
 import dataclasses
 import importlib.util
 import math
+import pkgutil
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import carbongame
 from carbongame import (
     FeedbackPolicy,
     GameMode,
@@ -764,9 +766,15 @@ def test_unperturbed_leader_row_is_the_discounted_profit(changes):
     assert sample["baseline_payoff"] == pytest.approx(expected, rel=1e-12)
 
 
-def test_oracle_imports_neither_the_solver_nor_the_closed_forms():
-    # read from source, so an import inside a function counts as well
-    path = importlib.util.find_spec("carbongame.oracle").origin
+PACKAGE_MODULES = ["carbongame"] + [
+    f"carbongame.{info.name}"
+    for info in pkgutil.iter_modules(carbongame.__path__)]
+
+
+def _imported_names(module: str) -> set:
+    """Every dotted part and name an import in the module's source names;
+    read from source, so an import inside a function counts as well."""
+    path = importlib.util.find_spec(module).origin
     tree = ast.parse(Path(path).read_text())
     named = set()
     for node in ast.walk(tree):
@@ -776,7 +784,24 @@ def test_oracle_imports_neither_the_solver_nor_the_closed_forms():
         elif isinstance(node, ast.ImportFrom):
             named.update((node.module or "").split("."))
             named.update(alias.name for alias in node.names)
-    assert not named & {"solver", "closed_form"}
+    return named
+
+
+def test_oracle_imports_neither_the_solver_nor_the_closed_forms():
+    assert not _imported_names("carbongame.oracle") & {"solver", "closed_form"}
+
+
+@pytest.mark.parametrize("module", PACKAGE_MODULES)
+def test_no_package_module_imports_scipy(module):
+    assert "scipy" not in _imported_names(module)
+
+
+@pytest.mark.parametrize("module", PACKAGE_MODULES)
+def test_every_exported_name_resolves(module):
+    namespace = importlib.import_module(module)
+    missing = [name for name in namespace.__all__
+               if not hasattr(namespace, name)]
+    assert not missing
 
 
 @pytest.mark.parametrize("mode", ["gd", "gs", "gc"])

@@ -1,7 +1,5 @@
 """Closed-loop trajectories: exact route, numeric route, and serialization."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -21,7 +19,6 @@ from carbongame import (
     integrate_trajectory,
     solve,
     steady_state,
-    steady_state_bisect,
     trajectory_table,
 )
 from carbongame.model import SolutionDiagnostics, reduction_drift
@@ -88,12 +85,11 @@ def test_rk4_agrees_with_exact_and_converges_at_fourth_order():
     assert err[0.01] / err[0.005] >= 8.0
 
 
-def test_steady_state_bisection_agrees_with_closed_form():
+def test_steady_state_matches_the_reference_solutions():
     for case in ("baseline", "no_sink", "strong_farmer_impact"):
         sol = _solved(case)
         direct = steady_state(sol)
         assert direct == pytest.approx(CASES[case]["gd"]["H_d"], rel=1e-9)
-        assert abs(steady_state_bisect(sol) - direct) <= 1e-10
 
 
 def test_unstable_solution_has_no_steady_state():
@@ -103,8 +99,6 @@ def test_unstable_solution_has_no_steady_state():
     with pytest.raises(SimulationError,
                        match=r"no attracting steady state: alpha = 0\.3 >= 0"):
         steady_state(flipped)
-    with pytest.raises(SimulationError):
-        steady_state_bisect(flipped)
 
 
 def test_sim_config_validation_messages():
@@ -285,6 +279,18 @@ def _numpy_scalar_rk4(solution, simcfg, params):
     return H
 
 
+def _reference_solutions():
+    printed = SolverConfig(follower_convention=CONVENTION_PRINTED)
+    for case, ref in CASES.items():
+        params = ModelParams().replace(**ref["overrides"])
+        for key, mode, cfg in (("gd", GameMode.DECENTRALIZED, SolverConfig()),
+                               ("gs", GameMode.STACKELBERG, SolverConfig()),
+                               ("gs_printed", GameMode.STACKELBERG, printed),
+                               ("gc", GameMode.CENTRALIZED, SolverConfig())):
+            if key in ref and "error" not in ref[key]:
+                yield f"{case}-{key}", solve(mode, params, cfg)
+
+
 def _rk4_solutions():
     yield from _reference_solutions()
     for mode in GameMode:
@@ -359,40 +365,7 @@ def test_rk4_columns_are_bit_identical_to_their_scalar_paths():
         assert np.array_equal(column, _rk4(drift, H0, 0.01, 4000))
 
 
-# --- the numpy replacements equal scipy's routines ---------------------------
-
-def _reference_solutions():
-    printed = SolverConfig(follower_convention=CONVENTION_PRINTED)
-    for case, ref in CASES.items():
-        params = ModelParams().replace(**ref["overrides"])
-        for key, mode, cfg in (("gd", GameMode.DECENTRALIZED, SolverConfig()),
-                               ("gs", GameMode.STACKELBERG, SolverConfig()),
-                               ("gs_printed", GameMode.STACKELBERG, printed),
-                               ("gc", GameMode.CENTRALIZED, SolverConfig())):
-            if key in ref and "error" not in ref[key]:
-                yield f"{case}-{key}", solve(mode, params, cfg)
-
-
-def test_bisection_equals_scipy_bisect_bit_for_bit():
-    optimize = pytest.importorskip("scipy.optimize")
-    seen = 0
-    for name, sol in _reference_solutions():
-        center = -sol.beta / sol.alpha
-        half = 1.0 + abs(center)
-        # the solved drift usually vanishes exactly at the first midpoint;
-        # stand-ins with the root moved off it run the whole loop
-        for shift in (0.0, 0.1, -0.37, 0.93):
-            drift = (sol.closed_loop_drift if shift == 0.0 else
-                     lambda H, d=shift * half: sol.closed_loop_drift(H - d))
-            stand_in = SimpleNamespace(alpha=sol.alpha, beta=sol.beta,
-                                       closed_loop_drift=drift)
-            expected = optimize.bisect(drift, center - half, center + half,
-                                       xtol=1e-12)
-            got = steady_state_bisect(stand_in)
-            assert float.hex(got) == float.hex(expected), (name, shift)
-        seen += 1
-    assert seen == 14
-
+# --- the running discounted payoffs: scipy's Simpson rule, the profit --------
 
 @pytest.mark.parametrize("sink", [True, False], ids=["sink", "no-sink"])
 @pytest.mark.parametrize("integrator", [INTEGRATOR_EXACT, INTEGRATOR_RK4])
