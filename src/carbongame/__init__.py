@@ -34,7 +34,6 @@ from .solver import (
     SolverConfig,
     SolverError,
     UnstableModelError,
-    hjb_residual,
     residual_scan,
     solve,
     solve_many,
@@ -114,7 +113,6 @@ __all__ = [
     "equilibrium_check",
     "exact_trajectory",
     "grid_best_response",
-    "hjb_residual",
     "integrate_trajectory",
     "leader_improvement_sample",
     "load_config",

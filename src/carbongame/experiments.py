@@ -39,7 +39,6 @@ import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -424,10 +423,12 @@ def _summary_row(mode: GameMode, sink: str, params: ModelParams,
     return row
 
 
-def _cell_table(solution: GameSolution, sim: SimConfig, params: ModelParams):
-    """One compare cell's trajectory table, or the SimulationError or
-    ValueError that stopped it, returned as solve_many returns a cell's
-    error. Runs in a worker process when run_compare has a pool."""
+def _cell_table(job: tuple):
+    """One compare cell's trajectory table from its (solution, sim, params)
+    job, or the SimulationError or ValueError that stopped it, returned as
+    solve_many returns a cell's error. Runs in a worker process when
+    run_compare has a pool."""
+    solution, sim, params = job
     try:
         return trajectory_table(simulate(solution, sim, params))
     except (SimulationError, ValueError) as exc:
@@ -458,6 +459,13 @@ def _worker_pool(jobs: int):
                                mp_context=multiprocessing.get_context("fork"))
 
 
+def _pool_map(fn, tasks: list) -> list:
+    """[fn(task) for task in tasks], in task order, on a _worker_pool of
+    len(tasks) jobs, or in this process where that pool is one process."""
+    with _worker_pool(len(tasks)) as pool:
+        return list((map if pool is None else pool.map)(fn, tasks))
+
+
 def run_compare(config: ScenarioConfig) -> dict:
     """Solve, simulate, and tabulate each selected mode with and without
     sink trading.
@@ -483,15 +491,12 @@ def run_compare(config: ScenarioConfig) -> dict:
             solved.append((solve(mode, params, config.solver), None))
         except (SolverError, ParameterError, ValueError) as exc:
             solved.append((None, str(exc)))
-    jobs = [(solution, params) for (solution, _), (_, _, params)
+    jobs = [(solution, config.sim, params) for (solution, _), (_, _, params)
             in zip(solved, tasks) if solution is not None]
     # every table has the same time column: format it before any fork, so
     # each worker finds it in the cache
     _formatted_column(config.sim.times().tobytes())
-    with _worker_pool(len(jobs)) as pool:
-        tables = iter(list((map if pool is None else pool.map)(
-            _cell_table, [s for s, _ in jobs], repeat(config.sim),
-            [p for _, p in jobs])))
+    tables = iter(_pool_map(_cell_table, jobs))
 
     artifacts = {}
     rows = []
@@ -615,11 +620,9 @@ def _certify(solutions: dict) -> dict:
         tasks += [(mode, index, part)
                   for index, part in enumerate(outcomes[mode][1])]
     tasks.sort(key=lambda task: oracle._PART_ORDER.index(task[2][0]))
-    with _worker_pool(len(tasks)) as pool:
-        values = (map if pool is None else pool.map)(
-            oracle._run_part, [part for _, _, part in tasks])
-        done = {(mode, index): value
-                for (mode, index, _), value in zip(tasks, values)}
+    values = _pool_map(oracle._run_part, [part for _, _, part in tasks])
+    done = {(mode, index): value
+            for (mode, index, _), value in zip(tasks, values)}
     for mode, outcome in outcomes.items():
         if isinstance(outcome, Exception):
             continue

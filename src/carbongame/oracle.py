@@ -32,10 +32,11 @@ One policy-iteration loop, ``_howard``, serves every reply. Each state picks
 an (outer, inner) action pair that earns an outer plus an inner reward and
 moves to a per-state base plus a per-pair shift: each role's net rate depends
 on its own effort only, and the drift is affine in the efforts. These tables
-do not depend on the value, so each reply builds them once. The joint reply
-pairs the farmer's (outer) and retailer's (inner) efforts; a single-role
-reply is the one-block case, with one zero-reward outer action and the
-opponent's frozen effort in the base.
+do not depend on the value, and one function, ``grid_best_response``, builds
+them once per reply, for every reply. The joint reply pairs the farmer's
+(outer) and retailer's (inner) efforts; a single-role reply is the one-block
+case, with one zero-reward outer action and the opponent's frozen effort in
+the rates and the base.
 
 The greedy step scores only the (state, outer) pairs that can win, a form
 of action elimination (MacQueen, J. Math. Anal. Appl., 1967; Puterman,
@@ -462,75 +463,6 @@ def _howard(H: np.ndarray, gamma: float, max_sweeps: int, base: np.ndarray,
         f"last value change {change:.3e}")
 
 
-def _single_role_response(params: ModelParams, mode: GameMode, role: str,
-                          opponent: FeedbackPolicy, grid: GridSpec,
-                          seed_policy: Optional[FeedbackPolicy]) -> BestResponse:
-    H = grid.states()
-    n = H.size
-    actions = grid.actions(role)
-    Hc = H[:, None]
-    own = actions[None, :]
-    opp = opponent.effort(H)[:, None]
-
-    def efforts(mine, theirs):
-        return (mine, theirs) if role == "farmer" else (theirs, mine)
-
-    x = None
-    if mode is GameMode.STACKELBERG:
-        x = np.asarray(opponent.subsidy(H), dtype=float)
-        if (opponent.n1, opponent.n0, opponent.d1, opponent.d0) == (0.0,) * 4:
-            x = np.zeros_like(H)  # all-zero rule is 0/0 everywhere: shares nothing
-        if not np.all(np.isfinite(x)):
-            raise OracleError("subsidy rule is undefined (0/0) on the state grid")
-        if np.any(1.0 - x <= 0.0):
-            bad = H[1.0 - x <= 0.0][0]
-            raise OracleError(
-                f"subsidy rule leaves a non-positive effective cost share at "
-                f"H = {bad:.6g}; the follower problem is unbounded there")
-        x = x[:, None]
-    rates = profits.payoff_rates(mode, Hc, *efforts(own, opp), x, params)
-    rate = rates.net_f if role == "farmer" else rates.net_r
-    gamma = float(np.exp(-params.rho * grid.dt))
-    # one outer action: the opponent's frozen effort goes into the base
-    base = Hc + grid.dt * reduction_drift(Hc, *efforts(0.0, opp), params)
-    shift = grid.dt * reduction_drift(0.0, *efforts(own, 0.0), params)
-    if seed_policy is None:
-        seed = np.zeros(n, dtype=np.int64)
-    else:
-        seed = _seed_indices(actions, seed_policy.effort(H))
-    value, _, policy, sweeps = _howard(
-        H, gamma, grid.max_sweeps, base, shift, np.zeros((n, 1)),
-        rate * ((1.0 - gamma) / params.rho), np.zeros(n, dtype=np.int64), seed)
-    return BestResponse(role=role, H=H, value=value,
-                        actions={role: actions[policy]}, sweeps=sweeps)
-
-
-def _joint_response(params: ModelParams, grid: GridSpec,
-                    seeds: Optional[dict]) -> BestResponse:
-    H = grid.states()
-    n = H.size
-    af = grid.actions("farmer")
-    ar = grid.actions("retailer")
-    gamma = float(np.exp(-params.rho * grid.dt))
-    step = (1.0 - gamma) / params.rho
-    if seeds is None:
-        pol_f = np.zeros(n, dtype=np.int64)
-        pol_r = np.zeros(n, dtype=np.int64)
-    else:
-        pol_f = _seed_indices(af, seeds["farmer"].effort(H))
-        pol_r = _seed_indices(ar, seeds["retailer"].effort(H))
-    rates = profits.payoff_rates(GameMode.CENTRALIZED, H[:, None], af[None, :],
-                                 ar[None, :], None, params)
-    base = (H + grid.dt * reduction_drift(H, 0.0, 0.0, params))[:, None]
-    shift = grid.dt * reduction_drift(0.0, af[:, None], ar[None, :], params)
-    value, pol_f, pol_r, sweeps = _howard(
-        H, gamma, grid.max_sweeps, base, shift, rates.net_f * step,
-        rates.net_r * step, pol_f, pol_r)
-    return BestResponse(role="joint", H=H, value=value,
-                        actions={"farmer": af[pol_f], "retailer": ar[pol_r]},
-                        sweeps=sweeps)
-
-
 def grid_best_response(params: ModelParams, mode, role: str,
                        opponent_policy: Optional[FeedbackPolicy],
                        grid: GridSpec,
@@ -543,6 +475,11 @@ def grid_best_response(params: ModelParams, mode, role: str,
     subsidy rule. Centralized mode accepts role "joint" with no opponent.
     seed_policy optionally warm-starts the iteration (a FeedbackPolicy, or a
     dict of two for the joint problem); the fixed point does not depend on it.
+
+    Every reply is built here, as one ``_howard`` problem over (outer,
+    inner) action pairs: the joint reply pairs the farmer's efforts (outer)
+    with the retailer's (inner), and a single role's efforts are the inner
+    axis under one zero-reward outer action.
     """
     mode = GameMode.from_string(mode)
     if mode is GameMode.CENTRALIZED:
@@ -552,13 +489,12 @@ def grid_best_response(params: ModelParams, mode, role: str,
                 f"'joint', got {role!r}")
         if opponent_policy is not None:
             raise ValueError("joint control has no opponent_policy")
-        return _joint_response(params, grid, seed_policy)
-    if role == "joint":
+    elif role == "joint":
         raise ValueError(f"role 'joint' only applies to the centralized mode, "
                          f"not {mode.value}")
-    if role not in ("farmer", "retailer"):
+    elif role not in ("farmer", "retailer"):
         raise ValueError(f"unknown role {role!r}")
-    if mode is GameMode.STACKELBERG:
+    elif mode is GameMode.STACKELBERG:
         if role != "farmer":
             raise ValueError(
                 "the leader's announcement is not a plain control problem; "
@@ -570,8 +506,57 @@ def grid_best_response(params: ModelParams, mode, role: str,
     elif opponent_policy is None:
         raise ValueError(f"opponent_policy is required for role {role!r} in "
                          f"mode {mode.value}")
-    return _single_role_response(params, mode, role, opponent_policy, grid,
-                                 seed_policy)
+    # the acting roles, each with the axis its efforts take in a pair's shift
+    if role == "joint":
+        axes = {"farmer": np.s_[:, None], "retailer": np.s_[None, :]}
+        seeds = seed_policy
+    else:
+        axes = {role: np.s_[None, :]}
+        seeds = None if seed_policy is None else {role: seed_policy}
+    roles = ("farmer", "retailer")
+    H = grid.states()
+    n = H.size
+    Hc = H[:, None]
+    actions = {r: grid.actions(r) for r in axes}
+    # a role that does not act plays the opponent's frozen effort
+    frozen = {r: 0.0 if r in axes else opponent_policy.effort(H)[:, None]
+              for r in roles}
+    x = None
+    if mode is GameMode.STACKELBERG:
+        x = np.asarray(opponent_policy.subsidy(H), dtype=float)
+        if (opponent_policy.n1, opponent_policy.n0, opponent_policy.d1,
+                opponent_policy.d0) == (0.0,) * 4:
+            x = np.zeros_like(H)  # all-zero rule is 0/0 everywhere: shares nothing
+        if not np.all(np.isfinite(x)):
+            raise OracleError("subsidy rule is undefined (0/0) on the state grid")
+        if np.any(1.0 - x <= 0.0):
+            bad = H[1.0 - x <= 0.0][0]
+            raise OracleError(
+                f"subsidy rule leaves a non-positive effective cost share at "
+                f"H = {bad:.6g}; the follower problem is unbounded there")
+        x = x[:, None]
+    efforts = [actions[r][None, :] if r in axes else frozen[r] for r in roles]
+    rates = profits.payoff_rates(mode, Hc, *efforts, x, params)
+    gamma = float(np.exp(-params.rho * grid.dt))
+    step = (1.0 - gamma) / params.rho
+    rewards = [rate * step for r, rate in zip(roles, (rates.net_f, rates.net_r))
+               if r in axes]
+    base = Hc + grid.dt * reduction_drift(Hc, *frozen.values(), params)
+    shift = grid.dt * reduction_drift(
+        0.0, *(actions[r][axes[r]] if r in axes else 0.0 for r in roles), params)
+    if seeds is None:
+        policies = [np.zeros(n, dtype=np.int64) for _ in axes]
+    else:
+        policies = [_seed_indices(actions[r], seeds[r].effort(H)) for r in axes]
+    if len(axes) == 1:  # a single role's one zero-reward outer action
+        rewards.insert(0, np.zeros((n, 1)))
+        policies.insert(0, np.zeros(n, dtype=np.int64))
+    value, *policies, sweeps = _howard(H, gamma, grid.max_sweeps, base, shift,
+                                       *rewards, *policies)
+    return BestResponse(role=role, H=H, value=value,
+                        actions={r: actions[r][policy] for r, policy
+                                 in zip(axes, policies[-len(axes):])},
+                        sweeps=sweeps)
 
 
 def leader_improvement_sample(solution: GameSolution) -> dict:
@@ -706,8 +691,8 @@ class CertificationReport:
                 "window": list(self.window)}
 
 
-def _window_gaps(br: BestResponse, solution: GameSolution, window: tuple,
-                 value_role: str) -> tuple:
+def _window_gaps(br: BestResponse, solution: GameSolution,
+                 window: tuple) -> tuple:
     window_mask = (br.H >= window[0]) & (br.H <= window[1])
     policy_gaps = {}
     for role, chosen in br.actions.items():
@@ -715,10 +700,10 @@ def _window_gaps(br: BestResponse, solution: GameSolution, window: tuple,
         scale = max(float(np.max(np.abs(analytic[window_mask]))), 1e-12)
         gap = float(np.max(np.abs(chosen - analytic)[window_mask])) / scale
         policy_gaps[role] = gap
-    analytic_v = solution.values[value_role].value(br.H)
+    analytic_v = solution.values[br.role].value(br.H)
     scale = max(float(np.max(np.abs(analytic_v[window_mask]))), 1e-12)
     value_gap = float(np.max(np.abs(br.value - analytic_v)[window_mask])) / scale
-    return policy_gaps, {value_role: value_gap}
+    return policy_gaps, {br.role: value_gap}
 
 
 # A certification's parts, longest first: their serial cost on the default
@@ -797,7 +782,7 @@ def _certification_report(solution: GameSolution, window: tuple, parts,
         if label == "leader sample":
             leader_sample = result
             continue
-        pg, vg = _window_gaps(result, solution, window, result.role)
+        pg, vg = _window_gaps(result, solution, window)
         policy_gaps.update(pg)
         value_gaps.update(vg)
         notes.append(f"{label} converged in {result.sweeps} sweeps")

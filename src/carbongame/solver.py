@@ -72,7 +72,7 @@ from .model import (
 
 __all__ = [
     "SolverConfig", "SolverError", "ComplexRootError",
-    "UnstableModelError", "solve", "solve_many", "hjb_residual", "residual_scan",
+    "UnstableModelError", "solve", "solve_many", "residual_scan",
 ]
 
 BACKEND_RESIDUAL = "residual"
@@ -766,22 +766,6 @@ def _restrict(carried, keep):
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
-
-def hjb_residual(solution: GameSolution, params: ModelParams, H):
-    """Per-role signed residuals rho*V(H) - RHS(H) of the stationarity equations.
-
-    The right-hand side is rebuilt from the instantaneous payoffs
-    (profits.payoff_rates) and the solution's own policies (the maximized
-    form), so residual-backend solutions are near zero by construction while
-    corrupted or printed-form coefficients show up immediately. The
-    "paper-printed" balances are the standard ones plus two H^2 offsets, so
-    that convention's residual is the standard one along the standard
-    policies, plus offset*H^2. Accepts scalar or array H.
-    """
-    terms = _stationarity(solution.mode, solution.diagnostics.convention, params,
-                          *_values_and_policies(solution), np.asarray(H, dtype=float))
-    return {role: res for role, (_, res) in zip(solution.values, terms)}
-
 
 def _values_and_policies(solution: GameSolution) -> tuple:
     """A solution's (A, B, C) per role, and its policies as _closed_loop's

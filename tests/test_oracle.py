@@ -238,7 +238,7 @@ def _solvable_gc_draw(seed):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
 def test_pair_bound_is_at_least_every_inner_maximum(seed, warm):
-    # the joint reply's tables, as _joint_response builds them; each sweep
+    # the joint reply's tables, as grid_best_response builds them; each sweep
     # checks U against the brute-force best inner q of every (state, farmer)
     # pair, then moves to the brute-force greedy policy
     params, sol, grid = _solvable_gc_draw(seed)
@@ -472,6 +472,25 @@ def test_undefined_and_unbounded_subsidy_rules(baseline_gd):
     confiscatory = FeedbackPolicy(g1=0.0, g0=1.0, n1=0.0, n0=2.0, d1=0.0, d0=1.0)
     with pytest.raises(OracleError, match="non-positive effective cost share"):
         grid_best_response(params, "gs", "farmer", confiscatory, grid)
+
+
+def test_an_all_zero_subsidy_rule_is_the_decentralized_farmer_reply(
+        baseline_gd):
+    # the all-zero rule is 0/0 at every state and shares nothing, so the
+    # follower faces the gd farmer's problem bit for bit
+    params = ModelParams()
+    grid = default_grid(baseline_gd)
+    leader, seed = baseline_gd.policies["retailer"], baseline_gd.policies["farmer"]
+    follower = grid_best_response(
+        params, "gs", "farmer",
+        FeedbackPolicy(leader.g1, leader.g0, 0.0, 0.0, 0.0, 0.0), grid, seed)
+    farmer = grid_best_response(params, "gd", "farmer",
+                                FeedbackPolicy(leader.g1, leader.g0), grid, seed)
+    assert follower.value.tobytes() == farmer.value.tobytes()
+    assert list(follower.actions) == list(farmer.actions) == ["farmer"]
+    assert (follower.actions["farmer"].tobytes()
+            == farmer.actions["farmer"].tobytes())
+    assert follower.sweeps == farmer.sweeps
 
 
 def test_non_convergence_is_reported(baseline_gd):

@@ -22,7 +22,6 @@ from carbongame import (
     SolverConfig,
     SolverError,
     UnstableModelError,
-    hjb_residual,
     residual_scan,
     solve,
     solve_many,
@@ -131,16 +130,6 @@ def test_residual_scan_is_tiny_at_solutions(case, mode):
     sol = solve(mode, params)
     assert residual_scan(sol, params) <= 1e-10
     assert sol.diagnostics.max_hjb_residual <= 1e-10
-
-
-def test_hjb_residual_accepts_scalars_and_arrays():
-    params = ModelParams()
-    sol = solve("gd", params)
-    res = hjb_residual(sol, params, 1.0)
-    assert set(res) == {"farmer", "retailer"}
-    assert abs(res["farmer"]) < 1e-8
-    arr = hjb_residual(sol, params, np.linspace(0.0, 10.0, 11))
-    assert arr["retailer"].shape == (11,)
 
 
 def test_published_scale_discriminants_recorded():
