@@ -62,6 +62,7 @@ from .oracle import (
     OracleError,
     default_grid,
     equilibrium_check,
+    equilibrium_checks,
     grid_best_response,
     leader_improvement_sample,
 )
@@ -111,6 +112,7 @@ __all__ = [
     "effort_costs",
     "emit_results",
     "equilibrium_check",
+    "equilibrium_checks",
     "exact_trajectory",
     "grid_best_response",
     "integrate_trajectory",

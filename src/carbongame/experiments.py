@@ -17,14 +17,11 @@ per-task function runs in the calling process. Either way the tables, the
 summary and the report are the same.
 
 run_verify uses the same pool for its grid certifications, nearly all of
-its time. It solves and plans every mode's check in the calling process,
-then runs each check's independent parts as one task each: the gd farmer
-and retailer replies, the gs follower reply and leader sample, the gc joint
-reply. They are submitted longest first (the leader sample, the joint reply,
-then the farmer, follower and retailer replies), so that the workers finish
-together, and each report is assembled in the calling process from its own
-parts in the order a serial check runs them. The pool opens and closes
-within the call.
+its time. It solves every mode in the calling process and hands the
+solutions to oracle.equilibrium_checks with _pool_map as its map, so every
+check is planned, and every report assembled, in the calling process, while
+each independent part runs as one task, the longest first. The pool opens
+and closes within the call.
 """
 
 from __future__ import annotations
@@ -129,9 +126,12 @@ def _parse_modes(raw, where: str) -> tuple:
     modes = []
     for item in raw:
         try:
-            modes.append(GameMode.from_string(item))
+            mode = GameMode.from_string(item)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
+        if mode in modes:
+            raise ConfigError(f"{where} lists mode {mode.value!r} twice")
+        modes.append(mode)
     return tuple(modes)
 
 
@@ -526,31 +526,27 @@ def run_compare(config: ScenarioConfig) -> dict:
             "run_report.json": _report("compare", config, cells=report_cells)}
 
 
-def _sweep_argmax(rows_meta) -> list:
-    """Peak detection per (mode, response) over successful sweep rows."""
+def _sweep_argmax(mode: GameMode, responses, solved: list) -> list:
+    """Peak detection per response over one mode's successful sweep points,
+    given as (parameter value, metrics) pairs."""
     found = []
-    by_mode = {}
-    for meta in rows_meta:
-        by_mode.setdefault(meta["mode"], []).append(meta)
-    for mode, entries in by_mode.items():
-        responses = entries[0]["metrics"].keys() if entries else ()
-        for response in responses:
-            points = [(e["value"], e["metrics"][response]) for e in entries
-                      if e["metrics"].get(response) is not None]
-            if not points:
-                continue
-            idx = int(np.argmax([q for _, q in points]))
-            # interior in parameter value: sweep values need not be sorted
-            values = [v for v, _ in points]
-            found.append({
-                "mode": mode,
-                "response": response,
-                "argmax_parameter_value": points[idx][0],
-                "max_response_value": points[idx][1],
-                "interior_peak": bool(min(values) < points[idx][0]
-                                      < max(values)),
-                "points": len(points),
-            })
+    for response in responses:
+        points = [(value, metrics[response]) for value, metrics in solved
+                  if metrics[response] is not None]
+        if not points:
+            continue
+        idx = int(np.argmax([q for _, q in points]))
+        # interior in parameter value: sweep values need not be sorted
+        values = [v for v, _ in points]
+        found.append({
+            "mode": mode.value,
+            "response": response,
+            "argmax_parameter_value": points[idx][0],
+            "max_response_value": points[idx][1],
+            "interior_peak": bool(min(values) < points[idx][0]
+                                  < max(values)),
+            "points": len(points),
+        })
     return found
 
 
@@ -569,24 +565,22 @@ def run_sweep(spec: Optional[SweepSpec], config: ScenarioConfig) -> dict:
     modes = config.modes if spec.modes is None else spec.modes
     base = config.effective_params
     header = ["mode", "parameter", "value", *spec.responses, "status"]
-    rows = []
-    rows_meta = []
+    rows, argmax = [], []
     cells = [base.replace(**{spec.parameter: value}) for value in spec.values]
     for mode in modes:
+        solved = []
         for value, outcome in zip(spec.values,
                                   solve_many(mode, cells, config.solver)):
             if isinstance(outcome, Exception):   # a typed solver error
                 metrics, status = {}, f"error: {outcome}"
             else:
                 metrics, status = _solution_metrics(outcome), "ok"
+                solved.append((value, metrics))
             row = [mode.value, spec.parameter, repr(float(value))]
             row += [_fmt(metrics.get(name)) for name in spec.responses]
             row.append(status)
             rows.append(row)
-            if status == "ok":
-                rows_meta.append({"mode": mode.value, "value": value,
-                                  "metrics": {name: metrics.get(name)
-                                              for name in spec.responses}})
+        argmax += _sweep_argmax(mode, spec.responses, solved)
     report = _report(
         "sweep", config,
         sweep={
@@ -595,45 +589,9 @@ def run_sweep(spec: Optional[SweepSpec], config: ScenarioConfig) -> dict:
             "responses": list(spec.responses),
             "modes": [m.value for m in modes],
         },
-        argmax=_sweep_argmax(rows_meta),
+        argmax=argmax,
         failed_rows=sum(1 for row in rows if row[-1] != "ok"))
     return {"sweep.csv": _csv_table(header, rows), "run_report.json": report}
-
-
-def _certify(solutions: dict) -> dict:
-    """Each solution's equilibrium_check report, or the OracleError or
-    ValueError that stopped it, keyed as solutions.
-
-    Every check is planned here, so a failed precondition costs no grid
-    reply. The planned parts of all checks then run as one task each, the
-    longest first (oracle._PART_ORDER), on a pool of forked worker
-    processes (see _worker_pool), and each report is assembled here from
-    its own parts' results in plan order.
-    """
-    outcomes, tasks = {}, []
-    for mode, solution in solutions.items():
-        try:
-            outcomes[mode] = oracle._certification_plan(solution)
-        except (oracle.OracleError, ValueError) as exc:
-            outcomes[mode] = exc
-            continue
-        tasks += [(mode, index, part)
-                  for index, part in enumerate(outcomes[mode][1])]
-    tasks.sort(key=lambda task: oracle._PART_ORDER.index(task[2][0]))
-    values = _pool_map(oracle._run_part, [part for _, _, part in tasks])
-    done = {(mode, index): value
-            for (mode, index, _), value in zip(tasks, values)}
-    for mode, outcome in outcomes.items():
-        if isinstance(outcome, Exception):
-            continue
-        window, parts = outcome
-        try:
-            outcomes[mode] = oracle._certification_report(
-                solutions[mode], window, parts,
-                [done[mode, index] for index in range(len(parts))])
-        except (oracle.OracleError, ValueError) as exc:
-            outcomes[mode] = exc
-    return outcomes
 
 
 def run_verify(config: ScenarioConfig) -> dict:
@@ -647,7 +605,7 @@ def run_verify(config: ScenarioConfig) -> dict:
         except (SolverError, ParameterError, ValueError) as exc:
             checks.append({"name": f"solve-{mode.value}", "passed": False,
                            "note": str(exc)})
-    certifications = _certify(solutions)
+    certifications = oracle.equilibrium_checks(solutions, run=_pool_map)
     for mode, solution in solutions.items():
         scan = residual_scan(solution, params)
         checks.append({

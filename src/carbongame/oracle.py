@@ -111,10 +111,12 @@ precondition (an attracting steady state, the grid, the comparison window)
 and lists the check's independent parts: gd's farmer and retailer replies,
 gs's follower reply and leader sample, gc's joint reply. Each part runs on
 its own and returns its result or its error, and the report is assembled
-from the results in that order, so a failed check raises the error a serial
-run meets first. equilibrium_check runs the parts one after another;
-``experiments.run_verify`` runs every mode's parts on a pool of worker
-processes, longest first (``_PART_ORDER``).
+from the results in that order, so a failed check gives the error a serial
+run meets first. One function, equilibrium_checks, does all three for any
+number of solutions: it plans every check, hands all their parts, longest
+first (``_PART_ORDER``), to one map that its caller chooses, and assembles
+every report. equilibrium_check is its one-solution case with the builtin
+map; ``experiments.run_verify`` passes a map onto worker processes.
 
 Policy evaluation solves the banded system (I - gamma*P) v = r by Gaussian
 elimination without pivoting. Each row's diagonal exceeds the sum of its
@@ -150,6 +152,7 @@ __all__ = [
     "grid_best_response",
     "leader_improvement_sample",
     "equilibrium_check",
+    "equilibrium_checks",
 ]
 
 INTERIOR_MARGIN = 0.05
@@ -718,7 +721,7 @@ _PART_ORDER = ("leader sample", "joint control", "farmer reply",
 
 def _certification_plan(solution: GameSolution,
                         grid: Optional[GridSpec] = None) -> tuple:
-    """equilibrium_check's preconditions, then its independent parts.
+    """A check's preconditions, then its independent parts.
 
     Returns (window, parts). Each part is a (label, args) pair for
     _run_part, labelled as in _PART_ORDER, listed in the order a serial
@@ -769,16 +772,15 @@ def _run_part(part: tuple):
 
 
 def _certification_report(solution: GameSolution, window: tuple, parts,
-                          results) -> CertificationReport:
-    """The report from the plan's parts and their results, in plan order.
-    The first result that is an error is raised, so the error is the one a
-    serial check meets first; results may be a lazy iterator, which is then
-    not advanced past it."""
+                          results):
+    """The report from the plan's parts and their results, in plan order, or
+    the first result that is an error, which is the error a serial check
+    meets first."""
     leader_sample = None
     notes, policy_gaps, value_gaps = [], {}, {}
     for (label, _), result in zip(parts, results):
         if isinstance(result, Exception):
-            raise result
+            return result
         if label == "leader sample":
             leader_sample = result
             continue
@@ -799,6 +801,40 @@ def _certification_report(solution: GameSolution, window: tuple, parts,
                                passed=passed, notes=notes)
 
 
+def equilibrium_checks(solutions: dict, *, grid: Optional[GridSpec] = None,
+                       run=map) -> dict:
+    """Each solution's certification, keyed as solutions: its
+    CertificationReport, or the OracleError or ValueError that a serial
+    check of it meets first.
+
+    Every check is planned first, so a failed precondition costs no grid
+    reply. The planned parts of all checks then go to run(_run_part, parts)
+    as one list, the longest first (_PART_ORDER); run is map, or a map onto
+    worker processes that keeps the parts' order, as experiments.run_verify
+    passes. Each report is assembled from its own parts' results in plan
+    order.
+    """
+    outcomes, tasks = {}, []
+    for key, solution in solutions.items():
+        try:
+            outcomes[key] = _certification_plan(solution, grid)
+        except (OracleError, ValueError) as exc:
+            outcomes[key] = exc
+            continue
+        tasks += [(key, index, part)
+                  for index, part in enumerate(outcomes[key][1])]
+    tasks.sort(key=lambda task: _PART_ORDER.index(task[2][0]))
+    results = run(_run_part, [part for _, _, part in tasks])
+    done = dict(zip([(key, index) for key, index, _ in tasks], results))
+    for key, outcome in outcomes.items():
+        if not isinstance(outcome, Exception):
+            window, parts = outcome
+            outcomes[key] = _certification_report(
+                solutions[key], window, parts,
+                [done[key, index] for index in range(len(parts))])
+    return outcomes
+
+
 def equilibrium_check(solution: GameSolution, *,
                       grid: Optional[GridSpec] = None) -> CertificationReport:
     """Certify a solution against grid best responses, at the solution's
@@ -812,11 +848,11 @@ def equilibrium_check(solution: GameSolution, *,
     is held to LEADER_TOLERANCE; centralized solutions check the joint
     controller.
 
-    The check is planned (every precondition, before any grid reply), its
-    independent parts run here one after another, and the report is
-    assembled from their results; experiments.run_verify runs the same
-    parts of every mode on a pool of worker processes instead.
+    This is equilibrium_checks on the one solution, in this process: every
+    part runs, and the error a serial check meets first is raised.
     """
-    window, parts = _certification_plan(solution, grid)
-    return _certification_report(solution, window, parts,
-                                 map(_run_part, parts))
+    (report,) = equilibrium_checks({solution.mode: solution},
+                                   grid=grid).values()
+    if isinstance(report, Exception):
+        raise report
+    return report

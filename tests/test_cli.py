@@ -193,6 +193,20 @@ def test_sweep_without_a_section_fails_cleanly(capsys):
     assert err.startswith("error: no sweep specified")
 
 
+@pytest.mark.parametrize("doc, where", [
+    ({"modes": ["gd", "gd"]}, "modes"),
+    ({"sweep": {"parameter": "p_c", "values": [1.0], "modes": ["gs", "GS"]}},
+     "sweep modes"),
+], ids=["scenario", "sweep"])
+def test_a_mode_listed_twice_exits_one(capsys, tmp_path, doc, where):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["sweep", "--config", str(path)])
+    assert (code, out) == (1, "")
+    mode = doc.get("modes", ["gs"])[0]
+    assert err == f"error: {where} lists mode '{mode}' twice\n"
+
+
 def test_verify_single_mode_passes(capsys):
     code, out, _ = _run(capsys, ["verify", "--mode", "gd"])
     assert code == 0

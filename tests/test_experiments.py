@@ -9,6 +9,7 @@ import os
 import pickle
 import threading
 
+import numpy as np
 import pytest
 
 import carbongame
@@ -27,13 +28,16 @@ from carbongame import (
     SweepSpec,
     UnstableModelError,
     emit_results,
+    equilibrium_check,
     load_config,
     run_compare,
     run_sweep,
     run_verify,
+    solve,
 )
 from carbongame import experiments, oracle
 from carbongame.experiments import (
+    ALL_MODES,
     RESPONSES,
     SUMMARY_COLUMNS,
     _json_default,
@@ -258,6 +262,24 @@ def test_scenario_config_validation():
         ScenarioConfig(modes=[])
     single = ScenarioConfig(modes="gs")
     assert [m.value for m in single.modes] == ["gs"]
+
+
+@pytest.mark.parametrize("modes, twice", [
+    (["gd", "gd"], "gd"),
+    (["gs", "gc", "Stackelberg"], "gs"),
+    (("gc", "gd", ALL_MODES[2]), "gc"),
+], ids=["same-name", "name-and-alias", "name-and-member"])
+def test_a_mode_listed_twice_is_a_config_error(tmp_path, modes, twice):
+    # a repeated mode would write its sweep rows and compare cells twice
+    message = f"^modes lists mode '{twice}' twice$"
+    with pytest.raises(ConfigError, match=message):
+        ScenarioConfig(modes=modes)
+    with pytest.raises(ConfigError,
+                       match=f"^sweep modes lists mode '{twice}' twice$"):
+        SweepSpec(parameter="p_c", values=(1.0,), modes=modes)
+    with pytest.raises(ConfigError, match=message):
+        load_config(_write(tmp_path, {"modes": [getattr(m, "value", m)
+                                                for m in modes]}))
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +522,31 @@ def test_a_failing_part_gives_its_mode_the_serial_note(monkeypatch, failing,
     assert all(c["passed"] for c in certifications.values())
 
 
+def test_verify_certifies_each_mode_as_equilibrium_check(monkeypatch):
+    # run_verify's certification details are equilibrium_check's report,
+    # pooled or on one CPU
+    expected = {
+        f"equilibrium-certification-{mode.value}": json.loads(json.dumps(
+            equilibrium_check(solve(mode, ModelParams())).to_dict(),
+            default=_json_default))
+        for mode in ALL_MODES}
+    for cpus in (1, 2):
+        checks = json.loads(_verify_checks(monkeypatch, ScenarioConfig(),
+                                           cpus))
+        details = {c["name"]: c["details"] for c in checks
+                   if c["name"] in expected}
+        assert details == expected
+
+
+def test_usable_cpus_without_cpu_affinity(monkeypatch):
+    # platforms without sched_getaffinity count every CPU, and at least one
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert experiments._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert experiments._usable_cpus() == 1
+
+
 ERRORS = [SolverError("no candidates for the stable branch"),
           ComplexRootError("Delta^GD", -2.5e-3),
           UnstableModelError([0.25, 1.5]),
@@ -581,11 +628,25 @@ def test_sweep_peak_is_interior_by_parameter_value_not_row_order():
     assert peak["argmax_parameter_value"] == 1.0
     assert peak["interior_peak"] is False
     # a peak at the middle value is interior even when listed last
-    rows_meta = [{"mode": "gd", "value": v, "metrics": {"H_d": q}}
-                 for v, q in ((0.0, 1.0), (1.0, 2.0), (0.5, 3.0))]
-    [peak] = _sweep_argmax(rows_meta)
+    solved = [(v, {"H_d": q}) for v, q in ((0.0, 1.0), (1.0, 2.0), (0.5, 3.0))]
+    [peak] = _sweep_argmax(ALL_MODES[0], ("H_d",), solved)
+    assert peak["mode"] == "gd"
     assert peak["argmax_parameter_value"] == 0.5
     assert peak["interior_peak"] is True
+
+
+def test_sweep_argmax_skips_a_response_blank_in_every_row():
+    # gc has no per-role values, so its farmer value has no peak; each mode's
+    # peaks follow the mode order, then the response order
+    spec = SweepSpec(parameter="p_c", values=(0.5, 1.0),
+                     responses=("farmer_value_at_H_d", "H_d"),
+                     modes=("gc", "gd"))
+    artifacts = run_sweep(spec, ScenarioConfig(sim=QUICK_SIM))
+    rows = _rows(artifacts["sweep.csv"])
+    assert [(r[0], r[3], r[-1]) for r in rows[1:3]] == [("gc", "", "ok")] * 2
+    peaks = artifacts["run_report.json"]["argmax"]
+    assert [(p["mode"], p["response"], p["points"]) for p in peaks] == [
+        ("gc", "H_d", 2), ("gd", "farmer_value_at_H_d", 2), ("gd", "H_d", 2)]
 
 
 def test_sweep_without_a_spec_is_an_error():
@@ -648,7 +709,18 @@ def test_emit_results_writes_and_reports_paths(tmp_path):
 
 def test_emit_results_cleans_up_on_failure(tmp_path):
     target = tmp_path / "out"
-    artifacts = {"good.csv": "x\n", "bad.bin": 123}
-    with pytest.raises(TypeError, match="artifact 'bad.bin' must be text"):
-        emit_results(artifacts, target)
-    assert list(target.iterdir()) == []
+    for bad, message in (({"bad.bin": 123}, "artifact 'bad.bin' must be text"),
+                         ({"bad.json": {"value": object()}},
+                          "^object is not JSON serializable$")):
+        with pytest.raises(TypeError, match=message):
+            emit_results({"good.csv": "x\n", **bad}, target)
+        assert list(target.iterdir()) == []
+
+
+def test_emit_results_writes_numpy_values_as_plain_json(tmp_path):
+    report = {"scalar": np.float64(0.25), "count": np.int64(3),
+              "flag": np.bool_(True), "row": np.array([1.5, -2.0])}
+    emit_results({"report.json": report}, tmp_path)
+    assert json.loads((tmp_path / "report.json").read_text()) == {
+        "scalar": 0.25, "count": 3, "flag": True, "row": [1.5, -2.0]}
+

@@ -166,6 +166,14 @@ def test_feedback_policy_effort_and_subsidy():
     assert math.isnan(degenerate.subsidy(0.0))  # 0/0 stays nan, not an error
 
 
+@pytest.mark.parametrize("mode", ["gd", "gc"])
+def test_solution_subsidy_is_zero_outside_the_stackelberg_mode(mode):
+    sol = solve(mode, ModelParams())
+    assert type(sol.subsidy(2.0)) is float and sol.subsidy(2.0) == 0.0
+    out = sol.subsidy(np.array([0.5, 1.0, 2.0]))
+    assert out.dtype == float and np.array_equal(out, np.zeros(3))
+
+
 def test_policy_without_subsidy_rule_raises():
     plain = FeedbackPolicy(g1=0.1, g0=0.2)
     assert not plain.has_subsidy

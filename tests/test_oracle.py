@@ -26,6 +26,7 @@ from carbongame import (
     ParameterError,
     default_grid,
     equilibrium_check,
+    equilibrium_checks,
     grid_best_response,
     leader_improvement_sample,
     solve,
@@ -284,6 +285,18 @@ def test_pair_bound_is_at_least_every_inner_maximum(seed, warm):
         raise AssertionError("policy iteration did not converge")
     # at the fixed point the bound rules out most (state, farmer) pairs
     assert np.mean(bound < floor[:, None]) > 0.5
+
+
+def test_pair_bound_gives_up_once_eight_times_its_reach_overflows():
+    # the margin is formed from 8 times the reach; where that overflows
+    # there is no bound, and every pair stays live
+    H = np.linspace(0.0, 1.0, 5)
+    shift = np.array([[0.0, 0.1], [0.2, 0.3]])
+    rewards = np.zeros((H.size, 2))
+    for level, bounded in ((1e307, True), (5e307, False)):
+        base = np.full((H.size, 1), level)
+        upper = oracle._pair_bound(H, base, shift, rewards, rewards)
+        assert (upper is not None) is bounded
 
 
 def _reference_single_response(params, mode, role, opponent, grid, seed):
@@ -718,17 +731,48 @@ def test_certification_preconditions_are_checked_before_any_part(
 
 
 def test_a_failing_follower_reply_stops_the_check(monkeypatch, baseline_gs):
-    # in process the parts run in order, and the first error ends the check
+    # every part runs, the leader sample first as the longest, and the check
+    # raises the follower reply's error, the one a serial check meets first
+    ran = []
+
     def failing_reply(*args, **kwargs):
+        ran.append("follower reply")
         raise OracleError("follower reply failed")
 
-    def no_sample(*args, **kwargs):
-        raise AssertionError("the leader sample ran after a failed reply")
+    def failing_sample(*args, **kwargs):
+        ran.append("leader sample")
+        raise OracleError("leader sample failed")
 
     monkeypatch.setattr(oracle, "grid_best_response", failing_reply)
-    monkeypatch.setattr(oracle, "leader_improvement_sample", no_sample)
+    monkeypatch.setattr(oracle, "leader_improvement_sample", failing_sample)
     with pytest.raises(OracleError, match="follower reply failed"):
         equilibrium_check(baseline_gs)
+    assert ran == ["leader sample", "follower reply"]
+
+
+def test_equilibrium_checks_runs_every_part_in_one_map_longest_first():
+    # a failed precondition is returned, not raised, and costs no part; the
+    # other checks' parts go to one map call, and each report is the one
+    # equilibrium_check gives
+    solutions = {mode: solve(mode, ModelParams())
+                 for mode in ("gd", "gs", "gc")}
+    solutions["unstable"] = dataclasses.replace(solutions["gd"], alpha=0.0)
+    calls = []
+
+    def run(fn, parts):
+        calls.append([label for label, _ in parts])
+        return map(fn, parts)
+
+    outcomes = equilibrium_checks(solutions, run=run)
+    assert calls == [["leader sample", "joint control", "farmer reply",
+                      "follower reply", "retailer reply"]]
+    assert list(outcomes) == ["gd", "gs", "gc", "unstable"]
+    unstable = outcomes.pop("unstable")
+    assert isinstance(unstable, OracleError)
+    assert "attracting steady state" in str(unstable)
+    for mode, report in outcomes.items():
+        assert report.passed
+        assert report.to_dict() == equilibrium_check(solutions[mode]).to_dict()
 
 
 def _certification_systems(monkeypatch, sol, grid):
