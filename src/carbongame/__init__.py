@@ -21,6 +21,7 @@ from .model import (
     QuadraticValue,
     SolutionDiagnostics,
     Trajectory,
+    VALUE_LAYOUT,
     carbon_sink,
     demand,
     derive_constants,
@@ -103,6 +104,7 @@ __all__ = [
     "TRAJECTORY_COLUMNS",
     "Trajectory",
     "UnstableModelError",
+    "VALUE_LAYOUT",
     "__version__",
     "carbon_sink",
     "default_grid",

@@ -29,7 +29,6 @@ from .experiments import (
 from .model import GameMode, ParameterError
 from .oracle import OracleError
 from .simulate import SimulationError, simulate, trajectory_table
-from . import solver
 from .solver import SolverError, solve
 
 __all__ = ["main"]
@@ -55,9 +54,11 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 def _build_config(args) -> ScenarioConfig:
     config = load_config(args.config) if args.config else ScenarioConfig()
     updates = {}
-    if args.mode:
+    if args.mode:   # the flag decides the modes of every command
         updates["modes"] = (ALL_MODES if args.mode == "all"
                             else (GameMode.from_string(args.mode),))
+        if config.sweep is not None:
+            updates["sweep"] = dataclasses.replace(config.sweep, modes=None)
     if args.no_sink_trading:
         updates["sink_trading"] = False
     if args.out is not None:
@@ -79,7 +80,7 @@ def _solution_lines(solution) -> list:
     lines = [f"[{solution.mode.value}]",
              f"backend = {solution.diagnostics.backend}"]
     lines += [f"{name} = {float(value)!r}"
-              for name, value in solver._named_coefficients(solution).items()]
+              for name, value in solution.coefficients.items()]
     lines.append(f"alpha = {float(solution.alpha)!r}")
     lines.append(f"H_d = {float(solution.H_d)!r}")
     for role in ("farmer", "retailer"):

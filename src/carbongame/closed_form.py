@@ -225,11 +225,10 @@ def solve_printed(mode: GameMode, params: ModelParams, cfg) -> GameSolution:
     values, anchor, convention, diag = printed(params, residual_cfg)
     # a printed value that is not finite falls back to the anchor's (gc
     # solves for its anchor only then)
-    names = solver._UNKNOWNS[mode][0]
+    names = solver._UNKNOWNS[mode]
     fallbacks = [k for k in names if not np.isfinite(values[k])]
     if fallbacks:
-        anchor = anchor or solver._named_coefficients(
-            solver.solve(mode, params, residual_cfg))
+        anchor = anchor or solver.solve(mode, params, residual_cfg).coefficients
         diag.flags.append("printed value not finite; anchor values retained for "
                           + ", ".join(fallbacks))
     coeffs = [anchor[k] if k in fallbacks else values[k] for k in names]
@@ -255,20 +254,17 @@ def _printed_gd(params, residual_cfg):
     printed = printed_decentralized(params)
     if printed["Delta^GD"] < 0.0:
         raise solver.ComplexRootError("Delta^GD", printed["Delta^GD"])
-    reference = solver.solve(GameMode.DECENTRALIZED, params, residual_cfg)
-    names = solver._UNKNOWNS[GameMode.DECENTRALIZED][0]
+    reference = solver.solve(GameMode.DECENTRALIZED, params, residual_cfg).coefficients
     comparison = dict(printed)
-    comparison["residual backend"] = solver._named_coefficients(reference)
-    comparison["relative gaps"] = {
-        k: _relative_gap(printed[k], comparison["residual backend"][k])
-        for k in names}
+    comparison["residual backend"] = reference
+    comparison["relative gaps"] = {k: _relative_gap(printed[k], v)
+                                   for k, v in reference.items()}
     diag = _base_diag(None, comparison, "printed negative square-root branch")
-    return printed, comparison["residual backend"], None, diag
+    return printed, reference, None, diag
 
 
 def _printed_gs(params, residual_cfg):
-    anchor = solver._named_coefficients(
-        solver.solve(GameMode.STACKELBERG, params, residual_cfg))
+    anchor = solver.solve(GameMode.STACKELBERG, params, residual_cfg).coefficients
     printed = printed_stackelberg(params, anchor)
     comparison = dict(printed)
     comparison["relative gaps"] = {

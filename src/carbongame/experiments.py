@@ -56,7 +56,6 @@ from .simulate import (
     simulate,
     trajectory_table,
 )
-from . import solver
 from .solver import SolverConfig, SolverError, residual_scan, solve, solve_many
 
 __all__ = [
@@ -140,8 +139,8 @@ class SweepSpec:
     """One-parameter sensitivity study.
 
     parameter names any exogenous model field; values is the evaluation
-    grid; responses picks steady-state quantities to tabulate; modes of
-    None inherits the scenario's mode selection.
+    grid; responses picks steady-state quantities to tabulate, each once;
+    modes of None inherits the scenario's mode selection.
     """
 
     parameter: str
@@ -165,10 +164,12 @@ class SweepSpec:
                 raise ConfigError(f"sweep value {v!r} is not finite")
         object.__setattr__(self, "values", values)
         responses = tuple(self.responses)
-        for r in responses:
+        for i, r in enumerate(responses):
             if r not in RESPONSES:
                 raise ConfigError(f"unknown sweep response {r!r}; expected a "
                                   f"subset of {', '.join(RESPONSES)}")
+            if r in responses[:i]:
+                raise ConfigError(f"sweep responses list {r!r} twice")
         if not responses:
             raise ConfigError("sweep responses must be non-empty")
         object.__setattr__(self, "responses", responses)
@@ -364,27 +365,26 @@ def _config_echo(config: ScenarioConfig) -> dict:
 def _solution_metrics(solution: GameSolution) -> dict:
     """Steady-state response quantities shared by compare and sweep rows."""
     H_d = solution.H_d
-    metrics = {
+    return {
         "H_d": H_d,
         "E_f_at_H_d": float(solution.policies["farmer"].effort(H_d)),
         "E_r_at_H_d": float(solution.policies["retailer"].effort(H_d)),
         "total_value_at_H_d": float(profits.total_value_at(solution, H_d)),
+        "farmer_value_at_H_d": _role_value(solution, "farmer", H_d),
+        "retailer_value_at_H_d": _role_value(solution, "retailer", H_d),
     }
-    if solution.mode is GameMode.CENTRALIZED:
-        metrics["farmer_value_at_H_d"] = None
-        metrics["retailer_value_at_H_d"] = None
-    else:
-        metrics["farmer_value_at_H_d"] = float(
-            solution.values["farmer"].value(H_d))
-        metrics["retailer_value_at_H_d"] = float(
-            solution.values["retailer"].value(H_d))
-    return metrics
+
+
+def _role_value(solution: GameSolution, role: str, H) -> Optional[float]:
+    """A role's value at H, None where the solution's mode has no such role."""
+    V = solution.values.get(role)
+    return None if V is None else float(V.value(H))
 
 
 def _coefficients(solution: GameSolution) -> dict:
-    """Every coefficient name, None where the solution's mode has none."""
-    return {**dict.fromkeys(solver._UNKNOWNS[GameMode.STACKELBERG][0]),
-            **solver._named_coefficients(solution)}
+    """The summary's coefficient columns, A to F, None where the solution's
+    mode has no such coefficient."""
+    return {**dict.fromkeys(SUMMARY_COLUMNS[2:8]), **solution.coefficients}
 
 
 def _summary_row(mode: GameMode, sink: str, params: ModelParams,
@@ -393,24 +393,19 @@ def _summary_row(mode: GameMode, sink: str, params: ModelParams,
         cells = {name: None for name in SUMMARY_COLUMNS}
         status = f"error: {error}"
     else:
-        coef = _coefficients(solution)
         metrics = _solution_metrics(solution)
-        H0 = params.H0
-        is_gc = solution.mode is GameMode.CENTRALIZED
         x_ss = (float(solution.subsidy(solution.H_d))
                 if solution.mode is GameMode.STACKELBERG else None)
         cells = {
-            **coef,
+            **_coefficients(solution),
             "alpha": solution.alpha,
             "H_d": metrics["H_d"],
             "E_f_ss": metrics["E_f_at_H_d"],
             "E_r_ss": metrics["E_r_at_H_d"],
             "x_f_ss": x_ss,
-            "value_f_H0": None if is_gc
-            else float(solution.values["farmer"].value(H0)),
-            "value_r_H0": None if is_gc
-            else float(solution.values["retailer"].value(H0)),
-            "value_total_H0": float(profits.total_value_at(solution, H0)),
+            "value_f_H0": _role_value(solution, "farmer", params.H0),
+            "value_r_H0": _role_value(solution, "retailer", params.H0),
+            "value_total_H0": float(profits.total_value_at(solution, params.H0)),
             "value_f_ss": metrics["farmer_value_at_H_d"],
             "value_r_ss": metrics["retailer_value_at_H_d"],
             "value_total_ss": metrics["total_value_at_H_d"],
@@ -556,12 +551,17 @@ def run_sweep(spec: Optional[SweepSpec], config: ScenarioConfig) -> dict:
     Each mode's points are solved in one solve_many batch. Invalid or
     unsolvable points become rows with an error status rather than
     disappearing. The run report carries argmax detection per mode and
-    response, flagging whether the peak is interior to the swept range.
+    response, flagging whether the peak is interior to the swept range. A
+    p_c sweep needs sink trading: the swept price would replace the zero
+    price that sink_trading=False sets.
     """
     spec = config.sweep if spec is None else spec
     if spec is None:
         raise ConfigError("no sweep specified: pass a SweepSpec or add a "
                           "'sweep' section to the config")
+    if spec.parameter == "p_c" and not config.sink_trading:
+        raise ConfigError("sweep parameter 'p_c' needs sink trading, but "
+                          "sink_trading is false")
     modes = config.modes if spec.modes is None else spec.modes
     base = config.effective_params
     header = ["mode", "parameter", "value", *spec.responses, "status"]

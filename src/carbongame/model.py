@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "GameMode",
+    "VALUE_LAYOUT",
     "ModelParams",
     "DerivedConstants",
     "QuadraticValue",
@@ -61,6 +62,17 @@ class GameMode(enum.Enum):
                 return mode
         raise ValueError(f"unknown game mode {text!r}; expected one of "
                          f"{[m.value for m in cls]}")
+
+
+# Each mode's roles that hold a value V = A*H^2 + B*H + C, and the name each
+# role's (A, B, C) takes in the mode's coefficient vector, in vector order;
+# None marks a coefficient fixed at 0 (the decentralized retailer's value is
+# linear, M*H + N).
+VALUE_LAYOUT = {
+    GameMode.DECENTRALIZED: {"farmer": ("A", "B", "C"), "retailer": (None, "M", "N")},
+    GameMode.STACKELBERG: {"farmer": ("A", "B", "C"), "retailer": ("M", "N", "F")},
+    GameMode.CENTRALIZED: {"joint": ("A", "B", "C")},
+}
 
 
 @dataclass(frozen=True)
@@ -218,8 +230,8 @@ def _subsidy_ratio(subsidy, H):
 class QuadraticValue:
     """Value function V(H) = A*H^2 + B*H + C for one role.
 
-    The decentralized retailer value is linear: its slope is stored in B and
-    its intercept in C with A = 0.
+    A linear value keeps A = 0; VALUE_LAYOUT names the coefficients each
+    mode solves for (the decentralized retailer's B and C are its M and N).
     """
 
     A: float
@@ -302,6 +314,13 @@ class GameSolution:
     @property
     def roles(self) -> tuple:
         return tuple(self.values.keys())
+
+    @property
+    def coefficients(self) -> dict:
+        """The coefficient vector by name, in the order VALUE_LAYOUT gives."""
+        return {name: getattr(self.values[role], field)
+                for role, names in VALUE_LAYOUT[self.mode].items()
+                for name, field in zip(names, "ABC") if name is not None}
 
     def subsidy(self, H):
         """x_f(H) in the Stackelberg mode, 0 elsewhere."""

@@ -64,6 +64,7 @@ from .model import (
     ParameterError,
     QuadraticValue,
     SolutionDiagnostics,
+    VALUE_LAYOUT,
     _subsidy_ratio,
     derive_constants,
     reduction_drift,
@@ -154,15 +155,15 @@ class SolverConfig:
 # the game: one policy map, and the balances derived from it
 # ---------------------------------------------------------------------------
 
-# Unknowns of each mode, and the roles whose values V = A*H^2 + B*H + C they
-# hold in that order; the decentralized retailer's value is linear, M*H + N.
-_UNKNOWNS = {GameMode.DECENTRALIZED: (tuple("ABCMN"), ("farmer", "retailer")),
-             GameMode.STACKELBERG: (tuple("ABCMNF"), ("farmer", "retailer")),
-             GameMode.CENTRALIZED: (tuple("ABC"), ("joint",))}
-# One balance per power of H and role, but none for H^2 of a linear value.
-_LABELS = {mode: tuple(f"{role} H^{k}" for role in roles for k in (2, 1, 0)
-                       if (mode, role, k) != (GameMode.DECENTRALIZED, "retailer", 2))
-           for mode, (_, roles) in _UNKNOWNS.items()}
+# Read off VALUE_LAYOUT: each mode's unknowns in vector order, and one
+# balance per power of H and role, but none for a coefficient fixed at 0 (the
+# H^2 row of a linear value), so balance i carries rho*v[i].
+_UNKNOWNS = {mode: tuple(name for names in roles.values() for name in names
+                         if name is not None)
+             for mode, roles in VALUE_LAYOUT.items()}
+_LABELS = {mode: tuple(f"{role} H^{k}" for role, names in roles.items()
+                       for k, name in zip((2, 1, 0), names) if name is not None)
+           for mode, roles in VALUE_LAYOUT.items()}
 
 
 def _symbols(params: ModelParams) -> tuple:
@@ -172,26 +173,6 @@ def _symbols(params: ModelParams) -> tuple:
     return (params.lambda_f, params.lambda_r, params.mu_f, params.mu_r,
             params.delta, params.rho, c.eta, c.k1, c.k2,
             params.p_f, params.p_r, params.p_c)
-
-
-# Each role's value coefficients (A, B, C) in a mode's coefficient vector.
-_VALUES = {GameMode.DECENTRALIZED: lambda v: ((v[0], v[1], v[2]), (0.0, v[3], v[4])),
-           GameMode.STACKELBERG: lambda v: ((v[0], v[1], v[2]), (v[3], v[4], v[5])),
-           GameMode.CENTRALIZED: lambda v: ((v[0], v[1], v[2]),)}
-
-
-def _coefficients(solution: GameSolution) -> tuple:
-    """A solution's coefficient vector, the inverse of _VALUES."""
-    values = solution.values.values()
-    if solution.mode is GameMode.DECENTRALIZED:
-        f, r = values
-        return f.A, f.B, f.C, r.B, r.C
-    return tuple(x for V in values for x in (V.A, V.B, V.C))
-
-
-def _named_coefficients(solution: GameSolution) -> dict:
-    """A solution's coefficients by name, in the mode's order."""
-    return dict(zip(_UNKNOWNS[solution.mode][0], _coefficients(solution)))
 
 
 def _closed_loop(params: ModelParams, mode: GameMode, convention: Optional[str]):
@@ -211,14 +192,16 @@ def _closed_loop(params: ModelParams, mode: GameMode, convention: Optional[str])
     lf, lr, mf, mr, _, _, eta, *_ = _symbols(params)
     leader = mode is GameMode.STACKELBERG
     shared = leader and convention != CONVENTION_PRINTED
-    split = _VALUES[mode]
+    layout = VALUE_LAYOUT[mode].values()
     # formed once per map, where the rules below use them
     two_mr = 2.0 * mr
     two_mf, two_lf = (2.0 * mf, 2.0 * lf) if shared else (None, None)
     eta_mf = eta / mf if leader else None
 
     def loop(coeffs):
-        values = split(list(coeffs))
+        v = iter(coeffs)
+        values = tuple(tuple(0.0 if name is None else next(v) for name in names)
+                       for names in layout)
         (af, bf, _), (ar, br, _) = values[0], values[-1]
         if shared:
             e_f = ((eta + two_mf * (af + 2.0 * ar)) / two_lf,
@@ -292,9 +275,10 @@ class CoefficientSystem:
 
     balances maps the coefficient vector (ordered as names) to the H^2, H^1
     and H^0 coefficients of rho*V - rate - V'*drift, role by role, without
-    the identically zero H^2 row of a linear value; balance i carries
-    rho*v[i]. The entries of the vector may be arrays, which broadcast
-    against the parameters.
+    the rows of the coefficients VALUE_LAYOUT fixes at 0 (the identically
+    zero H^2 row of a linear value); balance i carries rho*v[i]. The
+    entries of the vector may be arrays, which broadcast against the
+    parameters.
     """
 
     mode: GameMode
@@ -317,25 +301,24 @@ def _system(params: ModelParams, mode: GameMode,
     """The balances of a mode under convention."""
     terms = _payoff_polynomials(params, mode)
     rho = params.rho
-    linear = mode is GameMode.DECENTRALIZED
+    layout = VALUE_LAYOUT[mode].values()
     offsets = (_printed_offsets(params) if mode is GameMode.STACKELBERG
                and convention == CONVENTION_PRINTED else None)
 
     def balances(v):
         (alpha, beta), values, rates = terms(v)
         out = []
-        for (A, B, C), (r2, r1, r0) in zip(values, rates):
-            out += (rho * A - r2 - 2.0 * A * alpha,
+        for (A, B, C), (r2, r1, r0), names in zip(values, rates, layout):
+            rows = (rho * A - r2 - 2.0 * A * alpha,
                     rho * B - r1 - (2.0 * A * beta + B * alpha),
                     rho * C - r0 - B * beta)
+            out += (row for row, name in zip(rows, names) if name is not None)
         if offsets is not None:
             out[0] = out[0] + offsets[0]
             out[3] = out[3] + offsets[1]
-        if linear:
-            del out[3]
         return out
 
-    return CoefficientSystem(mode=mode, names=_UNKNOWNS[mode][0],
+    return CoefficientSystem(mode=mode, names=_UNKNOWNS[mode],
                              labels=_LABELS[mode], rho=rho, balances=balances)
 
 
@@ -398,7 +381,7 @@ class _Jet:
 
 def _leading_vector(mode: GameMode, leading) -> list:
     """The coefficient vector of a branch's leading coefficients, 0 elsewhere."""
-    v = [0.0] * len(_UNKNOWNS[mode][0])
+    v = [0.0] * len(_UNKNOWNS[mode])
     for i, x in zip(_BY_POWER[mode][2], leading):
         v[i] = x
     return v
@@ -846,10 +829,9 @@ def _solutions(cells, mode: GameMode, values, policies, alpha, beta, H_d,
                      for x in xs))
 
     e_f, e_r, subsidy = policies
-    roles = _UNKNOWNS[mode][1]
     return [GameSolution(
         mode=mode, params=params,
-        values={role: QuadraticValue(*v) for role, v in zip(roles, V)},
+        values={role: QuadraticValue(*v) for role, v in zip(VALUE_LAYOUT[mode], V)},
         policies={"farmer": FeedbackPolicy(*f), "retailer": FeedbackPolicy(*r)},
         alpha=a, beta=b, H_d=h, diagnostics=diag)
         for params, V, f, r, (a, b, h), diag in zip(

@@ -207,6 +207,49 @@ def test_a_mode_listed_twice_exits_one(capsys, tmp_path, doc, where):
     assert err == f"error: {where} lists mode '{mode}' twice\n"
 
 
+def test_a_response_listed_twice_exits_one(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"sweep": {"parameter": "p_c", "values": [0.5],
+                                          "responses": ["H_d", "H_d"]}}))
+    code, out, err = _run(capsys, ["sweep", "--config", str(path)])
+    assert (code, out, err) == (1, "", "error: sweep responses list 'H_d' twice\n")
+
+
+@pytest.mark.parametrize("flag, modes", [("gs", ["gs"]), ("all", ["gd", "gs", "gc"])])
+def test_the_mode_flag_overrides_the_sweep_modes(capsys, tmp_path, flag, modes):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"sweep": {"parameter": "p_c", "values": [0.1, 0.5],
+                                          "modes": ["gd"]}}))
+    out_dir = tmp_path / "out"
+    code, _, _ = _run(capsys, ["sweep", "--config", str(path), "--mode", flag,
+                               "--out", str(out_dir)])
+    assert code == 0
+    rows = [line.split(",") for line in
+            (out_dir / "sweep.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[2], r[-1]) for r in rows] == [
+        (mode, value, "ok") for mode in modes for value in ("0.1", "0.5")]
+    report = json.loads((out_dir / "run_report.json").read_text())
+    assert report["sweep"]["modes"] == modes
+    assert report["config"]["sweep"]["modes"] is None
+    # without the flag the section's modes hold
+    code, out, _ = _run(capsys, ["sweep", "--config", str(path)])
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["gd", "gd"]
+
+
+@pytest.mark.parametrize("doc, flags", [({"sink_trading": False}, []),
+                                        ({}, ["--no-sink-trading"])],
+                         ids=["config", "flag"])
+def test_a_sink_price_sweep_without_sink_trading_exits_one(capsys, tmp_path, doc,
+                                                           flags):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**doc, "sweep": {"parameter": "p_c",
+                                                 "values": [0.0, 0.5]}}))
+    code, out, err = _run(capsys, ["sweep", "--config", str(path), *flags])
+    assert (code, out) == (1, "")
+    assert err == ("error: sweep parameter 'p_c' needs sink trading, "
+                   "but sink_trading is false\n")
+
+
 def test_verify_single_mode_passes(capsys):
     code, out, _ = _run(capsys, ["verify", "--mode", "gd"])
     assert code == 0

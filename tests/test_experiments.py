@@ -282,6 +282,20 @@ def test_a_mode_listed_twice_is_a_config_error(tmp_path, modes, twice):
                                                 for m in modes]}))
 
 
+@pytest.mark.parametrize("responses, twice", [
+    (["H_d", "H_d"], "H_d"),
+    (["E_f_at_H_d", "H_d", "total_value_at_H_d", "H_d"], "H_d"),
+], ids=["adjacent", "apart"])
+def test_a_response_listed_twice_is_a_config_error(tmp_path, responses, twice):
+    # a repeated response would write its column, and report its argmax, twice
+    message = f"^sweep responses list '{twice}' twice$"
+    with pytest.raises(ConfigError, match=message):
+        SweepSpec(parameter="p_c", values=(1.0,), responses=responses)
+    with pytest.raises(ConfigError, match=message):
+        load_config(_write(tmp_path, {"sweep": {"parameter": "p_c", "values": [1.0],
+                                                "responses": responses}}))
+
+
 # ---------------------------------------------------------------------------
 # compare
 # ---------------------------------------------------------------------------
@@ -652,6 +666,21 @@ def test_sweep_argmax_skips_a_response_blank_in_every_row():
 def test_sweep_without_a_spec_is_an_error():
     with pytest.raises(ConfigError, match="no sweep specified"):
         run_sweep(None, ScenarioConfig(sim=QUICK_SIM))
+
+
+def test_a_sink_price_sweep_needs_sink_trading():
+    # the swept p_c replaces the zero price sink_trading=False sets, so every
+    # nonzero point would trade sinks under a report that says it does not
+    spec = SweepSpec(parameter="p_c", values=(0.0, 0.5))
+    message = "^sweep parameter 'p_c' needs sink trading, but sink_trading is false$"
+    with pytest.raises(ConfigError, match=message):
+        run_sweep(spec, ScenarioConfig(sink_trading=False))
+    with pytest.raises(ConfigError, match=message):
+        run_sweep(None, ScenarioConfig(sink_trading=False, sweep=spec))
+    # any other parameter sweeps with sink trading off
+    other = SweepSpec(parameter="mu_f", values=(1.5,), modes=("gd",))
+    rows = _rows(run_sweep(other, ScenarioConfig(sink_trading=False))["sweep.csv"])
+    assert float(rows[1][3]) == solve("gd", ModelParams(p_c=0.0)).H_d
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carbongame import (
+    VALUE_LAYOUT,
     ComplexRootError,
     GameMode,
     GameSolution,
@@ -31,6 +32,7 @@ from carbongame.profits import payoff_rates, value_at
 from carbongame.solver import (
     BACKEND_CLOSED_FORM,
     CONVENTION_PRINTED,
+    CONVENTION_STANDARD,
 )
 
 from reference_values import CASES, PRINTED
@@ -226,12 +228,41 @@ def test_zero_payoff_parameters_give_the_zero_solution():
     assert residual_scan(sol, params) == 0.0
 
 
+@pytest.mark.parametrize("overrides", [{}, {"p_c": 0.0}, {"mu_f": 2.0, "rho": 0.4}],
+                         ids=["baseline", "no-sink", "moved"])
+@pytest.mark.parametrize("mode, convention", [
+    ("gd", CONVENTION_STANDARD), ("gs", CONVENTION_STANDARD),
+    ("gs", CONVENTION_PRINTED), ("gc", CONVENTION_STANDARD)])
+def test_coefficients_follow_the_value_layout_and_assemble_back(mode, convention,
+                                                               overrides):
+    params = ModelParams(**overrides)
+    sol = solve(mode, params, SolverConfig(follower_convention=convention))
+    layout = VALUE_LAYOUT[sol.mode]
+    assert tuple(sol.values) == tuple(layout)
+    assert list(sol.coefficients) == [name for names in layout.values()
+                                      for name in names if name is not None]
+    assert sol.coefficients == _coeffs(sol)
+    for role, names in layout.items():
+        V = sol.values[role]
+        for name, x in zip(names, (V.A, V.B, V.C)):
+            assert x == (0.0 if name is None else sol.coefficients[name])
+    if sol.mode is GameMode.DECENTRALIZED:
+        retailer = sol.values["retailer"]
+        assert (sol.coefficients["M"], sol.coefficients["N"]) == (retailer.B, retailer.C)
+    # the vector assembles back into the same solution, bit for bit (repr
+    # tells -0.0 from 0.0)
+    again = solver._assemble(params, sol.mode, convention,
+                             list(sol.coefficients.values()), sol.diagnostics)
+    assert repr((again.values, again.policies, again.alpha, again.beta, again.H_d)) \
+        == repr((sol.values, sol.policies, sol.alpha, sol.beta, sol.H_d))
+
+
 @pytest.mark.parametrize("mode", ["gd", "gs", "gc"])
 def test_coefficients_are_continuous_as_the_sink_price_vanishes(mode):
     # relative to the largest coefficient: A is a rounding-level zero at
     # p_c = 0; the measured gap is 5e-10 to 6e-10
-    at_zero = np.array(solver._coefficients(solve(mode, ModelParams(p_c=0.0))))
-    near = np.array(solver._coefficients(solve(mode, ModelParams(p_c=1e-9))))
+    at_zero = np.array(list(solve(mode, ModelParams(p_c=0.0)).coefficients.values()))
+    near = np.array(list(solve(mode, ModelParams(p_c=1e-9)).coefficients.values()))
     assert np.max(np.abs(near - at_zero)) <= 1e-8 * np.max(np.abs(at_zero))
 
 
@@ -319,7 +350,7 @@ def test_rate_polynomials_match_payoff_rates(mode, overrides):
     params = ModelParams().replace(**overrides)
     sol = solve(mode, params)
     terms = solver._payoff_polynomials(params, sol.mode)
-    drift, _, rates = terms(solver._coefficients(sol))
+    drift, _, rates = terms(list(sol.coefficients.values()))
     H = np.linspace(0.0, 2.0 * sol.H_d, 9)
     pol_f, pol_r = sol.policies["farmer"], sol.policies["retailer"]
     x = pol_r.subsidy(H) if mode == "gs" else None
@@ -357,7 +388,7 @@ def test_random_parameter_sets_solve_cleanly(logs):
             sol = solve(name[:2], params, cfg)
         except (ParameterError, ComplexRootError, UnstableModelError, SolverError):
             continue
-        coeffs = np.array(solver._coefficients(sol))
+        coeffs = np.array(list(sol.coefficients.values()))
         assert sol.alpha < 0.0, name
         assert np.all(np.isfinite(coeffs)), name
         system = solver._system(params, sol.mode, cfg.follower_convention)
@@ -390,7 +421,7 @@ def test_cells_scaled_over_600_decades_solve_or_fail_typed(seed):
                 continue
             assert isinstance(entry, GameSolution), (name, params, entry)
             numbers = [entry.alpha, entry.beta, entry.H_d,
-                       *solver._coefficients(entry)]
+                       *entry.coefficients.values()]
             assert entry.alpha < 0, (name, params)
             assert np.all(np.isfinite(numbers)), (name, params)
 
@@ -425,7 +456,7 @@ def test_solve_many_is_solve_cell_by_cell(seed, name):
         if isinstance(expected, Exception):
             assert str(got) == str(expected)
             continue
-        assert solver._coefficients(got) == solver._coefficients(expected)
+        assert got.coefficients == expected.coefficients
         assert (got.alpha, got.beta, got.H_d) == (expected.alpha, expected.beta,
                                                   expected.H_d)
         assert json.dumps(got.diagnostics.to_dict(), sort_keys=True) == \
@@ -458,8 +489,7 @@ def test_parameters_whose_balances_overflow_are_a_parameter_error(mode):
     for params, got in zip(OVERFLOWING, batch[1:]):
         assert isinstance(got, ParameterError), (params, got)
         assert "parameters overflow float64" in str(got)
-    assert (solver._coefficients(batch[0])
-            == solver._coefficients(solve(mode, ModelParams())))
+    assert batch[0].coefficients == solve(mode, ModelParams()).coefficients
 
 
 # finite and valid, but the published formulas overflow or divide by zero
@@ -473,7 +503,7 @@ def test_a_gs_batch_is_not_aborted_by_extreme_cells():
     for params, got in zip(EXTREME, batch[1:]):
         assert isinstance(got, (GameSolution, ParameterError, SolverError)), (params, got)
     expected = solve("gs", ModelParams())
-    assert solver._coefficients(batch[0]) == solver._coefficients(expected)
+    assert batch[0].coefficients == expected.coefficients
     assert json.dumps(batch[0].diagnostics.to_dict()) == \
         json.dumps(expected.diagnostics.to_dict())
 
@@ -488,8 +518,8 @@ def test_gs_transfer_survives_a_tiny_farmer_response(mu_f, convention):
     sol = solve("gs", ModelParams(mu_f=mu_f), cfg)
     assert sol.alpha < 0
     assert residual_scan(sol, sol.params) <= 1e-14
-    limit = np.array(solver._coefficients(solve("gs", ModelParams(mu_f=1e-30), cfg)))
-    gap = np.abs(np.array(solver._coefficients(sol)) - limit)
+    limit = np.array(list(solve("gs", ModelParams(mu_f=1e-30), cfg).coefficients.values()))
+    gap = np.abs(np.array(list(sol.coefficients.values())) - limit)
     assert np.max(gap) <= 1e-12 * np.max(np.abs(limit))
 
 
@@ -507,7 +537,7 @@ def test_a_companion_matrix_that_overflows_is_a_parameter_error():
         assert isinstance(got, ParameterError), (params, got)
         assert "companion matrix" in str(got)
     expected = solve("gs", ModelParams())
-    assert solver._coefficients(batch[-1]) == solver._coefficients(expected)
+    assert batch[-1].coefficients == expected.coefficients
 
 
 def test_a_drift_slope_that_overflows_ends_without_a_warning():
@@ -516,13 +546,13 @@ def test_a_drift_slope_that_overflows_ends_without_a_warning():
     batch = solve_many("gs", [ModelParams(), SLOPE_OVERFLOW, *COMPANION_OVERFLOW])
     got = batch[1]
     if isinstance(got, GameSolution):
-        assert got.alpha < 0.0 and np.all(np.isfinite(solver._coefficients(got)))
+        assert got.alpha < 0.0 and np.all(np.isfinite(list(got.coefficients.values())))
     else:
         assert isinstance(got, (ParameterError, ComplexRootError,
                                 UnstableModelError, SolverError)), got
     assert all(isinstance(e, ParameterError) for e in batch[2:])
     expected = solve("gs", ModelParams())
-    assert solver._coefficients(batch[0]) == solver._coefficients(expected)
+    assert batch[0].coefficients == expected.coefficients
 
 
 @pytest.mark.parametrize("params", EXTREME, ids=["rho-1e150", "lambda_f-1e200",
@@ -535,7 +565,7 @@ def test_paper_backend_ends_in_a_solution_or_a_typed_error(mode, params):
     if isinstance(sol, (ParameterError, SolverError)):
         return
     assert isinstance(sol, GameSolution)
-    assert all(np.isfinite(solver._coefficients(sol)))
+    assert all(np.isfinite(list(sol.coefficients.values())))
     if any(not np.isfinite(v) for v in sol.diagnostics.printed_comparison.values()
            if isinstance(v, float)):
         assert sol.diagnostics.flags
@@ -693,7 +723,7 @@ def test_gs_batch_with_and_without_sink_trading_is_solve_cell_by_cell(convention
         if isinstance(expected, Exception):
             assert str(got) == str(expected)
             continue
-        assert solver._coefficients(got) == solver._coefficients(expected)
+        assert got.coefficients == expected.coefficients
         assert json.dumps(got.diagnostics.to_dict()) == \
             json.dumps(expected.diagnostics.to_dict())
         if params.p_c == 0.0:
@@ -747,7 +777,7 @@ def test_balance_structure_the_branch_solver_relies_on(name, overrides):
     system = solver._system(params, sol.mode, cfg.follower_convention)
     by_power = solver._BY_POWER[sol.mode]
     f = system.residuals
-    coeffs = np.array(solver._coefficients(sol))
+    coeffs = np.array(list(sol.coefficients.values()))
     rng = np.random.default_rng(20241018)
     for _ in range(10):
         # points and directions on the scale of the solution
