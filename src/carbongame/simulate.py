@@ -127,13 +127,11 @@ def exact_trajectory(solution: GameSolution, simcfg: SimConfig = SimConfig(),
     return _fill_series(solution, params, t, H, INTEGRATOR_EXACT)
 
 
-def _rk4(drift, y, h: float, steps: int) -> np.ndarray:
-    """Classical fourth-order fixed-step path (steps + 1, ...) of
-    dy/dt = drift(y) from y, a float or an array of independent states.
-    The stages are elementwise, so each column of an array path is its
-    state's float path bit for bit; a float steps on Python floats, which
+def _rk4(drift, y: float, h: float, steps: int) -> np.ndarray:
+    """Classical fourth-order fixed-step path (steps + 1 samples) of
+    dy/dt = drift(y) from the float y, stepped on Python floats, which
     round as float64 does, without numpy's per-scalar overhead."""
-    path = np.empty((steps + 1,) + np.shape(y))
+    path = np.empty(steps + 1)
     path[0] = y
     for i in range(1, steps + 1):
         k1 = drift(y)

@@ -31,7 +31,7 @@ from carbongame import (
     leader_improvement_sample,
     solve,
 )
-from carbongame import oracle, simulate, solver
+from carbongame import oracle, solver
 from carbongame.model import (
     SolutionDiagnostics,
     derive_constants,
@@ -43,12 +43,7 @@ from carbongame.oracle import (
     _positions,
     _seed_indices,
 )
-from carbongame.profits import (
-    _discounted_total,
-    discounted_profit,
-    payoff_rates,
-)
-from carbongame.simulate import SimConfig, integrate_trajectory
+from carbongame.profits import payoff_rates, value_at
 
 from reference_values import CASES
 
@@ -130,12 +125,12 @@ def test_stackelberg_certification_passes(baseline_gs):
     assert sample["max_improvement"] < 0.0
     assert sample["baseline_payoff"] == pytest.approx(
         CASES["baseline"]["gs"]["V_r_H0"], rel=1e-3)
-    # pinned from the sampler's stepped RK4 (seed 20260814, 200 samples,
-    # Simpson pricing at LEADER_STEP = 0.05); a faster sampler must
-    # reproduce them, not just pass the tolerance
-    assert sample["baseline_payoff"] == pytest.approx(9042.13421504143,
+    # pinned from the sampler's closed-form pricing (seed 20260814, 200
+    # samples, 32 Gauss-Legendre nodes over the state); a faster sampler
+    # must reproduce them, not just pass the tolerance
+    assert sample["baseline_payoff"] == pytest.approx(9042.136390885238,
                                                       rel=0, abs=1e-9)
-    assert sample["max_improvement"] == pytest.approx(-5.4293988885921544e-05,
+    assert sample["max_improvement"] == pytest.approx(-5.42966727456874e-05,
                                                       rel=0, abs=1e-9)
 
 
@@ -571,8 +566,8 @@ def _perturbed_pin():
 
 
 def _zero_denominator_pin():
-    # x_f = (0.5*H - 0.25)/(2*H - 1) is 0/0 at the initial state H0 = 0.5,
-    # where the sampler shares nothing; the perturbed rules move the pole
+    # x_f = (0.5*H - 0.25)/(2*H - 1) is 0/0 at the initial state H0 = 0.5;
+    # the perturbed rules move the pole
     # solve("gs", ModelParams()) coefficients when the samples were
     # recorded
     coeffs = (0.7444379187163269, 1089.944733842334, 7530.93034376331,
@@ -585,42 +580,56 @@ def _zero_denominator_pin():
 
 
 def test_perturbed_leader_sample_is_pinned():
-    # recorded from the sampler that steps each rule's folded drift and
-    # prices its paths with payoff_rates and discounted_running; the
-    # quadrature is elementwise products and running sums (no BLAS), so the
-    # match is exact
+    # recorded from the sampler that prices each rule in closed form over
+    # the state; the same numpy build reproduces it bit for bit
     sample = leader_improvement_sample(_perturbed_pin())
-    assert sample["baseline_payoff"] == 9294.720652394844
-    assert sample["max_improvement"] == -5.228132490775072e-05
+    assert sample["baseline_payoff"] == 9294.72261250699
+    assert sample["max_improvement"] == -5.228371725344644e-05
     assert sample["improving_samples"] == 0
 
 
+def _refused(solution, match):
+    """leader_improvement_sample(solution) raises an OracleError that
+    matches, and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OracleError, match=match):
+            leader_improvement_sample(solution)
+
+
 def test_leader_sample_with_a_zero_subsidy_denominator():
-    # the rules are singular at H0, so no quadrature converges fast here:
-    # these numbers pin the code, not the integral, and every step size
-    # tried fails LEADER_TOLERANCE
-    sample = leader_improvement_sample(_zero_denominator_pin())
-    assert sample["baseline_payoff"] == 9415.970148191605
-    assert sample["max_improvement"] == 0.43609195546101454
-    assert sample["improving_samples"] == 56
+    # the unperturbed rule's share and denominator vanish at H0, and the
+    # perturbed rules' poles lie near it: no closed form prices them, and
+    # the stepped sampler's numbers failed LEADER_TOLERANCE at every step
+    _refused(_zero_denominator_pin(),
+             "zero of the cost share or the subsidy denominator")
 
 
 def test_leader_sample_whose_paths_overflow_is_an_oracle_error(baseline_gs):
     # x_f = 3 - H floors the follower's cost share below H = 2, where the
-    # paths start (H0 = 0.1); the floored effort drives every path to
-    # overflow, which is a typed error and raises no warning
-    sol = _with_rule(baseline_gs, n1=-1.0, n0=3.0, d1=0.0, d0=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(OracleError, match="not finite"):
-            leader_improvement_sample(sol)
+    # paths start (H0 = 0.1), which drove the stepped sampler's paths to
+    # overflow; a retailer cost rate beyond float64 overflows every payoff
+    _refused(_with_rule(baseline_gs, n1=-1.0, n0=3.0, d1=0.0, d0=1.0),
+             "201 with a cost share at or below the 1e-6 floor")
+    params = baseline_gs.params.replace(lambda_r=1e308)
+    _refused(dataclasses.replace(baseline_gs, params=params),
+             "201 with a payoff that is not finite")
 
 
-def _stepped_leader_sample(solution) -> tuple:
-    """The leader sampler with the follower's efforts formed at every RK4
-    stage and passed to reduction_drift, the reference for its folded drift:
-    the same draws, 0/0 rule, share floor, grid, pricing and discounting.
-    Returns (baseline_payoff, max_improvement, improving_samples)."""
+def test_leader_sample_with_a_floored_share_is_an_oracle_error(baseline_gs):
+    # x_f = 1 at every state: the unperturbed rule's share 1 - x_f is 0, and
+    # the perturbed rules whose n0 grew more than d0 have a negative share
+    sol = _with_rule(baseline_gs, n1=0.0, n0=1.0, d1=0.0, d0=1.0)
+    _refused(sol, "1 with a zero of the cost share")
+    _refused(sol, "with a cost share at or below the 1e-6 floor")
+
+
+def _stepped_leader_payoffs(solution, h=0.005, T=120.0) -> np.ndarray:
+    """The sampled rules' payoffs by time stepping, the reference for the
+    closed form: the sampler's draws, 0/0 rule and share floor, the
+    follower's efforts formed at every RK4 stage and passed to
+    reduction_drift, the rates priced by payoff_rates and discounted by
+    composite Simpson on [0, T] plus the frozen-state tail."""
     params = solution.params
     lead = solution.policies["retailer"]
     base = np.array([lead.g1, lead.g0, lead.n1, lead.n0, lead.d1, lead.d0])
@@ -636,7 +645,8 @@ def _stepped_leader_sample(solution) -> tuple:
         num = n1 * H + n0
         den = d1 * H + d0
         x = num / den
-        x[(num == 0.0) & (den == 0.0)] = 0.0
+        if not den.all():  # 0/0 needs a zero denominator
+            x[(num == 0.0) & (den == 0.0)] = 0.0
         share = np.maximum(1.0 - x, 1e-6) * params.lambda_f
         return (f1 * H + f0) / share, g1 * H + g0, x
 
@@ -644,45 +654,53 @@ def _stepped_leader_sample(solution) -> tuple:
         E_f, E_r, _ = stage(H)
         return reduction_drift(H, E_f, E_r, params)
 
-    h = oracle.LEADER_STEP
-    steps = int(round(oracle.LEADER_HORIZON / h))
+    steps = int(round(T / h))
+    assert steps % 2 == 0
+    y = np.full(g1.size, float(params.H0))
+    path = np.empty((steps + 1, y.size))
+    path[0] = y
     with np.errstate(divide="ignore", invalid="ignore"):
-        path = simulate._rk4(drift, np.full(g1.size, params.H0), h, steps)
-        rates = payoff_rates(GameMode.STACKELBERG, path, *stage(path),
-                             params).net_r
-    payoff = _discounted_total(rates, np.arange(steps + 1) * h, params.rho)
-    gains = (payoff[1:] - payoff[0]) / max(abs(payoff[0]), 1e-12)
-    return payoff[0], np.max(gains), int(np.sum(gains > 0.0))
-
-
-def _floored_share():
-    # x_f = 1 at every state: the unperturbed rule's share 1 - x_f = 0 sits
-    # on the 1e-6 floor, and so do the perturbed rules whose n0 grew more
-    # than d0. At this lambda_f the floored effort, about
-    # (eta*H + mu_f*V_f')/(lambda_f*1e-6), keeps the paths bounded.
-    sol = solve("gs", ModelParams(lambda_f=5e8))
-    return _with_rule(sol, n1=0.0, n0=1.0, d1=0.0, d0=1.0)
+        for i in range(1, steps + 1):
+            k1 = drift(y)
+            k2 = drift(y + 0.5 * h * k1)
+            k3 = drift(y + 0.5 * h * k2)
+            k4 = drift(y + h * k3)
+            y = y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            path[i] = y
+        weights = np.full(steps + 1, 2.0)
+        weights[1::2] = 4.0
+        weights[[0, -1]] = 1.0
+        weights *= h / 3.0 * np.exp(-params.rho * h * np.arange(steps + 1))
+        payoff = 0.0
+        for lo in range(0, steps + 1, 4000):
+            block = path[lo:lo + 4000]
+            rates = payoff_rates(GameMode.STACKELBERG, block, *stage(block),
+                                 params).net_r
+            payoff = payoff + weights[lo:lo + 4000] @ rates
+    return payoff + np.exp(-params.rho * T) / params.rho * rates[-1]
 
 
 @pytest.mark.parametrize("case", [
     lambda: solve("gs", ModelParams()),
     _perturbed_pin,
-    _zero_denominator_pin,
     lambda: solve("gs", ModelParams(H0=3.0)),
+    lambda: solve("gs", ModelParams(H0=20.0)),
     lambda: solve("gs", ModelParams(p_c=0.8, rho=0.9)),
-    _floored_share,
-], ids=["baseline", "perturbed-pin", "zero-denominator-pin", "H0",
-        "p_c-rho", "floored-share"])
+    lambda: solve("gs", ModelParams().without_sink_trading()),
+], ids=["baseline", "perturbed-pin", "H0", "H0-above-the-steady-state",
+        "p_c-rho", "no-sink-trading"])
 def test_folded_leader_drift_matches_the_stepped_reference(case):
-    # the folded drift (e1*H + e0)/share + a1*H + a0 rounds otherwise than
-    # reduction_drift of the stage efforts, so the payoffs agree to rounding
+    # every rule's closed-form payoff against RK4 at h = 0.005; the paths
+    # rise to the steady state from H0 = 0.1 and 3 and fall to it from 20,
+    # and without sink trading every rule's drift is affine
     sol = case()
+    payoff = oracle._leader_payoffs(sol)
+    reference = _stepped_leader_payoffs(sol)
+    assert np.max(np.abs(payoff / reference - 1.0)) <= 1e-8
     sample = leader_improvement_sample(sol)
-    baseline, best, improving = _stepped_leader_sample(sol)
-    assert sample["improving_samples"] == improving
-    assert abs(sample["max_improvement"] - best) <= 1e-13
-    assert (abs(sample["baseline_payoff"] - baseline)
-            <= 1e-14 * abs(baseline))
+    gains = (reference[1:] - reference[0]) / abs(reference[0])
+    assert sample["improving_samples"] == np.sum(gains > 0.0)
+    assert sample["baseline_payoff"] == payoff[0]
 
 
 @pytest.mark.parametrize("retired", [
@@ -731,7 +749,7 @@ def test_certification_preconditions_are_checked_before_any_part(
 
 
 def test_a_failing_follower_reply_stops_the_check(monkeypatch, baseline_gs):
-    # every part runs, the leader sample first as the longest, and the check
+    # every part runs, the follower reply first as the longer, and the check
     # raises the follower reply's error, the one a serial check meets first
     ran = []
 
@@ -747,7 +765,7 @@ def test_a_failing_follower_reply_stops_the_check(monkeypatch, baseline_gs):
     monkeypatch.setattr(oracle, "leader_improvement_sample", failing_sample)
     with pytest.raises(OracleError, match="follower reply failed"):
         equilibrium_check(baseline_gs)
-    assert ran == ["leader sample", "follower reply"]
+    assert ran == ["follower reply", "leader sample"]
 
 
 def test_equilibrium_checks_runs_every_part_in_one_map_longest_first():
@@ -764,8 +782,8 @@ def test_equilibrium_checks_runs_every_part_in_one_map_longest_first():
         return map(fn, parts)
 
     outcomes = equilibrium_checks(solutions, run=run)
-    assert calls == [["leader sample", "joint control", "farmer reply",
-                      "follower reply", "retailer reply"]]
+    assert calls == [["joint control", "follower reply", "farmer reply",
+                      "retailer reply", "leader sample"]]
     assert list(outcomes) == ["gd", "gs", "gc", "unstable"]
     unstable = outcomes.pop("unstable")
     assert isinstance(unstable, OracleError)
@@ -820,13 +838,13 @@ def test_band_solve_matches_a_dense_solve(monkeypatch, mode, dt, reach):
                                      {"H0": 3.0}],
                          ids=["baseline", "p_c-rho", "H0"])
 def test_unperturbed_leader_row_is_the_discounted_profit(changes):
+    # the unperturbed rule's closed loop is the solution's, so its payoff
+    # is the retailer's analytic value at H0
     params = ModelParams().replace(**changes)
     sol = solve("gs", params)
     sample = leader_improvement_sample(sol)
-    traj = integrate_trajectory(sol, SimConfig(T=oracle.LEADER_HORIZON,
-                                               h=oracle.LEADER_STEP))
-    expected = discounted_profit(traj, "retailer", params)
-    assert sample["baseline_payoff"] == pytest.approx(expected, rel=1e-12)
+    expected = value_at(sol, "retailer", params.H0)
+    assert abs(sample["baseline_payoff"] - expected) <= 1e-10 * abs(expected)
 
 
 PACKAGE_MODULES = ["carbongame"] + [

@@ -26,7 +26,6 @@ from carbongame.simulate import (
     INTEGRATOR_EXACT,
     INTEGRATOR_RK4,
     MAX_SAMPLE_COUNT,
-    _rk4,
     simulate,
 )
 from carbongame.solver import CONVENTION_PRINTED
@@ -347,22 +346,6 @@ def test_finite_unstable_rk4_path_is_flagged_not_an_error():
     assert np.array_equal(traj.H, _numpy_scalar_rk4(sol, cfg, sol.params))
     assert traj.flag.any() and (traj.H < 0.0).any()
     assert trajectory_table(traj) == _per_cell_table(traj)
-
-
-def test_rk4_columns_are_bit_identical_to_their_scalar_paths():
-    # the stepper the leader sampler uses: an array of initial levels steps
-    # each column exactly as its float path
-    sol = _solved("baseline")
-    pol_f, pol_r = sol.policies["farmer"], sol.policies["retailer"]
-
-    def drift(H):
-        return reduction_drift(H, pol_f.effort(H), pol_r.effort(H), sol.params)
-
-    levels = (0.0, 0.1, 7.8, 30.0)
-    paths = _rk4(drift, np.array(levels), 0.01, 4000)
-    assert paths.shape == (4001, 4)
-    for column, H0 in zip(paths.T, levels):
-        assert np.array_equal(column, _rk4(drift, H0, 0.01, 4000))
 
 
 # --- the running discounted payoffs: scipy's Simpson rule, the profit --------
