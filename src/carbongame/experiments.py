@@ -47,6 +47,7 @@ from .model import (
     GameSolution,
     ModelParams,
     ParameterError,
+    VALUE_LAYOUT,
     validate_params,
 )
 from .simulate import (
@@ -56,7 +57,8 @@ from .simulate import (
     simulate,
     trajectory_table,
 )
-from .solver import SolverConfig, SolverError, residual_scan, solve, solve_many
+from .solver import (BACKEND_CLOSED_FORM, SolverConfig, SolverError, _solve_columns,
+                     _stack_fields, residual_scan, solve, solve_many)
 
 __all__ = [
     "ConfigError",
@@ -88,6 +90,10 @@ SUMMARY_COLUMNS = (
 )
 
 VERIFY_VALUE_TOL = 1e-3
+
+# cells per array pass along a sweep line: the pass's transient arrays, not
+# the line's length, set a sweep's peak memory
+SWEEP_CHUNK = 4096
 
 ALL_MODES = (GameMode.DECENTRALIZED, GameMode.STACKELBERG,
              GameMode.CENTRALIZED)
@@ -545,15 +551,38 @@ def _sweep_argmax(mode: GameMode, responses, solved: list) -> list:
     return found
 
 
+# as Python floats do, overflow leaves inf, and inf - inf nan, without a warning
+@np.errstate(over="ignore", invalid="ignore")
+def _sweep_part(mode: GameMode, cfg: SolverConfig, fields, odd, cell) -> tuple:
+    """Cells of a sweep line as solver._solve_columns takes them: each cell's
+    typed error or None, and one dict of RESPONSES per solved cell. These
+    are column arithmetic in the operation order of _solution_metrics, which
+    gives them itself for the paper backend's solutions."""
+    if cfg.backend == BACKEND_CLOSED_FORM:
+        entries = solve_many(mode, [cell(i) for i in range(fields.shape[1])], cfg)
+        return ([e if isinstance(e, Exception) else None for e in entries],
+                [_solution_metrics(e) for e in entries if not isinstance(e, Exception)])
+    errors, _, (values, ((f1, f0), (r1, r0), _), _, _, H_d), _ = _solve_columns(
+        mode, cfg, fields, odd, cell)
+    at = {role: (A * H_d + B) * H_d + C
+          for role, (A, B, C) in zip(VALUE_LAYOUT[mode], values)}
+    total = at["joint"] if "joint" in at else at["farmer"] + at["retailer"]
+    columns = [[None] * len(H_d) if x is None else x.tolist() for x in (
+        H_d, f1 * H_d + f0, r1 * H_d + r0, at.get("farmer"), at.get("retailer"), total)]
+    return errors, [dict(zip(RESPONSES, row)) for row in zip(*columns)]
+
+
 def run_sweep(spec: Optional[SweepSpec], config: ScenarioConfig) -> dict:
     """Tabulate steady-state responses along a one-parameter grid.
 
-    Each mode's points are solved in one solve_many batch. Invalid or
-    unsolvable points become rows with an error status rather than
-    disappearing. The run report carries argmax detection per mode and
-    response, flagging whether the peak is interior to the swept range. A
-    p_c sweep needs sink trading: the swept price would replace the zero
-    price that sink_trading=False sets.
+    The base and the swept column are stacked once, and each mode solves
+    the line in parts of SWEEP_CHUNK cells, as columns (see _sweep_part).
+    Invalid or unsolvable points become rows with an error status rather
+    than disappearing; the run report counts them per mode by exception
+    class. It carries argmax detection per mode and response, flagging
+    whether the peak is interior to the swept range. A p_c sweep needs sink
+    trading: the swept price would replace the zero price that
+    sink_trading=False sets.
     """
     spec = config.sweep if spec is None else spec
     if spec is None:
@@ -563,23 +592,28 @@ def run_sweep(spec: Optional[SweepSpec], config: ScenarioConfig) -> dict:
         raise ConfigError("sweep parameter 'p_c' needs sink trading, but "
                           "sink_trading is false")
     modes = config.modes if spec.modes is None else spec.modes
-    base = config.effective_params
+    base, points = config.effective_params, spec.values
+    fields, odd = (x.repeat(len(points), axis=-1) for x in _stack_fields([base]))
+    fields[ModelParams.field_names().index(spec.parameter)] = points
     header = ["mode", "parameter", "value", *spec.responses, "status"]
-    rows, argmax = [], []
-    cells = [base.replace(**{spec.parameter: value}) for value in spec.values]
+    rows, argmax, failed = [], [], {}
     for mode in modes:
-        solved = []
-        for value, outcome in zip(spec.values,
-                                  solve_many(mode, cells, config.solver)):
-            if isinstance(outcome, Exception):   # a typed solver error
-                metrics, status = {}, f"error: {outcome}"
-            else:
-                metrics, status = _solution_metrics(outcome), "ok"
-                solved.append((value, metrics))
-            row = [mode.value, spec.parameter, repr(float(value))]
-            row += [_fmt(metrics.get(name)) for name in spec.responses]
-            row.append(status)
-            rows.append(row)
+        solved, classes = [], failed.setdefault(mode.value, {})
+        for lo in range(0, len(points), SWEEP_CHUNK):
+            part = slice(lo, lo + SWEEP_CHUNK)
+            errors, responses = _sweep_part(
+                mode, config.solver, fields[:, part], odd[part],
+                lambda i: base.replace(**{spec.parameter: points[lo + i]}))
+            responses = iter(responses)
+            for value, error in zip(points[part], errors):
+                if error is None:
+                    metrics, status = next(responses), "ok"
+                    solved.append((value, metrics))
+                else:   # a typed solver error
+                    metrics, status, kind = {}, f"error: {error}", type(error).__name__
+                    classes[kind] = classes.get(kind, 0) + 1
+                rows.append([mode.value, spec.parameter, repr(float(value)),
+                             *(_fmt(metrics.get(name)) for name in spec.responses), status])
         argmax += _sweep_argmax(mode, spec.responses, solved)
     report = _report(
         "sweep", config,
@@ -590,13 +624,17 @@ def run_sweep(spec: Optional[SweepSpec], config: ScenarioConfig) -> dict:
             "modes": [m.value for m in modes],
         },
         argmax=argmax,
-        failed_rows=sum(1 for row in rows if row[-1] != "ok"))
+        failed_rows=sum(1 for row in rows if row[-1] != "ok"),
+        failed_rows_by_class=failed)
     return {"sweep.csv": _csv_table(header, rows), "run_report.json": report}
 
 
 def run_verify(config: ScenarioConfig) -> dict:
     """Aggregate residual scans, value-consistency deltas, certification
     reports, and steady-state orderings into one pass/fail report."""
+    # the leader sample's numpy.random, imported before the pool forks; not at
+    # module level, where every cold solve would pay for it
+    import numpy.random  # noqa: F401
     params = config.effective_params
     solutions, checks = {}, []
     for mode in config.modes:

@@ -170,6 +170,20 @@ def validate_params(raw: ModelParams) -> ModelParams:
     return raw
 
 
+# per field, as a column: whether it must be positive, else nonnegative; and
+# the rows of D0, b and p
+_STRICT = np.isin(ModelParams.field_names(), _POSITIVE)[:, None]
+_DEMAND_ROWS = [ModelParams.field_names().index(name) for name in ("D0", "b", "p")]
+
+
+def _valid_columns(fields: np.ndarray) -> np.ndarray:
+    """validate_params on cells stacked as floats, (fields, n) in field
+    order: whether each cell passes; nan fails."""
+    D0, b, p = fields[_DEMAND_ROWS]
+    return (((np.abs(fields) <= sys.float_info.max)
+             & ((fields > 0) | ~_STRICT & (fields == 0))).all(axis=0) & ~(D0 - b * p < 0))
+
+
 @dataclass(frozen=True)
 class DerivedConstants:
     """Composite constants of the linear supply/demand/sink structure.

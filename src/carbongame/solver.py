@@ -17,12 +17,14 @@ floor before the residual gate.
 
 The balances are plain arithmetic, so they evaluate unchanged on parameter
 fields stacked as arrays. ``solve_many`` solves a batch of cells of one mode
-in one pass: the parameters are stacked once along the last axis, and the
-jets, roots, Newton steps and gates act on the whole stack. A cell that
-fails keeps its first typed error and rides along unread; only the cells
-that pass every gate are assembled into solutions. Each stage treats every
-cell on its own, the scan's state grid included, so a cell's result does
-not depend on the batch it was solved in, and ``solve`` is its batch of one.
+in one pass: the parameters are stacked once along the last axis, checked in
+one pass, and the jets, roots, Newton steps and gates act on the stack. A
+cell that fails keeps its typed error and leaves the stack, with its
+parameters, before the next stage; only the cells that pass every gate are
+assembled into solutions. Each stage treats every cell on its own, the
+scan's state grid included, so a cell's result does not depend on the batch
+it was solved in, and ``solve`` is its batch of one. A sweep reads the array
+stage's columns directly, in chunks, and builds no solution objects.
 
 Two backends are available. "residual" solves the derived balances; it is
 the authoritative path. "paper-closed-form" evaluates the published
@@ -49,7 +51,10 @@ re-evaluates the balances the solve used.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -66,14 +71,16 @@ from .model import (
     SolutionDiagnostics,
     VALUE_LAYOUT,
     _subsidy_ratio,
+    _valid_columns,
     derive_constants,
     reduction_drift,
     validate_params,
 )
 
 __all__ = [
-    "SolverConfig", "SolverError", "ComplexRootError",
-    "UnstableModelError", "solve", "solve_many", "residual_scan",
+    "SolverConfig", "SolverError", "ComplexRootError", "UnstableModelError",
+    "NoRealBranchError", "NoCandidateError", "BalanceGateError", "ScanGateError",
+    "solve", "solve_many", "residual_scan",
 ]
 
 BACKEND_RESIDUAL = "residual"
@@ -106,6 +113,22 @@ class ComplexRootError(SolverError):
 
     def __reduce__(self):
         return type(self), (self.label, self.discriminant)
+
+
+class NoRealBranchError(SolverError):
+    """The gs H^2 balances have no real (A, M) root."""
+
+
+class NoCandidateError(SolverError):
+    """A cell has no candidate branch to pick the stable one from."""
+
+
+class BalanceGateError(SolverError):
+    """A collected balance's residual exceeds SolverConfig.tolerance."""
+
+
+class ScanGateError(SolverError):
+    """The stationarity-equation residual scan exceeds hjb_tolerance."""
 
 
 class UnstableModelError(SolverError):
@@ -323,12 +346,25 @@ def _system(params: ModelParams, mode: GameMode,
 
 
 _FIELDS = ModelParams.field_names()
+_VALUES = attrgetter(*_FIELDS)
+
+
+def _stack_fields(cells: Sequence[ModelParams]) -> tuple:
+    """The cells' fields as floats, (fields, n) in field order, and which
+    cells hold a value other than a float, for validate_params to judge: an
+    int within float64's range is held as its float, any other value as nan."""
+    rows = [_VALUES(params) for params in cells]
+    odd = np.zeros(len(rows), dtype=bool)
+    if set(map(type, chain.from_iterable(rows))) != {float}:
+        odd[:] = [set(map(type, row)) != {float} for row in rows]
+        rows = [[float(v) if type(v) in (int, float) and abs(v) <= sys.float_info.max
+                 else np.nan for v in row] for row in rows]
+    return np.array(rows, dtype=float).reshape(len(rows), len(_FIELDS)).T.copy(), odd
 
 
 def _stack(cells: Sequence[ModelParams]) -> ModelParams:
     """The cells' parameters as one ModelParams of (n,) arrays."""
-    return ModelParams(**{name: np.array([getattr(p, name) for p in cells], dtype=float)
-                          for name in _FIELDS})
+    return ModelParams(*_stack_fields(cells)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +432,7 @@ def _pick(leading, alphas, mask, errors: list):
     mask[k, i]. errors holds per cell its error so far, None where it goes
     on. Returns the picked branch index per cell, and records in each cell
     of errors that has none but no stable branch an UnstableModelError
-    listing every slope (a SolverError when the cell has no branch).
+    listing every slope (a NoCandidateError when the cell has no branch).
     """
     stable = mask & (alphas < 0.0)
     pick = np.argmin(np.where(stable, np.abs(leading), np.inf), axis=0)
@@ -404,7 +440,7 @@ def _pick(leading, alphas, mask, errors: list):
         if errors[i] is None:
             slopes = alphas[mask[:, i], i].tolist()
             errors[i] = (UnstableModelError(slopes) if slopes
-                         else SolverError("no candidates for the stable branch"))
+                         else NoCandidateError("no candidates for the stable branch"))
     return pick
 
 
@@ -514,7 +550,8 @@ def _eliminate(a, b, g0, g1, g2):
     A, M = np.concatenate([A, A, A]), np.concatenate([M, seeds[0], seeds[1]])
     mask = np.concatenate([ordinary, fallback & found[0], fallback & found[1]])
     order = np.argsort(np.where(mask, A, np.inf), axis=0, kind="stable")
-    width = int(mask.sum(axis=0).max(initial=0))
+    # at least one, so that every cell has a branch row to pick from
+    width = int(mask.sum(axis=0).max(initial=1))
     return (*(np.take_along_axis(x, order, axis=0)[:width] for x in (A, M, mask)),
             finite)
 
@@ -533,7 +570,7 @@ def _leading_branches(params: ModelParams, system: CoefficientSystem):
     float64 fails with a ParameterError.
     """
     mode, lead = system.mode, _BY_POWER[system.mode][2]
-    # under _solve_batch's errstate, overflow leaves inf or nan, which the
+    # under _solve_columns' errstate, overflow leaves inf or nan, which the
     # finiteness tests below catch
     k, n = len(lead), params.rho.size
     unknowns = [_Jet(np.zeros(n), unit, np.zeros((k, k, n)))
@@ -550,7 +587,8 @@ def _leading_branches(params: ModelParams, system: CoefficientSystem):
     errors = [_overflow("the H^2 balances, their (A, M) quartic or its "
                         "companion matrix") if not ok
               else None if any_branch
-              else SolverError("no real (A, M) branch of the coupled quadratic balances")
+              else NoRealBranchError("no real (A, M) branch of the coupled quadratic "
+                                     "balances")
               for ok, any_branch in zip(finite.tolist(), mask.any(axis=0).tolist())]
     return (A, M), mask, [{} for _ in errors], errors
 
@@ -579,7 +617,7 @@ def _solve_regular(matrix, rhs):
 _COMPLETION_STEPS = 2
 
 
-def _newton(system: CoefficientSystem, leading, tolerance: float, errors: list):
+def _newton(system: CoefficientSystem, leading, tolerance: float):
     """Chord-Newton on every cell's balances from its leading root (leading:
     one (n,) array per leading unknown, the other unknowns 0), gated on the
     residuals.
@@ -589,11 +627,10 @@ def _newton(system: CoefficientSystem, leading, tolerance: float, errors: list):
     balances are quadratic, so the imaginary part of their value at v +
     i*h_j*e_j is h_j times column j, exact as formed. After the
     _COMPLETION_STEPS steps a cell stops once its normalized residual stops
-    falling, and keeps its best iterate; a cell that already has an error in
-    errors does not step. Returns the coefficients (k, n) and the normalized
-    residuals (n,), and records in each cell of errors that has none a
-    ParameterError for a non-finite iterate or residual, or the worst
-    balance's label for a residual above tolerance times its scale.
+    falling, and keeps its best iterate. Returns the coefficients (k, n), the
+    normalized residuals (n,) and per cell its error: None, a ParameterError
+    for a non-finite iterate or residual, or a BalanceGateError naming the
+    worst balance for a residual above tolerance times its scale.
     """
     def norm(v, res):
         return np.max(np.abs(res) / system.scales(v), axis=0)
@@ -601,7 +638,7 @@ def _newton(system: CoefficientSystem, leading, tolerance: float, errors: list):
     v = np.array(np.broadcast_arrays(*_leading_vector(system.mode, leading)))
     k, h = len(v), 1.0 + np.abs(v)
     # [row, point, cell]: the balances at v, then v + i*h_j*e_j; under
-    # _solve_batch's errstate, overflow leaves inf or nan, which the
+    # _solve_columns' errstate, overflow leaves inf or nan, which the
     # finiteness test below catches
     out = np.array(system.balances(list(
         v[:, None] + 1j * np.eye(k, k + 1, 1)[:, :, None] * h[:, None])))
@@ -611,7 +648,7 @@ def _newton(system: CoefficientSystem, leading, tolerance: float, errors: list):
     # the inverse, as a solve against the identity; 0 (no step) where
     # singular, which leaves the H^1 and H^0 rows to the gate
     inverse = _solve_regular(jac, np.broadcast_to(np.eye(k), jac.shape))[0]
-    active = np.array([e is None for e in errors])
+    active = np.ones(v.shape[1:], dtype=bool)
     for step in range(_COMPLETION_STEPS + 8):   # one or two more polish
         move = (inverse @ np.ascontiguousarray(res.T)[..., None])[..., 0].T
         trial = np.where(active, v - move, v)
@@ -625,17 +662,16 @@ def _newton(system: CoefficientSystem, leading, tolerance: float, errors: list):
         err = np.where(active, trial_err, err)
     scales = system.scales(v)
     finite = (np.isfinite(v) & np.isfinite(res)).all(axis=0)
+    errors = [None] * len(finite)
     for i in np.flatnonzero(~(finite & (err <= tolerance))).tolist():
-        if errors[i] is not None:
-            continue
         if not finite[i]:
             errors[i] = _overflow("the H^1 and H^0 balances")
             continue
         worst = int(np.argmax(np.abs(res[:, i]) / scales[:, i]))
-        errors[i] = SolverError(
+        errors[i] = BalanceGateError(
             f"collected balance {system.labels[worst]} residual {res[worst, i]:.3e} "
             f"exceeds tolerance {tolerance:.1e}")
-    return v, err
+    return v, err, errors
 
 
 # ---------------------------------------------------------------------------
@@ -659,79 +695,91 @@ def solve_many(mode, params_seq: Sequence[ModelParams],
 
     Returns one entry per cell, in input order: the GameSolution that solve
     returns for it, or the exception it raises (ParameterError,
-    ComplexRootError, UnstableModelError or SolverError). A cell's entry does
-    not depend on the other cells of the batch. The paper-closed-form
+    ComplexRootError, UnstableModelError or a SolverError). A cell's entry
+    does not depend on the other cells of the batch. The paper-closed-form
     backend solves the cells one at a time.
     """
     mode = GameMode.from_string(mode)
     cells = list(params_seq)
-    out = [None] * len(cells)
-    live = []
-    for i, params in enumerate(cells):
-        try:
-            validate_params(params)
-            live.append(i)
-        except ParameterError as exc:
-            out[i] = exc
     if cfg.backend == BACKEND_CLOSED_FORM:
         from . import closed_form
-        for i in live:
+        out = []
+        for params in cells:
             try:
-                out[i] = closed_form.solve_printed(mode, cells[i], cfg)
+                out.append(closed_form.solve_printed(mode, params, cfg))
             except (ParameterError, SolverError) as exc:
-                out[i] = exc
-    elif live:
-        for i, entry in zip(live, _solve_batch(mode, cfg, [cells[i] for i in live])):
-            out[i] = entry
-    return out
+                out.append(exc)
+        return out
+    errors, live, (values, policies, alpha, beta, H_d), branches = _solve_columns(
+        mode, cfg, *_stack_fields(cells), cells.__getitem__)
+    scan, worst, leading, alphas, mask, discs = branches
+    diags = [_diagnostics(cfg, *cell) for cell in
+             zip(_candidates(leading, alphas, mask), discs, worst.tolist(), scan.tolist(),
+                 _flags(policies, beta, H_d))]
+    solutions = iter(_solutions([cells[i] for i in live.tolist()], mode, values, policies,
+                                alpha, beta, H_d, diags))
+    return [next(solutions) if e is None else e for e in errors]
 
 
 # every stage runs under one errstate: overflow leaves inf or nan, which a
 # stage's finiteness test or gate turns into the cell's typed error
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _solve_batch(mode: GameMode, cfg: SolverConfig, cells: list) -> list:
-    """The residual backend's entry for every valid cell, in one pass.
+def _solve_columns(mode: GameMode, cfg: SolverConfig, fields, odd, cell) -> tuple:
+    """The residual backend's array stage on cells stacked by _stack_fields.
 
-    The cells are stacked once, and the closed loop and the balances built
-    once. Leading branches, the stable pick, the chord-Newton and the
-    alpha/scan gate each act on the whole stack and record an error only in
-    a cell that has none, so every cell keeps its first typed error; a failed
-    cell rides along, and nothing reads its later values. Candidates, flags,
-    diagnostics and solutions are assembled for the surviving cells alone.
+    validate_params judges each odd cell, and each cell _valid_columns
+    refuses, read as cell(i). Then the leading branches with the stable
+    pick, the chord-Newton and the alpha/scan gate each act on the cells
+    that passed the stage before: a cell that fails keeps its typed error
+    and leaves, with its parameters. Returns each cell's typed error or
+    None, the indices of the cells that pass every gate, their (values,
+    policies, alpha, beta, H_d) as _closed_loop's map gives them, and their
+    (scan, worst normalized balance, leading, alphas, mask, discriminants).
     """
     convention = cfg.follower_convention
-    params = _stack(cells)
-    loop = _closed_loop(params, mode, convention)
-    system = _system(params, mode, convention)
-    leading, mask, discs, errors = _leading_branches(params, system)
-    if not len(mask):   # no gs cell has a real (A, M) branch
-        return errors
+    errors, live = [None] * fields.shape[1], np.arange(fields.shape[1])
+    params = loop = system = None
+
+    def settle(errs, carried=()):
+        """Record errs, drop their cells, and build the cells left."""
+        nonlocal live, fields, params, loop, system
+        keep = np.array([e is None for e in errs], dtype=bool)
+        if params is None or not keep.all():
+            for i in np.flatnonzero(~keep).tolist():
+                errors[live[i]] = errs[i]
+            live, fields, carried = _restrict((live, fields, carried), keep)
+            params = ModelParams(*fields)
+            loop = _closed_loop(params, mode, convention)
+            system = _system(params, mode, convention)
+        return carried
+
+    errs = [None] * live.size
+    for i in np.flatnonzero(odd | ~_valid_columns(fields)).tolist():
+        try:
+            validate_params(cell(i))
+        except ParameterError as exc:
+            errs[i] = exc
+    settle(errs)
+    leading, mask, discs, errs = _leading_branches(params, system)
     # the drift slope of each branch: the effort slopes hold only the
     # leading coefficients (A; A and M in gs)
     alphas = loop(_leading_vector(mode, leading))[2]
-    pick = _pick(leading[0], alphas, mask, errors)
-    coeffs, worst = _newton(system, tuple(x[pick, np.arange(pick.size)] for x in leading),
-                            cfg.tolerance, errors)
-    values, policies, alpha, beta = loop(coeffs)
+    pick = _pick(leading[0], alphas, mask, errs)
+    leading, alphas, mask, discs, pick = settle(errs, (leading, alphas, mask, discs, pick))
+    coeffs, worst, errs = _newton(
+        system, tuple(x[pick, np.arange(pick.size)] for x in leading), cfg.tolerance)
+    values, policies, alpha, beta, worst, leading, alphas, mask, discs = settle(
+        errs, (*loop(coeffs), worst, leading, alphas, mask, discs))
     # values that overflow at the scanned states leave a nan or inf scan,
     # which fails the gate
     H_d = -beta / alpha
     scan = _scan(mode, convention, params, values, policies, H_d)
-    for i in np.flatnonzero(~((alpha < 0.0) & (scan <= cfg.hjb_tolerance))).tolist():
-        if errors[i] is None:
-            errors[i] = (UnstableModelError([float(alpha[i])]) if not alpha[i] < 0.0
-                         else SolverError(f"stationarity-equation residual scan "
-                                          f"{scan[i]:.3e} exceeds configured bound "
-                                          f"{cfg.hjb_tolerance:.1e}"))
-    keep = np.array([e is None for e in errors])
-    leading, alphas, mask, values, policies, alpha, beta, H_d, scan, worst, discs, cells = \
-        _restrict((leading, alphas, mask, values, policies, alpha, beta, H_d, scan,
-                   worst, discs, cells), keep)
-    diags = [_diagnostics(cfg, *cell) for cell in
-             zip(_candidates(leading, alphas, mask), discs, worst.tolist(), scan.tolist(),
-                 _flags(policies, beta, H_d))]
-    solutions = iter(_solutions(cells, mode, values, policies, alpha, beta, H_d, diags))
-    return [next(solutions) if e is None else e for e in errors]
+    errs = [UnstableModelError([a]) if not a < 0.0 else None if x <= cfg.hjb_tolerance
+            else ScanGateError(f"stationarity-equation residual scan {x:.3e} exceeds "
+                               f"configured bound {cfg.hjb_tolerance:.1e}")
+            for a, x in zip(alpha.tolist(), scan.tolist())]
+    return (errors, live, *settle(errs, ((values, policies, alpha, beta, H_d),
+                                         (scan, worst, leading, alphas, mask, discs))))
 
 
 def _restrict(carried, keep):

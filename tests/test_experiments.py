@@ -14,12 +14,16 @@ import pytest
 
 import carbongame
 from carbongame import (
+    BalanceGateError,
     ComplexRootError,
     ConfigError,
     HorizonError,
     ModelParams,
+    NoCandidateError,
+    NoRealBranchError,
     OracleError,
     ParameterError,
+    ScanGateError,
     ScenarioConfig,
     SimConfig,
     SimulationError,
@@ -34,6 +38,7 @@ from carbongame import (
     run_sweep,
     run_verify,
     solve,
+    solve_many,
 )
 from carbongame import experiments, oracle
 from carbongame.experiments import (
@@ -561,7 +566,13 @@ def test_usable_cpus_without_cpu_affinity(monkeypatch):
     assert experiments._usable_cpus() == 1
 
 
-ERRORS = [SolverError("no candidates for the stable branch"),
+ERRORS = [SolverError("solver failure"),
+          NoCandidateError("no candidates for the stable branch"),
+          NoRealBranchError("no real (A, M) branch of the coupled quadratic balances"),
+          BalanceGateError("collected balance farmer H^1 residual 1.000e-03 exceeds "
+                           "tolerance 1.0e-12"),
+          ScanGateError("stationarity-equation residual scan nan exceeds configured "
+                        "bound 1.0e-08"),
           ComplexRootError("Delta^GD", -2.5e-3),
           UnstableModelError([0.25, 1.5]),
           ParameterError("rho > 0 violated (got -1.0)"),
@@ -571,16 +582,22 @@ ERRORS = [SolverError("no candidates for the stable branch"),
           ConfigError("unknown config key 'x'")]
 
 
-def test_every_public_error_survives_a_pickle_round_trip():
-    # a worker process returns a cell's error to the parent through pickle
+def _returned(error):
+    return error
+
+
+def test_every_public_error_survives_a_pickle_round_trip(monkeypatch):
+    # a worker process returns a cell's error to the parent through pickle,
+    # here through the forked pool
     public = {obj for obj in map(carbongame.__dict__.get, carbongame.__all__)
               if isinstance(obj, type) and issubclass(obj, Exception)}
     assert {type(e) for e in ERRORS} == public
-    for error in ERRORS:
-        again = pickle.loads(pickle.dumps(error))
-        assert type(again) is type(error)
-        assert str(again) == str(error)
-        assert vars(again) == vars(error)
+    _set_processes(monkeypatch, *POOLED)
+    for error, pooled in zip(ERRORS, experiments._pool_map(_returned, ERRORS)):
+        for again in (pickle.loads(pickle.dumps(error)), pooled):
+            assert type(again) is type(error)
+            assert str(again) == str(error)
+            assert vars(again) == vars(error)
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +625,76 @@ def test_sweep_rows_match_the_reference_solutions():
     assert peaks["H_d"]["points"] == 3
 
 
+def _sweep_by_solutions(spec: SweepSpec, config: ScenarioConfig) -> tuple:
+    """sweep.csv as rows built from solve_many's entries with
+    _solution_metrics, and the failed rows' classes per mode."""
+    base = config.effective_params
+    cells = [base.replace(**{spec.parameter: value}) for value in spec.values]
+    rows, failed = [], {}
+    for mode in config.modes if spec.modes is None else spec.modes:
+        failed[mode.value] = {}
+        for value, entry in zip(spec.values, solve_many(mode, cells, config.solver)):
+            if isinstance(entry, Exception):
+                metrics, status = {}, f"error: {entry}"
+                name = type(entry).__name__
+                failed[mode.value][name] = failed[mode.value].get(name, 0) + 1
+            else:
+                metrics, status = experiments._solution_metrics(entry), "ok"
+            rows.append([mode.value, spec.parameter, repr(value),
+                         *(experiments._fmt(metrics.get(r)) for r in spec.responses),
+                         status])
+    header = ["mode", "parameter", "value", *spec.responses, "status"]
+    return experiments._csv_table(header, rows), failed
+
+
+def _e1_line(seed: int) -> tuple:
+    """A base drawn in e^+-1 around the baseline, and one of its drawn
+    parameters swept over e^+-1 around the base."""
+    rng = np.random.default_rng(seed)
+    drawn = ("lambda_f", "lambda_r", "mu_f", "mu_r", "omega", "p_c", "delta",
+             "rho", "theta")
+    base = ModelParams().replace(**{name: getattr(ModelParams(), name)
+                                    * float(np.exp(rng.uniform(-1.0, 1.0)))
+                                    for name in drawn})
+    name = drawn[seed % len(drawn)]
+    values = getattr(base, name) * np.exp(np.linspace(-1.0, 1.0, 17))
+    return SweepSpec(parameter=name, values=values), ScenarioConfig(params=base)
+
+
+PC_LINE = SweepSpec(parameter="p_c", values=np.linspace(0.0, 2.5, 40))
+SWEEP_LINES = {
+    **{f"e1-{seed}": _e1_line(seed) for seed in (3, 11, 14, 26)},
+    "invalid-values": (SweepSpec(parameter="lambda_f",
+                                 values=[-1.0, 0.0, 1e-300, 500.0, 1e300]),
+                       ScenarioConfig()),
+    "invalid-base": (SweepSpec(parameter="p_c", values=[0.5, 1.0]),
+                     ScenarioConfig(params=ModelParams(rho=True))),
+    "int-base": (SweepSpec(parameter="rho", values=[-0.7, 0.7]),
+                 ScenarioConfig(params=ModelParams(rho=-1, Q0=300, D0=250, p=25))),
+    "paper-backend": (PC_LINE, ScenarioConfig(
+        solver=SolverConfig(backend="paper-closed-form"))),
+    "paper-printed": (PC_LINE, ScenarioConfig(
+        solver=SolverConfig(follower_convention="paper-printed"))),
+    "no-sink-trading": (SweepSpec(parameter="mu_f", values=np.linspace(0.5, 3.0, 9)),
+                        ScenarioConfig(sink_trading=False)),
+}
+
+
+@pytest.mark.parametrize("chunk", [experiments.SWEEP_CHUNK, 7])
+@pytest.mark.parametrize("line", sorted(SWEEP_LINES))
+def test_sweep_rows_are_those_of_the_solutions(monkeypatch, line, chunk):
+    # the array stage's columns give every row the solutions give, error
+    # strings included, in one part or in parts of 7 cells
+    monkeypatch.setattr(experiments, "SWEEP_CHUNK", chunk)
+    spec, config = SWEEP_LINES[line]
+    artifacts = run_sweep(spec, config)
+    table, failed = _sweep_by_solutions(spec, config)
+    assert artifacts["sweep.csv"] == table
+    report = artifacts["run_report.json"]
+    assert report["failed_rows_by_class"] == failed
+    assert report["failed_rows"] == sum(sum(f.values()) for f in failed.values())
+
+
 def test_sweep_and_compare_agree_to_the_last_digit(baseline_compare):
     spec = SweepSpec(parameter="mu_f", values=(1.5,), modes=("gd",))
     sweep_rows = _rows(run_sweep(spec, ScenarioConfig(sim=QUICK_SIM))["sweep.csv"])
@@ -627,6 +714,7 @@ def test_sweep_keeps_failed_points_as_rows():
     assert all(cell == "" for cell in bad[3:-1])
     report = artifacts["run_report.json"]
     assert report["failed_rows"] == 1
+    assert report["failed_rows_by_class"] == {"gd": {"ComplexRootError": 1}}
     peak = [p for p in report["argmax"] if p["response"] == "H_d"][0]
     assert peak["points"] == 1
 

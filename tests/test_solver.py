@@ -26,6 +26,7 @@ from carbongame import (
     residual_scan,
     solve,
     solve_many,
+    validate_params,
 )
 from carbongame import closed_form, solver
 from carbongame.profits import payoff_rates, value_at
@@ -185,7 +186,7 @@ def test_select_stable_root_behaviour():
         pick([0.5, 2.0], [0.5, 2.0])
     with pytest.raises(SolverError, match="no candidates") as err:
         pick([-1.0], [-1.0], mask=[False])
-    assert type(err.value) is SolverError
+    assert type(err.value) is solver.NoCandidateError
     # two stable branches: smallest |leading coefficient| wins
     assert pick([-0.5, 0.2], [-1.0, -1.0]) == 1
 
@@ -473,6 +474,62 @@ def test_solve_many_keeps_input_order_and_validates_each_cell():
     assert "lambda_f > 0 violated" in str(out[1])
     assert out[4].params.p_c == 0.0
     assert solve_many("gc", []) == []
+
+
+# one cell per stage a cell can leave a batch at, in some mode: validation;
+# an overflow in the H^2 balances; a complex root, or no real gs branch; an
+# unstable pick; the balance gate; and the scan gate
+EVERY_STAGE = [ModelParams(), ModelParams(lambda_f=-1.0), ModelParams(Q0=1e300),
+               ModelParams(p_c=2.5), ModelParams(a=3e31), ModelParams(mu_f=1.5e22),
+               ModelParams(lambda_f=5e-98), ModelParams(mu_r=0.5e25),
+               ModelParams(mu_f=1.5e17), ModelParams(delta=1e-305, p_c=0.0)]
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIGS))
+def test_a_batch_failing_at_every_stage_is_each_cell_solved_alone(name):
+    # the array stage drops each failed cell before the next stage; the
+    # cells that go on give the entries they give alone
+    cfg = _CONFIGS[name]
+    batch = solve_many(name[:2], EVERY_STAGE, cfg)
+    for params, got in zip(EVERY_STAGE, batch):
+        expected = _outcome(name[:2], params, cfg)
+        assert type(got) is type(expected), params
+        if isinstance(expected, Exception):
+            assert str(got) == str(expected)
+        else:
+            assert got.coefficients == expected.coefficients
+            assert json.dumps(got.diagnostics.to_dict(), sort_keys=True) == \
+                json.dumps(expected.diagnostics.to_dict(), sort_keys=True)
+    leading = solver.NoRealBranchError if name.startswith("gs") else ComplexRootError
+    assert {type(e) for e in batch} == {GameSolution, ParameterError, leading,
+                                        UnstableModelError, solver.BalanceGateError,
+                                        solver.ScanGateError}
+
+
+# validate_params refuses each of these: a bool, numpy scalars (held as the
+# Python int or float they are), an integer beyond float64's range, nan,
+# +-inf, negative values, 0 on a positive field, a negative demand
+# multiplier (as floats and as exact ints), and several at once
+INVALID = [ModelParams(rho=True), ModelParams(lambda_r=np.int64(-3)),
+           ModelParams(mu_r=np.float32(0.0)), ModelParams(Q0=10 ** 400),
+           ModelParams(mu_f=float("nan")), ModelParams(theta=float("inf")),
+           ModelParams(D0=-float("inf")), ModelParams(p_c=-0.5),
+           ModelParams(delta=0.0), ModelParams(p=130.0),
+           ModelParams(D0=250, b=2, p=130), ModelParams(rho=0.0, p_c=-0.5, theta=-2.0)]
+
+
+@pytest.mark.parametrize("mode", ["gd", "gs", "gc"])
+def test_stacked_validation_gives_the_messages_of_validate_params(mode):
+    # beside valid cells, one of them holding ints, which solve as their
+    # floats do
+    ints = ModelParams(lambda_f=500, Q0=300, D0=250, p=25)
+    batch = solve_many(mode, [ModelParams(), *INVALID, ints])
+    for params, got in zip(INVALID, batch[1:-1]):
+        with pytest.raises(ParameterError) as err:
+            validate_params(params)
+        assert type(got) is ParameterError and str(got) == str(err.value)
+    assert batch[0].coefficients == batch[-1].coefficients == \
+        solve(mode, ModelParams()).coefficients
 
 
 OVERFLOWING = [ModelParams(Q0=1e300), ModelParams(lambda_f=1e-300),
