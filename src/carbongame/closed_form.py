@@ -30,7 +30,6 @@ printed value is preserved in the diagnostics. Numerically that means:
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 
 import numpy as np
@@ -208,7 +207,10 @@ def _relative_gap(printed: float, reference: float) -> float:
     return abs(printed - reference) / (1.0 + abs(reference))
 
 
-def solve_printed(mode: GameMode, params: ModelParams, cfg) -> GameSolution:
+# as in the residual backend's stages, overflow leaves inf or nan without a
+# warning: the flags and the residual scan report it
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def solve_printed(mode: GameMode, params: ModelParams, cfg, anchor) -> GameSolution:
     """Assemble a comparison solution from the published closed forms.
 
     The returned solution is a measurement instrument, not an equilibrium
@@ -216,19 +218,22 @@ def solve_printed(mode: GameMode, params: ModelParams, cfg) -> GameSolution:
     instability is flagged instead of raised, and the full printed-versus-
     residual comparison lives in diagnostics.printed_comparison. Policies,
     alpha, beta and H_d come from the solver's own assembly.
+
+    anchor is the residual backend's entry for params, as solver.solve_many
+    gives it under cfg: a solution, or the error that is raised here where
+    the anchor is read (in gd after the printed Delta^GD check, in gs at
+    once, in gc only where a printed value falls back to it).
     """
     validate_params(params)
-    residual_cfg = dataclasses.replace(cfg, backend=solver.BACKEND_RESIDUAL)
     printed = {GameMode.DECENTRALIZED: _printed_gd,
                GameMode.STACKELBERG: _printed_gs,
                GameMode.CENTRALIZED: _printed_gc}[mode]
-    values, anchor, convention, diag = printed(params, residual_cfg)
-    # a printed value that is not finite falls back to the anchor's (gc
-    # solves for its anchor only then)
+    values, convention, diag = printed(params, cfg, anchor)
+    # a printed value that is not finite falls back to the anchor's
     names = solver._UNKNOWNS[mode]
     fallbacks = [k for k in names if not np.isfinite(values[k])]
     if fallbacks:
-        anchor = anchor or solver.solve(mode, params, residual_cfg).coefficients
+        anchor = _anchor_coefficients(anchor)
         diag.flags.append("printed value not finite; anchor values retained for "
                           + ", ".join(fallbacks))
     coeffs = [anchor[k] if k in fallbacks else values[k] for k in names]
@@ -241,6 +246,14 @@ def solve_printed(mode: GameMode, params: ModelParams, cfg) -> GameSolution:
     return sol
 
 
+def _anchor_coefficients(anchor) -> dict:
+    """The anchor solution's coefficients; an anchor that is an error is
+    raised."""
+    if isinstance(anchor, Exception):
+        raise anchor
+    return anchor.coefficients
+
+
 def _base_diag(convention, comparison: dict, root_branch: str) -> SolutionDiagnostics:
     discs = {k: float(v) for k, v in comparison.items()
              if isinstance(v, float) and k.startswith("Delta")}
@@ -250,21 +263,21 @@ def _base_diag(convention, comparison: dict, root_branch: str) -> SolutionDiagno
         printed_comparison=comparison)
 
 
-def _printed_gd(params, residual_cfg):
+def _printed_gd(params, cfg, anchor):
     printed = printed_decentralized(params)
     if printed["Delta^GD"] < 0.0:
         raise solver.ComplexRootError("Delta^GD", printed["Delta^GD"])
-    reference = solver.solve(GameMode.DECENTRALIZED, params, residual_cfg).coefficients
+    reference = _anchor_coefficients(anchor)
     comparison = dict(printed)
     comparison["residual backend"] = reference
     comparison["relative gaps"] = {k: _relative_gap(printed[k], v)
                                    for k, v in reference.items()}
     diag = _base_diag(None, comparison, "printed negative square-root branch")
-    return printed, reference, None, diag
+    return printed, None, diag
 
 
-def _printed_gs(params, residual_cfg):
-    anchor = solver.solve(GameMode.STACKELBERG, params, residual_cfg).coefficients
+def _printed_gs(params, cfg, anchor):
+    anchor = _anchor_coefficients(anchor)
     printed = printed_stackelberg(params, anchor)
     comparison = dict(printed)
     comparison["relative gaps"] = {
@@ -272,13 +285,13 @@ def _printed_gs(params, residual_cfg):
     comparison["assembled from"] = {
         k: "printed" if np.isfinite(printed[k]) else "anchor (printed not real)"
         for k in anchor}
-    diag = _base_diag(residual_cfg.follower_convention, comparison,
+    diag = _base_diag(cfg.follower_convention, comparison,
                       "printed negative square-root branch")
     # the printed follower rule, whatever convention the anchor was solved in
-    return printed, anchor, solver.CONVENTION_PRINTED, diag
+    return printed, solver.CONVENTION_PRINTED, diag
 
 
-def _printed_gc(params, residual_cfg):
+def _printed_gc(params, cfg, anchor):
     corrected = corrected_centralized(params)
     if corrected["Delta^GC"] < 0.0:
         raise solver.ComplexRootError("Delta^GC", corrected["Delta^GC"])
@@ -296,4 +309,4 @@ def _printed_gc(params, residual_cfg):
     diag = _base_diag(None, comparison,
                       "corrected negative square-root branch (verbatim "
                       "discriminant reported alongside)")
-    return corrected, None, None, diag
+    return corrected, None, diag

@@ -58,7 +58,8 @@ from .simulate import (
     trajectory_table,
 )
 from .solver import (BACKEND_CLOSED_FORM, SolverConfig, SolverError, _solve_columns,
-                     _stack_fields, residual_scan, solve, solve_many)
+                     _stack_fields, _values_and_policies, residual_scan, solve,
+                     solve_many)
 
 __all__ = [
     "ConfigError",
@@ -368,23 +369,16 @@ def _config_echo(config: ScenarioConfig) -> dict:
                                  default=_json_default))
 
 
-def _solution_metrics(solution: GameSolution) -> dict:
-    """Steady-state response quantities shared by compare and sweep rows."""
-    H_d = solution.H_d
-    return {
-        "H_d": H_d,
-        "E_f_at_H_d": float(solution.policies["farmer"].effort(H_d)),
-        "E_r_at_H_d": float(solution.policies["retailer"].effort(H_d)),
-        "total_value_at_H_d": float(profits.total_value_at(solution, H_d)),
-        "farmer_value_at_H_d": _role_value(solution, "farmer", H_d),
-        "retailer_value_at_H_d": _role_value(solution, "retailer", H_d),
-    }
-
-
-def _role_value(solution: GameSolution, role: str, H) -> Optional[float]:
-    """A role's value at H, None where the solution's mode has no such role."""
-    V = solution.values.get(role)
-    return None if V is None else float(V.value(H))
+def _responses(mode: GameMode, values, policies, H) -> tuple:
+    """The RESPONSES at states H, in their order, from a mode's (A, B, C) per
+    role and its policies in the layout of solver._closed_loop: floats from
+    one solution (solver._values_and_policies), or a sweep part's columns.
+    A value of a role the mode lacks is None."""
+    (f1, f0), (r1, r0), _ = policies
+    at = {role: (A * H + B) * H + C
+          for role, (A, B, C) in zip(VALUE_LAYOUT[mode], values)}
+    return (H, f1 * H + f0, r1 * H + r0, at.get("farmer"), at.get("retailer"),
+            profits._chain_total(at))
 
 
 def _coefficients(solution: GameSolution) -> dict:
@@ -396,32 +390,19 @@ def _coefficients(solution: GameSolution) -> dict:
 def _summary_row(mode: GameMode, sink: str, params: ModelParams,
                  solution: Optional[GameSolution], error: Optional[str]):
     if solution is None:
-        cells = {name: None for name in SUMMARY_COLUMNS}
+        cells = [None] * (len(SUMMARY_COLUMNS) - 3)
         status = f"error: {error}"
     else:
-        metrics = _solution_metrics(solution)
+        values, policies = _values_and_policies(solution)
+        ss = _responses(mode, values, policies, solution.H_d)
+        H0 = _responses(mode, values, policies, params.H0)
         x_ss = (float(solution.subsidy(solution.H_d))
                 if solution.mode is GameMode.STACKELBERG else None)
-        cells = {
-            **_coefficients(solution),
-            "alpha": solution.alpha,
-            "H_d": metrics["H_d"],
-            "E_f_ss": metrics["E_f_at_H_d"],
-            "E_r_ss": metrics["E_r_at_H_d"],
-            "x_f_ss": x_ss,
-            "value_f_H0": _role_value(solution, "farmer", params.H0),
-            "value_r_H0": _role_value(solution, "retailer", params.H0),
-            "value_total_H0": float(profits.total_value_at(solution, params.H0)),
-            "value_f_ss": metrics["farmer_value_at_H_d"],
-            "value_r_ss": metrics["retailer_value_at_H_d"],
-            "value_total_ss": metrics["total_value_at_H_d"],
-            "max_hjb_residual": solution.diagnostics.max_hjb_residual,
-        }
+        # in the order of SUMMARY_COLUMNS
+        cells = [*_coefficients(solution).values(), solution.alpha, *ss[:3], x_ss,
+                 *H0[3:], *ss[3:], solution.diagnostics.max_hjb_residual]
         status = "ok"
-    row = [mode.value, sink]
-    row += [_fmt(cells[name]) for name in SUMMARY_COLUMNS[2:-1]]
-    row.append(status)
-    return row
+    return [mode.value, sink, *map(_fmt, cells), status]
 
 
 def _cell_table(job: tuple):
@@ -520,7 +501,8 @@ def run_compare(config: ScenarioConfig) -> dict:
             cell_report["trajectory_file"] = name
             cell_report["diagnostics"] = solution.diagnostics.to_dict()
             cell_report["coefficients"] = _coefficients(solution)
-            cell_report["metrics"] = _solution_metrics(solution)
+            cell_report["metrics"] = dict(zip(RESPONSES, _responses(
+                mode, *_values_and_policies(solution), solution.H_d)))
         report_cells.append(cell_report)
     summary = _csv_table(SUMMARY_COLUMNS, rows)
     return {"summary.csv": summary, **artifacts,
@@ -555,21 +537,20 @@ def _sweep_argmax(mode: GameMode, responses, solved: list) -> list:
 @np.errstate(over="ignore", invalid="ignore")
 def _sweep_part(mode: GameMode, cfg: SolverConfig, fields, odd, cell) -> tuple:
     """Cells of a sweep line as solver._solve_columns takes them: each cell's
-    typed error or None, and one dict of RESPONSES per solved cell. These
-    are column arithmetic in the operation order of _solution_metrics, which
-    gives them itself for the paper backend's solutions."""
+    typed error or None, and one dict of RESPONSES at H_d per solved cell:
+    _responses on the array stage's columns, or, on the paper backend, on
+    each of solve_many's solutions."""
     if cfg.backend == BACKEND_CLOSED_FORM:
         entries = solve_many(mode, [cell(i) for i in range(fields.shape[1])], cfg)
-        return ([e if isinstance(e, Exception) else None for e in entries],
-                [_solution_metrics(e) for e in entries if not isinstance(e, Exception)])
-    errors, _, (values, ((f1, f0), (r1, r0), _), _, _, H_d), _ = _solve_columns(
-        mode, cfg, fields, odd, cell)
-    at = {role: (A * H_d + B) * H_d + C
-          for role, (A, B, C) in zip(VALUE_LAYOUT[mode], values)}
-    total = at["joint"] if "joint" in at else at["farmer"] + at["retailer"]
-    columns = [[None] * len(H_d) if x is None else x.tolist() for x in (
-        H_d, f1 * H_d + f0, r1 * H_d + r0, at.get("farmer"), at.get("retailer"), total)]
-    return errors, [dict(zip(RESPONSES, row)) for row in zip(*columns)]
+        errors = [e if isinstance(e, Exception) else None for e in entries]
+        rows = [_responses(mode, *_values_and_policies(e), e.H_d)
+                for e, error in zip(entries, errors) if error is None]
+    else:
+        errors, _, (values, policies, _, _, H_d), _ = _solve_columns(
+            mode, cfg, fields, odd, cell)
+        rows = zip(*([None] * len(H_d) if x is None else x.tolist()
+                     for x in _responses(mode, values, policies, H_d)))
+    return errors, [dict(zip(RESPONSES, row)) for row in rows]
 
 
 def run_sweep(spec: Optional[SweepSpec], config: ScenarioConfig) -> dict:
@@ -700,9 +681,8 @@ def run_verify(config: ScenarioConfig) -> dict:
                        "gc": float(gc.H_d)},
             "note": "H_d must rank gc > gs > gd",
         })
-        totals = {m.value: float(profits.total_value_at(solutions[m],
-                                                        solutions[m].H_d))
-                  for m in ALL_MODES}
+        totals = {m.value: _responses(m, *_values_and_policies(solutions[m]),
+                                      solutions[m].H_d)[-1] for m in ALL_MODES}
         checks.append({
             "name": "joint-value-ordering",
             "passed": bool(totals["gc"] > totals["gs"] > totals["gd"]),

@@ -191,10 +191,12 @@ def value_at(solution: GameSolution, role: str, H) -> float:
     return solution.values[role].value(H)
 
 
+def _chain_total(at: dict):
+    """The chain-wide value from each role's value at a state: the joint
+    value in the centralized mode, the sum of both roles' values otherwise."""
+    return at["joint"] if "joint" in at else at["farmer"] + at["retailer"]
+
+
 def total_value_at(solution: GameSolution, H):
-    """Chain-wide value at H: the joint value in the centralized mode, the
-    sum of both roles' values otherwise."""
-    if solution.mode is GameMode.CENTRALIZED:
-        return solution.values["joint"].value(H)
-    return (solution.values["farmer"].value(H)
-            + solution.values["retailer"].value(H))
+    """Chain-wide value at H: ``_chain_total`` of the roles' values at H."""
+    return _chain_total({role: V.value(H) for role, V in solution.values.items()})

@@ -29,8 +29,9 @@ stage's columns directly, in chunks, and builds no solution objects.
 Two backends are available. "residual" solves the derived balances; it is
 the authoritative path. "paper-closed-form" evaluates the published
 closed-form coefficient expressions verbatim for discrepancy reporting (see
-closed_form.py), one cell at a time; only it reports the printed gs
-discriminants Delta^GS1 and Delta^GS2.
+closed_form.py): it solves a batch's residual anchors as one residual batch,
+then evaluates the printed forms one cell at a time; only it reports the
+printed gs discriminants Delta^GS1 and Delta^GS2.
 
 Conventions for the Stackelberg follower:
 
@@ -52,7 +53,7 @@ re-evaluates the balances the solve used.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from operator import attrgetter
 from typing import Callable, Optional, Sequence
@@ -697,16 +698,18 @@ def solve_many(mode, params_seq: Sequence[ModelParams],
     returns for it, or the exception it raises (ParameterError,
     ComplexRootError, UnstableModelError or a SolverError). A cell's entry
     does not depend on the other cells of the batch. The paper-closed-form
-    backend solves the cells one at a time.
+    backend solves the batch's residual anchors as one residual batch, then
+    evaluates the published forms cell by cell at each cell's anchor entry.
     """
     mode = GameMode.from_string(mode)
     cells = list(params_seq)
     if cfg.backend == BACKEND_CLOSED_FORM:
         from . import closed_form
+        anchors = solve_many(mode, cells, replace(cfg, backend=BACKEND_RESIDUAL))
         out = []
-        for params in cells:
+        for params, anchor in zip(cells, anchors):
             try:
-                out.append(closed_form.solve_printed(mode, params, cfg))
+                out.append(closed_form.solve_printed(mode, params, cfg, anchor))
             except (ParameterError, SolverError) as exc:
                 out.append(exc)
         return out

@@ -40,7 +40,7 @@ from carbongame import (
     solve,
     solve_many,
 )
-from carbongame import experiments, oracle
+from carbongame import experiments, oracle, profits
 from carbongame.experiments import (
     ALL_MODES,
     RESPONSES,
@@ -626,8 +626,9 @@ def test_sweep_rows_match_the_reference_solutions():
 
 
 def _sweep_by_solutions(spec: SweepSpec, config: ScenarioConfig) -> tuple:
-    """sweep.csv as rows built from solve_many's entries with
-    _solution_metrics, and the failed rows' classes per mode."""
+    """sweep.csv as rows built from solve_many's entries through their
+    policies, values and profits.total_value_at, and the failed rows'
+    classes per mode."""
     base = config.effective_params
     cells = [base.replace(**{spec.parameter: value}) for value in spec.values]
     rows, failed = [], {}
@@ -639,7 +640,16 @@ def _sweep_by_solutions(spec: SweepSpec, config: ScenarioConfig) -> tuple:
                 name = type(entry).__name__
                 failed[mode.value][name] = failed[mode.value].get(name, 0) + 1
             else:
-                metrics, status = experiments._solution_metrics(entry), "ok"
+                H_d, values, status = entry.H_d, entry.values, "ok"
+                metrics = {
+                    "H_d": H_d,
+                    "E_f_at_H_d": entry.policies["farmer"].effort(H_d),
+                    "E_r_at_H_d": entry.policies["retailer"].effort(H_d),
+                    "farmer_value_at_H_d": values["farmer"].value(H_d)
+                    if "farmer" in values else None,
+                    "retailer_value_at_H_d": values["retailer"].value(H_d)
+                    if "retailer" in values else None,
+                    "total_value_at_H_d": profits.total_value_at(entry, H_d)}
             rows.append([mode.value, spec.parameter, repr(value),
                          *(experiments._fmt(metrics.get(r)) for r in spec.responses),
                          status])
