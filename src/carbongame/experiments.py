@@ -7,25 +7,28 @@ run report is a JSON document carrying solver diagnostics, library versions,
 a config echo, and the only timestamp in any artifact.
 
 run_compare solves every cell in the calling process, then simulates and
-tabulates the solved cells, which is most of its time, one cell per task in
-a pool of forked worker processes: as many as the CPUs this process may use,
-at most one per task. A fork inherits the imported modules and the formatted
-time column; a spawned worker would import numpy and the package again,
-which costs more than it saves. There is no setting for the pool. On one
-CPU, on a platform without fork, or while other threads run, the same
-per-task function runs in the calling process. Either way the tables, the
-summary and the report are the same.
+tabulates the solved cells, which is most of its time, one cell per task on
+forked worker processes: as many as the CPUs this process may use, at most
+one per task. The first call that needs them forks them, and they serve
+every later run_compare and run_verify call until the process exits, so
+only callers making repeated calls gain; a worker sees module state as of
+its own fork and keeps its caches, such as the formatted time column. A
+spawned worker would import numpy and the package again, which costs more
+than it saves. There is no setting for the workers. On one CPU, on a
+platform without fork, while other threads run, or in a worker or a child
+the caller forked, the same per-task function runs in the calling process.
+Either way the tables, the summary and the report are the same.
 
-run_verify uses the same pool for its grid certifications, nearly all of
+run_verify uses the same workers for its grid certifications, nearly all of
 its time. It solves every mode in the calling process and hands the
 solutions to oracle.equilibrium_checks with _pool_map as its map, so every
 check is planned, and every report assembled, in the calling process, while
-each independent part runs as one task, the longest first. The pool opens
-and closes within the call.
+each independent part runs as one task, the longest first.
 """
 
 from __future__ import annotations
 
+import atexit
 import csv
 import dataclasses
 import io
@@ -33,7 +36,6 @@ import json
 import os
 import platform
 import threading
-from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -53,7 +55,6 @@ from .model import (
 from .simulate import (
     SimConfig,
     SimulationError,
-    _formatted_column,
     simulate,
     trajectory_table,
 )
@@ -425,27 +426,111 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_pool(jobs: int):
-    """A pool of min(usable CPUs, jobs) forked worker processes, or
-    nullcontext() where that is one process, where the platform cannot fork,
-    or where other threads run, which a forked child would not have."""
-    workers = min(_usable_cpus(), jobs)
-    if workers < 2 or threading.active_count() > 1:
-        return nullcontext()
-    # imported here: together about 17 ms that solve and sweep never need
-    import multiprocessing
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return nullcontext()
-    from concurrent.futures.process import ProcessPoolExecutor
-    return ProcessPoolExecutor(workers,
-                               mp_context=multiprocessing.get_context("fork"))
+# This process's workers as (pid, task pipe end, result pipe end), kept until
+# it exits or a call fails. Only the process that imported this module uses
+# them; in a worker, or in a child the caller forks, tasks run in-process.
+_workers: list = []
+_owner = os.getpid()
+
+
+def _fork_worker() -> None:
+    """Fork one more worker onto _workers. It replies (True, fn(task)), or
+    (False, the exception raised), to each (fn, task) until EOF."""
+    import gc
+    import signal
+    from multiprocessing.connection import Pipe
+    (task_r, task_w), (result_r, result_w) = Pipe(False), Pipe(False)
+    pid = os.fork()
+    if pid == 0:
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller's to take
+            # no inherited object is ever collected here, so none closes a
+            # descriptor number that the closerange below frees for reuse
+            gc.freeze()
+            # only stdio and its own two ends stay open, so the worker reads
+            # EOF once the caller is gone, however that ended
+            keep = sorted({0, 1, 2, task_r.fileno(), result_w.fileno()})
+            for lo, hi in zip([-1, *keep], [*keep, os.sysconf("SC_OPEN_MAX")]):
+                if hi > lo + 1:  # os.closerange(0, 0) closes every descriptor
+                    os.closerange(lo + 1, hi)
+            while True:
+                fn, task = task_r.recv()
+                try:
+                    reply = True, fn(task)
+                except Exception as exc:  # raised again in the caller
+                    reply = False, exc
+                result_w.send(reply)
+        except EOFError:
+            os._exit(0)
+        finally:
+            os._exit(1)
+    task_r.close()
+    result_w.close()
+    _workers.append((pid, task_w, result_r))
+
+
+def _close_workers() -> dict:
+    """End and reap this process's workers, unless _owner is another
+    process; returns their exit codes by pid, negative for a signal."""
+    if _owner != os.getpid():
+        return {}
+    import signal
+    workers = _workers[:]
+    _workers.clear()
+    for pid, tasks, results in workers:
+        tasks.close()
+        results.close()
+        os.kill(pid, signal.SIGKILL)  # a busy or stuck one too
+    return {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            for pid, _, _ in workers}
 
 
 def _pool_map(fn, tasks: list) -> list:
-    """[fn(task) for task in tasks], in task order, on a _worker_pool of
-    len(tasks) jobs, or in this process where that pool is one process."""
-    with _worker_pool(len(tasks)) as pool:
-        return list((map if pool is None else pool.map)(fn, tasks))
+    """[fn(task) for task in tasks], in task order, each task on the first
+    free of this process's workers, forked as needed up to min(usable CPUs,
+    len(tasks)); or here where that is one, where os.fork is missing, where
+    other threads run (a fork would not copy them, and the workers serve one
+    caller at a time) or where _owner is another process. Any exception ends
+    the workers before it reaches the caller; a worker that dies gives a
+    ChildProcessError naming its pid and exit status."""
+    want = min(_usable_cpus(), len(tasks))
+    if (want < 2 or not hasattr(os, "fork") or threading.active_count() > 1
+            or _owner != os.getpid()):
+        return list(map(fn, tasks))
+    # imported here: milliseconds that solve and sweep never need
+    from multiprocessing.connection import wait
+    replies, busy, pending = [None] * len(tasks), {}, iter(enumerate(tasks))
+    try:
+        while len(_workers) < want:
+            _fork_worker()
+        free = _workers
+        try:
+            while True:
+                # zip draws a task only for a free worker
+                for worker, (index, task) in zip(free, pending):
+                    worker[1].send((fn, task))
+                    busy[worker[2]] = worker, index
+                if not busy:
+                    break
+                free = []
+                for end in wait(list(busy)):
+                    worker, index = busy.pop(end)
+                    replies[index] = end.recv()
+                    free.append(worker)
+        except (EOFError, OSError):
+            code = _close_workers()[worker[0]]
+            raise ChildProcessError(f"worker process {worker[0]} ended during the "
+                                    f"call with exit status {code}") from None
+        for done, value in replies:
+            if not done:
+                raise value
+    except BaseException:
+        _close_workers()
+        raise
+    return [value for _, value in replies]
+
+
+atexit.register(_close_workers)
 
 
 def run_compare(config: ScenarioConfig) -> dict:
@@ -456,7 +541,7 @@ def run_compare(config: ScenarioConfig) -> dict:
     successful cell, and the run report. Solver and simulation failures are
     recorded in the cell's status and the run continues. Every cell is solved
     here; the solved cells' simulations and tables, most of the run's time,
-    are spread over forked worker processes (see _worker_pool).
+    are spread over forked worker processes (see _pool_map).
     """
     base = config.effective_params
     tasks = []
@@ -475,9 +560,6 @@ def run_compare(config: ScenarioConfig) -> dict:
             solved.append((None, str(exc)))
     jobs = [(solution, config.sim, params) for (solution, _), (_, _, params)
             in zip(solved, tasks) if solution is not None]
-    # every table has the same time column: format it before any fork, so
-    # each worker finds it in the cache
-    _formatted_column(config.sim.times().tobytes())
     tables = iter(_pool_map(_cell_table, jobs))
 
     artifacts = {}
@@ -613,8 +695,10 @@ def run_sweep(spec: Optional[SweepSpec], config: ScenarioConfig) -> dict:
 def run_verify(config: ScenarioConfig) -> dict:
     """Aggregate residual scans, value-consistency deltas, certification
     reports, and steady-state orderings into one pass/fail report."""
-    # the leader sample's numpy.random, imported before the pool forks; not at
-    # module level, where every cold solve would pay for it
+    # the leader sample's numpy.random, imported before any worker this call
+    # forks, which inherits it (a worker forked by an earlier run_compare
+    # imports it once, at its first leader sample); not at module level,
+    # where every cold solve would pay for it
     import numpy.random  # noqa: F401
     params = config.effective_params
     solutions, checks = {}, []

@@ -807,8 +807,8 @@ def _run_part(part: tuple):
     """One certification part's result: a BestResponse, or the leader
     sample's mapping, or the OracleError or ValueError that stopped it,
     returned as run_compare's cells return theirs. The functions are looked
-    up when the part runs, so a forked worker calls what its parent had
-    bound at the fork."""
+    up when the part runs, so a worker calls what this module held at the
+    worker's own fork, which may precede the call that sent the part."""
     label, args = part
     try:
         if label == "leader sample":

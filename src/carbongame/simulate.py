@@ -212,16 +212,26 @@ def _formatted_column(raw: bytes) -> tuple:
     return tuple(map(repr, np.frombuffer(raw).tolist()))
 
 
+def _formatted_runs(column: np.ndarray) -> list:
+    """repr of each float64 in column, formatted once per run of equal bits
+    (so 0.0 and -0.0 stay apart) and repeated along the run."""
+    bits = column.view(np.int64)
+    starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+    strings = np.array(list(map(repr, column[starts].tolist())), dtype=object)
+    return np.repeat(strings, np.diff(np.r_[starts, len(column)])).tolist()
+
+
 def trajectory_table(trajectory: Trajectory) -> str:
     """Serialize to a comma-delimited table with the fixed column order.
 
     Floats use shortest round-trip formatting; x_f cells are empty outside
     the Stackelberg mode; flag is 0/1. The time column, the same in every
-    table of a run, is formatted once and reused while its bytes match.
+    table of a run, is formatted once and reused while its bytes match; the
+    others once per run of equal values, which converged tails repeat.
     """
     gs = trajectory.mode is GameMode.STACKELBERG
     t = _formatted_column(np.asarray(trajectory.t, dtype=float).tobytes())
-    cols = [list(map(repr, np.asarray(getattr(trajectory, name), dtype=float).tolist()))
+    cols = [_formatted_runs(np.asarray(getattr(trajectory, name), dtype=float))
             if gs or name != "x_f" else [""] * len(trajectory)
             for name in TRAJECTORY_COLUMNS[1:-1]]
     flags = np.where(trajectory.flag, "1", "0").tolist()

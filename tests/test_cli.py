@@ -476,8 +476,8 @@ def test_runtime_paths_run_with_scipy_blocked(argv, tmp_path):
 @pytest.mark.parametrize("argv", [[], ["solve", "--mode", "all"]],
                          ids=["import", "solve"])
 def test_process_pool_modules_load_only_for_compare(argv):
-    # compare imports them when it forks its workers; about 17 ms that
-    # would otherwise land on every cold start
+    # compare and verify import multiprocessing when they first fork their
+    # workers; milliseconds that would otherwise land on every cold start
     loaded = _fresh_process(argv)
     assert "multiprocessing" not in loaded
     assert "concurrent.futures.process" not in loaded

@@ -4,10 +4,15 @@ import csv
 import dataclasses
 import io
 import json
-import multiprocessing
 import os
 import pickle
+import re
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,13 +421,26 @@ RK4 = SimConfig(integrator="fourth-order-fixed-step")
 # give a pool; one CPU, or a platform without fork, runs in this process
 PROCESS_SETUPS = ((1, True), (2, True), (2, False))
 POOLED = (2, True)
-_START_METHODS = multiprocessing.get_all_start_methods
+_FORK = os.fork
+_SRC = str(Path(carbongame.__file__).resolve().parents[1])
+
+
+@pytest.fixture
+def fresh_workers():
+    # the workers live as long as this process: end them before a test that
+    # patches a function they call, so that its pooled runs fork from the
+    # patched module, and again after it
+    experiments._close_workers()
+    yield
+    experiments._close_workers()
 
 
 def _set_processes(monkeypatch, cpus, forks):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                        _START_METHODS if forks else lambda: ["spawn"])
+    if forks:
+        monkeypatch.setattr(os, "fork", _FORK)
+    else:
+        monkeypatch.delattr(os, "fork")
 
 
 @pytest.mark.parametrize("config", [
@@ -431,7 +449,8 @@ def _set_processes(monkeypatch, cpus, forks):
     ScenarioConfig(params=ModelParams(p_c=0.0), sim=QUICK_SIM),
     ScenarioConfig(modes="gd", sim=DIVERGING_RK4),
 ], ids=["exact", "rk4", "one-cell-per-mode", "diverging-rk4"])
-def test_pooled_and_serial_compare_agree(monkeypatch, tmp_path, config):
+def test_pooled_and_serial_compare_agree(monkeypatch, tmp_path, config,
+                                         fresh_workers):
     # each simulation appends the id of the process it ran in; the forked
     # workers inherit the patched module attribute
     pids = tmp_path / "pids"
@@ -476,7 +495,8 @@ def _verify_checks(monkeypatch, config, cpus, forks=True) -> str:
     ScenarioConfig(sink_trading=False),
     ScenarioConfig(modes="gs"),
 ], ids=["all-modes", "no-sink", "gs-alone"])
-def test_pooled_and_serial_verify_agree(monkeypatch, tmp_path, config):
+def test_pooled_and_serial_verify_agree(monkeypatch, tmp_path, config,
+                                        fresh_workers):
     # the leader sample appends the id of the process it ran in; the forked
     # workers inherit the patched module attribute
     pids = tmp_path / "pids"
@@ -495,8 +515,7 @@ def test_pooled_and_serial_verify_agree(monkeypatch, tmp_path, config):
         pids.unlink()
         assert len(ran_in) == 1
         assert (parent not in ran_in) if (cpus, forks) == POOLED else (ran_in == [parent])
-        # the pool closes within the call: no worker or its manager is left
-        assert not multiprocessing.active_children()
+        # no call starts a thread
         assert threading.active_count() == 1
     assert len(set(runs.values())) == 1
 
@@ -509,7 +528,7 @@ def test_pooled_and_serial_verify_agree(monkeypatch, tmp_path, config):
     ({("gc", "joint")}, "gc joint"),
 ], ids=["gd-retailer", "gd-both", "gs-leader", "gs-both", "gc-joint"])
 def test_a_failing_part_gives_its_mode_the_serial_note(monkeypatch, failing,
-                                                       note):
+                                                       note, fresh_workers):
     # a mode's note is the error a serial check meets first, pooled or not,
     # and the other modes still certify
     real_reply = oracle.grid_best_response
@@ -598,6 +617,131 @@ def test_every_public_error_survives_a_pickle_round_trip(monkeypatch):
             assert type(again) is type(error)
             assert str(again) == str(error)
             assert vars(again) == vars(error)
+
+
+def _pid(_):
+    return os.getpid()
+
+
+def _nested(_):
+    return os.getpid(), experiments._pool_map(_pid, [0, 0])
+
+
+def _worker_pids() -> list:
+    return [pid for pid, _, _ in experiments._workers]
+
+
+def test_pooled_calls_reuse_the_workers_and_start_no_thread(monkeypatch,
+                                                            fresh_workers):
+    threads = threading.active_count()
+    runs = []
+    for _ in range(2):
+        runs.append(_verify_checks(monkeypatch, ScenarioConfig(), *POOLED))
+        pids = _worker_pids()
+        # the first free worker takes the next task, so both take one
+        assert sorted(set(experiments._pool_map(_pid, [0, 0]))) == sorted(pids)
+        assert threading.active_count() == threads
+    assert len(pids) == 2 and os.getpid() not in pids
+    assert runs[0] == runs[1] == _verify_checks(monkeypatch, ScenarioConfig(), 1)
+
+
+def test_workers_grow_to_the_largest_call_and_are_never_forked_again(
+        monkeypatch, fresh_workers):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
+    for tasks, workers in ((3, 3), (2, 3), (1, 3), (4, 4), (3, 4)):
+        before = _worker_pids()
+        ran = experiments._pool_map(_pid, [0] * tasks)
+        assert len(_worker_pids()) == workers
+        assert _worker_pids()[:len(before)] == before
+        assert (ran == [os.getpid()]) if tasks == 1 else (os.getpid() not in ran)
+
+
+def test_only_the_process_that_forked_the_workers_uses_them(monkeypatch,
+                                                            fresh_workers):
+    # a worker, and a child this process forks, run a pooled call in-process
+    _set_processes(monkeypatch, *POOLED)
+    for worker, ran in experiments._pool_map(_nested, [0, 0]):
+        assert worker in _worker_pids() and ran == [worker, worker]
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.write(write, json.dumps(experiments._pool_map(_pid, [0] * 3)).encode())
+        finally:
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read) as out:
+        ran = json.load(out)
+    os.waitpid(pid, 0)
+    assert ran == [pid] * 3
+
+
+def test_a_worker_killed_mid_call_fails_that_call_alone(monkeypatch, tmp_path,
+                                                         fresh_workers):
+    # the worker that takes the leader sample kills itself, once; the call
+    # ends every worker, and the next one forks new workers
+    marker = tmp_path / "kill"
+    real = oracle.leader_improvement_sample
+
+    def sample(solution):
+        try:
+            marker.unlink()
+        except FileNotFoundError:
+            return real(solution)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(oracle, "leader_improvement_sample", sample)
+    serial = _verify_checks(monkeypatch, ScenarioConfig(), 1)
+    marker.touch()
+    with pytest.raises(ChildProcessError, match="exit status -9") as failed:
+        _verify_checks(monkeypatch, ScenarioConfig(), *POOLED)
+    dead = int(re.fullmatch(r"worker process (\d+) ended during the call "
+                            r"with exit status -9", str(failed.value))[1])
+    assert experiments._workers == []
+    assert _verify_checks(monkeypatch, ScenarioConfig(), *POOLED) == serial
+    assert len(_worker_pids()) == 2 and dead not in _worker_pids()
+
+
+# runs one pooled verify, prints its workers' pids, then waits for stdin to close
+_POOLED_CALLER = """
+import sys
+from carbongame import ScenarioConfig, experiments, run_verify
+experiments._usable_cpus = lambda: 2
+run_verify(ScenarioConfig())
+print(*(pid for pid, _, _ in experiments._workers), flush=True)
+sys.stdin.read()
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether pid runs; a zombie, which only waits to be reaped, does not."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+@pytest.mark.parametrize("end", ["exit", "sigkill"])
+def test_no_worker_outlives_its_caller(end):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, env.get("PYTHONPATH")) if p)
+    with subprocess.Popen([sys.executable, "-c", _POOLED_CALLER], env=env,
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          text=True) as caller:
+        pids = [int(pid) for pid in caller.stdout.readline().split()]
+        assert len(pids) == 2 and all(map(_running, pids))
+        # stdio and each worker's own two pipe ends, nothing of the caller's
+        assert [len(os.listdir(f"/proc/{pid}/fd")) for pid in pids] == [5, 5]
+        if end == "sigkill":
+            caller.kill()
+    assert caller.returncode == (-signal.SIGKILL if end == "sigkill" else 0)
+    deadline = time.monotonic() + 10
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert not any(map(_running, pids))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from carbongame.simulate import (
     INTEGRATOR_EXACT,
     INTEGRATOR_RK4,
     MAX_SAMPLE_COUNT,
+    _formatted_runs,
     simulate,
 )
 from carbongame.solver import CONVENTION_PRINTED
@@ -225,6 +226,19 @@ def test_trajectory_table_matches_the_per_cell_formatter(mode):
     assert text == _per_cell_table(traj)
     assert {"nan", "inf", "-inf", "-0.0"} <= set(text.replace("\n", ",").split(","))
     assert text.splitlines()[7].endswith(",1")
+
+
+@pytest.mark.parametrize("column", [
+    [0.0, -0.0, -0.0, 0.0, 0.0, -0.0],
+    [np.nan, np.nan, 1.0, np.nan],
+    [np.inf, np.inf, -np.inf, -np.inf, 2.5],
+    [0.1] * 7,
+    [1.0, 2.0] * 4,
+    [0.3],
+], ids=["signed-zeros", "nan", "inf", "constant", "alternating", "one-sample"])
+def test_formatted_runs_match_repr_of_each_float(column):
+    # one repr per run of equal bits, so -0.0 never takes 0.0's string
+    assert _formatted_runs(np.array(column)) == list(map(repr, column))
 
 
 def test_time_column_cache_follows_the_column_bytes():
