@@ -11,13 +11,13 @@ tabulates the solved cells, which is most of its time, one cell per task on
 forked worker processes: as many as the CPUs this process may use, at most
 one per task. The first call that needs them forks them, and they serve
 every later run_compare and run_verify call until the process exits, so
-only callers making repeated calls gain; a worker sees module state as of
-its own fork and keeps its caches, such as the formatted time column. A
-spawned worker would import numpy and the package again, which costs more
-than it saves. There is no setting for the workers. On one CPU, on a
-platform without fork, while other threads run, or in a worker or a child
-the caller forked, the same per-task function runs in the calling process.
-Either way the tables, the summary and the report are the same.
+only callers making repeated calls gain. A worker sees module state as of
+its own fork and keeps its caches, such as the formatted time column, and
+the memory the caller held at that fork. A spawned worker would import
+numpy and the package again. There is no setting for the workers. On one
+CPU, on a platform without fork, while other threads run, or in a worker or
+a child forked after them, the same per-task function runs in the calling
+process, and the tables, the summary and the report are the same.
 
 run_verify uses the same workers for its grid certifications, nearly all of
 its time. It solves every mode in the calling process and hands the
@@ -426,16 +426,16 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# This process's workers as (pid, task pipe end, result pipe end), kept until
-# it exits or a call fails. Only the process that imported this module uses
-# them; in a worker, or in a child the caller forks, tasks run in-process.
+# The workers as (pid, task pipe end, result pipe end), kept until exit or a
+# failed call, and the pid of the one process that uses them, the one that
+# forked them; a worker, or a child forked after them, runs its tasks here.
 _workers: list = []
-_owner = os.getpid()
+_owner = None
 
 
 def _fork_worker() -> None:
-    """Fork one more worker onto _workers. It replies (True, fn(task)), or
-    (False, the exception raised), to each (fn, task) until EOF."""
+    """Fork one more worker onto _workers. It answers each (fn, task) it reads
+    with (True, fn(task)), or (False, the exception raised), until EOF."""
     import gc
     import signal
     from multiprocessing.connection import Pipe
@@ -444,15 +444,15 @@ def _fork_worker() -> None:
     if pid == 0:
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller's to take
-            # no inherited object is ever collected here, so none closes a
+            # so that no inherited object is collected here and closes a
             # descriptor number that the closerange below frees for reuse
             gc.freeze()
-            # only stdio and its own two ends stay open, so the worker reads
-            # EOF once the caller is gone, however that ended
+            # only stdio and its own two ends stay open, so it reads EOF once
+            # the caller is gone, however that ended; lo + 1 > 0, as
+            # os.closerange(0, 0) would close every descriptor
             keep = sorted({0, 1, 2, task_r.fileno(), result_w.fileno()})
-            for lo, hi in zip([-1, *keep], [*keep, os.sysconf("SC_OPEN_MAX")]):
-                if hi > lo + 1:  # os.closerange(0, 0) closes every descriptor
-                    os.closerange(lo + 1, hi)
+            for lo, hi in zip(keep, [*keep[1:], os.sysconf("SC_OPEN_MAX")]):
+                os.closerange(lo + 1, hi)
             while True:
                 fn, task = task_r.recv()
                 try:
@@ -470,40 +470,38 @@ def _fork_worker() -> None:
 
 
 def _close_workers() -> dict:
-    """End and reap this process's workers, unless _owner is another
-    process; returns their exit codes by pid, negative for a signal."""
-    if _owner != os.getpid():
-        return {}
+    """SIGKILL and reap the workers this process forked, busy or stuck ones
+    too; their exit codes by pid, negative for a signal."""
     import signal
-    workers = _workers[:]
-    _workers.clear()
-    for pid, tasks, results in workers:
+    codes = {}
+    while _owner == os.getpid() and _workers:
+        pid, tasks, results = _workers.pop()
         tasks.close()
         results.close()
-        os.kill(pid, signal.SIGKILL)  # a busy or stuck one too
-    return {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            for pid, _, _ in workers}
+        os.kill(pid, signal.SIGKILL)
+        codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return codes
 
 
 def _pool_map(fn, tasks: list) -> list:
-    """[fn(task) for task in tasks], in task order, each task on the first
-    free of this process's workers, forked as needed up to min(usable CPUs,
-    len(tasks)); or here where that is one, where os.fork is missing, where
-    other threads run (a fork would not copy them, and the workers serve one
-    caller at a time) or where _owner is another process. Any exception ends
-    the workers before it reaches the caller; a worker that dies gives a
-    ChildProcessError naming its pid and exit status."""
+    """[fn(task) for task in tasks] in task order, each task sent to the first
+    free worker, forked as needed up to min(usable CPUs, len(tasks)); or run
+    here where that is one, where os.fork is missing, where other threads run
+    (a fork copies none, and the workers serve one caller at a time) or where
+    another process forked the workers. Any exception ends the workers before
+    it reaches the caller; a worker that dies gives a ChildProcessError."""
+    global _owner
     want = min(_usable_cpus(), len(tasks))
     if (want < 2 or not hasattr(os, "fork") or threading.active_count() > 1
-            or _owner != os.getpid()):
+            or _owner not in (None, os.getpid())):
         return list(map(fn, tasks))
     # imported here: milliseconds that solve and sweep never need
     from multiprocessing.connection import wait
-    replies, busy, pending = [None] * len(tasks), {}, iter(enumerate(tasks))
+    _owner, replies, busy = os.getpid(), [None] * len(tasks), {}
+    pending, free = iter(enumerate(tasks)), _workers
     try:
         while len(_workers) < want:
             _fork_worker()
-        free = _workers
         try:
             while True:
                 # zip draws a task only for a free worker
@@ -519,8 +517,8 @@ def _pool_map(fn, tasks: list) -> list:
                     free.append(worker)
         except (EOFError, OSError):
             code = _close_workers()[worker[0]]
-            raise ChildProcessError(f"worker process {worker[0]} ended during the "
-                                    f"call with exit status {code}") from None
+            raise ChildProcessError(f"worker process {worker[0]} ended during "
+                                    f"the call with exit status {code}") from None
         for done, value in replies:
             if not done:
                 raise value
@@ -695,10 +693,8 @@ def run_sweep(spec: Optional[SweepSpec], config: ScenarioConfig) -> dict:
 def run_verify(config: ScenarioConfig) -> dict:
     """Aggregate residual scans, value-consistency deltas, certification
     reports, and steady-state orderings into one pass/fail report."""
-    # the leader sample's numpy.random, imported before any worker this call
-    # forks, which inherits it (a worker forked by an earlier run_compare
-    # imports it once, at its first leader sample); not at module level,
-    # where every cold solve would pay for it
+    # the leader sample's numpy.random, inherited by any worker this call
+    # forks; not at module level, where every cold solve would pay for it
     import numpy.random  # noqa: F401
     params = config.effective_params
     solutions, checks = {}, []

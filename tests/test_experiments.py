@@ -656,24 +656,45 @@ def test_workers_grow_to_the_largest_call_and_are_never_forked_again(
         assert (ran == [os.getpid()]) if tasks == 1 else (os.getpid() not in ran)
 
 
-def test_only_the_process_that_forked_the_workers_uses_them(monkeypatch,
-                                                            fresh_workers):
-    # a worker, and a child this process forks, run a pooled call in-process
-    _set_processes(monkeypatch, *POOLED)
-    for worker, ran in experiments._pool_map(_nested, [0, 0]):
-        assert worker in _worker_pids() and ran == [worker, worker]
+def _in_child(fn):
+    """fn() run in a child this process forks, as JSON, and the child's pid."""
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:
         try:
-            os.write(write, json.dumps(experiments._pool_map(_pid, [0] * 3)).encode())
+            os.write(write, json.dumps(fn()).encode())
         finally:
             os._exit(0)
     os.close(write)
     with os.fdopen(read) as out:
-        ran = json.load(out)
+        result = json.load(out)
     os.waitpid(pid, 0)
-    assert ran == [pid] * 3
+    return result, pid
+
+
+def _pooled_in_child():
+    ran = experiments._pool_map(_pid, [0] * 3)
+    workers = _worker_pids()
+    experiments._close_workers()
+    return ran, workers
+
+
+def test_only_the_process_that_forked_the_workers_uses_them(monkeypatch,
+                                                            fresh_workers):
+    _set_processes(monkeypatch, *POOLED)
+    # a child forked before this process first pools forks its own workers
+    monkeypatch.setattr(experiments, "_owner", None)
+    (ran, workers), child = _in_child(_pooled_in_child)
+    assert len(workers) == 2 and child not in workers
+    assert set(ran) <= set(workers) and os.getpid() not in workers
+    assert experiments._owner is None and _worker_pids() == []
+    # a worker, and a child forked after the workers, run a pooled call
+    # in-process
+    for worker, ran in experiments._pool_map(_nested, [0, 0]):
+        assert worker in _worker_pids() and ran == [worker, worker]
+    assert experiments._owner == os.getpid()
+    (ran, workers), child = _in_child(_pooled_in_child)
+    assert ran == [child] * 3 and workers == _worker_pids()
 
 
 def test_a_worker_killed_mid_call_fails_that_call_alone(monkeypatch, tmp_path,
