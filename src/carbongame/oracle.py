@@ -35,13 +35,13 @@ them once per reply, for every reply. The joint reply pairs the farmer's
 case, with one zero-reward outer action and the opponent's frozen effort in
 the rates and the base.
 
-The greedy step scores only the (state, outer) pairs that can win, a form
-of action elimination (MacQueen, J. Math. Anal. Appl., 1967; Puterman,
-Markov Decision Processes, 1994, section 6.7). With c = gamma*value, state
-i's current pair has q = floor[i], formed by the greedy step's own
-operations, so it is that pair's computed q exactly. Outer action ko keeps
-its pair unless U[i, ko] < floor[i], where U is at least the computed q of
-every inner action (``_pair_bound``). Per state, with b = base[i, 0]:
+The greedy step scores only the actions that can win, a form of action
+elimination (MacQueen, J. Math. Anal. Appl., 1967; Puterman, Markov
+Decision Processes, 1994, section 6.7). With c = gamma*value, state i's
+current pair has q = floor[i], formed by the greedy step's own operations,
+so it is that pair's computed q exactly. Pair (ko, ki) is scored unless
+V[i, ko, ki] < floor[i], where V is at least its computed q
+(``_pair_bound``). Per state, with b = base[i, 0]:
 
 - Every computed next state fl(b + s) lies in the window
   [fl(b + min shift), fl(b + max shift)], since rounding is monotone.
@@ -53,16 +53,23 @@ every inner action (``_pair_bound``). Per state, with b = base[i, 0]:
   the farthest window end beyond it.
 - shift[ko, ki] = sf[ko] + sr[ki] + r, with sf = shift[:, 0],
   sr = shift[0] - shift[0, 0] and r a residual, |r| <= R.
-- U[i, ko] = alpha + e + beta*(b + sf[ko]) + reward_outer[i, ko]
-  + max over ki of (beta*sr[ki] + reward_inner[i, ki]) + |beta|*R + margin.
+- V[i, ko, ki] = alpha + e + beta*(b + sf[ko]) + reward_outer[i, ko]
+  + g[i, ki] + |beta|*R + margin, with g = beta*sr[ki] + reward_inner[i, ki].
 
-The margin covers the rounding of both q and U. Take the standard model,
-fl(a op b) = (a op b)(1 + d) with |d| <= u = 2^-53, and g_k = k*u/(1 - k*u).
-Let C = max|c|, D the largest |slope| of a segment, Y the window ends' largest
-magnitude plus max|b| plus 4 max|shift| (at least every |y|, knot, |b + sf|,
-|sr| and |r|), and M = C + |alpha| + D*Y + max|reward_outer[i]|
-+ max|reward_inner[i]|. Operation by operation, in units of u*M to first
-order:
+The test is taken as g[i, ki] < theta[i, ko], with theta = floor - (alpha +
+e + |beta|*R + margin) - beta*(b + sf[ko]) - reward_outer[i, ko]. A pair
+(i, ko) is live unless its largest g, the pair bound, falls short of
+theta, and state i scores one run of inner actions, from the first to the
+last whose g reaches the loosest theta of its live pairs, and its current
+pair's.
+
+The margin covers the rounding of q and of the test. Take the standard
+model, fl(a op b) = (a op b)(1 + d) with |d| <= u = 2^-53, and
+g_k = k*u/(1 - k*u). Let C = max|c|, D the largest |slope| of a segment, Y
+the window ends' largest magnitude plus max|b| plus 4 max|shift| (at least
+every |y|, knot, |b + sf|, |sr| and |r|), and M = C + |alpha| + D*Y
++ max|reward_outer[i]| + max|reward_inner[i]|. Operation by operation, in
+units of u*M to first order:
 
 1. q = fl(fl(I + reward_outer) + reward_inner): two sums, 2.
 2. np.interp returns I = fl(fl(slope*fl(y - H[k])) + c[k]), slope =
@@ -75,28 +82,30 @@ order:
 4. y = fl(b + s): beta*y <= beta*(b + s) + u*|beta|*Y: 1.
 5. e from its computed value: three operations per knot, 3.
 6. R from its computed value: two subtractions, times |beta|: 2.
-7. max(beta*sr + reward_inner) from its computed value: 2.
+7. g from its computed value, a product and a sum: 2.
 8. The products beta*fl(b + sf) and |beta|*R: 3.
-9. U sums seven terms whose magnitudes add up to at most 4M + margin; any
-   order errs by at most g_6 times that: 24.
+9. theta sums floor and six terms; with |floor| <= C + max|reward_outer[i]|
+   + max|reward_inner[i]|, their magnitudes add up to at most 4M + margin,
+   and any order errs by at most g_6 times that: 24. The comparison with g
+   and the minimum over live pairs are exact.
 
 That is 48*u*M plus O(u^2*M), and the margin is 64*u*M, formed as
 (8M)*2^-50 so that a state whose 8M overflows gets an infinite margin.
-Below that no intermediate of q or U overflows. A product or quotient that
-underflows errs by up to 2^-1075 more. Six can: the slope and
-slope*fl(y - H[k]), and beta times a knot, sr, fl(b + sf) and R. The
+Below that no intermediate of q or of the test overflows. A product or
+quotient that underflows errs by up to 2^-1075 more. Six can: the slope
+and slope*fl(y - H[k]), and beta times a knot, sr, fl(b + sf) and R. The
 slope's error is scaled by y - H[k] <= h, the widest segment, so the
 margin adds 2^-1022*(1 + h), which also covers the margin's own products.
-A non-finite
-continuation or reward makes U inf or nan, and U < floor is then false:
-every such state keeps all its pairs.
+A non-finite continuation, reward or floor makes g or theta nan or theta
+-inf, and g < theta is then false: every such state keeps all its actions.
 
-Ties: a pruned pair's best q is below floor[i], which is at most the
-state's best q, so it neither wins nor ties. The live pairs are scored in
-(state, outer) order, and each state takes the first pair that reaches its
-best q: a tie goes to the first outer index, then the first inner index,
-as in a full outer-major scan. A single-role reply has one outer action
-and prunes nothing.
+Ties: a pruned action's q is below floor[i], which is at most the state's
+best q, so it neither wins nor ties, and widening a window only adds
+actions that are scored as a full scan scores them. The live pairs are
+scored in (state, outer) order, each takes its first maximum, and each
+state takes the first pair that reaches its best q: a tie goes to the
+first outer index, then the first inner index, as in a full outer-major
+scan. A single-role reply prunes the same way, with its one outer action.
 
 The certifier reads the model parameters from the solution it checks. Its
 pass tolerances, the default grid's spans and the leader sampler's sample
@@ -177,9 +186,9 @@ LEADER_SPREAD = 0.1
 LEADER_NODES = 32
 LEADER_EXPONENT = 3.0
 
-# The greedy step scores this many (state, outer action) pairs at a time;
-# its two (pair, inner action) temporaries take about 2 MB on the default grid.
-GREEDY_CHUNK_PAIRS = 512
+# The greedy step scores at most this many actions at a time, 512 pairs of
+# full windows on the default grid; its two temporaries take about 2 MB.
+GREEDY_CHUNK_POINTS = 512 * 257
 
 
 class OracleError(RuntimeError):
@@ -329,16 +338,15 @@ def _seed_indices(actions: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 def _pair_bound(H: np.ndarray, base: np.ndarray, shift: np.ndarray,
                 reward_outer: np.ndarray, reward_inner: np.ndarray):
-    """The bound U of the module docstring, as upper(continuation, j): an
-    (n, n_outer) array that is at least the greedy step's computed q of every
-    inner action of each (state, outer) pair, for the continuation values
-    on H and j[i] the segment holding state i's current next state.
+    """The per-action test of the module docstring, as
+    upper(continuation, j, floor) -> (theta, g), for the continuation values
+    on H, j[i] the segment holding state i's current next state and floor[i]
+    its current q: the greedy step's q of pair (ko, ki) at state i can reach
+    floor[i] only if g[i, ki] < theta[i, ko] is false.
 
-    Returns None where nothing is pruned: a single outer action, or
-    transitions so large that 8 times their reach overflows.
+    Returns None where nothing is pruned: transitions so large that 8 times
+    their reach overflows.
     """
-    if reward_outer.shape[1] == 1:
-        return None
     b = base[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):
         lo = b + shift.min()
@@ -357,7 +365,7 @@ def _pair_bound(H: np.ndarray, base: np.ndarray, shift: np.ndarray,
     # state i's candidate knots run from the last one at or below its
     # window's low end to the first one at or above its high end
     first = np.searchsorted(X, lo, side="right") - 1
-    last = np.searchsorted(X, hi, side="left")
+    last = np.maximum(np.searchsorted(X, hi, side="left"), first)
     knots = np.minimum(first[:, None] + np.arange(np.max(last - first) + 1),
                        last[:, None])
     knot_x = X[knots]
@@ -366,51 +374,77 @@ def _pair_bound(H: np.ndarray, base: np.ndarray, shift: np.ndarray,
                + np.max(np.abs(reward_inner), axis=1))
     tiny = np.finfo(float).tiny * (1.0 + np.max(np.diff(H)))
 
-    def upper(continuation: np.ndarray, j: np.ndarray) -> np.ndarray:
-        # a non-finite continuation or reward leaves U inf or nan, which
-        # keeps every pair of the state
+    def upper(continuation: np.ndarray, j: np.ndarray,
+              floor: np.ndarray) -> tuple:
+        # a non-finite continuation, reward or floor leaves theta or g nan,
+        # or theta -inf, which keeps every action of the state
         with np.errstate(over="ignore", invalid="ignore"):
             slopes = np.diff(continuation) / np.diff(H)
             beta = slopes[j]
             alpha = continuation[j] - beta * H[j]
             excess = np.max(continuation[knot_value]
                             - (alpha[:, None] + beta[:, None] * knot_x), axis=1)
-            inner = np.max(beta[:, None] * sr + reward_inner, axis=1)
             scale = (np.max(np.abs(continuation)) + np.abs(alpha)
                      + np.max(np.abs(slopes)) * reach + rewards)
             margin = (8.0 * scale) * 2.0 ** -50 + tiny
-            terms = alpha + excess + np.abs(beta) * residual + inner + margin
-            return terms[:, None] + beta[:, None] * b_sf + reward_outer
+            terms = floor - (alpha + excess + np.abs(beta) * residual + margin)
+            return (terms[:, None] - beta[:, None] * b_sf - reward_outer,
+                    beta[:, None] * sr + reward_inner)
 
     return upper
 
 
-def _greedy_step(live, base, shift, H, continuation, reward_outer,
-                 reward_inner) -> tuple:
-    """Greedy (outer, inner) indices per state over the pairs live marks.
+def _windows(theta, g, pol_outer, pol_inner) -> tuple:
+    """(live, start, stop) from upper's (theta, g): the (state, outer) pairs
+    whose largest g reaches theta (every pair of a single outer action),
+    and for each state i the run start[i] <= ki < stop[i] from the first to
+    the last inner action whose g reaches the loosest theta of i's live
+    pairs. The current pair is always kept."""
+    rows = np.arange(g.shape[0])
+    live = np.ones(theta.shape, dtype=bool)
+    if theta.shape[1] > 1:
+        live = ~(np.max(g, axis=1)[:, None] < theta)
+        live[rows, pol_outer] = True
+    pruned = g < np.min(theta, axis=1, where=live, initial=np.inf)[:, None]
+    pruned[rows, pol_inner] = False
+    return (live, np.argmin(pruned, axis=1),
+            pruned.shape[1] - np.argmin(pruned[:, ::-1], axis=1))
 
-    live is an (n, n_outer) mask with at least one pair per state. Its
-    (state, outer) pairs are scored in that order, GREEDY_CHUNK_PAIRS at a
-    time: q = continuation interpolated at base + shift[ko], plus
-    reward_outer[i, ko] and reward_inner[i]. Each state takes the first
-    pair that reaches its largest q, so a tie goes to the first outer index,
-    then the first inner index, as in an outer-major scan with a strict
-    improvement test. As in that scan, a pair whose best inner q is nan
-    never wins, and a state whose pairs are all nan or -inf keeps (0, 0).
+
+def _greedy_step(live, start, stop, base, shift, H, continuation,
+                 reward_outer, reward_inner) -> tuple:
+    """Greedy (outer, inner) indices per state over the pairs live marks and
+    the inner actions start[i] <= ki < stop[i] of each state i.
+
+    live is an (n, n_outer) mask with at least one pair per state. Every
+    window is widened to the widest one, moved back inside the inner
+    actions where it would pass their end, and the live (state, outer)
+    pairs are scored in that order, at most GREEDY_CHUNK_POINTS actions at a
+    time: q = continuation interpolated at base + shift[ko, ki], plus
+    reward_outer[i, ko] and reward_inner[i, ki]. Each pair takes its first
+    maximum in its widened window and each state the first pair that
+    reaches its largest q, so a tie goes to the first outer index, then the
+    first inner index, as in an outer-major scan with a strict improvement
+    test. As in that scan, a pair whose best inner q is nan never wins, and
+    a state whose pairs are all nan or -inf keeps (0, 0).
     """
-    state, outer = np.nonzero(live)
+    state, outer = np.divmod(np.flatnonzero(live), live.shape[1])
+    width = int(np.max((stop - start)[state]))
+    first = np.minimum(start, shift.shape[1] - width)[state]
+    shifts, inner = (np.lib.stride_tricks.sliding_window_view(a, width, axis=1)
+                     for a in (shift, reward_inner))
+    chunk = max(1, GREEDY_CHUNK_POINTS // width)
     best_q = np.empty(state.size)
     best_i = np.empty(state.size, dtype=np.int64)
-    for lo in range(0, state.size, GREEDY_CHUNK_PAIRS):
-        s = state[lo:lo + GREEDY_CHUNK_PAIRS]
-        o = outer[lo:lo + GREEDY_CHUNK_PAIRS]
-        q = shift[o]
+    for lo in range(0, state.size, chunk):
+        s, o, f = (a[lo:lo + chunk] for a in (state, outer, first))
+        q = shifts[o, f]
         q += base[s]
         q = np.interp(q, H, continuation)
         q += reward_outer[s, o, None]
-        q += reward_inner[s]
+        q += inner[s, f]
         ki = np.argmax(q, axis=1)
-        best_i[lo:lo + ki.size] = ki
+        best_i[lo:lo + ki.size] = f + ki
         best_q[lo:lo + ki.size] = q[np.arange(ki.size), ki]
     best_q[np.isnan(best_q)] = -np.inf
     top = np.maximum.reduceat(best_q, np.searchsorted(state, np.arange(H.size)))
@@ -426,14 +460,16 @@ def _howard(H: np.ndarray, gamma: float, max_sweeps: int, base: np.ndarray,
             pol_inner: np.ndarray):
     """Howard policy iteration over (outer, inner) action pairs: pair
     (ko, ki) at state i earns reward_outer[i, ko] + reward_inner[i, ki] and
-    moves to base[i, 0] + shift[ko, ki]. Each greedy step scores only the
-    (state, outer) pairs whose bound reaches the q of the state's current
-    pair (see the module docstring). Stops when the greedy policy repeats;
-    returns the value, both policies and the sweeps."""
+    moves to base[i, 0] + shift[ko, ki]. Each greedy step scores, per state,
+    only the outer actions and the run of inner actions whose bounds reach
+    the q of the state's current pair (see the module docstring). Stops when
+    the greedy policy repeats; returns the value, both policies and the
+    sweeps."""
     n = H.size
     rows = np.arange(n)
     upper = _pair_bound(H, base, shift, reward_outer, reward_inner)
-    live = np.ones((n, reward_outer.shape[1]), dtype=bool)
+    kept = (np.ones((n, reward_outer.shape[1]), dtype=bool),
+            np.zeros(n, dtype=np.int64), np.full(n, shift.shape[1]))
     value = np.zeros(n)
     change = np.inf
     for sweep in range(1, max_sweeps + 1):
@@ -450,10 +486,10 @@ def _howard(H: np.ndarray, gamma: float, max_sweeps: int, base: np.ndarray,
             floor = (np.interp(next_pol, H, continuation)
                      + reward_outer[rows, pol_outer]
                      + reward_inner[rows, pol_inner])
-            live = ~(upper(continuation, j) < floor[:, None])
-            live[rows, pol_outer] = True
+            kept = _windows(*upper(continuation, j, floor), pol_outer,
+                            pol_inner)
         best_outer, best_inner = _greedy_step(
-            live, base, shift, H, continuation, reward_outer, reward_inner)
+            *kept, base, shift, H, continuation, reward_outer, reward_inner)
         if (np.array_equal(best_outer, pol_outer)
                 and np.array_equal(best_inner, pol_inner)):
             _check_interior(H, next_pol)
@@ -756,12 +792,12 @@ def _window_gaps(br: BestResponse, solution: GameSolution,
 
 
 # A certification's parts, longest first. Their serial cost on the default
-# grid, median (range) over the 24 scenarios of bench verify seeds 1-3, is
-# 31 ms (21-43) for the joint reply, 12 ms (9-18) for the follower reply,
-# 11 ms (8-15) for a gd farmer reply, 5 ms (4-6) for the gd retailer reply
-# and 0.8 ms (0.6-1.0) for the leader sample (2-vCPU VM, Python 3.11,
-# numpy 2.4). Run on a pool in this order, they balance the workers by
-# Graham's longest-processing-time rule (SIAM J. Appl. Math. 17(2), 1969).
+# grid, median over the 24 scenarios of bench verify seeds 1-3 (5 runs each),
+# is 13 ms for the joint reply, 7.0 ms for the follower reply, 6.3 ms for a
+# gd farmer reply, 3.3 ms for the gd retailer reply and 0.8 ms (0.6-1.0) for
+# the leader sample (2-vCPU VM, Python 3.11, numpy 2.4). Run on a pool in
+# this order, they balance the workers by Graham's longest-processing-time
+# rule (SIAM J. Appl. Math. 17(2), 1969).
 _PART_ORDER = ("joint control", "follower reply", "farmer reply",
                "retailer reply", "leader sample")
 

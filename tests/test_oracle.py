@@ -214,8 +214,8 @@ DRAWN = ("lambda_f", "lambda_r", "mu_f", "mu_r", "omega", "p_c", "delta",
          "rho", "theta")
 
 
-def _solvable_gc_draw(seed):
-    """A gc solution at ModelParams scaled by e^U(-1, 1) in each DRAWN
+def _solvable_draw(mode, seed):
+    """A solution of mode at ModelParams scaled by e^U(-1, 1) in each DRAWN
     field, redrawn until the solver and default_grid accept it."""
     rng = np.random.default_rng(seed)
     base = ModelParams()
@@ -224,23 +224,65 @@ def _solvable_gc_draw(seed):
         params = dataclasses.replace(base, **{
             name: getattr(base, name) * float(f) for name, f in zip(DRAWN, factors)})
         try:
-            sol = solve("gc", params)
+            sol = solve(mode, params)
             return params, sol, default_grid(sol, n_states=64, n_actions=33)
         except (solver.SolverError, ParameterError, OracleError):
             continue
-    raise AssertionError("no solvable gc draw")
+    raise AssertionError(f"no solvable {mode} draw")
+
+
+def _check_bounds_along_howard(H, gamma, max_sweeps, base, shift, reward_outer,
+                               reward_inner, pol_outer, pol_inner):
+    """Howard iteration on brute-force q tables. Every sweep checks that the
+    per-action bound is at least the computed q of every (state, outer,
+    inner) triple, that the kept pairs and windows hold every action whose
+    q reaches the state's current q and the current pair's inner action,
+    then moves to the brute-force greedy policy. Returns the fixed point's
+    live mask and windows."""
+    n = H.size
+    rows = np.arange(n)
+    upper = oracle._pair_bound(H, base, shift, reward_outer, reward_inner)
+    for _ in range(max_sweeps):
+        next_pol = base[:, 0] + shift[pol_outer, pol_inner]
+        j, w = _positions(H, next_pol)
+        value = _evaluate_policy(n, j, w, reward_outer[rows, pol_outer]
+                                 + reward_inner[rows, pol_inner], gamma)
+        continuation = gamma * value
+        # q as the greedy step forms it, for every (state, outer, inner)
+        q = np.interp(shift + base[:, :, None], H, continuation)
+        q += reward_outer[:, :, None]
+        q += reward_inner[:, None, :]
+        # the current pair's q, as _howard forms it, is the greedy step's
+        floor = (np.interp(next_pol, H, continuation)
+                 + reward_outer[rows, pol_outer] + reward_inner[rows, pol_inner])
+        assert np.array_equal(floor, q[rows, pol_outer, pol_inner])
+        # at floor = 0, g - theta is the per-action bound V itself
+        theta, g = upper(continuation, j, np.zeros(n))
+        assert np.all(g[:, None, :] - theta[:, :, None] >= q)
+        live, start, stop = oracle._windows(*upper(continuation, j, floor),
+                                            pol_outer, pol_inner)
+        inner = np.arange(reward_inner.shape[1])
+        window = (start[:, None] <= inner) & (inner < stop[:, None])
+        reach = q >= floor[:, None, None]
+        assert np.all(live[:, :, None] & window[:, None, :] | ~reach)
+        assert np.all((start <= pol_inner) & (pol_inner < stop))
+        assert np.all(live[rows, pol_outer])
+        flat = q.reshape(n, -1).argmax(axis=1)
+        best_outer, best_inner = np.divmod(flat, reward_inner.shape[1])
+        if (np.array_equal(best_outer, pol_outer)
+                and np.array_equal(best_inner, pol_inner)):
+            return live, start, stop
+        pol_outer, pol_inner = best_outer, best_inner
+    raise AssertionError("policy iteration did not converge")
 
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
 def test_pair_bound_is_at_least_every_inner_maximum(seed, warm):
-    # the joint reply's tables, as grid_best_response builds them; each sweep
-    # checks U against the brute-force best inner q of every (state, farmer)
-    # pair, then moves to the brute-force greedy policy
-    params, sol, grid = _solvable_gc_draw(seed)
+    # the joint reply's tables, as grid_best_response builds them
+    params, sol, grid = _solvable_draw("gc", seed)
     H = grid.states()
     n = H.size
-    rows = np.arange(n)
     af, ar = grid.actions("farmer"), grid.actions("retailer")
     gamma = float(np.exp(-params.rho * grid.dt))
     rates = payoff_rates(GameMode.CENTRALIZED, H[:, None], af[None, :],
@@ -249,37 +291,45 @@ def test_pair_bound_is_at_least_every_inner_maximum(seed, warm):
     reward_r = rates.net_r * ((1.0 - gamma) / params.rho)
     base = (H + grid.dt * reduction_drift(H, 0.0, 0.0, params))[:, None]
     shift = grid.dt * reduction_drift(0.0, af[:, None], ar[None, :], params)
-    upper = oracle._pair_bound(H, base, shift, reward_f, reward_r)
     if warm:
         pol_f = _seed_indices(af, sol.policies["farmer"].effort(H))
         pol_r = _seed_indices(ar, sol.policies["retailer"].effort(H))
     else:
         pol_f = np.zeros(n, dtype=np.int64)
         pol_r = np.zeros(n, dtype=np.int64)
-    for sweep in range(grid.max_sweeps):
-        next_pol = base[:, 0] + shift[pol_f, pol_r]
-        j, w = _positions(H, next_pol)
-        value = _evaluate_policy(n, j, w, reward_f[rows, pol_f]
-                                 + reward_r[rows, pol_r], gamma)
-        continuation = gamma * value
-        q = np.stack([np.interp(base + shift[kf], H, continuation)
-                      + reward_f[:, kf, None] + reward_r
-                      for kf in range(af.size)], axis=1)
-        bound = upper(continuation, j)
-        assert np.all(bound >= q.max(axis=2))
-        # the current pair's q, as _howard forms it, is the greedy step's
-        floor = (np.interp(next_pol, H, continuation) + reward_f[rows, pol_f]
-                 + reward_r[rows, pol_r])
-        assert np.array_equal(floor, q[rows, pol_f, pol_r])
-        flat = q.reshape(n, -1).argmax(axis=1)
-        best_f, best_r = np.divmod(flat, ar.size)
-        if np.array_equal(best_f, pol_f) and np.array_equal(best_r, pol_r):
-            break
-        pol_f, pol_r = best_f, best_r
-    else:
-        raise AssertionError("policy iteration did not converge")
-    # at the fixed point the bound rules out most (state, farmer) pairs
-    assert np.mean(bound < floor[:, None]) > 0.5
+    live, start, stop = _check_bounds_along_howard(
+        H, gamma, grid.max_sweeps, base, shift, reward_f, reward_r, pol_f,
+        pol_r)
+    # at the fixed point the bounds rule out most (state, farmer, retailer)
+    # actions
+    assert np.mean(live) < 0.5
+    assert np.sum(live.sum(axis=1) * (stop - start)) < 0.1 * live.size * ar.size
+
+
+@pytest.mark.parametrize("mode, role, other", [
+    (GameMode.DECENTRALIZED, "farmer", "retailer"),
+    (GameMode.DECENTRALIZED, "retailer", "farmer"),
+    (GameMode.STACKELBERG, "farmer", "retailer"),
+], ids=["gd-farmer", "gd-retailer", "gs-follower"])
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
+def test_per_action_bound_holds_on_the_single_role_tables(monkeypatch, mode,
+                                                          role, other, seed,
+                                                          warm):
+    # the tables grid_best_response hands _howard, checked along the
+    # brute-force iteration
+    params, sol, grid = _solvable_draw(mode, seed)
+    tables = []
+    monkeypatch.setattr(oracle, "_howard", lambda *args: tables.append(args)
+                        or (np.zeros(grid.n_states), *args[-2:], 1))
+    grid_best_response(params, mode, role, sol.policies[other], grid,
+                       seed_policy=sol.policies[role] if warm else None)
+    (H, gamma, max_sweeps, base, shift, *rest), = tables
+    assert shift.shape[0] == 1   # one zero-reward outer action
+    live, start, stop = _check_bounds_along_howard(H, gamma, max_sweeps,
+                                                   base, shift, *rest)
+    # at the fixed point the windows rule out most actions
+    assert np.mean(stop - start) < 0.1 * shift.shape[1]
 
 
 def test_pair_bound_gives_up_once_eight_times_its_reach_overflows():
@@ -372,18 +422,100 @@ def _tied_tables():
             reward_f, reward_r)
 
 
-# all pairs; then only the pairs that reach their state's best q
-TIED_MASKS = [np.ones((3, 4), dtype=bool),
-              np.array([[False, True, True, True],
-                        [True, True, False, False],
-                        [False, False, False, True]])]
+# every action; then only the pairs and the inner runs that reach their
+# state's best q (state 2's window is widened to the widest, two actions)
+TIED_WINDOWS = [(np.ones((3, 4), dtype=bool), np.zeros(3, dtype=np.int64),
+                 np.full(3, 4)),
+                (np.array([[False, True, True, True],
+                           [True, True, False, False],
+                           [False, False, False, True]]),
+                 np.array([2, 1, 0]), np.array([4, 3, 1]))]
 
 
-@pytest.mark.parametrize("live", TIED_MASKS, ids=["all-live", "pruned"])
-def test_greedy_ties_go_to_the_first_farmer_then_retailer(live):
-    best_f, best_r = _greedy_step(live, *_tied_tables())
+@pytest.mark.parametrize("windows", TIED_WINDOWS, ids=["all-live", "pruned"])
+def test_greedy_ties_go_to_the_first_farmer_then_retailer(windows):
+    best_f, best_r = _greedy_step(*windows, *_tied_tables())
     assert best_f.tolist() == [1, 0, 3]
     assert best_r.tolist() == [2, 1, 0]
+
+
+def _tied_bound(continuation, reward_f, reward_r):
+    """The tied tables' (theta, g) at the current pairs (0, 0), whose next
+    states are all H[0], on the first segment. Every window is that one
+    point, a knot."""
+    base, shift, H, _, *_ = _tied_tables()
+    upper = oracle._pair_bound(H, base, shift, reward_f, reward_r)
+    zeros = np.zeros(3, dtype=np.int64)
+    floor = continuation[0] + reward_f[:, 0] + reward_r[:, 0]
+    return upper(continuation, zeros, floor), zeros
+
+
+def test_a_nan_continuation_keeps_every_action():
+    _, _, _, _, reward_f, reward_r = _tied_tables()
+    (theta, g), zeros = _tied_bound(np.array([0.5, np.nan, 0.5]), reward_f,
+                                    reward_r)
+    live, start, stop = oracle._windows(theta, g, zeros, zeros)
+    assert live.all()
+    assert start.tolist() == [0, 0, 0] and stop.tolist() == [4, 4, 4]
+
+
+def test_the_current_pair_is_kept_whatever_the_bound_says():
+    # a threshold no g reaches prunes every action but the current pair's
+    theta, g = np.full((3, 4), np.inf), np.zeros((3, 5))
+    live, start, stop = oracle._windows(theta, g, np.array([0, 3, 1]),
+                                        np.array([4, 2, 0]))
+    assert live.tolist() == [[True, False, False, False],
+                             [False, False, False, True],
+                             [False, True, False, False]]
+    assert start.tolist() == [4, 2, 0] and stop.tolist() == [5, 3, 1]
+
+
+def test_a_state_whose_every_q_is_minus_inf_keeps_the_first_pair():
+    base, shift, H, continuation, reward_f, reward_r = _tied_tables()
+    reward_r = reward_r.copy()
+    reward_r[1] = -np.inf   # every q of state 1 is -inf
+    (theta, g), zeros = _tied_bound(continuation, reward_f, reward_r)
+    windows = oracle._windows(theta, g, zeros, zeros)
+    assert windows[0][1].all()
+    assert windows[1][1] == 0 and windows[2][1] == 4
+    best_f, best_r = _greedy_step(*windows, base, shift, H, continuation,
+                                  reward_f, reward_r)
+    assert best_f.tolist() == [1, 0, 3]
+    assert best_r.tolist() == [2, 0, 0]
+
+
+def _e1_draw(index, seed=7):
+    """Draw index of the e^+-1 scalings of the DRAWN fields that a
+    default_rng(seed) stream makes, one uniform vector per draw."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        factors = np.exp(rng.uniform(-1.0, 1.0, len(DRAWN)))
+    base = ModelParams()
+    return dataclasses.replace(base, **{
+        name: getattr(base, name) * float(f) for name, f in zip(DRAWN, factors)})
+
+
+def test_a_joint_reply_whose_windows_span_every_retailer_action(monkeypatch):
+    # draw 48 (mu_r = 0.199): most states keep every retailer action, so the
+    # widened windows are the whole retailer axis in every sweep
+    params = _e1_draw(48)
+    assert params.mu_r == pytest.approx(0.199, abs=5e-4)
+    sol = solve("gc", params)
+    grid = default_grid(sol, n_states=64, n_actions=33)
+    widths, greedy = [], oracle._greedy_step
+    monkeypatch.setattr(oracle, "_greedy_step", lambda live, start, stop, *a:
+                        widths.append(stop - start) or greedy(live, start,
+                                                              stop, *a))
+    br = grid_best_response(params, "gc", "joint", None, grid,
+                            seed_policy=sol.policies)
+    assert len(widths) == br.sweeps
+    assert all(w.max() == 33 and np.mean(w == 33) > 0.5 for w in widths)
+    ref_f, ref_r, ref_value, ref_sweeps = _reference_joint_response(
+        params, grid, sol.policies)
+    assert np.array_equal(br.actions["farmer"], ref_f)
+    assert np.array_equal(br.actions["retailer"], ref_r)
+    assert br.sweeps == ref_sweeps
+    assert br.value == pytest.approx(ref_value, rel=1e-12)
 
 
 def test_stressed_stackelberg_certifies_despite_negative_share():
