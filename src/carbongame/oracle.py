@@ -28,20 +28,21 @@ interpolation that ``_positions`` sets up for policy evaluation.
 One policy-iteration loop, ``_howard``, serves every reply. Each state picks
 an (outer, inner) action pair that earns an outer plus an inner reward and
 moves to a per-state base plus a per-pair shift: each role's net rate depends
-on its own effort only, and the drift is affine in the efforts. These tables
-do not depend on the value, and one function, ``grid_best_response``, builds
-them once per reply, for every reply. The joint reply pairs the farmer's
-(outer) and retailer's (inner) efforts; a single-role reply is the one-block
-case, with one zero-reward outer action and the opponent's frozen effort in
-the rates and the base.
+on its own effort only, and the drift is affine in the efforts. The base and
+shift do not depend on the value, and one function, ``grid_best_response``,
+builds them once per reply, for every reply. The joint reply pairs the
+farmer's (outer) and retailer's (inner) efforts; a single-role reply is the
+one-block case, with one zero-reward outer action and the opponent's frozen
+effort in the rates and the base. No reward table is built: the rewards are
+priced by ``profits.payoff_rates`` at the gathered (state, action) points
+where they are needed, with the same elementwise operations as on a full
+mesh, so every reward and q has the bits a full table gives.
 
 The greedy step scores only the actions that can win, a form of action
 elimination (MacQueen, J. Math. Anal. Appl., 1967; Puterman, Markov
 Decision Processes, 1994, section 6.7). With c = gamma*value, state i's
 current pair has q = floor[i], formed by the greedy step's own operations,
-so it is that pair's computed q exactly. Pair (ko, ki) is scored unless
-V[i, ko, ki] < floor[i], where V is at least its computed q
-(``_pair_bound``). Per state, with b = base[i, 0]:
+so it is that pair's computed q exactly. Per state, with b = base[i, 0]:
 
 - Every computed next state fl(b + s) lies in the window
   [fl(b + min shift), fl(b + max shift)], since rounding is monotone.
@@ -53,56 +54,124 @@ V[i, ko, ki] < floor[i], where V is at least its computed q
   the farthest window end beyond it.
 - shift[ko, ki] = sf[ko] + sr[ki] + r, with sf = shift[:, 0],
   sr = shift[0] - shift[0, 0] and r a residual, |r| <= R.
-- V[i, ko, ki] = alpha + e + beta*(b + sf[ko]) + reward_outer[i, ko]
-  + g[i, ki] + |beta|*R + margin, with g = beta*sr[ki] + reward_inner[i, ki].
+- So q of pair (ko, ki) is at most alpha + e + beta*b + |beta|*R + margin
+  + h[i, ko] + g[i, ki], in exact arithmetic on computed terms, with
+  h = beta*sf + reward_outer and g = beta*sr + reward_inner.
 
-The test is taken as g[i, ki] < theta[i, ko], with theta = floor - (alpha +
-e + |beta|*R + margin) - beta*(b + sf[ko]) - reward_outer[i, ko]. A pair
-(i, ko) is live unless its largest g, the pair bound, falls short of
-theta, and state i scores one run of inner actions, from the first to the
-last whose g reaches the loosest theta of its live pairs, and its current
-pair's.
+Neither h nor g is formed. Three facts of the model bound them with a few
+numbers per state:
 
-The margin covers the rounding of q and of the test. Take the standard
-model, fl(a op b) = (a op b)(1 + d) with |d| <= u = 2^-53, and
-g_k = k*u/(1 - k*u). Let C = max|c|, D the largest |slope| of a segment, Y
-the window ends' largest magnitude plus max|b| plus 4 max|shift| (at least
-every |y|, knot, |b + sf|, |sr| and |r|), and M = C + |alpha| + D*Y
-+ max|reward_outer[i]| + max|reward_inner[i]|. Operation by operation, in
-units of u*M to first order:
+(a) The drift is affine in the efforts (``model.reduction_drift``), so sf
+    and sr are linear in the action index k up to rounding: for either
+    axis s, |s[k] - m*k| <= d with m = s[K]/K, K the last index, and d
+    measured once per reply (``_line``).
+(b) Each component of a payoff rate (``profits.payoff_rates``: the margin,
+    the carbon sink p_c*(1 + omega*E)*Q, the effort cost lambda*E^2/2 and
+    the subsidy x_f times that cost) is constant, affine or a multiple of
+    E^2 in the acting effort E >= 0. So a role's net rate is quadratic in
+    its own effort, and each component's magnitude on [0, a_max] peaks at
+    an end.
+(c) The rate's E^2 coefficient is -lambda/2 times the cost share, 1 - x_f
+    for the follower in gs and 1 otherwise; lambda > 0, and
+    ``grid_best_response`` refuses a share 1 - x_f <= 0. So the rate is
+    concave in the effort.
+
+``grid_best_response`` reads each acting role's reward off payoff_rates at
+the effort indices 0, K//4, K//2 and K, in one (n, 4) call per role
+(``_reward_curve``): c2*k^2 + c1*k + c0 through the rewards at 0, K//2 and
+K, checked at K//4, and S[i], the step times the largest sum of the six
+components' magnitudes there, which bounds every reward of state i and
+every intermediate of its rate. Each sweep, a curve per state and axis,
+
+    B = c1 + beta*m,  C = c0 + |beta|*d + 2^-40*(2*S + |beta|*max|s|),
+    c2*k^2 + B*k + C >= h or g at every action k,
+
+gives the test: pair (ko, ki) is pruned where Go(ko) + Gi(ki) < theta,
+with theta = floor - (alpha + e + |beta|*R + margin) - beta*b, Gi the
+inner curve and Go the outer one (Go = 0 for a single role's one outer
+action). An outer action is scored unless Go(ko) plus Gi's largest value
+on [0, K] falls short of theta, and an inner one unless Gi(ki) plus Go's
+largest value does: each is the run of k around the curve's vertex
+v = -B/(2*c2) within the square root of (top - level)/(-c2), top = C +
+B*v/2 the curve's value at v (``_run``). That is a few operations per
+state each sweep; no (state, action) reward, g, h, theta or comparison
+array is formed (``_windows``). A state whose curve is not concave, misses
+its check node or is not finite, or whose theta is nan, keeps every
+action, as where the model facts fail; theta = -inf keeps every action
+too.
+
+The margin covers the rounding of q and of theta. Take the standard model,
+fl(a op b) = (a op b)(1 + d) with |d| <= u = 2^-53, and g_k = k*u/(1 - k*u).
+Let C0 = max|c|, D the largest |slope| of a segment, Y the window ends'
+largest magnitude plus max|b| plus 4 max|shift| (at least every |y|, knot,
+|b|, |sf|, |sr| and |r|), and M = C0 + |alpha| + D*Y + S_outer[i]
++ S_inner[i] (S_outer = 0 for one outer action). Operation by operation,
+in units of u*M to first order:
 
 1. q = fl(fl(I + reward_outer) + reward_inner): two sums, 2.
 2. np.interp returns I = fl(fl(slope*fl(y - H[k])) + c[k]), slope =
    fl(fl(c[k+1] - c[k]) / fl(H[k+1] - H[k])), on the segment
    H[k] <= y < H[k+1]; at a knot or past an end it returns a value of c
-   exactly. With |c[k+1] - c[k]| <= 2C and y - H[k] <= H[k+1] - H[k],
-   |I - P(y)| <= 2C*g_5*(1 + u) + u*C: 11. A fused multiply-add only drops
-   a rounding.
+   exactly. With |c[k+1] - c[k]| <= 2*C0 and y - H[k] <= H[k+1] - H[k],
+   |I - P(y)| <= 2*C0*g_5*(1 + u) + u*C0: 11. A fused multiply-add only
+   drops a rounding.
 3. P(y) <= alpha + beta*y + e, exactly.
 4. y = fl(b + s): beta*y <= beta*(b + s) + u*|beta|*Y: 1.
 5. e from its computed value: three operations per knot, 3.
 6. R from its computed value: two subtractions, times |beta|: 2.
-7. g from its computed value, a product and a sum: 2.
-8. The products beta*fl(b + sf) and |beta|*R: 3.
-9. theta sums floor and six terms; with |floor| <= C + max|reward_outer[i]|
-   + max|reward_inner[i]|, their magnitudes add up to at most 4M + margin,
-   and any order errs by at most g_6 times that: 24. The comparison with g
-   and the minimum over live pairs are exact.
+7. The products beta*b and |beta|*R: 2.
+8. theta sums floor and five terms; with |floor| <= C0 + S_outer[i]
+   + S_inner[i], their magnitudes add up to at most 4M + margin, and any
+   order errs by at most g_6 times that: 24.
 
-That is 48*u*M plus O(u^2*M), and the margin is 64*u*M, formed as
+That is 45*u*M plus O(u^2*M), and the margin is 64*u*M, formed as
 (8M)*2^-50 so that a state whose 8M overflows gets an infinite margin.
-Below that no intermediate of q or of the test overflows. A product or
-quotient that underflows errs by up to 2^-1075 more. Six can: the slope
-and slope*fl(y - H[k]), and beta times a knot, sr, fl(b + sf) and R. The
-slope's error is scaled by y - H[k] <= h, the widest segment, so the
-margin adds 2^-1022*(1 + h), which also covers the margin's own products.
-A non-finite continuation, reward or floor makes g or theta nan or theta
--inf, and g < theta is then false: every such state keeps all its actions.
+Below that no intermediate of q or of theta overflows. A product or
+quotient that underflows errs by up to 2^-1075 more. Five can: the slope
+and slope*fl(y - H[k]), and beta times a knot, b and R. The slope's error
+is scaled by y - H[k] <= h, the widest segment, so the margin adds
+2^-1022*(1 + h), which also covers the margin's own products.
+
+The curves take their own slack, 2^-40 (REWARD_SLACK, 8192u), per unit of
+N = S + |beta|*max|s|; in units of u*N to first order:
+
+9. A computed reward: payoff_rates forms each component with at most four
+   roundings relative to itself (its one sum, 1 + omega*E, adds
+   nonnegative terms), the net rate with at most three sums and the reward
+   with one product: 8. The grid effort fl(k*fl(a_max/K)) is within 2u of
+   k*a_max/K, and E*|d rate/dE| <= 2S: 4. So every reward is within 12 of
+   an exact quadratic in k.
+10. The curve: the exact quadratic through the three computed node rewards
+    is within 5/3 of 12 of that quadratic on [0, K] (5/3 bounds the
+    Lebesgue constant of the nodes 0, K//2, K). The coefficients' rounding
+    moves the curve at a node by at most 50, as each divided difference
+    carries at most three roundings on differences of at most twice the
+    largest reward, so by at most 5/3 of 50 on [0, K]: with item 9, 120.
+11. d adds 3 relative to max|s|; B = fl(c1 + fl(beta*m)), times k <= K,
+    errs by 2u*(|c1|*K + |beta|*max|s|), and |c1|*K is at most 10 times
+    the largest reward: 20; C's sums: 4.
+
+So each curve is within 150*u*N of a bound of h or g, and its slack,
+2^-40*(2S + |beta|*max|s|), is more than 50 times that. A reward rate
+that is quadratic passes the check node by the same margin, and one that
+is not fails it unless it agrees with a quadratic there. The run and the
+largest value add their own slack:
+
+12. The vertex takes one rounding and the top three, so top gets
+    2^-40*(|C| + |B*v|) added; a level, theta minus the other curve's
+    largest value, is lowered by 2^-40 of |level| plus twice that value's
+    magnitude, keeping an infinite level's sign; the square root of
+    (top - level)/(-c2) carries three relative roundings, and the run's
+    ends are padded by 2^-40*(|v| + half-width) before they are rounded
+    to integers. The largest value is the curve at v clipped to [0, K]
+    plus 2^-40 of its terms' magnitudes; a clipped vertex that is off by u
+    relative costs at most u^2*|B*v|. Each of these covers an error of a
+    few u, and an added 2^-1022 covers up to four underflows.
 
 Ties: a pruned action's q is below floor[i], which is at most the state's
 best q, so it neither wins nor ties, and widening a window only adds
-actions that are scored as a full scan scores them. The live pairs are
-scored in (state, outer) order, each takes its first maximum, and each
+actions that are scored as a full scan scores them. The scored pairs are
+taken in (state, outer) order, each takes its first maximum, and each
 state takes the first pair that reaches its best q: a tie goes to the
 first outer index, then the first inner index, as in a full outer-major
 scan. A single-role reply prunes the same way, with its one outer action.
@@ -189,6 +258,10 @@ LEADER_EXPONENT = 3.0
 # The greedy step scores at most this many actions at a time, 512 pairs of
 # full windows on the default grid; its two temporaries take about 2 MB.
 GREEDY_CHUNK_POINTS = 512 * 257
+# The relative slack of the reward curves' bounds, 8192 times the unit
+# roundoff; the module docstring derives what it covers.
+REWARD_SLACK = 2.0 ** -40
+_TINY = np.finfo(float).tiny
 
 
 class OracleError(RuntimeError):
@@ -219,7 +292,9 @@ class GridSpec:
                 raise ValueError(f"{name} must be finite, got {value}")
         for name, least in (("n_states", 3), ("n_actions", 3), ("max_sweeps", 1)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            # a bool is an int to Python, but not a count
+            if isinstance(value, bool) or not isinstance(value,
+                                                         (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
@@ -336,13 +411,59 @@ def _seed_indices(actions: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.clip(idx, 0, actions.size - 1)
 
 
+def _curve_nodes(n_actions: int) -> np.ndarray:
+    """The effort indices a reward curve is read at: the first, the check
+    node a quarter of the way, the middle and the last."""
+    last = n_actions - 1
+    return np.array([0, last // 4, last // 2, last])
+
+
+def _reward_curve(nodes: np.ndarray, rewards: np.ndarray,
+                  scale: np.ndarray) -> tuple:
+    """Each state's reward as a concave quadratic in the acting effort's
+    index k, (c2, c1, c0, scale): every computed reward of state i is within
+    REWARD_SLACK*scale[i] of c2*k^2 + c1*k + c0 (see the module docstring).
+
+    rewards[i, j] is state i's reward at effort index nodes[j], the
+    _curve_nodes; the curve runs through the first, middle and last, and is
+    checked at the quarter. scale[i] bounds the magnitude of every reward of
+    state i and of every intermediate of its rate. c2 is nan where the curve
+    is not concave or misses the check node, so the state keeps every
+    action.
+    """
+    _, kc, km, kl = nodes.astype(float)
+    r0, rc, rm, rl = rewards.T
+    with np.errstate(all="ignore"):
+        d0 = (rm - r0) / km
+        c2 = ((rl - rm) / (kl - km) - d0) / kl
+        c1 = d0 - c2 * km
+        miss = np.abs((c2 * kc + c1) * kc + r0 - rc)
+        concave = (c2 < 0.0) & (miss <= REWARD_SLACK * scale)
+    return np.where(concave, c2, np.nan), c1, r0, scale
+
+
+def _line(shifts: np.ndarray) -> tuple:
+    """(m, size, miss) of one axis of shift: shifts[k] = m*k up to miss,
+    its largest deviation plus the slack of forming it, and size the
+    largest |shifts|."""
+    k = np.arange(shifts.size)
+    m = shifts[-1] / k[-1]
+    size = np.max(np.abs(shifts))
+    return m, size, np.max(np.abs(shifts - m * k)) + REWARD_SLACK * size
+
+
 def _pair_bound(H: np.ndarray, base: np.ndarray, shift: np.ndarray,
-                reward_outer: np.ndarray, reward_inner: np.ndarray):
+                outer: Optional[tuple], inner: tuple):
     """The per-action test of the module docstring, as
-    upper(continuation, j, floor) -> (theta, g), for the continuation values
-    on H, j[i] the segment holding state i's current next state and floor[i]
-    its current q: the greedy step's q of pair (ko, ki) at state i can reach
-    floor[i] only if g[i, ki] < theta[i, ko] is false.
+    upper(continuation, j, floor) -> (theta, inner_curve, outer_curve), for
+    the continuation values on H, j[i] the segment holding state i's current
+    next state and floor[i] its current q: the greedy step's q of pair
+    (ko, ki) at state i can reach floor[i] only if
+    outer_curve(ko) + inner_curve(ki) < theta[i] is false, each curve
+    (a, b, c) meaning a*k^2 + b*k + c per state. inner and outer are the
+    rewards' _reward_curve, outer None for a single role's one zero-reward
+    outer action, whose bound is 0 exactly and whose curve upper returns as
+    None.
 
     Returns None where nothing is pruned: transitions so large that 8 times
     their reach overflows.
@@ -361,7 +482,6 @@ def _pair_bound(H: np.ndarray, base: np.ndarray, shift: np.ndarray,
     sf = shift[:, 0]
     sr = shift[0] - shift[0, 0]
     residual = np.max(np.abs(shift - sf[:, None] - sr))
-    b_sf = b[:, None] + sf
     # state i's candidate knots run from the last one at or below its
     # window's low end to the first one at or above its high end
     first = np.searchsorted(X, lo, side="right") - 1
@@ -370,14 +490,16 @@ def _pair_bound(H: np.ndarray, base: np.ndarray, shift: np.ndarray,
                        last[:, None])
     knot_x = X[knots]
     knot_value = np.clip(knots - 1, 0, H.size - 1)   # index into continuation
-    rewards = (np.max(np.abs(reward_outer), axis=1)
-               + np.max(np.abs(reward_inner), axis=1))
+    curves = [(inner, _line(sr))]
+    if outer is not None:
+        curves.append((outer, _line(sf)))
+    rewards = sum(curve[3] for curve, _ in curves)
     tiny = np.finfo(float).tiny * (1.0 + np.max(np.diff(H)))
 
     def upper(continuation: np.ndarray, j: np.ndarray,
               floor: np.ndarray) -> tuple:
-        # a non-finite continuation, reward or floor leaves theta or g nan,
-        # or theta -inf, which keeps every action of the state
+        # a non-finite continuation, reward or floor leaves theta or a
+        # curve nan, or theta -inf, which keeps every action of the state
         with np.errstate(over="ignore", invalid="ignore"):
             slopes = np.diff(continuation) / np.diff(H)
             beta = slopes[j]
@@ -387,62 +509,124 @@ def _pair_bound(H: np.ndarray, base: np.ndarray, shift: np.ndarray,
             scale = (np.max(np.abs(continuation)) + np.abs(alpha)
                      + np.max(np.abs(slopes)) * reach + rewards)
             margin = (8.0 * scale) * 2.0 ** -50 + tiny
-            terms = floor - (alpha + excess + np.abs(beta) * residual + margin)
-            return (terms[:, None] - beta[:, None] * b_sf - reward_outer,
-                    beta[:, None] * sr + reward_inner)
+            theta = (floor - (alpha + excess + np.abs(beta) * residual + margin)
+                     - beta * b)
+            size_beta = np.abs(beta)
+            bounds = [(c2, c1 + beta * m,
+                       c0 + size_beta * miss
+                       + REWARD_SLACK * (2.0 * bound + size_beta * span))
+                      for (c2, c1, c0, bound), (m, span, miss) in curves]
+        return theta, bounds[0], bounds[1] if outer is not None else None
 
     return upper
 
 
-def _windows(theta, g, pol_outer, pol_inner) -> tuple:
-    """(live, start, stop) from upper's (theta, g): the (state, outer) pairs
-    whose largest g reaches theta (every pair of a single outer action),
-    and for each state i the run start[i] <= ki < stop[i] from the first to
-    the last inner action whose g reaches the loosest theta of i's live
-    pairs. The current pair is always kept."""
-    rows = np.arange(g.shape[0])
-    live = np.ones(theta.shape, dtype=bool)
-    if theta.shape[1] > 1:
-        live = ~(np.max(g, axis=1)[:, None] < theta)
-        live[rows, pol_outer] = True
-    pruned = g < np.min(theta, axis=1, where=live, initial=np.inf)[:, None]
-    pruned[rows, pol_inner] = False
-    return (live, np.argmin(pruned, axis=1),
-            pruned.shape[1] - np.argmin(pruned[:, ::-1], axis=1))
+def _top(curve: tuple, n: int) -> np.ndarray:
+    """Per state, an upper bound of a*k^2 + b*k + c over 0 <= k <= n - 1:
+    its value at the vertex clipped to that range, plus the slack of
+    forming it; nan where the curve is."""
+    a, b, c = curve
+    with np.errstate(all="ignore"):
+        k = np.clip(-b / (2.0 * a), 0.0, n - 1.0)
+        return ((a * k + b) * k + c
+                + (REWARD_SLACK * (np.abs(a) * k * k + np.abs(b) * k
+                                   + np.abs(c)) + _TINY))
 
 
-def _greedy_step(live, start, stop, base, shift, H, continuation,
-                 reward_outer, reward_inner) -> tuple:
-    """Greedy (outer, inner) indices per state over the pairs live marks and
-    the inner actions start[i] <= ki < stop[i] of each state i.
+def _below(theta: np.ndarray, top) -> np.ndarray:
+    """theta - top, lowered by the slack of forming it; an infinite
+    difference keeps its sign."""
+    with np.errstate(all="ignore"):
+        level = theta - top
+        return (level * np.where(level > 0.0, 1.0 - REWARD_SLACK,
+                                 1.0 + REWARD_SLACK)
+                - (2.0 * REWARD_SLACK) * np.abs(top))
 
-    live is an (n, n_outer) mask with at least one pair per state. Every
-    window is widened to the widest one, moved back inside the inner
-    actions where it would pass their end, and the live (state, outer)
-    pairs are scored in that order, at most GREEDY_CHUNK_POINTS actions at a
-    time: q = continuation interpolated at base + shift[ko, ki], plus
-    reward_outer[i, ko] and reward_inner[i, ki]. Each pair takes its first
-    maximum in its widened window and each state the first pair that
-    reaches its largest q, so a tie goes to the first outer index, then the
-    first inner index, as in an outer-major scan with a strict improvement
-    test. As in that scan, a pair whose best inner q is nan never wins, and
-    a state whose pairs are all nan or -inf keeps (0, 0).
+
+def _run(curve: tuple, level: np.ndarray, n: int, current: np.ndarray):
+    """(start, stop) per state: the run of 0 <= k < n where
+    a*k^2 + b*k + c reaches level, around the vertex, joined with the
+    current action; every k where the curve or the level is nan."""
+    a, b, c = curve
+    with np.errstate(all="ignore"):
+        vertex = -b / (2.0 * a)
+        top = c + 0.5 * (b * vertex)
+        squared = ((top + (REWARD_SLACK * (np.abs(c) + np.abs(b * vertex))
+                           + _TINY) - level) / -a)
+        empty = squared < 0.0
+        half = np.sqrt(np.where(empty, 0.0, squared))
+        pad = REWARD_SLACK * (np.abs(vertex) + half)
+        lo = np.ceil(vertex - half - pad)
+        hi = np.floor(vertex + half + pad) + 1.0
+        unbounded = np.isnan(lo) | np.isnan(hi)
+        start = np.clip(np.where(unbounded, 0.0, lo), 0, n)
+        stop = np.clip(np.where(unbounded, n, hi), 0, n)
+    empty = ~unbounded & (empty | (start >= stop))
+    start = np.where(empty, current, np.minimum(start, current))
+    stop = np.where(empty, current + 1, np.maximum(stop, current + 1))
+    return start.astype(np.int64), stop.astype(np.int64)
+
+
+def _windows(theta, inner, outer, n_outer: int, n_inner: int, pol_outer,
+             pol_inner) -> tuple:
+    """(outer_start, outer_stop, start, stop) from upper's (theta, inner,
+    outer): per state i, the run of outer actions whose curve plus the inner
+    curve's largest value reaches theta[i] (the one outer action of a
+    single role), and the run of inner actions whose curve plus the outer
+    curve's largest value does. The current pair is always kept, and a
+    state with a nan curve or theta keeps every action. Each step is a few
+    operations per state (see the module docstring for the slack)."""
+    if outer is None:
+        level = _below(theta, 0.0)
+        outer_run = np.zeros_like(pol_outer), pol_outer + 1
+    else:
+        level = _below(theta, _top(outer, n_outer))
+        outer_run = _run(outer, _below(theta, _top(inner, n_inner)), n_outer,
+                         pol_outer)
+    return (*outer_run, *_run(inner, level, n_inner, pol_inner))
+
+
+def _greedy_step(outer_start, outer_stop, start, stop, base, shift, H,
+                 continuation, reward_outer, reward_inner) -> tuple:
+    """Greedy (outer, inner) indices per state over the outer actions
+    outer_start[i] <= ko < outer_stop[i] and the inner actions
+    start[i] <= ki < stop[i] of each state i.
+
+    reward_outer(states, index) and reward_inner(states, index) price the
+    rewards at gathered states and action indices. Every inner window is
+    widened to the widest one and moved back inside the inner actions where
+    it would pass their end, and the (state, outer) pairs are scored in
+    that order, at most GREEDY_CHUNK_POINTS actions at a time:
+    q = continuation interpolated at base + shift[ko, ki], plus the outer
+    and the inner reward. Each pair takes its first maximum in its widened
+    window and each state the first pair that reaches its largest q, so a
+    tie goes to the first outer index, then the first inner index, as in an
+    outer-major scan with a strict improvement test. As in that scan, a
+    pair whose best inner q is nan never wins, and a state whose pairs are
+    all nan or -inf keeps (0, 0).
     """
-    state, outer = np.divmod(np.flatnonzero(live), live.shape[1])
-    width = int(np.max((stop - start)[state]))
-    first = np.minimum(start, shift.shape[1] - width)[state]
-    shifts, inner = (np.lib.stride_tricks.sliding_window_view(a, width, axis=1)
-                     for a in (shift, reward_inner))
+    counts = outer_stop - outer_start
+    state = np.repeat(np.arange(H.size), counts)
+    outer = np.arange(state.size) - np.repeat(
+        np.cumsum(counts) - counts - outer_start, counts)
+    width = int(np.max(stop - start))
+    first = np.minimum(start, shift.shape[1] - width)
+    # the rewards, priced once: every pair's outer, every state's window
+    paid = reward_outer(state, outer)
+    inner = reward_inner(np.arange(H.size)[:, None],
+                         first[:, None] + np.arange(width))
+    first = first[state]
+    shifts = np.lib.stride_tricks.sliding_window_view(shift, width, axis=1)
     chunk = max(1, GREEDY_CHUNK_POINTS // width)
     best_q = np.empty(state.size)
     best_i = np.empty(state.size, dtype=np.int64)
     for lo in range(0, state.size, chunk):
-        s, o, f = (a[lo:lo + chunk] for a in (state, outer, first))
+        s, o, f, p = (a[lo:lo + chunk] for a in (state, outer, first, paid))
         q = shifts[o, f]
         q += base[s]
         q = np.interp(q, H, continuation)
-        q += reward_outer[s, o, None]
-        q += inner[s, f]
+        q += p[:, None]
+        q += inner[s]
         ki = np.argmax(q, axis=1)
         best_i[lo:lo + ki.size] = f + ki
         best_q[lo:lo + ki.size] = q[np.arange(ki.size), ki]
@@ -454,40 +638,47 @@ def _greedy_step(live, start, stop, base, shift, H, continuation,
     return np.where(won, outer[first], 0), np.where(won, best_i[first], 0)
 
 
+def _zero_reward(states, index) -> np.ndarray:
+    """A single role's one zero-reward outer action, at gathered points."""
+    return np.zeros(np.broadcast_shapes(np.shape(states), np.shape(index)))
+
+
 def _howard(H: np.ndarray, gamma: float, max_sweeps: int, base: np.ndarray,
-            shift: np.ndarray, reward_outer: np.ndarray,
-            reward_inner: np.ndarray, pol_outer: np.ndarray,
-            pol_inner: np.ndarray):
+            shift: np.ndarray, outer: Optional[tuple], inner: tuple,
+            pol_outer: np.ndarray, pol_inner: np.ndarray):
     """Howard policy iteration over (outer, inner) action pairs: pair
-    (ko, ki) at state i earns reward_outer[i, ko] + reward_inner[i, ki] and
-    moves to base[i, 0] + shift[ko, ki]. Each greedy step scores, per state,
-    only the outer actions and the run of inner actions whose bounds reach
-    the q of the state's current pair (see the module docstring). Stops when
-    the greedy policy repeats; returns the value, both policies and the
-    sweeps."""
+    (ko, ki) at state i earns reward_outer(i, ko) + reward_inner(i, ki) and
+    moves to base[i, 0] + shift[ko, ki]. inner is (reward_inner, curve),
+    the reward priced at gathered points and its _reward_curve, and so is
+    outer, or None for a single role's one zero-reward outer action. Each
+    greedy step scores, per state, only the runs of outer and inner actions
+    whose bounds reach the q of the state's current pair (see the module
+    docstring). Stops when the greedy policy repeats; returns the value,
+    both policies and the sweeps."""
     n = H.size
     rows = np.arange(n)
-    upper = _pair_bound(H, base, shift, reward_outer, reward_inner)
-    kept = (np.ones((n, reward_outer.shape[1]), dtype=bool),
-            np.zeros(n, dtype=np.int64), np.full(n, shift.shape[1]))
+    n_outer, n_inner = shift.shape
+    reward_outer, curve_outer = (_zero_reward, None) if outer is None else outer
+    reward_inner, curve_inner = inner
+    upper = _pair_bound(H, base, shift, curve_outer, curve_inner)
+    kept = (np.zeros(n, dtype=np.int64), np.full(n, n_outer),
+            np.zeros(n, dtype=np.int64), np.full(n, n_inner))
     value = np.zeros(n)
     change = np.inf
     for sweep in range(1, max_sweeps + 1):
-        reward_pol = (reward_outer[rows, pol_outer]
-                      + reward_inner[rows, pol_inner])
+        outer_pol = reward_outer(rows, pol_outer)
+        inner_pol = reward_inner(rows, pol_inner)
         next_pol = base[:, 0] + shift[pol_outer, pol_inner]
         j, w = _positions(H, next_pol)
-        new_value = _evaluate_policy(n, j, w, reward_pol, gamma)
+        new_value = _evaluate_policy(n, j, w, outer_pol + inner_pol, gamma)
         change = float(np.max(np.abs(new_value - value)))
         value = new_value
         continuation = gamma * value
         if upper is not None:
             # the current pair's q, by the greedy step's own operations
-            floor = (np.interp(next_pol, H, continuation)
-                     + reward_outer[rows, pol_outer]
-                     + reward_inner[rows, pol_inner])
-            kept = _windows(*upper(continuation, j, floor), pol_outer,
-                            pol_inner)
+            floor = np.interp(next_pol, H, continuation) + outer_pol + inner_pol
+            kept = _windows(*upper(continuation, j, floor), n_outer, n_inner,
+                            pol_outer, pol_inner)
         best_outer, best_inner = _greedy_step(
             *kept, base, shift, H, continuation, reward_outer, reward_inner)
         if (np.array_equal(best_outer, pol_outer)
@@ -498,6 +689,10 @@ def _howard(H: np.ndarray, gamma: float, max_sweeps: int, base: np.ndarray,
     raise OracleError(
         f"policy iteration did not converge within {max_sweeps} sweeps; "
         f"last value change {change:.3e}")
+
+
+# the components of a payoff rate, whose magnitudes bound its rounding
+_COMPONENTS = ("margin_f", "sink_f", "cost_f", "margin_r", "cost_r", "subsidy")
 
 
 def grid_best_response(params: ModelParams, mode, role: str,
@@ -516,7 +711,10 @@ def grid_best_response(params: ModelParams, mode, role: str,
     Every reply is built here, as one ``_howard`` problem over (outer,
     inner) action pairs: the joint reply pairs the farmer's efforts (outer)
     with the retailer's (inner), and a single role's efforts are the inner
-    axis under one zero-reward outer action.
+    axis under one zero-reward outer action. The outer rewards are one
+    (state, outer action) table; the inner rewards are priced by
+    ``profits.payoff_rates`` only where the greedy step scores them, and
+    read off it at four efforts per state for their curve.
     """
     mode = GameMode.from_string(mode)
     if mode is GameMode.CENTRALIZED:
@@ -553,10 +751,10 @@ def grid_best_response(params: ModelParams, mode, role: str,
     roles = ("farmer", "retailer")
     H = grid.states()
     n = H.size
-    Hc = H[:, None]
+    rows = np.arange(n)
     actions = {r: grid.actions(r) for r in axes}
     # a role that does not act plays the opponent's frozen effort
-    frozen = {r: 0.0 if r in axes else opponent_policy.effort(H)[:, None]
+    frozen = {r: 0.0 if r in axes else opponent_policy.effort(H)
               for r in roles}
     x = None
     if mode is GameMode.STACKELBERG:
@@ -571,25 +769,46 @@ def grid_best_response(params: ModelParams, mode, role: str,
             raise OracleError(
                 f"subsidy rule leaves a non-positive effective cost share at "
                 f"H = {bad:.6g}; the follower problem is unbounded there")
-        x = x[:, None]
-    efforts = [actions[r][None, :] if r in axes else frozen[r] for r in roles]
-    rates = profits.payoff_rates(mode, Hc, *efforts, x, params)
     gamma = float(np.exp(-params.rho * grid.dt))
     step = (1.0 - gamma) / params.rho
-    rewards = [rate * step for r, rate in zip(roles, (rates.net_f, rates.net_r))
-               if r in axes]
-    base = Hc + grid.dt * reduction_drift(Hc, *frozen.values(), params)
+
+    def rates(acting: str, states, index):
+        # payoff_rates at the states, acting playing its index-th effort
+        efforts = (actions[r][index] if r == acting
+                   else frozen[r] if r in axes else frozen[r][states]
+                   for r in roles)
+        return profits.payoff_rates(mode, H[states], *efforts,
+                                    None if x is None else x[states], params)
+
+    def priced(acting: str) -> tuple:
+        # acting's reward at gathered points, and its curve, read off its
+        # rates at the curve nodes
+        net = "net_f" if acting == "farmer" else "net_r"
+
+        def reward(states, index):
+            return getattr(rates(acting, states, index), net) * step
+
+        nodes = _curve_nodes(actions[acting].size)
+        at_nodes = rates(acting, rows[:, None], nodes)
+        with np.errstate(over="ignore"):  # an infinite scale prunes nothing
+            scale = step * np.max(sum(np.abs(getattr(at_nodes, name))
+                                      for name in _COMPONENTS), axis=1)
+        return reward, _reward_curve(nodes, getattr(at_nodes, net) * step,
+                                     scale)
+
+    *outer, inner = axes
+    base = (H + grid.dt * reduction_drift(H, *frozen.values(), params))[:, None]
     shift = grid.dt * reduction_drift(
         0.0, *(actions[r][axes[r]] if r in axes else 0.0 for r in roles), params)
     if seeds is None:
         policies = [np.zeros(n, dtype=np.int64) for _ in axes]
     else:
         policies = [_seed_indices(actions[r], seeds[r].effort(H)) for r in axes]
-    if len(axes) == 1:  # a single role's one zero-reward outer action
-        rewards.insert(0, np.zeros((n, 1)))
+    if not outer:  # a single role's one zero-reward outer action
         policies.insert(0, np.zeros(n, dtype=np.int64))
-    value, *policies, sweeps = _howard(H, gamma, grid.max_sweeps, base, shift,
-                                       *rewards, *policies)
+    value, *policies, sweeps = _howard(
+        H, gamma, grid.max_sweeps, base, shift,
+        priced(*outer) if outer else None, priced(inner), *policies)
     return BestResponse(role=role, H=H, value=value,
                         actions={r: actions[r][policy] for r, policy
                                  in zip(axes, policies[-len(axes):])},
@@ -793,11 +1012,11 @@ def _window_gaps(br: BestResponse, solution: GameSolution,
 
 # A certification's parts, longest first. Their serial cost on the default
 # grid, median over the 24 scenarios of bench verify seeds 1-3 (5 runs each),
-# is 13 ms for the joint reply, 7.0 ms for the follower reply, 6.3 ms for a
-# gd farmer reply, 3.3 ms for the gd retailer reply and 0.8 ms (0.6-1.0) for
-# the leader sample (2-vCPU VM, Python 3.11, numpy 2.4). Run on a pool in
-# this order, they balance the workers by Graham's longest-processing-time
-# rule (SIAM J. Appl. Math. 17(2), 1969).
+# is 6.2 ms for the joint reply, 2.5 ms for the follower reply and for a gd
+# farmer reply (a tie; the follower's spread is the narrower), 1.3 ms for the
+# gd retailer reply and 0.5 ms for the leader sample (2-vCPU VM, Python 3.11,
+# numpy 2.4). Run on a pool in this order, they balance the workers by
+# Graham's longest-processing-time rule (SIAM J. Appl. Math. 17(2), 1969).
 _PART_ORDER = ("joint control", "follower reply", "farmer reply",
                "retailer reply", "leader sample")
 

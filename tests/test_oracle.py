@@ -89,6 +89,16 @@ def test_grid_spec_validation():
         grid.actions("joint")
 
 
+@pytest.mark.parametrize("name", ["n_states", "n_actions", "max_sweeps"])
+@pytest.mark.parametrize("flag", [True, False, np.bool_(True)])
+def test_grid_spec_refuses_a_bool_count(name, flag):
+    # a bool is an int to Python; max_sweeps=True was stored as True, and
+    # n_states=True was refused only by the >= 3 bound
+    with pytest.raises(ValueError,
+                       match=f"{name} must be an integer, got {flag!r}"):
+        GridSpec(H_max=1.0, a_max_f=1.0, a_max_r=1.0, **{name: flag})
+
+
 def test_default_grid_sized_from_the_solution(baseline_gd):
     grid = default_grid(baseline_gd)
     assert grid.H_max == pytest.approx(2.5 * baseline_gd.H_d)
@@ -231,17 +241,69 @@ def _solvable_draw(mode, seed):
     raise AssertionError(f"no solvable {mode} draw")
 
 
-def _check_bounds_along_howard(H, gamma, max_sweeps, base, shift, reward_outer,
-                               reward_inner, pol_outer, pol_inner):
-    """Howard iteration on brute-force q tables. Every sweep checks that the
-    per-action bound is at least the computed q of every (state, outer,
-    inner) triple, that the kept pairs and windows hold every action whose
-    q reaches the state's current q and the current pair's inner action,
-    then moves to the brute-force greedy policy. Returns the fixed point's
-    live mask and windows."""
+def _full_mesh(params, mode, role, opponent, grid) -> dict:
+    """The brute-force reward tables of a reply: payoff_rates on the whole
+    (state, effort) mesh times the reward step, for each acting role, with
+    a role that does not act at the opponent's effort."""
+    H = grid.states()
+    gamma = float(np.exp(-params.rho * grid.dt))
+    acting = ("farmer", "retailer") if role == "joint" else (role,)
+    efforts = [grid.actions(r)[None, :] if r in acting
+               else opponent.effort(H)[:, None] for r in ("farmer", "retailer")]
+    x = (opponent.subsidy(H)[:, None] if mode is GameMode.STACKELBERG
+         else None)
+    rates = payoff_rates(mode, H[:, None], *efforts, x, params)
+    return {r: getattr(rates, "net_f" if r == "farmer" else "net_r")
+            * ((1.0 - gamma) / params.rho) for r in acting}
+
+
+def _howard_args(monkeypatch, params, mode, role, opponent, grid, seed):
+    """The arguments grid_best_response hands _howard: (H, gamma,
+    max_sweeps, base, shift, outer, inner, pol_outer, pol_inner)."""
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_howard", lambda *args: calls.append(args)
+                      or (np.zeros(grid.n_states), *args[-2:], 1))
+        grid_best_response(params, mode, role, opponent, grid,
+                           seed_policy=seed)
+    (args,) = calls
+    return args
+
+
+def _curve_values(curve, n_states, n_actions):
+    """A curve (a, b, c) at every action index, per state; 0 for the None
+    curve of a single role's one outer action, and +inf where a state has
+    no curve (it keeps every action)."""
+    if curve is None:
+        return np.zeros((n_states, 1))
+    a, b, c = (x[:, None] for x in curve)
+    k = np.arange(n_actions)
+    values = (a * k + b) * k + c
+    return np.where(np.isnan(values), np.inf, values)
+
+
+def _live(outer_start, outer_stop, n_outer):
+    """The (state, outer) pairs in the outer runs, as a mask."""
+    k = np.arange(n_outer)
+    return (outer_start[:, None] <= k) & (k < outer_stop[:, None])
+
+
+def _check_bounds_along_howard(H, gamma, max_sweeps, base, shift, outer,
+                               inner, pol_outer, pol_inner, reward_outer,
+                               reward_inner):
+    """Howard iteration on brute-force q tables, reward_outer and
+    reward_inner, with the curves of the (reward, curve) pairs outer and
+    inner that grid_best_response hands _howard (outer None for a single
+    role). Every sweep checks that the curves' per-action bound is at least
+    the computed q of every (state, outer, inner) triple, that the kept
+    runs hold every action whose q reaches the state's current q and the
+    current pair, then moves to the brute-force greedy policy. Returns the
+    fixed point's live mask and inner windows."""
     n = H.size
     rows = np.arange(n)
-    upper = oracle._pair_bound(H, base, shift, reward_outer, reward_inner)
+    n_outer, n_inner = shift.shape
+    upper = oracle._pair_bound(H, base, shift,
+                               None if outer is None else outer[1], inner[1])
     for _ in range(max_sweeps):
         next_pol = base[:, 0] + shift[pol_outer, pol_inner]
         j, w = _positions(H, next_pol)
@@ -256,19 +318,24 @@ def _check_bounds_along_howard(H, gamma, max_sweeps, base, shift, reward_outer,
         floor = (np.interp(next_pol, H, continuation)
                  + reward_outer[rows, pol_outer] + reward_inner[rows, pol_inner])
         assert np.array_equal(floor, q[rows, pol_outer, pol_inner])
-        # at floor = 0, g - theta is the per-action bound V itself
-        theta, g = upper(continuation, j, np.zeros(n))
-        assert np.all(g[:, None, :] - theta[:, :, None] >= q)
-        live, start, stop = oracle._windows(*upper(continuation, j, floor),
-                                            pol_outer, pol_inner)
-        inner = np.arange(reward_inner.shape[1])
-        window = (start[:, None] <= inner) & (inner < stop[:, None])
+        # at floor = 0, the curves' sum minus theta is the per-action bound
+        theta, inner_curve, outer_curve = upper(continuation, j, np.zeros(n))
+        bound = (_curve_values(outer_curve, n, n_outer)[:, :, None]
+                 + _curve_values(inner_curve, n, n_inner)[:, None, :]
+                 - theta[:, None, None])
+        assert np.all(bound >= q)
+        outer_start, outer_stop, start, stop = oracle._windows(
+            *upper(continuation, j, floor), n_outer, n_inner, pol_outer,
+            pol_inner)
+        live = _live(outer_start, outer_stop, n_outer)
+        inner_k = np.arange(n_inner)
+        window = (start[:, None] <= inner_k) & (inner_k < stop[:, None])
         reach = q >= floor[:, None, None]
         assert np.all(live[:, :, None] & window[:, None, :] | ~reach)
         assert np.all((start <= pol_inner) & (pol_inner < stop))
         assert np.all(live[rows, pol_outer])
         flat = q.reshape(n, -1).argmax(axis=1)
-        best_outer, best_inner = np.divmod(flat, reward_inner.shape[1])
+        best_outer, best_inner = np.divmod(flat, n_inner)
         if (np.array_equal(best_outer, pol_outer)
                 and np.array_equal(best_inner, pol_inner)):
             return live, start, stop
@@ -278,8 +345,9 @@ def _check_bounds_along_howard(H, gamma, max_sweeps, base, shift, reward_outer,
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
-def test_pair_bound_is_at_least_every_inner_maximum(seed, warm):
-    # the joint reply's tables, as grid_best_response builds them
+def test_pair_bound_is_at_least_every_inner_maximum(monkeypatch, seed, warm):
+    # the joint reply's tables, built as the parent built them, against the
+    # curves grid_best_response hands _howard
     params, sol, grid = _solvable_draw("gc", seed)
     H = grid.states()
     n = H.size
@@ -297,9 +365,13 @@ def test_pair_bound_is_at_least_every_inner_maximum(seed, warm):
     else:
         pol_f = np.zeros(n, dtype=np.int64)
         pol_r = np.zeros(n, dtype=np.int64)
+    args = _howard_args(monkeypatch, params, "gc", "joint", None, grid,
+                        sol.policies if warm else None)
+    for handed, built in zip(args[3:5] + args[7:], (base, shift, pol_f, pol_r)):
+        assert np.array_equal(handed, built)
     live, start, stop = _check_bounds_along_howard(
-        H, gamma, grid.max_sweeps, base, shift, reward_f, reward_r, pol_f,
-        pol_r)
+        H, gamma, grid.max_sweeps, base, shift, *args[5:7], pol_f, pol_r,
+        reward_f, reward_r)
     # at the fixed point the bounds rule out most (state, farmer, retailer)
     # actions
     assert np.mean(live) < 0.5
@@ -316,18 +388,17 @@ def test_pair_bound_is_at_least_every_inner_maximum(seed, warm):
 def test_per_action_bound_holds_on_the_single_role_tables(monkeypatch, mode,
                                                           role, other, seed,
                                                           warm):
-    # the tables grid_best_response hands _howard, checked along the
-    # brute-force iteration
+    # the curves grid_best_response hands _howard, checked along the
+    # brute-force iteration on the full-mesh tables
     params, sol, grid = _solvable_draw(mode, seed)
-    tables = []
-    monkeypatch.setattr(oracle, "_howard", lambda *args: tables.append(args)
-                        or (np.zeros(grid.n_states), *args[-2:], 1))
-    grid_best_response(params, mode, role, sol.policies[other], grid,
-                       seed_policy=sol.policies[role] if warm else None)
-    (H, gamma, max_sweeps, base, shift, *rest), = tables
-    assert shift.shape[0] == 1   # one zero-reward outer action
-    live, start, stop = _check_bounds_along_howard(H, gamma, max_sweeps,
-                                                   base, shift, *rest)
+    H, gamma, max_sweeps, base, shift, outer, *rest = _howard_args(
+        monkeypatch, params, mode, role, sol.policies[other], grid,
+        sol.policies[role] if warm else None)
+    assert shift.shape[0] == 1 and outer is None  # one zero-reward action
+    table = _full_mesh(params, mode, role, sol.policies[other], grid)[role]
+    live, start, stop = _check_bounds_along_howard(
+        H, gamma, max_sweeps, base, shift, outer, *rest,
+        np.zeros((grid.n_states, 1)), table)
     # at the fixed point the windows rule out most actions
     assert np.mean(stop - start) < 0.1 * shift.shape[1]
 
@@ -337,11 +408,101 @@ def test_pair_bound_gives_up_once_eight_times_its_reach_overflows():
     # there is no bound, and every pair stays live
     H = np.linspace(0.0, 1.0, 5)
     shift = np.array([[0.0, 0.1], [0.2, 0.3]])
-    rewards = np.zeros((H.size, 2))
+    curve = (np.full(H.size, -1.0), np.zeros(H.size), np.zeros(H.size),
+             np.ones(H.size))
     for level, bounded in ((1e307, True), (5e307, False)):
         base = np.full((H.size, 1), level)
-        upper = oracle._pair_bound(H, base, shift, rewards, rewards)
+        upper = oracle._pair_bound(H, base, shift, curve, curve)
         assert (upper is not None) is bounded
+
+
+REPLIES = [(GameMode.DECENTRALIZED, "farmer", "retailer"),
+           (GameMode.DECENTRALIZED, "retailer", "farmer"),
+           (GameMode.STACKELBERG, "farmer", "retailer"),
+           (GameMode.CENTRALIZED, "joint", None)]
+REPLY_IDS = ["gd-farmer", "gd-retailer", "gs-follower", "gc-joint"]
+
+
+def _reply_args(mode, role, other, draw):
+    """(params, opponent, grid, seed_policy) of a certification's reply: at
+    the baseline (draw None) or at _solvable_draw(mode, draw), on a 64 x 33
+    grid, warm-started from the solution as certification starts it."""
+    if draw is None:
+        params = ModelParams()
+        sol = solve(mode, params)
+        grid = default_grid(sol, n_states=64, n_actions=33)
+    else:
+        params, sol, grid = _solvable_draw(mode, draw)
+    if other is None:
+        return params, None, grid, sol.policies
+    return params, sol.policies[other], grid, sol.policies[role]
+
+
+@pytest.mark.parametrize("mode, role, other", REPLIES, ids=REPLY_IDS)
+@pytest.mark.parametrize("draw", [None, 0, 1],
+                         ids=["baseline", "draw-0", "draw-1"])
+def test_priced_rewards_are_the_full_mesh_at_every_scored_point(
+        monkeypatch, mode, role, other, draw):
+    # every reward a reply prices at gathered points, the greedy step's and
+    # the current policy's, has the bits of payoff_rates' full mesh times
+    # the step at those points
+    params, opponent, grid, seed = _reply_args(mode, role, other, draw)
+    tables = _full_mesh(params, mode, role, opponent, grid)
+    if role == "joint":
+        outer_table, inner_table = tables["farmer"], tables["retailer"]
+    else:
+        outer_table, inner_table = np.zeros((grid.n_states, 1)), tables[role]
+    priced, howard = [], oracle._howard
+
+    def recorded(reward, table):
+        def price(states, index):
+            out = reward(states, index)
+            priced.append((table, states, index, out))
+            return out
+        return price
+
+    def recording(H, gamma, max_sweeps, base, shift, outer, inner, *pols):
+        if outer is not None:
+            outer = (recorded(outer[0], outer_table), outer[1])
+        inner = (recorded(inner[0], inner_table), inner[1])
+        return howard(H, gamma, max_sweeps, base, shift, outer, inner, *pols)
+
+    monkeypatch.setattr(oracle, "_howard", recording)
+    br = grid_best_response(params, mode, role, opponent, grid,
+                            seed_policy=seed)
+    # the inner rewards at the current policy and in the greedy step, every
+    # sweep, and the joint reply's outer rewards as well
+    assert len(priced) == 2 * br.sweeps * (2 if role == "joint" else 1)
+    for table, states, index, out in priced:
+        assert np.array_equal(out, table[states, index])
+
+
+@pytest.mark.parametrize("mode, role, other", REPLIES, ids=REPLY_IDS)
+def test_no_reply_prices_a_state_by_effort_mesh(monkeypatch, mode, role,
+                                                other):
+    # on the default grid no reply calls payoff_rates on an (n_states,
+    # n_actions) argument, nor on a quarter as many points in any shape: the
+    # curves read four efforts per state and the greedy step prices windows
+    # a few efforts wide
+    sol = solve(mode, ModelParams())
+    grid = default_grid(sol)
+    shapes, rates = [], oracle.profits.payoff_rates
+
+    def recording(mode, H, E_f, E_r, x_f, params):
+        shapes.append([np.shape(a) for a in (H, E_f, E_r, x_f)
+                       if a is not None])
+        return rates(mode, H, E_f, E_r, x_f, params)
+
+    monkeypatch.setattr(oracle.profits, "payoff_rates", recording)
+    seed = sol.policies if role == "joint" else sol.policies[role]
+    grid_best_response(ModelParams(), mode, role,
+                       None if other is None else sol.policies[other], grid,
+                       seed_policy=seed)
+    mesh = (grid.n_states, grid.n_actions)
+    assert shapes
+    assert not any(mesh in call for call in shapes)
+    largest = max(math.prod(np.broadcast_shapes(*call)) for call in shapes)
+    assert largest < mesh[0] * mesh[1] // 4
 
 
 def _reference_single_response(params, mode, role, opponent, grid, seed):
@@ -422,29 +583,41 @@ def _tied_tables():
             reward_f, reward_r)
 
 
+def _priced(table):
+    """A reward table as the greedy step prices rewards: at gathered
+    (state, action index) points."""
+    return lambda states, index: table[states, index]
+
+
 # every action; then only the pairs and the inner runs that reach their
-# state's best q (state 2's window is widened to the widest, two actions)
-TIED_WINDOWS = [(np.ones((3, 4), dtype=bool), np.zeros(3, dtype=np.int64),
-                 np.full(3, 4)),
-                (np.array([[False, True, True, True],
-                           [True, True, False, False],
-                           [False, False, False, True]]),
+# state's best q (state 2's window is widened to the widest, two actions),
+# as (outer_start, outer_stop, start, stop)
+TIED_WINDOWS = [(np.zeros(3, dtype=np.int64), np.full(3, 4),
+                 np.zeros(3, dtype=np.int64), np.full(3, 4)),
+                (np.array([1, 0, 3]), np.array([4, 2, 4]),
                  np.array([2, 1, 0]), np.array([4, 3, 1]))]
 
 
 @pytest.mark.parametrize("windows", TIED_WINDOWS, ids=["all-live", "pruned"])
 def test_greedy_ties_go_to_the_first_farmer_then_retailer(windows):
-    best_f, best_r = _greedy_step(*windows, *_tied_tables())
+    *tables, reward_f, reward_r = _tied_tables()
+    best_f, best_r = _greedy_step(*windows, *tables, _priced(reward_f),
+                                  _priced(reward_r))
     assert best_f.tolist() == [1, 0, 3]
     assert best_r.tolist() == [2, 1, 0]
 
 
 def _tied_bound(continuation, reward_f, reward_r):
-    """The tied tables' (theta, g) at the current pairs (0, 0), whose next
-    states are all H[0], on the first segment. Every window is that one
-    point, a knot."""
+    """The tied tables' (theta, inner, outer) at the current pairs (0, 0),
+    whose next states are all H[0], on the first segment, with each table's
+    curve read off it at the curve nodes. Every window is that one point, a
+    knot."""
     base, shift, H, _, *_ = _tied_tables()
-    upper = oracle._pair_bound(H, base, shift, reward_f, reward_r)
+    nodes = oracle._curve_nodes(4)
+    outer, inner = (oracle._reward_curve(nodes, table[:, nodes],
+                                         np.max(np.abs(table), axis=1))
+                    for table in (reward_f, reward_r))
+    upper = oracle._pair_bound(H, base, shift, outer, inner)
     zeros = np.zeros(3, dtype=np.int64)
     floor = continuation[0] + reward_f[:, 0] + reward_r[:, 0]
     return upper(continuation, zeros, floor), zeros
@@ -452,21 +625,25 @@ def _tied_bound(continuation, reward_f, reward_r):
 
 def test_a_nan_continuation_keeps_every_action():
     _, _, _, _, reward_f, reward_r = _tied_tables()
-    (theta, g), zeros = _tied_bound(np.array([0.5, np.nan, 0.5]), reward_f,
-                                    reward_r)
-    live, start, stop = oracle._windows(theta, g, zeros, zeros)
-    assert live.all()
+    (theta, inner, outer), zeros = _tied_bound(np.array([0.5, np.nan, 0.5]),
+                                               reward_f, reward_r)
+    outer_start, outer_stop, start, stop = oracle._windows(
+        theta, inner, outer, 4, 4, zeros, zeros)
+    assert _live(outer_start, outer_stop, 4).all()
     assert start.tolist() == [0, 0, 0] and stop.tolist() == [4, 4, 4]
 
 
 def test_the_current_pair_is_kept_whatever_the_bound_says():
-    # a threshold no g reaches prunes every action but the current pair's
-    theta, g = np.full((3, 4), np.inf), np.zeros((3, 5))
-    live, start, stop = oracle._windows(theta, g, np.array([0, 3, 1]),
-                                        np.array([4, 2, 0]))
-    assert live.tolist() == [[True, False, False, False],
-                             [False, False, False, True],
-                             [False, True, False, False]]
+    # a threshold no curve reaches prunes every action but the current
+    # pair's
+    theta, curve = np.full(3, np.inf), (np.full(3, -1.0), np.zeros(3),
+                                        np.zeros(3))
+    outer_start, outer_stop, start, stop = oracle._windows(
+        theta, curve, curve, 4, 5, np.array([0, 3, 1]), np.array([4, 2, 0]))
+    assert _live(outer_start, outer_stop, 4).tolist() == [
+        [True, False, False, False],
+        [False, False, False, True],
+        [False, True, False, False]]
     assert start.tolist() == [4, 2, 0] and stop.tolist() == [5, 3, 1]
 
 
@@ -474,12 +651,13 @@ def test_a_state_whose_every_q_is_minus_inf_keeps_the_first_pair():
     base, shift, H, continuation, reward_f, reward_r = _tied_tables()
     reward_r = reward_r.copy()
     reward_r[1] = -np.inf   # every q of state 1 is -inf
-    (theta, g), zeros = _tied_bound(continuation, reward_f, reward_r)
-    windows = oracle._windows(theta, g, zeros, zeros)
-    assert windows[0][1].all()
-    assert windows[1][1] == 0 and windows[2][1] == 4
+    (theta, inner, outer), zeros = _tied_bound(continuation, reward_f,
+                                               reward_r)
+    windows = oracle._windows(theta, inner, outer, 4, 4, zeros, zeros)
+    assert _live(*windows[:2], 4)[1].all()
+    assert windows[2][1] == 0 and windows[3][1] == 4
     best_f, best_r = _greedy_step(*windows, base, shift, H, continuation,
-                                  reward_f, reward_r)
+                                  _priced(reward_f), _priced(reward_r))
     assert best_f.tolist() == [1, 0, 3]
     assert best_r.tolist() == [2, 0, 0]
 
@@ -503,9 +681,8 @@ def test_a_joint_reply_whose_windows_span_every_retailer_action(monkeypatch):
     sol = solve("gc", params)
     grid = default_grid(sol, n_states=64, n_actions=33)
     widths, greedy = [], oracle._greedy_step
-    monkeypatch.setattr(oracle, "_greedy_step", lambda live, start, stop, *a:
-                        widths.append(stop - start) or greedy(live, start,
-                                                              stop, *a))
+    monkeypatch.setattr(oracle, "_greedy_step", lambda *a:
+                        widths.append(a[3] - a[2]) or greedy(*a))
     br = grid_best_response(params, "gc", "joint", None, grid,
                             seed_policy=sol.policies)
     assert len(widths) == br.sweeps
