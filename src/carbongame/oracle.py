@@ -183,15 +183,14 @@ arguments; only the grid can be passed in.
 
 A check is planned, run and assembled in three steps. The plan checks every
 precondition (an attracting steady state, the grid, the comparison window)
-and lists the check's independent parts: gd's farmer and retailer replies,
-gs's follower reply and leader sample, gc's joint reply. Each part runs on
-its own and returns its result or its error, and the report is assembled
-from the results in that order, so a failed check gives the error a serial
-run meets first. One function, equilibrium_checks, does all three for any
-number of solutions: it plans every check, hands all their parts, longest
-first (``_PART_ORDER``), to one map that its caller chooses, and assembles
-every report. equilibrium_check is its one-solution case with the builtin
-map; ``experiments.run_verify`` passes a map onto worker processes.
+and lists the check's parts: gd's farmer and retailer replies, gs's
+follower reply and leader sample, gc's joint reply. Every part runs, in
+that order, and returns its result or its error, and the report is
+assembled from the results in that order, so a failed check gives the
+error it meets first. One function, equilibrium_checks, does all three for
+any number of solutions, each in turn, in the calling process;
+equilibrium_check is its one-solution case. ``experiments.run_verify``
+calls equilibrium_check in each mode's worker task.
 
 Policy evaluation solves the banded system (I - gamma*P) v = r by Gaussian
 elimination without pivoting. Each row's diagonal exceeds the sum of its
@@ -367,6 +366,11 @@ def _evaluate_policy(n: int, j: np.ndarray, w: np.ndarray, reward: np.ndarray,
     the band's reach is read off j - i and j + 1 - i, so a coarse time step
     widens it. No pivoting: each row's diagonal exceeds the sum of its
     off-diagonal magnitudes by 1 - gamma > 0 (Golub & Van Loan, section 4.3).
+
+    Row i holds nothing left of column min(j[i], i) to begin with, and
+    eliminating with pivot row k only fills columns right of k, so row i
+    starts its elimination at column j[i], and a row with j[i] >= i has
+    nothing to eliminate: the multipliers skipped are exactly zero.
     """
     states = np.arange(n)
     reach = j - states
@@ -378,22 +382,28 @@ def _evaluate_policy(n: int, j: np.ndarray, w: np.ndarray, reward: np.ndarray,
     band[states, reach + lo + 1] -= gamma * w
     rows = band.tolist()
     b = reward.tolist()
-    for i, row in enumerate(rows):
-        for k in range(max(0, i - lo), i):
-            m = row[k - i + lo]
-            if m:
-                pivot = rows[k]
-                m /= pivot[lo]
-                for c in range(1, hi + 1):
-                    row[k - i + lo + c] -= m * pivot[lo + c]
-                b[i] -= m * b[k]
+    upper = range(lo + 1, lo + 1 + hi)   # a row's places right of its diagonal
+    for i, first in enumerate(j.tolist()):
+        if first < i:
+            row = rows[i]
+            for k in range(first, i):
+                # pivot row k's place c is row i's place c + k - i
+                at = k - i
+                m = row[at + lo]
+                if m:
+                    pivot = rows[k]
+                    m /= pivot[lo]
+                    for c in upper:
+                        row[at + c] -= m * pivot[c]
+                    b[i] -= m * b[k]
     # columns past n - 1 stay zero, so back substitution reads v padded
     v = [0.0] * (n + hi)
     for i in range(n - 1, -1, -1):
         row = rows[i]
         s = b[i]
-        for c in range(1, hi + 1):
-            s -= row[lo + c] * v[i + c]
+        at = i - lo
+        for c in upper:
+            s -= row[c] * v[at + c]
         v[i] = s / row[lo]
     return np.array(v[:n])
 
@@ -1010,25 +1020,14 @@ def _window_gaps(br: BestResponse, solution: GameSolution,
     return policy_gaps, {br.role: value_gap}
 
 
-# A certification's parts, longest first. Their serial cost on the default
-# grid, median over the 24 scenarios of bench verify seeds 1-3 (5 runs each),
-# is 6.2 ms for the joint reply, 2.5 ms for the follower reply and for a gd
-# farmer reply (a tie; the follower's spread is the narrower), 1.3 ms for the
-# gd retailer reply and 0.5 ms for the leader sample (2-vCPU VM, Python 3.11,
-# numpy 2.4). Run on a pool in this order, they balance the workers by
-# Graham's longest-processing-time rule (SIAM J. Appl. Math. 17(2), 1969).
-_PART_ORDER = ("joint control", "follower reply", "farmer reply",
-               "retailer reply", "leader sample")
-
-
 def _certification_plan(solution: GameSolution,
                         grid: Optional[GridSpec] = None) -> tuple:
     """A check's preconditions, then its independent parts.
 
     Returns (window, parts). Each part is a (label, args) pair for
-    _run_part, labelled as in _PART_ORDER, listed in the order a serial
-    check runs them: gd the farmer reply then the retailer reply, gs the
-    follower reply then the leader sample, gc the joint reply.
+    _run_part, listed in the order a check runs them: gd the farmer reply
+    then the retailer reply, gs the follower reply then the leader sample,
+    gc the joint reply.
     """
     if not solution.alpha < 0:
         raise OracleError(
@@ -1061,9 +1060,8 @@ def _certification_plan(solution: GameSolution,
 def _run_part(part: tuple):
     """One certification part's result: a BestResponse, or the leader
     sample's mapping, or the OracleError or ValueError that stopped it,
-    returned as run_compare's cells return theirs. The functions are looked
-    up when the part runs, so a worker calls what this module held at the
-    worker's own fork, which may precede the call that sent the part."""
+    returned, so that the check's later parts run too. The functions are
+    looked up when the part runs, so it calls what this module holds then."""
     label, args = part
     try:
         if label == "leader sample":
@@ -1076,8 +1074,8 @@ def _run_part(part: tuple):
 def _certification_report(solution: GameSolution, window: tuple, parts,
                           results):
     """The report from the plan's parts and their results, in plan order, or
-    the first result that is an error, which is the error a serial check
-    meets first."""
+    the first result that is an error, which is the error the check meets
+    first."""
     leader_sample = None
     notes, policy_gaps, value_gaps = [], {}, {}
     for (label, _), result in zip(parts, results):
@@ -1103,37 +1101,25 @@ def _certification_report(solution: GameSolution, window: tuple, parts,
                                passed=passed, notes=notes)
 
 
-def equilibrium_checks(solutions: dict, *, grid: Optional[GridSpec] = None,
-                       run=map) -> dict:
+def equilibrium_checks(solutions: dict, *,
+                       grid: Optional[GridSpec] = None) -> dict:
     """Each solution's certification, keyed as solutions: its
-    CertificationReport, or the OracleError or ValueError that a serial
-    check of it meets first.
+    CertificationReport, or the OracleError or ValueError that its check
+    meets first.
 
-    Every check is planned first, so a failed precondition costs no grid
-    reply. The planned parts of all checks then go to run(_run_part, parts)
-    as one list, the longest first (_PART_ORDER); run is map, or a map onto
-    worker processes that keeps the parts' order, as experiments.run_verify
-    passes. Each report is assembled from its own parts' results in plan
-    order.
+    Each check is planned, so a failed precondition costs no grid reply,
+    then every part of it runs in plan order, and its report is assembled
+    from their results.
     """
-    outcomes, tasks = {}, []
+    outcomes = {}
     for key, solution in solutions.items():
         try:
-            outcomes[key] = _certification_plan(solution, grid)
+            window, parts = _certification_plan(solution, grid)
         except (OracleError, ValueError) as exc:
             outcomes[key] = exc
             continue
-        tasks += [(key, index, part)
-                  for index, part in enumerate(outcomes[key][1])]
-    tasks.sort(key=lambda task: _PART_ORDER.index(task[2][0]))
-    results = run(_run_part, [part for _, _, part in tasks])
-    done = dict(zip([(key, index) for key, index, _ in tasks], results))
-    for key, outcome in outcomes.items():
-        if not isinstance(outcome, Exception):
-            window, parts = outcome
-            outcomes[key] = _certification_report(
-                solutions[key], window, parts,
-                [done[key, index] for index in range(len(parts))])
+        outcomes[key] = _certification_report(
+            solution, window, parts, [_run_part(part) for part in parts])
     return outcomes
 
 
@@ -1150,8 +1136,8 @@ def equilibrium_check(solution: GameSolution, *,
     is held to LEADER_TOLERANCE; centralized solutions check the joint
     controller.
 
-    This is equilibrium_checks on the one solution, in this process: every
-    part runs, and the error a serial check meets first is raised.
+    This is equilibrium_checks on the one solution: every part runs, and
+    the error the check meets first is raised.
     """
     (report,) = equilibrium_checks({solution.mode: solution},
                                    grid=grid).values()

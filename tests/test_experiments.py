@@ -490,34 +490,55 @@ def _verify_checks(monkeypatch, config, cpus, forks=True) -> str:
     return json.dumps(checks, sort_keys=True, default=_json_default)
 
 
+STRESSED = ModelParams(lambda_f=350.0, p_c=1.2)   # gc's solve fails typed
+
+
 @pytest.mark.parametrize("config", [
     ScenarioConfig(),
     ScenarioConfig(sink_trading=False),
     ScenarioConfig(modes="gs"),
-], ids=["all-modes", "no-sink", "gs-alone"])
+    ScenarioConfig(params=STRESSED),
+], ids=["all-modes", "no-sink", "gs-alone", "stressed"])
 def test_pooled_and_serial_verify_agree(monkeypatch, tmp_path, config,
                                         fresh_workers):
-    # the leader sample appends the id of the process it ran in; the forked
-    # workers inherit the patched module attribute
-    pids = tmp_path / "pids"
-    real = oracle.leader_improvement_sample
+    # each solve and the leader sample append the id of the process they ran
+    # in; the forked workers inherit the patched module attributes. A pooled
+    # run solves and certifies each mode in a worker, and a single mode is
+    # one task, which runs in this process
+    pids = {"solve": tmp_path / "solve", "sample": tmp_path / "sample"}
 
-    def spy(*args):
-        with open(pids, "a") as out:
-            out.write(f"{os.getpid()}\n")
-        return real(*args)
+    def spy(name, real):
+        def record(*args):
+            with open(pids[name], "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return real(*args)
+        return record
 
-    monkeypatch.setattr(oracle, "leader_improvement_sample", spy)
+    monkeypatch.setattr(experiments, "solve", spy("solve", experiments.solve))
+    monkeypatch.setattr(oracle, "leader_improvement_sample",
+                        spy("sample", oracle.leader_improvement_sample))
     runs = {}
     for cpus, forks in PROCESS_SETUPS:
         runs[cpus, forks] = _verify_checks(monkeypatch, config, cpus, forks)
-        ran_in, parent = pids.read_text().split(), str(os.getpid())
-        pids.unlink()
-        assert len(ran_in) == 1
-        assert (parent not in ran_in) if (cpus, forks) == POOLED else (ran_in == [parent])
+        ran_in = {name: path.read_text().split() for name, path in pids.items()}
+        parent = str(os.getpid())
+        for path in pids.values():
+            path.unlink()
+        assert len(ran_in["solve"]) == len(config.modes)
+        assert len(ran_in["sample"]) == 1
+        for where in ran_in.values():
+            if (cpus, forks) == POOLED and len(config.modes) > 1:
+                assert parent not in where
+            else:
+                assert set(where) == {parent}
         # no call starts a thread
         assert threading.active_count() == 1
     assert len(set(runs.values())) == 1
+    if config.params is STRESSED:
+        # the typed solver error crossed the worker pipe
+        (failed,) = [c for c in json.loads(runs[POOLED]) if not c["passed"]]
+        assert failed["name"] == "solve-gc"
+        assert failed["note"].startswith("unstable model: ")
 
 
 @pytest.mark.parametrize("failing, note", [
@@ -529,7 +550,7 @@ def test_pooled_and_serial_verify_agree(monkeypatch, tmp_path, config,
 ], ids=["gd-retailer", "gd-both", "gs-leader", "gs-both", "gc-joint"])
 def test_a_failing_part_gives_its_mode_the_serial_note(monkeypatch, failing,
                                                        note, fresh_workers):
-    # a mode's note is the error a serial check meets first, pooled or not,
+    # a mode's note is the error its check meets first, pooled or not,
     # and the other modes still certify
     real_reply = oracle.grid_best_response
     real_sample = oracle.leader_improvement_sample

@@ -1042,8 +1042,15 @@ def test_certification_arguments_are_checked_before_any_grid_reply(
 def test_certification_preconditions_are_checked_before_any_part(
         monkeypatch, mode):
     # the plan checks alpha and the window before any grid reply or leader
-    # sample runs, wherever the parts would run
+    # sample runs; equilibrium_checks returns a failed precondition, not
+    # raises it, and gives each other solution the report equilibrium_check
+    # gives
     sol = solve(mode, ModelParams())
+    unstable = dataclasses.replace(sol, alpha=0.0)
+    outcomes = equilibrium_checks({"unstable": unstable, mode: sol})
+    assert list(outcomes) == ["unstable", mode]
+    assert outcomes[mode].passed
+    assert outcomes[mode].to_dict() == equilibrium_check(sol).to_dict()
 
     def no_part(*args, **kwargs):
         raise AssertionError("a certification part ran before the checks")
@@ -1051,15 +1058,18 @@ def test_certification_preconditions_are_checked_before_any_part(
     monkeypatch.setattr(oracle, "grid_best_response", no_part)
     monkeypatch.setattr(oracle, "leader_improvement_sample", no_part)
     with pytest.raises(OracleError, match="attracting steady state"):
-        equilibrium_check(dataclasses.replace(sol, alpha=0.0))
+        equilibrium_check(unstable)
+    (returned,) = equilibrium_checks({mode: unstable}).values()
+    assert isinstance(returned, OracleError)
+    assert "attracting steady state" in str(returned)
     small = GridSpec(H_max=sol.H_d, a_max_f=20.0, a_max_r=10.0)
     with pytest.raises(OracleError, match="does not cover the comparison window"):
         equilibrium_check(sol, grid=small)
 
 
 def test_a_failing_follower_reply_stops_the_check(monkeypatch, baseline_gs):
-    # every part runs, the follower reply first as the longer, and the check
-    # raises the follower reply's error, the one a serial check meets first
+    # every part runs, in plan order, and the check raises the follower
+    # reply's error, the one it meets first
     ran = []
 
     def failing_reply(*args, **kwargs):
@@ -1075,31 +1085,6 @@ def test_a_failing_follower_reply_stops_the_check(monkeypatch, baseline_gs):
     with pytest.raises(OracleError, match="follower reply failed"):
         equilibrium_check(baseline_gs)
     assert ran == ["follower reply", "leader sample"]
-
-
-def test_equilibrium_checks_runs_every_part_in_one_map_longest_first():
-    # a failed precondition is returned, not raised, and costs no part; the
-    # other checks' parts go to one map call, and each report is the one
-    # equilibrium_check gives
-    solutions = {mode: solve(mode, ModelParams())
-                 for mode in ("gd", "gs", "gc")}
-    solutions["unstable"] = dataclasses.replace(solutions["gd"], alpha=0.0)
-    calls = []
-
-    def run(fn, parts):
-        calls.append([label for label, _ in parts])
-        return map(fn, parts)
-
-    outcomes = equilibrium_checks(solutions, run=run)
-    assert calls == [["joint control", "follower reply", "farmer reply",
-                      "retailer reply", "leader sample"]]
-    assert list(outcomes) == ["gd", "gs", "gc", "unstable"]
-    unstable = outcomes.pop("unstable")
-    assert isinstance(unstable, OracleError)
-    assert "attracting steady state" in str(unstable)
-    for mode, report in outcomes.items():
-        assert report.passed
-        assert report.to_dict() == equilibrium_check(solutions[mode]).to_dict()
 
 
 def _certification_systems(monkeypatch, sol, grid):
@@ -1118,18 +1103,80 @@ def _certification_systems(monkeypatch, sol, grid):
     return systems
 
 
-@pytest.mark.parametrize("mode, dt, reach", [
-    ("gd", None, 2), ("gs", None, 2), ("gc", None, 2),
-    ("gd", 0.05, 13), ("gd", 0.5, 120),
-], ids=["gd", "gs", "gc", "gd-dt0.05", "gd-dt0.5"])
-def test_band_solve_matches_a_dense_solve(monkeypatch, mode, dt, reach):
+def _band_reference(n, j, w, reward, gamma):
+    """The band solve as first written, the bit-for-bit reference of
+    _evaluate_policy: every row eliminates every column of its band left of
+    the diagonal, skipping zero multipliers."""
+    states = np.arange(n)
+    reach = j - states
+    lo = max(0, -int(reach.min()))
+    hi = max(0, int(reach.max()) + 1)
+    band = np.zeros((n, lo + 1 + hi))
+    band[:, lo] = 1.0
+    band[states, reach + lo] -= gamma * (1.0 - w)
+    band[states, reach + lo + 1] -= gamma * w
+    rows = band.tolist()
+    b = reward.tolist()
+    for i, row in enumerate(rows):
+        for k in range(max(0, i - lo), i):
+            m = row[k - i + lo]
+            if m:
+                pivot = rows[k]
+                m /= pivot[lo]
+                for c in range(1, hi + 1):
+                    row[k - i + lo + c] -= m * pivot[lo + c]
+                b[i] -= m * b[k]
+    v = [0.0] * (n + hi)
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        s = b[i]
+        for c in range(1, hi + 1):
+            s -= row[lo + c] * v[i + c]
+        v[i] = s / row[lo]
+    return np.array(v[:n])
+
+
+def _random_chains(reach, n=512, count=4):
+    """Seeded (n, j, w, reward, gamma) systems whose jumps j - i are drawn
+    from reach, clipped to the grid as _positions clips them; a tenth of the
+    rows has w = 0 and a tenth w = 1, so a row whose jump lies below its
+    diagonal with w = 1 has a zero multiplier there."""
+    rng = np.random.default_rng([r + n for r in reach])
+    rows = np.arange(n)
+    systems = []
+    for _ in range(count):
+        j = np.clip(rows + rng.integers(reach[0], reach[1] + 1, n), 0, n - 2)
+        w = rng.random(n)
+        ends = rng.permutation(n)[:n // 5]
+        w[ends[:n // 10]], w[ends[n // 10:]] = 0.0, 1.0
+        systems.append((n, j, w, rng.normal(size=n), rng.uniform(0.9, 0.9999)))
+    return systems
+
+
+@pytest.mark.parametrize("case, reach", [
+    (("gd", None), 2), (("gs", None), 2), (("gc", None), 2),
+    (("gd", 0.05), 13), (("gd", 0.5), 120),
+    ((-2, 0), 2), ((-13, 8), 13), ((511, 511), 1),
+], ids=["gd", "gs", "gc", "gd-dt0.05", "gd-dt0.5", "random-2..0",
+        "random-13..8", "random-escaping"])
+def test_band_solve_matches_a_dense_solve(monkeypatch, case, reach):
     # the default grid's systems, then coarser steps whose next states lie
-    # many grid states away, which widens the band
-    sol = solve(mode, ModelParams())
-    grid = default_grid(sol)
-    if dt is not None:
-        grid = dataclasses.replace(grid, dt=dt)
-    systems = _certification_systems(monkeypatch, sol, grid)
+    # many grid states away, which widens the band; then seeded random
+    # chains, the last one a grid every state escapes upward, so every jump
+    # is clipped to n - 2 and the band reaches (1, 511). Every solve has the
+    # reference's bits
+    if isinstance(case[0], str):
+        mode, dt = case
+        sol = solve(mode, ModelParams())
+        grid = default_grid(sol)
+        if dt is not None:
+            grid = dataclasses.replace(grid, dt=dt)
+        systems = _certification_systems(monkeypatch, sol, grid)
+    else:
+        systems = _random_chains(case)
+        for n, j, w, _, _ in systems:
+            assert np.any(w == 0.0) and np.any(w == 1.0)
+            assert case[0] > 0 or np.any((w == 1.0) & (j < np.arange(n)))
     assert systems
     for n, j, w, reward, gamma in systems:
         rows = np.arange(n)
@@ -1141,6 +1188,8 @@ def test_band_solve_matches_a_dense_solve(monkeypatch, mode, dt, reach):
         value = _evaluate_policy(n, j, w, reward, gamma)
         assert (np.max(np.abs(value - expected))
                 <= 1e-12 * np.max(np.abs(expected)))
+        assert (value.tobytes()
+                == _band_reference(n, j, w, reward, gamma).tobytes())
 
 
 @pytest.mark.parametrize("changes", [{}, {"p_c": 0.8, "rho": 0.9},
