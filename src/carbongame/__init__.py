@@ -67,7 +67,6 @@ from .oracle import (
     OracleError,
     default_grid,
     equilibrium_check,
-    equilibrium_checks,
     grid_best_response,
     leader_improvement_sample,
 )
@@ -122,7 +121,6 @@ __all__ = [
     "effort_costs",
     "emit_results",
     "equilibrium_check",
-    "equilibrium_checks",
     "exact_trajectory",
     "grid_best_response",
     "integrate_trajectory",

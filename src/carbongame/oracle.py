@@ -181,16 +181,13 @@ pass tolerances, the default grid's spans and the leader sampler's sample
 count, seed, spread, node count and exponent are module constants, not
 arguments; only the grid can be passed in.
 
-A check is planned, run and assembled in three steps. The plan checks every
-precondition (an attracting steady state, the grid, the comparison window)
-and lists the check's parts: gd's farmer and retailer replies, gs's
-follower reply and leader sample, gc's joint reply. Every part runs, in
-that order, and returns its result or its error, and the report is
-assembled from the results in that order, so a failed check gives the
-error it meets first. One function, equilibrium_checks, does all three for
-any number of solutions, each in turn, in the calling process;
-equilibrium_check is its one-solution case. ``experiments.run_verify``
-calls equilibrium_check in each mode's worker task.
+One function, ``equilibrium_check``, certifies a solution. It checks every
+precondition first (an attracting steady state, a grid that covers the
+comparison window and holds a state in it), so a refused check costs no
+grid reply. Then it runs the check's parts in order: gd's farmer and
+retailer replies, gs's follower reply and leader sample, gc's joint
+reply. The first error propagates, and no later part runs.
+``experiments.run_verify`` calls it in each mode's worker task.
 
 Policy evaluation solves the banded system (I - gamma*P) v = r by Gaussian
 elimination without pivoting. Each row's diagonal exceeds the sum of its
@@ -227,7 +224,6 @@ __all__ = [
     "grid_best_response",
     "leader_improvement_sample",
     "equilibrium_check",
-    "equilibrium_checks",
 ]
 
 INTERIOR_MARGIN = 0.05
@@ -1006,121 +1002,17 @@ class CertificationReport:
 
 
 def _window_gaps(br: BestResponse, solution: GameSolution,
-                 window: tuple) -> tuple:
-    window_mask = (br.H >= window[0]) & (br.H <= window[1])
+                 inside: np.ndarray) -> tuple:
     policy_gaps = {}
     for role, chosen in br.actions.items():
         analytic = solution.policies[role].effort(br.H)
-        scale = max(float(np.max(np.abs(analytic[window_mask]))), 1e-12)
-        gap = float(np.max(np.abs(chosen - analytic)[window_mask])) / scale
+        scale = max(float(np.max(np.abs(analytic[inside]))), 1e-12)
+        gap = float(np.max(np.abs(chosen - analytic)[inside])) / scale
         policy_gaps[role] = gap
     analytic_v = solution.values[br.role].value(br.H)
-    scale = max(float(np.max(np.abs(analytic_v[window_mask]))), 1e-12)
-    value_gap = float(np.max(np.abs(br.value - analytic_v)[window_mask])) / scale
+    scale = max(float(np.max(np.abs(analytic_v[inside]))), 1e-12)
+    value_gap = float(np.max(np.abs(br.value - analytic_v)[inside])) / scale
     return policy_gaps, {br.role: value_gap}
-
-
-def _certification_plan(solution: GameSolution,
-                        grid: Optional[GridSpec] = None) -> tuple:
-    """A check's preconditions, then its independent parts.
-
-    Returns (window, parts). Each part is a (label, args) pair for
-    _run_part, listed in the order a check runs them: gd the farmer reply
-    then the retailer reply, gs the follower reply then the leader sample,
-    gc the joint reply.
-    """
-    if not solution.alpha < 0:
-        raise OracleError(
-            f"certification needs an attracting steady state; "
-            f"alpha = {solution.alpha:.6g}")
-    if grid is None:
-        grid = default_grid(solution)
-    window = (0.5 * solution.H_d, 1.5 * solution.H_d)
-    if window[1] > grid.H_max:
-        raise OracleError(
-            f"grid H_max = {grid.H_max:.6g} does not cover the comparison "
-            f"window up to {window[1]:.6g}")
-    params, mode, policies = solution.params, solution.mode, solution.policies
-    if mode is GameMode.DECENTRALIZED:
-        parts = [(f"{role} reply", (params, mode, role, policies[other], grid,
-                                    policies[role]))
-                 for role, other in (("farmer", "retailer"),
-                                     ("retailer", "farmer"))]
-    elif mode is GameMode.STACKELBERG:
-        parts = [("follower reply", (params, mode, "farmer",
-                                     policies["retailer"], grid,
-                                     policies["farmer"])),
-                 ("leader sample", (solution,))]
-    else:
-        parts = [("joint control", (params, mode, "joint", None, grid,
-                                    policies))]
-    return window, parts
-
-
-def _run_part(part: tuple):
-    """One certification part's result: a BestResponse, or the leader
-    sample's mapping, or the OracleError or ValueError that stopped it,
-    returned, so that the check's later parts run too. The functions are
-    looked up when the part runs, so it calls what this module holds then."""
-    label, args = part
-    try:
-        if label == "leader sample":
-            return leader_improvement_sample(*args)
-        return grid_best_response(*args)
-    except (OracleError, ValueError) as exc:
-        return exc
-
-
-def _certification_report(solution: GameSolution, window: tuple, parts,
-                          results):
-    """The report from the plan's parts and their results, in plan order, or
-    the first result that is an error, which is the error the check meets
-    first."""
-    leader_sample = None
-    notes, policy_gaps, value_gaps = [], {}, {}
-    for (label, _), result in zip(parts, results):
-        if isinstance(result, Exception):
-            return result
-        if label == "leader sample":
-            leader_sample = result
-            continue
-        pg, vg = _window_gaps(result, solution, window)
-        policy_gaps.update(pg)
-        value_gaps.update(vg)
-        notes.append(f"{label} converged in {result.sweeps} sweeps")
-    passed = (all(g <= POLICY_TOLERANCE for g in policy_gaps.values())
-              and all(g <= VALUE_TOLERANCE for g in value_gaps.values()))
-    if leader_sample is not None:
-        passed = passed and leader_sample["max_improvement"] <= LEADER_TOLERANCE
-    return CertificationReport(mode=solution.mode, window=window,
-                               policy_gaps=policy_gaps, value_gaps=value_gaps,
-                               policy_tolerance=POLICY_TOLERANCE,
-                               value_tolerance=VALUE_TOLERANCE,
-                               leader_sample=leader_sample,
-                               leader_tolerance=LEADER_TOLERANCE,
-                               passed=passed, notes=notes)
-
-
-def equilibrium_checks(solutions: dict, *,
-                       grid: Optional[GridSpec] = None) -> dict:
-    """Each solution's certification, keyed as solutions: its
-    CertificationReport, or the OracleError or ValueError that its check
-    meets first.
-
-    Each check is planned, so a failed precondition costs no grid reply,
-    then every part of it runs in plan order, and its report is assembled
-    from their results.
-    """
-    outcomes = {}
-    for key, solution in solutions.items():
-        try:
-            window, parts = _certification_plan(solution, grid)
-        except (OracleError, ValueError) as exc:
-            outcomes[key] = exc
-            continue
-        outcomes[key] = _certification_report(
-            solution, window, parts, [_run_part(part) for part in parts])
-    return outcomes
 
 
 def equilibrium_check(solution: GameSolution, *,
@@ -1136,11 +1028,58 @@ def equilibrium_check(solution: GameSolution, *,
     is held to LEADER_TOLERANCE; centralized solutions check the joint
     controller.
 
-    This is equilibrium_checks on the one solution: every part runs, and
-    the error the check meets first is raised.
+    The preconditions (an attracting steady state, a grid that covers the
+    window and holds a state in it) are checked before any reply runs. The
+    parts then run in order: gd the farmer reply then the retailer reply,
+    gs the follower reply then the leader sample, gc the joint reply. The
+    first OracleError or ValueError propagates, and no later part runs.
     """
-    (report,) = equilibrium_checks({solution.mode: solution},
-                                   grid=grid).values()
-    if isinstance(report, Exception):
-        raise report
-    return report
+    if not solution.alpha < 0:
+        raise OracleError(
+            f"certification needs an attracting steady state; "
+            f"alpha = {solution.alpha:.6g}")
+    if grid is None:
+        grid = default_grid(solution)
+    window = (0.5 * solution.H_d, 1.5 * solution.H_d)
+    if window[1] > grid.H_max:
+        raise OracleError(
+            f"grid H_max = {grid.H_max:.6g} does not cover the comparison "
+            f"window up to {window[1]:.6g}")
+    H = grid.states()
+    inside = (H >= window[0]) & (H <= window[1])
+    if not np.any(inside):
+        raise OracleError(
+            f"grid of {grid.n_states} states holds no state in the comparison "
+            f"window [{window[0]:.6g}, {window[1]:.6g}]")
+    params, mode, policies = solution.params, solution.mode, solution.policies
+    leader_sample = None
+    if mode is GameMode.DECENTRALIZED:
+        replies = {f"{role} reply": grid_best_response(
+            params, mode, role, policies[other], grid, policies[role])
+            for role, other in (("farmer", "retailer"),
+                                ("retailer", "farmer"))}
+    elif mode is GameMode.STACKELBERG:
+        replies = {"follower reply": grid_best_response(
+            params, mode, "farmer", policies["retailer"], grid,
+            policies["farmer"])}
+        leader_sample = leader_improvement_sample(solution)
+    else:
+        replies = {"joint control": grid_best_response(
+            params, mode, "joint", None, grid, policies)}
+    notes, policy_gaps, value_gaps = [], {}, {}
+    for label, reply in replies.items():
+        pg, vg = _window_gaps(reply, solution, inside)
+        policy_gaps.update(pg)
+        value_gaps.update(vg)
+        notes.append(f"{label} converged in {reply.sweeps} sweeps")
+    passed = (all(g <= POLICY_TOLERANCE for g in policy_gaps.values())
+              and all(g <= VALUE_TOLERANCE for g in value_gaps.values()))
+    if leader_sample is not None:
+        passed = passed and leader_sample["max_improvement"] <= LEADER_TOLERANCE
+    return CertificationReport(mode=mode, window=window,
+                               policy_gaps=policy_gaps, value_gaps=value_gaps,
+                               policy_tolerance=POLICY_TOLERANCE,
+                               value_tolerance=VALUE_TOLERANCE,
+                               leader_sample=leader_sample,
+                               leader_tolerance=LEADER_TOLERANCE,
+                               passed=passed, notes=notes)

@@ -9,6 +9,7 @@ full report.
 PRINTED freezes the verbatim published-formula evaluations (including the
 garbled ones) produced by carbongame.closed_form at the baseline; these are
 regression anchors for the transcription, not independent derivations.
+CERTIFICATIONS freezes the grid certifier's reports in the same way.
 """
 
 CASES = {
@@ -148,5 +149,115 @@ PRINTED = {
         "gd_scan": 0.9999910053426994,
         "gd_H_d": -34631.68778945231,
         "gs_scan": 32322767927.87184,
+    },
+}
+
+
+# The grid certifier's reports, equilibrium_check(solve(mode,
+# params)).to_dict(), for each mode at the baseline and without sink trading
+# (p_c = 0), at full precision. Like PRINTED, these are regression anchors
+# frozen from the package itself, not independent derivations.
+CERTIFICATIONS = {
+    "baseline": {
+        "gd": {
+            "mode": "gd",
+            "window": [3.889414014396422, 11.668242043189267],
+            "notes": ["farmer reply converged in 3 sweeps",
+                      "retailer reply converged in 1 sweeps"],
+            "passed": True,
+            "policy_gaps": {"farmer": 0.00820088197735764,
+                            "retailer": 0.003906250000000036},
+            "value_gaps": {"farmer": 0.00021524367681635882,
+                           "retailer": 0.0001843925091593973},
+            "policy_tolerance": 0.02,
+            "value_tolerance": 0.005,
+            "leader_sample": None,
+            "leader_tolerance": 0.005,
+        },
+        "gs": {
+            "mode": "gs",
+            "window": [4.6462503626353575, 13.938751087906073],
+            "notes": ["follower reply converged in 2 sweeps"],
+            "passed": True,
+            "policy_gaps": {"farmer": 0.007193599210372272},
+            "value_gaps": {"farmer": 0.00022009541748816886},
+            "policy_tolerance": 0.02,
+            "value_tolerance": 0.005,
+            "leader_sample": {
+                "baseline_payoff": 9042.136390885238,
+                "improving_samples": 0,
+                "max_improvement": -5.42966727456874e-05,
+                "note": ("sampled neighborhood stationarity, not exhaustive "
+                         "optimality"),
+                "samples": 200,
+                "seed": 20260814,
+                "spread": 0.1,
+            },
+            "leader_tolerance": 0.005,
+        },
+        "gc": {
+            "mode": "gc",
+            "window": [7.754149377593361, 23.262448132780083],
+            "notes": ["joint control converged in 3 sweeps"],
+            "passed": True,
+            "policy_gaps": {"farmer": 0.008156529726529846,
+                            "retailer": 0.0066522261495914866},
+            "value_gaps": {"joint": 0.0002274058601934482},
+            "policy_tolerance": 0.02,
+            "value_tolerance": 0.005,
+            "leader_sample": None,
+            "leader_tolerance": 0.005,
+        },
+    },
+    "no_sink": {
+        "gd": {
+            "mode": "gd",
+            "window": [2.573529411764706, 7.720588235294118],
+            "notes": ["farmer reply converged in 1 sweeps",
+                      "retailer reply converged in 1 sweeps"],
+            "passed": True,
+            "policy_gaps": {"farmer": 0.0039062499999999705,
+                            "retailer": 0.003906250000000033},
+            "value_gaps": {"farmer": 0.00021738638540570065,
+                           "retailer": 0.0001855204683997632},
+            "policy_tolerance": 0.02,
+            "value_tolerance": 0.005,
+            "leader_sample": None,
+            "leader_tolerance": 0.005,
+        },
+        "gs": {
+            "mode": "gs",
+            "window": [3.698529411764706, 11.095588235294118],
+            "notes": ["follower reply converged in 1 sweeps"],
+            "passed": True,
+            "policy_gaps": {"farmer": 0.003906250000000088},
+            "value_gaps": {"farmer": 0.0002222354031666242},
+            "policy_tolerance": 0.02,
+            "value_tolerance": 0.005,
+            "leader_sample": {
+                "baseline_payoff": 7027.199703410773,
+                "improving_samples": 0,
+                "max_improvement": -4.991662508203355e-05,
+                "note": ("sampled neighborhood stationarity, not exhaustive "
+                         "optimality"),
+                "samples": 200,
+                "seed": 20260814,
+                "spread": 0.1,
+            },
+            "leader_tolerance": 0.005,
+        },
+        "gc": {
+            "mode": "gc",
+            "window": [5.24264705882353, 15.72794117647059],
+            "notes": ["joint control converged in 1 sweeps"],
+            "passed": True,
+            "policy_gaps": {"farmer": 0.003906249999999857,
+                            "retailer": 0.0039062499999999536},
+            "value_gaps": {"joint": 0.0002341468951326118},
+            "policy_tolerance": 0.02,
+            "value_tolerance": 0.005,
+            "leader_sample": None,
+            "leader_tolerance": 0.005,
+        },
     },
 }

@@ -26,7 +26,6 @@ from carbongame import (
     ParameterError,
     default_grid,
     equilibrium_check,
-    equilibrium_checks,
     grid_best_response,
     leader_improvement_sample,
     solve,
@@ -45,7 +44,7 @@ from carbongame.oracle import (
 )
 from carbongame.profits import payoff_rates, value_at
 
-from reference_values import CASES
+from reference_values import CASES, CERTIFICATIONS
 
 
 @pytest.fixture(scope="module")
@@ -1041,16 +1040,10 @@ def test_certification_arguments_are_checked_before_any_grid_reply(
 @pytest.mark.parametrize("mode", ["gd", "gs", "gc"])
 def test_certification_preconditions_are_checked_before_any_part(
         monkeypatch, mode):
-    # the plan checks alpha and the window before any grid reply or leader
-    # sample runs; equilibrium_checks returns a failed precondition, not
-    # raises it, and gives each other solution the report equilibrium_check
-    # gives
+    # alpha, the window's cover and a grid state inside the window are
+    # checked before any grid reply or leader sample runs
     sol = solve(mode, ModelParams())
     unstable = dataclasses.replace(sol, alpha=0.0)
-    outcomes = equilibrium_checks({"unstable": unstable, mode: sol})
-    assert list(outcomes) == ["unstable", mode]
-    assert outcomes[mode].passed
-    assert outcomes[mode].to_dict() == equilibrium_check(sol).to_dict()
 
     def no_part(*args, **kwargs):
         raise AssertionError("a certification part ran before the checks")
@@ -1059,22 +1052,27 @@ def test_certification_preconditions_are_checked_before_any_part(
     monkeypatch.setattr(oracle, "leader_improvement_sample", no_part)
     with pytest.raises(OracleError, match="attracting steady state"):
         equilibrium_check(unstable)
-    (returned,) = equilibrium_checks({mode: unstable}).values()
-    assert isinstance(returned, OracleError)
-    assert "attracting steady state" in str(returned)
     small = GridSpec(H_max=sol.H_d, a_max_f=20.0, a_max_r=10.0)
     with pytest.raises(OracleError, match="does not cover the comparison window"):
         equilibrium_check(sol, grid=small)
+    # states 0, 5*H_d and 10*H_d: none in [0.5*H_d, 1.5*H_d]
+    sparse = GridSpec(H_max=10 * sol.H_d, a_max_f=20.0, a_max_r=10.0,
+                      n_states=3, n_actions=9)
+    with pytest.raises(OracleError,
+                       match=r"holds no state in the comparison window \["):
+        equilibrium_check(sol, grid=sparse)
 
 
-def test_a_failing_follower_reply_stops_the_check(monkeypatch, baseline_gs):
-    # every part runs, in plan order, and the check raises the follower
-    # reply's error, the one it meets first
+@pytest.mark.parametrize("mode", ["gd", "gs"])
+def test_a_failing_follower_reply_stops_the_check(monkeypatch, mode):
+    # the check raises the error of its first part, the farmer's reply, and
+    # runs no later part: not gd's retailer reply, not gs's leader sample
+    sol = solve(mode, ModelParams())
     ran = []
 
-    def failing_reply(*args, **kwargs):
-        ran.append("follower reply")
-        raise OracleError("follower reply failed")
+    def failing_reply(params, mode, role, *args):
+        ran.append(f"{mode.value} {role} reply")
+        raise OracleError(f"{role} reply failed")
 
     def failing_sample(*args, **kwargs):
         ran.append("leader sample")
@@ -1082,9 +1080,25 @@ def test_a_failing_follower_reply_stops_the_check(monkeypatch, baseline_gs):
 
     monkeypatch.setattr(oracle, "grid_best_response", failing_reply)
     monkeypatch.setattr(oracle, "leader_improvement_sample", failing_sample)
-    with pytest.raises(OracleError, match="follower reply failed"):
-        equilibrium_check(baseline_gs)
-    assert ran == ["follower reply", "leader sample"]
+    with pytest.raises(OracleError, match="farmer reply failed"):
+        equilibrium_check(sol)
+    assert ran == [f"{mode} farmer reply"]
+
+
+@pytest.mark.parametrize("mode", ["gd", "gs", "gc"])
+@pytest.mark.parametrize("case", ["baseline", "no_sink"])
+def test_certification_report_matches_the_frozen_report(case, mode):
+    # the window, the notes (sweep counts), the verdict and the tolerances
+    # exactly; the gaps and the leader sample's numbers to 1e-12 relative,
+    # as the reply reference tests hold the replies' values
+    report = equilibrium_check(
+        solve(mode, ModelParams(**CASES[case]["overrides"]))).to_dict()
+    expected = CERTIFICATIONS[case][mode]
+    close = ("policy_gaps", "value_gaps", "leader_sample")
+    assert ({k: v for k, v in report.items() if k not in close}
+            == {k: v for k, v in expected.items() if k not in close})
+    for name in close:
+        assert report[name] == pytest.approx(expected[name], rel=1e-12)
 
 
 def _certification_systems(monkeypatch, sol, grid):
