@@ -6,18 +6,22 @@ formatting, so identical configurations produce byte-identical tables. The
 run report is a JSON document carrying solver diagnostics, library versions,
 a config echo, and the only timestamp in any artifact.
 
-run_compare solves every cell in the calling process, then simulates and
-tabulates the solved cells, which is most of its time, one cell per task on
-forked worker processes: as many as the CPUs this process may use, at most
-one per task. The first call that needs them forks them, and they serve
-every later run_compare and run_verify call until the process exits, so
-only callers making repeated calls gain. A worker sees module state as of
-its own fork and keeps its caches, such as the formatted time column, and
-the memory the caller held at that fork. A spawned worker would import
-numpy and the package again. There is no setting for the workers. On one
-CPU, on a platform without fork, while other threads run, or in a worker or
-a child forked after them, the same per-task function runs in the calling
-process, and the tables, the summary and the report are the same.
+run_compare and run_verify follow one rule: a pooled task carries its cell
+or mode from its solve to its finished output, and the calling process only
+assembles the outputs. A run_compare task is one cell, a mode with or
+without sink trading: it solves, simulates and tabulates the cell and
+builds its summary row and report entry, and the caller writes the summary,
+the trajectory tables in cell order and the report. The tasks run on forked
+worker processes: as many as the CPUs this process may use, at most one per
+task. The first call that needs them forks them, and they serve every later
+run_compare and run_verify call until the process exits, so only callers
+making repeated calls gain. A worker sees module state as of its own fork
+and keeps its caches, such as the formatted time column, and the memory the
+caller held at that fork. A spawned worker would import numpy and the
+package again. There is no setting for the workers. On one CPU, on a
+platform without fork, while other threads run, or in a worker or a child
+forked after them, the same per-task function runs in the calling process,
+and the tables, the summary and the report are the same.
 
 run_verify uses the same workers, one task per selected mode, the longest
 first (VERIFY_ORDER). A task solves its mode, certifies it with
@@ -401,34 +405,36 @@ def _coefficients(solution: GameSolution) -> dict:
     return {**dict.fromkeys(SUMMARY_COLUMNS[2:8]), **solution.coefficients}
 
 
-def _summary_row(mode: GameMode, sink: str, params: ModelParams,
-                 solution: Optional[GameSolution], error: Optional[str]):
-    if solution is None:
-        cells = [None] * (len(SUMMARY_COLUMNS) - 3)
-        status = f"error: {error}"
-    else:
-        values, policies = _values_and_policies(solution)
-        ss = _responses(mode, values, policies, solution.H_d)
-        H0 = _responses(mode, values, policies, params.H0)
-        x_ss = (float(solution.subsidy(solution.H_d))
-                if solution.mode is GameMode.STACKELBERG else None)
-        # in the order of SUMMARY_COLUMNS
-        cells = [*_coefficients(solution).values(), solution.alpha, *ss[:3], x_ss,
-                 *H0[3:], *ss[3:], solution.diagnostics.max_hjb_residual]
-        status = "ok"
-    return [mode.value, sink, *map(_fmt, cells), status]
-
-
-def _cell_table(job: tuple):
-    """One compare cell's trajectory table from its (solution, sim, params)
-    job, or the SimulationError or ValueError that stopped it, returned as
-    solve_many returns a cell's error. Runs in a worker process when
-    run_compare has a pool."""
-    solution, sim, params = job
+def _compare_cell(task: tuple) -> tuple:
+    """One compare cell from its (mode, sink, params, solver config, sim
+    config) task: its summary row, its run-report entry and its trajectory
+    table, or None where a typed solve or simulation error stopped it, which
+    the row and the entry then carry as their status. Runs in a worker
+    process when run_compare has a pool."""
+    mode, sink, params, solver_config, sim = task
+    entry = {"mode": mode.value, "sink_trading": sink, "p_c": params.p_c}
     try:
-        return trajectory_table(simulate(solution, sim, params))
-    except (SimulationError, ValueError) as exc:
-        return exc
+        solution = solve(mode, params, solver_config)
+        table = trajectory_table(simulate(solution, sim, params))
+    except (SolverError, ParameterError, SimulationError, ValueError) as exc:
+        entry["status"] = f"error: {exc}"
+        return [mode.value, sink, *[""] * (len(SUMMARY_COLUMNS) - 3),
+                entry["status"]], entry, None
+    values, policies = _values_and_policies(solution)
+    ss = _responses(mode, values, policies, solution.H_d)
+    H0 = _responses(mode, values, policies, params.H0)
+    x_ss = (float(solution.subsidy(solution.H_d))
+            if mode is GameMode.STACKELBERG else None)
+    coefficients = _coefficients(solution)
+    # in the order of SUMMARY_COLUMNS
+    cells = [*coefficients.values(), solution.alpha, *ss[:3], x_ss, *H0[3:],
+             *ss[3:], solution.diagnostics.max_hjb_residual]
+    entry.update(status="ok",
+                 trajectory_file=f"trajectory_{mode.value}_sink_{sink}.csv",
+                 diagnostics=solution.diagnostics.to_dict(),
+                 coefficients=coefficients,
+                 metrics=dict(zip(RESPONSES, ss)))
+    return [mode.value, sink, *map(_fmt, cells), "ok"], entry, table
 
 
 def _usable_cpus() -> int:
@@ -550,56 +556,21 @@ def run_compare(config: ScenarioConfig) -> dict:
 
     Returns an artifact mapping: one summary table, one trajectory table per
     successful cell, and the run report. Solver and simulation failures are
-    recorded in the cell's status and the run continues. Every cell is solved
-    here; the solved cells' simulations and tables, most of the run's time,
-    are spread over forked worker processes (see _pool_map).
+    recorded in the cell's status and the run continues. Each cell is one
+    _compare_cell task, from its solve to its row, report entry and table,
+    on forked worker processes (see _pool_map); this process only assembles
+    them in cell order.
     """
     base = config.effective_params
-    tasks = []
-    for mode in config.modes:
-        if base.p_c > 0:
-            tasks.append((mode, "on", base))
-            tasks.append((mode, "off", base.without_sink_trading()))
-        else:
-            tasks.append((mode, "off", base))
-
-    solved = []
-    for mode, _, params in tasks:
-        try:
-            solved.append((solve(mode, params, config.solver), None))
-        except (SolverError, ParameterError, ValueError) as exc:
-            solved.append((None, str(exc)))
-    jobs = [(solution, config.sim, params) for (solution, _), (_, _, params)
-            in zip(solved, tasks) if solution is not None]
-    tables = iter(_pool_map(_cell_table, jobs))
-
-    artifacts = {}
-    rows = []
-    report_cells = []
-    for (mode, sink, params), (solution, error) in zip(tasks, solved):
-        if solution is not None:
-            table = next(tables)
-            if isinstance(table, Exception):
-                solution, error = None, str(table)
-        rows.append(_summary_row(mode, sink, params, solution, error))
-        cell_report = {
-            "mode": mode.value,
-            "sink_trading": sink,
-            "p_c": params.p_c,
-            "status": "ok" if solution is not None else f"error: {error}",
-        }
-        if solution is not None:
-            name = f"trajectory_{mode.value}_sink_{sink}.csv"
-            artifacts[name] = table
-            cell_report["trajectory_file"] = name
-            cell_report["diagnostics"] = solution.diagnostics.to_dict()
-            cell_report["coefficients"] = _coefficients(solution)
-            cell_report["metrics"] = dict(zip(RESPONSES, _responses(
-                mode, *_values_and_policies(solution), solution.H_d)))
-        report_cells.append(cell_report)
-    summary = _csv_table(SUMMARY_COLUMNS, rows)
-    return {"summary.csv": summary, **artifacts,
-            "run_report.json": _report("compare", config, cells=report_cells)}
+    sinks = ((("on", base), ("off", base.without_sink_trading()))
+             if base.p_c > 0 else (("off", base),))
+    rows, entries, tables = zip(*_pool_map(_compare_cell, [
+        (mode, sink, params, config.solver, config.sim)
+        for mode in config.modes for sink, params in sinks]))
+    artifacts = {entry["trajectory_file"]: table
+                 for entry, table in zip(entries, tables) if table is not None}
+    return {"summary.csv": _csv_table(SUMMARY_COLUMNS, rows), **artifacts,
+            "run_report.json": _report("compare", config, cells=list(entries))}
 
 
 def _sweep_argmax(mode: GameMode, responses, solved: list) -> list:

@@ -193,7 +193,9 @@ Policy evaluation solves the banded system (I - gamma*P) v = r by Gaussian
 elimination without pivoting. Each row's diagonal exceeds the sum of its
 off-diagonal magnitudes by 1 - gamma, and on such strictly diagonally
 dominant systems elimination without pivoting is stable (Golub & Van Loan,
-Matrix Computations, section 4.3).
+Matrix Computations, section 4.3). Where gamma = exp(-rho*dt) rounds to 1,
+the system is singular, and grid_best_response refuses the reply with an
+OracleError before any sweep.
 """
 
 from __future__ import annotations
@@ -361,7 +363,8 @@ def _evaluate_policy(n: int, j: np.ndarray, w: np.ndarray, reward: np.ndarray,
     Banded Gaussian elimination in Python floats, skipping zero multipliers;
     the band's reach is read off j - i and j + 1 - i, so a coarse time step
     widens it. No pivoting: each row's diagonal exceeds the sum of its
-    off-diagonal magnitudes by 1 - gamma > 0 (Golub & Van Loan, section 4.3).
+    off-diagonal magnitudes by 1 - gamma > 0 (Golub & Van Loan, section 4.3);
+    grid_best_response refuses a gamma that rounds to 1.
 
     Row i holds nothing left of column min(j[i], i) to begin with, and
     eliminating with pivot row k only fills columns right of k, so row i
@@ -776,6 +779,11 @@ def grid_best_response(params: ModelParams, mode, role: str,
                 f"subsidy rule leaves a non-positive effective cost share at "
                 f"H = {bad:.6g}; the follower problem is unbounded there")
     gamma = float(np.exp(-params.rho * grid.dt))
+    if not gamma < 1.0:
+        # I - gamma*P would be singular: _evaluate_policy needs 1 - gamma > 0
+        raise OracleError(
+            f"discount factor exp(-rho*dt) rounds to 1 at rho = {params.rho!r}, "
+            f"dt = {grid.dt!r}; the grid replies need a larger rho*dt")
     step = (1.0 - gamma) / params.rho
 
     def rates(acting: str, states, index):

@@ -181,8 +181,14 @@ def simulate(solution: GameSolution, simcfg: SimConfig = SimConfig(),
     return integrate_trajectory(solution, simcfg, params)
 
 
+# overflow leaves inf, and inf - inf nan, which the check below refuses
+@np.errstate(over="ignore", invalid="ignore")
 def _fill_series(solution: GameSolution, params: ModelParams, t: np.ndarray,
                  H: np.ndarray, integrator: str) -> Trajectory:
+    """The trajectory of path H at times t. Raises SimulationError naming the
+    first column, in TRAJECTORY_COLUMNS order, that is not finite and its
+    first such time; x_f is exempt, as nan outside gs and where its rule is
+    0/0."""
     c = derive_constants(params)
     mode = solution.mode
     E_f = solution.policies["farmer"].effort(H)
@@ -196,13 +202,20 @@ def _fill_series(solution: GameSolution, params: ModelParams, t: np.ndarray,
     disc_f = profits.discounted_running(breakdown.net_f, t, params.rho)
     disc_r = profits.discounted_running(breakdown.net_r, t, params.rho)
     flag = (H < 0.0) | (E_f < 0.0) | (E_r < 0.0)
-    return Trajectory(mode=mode, integrator=integrator, t=t, H=H,
-                      E_f=E_f, E_r=E_r, x_f=x_f,
-                      Q=supply(H, c), D=demand(H, c),
-                      F=carbon_sink(H, E_f, c),
-                      payoff_f=np.asarray(breakdown.net_f, dtype=float),
-                      payoff_r=np.asarray(breakdown.net_r, dtype=float),
-                      disc_cum_f=disc_f, disc_cum_r=disc_r, flag=flag)
+    trajectory = Trajectory(mode=mode, integrator=integrator, t=t, H=H,
+                            E_f=E_f, E_r=E_r, x_f=x_f,
+                            Q=supply(H, c), D=demand(H, c),
+                            F=carbon_sink(H, E_f, c),
+                            payoff_f=np.asarray(breakdown.net_f, dtype=float),
+                            payoff_r=np.asarray(breakdown.net_r, dtype=float),
+                            disc_cum_f=disc_f, disc_cum_r=disc_r, flag=flag)
+    for name in TRAJECTORY_COLUMNS[1:-1]:
+        finite = name == "x_f" or np.isfinite(getattr(trajectory, name))
+        if not np.all(finite):
+            raise SimulationError(
+                f"{integrator} path overflows float64: {name} is first not "
+                f"finite at t = {float(t[finite.argmin()])!r}")
+    return trajectory
 
 
 @lru_cache(maxsize=4)

@@ -416,6 +416,24 @@ def test_diverging_rk4_step_exits_one(capsys, tmp_path):
     assert "step h = 10.0" in err
 
 
+def test_a_discount_factor_that_rounds_to_one_fails_each_certification(
+        capsys, tmp_path):
+    # rho * dt rounds exp(-rho*dt) to 1.0: each mode's certification fails
+    # with the oracle's refusal, where a zero pivot raised ZeroDivisionError
+    path = tmp_path / "tiny-rho.json"
+    path.write_text(json.dumps({"rho": 7e-51}))
+    code, out, err = _run(capsys, ["verify", "--mode", "all",
+                                   "--config", str(path)])
+    assert code == 1
+    assert err == ""
+    lines = out.splitlines()
+    for mode in ("gd", "gs", "gc"):
+        assert (f"FAIL equilibrium-certification-{mode} (discount factor "
+                f"exp(-rho*dt) rounds to 1 at rho = 7e-51, dt = 0.005; the "
+                f"grid replies need a larger rho*dt)") in lines
+    assert lines[-1] == "overall: FAIL (12 checks)"
+
+
 def test_unknown_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])

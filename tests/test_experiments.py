@@ -443,32 +443,56 @@ def _set_processes(monkeypatch, cpus, forks):
         monkeypatch.delattr(os, "fork")
 
 
+STRESSED = ModelParams(lambda_f=350.0, p_c=1.2)   # gc's solve fails typed
+
+
+def _spy_pids(monkeypatch, tmp_path, targets: dict) -> dict:
+    """Patch each (module, name) of targets to append the id of the process
+    it runs in to its own file, and return the files by key; forked workers
+    inherit the patched module attributes."""
+    pids = {}
+    for key, (module, name) in targets.items():
+        real, pids[key] = getattr(module, name), tmp_path / key
+
+        def record(*args, real=real, path=pids[key]):
+            with open(path, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return real(*args)
+
+        monkeypatch.setattr(module, name, record)
+    return pids
+
+
+def _ran_in(pids: dict) -> dict:
+    """The process ids each spied function ran in, each once per call; the
+    files are removed for the next run."""
+    ran = {key: path.read_text().split() for key, path in pids.items()}
+    for path in pids.values():
+        path.unlink()
+    return ran
+
+
 @pytest.mark.parametrize("config", [
     ScenarioConfig(),
     ScenarioConfig(sim=RK4),
     ScenarioConfig(params=ModelParams(p_c=0.0), sim=QUICK_SIM),
     ScenarioConfig(modes="gd", sim=DIVERGING_RK4),
-], ids=["exact", "rk4", "one-cell-per-mode", "diverging-rk4"])
+    ScenarioConfig(params=STRESSED),
+], ids=["exact", "rk4", "one-cell-per-mode", "diverging-rk4", "stressed"])
 def test_pooled_and_serial_compare_agree(monkeypatch, tmp_path, config,
                                          fresh_workers):
-    # each simulation appends the id of the process it ran in; the forked
-    # workers inherit the patched module attribute
-    pids = tmp_path / "pids"
-    real = experiments.simulate
-
-    def spy(*args):
-        with open(pids, "a") as out:
-            out.write(f"{os.getpid()}\n")
-        return real(*args)
-
-    monkeypatch.setattr(experiments, "simulate", spy)
+    # a pooled run solves and simulates every cell in a worker, and the
+    # serial setups do all of it in this process
+    pids = _spy_pids(monkeypatch, tmp_path, {"solve": (experiments, "solve"),
+                                             "simulate": (experiments, "simulate")})
     runs = {}
     for cpus, forks in PROCESS_SETUPS:
         _set_processes(monkeypatch, cpus, forks)
         runs[cpus, forks] = run_compare(config)
-        ran_in, parent = set(pids.read_text().split()), str(os.getpid())
-        pids.unlink()
-        assert (parent not in ran_in) if (cpus, forks) == POOLED else (ran_in == {parent})
+        ran_in, parent = _ran_in(pids), str(os.getpid())
+        assert len(ran_in["solve"]) == len(runs[cpus, forks]["run_report.json"]["cells"])
+        for where in ran_in.values():
+            assert (parent not in where) if (cpus, forks) == POOLED else (set(where) == {parent})
     pooled = runs.pop(POOLED)
     for serial in runs.values():
         assert serial.keys() == pooled.keys()
@@ -477,20 +501,54 @@ def test_pooled_and_serial_compare_agree(monkeypatch, tmp_path, config,
                 assert _report_text(pooled[name]) == _report_text(content)
             else:
                 assert pooled[name] == content
+    statuses = {(c["mode"], c["sink_trading"]): c["status"]
+                for c in pooled["run_report.json"]["cells"]}
     if config.sim is DIVERGING_RK4:
-        statuses = [c["status"] for c in pooled["run_report.json"]["cells"]]
         assert len(statuses) == 2
         assert all(s.startswith("error: fourth-order-fixed-step path is not "
-                                "finite from t = ") for s in statuses)
+                                "finite from t = ") for s in statuses.values())
+    if config.params is STRESSED:
+        # the typed solver error's text crossed the worker pipe into the
+        # summary row and the report entry
+        assert statuses.pop(("gc", "on")).startswith("error: unstable model: ")
+        assert set(statuses.values()) == {"ok"}
+        row = _summary_by_cell(pooled)[("gc", "on")]
+        assert row["status"].startswith("error: unstable model: ")
+
+
+@pytest.mark.filterwarnings("error")
+def test_compare_writes_an_overflowing_cell_as_an_error_row(fresh_workers):
+    # at H0 = 1e300 the sink-trading paths overflow float64: those cells are
+    # error rows, and no ok row or table holds inf or nan, with warnings as
+    # errors in this process and in workers forked under them
+    artifacts = run_compare(ScenarioConfig(params=ModelParams(H0=1e300)))
+    cells = _summary_by_cell(artifacts)
+    for (mode, sink), row in cells.items():
+        if sink == "on":
+            assert row["status"] == ("error: exact path overflows float64: F "
+                                     "is first not finite at t = 0.0")
+            continue
+        assert row["status"] == "ok"
+        table = artifacts[f"trajectory_{mode}_sink_{sink}.csv"]
+        numbers = [value for line in [row, *csv.DictReader(io.StringIO(table))]
+                   for name, value in line.items()
+                   if name not in ("mode", "sink_trading", "status", "x_f")
+                   and value]
+        assert all(np.isfinite(float(value)) for value in numbers), (mode, sink)
+    checks = run_verify(ScenarioConfig(params=ModelParams(H0=1e300)))[
+        "run_report.json"]["checks"]
+    for mode in ("gd", "gs", "gc"):
+        (check,) = [c for c in checks
+                    if c["name"].startswith(f"value-consistency-{mode}")]
+        assert check == {"name": f"value-consistency-{mode}", "passed": False,
+                         "note": "exact path overflows float64: F is first "
+                                 "not finite at t = 0.0"}
 
 
 def _verify_checks(monkeypatch, config, cpus, forks=True) -> str:
     _set_processes(monkeypatch, cpus, forks)
     checks = run_verify(config)["run_report.json"]["checks"]
     return json.dumps(checks, sort_keys=True, default=_json_default)
-
-
-STRESSED = ModelParams(lambda_f=350.0, p_c=1.2)   # gc's solve fails typed
 
 
 @pytest.mark.parametrize("config", [
@@ -501,29 +559,15 @@ STRESSED = ModelParams(lambda_f=350.0, p_c=1.2)   # gc's solve fails typed
 ], ids=["all-modes", "no-sink", "gs-alone", "stressed"])
 def test_pooled_and_serial_verify_agree(monkeypatch, tmp_path, config,
                                         fresh_workers):
-    # each solve and the leader sample append the id of the process they ran
-    # in; the forked workers inherit the patched module attributes. A pooled
-    # run solves and certifies each mode in a worker, and a single mode is
-    # one task, which runs in this process
-    pids = {"solve": tmp_path / "solve", "sample": tmp_path / "sample"}
-
-    def spy(name, real):
-        def record(*args):
-            with open(pids[name], "a") as out:
-                out.write(f"{os.getpid()}\n")
-            return real(*args)
-        return record
-
-    monkeypatch.setattr(experiments, "solve", spy("solve", experiments.solve))
-    monkeypatch.setattr(oracle, "leader_improvement_sample",
-                        spy("sample", oracle.leader_improvement_sample))
+    # a pooled run solves and certifies each mode in a worker, and a single
+    # mode is one task, which runs in this process
+    pids = _spy_pids(monkeypatch, tmp_path, {
+        "solve": (experiments, "solve"),
+        "sample": (oracle, "leader_improvement_sample")})
     runs = {}
     for cpus, forks in PROCESS_SETUPS:
         runs[cpus, forks] = _verify_checks(monkeypatch, config, cpus, forks)
-        ran_in = {name: path.read_text().split() for name, path in pids.items()}
-        parent = str(os.getpid())
-        for path in pids.values():
-            path.unlink()
+        ran_in, parent = _ran_in(pids), str(os.getpid())
         assert len(ran_in["solve"]) == len(config.modes)
         assert len(ran_in["sample"]) == 1
         for where in ran_in.values():

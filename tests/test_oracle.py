@@ -1063,6 +1063,23 @@ def test_certification_preconditions_are_checked_before_any_part(
         equilibrium_check(sol, grid=sparse)
 
 
+@pytest.mark.parametrize("mode", ["gd", "gs", "gc"])
+def test_a_discount_factor_that_rounds_to_one_is_refused(monkeypatch, mode):
+    # at rho = 1e-20 and dt = 0.005, exp(-rho*dt) is exactly 1.0, so
+    # I - gamma*P is singular; the reply is refused before any sweep, where
+    # the band solve divided by a zero pivot
+    sol = solve(mode, ModelParams(rho=1e-20))
+    assert np.exp(-sol.params.rho * default_grid(sol).dt) == 1.0
+
+    def no_solve(*args):
+        raise AssertionError("a policy evaluation ran on a singular system")
+
+    monkeypatch.setattr(oracle, "_evaluate_policy", no_solve)
+    with pytest.raises(OracleError, match=r"discount factor exp\(-rho\*dt\) "
+                       r"rounds to 1 at rho = 1e-20, dt = 0\.005"):
+        equilibrium_check(sol)
+
+
 @pytest.mark.parametrize("mode", ["gd", "gs"])
 def test_a_failing_follower_reply_stops_the_check(monkeypatch, mode):
     # the check raises the error of its first part, the farmer's reply, and

@@ -352,6 +352,34 @@ def test_diverging_rk4_step_is_an_error_naming_h_and_the_first_time():
     assert "step h = 10.0" in message
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("integrator", [INTEGRATOR_EXACT, INTEGRATOR_RK4])
+@pytest.mark.parametrize("mode", list(GameMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("params, first", [
+    (ModelParams(H0=1e300), "F is first not finite at t = 0.0"),
+    (ModelParams(Q0=300e150).without_sink_trading(),
+     "F is first not finite at t = 0.01"),
+], ids=["H0-1e300", "Q0-1e152-no-sink"])
+def test_an_overflowing_path_is_an_error_naming_its_first_column_and_time(
+        mode, integrator, params, first):
+    # valid parameters whose series overflow float64 end typed and without
+    # a warning, where the table held inf and nan cells
+    with pytest.raises(SimulationError) as excinfo:
+        simulate(solve(mode, params), SimConfig(integrator=integrator), params)
+    assert str(excinfo.value) == f"{integrator} path overflows float64: {first}"
+
+
+@pytest.mark.parametrize("integrator", [INTEGRATOR_EXACT, INTEGRATOR_RK4])
+def test_zero_payoff_leader_follower_path_simulates(integrator):
+    # the rule is 0/0 everywhere, so x_f is nan throughout; x_f alone is
+    # exempt from the finiteness check
+    params = ModelParams(p_f=0.0, p_r=0.0, p_c=0.0)
+    traj = simulate(solve("gs", params), SimConfig(integrator=integrator), params)
+    assert np.isnan(traj.x_f).all()
+    assert not traj.payoff_f.any() and not traj.payoff_r.any()
+    assert np.isfinite(traj.H).all()
+
+
 def test_finite_unstable_rk4_path_is_flagged_not_an_error():
     sol = _solved("baseline")
     cfg = SimConfig(T=40.0, h=5.0, integrator=INTEGRATOR_RK4)
